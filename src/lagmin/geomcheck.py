@@ -1,22 +1,25 @@
-"""Finite-difference differential geometry on sampled immersions.
+"""Differential geometry of sampled immersions, one pass per batch.
 
-Everything runs off the lift evaluator: jets are central differences in
-chart coordinates, first partials are projected to the horizontal space of
-the quadric, the induced metric is the real part of the Hermitian form on
-projected partials, and the second fundamental form is obtained from the
-ambient second partials by removing, in order,
+Jets come from the immersion's product-rule jet: every family's lift is
+alpha(s) * beta(x) + delta(s) componentwise, with the curve factors alpha
+and delta differentiated in closed form from the profile ODE and only the
+O(1) transverse block beta finite-differenced in x (``fd`` stencils, step
+h).  Hand-built immersions without a product jet fall back to central
+differences of the whole lift evaluator.
 
-  * the tangential component (a linear solve against the Gram matrix,
-    better conditioned than orthonormalizing first when the lift
-    coordinates are large),
-  * the position component along the lift z (coefficient sign set by
-    (z, z) = -1 on the hyperbolic quadric, +1 on the sphere),
-  * the vertical component along i z (same signed rule),
-
-after which the remainder of a Lagrangian immersion lies in J(tangent) and
-is expanded in the frame {J e_k} of a Gram-Schmidt g-orthonormal tangent
-frame.  All residuals are dimensionless (normalized by coordinate or
-metric scale) so one tolerance ladder applies across families.
+``frame_batch`` then does the geometry once for all checks: the first
+partials are projected to the horizontal space of the quadric (h_i), and
+one Hermitian Gram matrix (h_i, h_j) gives both the induced metric
+g = Re and the Kahler pullback Omega(h_i, h_j) = Re (i h_i, h_j) = -Im.
+Its Cholesky factor L and T = L^{-1} give the Gram-Schmidt
+g-orthonormal frame e_a = sum_k T_ak h_k.  ``second_fundamental_form``
+pairs the ambient second partials w_ij with the h_l in one batched
+matmul, P = (w_ij, h_l); the tangential part is removed with
+g^{-1} = T^t T applied to Re P, the components along z and i z never
+pair with horizontal vectors, and the remainder of a Lagrangian immersion
+lies in J(tangent), so h_{abk} = sum T_ai T_bj T_kl Im (sigma_ij, h_l).
+All residuals are dimensionless (normalized by coordinate or metric
+scale) so one tolerance table, ``TOLERANCES``, applies across families.
 """
 
 from __future__ import annotations
@@ -29,8 +32,10 @@ from . import fd
 from .immersions import LegendreCurve, SampledImmersion
 from .model_spaces import (
     GeometryError,
+    HermitianSpace,
     InvalidArgument,
     herm_form,
+    herm_gram,
     projective_distance,
     quadric_defect,
     random_euclid,
@@ -45,9 +50,11 @@ __all__ = [
     "DegeneracyError",
     "NotLagrangianError",
     "JetBatch",
+    "FrameBatch",
     "SFFBatch",
     "CheckReport",
     "jet",
+    "frame_batch",
     "induced_metric",
     "lagrangian_residual",
     "horizontality_residual",
@@ -64,6 +71,7 @@ __all__ = [
     "sigma_numeric_report",
     "run_checks",
     "DEFAULT_FD_STEP",
+    "TOLERANCES",
 ]
 
 DEFAULT_FD_STEP = 1e-3
@@ -79,17 +87,6 @@ class DegeneracyError(GeometryError):
 
 class NotLagrangianError(GeometryError):
     """Second-fundamental-form extraction requires a Lagrangian sample."""
-
-
-def _signs(imm: SampledImmersion) -> np.ndarray:
-    space = imm.ambient.space
-    if space is None:
-        return np.ones(imm.ambient.coords)
-    return space.signs
-
-
-def _herm(signs, z, w):
-    return np.einsum("...i,...i,i->...", z, np.conj(w), signs)
 
 
 @dataclass
@@ -112,69 +109,22 @@ def jet(
     h: float = DEFAULT_FD_STEP,
     five_point: bool = True,
 ) -> JetBatch:
-    """Central-difference jet of the lift evaluator at chart points ``xi``."""
+    """Jet of the lift at chart points ``xi``.
+
+    Uses the immersion's product-rule jet when it has one (only the block
+    is finite-differenced, with step ``h``), else central differences of
+    the whole lift evaluator.
+    """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     if imm.profile is not None:
         margin = 2.0 * h
         if np.max(np.abs(xi[:, 0])) + margin > imm.profile.s_max:
             raise OutOfDomain("jet base point within 2h of the profile boundary")
-    value, d1, d2 = fd.jet_partials(imm.evaluate_xi, xi, h, five_point)
+    if imm.product_jet is not None:
+        value, d1, d2 = imm.product_jet(xi, h, five_point)
+    else:
+        value, d1, d2 = fd.jet_partials(imm.evaluate_xi, xi, h, five_point)
     return JetBatch(xi, value, d1, d2, h)
-
-
-def _horizontal_partials(imm: SampledImmersion, jets: JetBatch) -> np.ndarray:
-    space = imm.ambient.space
-    if space is None:
-        return jets.d1
-    coeff = herm_form(space, jets.d1, jets.value[:, None, :])[..., None]
-    if space.signature == "hyperbolic":
-        return jets.d1 + coeff * jets.value[:, None, :]
-    return jets.d1 - coeff * jets.value[:, None, :]
-
-
-def induced_metric(imm: SampledImmersion, jets: JetBatch) -> np.ndarray:
-    """Riemannian metric g_ij = Re (h_i, h_j) of horizontal-projected partials."""
-    signs = _signs(imm)
-    hp = _horizontal_partials(imm, jets)
-    g = _herm(signs, hp[:, :, None, :], hp[:, None, :, :]).real
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise DegeneracyError("induced metric is not positive definite") from None
-    return g
-
-
-def horizontality_residual(imm: SampledImmersion, jets: JetBatch) -> float:
-    """Legendrian residual |(d_i z, z)| / (|d_i z| |z|), max over the batch.
-
-    Vacuously zero for the flat ambient (no fibration to be horizontal for).
-    """
-    space = imm.ambient.space
-    if space is None:
-        return 0.0
-    inner = herm_form(space, jets.d1, jets.value[:, None, :])
-    nd = np.sqrt(np.sum(np.abs(jets.d1) ** 2, axis=-1))
-    nz = np.sqrt(np.sum(np.abs(jets.value) ** 2, axis=-1))[:, None]
-    return float(np.max(np.abs(inner) / np.maximum(nd * nz, 1.0)))
-
-
-def lagrangian_residual(imm: SampledImmersion, jets: JetBatch) -> float:
-    """Kahler-form pullback residual |Omega(h_i, h_j)| / sqrt(g_ii g_jj)."""
-    signs = _signs(imm)
-    hp = _horizontal_partials(imm, jets)
-    omega = _herm(signs, 1j * hp[:, :, None, :], hp[:, None, :, :]).real
-    g = _herm(signs, hp[:, :, None, :], hp[:, None, :, :]).real
-    diag = np.einsum("mii->mi", g)
-    scale = np.sqrt(np.abs(diag[:, :, None] * diag[:, None, :]))
-    return float(np.max(np.abs(omega) / np.maximum(scale, 1e-12)))
-
-
-def _lagrangian_pointwise(imm, jets, hp, g) -> np.ndarray:
-    signs = _signs(imm)
-    omega = _herm(signs, 1j * hp[:, :, None, :], hp[:, None, :, :]).real
-    diag = np.einsum("mii->mi", g)
-    scale = np.sqrt(np.abs(diag[:, :, None] * diag[:, None, :]))
-    return np.max(np.abs(omega) / np.maximum(scale, 1e-12), axis=(1, 2))
 
 
 @dataclass
@@ -210,58 +160,143 @@ class SFFBatch:
         return float(np.max(worst / scale))
 
 
+@dataclass
+class FrameBatch:
+    """The geometry of one jet batch, computed once and read by every check.
+
+    ``partials`` are the horizontal projections h_i of the first partials,
+    ``vertical`` the pairings (d_i z, z) that projection removed (None in
+    the flat ambient), ``metric`` g_ij = Re (h_i, h_j) and ``omega`` the
+    Kahler-form pullback Re (i h_i, h_j).  ``chol`` is the lower Cholesky
+    factor L of g and ``chol_inv`` its inverse T, whose rows give the
+    Gram-Schmidt frame e_a = sum_k T_ak h_k; both are None when g is not
+    positive definite.  ``sff`` is filled in by ``second_fundamental_form``.
+    """
+
+    jets: JetBatch
+    space: HermitianSpace | None
+    partials: np.ndarray
+    vertical: np.ndarray | None
+    metric: np.ndarray
+    omega: np.ndarray
+    chol: np.ndarray | None
+    chol_inv: np.ndarray | None
+    sff: SFFBatch | None = None
+
+    def lagrangian_pointwise(self) -> np.ndarray:
+        """|Omega(h_i, h_j)| / sqrt(g_ii g_jj), max over (i, j) per point."""
+        diag = np.diagonal(self.metric, axis1=1, axis2=2)
+        scale = np.sqrt(np.abs(diag[:, :, None] * diag[:, None, :]))
+        return np.max(np.abs(self.omega) / np.maximum(scale, 1e-12), axis=(1, 2))
+
+    def require_frame(self) -> np.ndarray:
+        if self.chol_inv is None:
+            raise DegeneracyError("induced metric is not positive definite")
+        return self.chol_inv
+
+
+def frame_batch(imm: SampledImmersion, jets: JetBatch) -> FrameBatch:
+    """Horizontal partials, metric, Kahler pullback and frame of a jet batch."""
+    space = imm.ambient.space
+    d1 = jets.d1
+    hp, vertical = d1, None
+    if space is not None:
+        z = jets.value[:, None, :]
+        coeff = herm_gram(space, d1, z)  # (d_i z, z), shape (M, D, 1)
+        vertical = coeff[..., 0]
+        hp = d1 + coeff * z if space.signature == "hyperbolic" else d1 - coeff * z
+    gram = herm_gram(space, hp, hp)
+    g = gram.real
+    try:
+        L = np.linalg.cholesky(g)
+        T = np.linalg.inv(L)
+    except np.linalg.LinAlgError:
+        L = T = None
+    # Re (i h_i, h_j) = -Im (h_i, h_j)
+    return FrameBatch(jets, space, hp, vertical, g, -gram.imag, L, T)
+
+
+def _frames(imm: SampledImmersion, batch) -> FrameBatch:
+    return batch if isinstance(batch, FrameBatch) else frame_batch(imm, batch)
+
+
+def _jets(batch) -> JetBatch:
+    return batch.jets if isinstance(batch, FrameBatch) else batch
+
+
+def induced_metric(imm: SampledImmersion, batch) -> np.ndarray:
+    """Riemannian metric g_ij = Re (h_i, h_j) of horizontal-projected partials."""
+    fb = _frames(imm, batch)
+    fb.require_frame()
+    return fb.metric
+
+
+def horizontality_residual(imm: SampledImmersion, batch) -> float:
+    """Legendrian residual |(d_i z, z)| / (|d_i z| |z|), max over the batch.
+
+    Vacuously zero for the flat ambient (no fibration to be horizontal for).
+    """
+    if imm.ambient.space is None:
+        return 0.0
+    fb = _frames(imm, batch)
+    jets = fb.jets
+    nd = np.sqrt(np.sum(np.abs(jets.d1) ** 2, axis=-1))
+    nz = np.sqrt(np.sum(np.abs(jets.value) ** 2, axis=-1))[:, None]
+    return float(np.max(np.abs(fb.vertical) / np.maximum(nd * nz, 1.0)))
+
+
+def lagrangian_residual(imm: SampledImmersion, batch) -> float:
+    """Kahler-form pullback residual |Omega(h_i, h_j)| / sqrt(g_ii g_jj)."""
+    return float(np.max(_frames(imm, batch).lagrangian_pointwise()))
+
+
 def second_fundamental_form(
     imm: SampledImmersion,
-    jets: JetBatch,
+    batch,
     lagrangian_tol: float = 1e-5,
 ) -> SFFBatch:
-    """Extract h_{ijk} and the mean curvature from ambient second partials."""
-    signs = _signs(imm)
-    space = imm.ambient.space
-    hp = _horizontal_partials(imm, jets)
-    g = _herm(signs, hp[:, :, None, :], hp[:, None, :, :]).real
+    """Extract h_{ijk} and the mean curvature from ambient second partials.
 
-    lag = _lagrangian_pointwise(imm, jets, hp, g)
+    ``batch`` is a JetBatch or a FrameBatch; a FrameBatch keeps the result
+    in its ``sff`` field for the checks that read it later.
+    """
+    fb = _frames(imm, batch)
+    lag = fb.lagrangian_pointwise()
     if np.max(lag) > lagrangian_tol:
         raise NotLagrangianError(
             f"Lagrangian residual {np.max(lag):.2e} exceeds {lagrangian_tol:.0e}"
         )
-
+    T = fb.require_frame()
+    space, hp = fb.space, fb.partials
     M, D, C = hp.shape
-    w = jets.d2
-    if space is not None:
-        z = jets.value
-        gz = space.quadric_target
-        cz = _herm(signs, w, z[:, None, None, :]).real / gz
-        w = w - cz[..., None] * z[:, None, None, :]
-        iz = 1j * z
-        cv = _herm(signs, w, iz[:, None, None, :]).real / gz
-        w = w - cv[..., None] * iz[:, None, None, :]
-
-    # tangential removal: solve g c = Re (w, h_k) for each (i, j) pair
-    rhs = _herm(signs, w[:, :, :, None, :], hp[:, None, None, :, :]).real
-    rhs_t = rhs.reshape(M, D * D, D).transpose(0, 2, 1)
-    coeffs = np.linalg.solve(g, rhs_t)  # (M, D, D*D)
-    tang = np.einsum("mkp,mkc->mpc", coeffs, hp).reshape(M, D, D, C)
-    sigma_vec = w - tang
-
-    try:
-        L = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise DegeneracyError("induced metric is not positive definite") from None
-    T = np.linalg.inv(L)  # rows: e_a = sum_k T_ak h_k (Gram-Schmidt order)
-    frame = np.einsum("mak,mkc->mac", T, hp)
-    sigma_frame = np.einsum("mai,mbj,mijc->mabc", T, T, sigma_vec)
-    h_ijk = _herm(signs, sigma_frame[:, :, :, None, :], (1j * frame)[:, None, None, :, :]).real
-    H = np.mean(np.einsum("maak->mak", h_ijk), axis=1)
+    # the normal part of w_ij = d_i d_j z pairs with J h_l as Im (sigma_ij, h_l),
+    # sigma_ij = w_ij - c_ijk h_k with g c = Re (w_ij, h_k) the tangential
+    # coefficients; w's components along z and i z drop out because every
+    # h_l is horizontal, (z, h_l) = 0
+    P = herm_gram(space, fb.jets.d2.reshape(M, D * D, C), hp)  # (w_ij, h_l)
+    c = P.real @ (T.swapaxes(1, 2) @ T)  # g^{-1} = T^t T
+    normal = P.imag + c @ fb.omega
+    # h_abk = sum T_ai T_bj T_kl normal_ijl
+    h = normal.reshape(M, D, D, D) @ T.swapaxes(1, 2)[:, None]
+    h = T[:, None] @ h
+    h_ijk = (T @ h.reshape(M, D, D * D)).reshape(M, D, D, D)
+    H = np.mean(np.diagonal(h_ijk, axis1=1, axis2=2), axis=-1)
     sigma_sq = np.sum(h_ijk**2, axis=(1, 2, 3))
-    return SFFBatch(h_ijk, H, sigma_sq, g)
+    sff = SFFBatch(h_ijk, H, sigma_sq, fb.metric)
+    if isinstance(batch, FrameBatch):
+        batch.sff = sff
+    return sff
 
 
-def minimality_residual(imm: SampledImmersion, jets: JetBatch) -> float:
+def _sff_of(imm: SampledImmersion, batch) -> SFFBatch:
+    if isinstance(batch, FrameBatch) and batch.sff is not None:
+        return batch.sff
+    return second_fundamental_form(imm, batch)
+
+
+def minimality_residual(imm: SampledImmersion, batch) -> float:
     """max |H| over the batch, in the induced metric."""
-    sff = second_fundamental_form(imm, jets)
-    return float(np.max(sff.mean_curvature_norm))
+    return float(np.max(_sff_of(imm, batch).mean_curvature_norm))
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +351,12 @@ def expected_metric(imm: SampledImmersion, xi: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def metric_residual(imm: SampledImmersion, jets: JetBatch) -> float | None:
+def metric_residual(imm: SampledImmersion, batch) -> float | None:
     """Entrywise deviation from the closed-form metric, metric-normalized."""
-    expected = expected_metric(imm, jets.xi)
+    expected = expected_metric(imm, _jets(batch).xi)
     if expected is None:
         return None
-    g = induced_metric(imm, jets)
+    g = induced_metric(imm, batch)
     diag = np.maximum(np.einsum("mii->mi", expected), 1.0)
     scale = np.sqrt(diag[:, :, None] * diag[:, None, :])
     return float(np.max(np.abs(g - expected) / scale))
@@ -350,17 +385,18 @@ def expected_sff_thm1(imm: SampledImmersion, xi: np.ndarray) -> np.ndarray:
     return h
 
 
-def sff_residuals(imm: SampledImmersion, jets: JetBatch) -> dict:
+def sff_residuals(imm: SampledImmersion, batch) -> dict:
     """Relative closed-form match of the thm1 coefficients and |sigma|^2."""
-    sff = second_fundamental_form(imm, jets)
-    expected = expected_sff_thm1(imm, jets.xi)
+    sff = _sff_of(imm, batch)
+    xi = _jets(batch).xi
+    expected = expected_sff_thm1(imm, xi)
     scale = np.max(np.abs(expected), axis=(1, 2, 3), keepdims=True)
     nonzero = np.abs(expected) > 1e-12 * scale
     rel = np.abs(sff.coeffs - expected) / np.where(nonzero, np.abs(expected), 1.0)
     worst_nonzero = float(np.max(np.where(nonzero, rel, 0.0)))
     worst_zero = float(np.max(np.where(nonzero, 0.0, np.abs(sff.coeffs) / scale)))
     n = imm.spec.n
-    r = imm.profile.r_of(jets.xi[:, 0])
+    r = imm.profile.r_of(xi[:, 0])
     a = imm.profile.family.phase_constant
     sig_expected = a**2 * (n - 1) * (n + 2) / np.sinh(r) ** (2 * n + 2)
     sig_rel = float(np.max(np.abs(sff.sigma_sq - sig_expected) / sig_expected))
@@ -496,13 +532,13 @@ def _transverse_weights(imm: SampledImmersion) -> np.ndarray:
 def curvature_field(imm: SampledImmersion, h: float = DEFAULT_FD_STEP) -> dict:
     """|sigma| and sqrt(det g) on the cached grid, plus transverse weights."""
     S, M = len(imm.s_values), len(imm.x_grid)
-    jets = jet(imm, imm.grid_xi(), h=h)
-    sff = second_fundamental_form(imm, jets)
-    det = np.linalg.det(sff.metric)
+    fb = frame_batch(imm, jet(imm, imm.grid_xi(), h=h))
+    sff = second_fundamental_form(imm, fb)
+    sqrt_det = np.prod(np.diagonal(fb.chol, axis1=1, axis2=2), axis=-1)  # det L
     return {
         "s_values": imm.s_values,
         "sigma_norms": sff.sigma_norm.reshape(S, M),
-        "sqrt_det_g": np.sqrt(np.abs(det)).reshape(S, M),
+        "sqrt_det_g": sqrt_det.reshape(S, M),
         "chart_weights": _transverse_weights(imm),
     }
 
@@ -574,6 +610,11 @@ class CheckReport:
         }
 
 
+TOLERANCES = {"lagrangian": 1e-6, "horizontal": 1e-6,
+              "minimal": 5e-4, "minimal_tg": 1e-5,
+              "metric": 1e-6, "sff": 1e-3, "sff_tg": 1e-5,
+              "invariance": 1e-8, "symmetry": 1e-4}
+
 ALL_CHECKS = ("lagrangian", "horizontal", "minimal", "metric", "sff", "invariance", "symmetry")
 
 _TG_FAMILIES = ("tg_sphere", "tg_tube", "tg_horo", "prop4a", "prop4b", "prop4c")
@@ -619,39 +660,37 @@ def run_checks(
         grid=(len(imm.s_values), len(imm.x_grid)),
         provenance={"h": h, "seed": rng_seed, "detuned": imm.spec.detuned,
                     "seed_kind": imm.seed.kind if imm.seed else None,
-                    "tolerances": {"lagrangian": 1e-6, "horizontal": 1e-6,
-                                   "minimal": 5e-4, "minimal_tg": 1e-5,
-                                   "metric": 1e-6, "sff": 1e-3, "sff_tg": 1e-5,
-                                   "invariance": 1e-8, "symmetry": 1e-4}},
+                    "tolerances": dict(TOLERANCES)},
     )
-    jets = jet(imm, imm.grid_xi(), h=h)
+    tol = TOLERANCES
+    fb = frame_batch(imm, jet(imm, imm.grid_xi(), h=h))
     is_tg = fam in _TG_FAMILIES and (imm.seed is None or imm.seed.kind.startswith("tg"))
     sff = None
     if {"minimal", "sff", "symmetry"} & set(checks):
-        sff = second_fundamental_form(imm, jets)
+        sff = second_fundamental_form(imm, fb)
 
     if "lagrangian" in checks:
-        report.add("lagrangian", lagrangian_residual(imm, jets), 1e-6)
+        report.add("lagrangian", lagrangian_residual(imm, fb), tol["lagrangian"])
     if "horizontal" in checks:
-        res = max(horizontality_residual(imm, jets), _sample_consistency(imm))
-        report.add("horizontal", res, 1e-6)
+        res = max(horizontality_residual(imm, fb), _sample_consistency(imm))
+        report.add("horizontal", res, tol["horizontal"])
     if "minimal" in checks:
-        tol = 1e-5 if is_tg else 5e-4
-        report.add("minimal", float(np.max(sff.mean_curvature_norm)), tol)
+        report.add("minimal", float(np.max(sff.mean_curvature_norm)),
+                   tol["minimal_tg" if is_tg else "minimal"])
     if "metric" in checks:
-        report.add("metric", metric_residual(imm, jets), 1e-6)
+        report.add("metric", metric_residual(imm, fb), tol["metric"])
     if "sff" in checks:
         if fam == "thm1" and not imm.spec.detuned:
-            res = sff_residuals(imm, jets)
-            report.add("sff", max(res["component_rel"], res["sigma_sq_rel"]), 1e-3)
+            res = sff_residuals(imm, fb)
+            report.add("sff", max(res["component_rel"], res["sigma_sq_rel"]), tol["sff"])
         elif is_tg:
-            report.add("sff", float(np.max(np.abs(sff.coeffs))), 1e-5)
+            report.add("sff", float(np.max(np.abs(sff.coeffs))), tol["sff_tg"])
     if "invariance" in checks and imm.group is not None and imm.model_evaluate is not None:
         report.add(
             "invariance",
             invariance_residual(imm, imm.group, k=invariance_samples, rng_seed=rng_seed),
-            1e-8,
+            tol["invariance"],
         )
     if "symmetry" in checks:
-        report.add("symmetry", sff.symmetry_residual(), 1e-4)
+        report.add("symmetry", sff.symmetry_residual(), tol["symmetry"])
     return report

@@ -17,6 +17,11 @@ a = sqrt(energy), which is what makes the maps unit-speed in s and minimal.
 The totally geodesic versions replace the curve by the real geodesic
 (sinh s, cosh s) (or (sin s, cos s) upstairs), and the complex-Euclidean
 product is gamma(s) * B with gamma(s)^n = (s, c).
+
+Every lift is therefore alpha(s) * beta(x) + delta(s) componentwise, and
+each immersion carries a product-rule jet built on that split: the curve
+factors are differentiated in closed form, the block by finite
+differences in x alone.
 """
 
 from __future__ import annotations
@@ -346,7 +351,11 @@ class SampledImmersion:
     (S, M, coords) and is immutable after construction, so instances can be
     shared across workers.  ``model_evaluate`` (closed-formula families
     only) accepts raw model coordinates and is what the group-invariance
-    check composes with isometry actions.
+    check composes with isometry actions.  ``product_jet(Xi, h, five_point,
+    order)`` returns the lift's value and chart partials at stacked (s, x)
+    points by the product rule over the family's curve and block factors;
+    hand-built immersions without one fall back to whole-lift finite
+    differences.
     """
 
     spec: ImmersionFamilySpec
@@ -357,6 +366,7 @@ class SampledImmersion:
     samples: np.ndarray
     evaluate: object
     model_evaluate: object | None = None
+    product_jet: object | None = None
     profile: ProfileSolution | None = None
     phases: PhaseIntegrals | None = None
     seed: SeedLagrangian | None = None
@@ -450,12 +460,6 @@ def _make_evaluator(spec, block, potential, profile, phases):
         trig = (np.sinh, np.cosh) if fam in ("thm1", "prop3a") else (np.sin, np.cos)
         R = profile.interpolant
         a_of, b_of = phases.a_of_s, phases.b_of_s
-        if spec.detuned:
-            f0 = float(phases.phase_speed(0.0))
-            gb = lambda r: f0 * np.tanh(r) ** 2
-            dgb = lambda r: 2.0 * f0 * np.tanh(r) / np.cosh(r) ** 2
-            b_of = cumulative_integral(profile.s, gb(profile.r), dgb(profile.r) * profile.rp)
-            a_of = lambda x: f0 * np.asarray(x, dtype=float)
 
         def evaluate(s, X):
             s = np.asarray(s, dtype=float)
@@ -547,6 +551,195 @@ def _make_evaluator(spec, block, potential, profile, phases):
     raise InvalidArgument(f"no evaluator for family {fam!r}")
 
 
+# ---------------------------------------------------------------------------
+# product-rule jets: Z(s, x) = alpha(s) * beta(x) + delta(s), componentwise
+
+
+def _detuned_phases(profile: ProfileSolution, phases: PhaseIntegrals) -> PhaseIntegrals:
+    """Phases of the thm1 negative control: the speed frozen at f(0)."""
+    f0 = float(phases.phase_speed(0.0))
+    gb = lambda r: f0 * np.tanh(r) ** 2
+    dgb = lambda r: 2.0 * f0 * np.tanh(r) / np.cosh(r) ** 2
+    b_of = cumulative_integral(profile.s, gb(profile.r), dgb(profile.r) * profile.rp)
+    a_of = lambda x: f0 * np.asarray(x, dtype=float)
+    speed = lambda x: np.full_like(np.asarray(x, dtype=float), f0)
+    rates = lambda r, rp: (np.full_like(r, f0), np.zeros_like(r), gb(r), dgb(r) * rp)
+    return PhaseIntegrals(phases.family, a_of, b_of, speed, rates)
+
+
+def _mul_jet(u, v):
+    """Jet (value, d/ds, d^2/ds^2), stacked on axis 0, of the product u v."""
+    return np.stack([u[0] * v[0], u[1] * v[0] + u[0] * v[1],
+                     u[2] * v[0] + 2.0 * u[1] * v[1] + u[0] * v[2]])
+
+
+def _phase_jet(phase, speed, accel):
+    """Jet of e^{i phase(s)} from the phase and its first two derivatives."""
+    e = np.exp(1j * phase)
+    return np.stack([e, 1j * speed * e, (1j * accel - speed**2) * e])
+
+
+def _trig_jets(t, hyperbolic: bool):
+    """Jets of (sinh t, cosh t), or (sin t, cos t), from the jet t = (t, t', t'')."""
+    t0, t1, t2 = t
+    if hyperbolic:
+        sh, ch, sgn = np.sinh(t0), np.cosh(t0), 1.0
+    else:
+        sh, ch, sgn = np.sin(t0), np.cos(t0), -1.0
+    # sh' = ch and ch' = sgn sh
+    return (np.stack([sh, ch * t1, sgn * sh * t1**2 + ch * t2]),
+            np.stack([ch, sgn * sh * t1, sgn * (ch * t1**2 + sh * t2)]))
+
+
+def _curve_factors(spec, profile, phases):
+    """s -> (alpha, delta), the curve factors as jets of shape (3, S, C).
+
+    Profile families take r and r' from the interpolant, r'' from the
+    profile equation and the phase derivatives from ``phases.rates``; the
+    geodesic and power curves are closed forms.  ``delta`` is None where
+    the lift has no additive curve term.
+    """
+    fam, n = spec.family, spec.n
+
+    if fam in _PROFILE_OF:
+        R, dR = profile.interpolant, profile.rp_interpolant()
+        rpp_of = profile.family.second_derivative
+        a_of, b_of, rates = phases.a_of_s, phases.b_of_s, phases.rates
+
+        def curve(s):
+            r, rp = R(s), dR(s)
+            rpp = rpp_of(r, rp)
+            rj = np.stack([r, rp, rpp])
+            sa, sa1, sb, sb1 = rates(r, rp)
+            if fam in ("thm3", "prop3c"):
+                # e^{iF} (r eta, P + r f/2, P + r + r f/2), P = 1/2r - r/2 - i r G
+                E = _phase_jet(a_of(s), sa, sa1)
+                G = b_of(s)
+                P = np.stack([
+                    0.5 / r - 0.5 * r - 1j * r * G,
+                    -0.5 * rp / r**2 - 0.5 * rp - 1j * (rp * G + r * sb),
+                    -0.5 * rpp / r**2 + rp**2 / r**3 - 0.5 * rpp
+                    - 1j * (rpp * G + 2.0 * rp * sb + r * sb1),
+                ])
+                Er = _mul_jet(E, rj)
+                zero = np.zeros_like(Er)
+                return (np.stack([Er] * (n + 1), axis=-1),
+                        np.stack([zero] * (n - 1) + [_mul_jet(E, P), _mul_jet(E, P + rj)],
+                                 axis=-1))
+            t0, t1 = _trig_jets(rj, fam not in ("thm5", "prop6a"))
+            c1 = _mul_jet(t0, _phase_jet(a_of(s), sa, sa1))
+            c2 = _mul_jet(t1, _phase_jet(b_of(s), sb, sb1))
+            cols = [c1] + [c2] * n if fam in ("thm2", "prop3b") else [c1] * n + [c2]
+            return np.stack(cols, axis=-1), None
+
+        return curve
+
+    def geodesic(s):
+        return np.stack([s, np.ones_like(s), np.zeros_like(s)])
+
+    if fam in ("tg_sphere", "prop4a", "prop6b", "tg_tube", "prop4b"):
+
+        def curve(s):
+            t0, t1 = _trig_jets(geodesic(s), fam != "prop6b")
+            cols = [t0] + [t1] * n if fam in ("tg_tube", "prop4b") else [t0] * n + [t1]
+            return np.stack(cols, axis=-1).astype(complex), None
+
+        return curve
+
+    if fam in ("tg_horo", "prop4c"):
+
+        def curve(s):
+            # (e^s eta, e^s f/2 - sinh s, e^s f/2 + cosh s)
+            sh, ch = _trig_jets(geodesic(s), True)
+            es = np.exp(s)
+            zero = np.zeros_like(sh)
+            alpha = np.stack([np.stack([es, es, es])] * (n + 1), axis=-1)
+            delta = np.stack([zero] * (n - 1) + [-sh, ch], axis=-1)
+            return alpha.astype(complex), delta.astype(complex)
+
+        return curve
+
+    if fam == "cn_product":
+
+        def curve(s):
+            # gamma' = gamma / (n z) and gamma'' = gamma' (1 - n) / (n z), z = gamma^n
+            g = power_curve(s, spec.c, n)
+            g1 = g / (n * (s + 1j * spec.c))
+            g2 = g1 * (1 - n) / (n * (s + 1j * spec.c))
+            return np.stack([np.stack([g, g1, g2])] * n, axis=-1), None
+
+        return curve
+
+    raise InvalidArgument(f"no evaluator for family {fam!r}")
+
+
+def _block_factor(spec, block, potential):
+    """x -> beta(x), the O(1) transverse factor of the lift."""
+    fam = spec.family
+
+    def ones(X):
+        return np.ones((len(X), 1), dtype=complex)
+
+    if fam in ("thm3", "prop3c", "tg_horo", "prop4c"):
+
+        def beta(X):
+            half_f = potential(X)[:, None] / 2.0
+            return np.concatenate([block(X), half_f, half_f], axis=-1)
+
+        return beta
+    if fam in ("thm2", "prop3b", "tg_tube", "prop4b"):
+        return lambda X: np.concatenate([ones(X), block(X)], axis=-1)
+    if fam == "cn_product":
+        return block
+    return lambda X: np.concatenate([block(X), ones(X)], axis=-1)
+
+
+def _distinct_rows(X: np.ndarray):
+    """Distinct rows of X and, for each row of X, its index among them."""
+    order = np.lexsort(X.T[::-1])
+    Xs = X[order]
+    new = np.r_[True, np.any(Xs[1:] != Xs[:-1], axis=1)]
+    at = np.empty(len(X), dtype=np.intp)
+    at[order] = np.cumsum(new) - 1
+    return Xs[new], at
+
+
+def _make_product_jet(curve, beta):
+    """Jet (value, d1, d2) of alpha(s) * beta(x) + delta(s) by the product rule.
+
+    The curve factors are exact; only beta is finite-differenced, in x
+    alone, with the ``fd`` stencils.  Both factors are evaluated once per
+    distinct s and x of the batch and broadcast.  ``order=1`` stops at d1.
+    """
+
+    def product_jet(Xi, h, five_point: bool = True, order: int = 2):
+        Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
+        s, s_at = _distinct_rows(Xi[:, :1])
+        X, x_at = _distinct_rows(Xi[:, 1:])
+        alpha, delta = curve(s[:, 0])
+        alpha = alpha[:, s_at]
+        delta = np.zeros((3, 1, 1)) if delta is None else delta[:, s_at]
+        if order == 1:
+            b0, b1 = beta(X), fd.first_partials(beta, X, h, five_point)
+        else:
+            b0, b1, b2 = fd.jet_partials(beta, X, h, five_point)
+            b2 = b2[x_at]
+        b0, b1 = b0[x_at], b1[x_at]
+
+        value = alpha[0] * b0 + delta[0]
+        d1 = np.concatenate([(alpha[1] * b0 + delta[1])[:, None],
+                             alpha[0][:, None] * b1], axis=1)
+        if order == 1:
+            return value, d1
+        d2 = np.empty(d1.shape[:2] + d1.shape[1:], dtype=complex)
+        d2[:, 0, 0] = alpha[2] * b0 + delta[2]
+        d2[:, 0, 1:] = d2[:, 1:, 0] = alpha[1][:, None] * b1
+        d2[:, 1:, 1:] = alpha[0][:, None, None] * b2
+        return value, d1, d2
+
+    return product_jet
+
+
 def _validate_window(spec: ImmersionFamilySpec, s_window) -> tuple[float, float]:
     s_lo, s_hi = s_window
     if not s_hi > s_lo:
@@ -589,7 +782,10 @@ def assemble_immersion(
     seed = _resolve_seed(spec, seed)
     chart, block, potential = _block_provider(spec, seed)
     phases = phase_integrals(profile) if profile is not None else None
-    evaluate = _make_evaluator(spec, block, potential, profile, phases)
+    lift_phases = _detuned_phases(profile, phases) if spec.detuned else phases
+    evaluate = _make_evaluator(spec, block, potential, profile, lift_phases)
+    product_jet = _make_product_jet(_curve_factors(spec, profile, lift_phases),
+                                    _block_factor(spec, block, potential))
 
     s_values = np.asarray(s_values, dtype=float)
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
@@ -605,9 +801,9 @@ def assemble_immersion(
         ident = lambda Xm: np.atleast_2d(np.asarray(Xm)).astype(complex)
         if spec.family in ("thm3", "tg_horo"):
             pot = lambda Xm: np.sum(np.atleast_2d(np.asarray(Xm)) ** 2, axis=-1).astype(complex)
-            model_evaluate = _make_evaluator(spec, ident, pot, profile, phases)
+            model_evaluate = _make_evaluator(spec, ident, pot, profile, lift_phases)
         else:
-            model_evaluate = _make_evaluator(spec, ident, None, profile, phases)
+            model_evaluate = _make_evaluator(spec, ident, None, profile, lift_phases)
 
     return SampledImmersion(
         spec=spec,
@@ -618,6 +814,7 @@ def assemble_immersion(
         samples=samples,
         evaluate=evaluate,
         model_evaluate=model_evaluate,
+        product_jet=product_jet,
         profile=profile,
         phases=phases,
         seed=seed,
@@ -690,8 +887,7 @@ def _sample_invariants(imm: SampledImmersion, fd_step: float) -> dict:
         return {"quadric": 0.0, "horizontal": 0.0}
     scale = np.maximum(np.sum(np.abs(flat) ** 2, axis=-1), 1.0)
     quadric = float(np.max(quadric_defect(space, flat) / scale))
-    Xi = imm.grid_xi()
-    d1 = fd.first_partials(imm.evaluate_xi, Xi, fd_step)
+    _, d1 = imm.product_jet(imm.grid_xi(), fd_step, order=1)
     inner = herm_form(space, d1, flat[:, None, :])
     norms = np.sqrt(np.sum(np.abs(d1) ** 2, axis=-1))
     denom = np.maximum(norms * np.sqrt(np.sum(np.abs(flat) ** 2, axis=-1))[:, None], 1.0)

@@ -29,6 +29,7 @@ __all__ = [
     "ProjectivePoint",
     "IsometryElement",
     "herm_form",
+    "herm_gram",
     "on_quadric",
     "quadric_defect",
     "normalize_phase",
@@ -42,8 +43,6 @@ __all__ = [
     "random_so",
     "random_so1",
     "random_euclid",
-    "complex_to_pairs",
-    "pairs_to_complex",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -115,6 +114,21 @@ def herm_form(space: HermitianSpace, z: np.ndarray, w: np.ndarray) -> np.ndarray
     w = np.asarray(w, dtype=complex)
     _check_dim(space, z, w)
     return np.einsum("...i,...i,i->...", z, np.conj(w), space.signs)
+
+
+def herm_gram(space: HermitianSpace | None, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Batched Gram matrices G[..., a, b] = (z_a, w_b) as one matmul.
+
+    ``z`` and ``w`` stack vectors along their second-to-last axis, shapes
+    (..., A, m) and (..., B, m); the result has shape (..., A, B).  A
+    ``space`` of None stands for the flat positive form on C^m.
+    """
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    if space is not None:
+        _check_dim(space, z, w)
+        z = z * space.signs
+    return z @ np.conj(w).swapaxes(-1, -2)
 
 
 def quadric_defect(space: HermitianSpace, z: np.ndarray) -> np.ndarray:
@@ -412,17 +426,3 @@ def random_so1(rng: np.random.Generator, n: int, scale: float = 0.4) -> np.ndarr
 def random_euclid(rng: np.random.Generator, n: int, scale: float = 0.5):
     """Random (A, a) in SO(n-1) x R^{n-1}."""
     return random_so(rng, n - 1), rng.normal(size=n - 1) * scale
-
-
-# ---------------------------------------------------------------------------
-# JSON encoding of complex data: a complex number is a two-element [re, im]
-
-def complex_to_pairs(z: np.ndarray) -> np.ndarray:
-    """(..., m) complex -> (..., m, 2) real."""
-    z = np.asarray(z, dtype=complex)
-    return np.stack([z.real, z.imag], axis=-1)
-
-
-def pairs_to_complex(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    return p[..., 0] + 1j * p[..., 1]

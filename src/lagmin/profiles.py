@@ -128,7 +128,8 @@ class ProfileFamily:
         raise InvalidArgument("ch_horo has no ODE form; use the closed form")
 
     def second_derivative(self, r, rp):
-        """r'' from the profile equation at state (r, r')."""
+        """r'' from the profile equation at state (r, r') (ch_horo: from its
+        first integral, independent of r')."""
         n = self.n
         if self.tag == "ch_sphere":
             return (1.0 - rp**2) * (np.sinh(r) ** 2 + n * np.cosh(r) ** 2) / (np.sinh(r) * np.cosh(r))
@@ -136,7 +137,8 @@ class ProfileFamily:
             return (1.0 - rp**2) * (np.cosh(r) ** 2 + n * np.sinh(r) ** 2) / (np.sinh(r) * np.cosh(r))
         if self.tag == "cp_sphere":
             return (1.0 - rp**2) * (n * np.cos(r) ** 2 - np.sin(r) ** 2) / (np.sin(r) * np.cos(r))
-        raise InvalidArgument("ch_horo has no ODE form; use the closed form")
+        # ch_horo: differentiating the first integral r'^2 + a^2 / r^{2n} = r^2
+        return r + n * self.energy_constant / r ** (2 * n + 1)
 
 
 @dataclass
@@ -157,7 +159,6 @@ class ProfileSolution:
     energy_constant: float
     tol: float
     interpolant: CubicHermiteSpline
-    u_interpolant: CubicHermiteSpline | None
     u_reconstructed: bool = False
 
     def __post_init__(self):
@@ -173,6 +174,11 @@ class ProfileSolution:
 
     def rp_of(self, s):
         return self.interpolant.derivative()(s)
+
+    def rp_interpolant(self) -> CubicHermiteSpline:
+        """r' as a cubic Hermite spline with the profile equation's r'' as
+        knot slopes: O(step^4) between knots, where ``rp_of`` is O(step^3)."""
+        return CubicHermiteSpline(self.s, self.rp, self.family.second_derivative(self.r, self.rp))
 
     def evenness_residual(self) -> float:
         return float(np.max(np.abs(self.r - self.r[::-1])))
@@ -210,7 +216,7 @@ def solve_profile(
         r, rp = _closed_form_horo(family, s)
         interp = CubicHermiteSpline(s, r, rp)
         return ProfileSolution(family, s, r, rp, None, family.energy_constant,
-                               tol, interp, None)
+                               tol, interp)
 
     def rhs(_, y):
         return (math.tanh(y[1]), family.slope(y[0]))
@@ -244,9 +250,8 @@ def solve_profile(
         raise IntegrationFailure("cp_sphere profile left (0, pi/2)", last_s=None)
 
     interp = CubicHermiteSpline(s, r, rp)
-    u_interp = CubicHermiteSpline(s, u, family.slope(r))
     return ProfileSolution(family, s, r, rp, u, family.energy_constant,
-                           tol, interp, u_interp)
+                           tol, interp)
 
 
 def energy_residual(sol: ProfileSolution) -> float:
@@ -299,14 +304,17 @@ class PhaseIntegrals:
     ``a_of_s`` and ``b_of_s`` are the signed exponents of the first and
     second components of the corresponding immersion (cp_sphere carries the
     minus sign on a_of_s).  ``phase_speed`` is f(s) = a / denom(r)^{n+1}.
-    For ch_horo the raw integrals A_{n+1}(s) and A_{n+3}(s) (without the
-    rho^{n+1} factor) are exposed as well.
+    ``rates(r, r')`` returns the exponents' first and second s-derivatives
+    (a', a'', b', b'') in closed form from the profile state.  For ch_horo
+    the raw integrals A_{n+1}(s) and A_{n+3}(s) (without the rho^{n+1}
+    factor) are exposed as well.
     """
 
     family: ProfileFamily
     a_of_s: object
     b_of_s: object
     phase_speed: object
+    rates: object
     a_n_plus_1: object | None = None
     a_n_plus_3: object | None = None
 
@@ -380,7 +388,9 @@ def phase_integrals(sol: ProfileSolution, coarsen: int = 1) -> PhaseIntegrals:
     speed = lambda x: ga(sol.r_of(x)) if fam.tag != "ch_tube" else (
         fam.phase_constant / np.cosh(sol.r_of(x)) ** (fam.n + 1)
     )
-    out = PhaseIntegrals(fam, a_of_s, b_of_s, speed)
+    rates = lambda r, rp: (sign_a * ga(r), sign_a * dga(r) * rp,
+                           sign_b * gb(r), sign_b * dgb(r) * rp)
+    out = PhaseIntegrals(fam, a_of_s, b_of_s, speed, rates)
     if fam.tag == "ch_horo":
         a_c = fam.phase_constant
         out.a_n_plus_1 = lambda x: A(x) / a_c

@@ -122,14 +122,11 @@ def profile_from_dict(d: dict) -> ProfileSolution:
     if tag != "ch_horo":
         u = np.arctanh(np.clip(rp, -1 + 1e-16, 1 - 1e-16))
     interp = CubicHermiteSpline(s, r, rp)
-    u_interp = None
-    if u is not None:
-        u_interp = CubicHermiteSpline(s, u, fam.slope(r))
     return ProfileSolution(
         fam, s, r, rp, u,
         _parse_float(_require(d, "energy_constant", "profile"), "profile.energy_constant"),
         _parse_float(_require(d, "tol", "profile"), "profile.tol"),
-        interp, u_interp,
+        interp,
         u_reconstructed=tag != "ch_horo",
     )
 

@@ -109,6 +109,17 @@ class TestBuildVerify:
         assert d["pass"] is True
         assert {c["name"] for c in d["checks"]} >= {"lagrangian", "horizontal", "minimal"}
 
+    def test_thm1_n4_default_grid_verifies(self, tmp_path):
+        # the sff check used to fail here on correct geometry: finite
+        # differences of the cosh-sized lift lost the curvature at |s| = 2.5
+        out, rep = tmp_path / "thm1_n4.json", tmp_path / "rep.json"
+        code = run(tmp_path, "build", "--family", "thm1", "--n", "4", "--rho", "1",
+                   "--out", str(out))
+        assert code == EXIT_OK
+        code = run(tmp_path, "verify", "--in", str(out), "--report", str(rep))
+        assert code == EXIT_OK
+        assert json.loads(rep.read_text())["pass"] is True
+
     def test_verify_selected_checks(self, tmp_path):
         out = tmp_path / "tg.json"
         run(tmp_path, "build", "--family", "tg-horo", "--n", "2",

@@ -5,6 +5,7 @@ import pytest
 
 from lagmin import geomcheck as gc
 from lagmin.immersions import (
+    FAMILY_TAGS,
     Ambient,
     ImmersionFamilySpec,
     SampledImmersion,
@@ -190,11 +191,107 @@ class TestSecondFundamentalForm:
         hs = (4e-3, 2e-3, 1e-3)
         vals = []
         for h in hs:
-            jets = gc.jet(imm, xi, h=h, five_point=False)
+            # whole-lift differences: the stencil order is what is under test
+            jets = gc.JetBatch(xi, *fd.jet_partials(imm.evaluate_xi, xi, h, False), h)
             sff = gc.second_fundamental_form(imm, jets)
             vals.append(float(np.max(sff.mean_curvature_norm)))
         slope = np.polyfit(np.log(hs), np.log(vals), 1)[0]
         assert slope >= 1.7
+
+
+# one spec per family tag (the seeded ones over a seed of the right target),
+# plus the detuned thm1 control
+_EVERY_FAMILY = [
+    ImmersionFamilySpec("thm1", 3, 1.0),
+    ImmersionFamilySpec("thm1", 2, 1.0, detuned=True),
+    ImmersionFamilySpec("thm2", 3, 1.0),
+    ImmersionFamilySpec("thm3", 3, 1.0),
+    ImmersionFamilySpec("thm5", 3, 0.6),
+    ImmersionFamilySpec("tg_sphere", 3),
+    ImmersionFamilySpec("tg_tube", 3),
+    ImmersionFamilySpec("tg_horo", 3),
+    ImmersionFamilySpec("prop3a", 3, 1.0, seed_kind="clifford_cp"),
+    ImmersionFamilySpec("prop3b", 3, 1.0, seed_kind="tg_rh_ch"),
+    ImmersionFamilySpec("prop3c", 3, 1.0, seed_kind="tg_plane_c"),
+    ImmersionFamilySpec("prop4a", 3, seed_kind="tg_sphere_cp"),
+    ImmersionFamilySpec("prop4b", 3, seed_kind="tg_rh_ch"),
+    ImmersionFamilySpec("prop4c", 3, seed_kind="tg_plane_c"),
+    ImmersionFamilySpec("prop6a", 3, 0.6, seed_kind="clifford_cp"),
+    ImmersionFamilySpec("prop6b", 3, seed_kind="clifford_cp"),
+    ImmersionFamilySpec("cn_product", 3, seed_kind="clifford_cp", c=1),
+    ImmersionFamilySpec("cn_product", 2, seed_kind="tg_sphere_cp", c=0),
+]
+
+
+class TestProductJets:
+    def test_every_family_tag_covered(self):
+        assert {spec.family for spec in _EVERY_FAMILY} == set(FAMILY_TAGS)
+
+    @pytest.mark.parametrize("spec", _EVERY_FAMILY, ids=lambda sp: "-".join(
+        filter(None, (sp.family, sp.seed_kind, "detuned" * sp.detuned))))
+    def test_matches_whole_lift_differences(self, spec):
+        imm = build_immersion(spec, grid=(11, 9))
+        xi = imm.grid_xi()
+        xi = xi[np.abs(xi[:, 0]) <= 1.0]
+        h = 1e-3
+        value, d1, d2 = imm.product_jet(xi, h)
+        fv, f1, f2 = fd.jet_partials(imm.evaluate_xi, xi, h)
+        scale = np.max(np.abs(fv))
+        assert np.max(np.abs(value - fv)) <= 1e-13 * scale
+        # 5-point first partials are O(h^4)
+        assert np.max(np.abs(d1 - f1)) <= 1e-8 * scale
+        # the mixed cross stencil is O(h^2) and the whole-lift stencil sees
+        # the profile spline's knot wiggle (knots every 2h)
+        assert np.max(np.abs(d2 - f2)) <= 1e-4 * scale
+
+    def test_hand_built_immersion_falls_back_to_differences(self):
+        imm = _complex_curve_immersion()
+        xi = imm.grid_xi()
+        jets = gc.jet(imm, xi)
+        value, d1, d2 = fd.jet_partials(imm.evaluate_xi, xi, gc.DEFAULT_FD_STEP)
+        assert np.array_equal(jets.d2, d2)
+
+    def test_run_checks_is_one_geometry_pass(self, thm1, monkeypatch):
+        calls = {"jet": 0, "sff": 0, "fd": []}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def fd_spy(evaluate, *args, **kwargs):
+            calls["fd"].append(evaluate)
+            return jet_partials(evaluate, *args, **kwargs)
+
+        jet_partials = fd.jet_partials
+        monkeypatch.setattr(gc, "jet", counted("jet", gc.jet))
+        monkeypatch.setattr(gc, "second_fundamental_form",
+                            counted("sff", gc.second_fundamental_form))
+        monkeypatch.setattr(fd, "jet_partials", fd_spy)
+        report = gc.run_checks(thm1)
+        assert report.verdict
+        assert calls["jet"] == 1
+        assert calls["sff"] == 1
+        # only the block is differenced, never the whole lift
+        assert calls["fd"] and thm1.evaluate_xi not in calls["fd"]
+
+
+class TestDomainRegressions:
+    """Default-setting thm1 builds that failed the sff check on correct
+    geometry before the jets became product-rule jets."""
+
+    @pytest.mark.parametrize("n,rho", [(3, 0.3), (3, 2.0), (4, 1.0), (5, 1.0)])
+    def test_thm1_passes_every_check(self, n, rho):
+        report = gc.run_checks(build_immersion(ImmersionFamilySpec("thm1", n, rho)))
+        assert report.verdict, [c for c in report.checks if not c["pass"]]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known limit: at rho = 1e-3 the curvature F ~ 1e-9 cancels against O(1) "
+        "lift coordinates when the SFF is extracted; sff residual about 1e-2"))
+    def test_thm1_tiny_rho(self):
+        report = gc.run_checks(build_immersion(ImmersionFamilySpec("thm1", 3, 1e-3)))
+        assert report.verdict
 
 
 class TestInvariance:
