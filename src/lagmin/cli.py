@@ -314,8 +314,8 @@ def cmd_export(args, cfg) -> int:
         sol = solve_profile(ProfileFamily("cp_sphere", n, rho), T + 0.5,
                             tol=cfg["ode_tol"])
         s = np.linspace(0.0, T, 513)
-        rows = [[ser.fnum(v), ser.fnum(sol.r_of(v)), ser.fnum(sol.rp_of(v))] for v in s]
-        text = "s,r,rp\n" + "\n".join(",".join(row) for row in rows) + "\n"
+        rows = ser.format_rows(np.column_stack([s, sol.r_of(s), sol.rp_of(s)]))
+        text = ser.profile_to_csv({"grid": rows})
     with open(args.out, "w") as fh:
         fh.write(text)
     print(f"wrote {args.what} CSV to {args.out}", file=sys.stderr)

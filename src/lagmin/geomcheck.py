@@ -24,6 +24,7 @@ scale) so one tolerance table, ``TOLERANCES``, applies across families.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -438,6 +439,7 @@ def invariance_residual(
     s_pts = np.repeat(imm.s_values, len(imm.x_grid))[idx]
     x_chart = np.tile(imm.x_grid, (len(imm.s_values), 1))[idx]
     x_model = imm.chart.to_model(x_chart)
+    base = imm.model_evaluate(s_pts, x_model)
 
     worst = 0.0
     for _ in range(k):
@@ -457,10 +459,8 @@ def invariance_residual(
             raise InvalidArgument(f"unknown group {group!r}")
         if moved.shape[1] != x_model.shape[1]:
             raise InvalidArgument("group does not act on this model manifold")
-        left = imm.model_evaluate(s_pts, x_model) @ mat
         right = imm.model_evaluate(s_pts, moved)
-        for i in range(k):
-            worst = max(worst, projective_distance(space, left[i], right[i]))
+        worst = max(worst, float(np.max(projective_distance(space, base @ mat, right))))
     return worst
 
 
@@ -510,10 +510,12 @@ def power_curve_curvature(gamma: np.ndarray, s: np.ndarray, n: int):
 def _transverse_weights(imm: SampledImmersion) -> np.ndarray:
     """Product quadrature weights matching the transverse grid layout."""
     chart = imm.chart
-    d = chart.dim
-    per = max(2, int(round(len(imm.x_grid) ** (1.0 / d))))
+    shape = imm.transverse_shape
+    if math.prod(shape) != len(imm.x_grid):
+        raise InvalidArgument(f"transverse grid of {len(imm.x_grid)} points is not a "
+                              f"{'x'.join(map(str, shape))} product mesh")
     axis_weights = []
-    for k in range(d):
+    for k, per in enumerate(shape):
         if chart.periodic[k]:
             step = (chart.hi[k] - chart.lo[k]) / per
             axis_weights.append(np.full(per, step))

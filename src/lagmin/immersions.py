@@ -377,6 +377,12 @@ class SampledImmersion:
         for a in (self.s_values, self.x_grid, self.samples):
             a.setflags(write=False)
 
+    @property
+    def transverse_shape(self) -> tuple:
+        """Points per chart axis of the product mesh ``x_grid``, read off the
+        grid itself (files record only the total)."""
+        return tuple(len(np.unique(col)) for col in self.x_grid.T)
+
     def evaluate_xi(self, Xi: np.ndarray) -> np.ndarray:
         """Chart evaluator on stacked coordinates (s, x): (M, 1+d) -> (M, C)."""
         Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
@@ -404,7 +410,8 @@ def default_grid_spec(spec: ImmersionFamilySpec) -> tuple[float, float]:
 
 
 def _split_transverse(M: int, chart: Chart) -> np.ndarray:
-    """Mesh the chart box with ~M points total, split evenly across axes."""
+    """Mesh the chart box with per^d points, per = round(M^(1/d)) >= 2 on
+    each of the d axes."""
     d = chart.dim
     per = max(2, int(round(M ** (1.0 / d))))
     axes = []
@@ -834,7 +841,8 @@ def build_immersion(
     """Build a family evaluator and cache lifts on an S x M grid.
 
     ``grid`` is (s-points, total transverse points); the transverse budget
-    is split evenly across the chart axes.  Profiles are solved internally
+    is split evenly across the d chart axes and rounded to per^d points
+    (64x48 at n = 3 gives 7^2 = 49).  Profiles are solved internally
     on a window 0.5 wider than the sample window.  When ``check`` is on,
     quadric membership and the Legendrian (horizontality) residual of the
     cached samples go into ``header``.

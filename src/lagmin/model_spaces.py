@@ -17,6 +17,7 @@ an array of shape (..., n+1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
     "embed_isometry",
     "umbilical_embed",
     "validate_model_point",
+    "expm",
     "random_so",
     "random_so1",
     "random_euclid",
@@ -154,25 +156,27 @@ def normalize_phase(z: np.ndarray) -> np.ndarray:
     return z * np.conj(phase)[..., None]
 
 
-def projective_distance(space: HermitianSpace, z: np.ndarray, w: np.ndarray) -> float:
+def projective_distance(space: HermitianSpace, z: np.ndarray, w: np.ndarray):
     """Distance between [z] and [w]: phase-aligned max-coordinate deviation.
 
     The optimal phase is read off in closed form from the largest-modulus
     coordinate of ``w``; the result is normalized by the larger coordinate
-    scale of the two representatives, so it is dimensionless.
+    scale of the two representatives, so it is dimensionless.  Rows of
+    shape (..., m) give distances of shape (...); one pair gives a float.
     """
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
     _check_dim(space, z, w)
-    k = int(np.argmax(np.abs(w)))
-    if abs(z[k]) == 0.0:
-        aligned = z
-    else:
-        phase = (w[k] / z[k])
-        phase = phase / abs(phase)
-        aligned = z * phase
-    scale = max(float(np.max(np.abs(z))), float(np.max(np.abs(w))), 1.0)
-    return float(np.max(np.abs(aligned - w))) / scale
+    k = np.argmax(np.abs(w), axis=-1)[..., None]
+    zk = np.take_along_axis(z, k, axis=-1)
+    phase = np.take_along_axis(w, k, axis=-1) / np.where(zk == 0.0, 1.0, zk)
+    # np.hypot rounds like abs() of a complex scalar; np.abs of a complex
+    # array can differ in the last bit
+    phase = phase / np.hypot(phase.real, phase.imag)
+    aligned = np.where(zk == 0.0, z, z * phase)
+    scale = np.maximum(np.maximum(np.max(np.abs(z), axis=-1), np.max(np.abs(w), axis=-1)), 1.0)
+    dist = np.max(np.abs(aligned - w), axis=-1) / scale
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def projective_equal(space, z, w, tol: float = 1e-8) -> bool:
@@ -402,18 +406,45 @@ def umbilical_embed(kind: str, x: np.ndarray, r: float | None = None) -> np.ndar
 # ---------------------------------------------------------------------------
 # random group elements (seeded; used by invariance checks and tests)
 
+# [13/13] Pade coefficients and the 1-norm up to which they reach double
+# precision without scaling (Higham 2005)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a real square matrix by scaling and squaring
+    with the [13/13] Pade approximant."""
+    A = np.asarray(A, dtype=float)
+    norm = float(np.max(np.sum(np.abs(A), axis=0), initial=0.0))
+    squarings = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    A = A / 2.0**squarings
+    b = _PADE13
+    ident = np.eye(len(A))
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
+    X = np.linalg.solve(V - U, V + U)
+    for _ in range(squarings):
+        X = X @ X
+    return X
+
+
 def random_so(rng: np.random.Generator, n: int, scale: float = 0.7) -> np.ndarray:
     """Random element of SO(n) via the exponential of a random skew matrix."""
-    from scipy.linalg import expm
-
     X = rng.normal(size=(n, n)) * scale
     return expm(X - X.T)
 
 
 def random_so1(rng: np.random.Generator, n: int, scale: float = 0.4) -> np.ndarray:
     """Random element of SO^1_0(n) preserving diag(1,..,1,-1), x -> xA."""
-    from scipy.linalg import expm
-
     X = np.zeros((n, n))
     B = rng.normal(size=(n - 1, n - 1)) * scale
     X[: n - 1, : n - 1] = B - B.T

@@ -19,21 +19,26 @@ r' = tanh u, which turns the equations into the cancellation-free form
 and makes the conserved quantity cosh^2 r sinh^2n r / cosh^2 u, which is
 evaluated in log space.  The phase speed of every family is
 f(s) = a / denom(r)^{n+1} with a = sqrt(energy constant).
+
+Interpolants and cumulative integrals use ``Spline``, a numpy piecewise
+polynomial bit-identical to scipy's ``CubicHermiteSpline``.  scipy itself
+is imported only when an ODE is solved (``solve_ivp``) or an integral is
+computed by quadrature (``quad``), so reading a stored profile, building
+its interpolant and phase integrals does not load it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.interpolate import CubicHermiteSpline
 
 from .model_spaces import GeometryError, InvalidArgument
 
 __all__ = [
     "FAMILY_TAGS",
+    "Spline",
     "ProfileFamily",
     "ProfileSolution",
     "PhaseIntegrals",
@@ -68,6 +73,109 @@ class NeedsLargerDomain(GeometryError):
 
 class DetectionFailure(GeometryError):
     """No periodic return found within the search window."""
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first solve.
+
+    Importing scipy.integrate costs about half a second; commands that only
+    read stored profiles never pay it.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on the first quadrature."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
+
+
+class Spline:
+    """Piecewise polynomial on strictly increasing knots, extrapolated by
+    the end pieces.
+
+    ``rows[j, k]`` is the coefficient of (x - knots[j])^k on the piece
+    [knots[j], knots[j+1]); a piece's coefficients sit side by side, so an
+    evaluation gathers them in one ``take``.  ``Spline.hermite`` builds the
+    cubic Hermite interpolant.  Construction, evaluation, ``derivative``
+    and ``antiderivative`` follow scipy's ``CubicHermiteSpline`` operation
+    for operation, so results are bit-identical to it: the piece is
+    ``searchsorted(knots, x, "right") - 1`` clipped to [0, N-2], terms are
+    summed lowest power first with powers built by repeated multiplication,
+    and the antiderivative's integration constants are one sequential sum.
+    """
+
+    def __init__(self, knots: np.ndarray, rows: np.ndarray):
+        self.knots = knots
+        # scipy sums a piece's terms starting from 0.0, which turns a -0.0
+        # constant term into 0.0
+        rows[:, 0] += 0.0
+        self.rows = rows
+        # searchsorted over the interior knots is the clipped piece index
+        self._interior = knots[1:-1]
+
+    @classmethod
+    def hermite(cls, x, y, dydx) -> "Spline":
+        """Cubic Hermite interpolant of values ``y`` and slopes ``dydx``."""
+        x, y, dydx = (np.asarray(a, dtype=float) for a in (x, y, dydx))
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+        rows = np.empty((len(dx), 4))
+        rows[:, 0] = y[:-1]
+        rows[:, 1] = dydx[:-1]
+        rows[:, 2] = (slope - dydx[:-1]) / dx - t
+        rows[:, 3] = t / dx
+        return cls(x, rows)
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        i = self._interior.searchsorted(x, "right")
+        if x.ndim == 0:
+            # one point: Python floats round exactly like the array path
+            return _sum_powers(self.rows[i].tolist(), float(x) - float(self.knots[i]))
+        return _sum_powers(self.rows.take(i, axis=0).T, x - self.knots.take(i))
+
+    # columnwise loops below: numpy broadcasts over a length-4 last axis slowly
+
+    def derivative(self) -> "Spline":
+        pieces, k = self.rows.shape
+        rows = np.empty((pieces, k - 1))
+        for j in range(1, k):
+            rows[:, j - 1] = self.rows[:, j] * float(j)
+        return Spline(self.knots, rows)
+
+    def antiderivative(self) -> "Spline":
+        """The antiderivative vanishing at the first knot."""
+        pieces, k = self.rows.shape
+        rows = np.empty((pieces, k + 1))
+        for j in range(k):
+            rows[:, j + 1] = self.rows[:, j] / float(j + 1)
+        # each piece starts at the value the previous one reaches at its
+        # end; those terms c h, c h^2, ..., lowest power first, are summed
+        # across all pieces in one sequential cumsum
+        h = np.diff(self.knots)[:-1]
+        terms = np.empty((pieces - 1, k))
+        power = h
+        for j in range(k):
+            terms[:, j] = rows[:-1, j + 1] * power
+            power = power * h
+        rows[0, 0] = 0.0
+        rows[1:, 0] = np.cumsum(terms)[k - 1::k]
+        return Spline(self.knots, rows)
+
+
+def _sum_powers(c, s):
+    """sum_k c[k] s^k, lowest power first, powers by repeated multiplication."""
+    out = c[0] + c[1] * s
+    power = s
+    for ck in c[2:]:
+        power = power * s
+        out = out + ck * power
+    return out
 
 
 def _logcosh(x):
@@ -147,8 +255,9 @@ class ProfileSolution:
 
     ``grid`` columns are (s, r, r'); ``u`` carries artanh(r') for the ODE
     families (None for the closed-form ch_horo) and is what makes long-range
-    energy evaluation possible.  ``interpolant`` is a cubic Hermite spline
-    matching grid values and derivatives; downstream quadratures consume it.
+    energy evaluation possible.  ``interpolant`` is the cubic Hermite spline
+    of (s, r, r'), built here from the grid; downstream quadratures consume
+    it.
     """
 
     family: ProfileFamily
@@ -158,12 +267,13 @@ class ProfileSolution:
     u: np.ndarray | None
     energy_constant: float
     tol: float
-    interpolant: CubicHermiteSpline
     u_reconstructed: bool = False
+    interpolant: Spline = field(init=False, repr=False)
 
     def __post_init__(self):
         for a in (self.s, self.r, self.rp):
             a.setflags(write=False)
+        self.interpolant = Spline.hermite(self.s, self.r, self.rp)
 
     @property
     def s_max(self) -> float:
@@ -175,10 +285,10 @@ class ProfileSolution:
     def rp_of(self, s):
         return self.interpolant.derivative()(s)
 
-    def rp_interpolant(self) -> CubicHermiteSpline:
+    def rp_interpolant(self) -> Spline:
         """r' as a cubic Hermite spline with the profile equation's r'' as
         knot slopes: O(step^4) between knots, where ``rp_of`` is O(step^3)."""
-        return CubicHermiteSpline(self.s, self.rp, self.family.second_derivative(self.r, self.rp))
+        return Spline.hermite(self.s, self.rp, self.family.second_derivative(self.r, self.rp))
 
     def evenness_residual(self) -> float:
         return float(np.max(np.abs(self.r - self.r[::-1])))
@@ -214,9 +324,7 @@ def solve_profile(
 
     if family.tag == "ch_horo":
         r, rp = _closed_form_horo(family, s)
-        interp = CubicHermiteSpline(s, r, rp)
-        return ProfileSolution(family, s, r, rp, None, family.energy_constant,
-                               tol, interp)
+        return ProfileSolution(family, s, r, rp, None, family.energy_constant, tol)
 
     def rhs(_, y):
         return (math.tanh(y[1]), family.slope(y[0]))
@@ -249,9 +357,7 @@ def solve_profile(
     if family.tag == "cp_sphere" and (np.any(r <= 0) or np.any(r >= math.pi / 2)):
         raise IntegrationFailure("cp_sphere profile left (0, pi/2)", last_s=None)
 
-    interp = CubicHermiteSpline(s, r, rp)
-    return ProfileSolution(family, s, r, rp, u, family.energy_constant,
-                           tol, interp)
+    return ProfileSolution(family, s, r, rp, u, family.energy_constant, tol)
 
 
 def energy_residual(sol: ProfileSolution) -> float:
@@ -320,7 +426,7 @@ class PhaseIntegrals:
 
 
 def _antiderivative(s, vals, derivs):
-    anti = CubicHermiteSpline(s, vals, derivs).antiderivative()
+    anti = Spline.hermite(s, vals, derivs).antiderivative()
     c0 = anti(0.0)
     return lambda x: anti(x) - c0
 
@@ -330,7 +436,12 @@ def cumulative_integral(s, vals, derivs):
     quadrature on the grid with one Richardson step (h^4 -> h^6)."""
     fine = _antiderivative(s, vals, derivs)
     coarse = _antiderivative(s[::2], vals[::2], derivs[::2])
-    return lambda x: fine(x) + (fine(x) - coarse(x)) / 15.0
+
+    def integral(x):
+        f = fine(x)
+        return f + (f - coarse(x)) / 15.0
+
+    return integral
 
 
 def _integrand_table(fam: ProfileFamily):

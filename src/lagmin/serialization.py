@@ -4,14 +4,21 @@ Every real number is written as a 17-significant-digit decimal string so
 files round-trip bit-exactly; complex values are flattened to (re, im)
 pairs.  Dictionaries are emitted in a fixed key order, which together with
 the string encoding makes identical invocations byte-identical.
+
+The bulk tables (immersion samples, profile grids) are handled as whole
+arrays: rows are formatted from ``tolist()`` floats, ``dumps`` writes the
+top-level ``samples`` block itself in the layout ``json.dumps(indent=1)``
+produces, and readers parse a table with one ``np.array(rows,
+dtype=float)``, scanning value by value only to name a bad entry.  Nothing
+here imports scipy.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .immersions import ImmersionFamilySpec, SampledImmersion, assemble_immersion
 from .model_spaces import InvalidArgument
@@ -20,6 +27,7 @@ from .profiles import ProfileFamily, ProfileSolution, energy_residual
 __all__ = [
     "SchemaError",
     "fnum",
+    "format_rows",
     "dumps",
     "ambient_vector_to_json",
     "ambient_vector_from_json",
@@ -43,8 +51,45 @@ def fnum(x) -> str:
     return format(float(x), ".17g")
 
 
+def format_rows(table) -> list:
+    """Rows of ``fnum`` strings for a 2-D float array."""
+    table = np.asarray(table, dtype=float)
+    template = ",".join(["%.17g"] * table.shape[1])  # the same digits as fnum
+    return [(template % tuple(row)).split(",") for row in table.tolist()]
+
+
 def dumps(obj) -> str:
+    """``json.dumps(obj, indent=1)`` plus a newline.
+
+    A last top-level ``samples`` key holding rows of strings is written
+    directly, byte for byte in the same layout: json's pure-Python indent
+    encoder spends about 10 us per row on it.
+    """
+    if isinstance(obj, dict) and len(obj) > 1 and next(reversed(obj)) == "samples":
+        block = _string_rows_block(obj["samples"])
+        if block is not None:
+            head = json.dumps({k: v for k, v in obj.items() if k != "samples"}, indent=1)
+            return head[:-2] + ',\n "samples": ' + block + "\n}\n"
     return json.dumps(obj, indent=1) + "\n"
+
+
+_JSON_ESCAPED = re.compile(r'["\\\x00-\x1f]')
+
+
+def _string_rows_block(rows) -> str | None:
+    """A list of non-empty lists of strings as json.dumps(indent=1) writes it
+    one level deep; None for anything else, or for strings json would
+    escape."""
+    if not rows or not all(type(row) is list and row for row in rows):
+        return None
+    try:
+        raw = "".join(["".join(row) for row in rows])
+    except TypeError:
+        return None
+    if not raw.isascii() or _JSON_ESCAPED.search(raw):
+        return None
+    inner = '"\n  ],\n  [\n   "'.join(['",\n   "'.join(row) for row in rows])
+    return '[\n  [\n   "' + inner + '"\n  ]\n ]'
 
 
 def _require(d: dict, key: str, where: str):
@@ -58,6 +103,33 @@ def _parse_float(v, where: str) -> float:
         return float(v)
     except (TypeError, ValueError):
         raise SchemaError(f"{where}: not a number: {v!r}") from None
+
+
+def _parse_rows(rows, width: int, where: str) -> np.ndarray:
+    """A table of numbers or number strings as a (len(rows), width) array.
+
+    One ``np.array`` call parses well-formed tables, exactly as ``float``
+    parses each value.  Otherwise, and wherever a NaN appears (numpy reads
+    None as NaN), the rows are scanned for the first ragged row or bad
+    value.  A table whose rows all have another width reads as is; the
+    caller names that mismatch.
+    """
+    try:
+        arr = np.array(rows, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is not None and arr.ndim == 2 and not np.isnan(arr).any():
+        return arr
+    widths = set()
+    for k, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise SchemaError(f"{where}: row {k} is not a list")
+        widths.add(len(row))
+    if len(widths) > 1:
+        k = next(k for k, row in enumerate(rows) if len(row) != width)
+        raise SchemaError(f"{where}: row {k} has {len(rows[k])} columns, expected {width}")
+    values = [[_parse_float(v, where) for v in row] for row in rows]
+    return np.array(values, dtype=float).reshape(len(rows), widths.pop() if widths else width)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +170,7 @@ def profile_to_dict(sol: ProfileSolution) -> dict:
         "tol": fnum(sol.tol),
         "energy_constant": fnum(sol.energy_constant),
         "energy_residual": fnum(energy_residual(sol)),
-        "grid": [[fnum(s), fnum(r), fnum(rp)] for s, r, rp in zip(sol.s, sol.r, sol.rp)],
+        "grid": format_rows(np.column_stack([sol.s, sol.r, sol.rp])),
     }
     if fam.tag == "cp_sphere":
         out["equilibrium_proximate"] = bool(np.ptp(sol.r) < 1e-3)
@@ -110,9 +182,11 @@ def profile_from_dict(d: dict) -> ProfileSolution:
     fam = ProfileFamily(tag, int(_require(d, "n", "profile")),
                         _parse_float(_require(d, "rho", "profile"), "profile.rho"))
     grid = _require(d, "grid", "profile")
-    if not grid or any(len(row) != 3 for row in grid):
+    if not grid:
         raise SchemaError("profile.grid: expected rows [s, r, rp]")
-    arr = np.array([[_parse_float(v, "profile.grid") for v in row] for row in grid])
+    arr = _parse_rows(grid, 3, "profile.grid")
+    if arr.shape[1] != 3:
+        raise SchemaError("profile.grid: expected rows [s, r, rp]")
     s, r, rp = arr[:, 0], arr[:, 1], arr[:, 2]
     if np.any(np.diff(s) <= 0):
         raise SchemaError("profile.grid: s must be strictly increasing")
@@ -121,12 +195,10 @@ def profile_from_dict(d: dict) -> ProfileSolution:
     u = None
     if tag != "ch_horo":
         u = np.arctanh(np.clip(rp, -1 + 1e-16, 1 - 1e-16))
-    interp = CubicHermiteSpline(s, r, rp)
     return ProfileSolution(
         fam, s, r, rp, u,
         _parse_float(_require(d, "energy_constant", "profile"), "profile.energy_constant"),
         _parse_float(_require(d, "tol", "profile"), "profile.tol"),
-        interp,
         u_reconstructed=tag != "ch_horo",
     )
 
@@ -138,16 +210,9 @@ def profile_from_dict(d: dict) -> ProfileSolution:
 def immersion_to_dict(imm: SampledImmersion) -> dict:
     spec = imm.spec
     S, M = len(imm.s_values), len(imm.x_grid)
-    rows = []
-    flat = imm.samples.reshape(S * M, -1)
-    si = np.repeat(imm.s_values, M)
-    xi = np.tile(imm.x_grid, (S, 1))
-    for k in range(S * M):
-        row = [fnum(si[k])]
-        row += [fnum(v) for v in xi[k]]
-        for z in flat[k]:
-            row += [fnum(z.real), fnum(z.imag)]
-        rows.append(row)
+    # a complex row viewed as floats is its (re, im) pairs in order
+    lifts = np.ascontiguousarray(imm.samples, dtype=complex).reshape(S * M, -1).view(np.float64)
+    rows = format_rows(np.column_stack([imm.grid_xi(), lifts]))
     return {
         "spec": {
             "family": spec.family,
@@ -189,10 +254,10 @@ def immersion_from_dict(d: dict) -> SampledImmersion:
     if d.get("profile") is not None:
         profile = profile_from_dict(d["profile"])
 
-    arr = np.array([[_parse_float(v, "immersion.samples") for v in row] for row in rows])
     chart_dim = spec.n - 1  # transverse factor is always (n-1)-dimensional
     coords = spec.ambient.coords
     expected_cols = 1 + chart_dim + 2 * coords
+    arr = _parse_rows(rows, expected_cols, "immersion.samples")
     if arr.shape[1] != expected_cols:
         raise SchemaError(
             f"immersion.samples: expected {expected_cols} columns, got {arr.shape[1]}"

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from lagmin.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, load_config, main
@@ -233,3 +234,101 @@ class TestPeriodExport:
         code = run(tmp_path, "export", "--in", str(prof), "--format", "xml",
                    "--out", str(tmp_path / "x"))
         assert code == EXIT_USAGE
+
+
+def _subprocess_env():
+    """Environment whose interpreter imports the same lagmin package."""
+    import os
+    from pathlib import Path
+
+    import lagmin
+
+    src = str(Path(lagmin.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+class TestColdPath:
+    """Commands that only read files load no scipy and fail cleanly."""
+
+    @pytest.fixture()
+    def thm1_n3_file(self, tmp_path):
+        out = tmp_path / "thm1.json"
+        code = run(tmp_path, "build", "--family", "thm1", "--n", "3", "--rho", "1",
+                   "--grid", "12x9", "--out", str(out))
+        assert code == EXIT_OK
+        return out
+
+    def test_read_only_commands_load_no_scipy(self, tmp_path, thm1_n3_file):
+        import subprocess
+        import sys
+
+        script = "\n".join([
+            "import sys",
+            "import lagmin.cli",
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+            "conf = ['--config', 'none.conf']",
+            "codes = [lagmin.cli.main(conf + a) for a in (",
+            "    ['verify', '--in', 'thm1.json', '--report', 'rep.json'],",
+            "    ['export', '--in', 'thm1.json', '--what', 'samples', '--out', 's.csv'],",
+            "    ['export', '--in', 'thm1.json', '--what', 'profile', '--out', 'p.csv'],",
+            "    ['sigma-integral', '--in', 'thm1.json', '--out', 'sig.json'])]",
+            "loaded += [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+            "print(codes, sorted(set(loaded)))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env=_subprocess_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0, 0] []"
+
+    def test_ragged_samples_row_is_schema_error(self, tmp_path, thm1_n3_file):
+        import subprocess
+        import sys
+
+        d = json.loads(thm1_n3_file.read_text())
+        width = len(d["samples"][5])
+        d["samples"][5] = d["samples"][5][:-1]
+        (tmp_path / "ragged.json").write_text(json.dumps(d))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lagmin.cli", "--config", "none.conf", "verify",
+             "--in", "ragged.json"],
+            cwd=tmp_path, env=_subprocess_env(), capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == EXIT_USAGE
+        assert (f"immersion.samples: row 5 has {width - 1} columns, expected {width}"
+                in proc.stderr)
+        assert "Traceback" not in proc.stderr
+
+    def test_phase_portrait_matches_pointwise_evaluation(self, tmp_path):
+        from lagmin.profiles import detect_period, solve_profile, ProfileFamily
+        from lagmin.serialization import fnum
+
+        prof = tmp_path / "cp.json"
+        run(tmp_path, "solve", "--family", "cp-sphere", "--n", "2", "--rho", "0.6",
+            "--s-max", "3", "--out", str(prof))
+        out = tmp_path / "pp.csv"
+        code = run(tmp_path, "export", "--in", str(prof), "--out", str(out),
+                   "--what", "phase-portrait")
+        assert code == EXIT_OK
+        # the CSV as it was written point by point, one spline call each
+        T = detect_period(2, 0.6).period
+        sol = solve_profile(ProfileFamily("cp_sphere", 2, 0.6), T + 0.5, tol=1e-10)
+        rows = [[fnum(v), fnum(sol.r_of(v)), fnum(sol.rp_of(v))]
+                for v in np.linspace(0.0, T, 513)]
+        expected = "s,r,rp\n" + "\n".join(",".join(row) for row in rows) + "\n"
+        assert out.read_text() == expected
+
+    def test_transverse_points_match_the_grid(self, tmp_path):
+        from lagmin import serialization as ser
+
+        # 48 transverse points over the two chart axes of n = 3 round to 7 x 7
+        out = tmp_path / "t.json"
+        code = run(tmp_path, "build", "--family", "thm1", "--n", "3", "--rho", "1",
+                   "--grid", "6x48", "--out", str(out))
+        assert code == EXIT_OK
+        d = json.loads(out.read_text())
+        imm = ser.immersion_from_dict(d)
+        assert d["grid"]["transverse_points"] == len(imm.x_grid) == 49
+        assert imm.transverse_shape == (7, 7)

@@ -15,7 +15,14 @@ from lagmin.immersions import (
     ch_sphere_curve,
     wavy_control_curve,
 )
-from lagmin.model_spaces import InvalidArgument, embed_isometry, projective_distance
+from lagmin.model_spaces import (
+    InvalidArgument,
+    embed_isometry,
+    projective_distance,
+    random_euclid,
+    random_so,
+    random_so1,
+)
 from lagmin import fd
 
 
@@ -323,6 +330,31 @@ class TestInvariance:
     def test_totally_geodesic_families(self, fam, grp):
         imm = build_immersion(ImmersionFamilySpec(fam, 3), grid=(6, 6))
         assert gc.invariance_residual(imm, grp, k=6) <= 1e-8
+
+    @pytest.mark.parametrize("fam,grp", [
+        ("thm1", "so_n"), ("thm2", "so1_n"), ("thm3", "euclid_n"), ("thm1", "so1_n"),
+    ])
+    def test_matches_pairwise_loop_bitwise(self, fam, grp):
+        # the same seeded points and group elements, compared one pair at a time
+        imm = build_immersion(ImmersionFamilySpec(fam, 3, 1.0), grid=(8, 9))
+        k, n, space = 7, 3, imm.ambient.space
+        rng = np.random.default_rng(5)
+        idx = rng.integers(0, len(imm.s_values) * len(imm.x_grid), size=k)
+        s_pts = np.repeat(imm.s_values, len(imm.x_grid))[idx]
+        x_model = imm.chart.to_model(np.tile(imm.x_grid, (len(imm.s_values), 1))[idx])
+        worst = 0.0
+        for _ in range(k):
+            if grp == "euclid_n":
+                A, a = random_euclid(rng, n)
+                moved, mat = x_model @ A + a, embed_isometry(grp, (A, a), n).matrix
+            else:
+                A = random_so(rng, n) if grp == "so_n" else random_so1(rng, n)
+                moved, mat = x_model @ A, embed_isometry(grp, A, n).matrix
+            left = imm.model_evaluate(s_pts, x_model) @ mat
+            right = imm.model_evaluate(s_pts, moved)
+            for i in range(k):
+                worst = max(worst, projective_distance(space, left[i], right[i]))
+        assert gc.invariance_residual(imm, grp, k=k, rng_seed=5) == worst
 
 
 class TestLegendreFunctional:

@@ -288,3 +288,86 @@ class TestIsometryElement:
         space = HermitianSpace(2, "hyperbolic")
         with pytest.raises(InvalidArgument):
             IsometryElement(space, np.eye(3) * 1.5)
+
+
+def _one_pair_distance(z, w):
+    """The former one-pair projective_distance, kept as the bitwise reference."""
+    k = int(np.argmax(np.abs(w)))
+    if abs(z[k]) == 0.0:
+        aligned = z
+    else:
+        phase = w[k] / z[k]
+        phase = phase / abs(phase)
+        aligned = z * phase
+    scale = max(float(np.max(np.abs(z))), float(np.max(np.abs(w))), 1.0)
+    return float(np.max(np.abs(aligned - w))) / scale
+
+
+class TestProjectiveDistanceRows:
+    def test_rows_match_one_pair_calls_bitwise(self):
+        rng = np.random.default_rng(7)
+        space = HermitianSpace(3, "hyperbolic")
+        for trial in range(40):
+            z = (rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4))) * rng.uniform(0.1, 30)
+            w = z * np.exp(1j * rng.uniform(0, 6.3)) + 10.0 ** rng.integers(-16, 0) * (
+                rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4)))
+            z[2, np.argmax(np.abs(w[2]))] = 0.0  # no phase to align with
+            rows = projective_distance(space, z, w)
+            assert rows.shape == (9,)
+            for i in range(9):
+                assert rows[i] == projective_distance(space, z[i], w[i]) == _one_pair_distance(z[i], w[i])
+
+    def test_stacked_leading_axes(self):
+        rng = np.random.default_rng(8)
+        space = HermitianSpace(2, "spherical")
+        z = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+        out = projective_distance(space, z, z * 1j)
+        assert out.shape == (2, 3)
+        assert np.max(out) < 1e-15
+
+
+class TestExpm:
+    """The numpy expm against a 30-digit reference and scipy, on the very
+    generators random_so and random_so1 draw in the invariance check."""
+
+    @staticmethod
+    def _drawn_generators(monkeypatch, n):
+        import lagmin.model_spaces as ms
+
+        drawn = []
+        monkeypatch.setattr(ms, "expm", lambda X: drawn.append(X) or np.eye(len(X)))
+        rng = np.random.default_rng(42)  # run_checks' seed and draw order
+        rng.integers(0, 4096, size=12)
+        for _ in range(12):
+            ms.random_so(rng, n)
+        rng = np.random.default_rng(42)
+        rng.integers(0, 4096, size=12)
+        for _ in range(12):
+            ms.random_so1(rng, n)
+        monkeypatch.undo()
+        return drawn
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_reference_and_scipy(self, monkeypatch, n):
+        import mpmath
+        from scipy.linalg import expm as scipy_expm
+
+        from lagmin.model_spaces import expm
+
+        for X in self._drawn_generators(monkeypatch, n):
+            with mpmath.workdps(30):
+                exact = np.array(mpmath.expm(mpmath.matrix(X.tolist())).tolist(), dtype=float)
+            scale = np.max(np.abs(exact))
+            ours, theirs = expm(X), scipy_expm(X)
+            assert np.max(np.abs(ours - exact)) <= 2e-15 * scale
+            # scipy's own error reaches 4e-14 on one n = 5 rotation generator
+            assert np.max(np.abs(ours - theirs)) <= np.max(np.abs(theirs - exact)) + 1e-15 * scale
+
+    def test_group_elements(self):
+        rng = np.random.default_rng(3)
+        A = random_so(rng, 5)
+        assert np.max(np.abs(A @ A.T - np.eye(5))) < 1e-14
+        assert np.linalg.det(A) == pytest.approx(1.0, abs=1e-13)
+        B = random_so1(rng, 4)
+        S = np.diag([1.0, 1.0, 1.0, -1.0])
+        assert np.max(np.abs(B @ S @ B.T - S)) < 1e-13

@@ -8,6 +8,7 @@ from lagmin.profiles import (
     NeedsLargerDomain,
     ProfileFamily,
     SigmaIntegralSpec,
+    Spline,
     detect_period,
     embedding_phase_sup,
     energy_residual,
@@ -219,3 +220,54 @@ class TestDetectPeriod:
         pr = detect_period(2, 0.9553)
         assert pr is not None
         assert pr.amplitude < 1e-3
+
+
+class TestSpline:
+    """The numpy spline reproduces scipy's CubicHermiteSpline bit for bit."""
+
+    @staticmethod
+    def _assert_same(ours, ref, points):
+        assert np.array_equal(ours(points), ref(points))
+        few = points[:: len(points) // 17]
+        assert np.array_equal(ours(few), ref(few))
+        for x in few:
+            y = ours(float(x))
+            assert np.ndim(y) == 0 and y == ref(float(x))
+
+    @staticmethod
+    def _probe_points(s):
+        mid = 0.5 * (s[1:] + s[:-1])
+        outside = [s[0] - 1.0, s[0] - 1e-9, s[-1] + 1e-9, s[-1] + 1.0, -0.0]
+        return np.concatenate([s, mid, outside])
+
+    @pytest.mark.parametrize("tag,rho", [
+        ("ch_sphere", 1.0), ("ch_tube", 0.5), ("ch_horo", 1.0), ("cp_sphere", 0.6),
+    ])
+    def test_profile_families(self, tag, rho):
+        from scipy.interpolate import CubicHermiteSpline
+
+        sol = solve_profile(ProfileFamily(tag, 3, rho), 3.0)
+        ref = CubicHermiteSpline(sol.s, sol.r, sol.rp)
+        points = self._probe_points(sol.s)
+        self._assert_same(sol.interpolant, ref, points)
+        self._assert_same(sol.interpolant.derivative(), ref.derivative(), points)
+        self._assert_same(sol.interpolant.antiderivative(), ref.antiderivative(), points)
+        rpp = sol.family.second_derivative(sol.r, sol.rp)
+        self._assert_same(sol.rp_interpolant(), CubicHermiteSpline(sol.s, sol.rp, rpp), points)
+
+    def test_non_uniform_knots(self):
+        from scipy.interpolate import CubicHermiteSpline
+
+        rng = np.random.default_rng(4)
+        x = np.cumsum(rng.uniform(0.01, 1.0, 800))
+        y, dy = np.sin(x), np.cos(x)
+        ours, ref = Spline.hermite(x, y, dy), CubicHermiteSpline(x, y, dy)
+        points = np.concatenate([self._probe_points(x), rng.uniform(-5, x[-1] + 5, 500)])
+        for a, b in ((ours, ref), (ours.derivative(), ref.derivative()),
+                     (ours.antiderivative(), ref.antiderivative())):
+            self._assert_same(a, b, points)
+
+    def test_nan_propagates(self):
+        sol = solve_profile(ProfileFamily("ch_horo", 2, 1.0), 1.0)
+        assert np.all(np.isnan(sol.interpolant(np.full(3, np.nan))))
+        assert math.isnan(sol.interpolant(math.nan))

@@ -122,3 +122,82 @@ class TestCSV:
         rows = ser.csv_to_rows(text)
         assert len(rows) == len(sol.s)
         assert rows == d["grid"]
+
+
+class TestBulkCodec:
+    """Vectorized tables: same bytes as json.dumps, same values as float()."""
+
+    @pytest.fixture(scope="class")
+    def thm1_dict(self):
+        imm = build_immersion(ImmersionFamilySpec("thm1", 3, 1.0), grid=(6, 9))
+        return ser.immersion_to_dict(imm)
+
+    def test_format_rows_is_fnum(self):
+        table = np.array([[0.1, -0.0, 5e-324], [1e300, -np.inf, np.nan], [1 / 3, 2.0, -7e-8]])
+        rows = ser.format_rows(table)
+        assert rows == [[ser.fnum(v) for v in row] for row in table]
+
+    def test_dumps_writes_samples_like_json(self, thm1_dict):
+        expected = json.dumps(thm1_dict, indent=1) + "\n"
+        assert ser.dumps(thm1_dict) == expected
+        # a parsed file (plain lists) takes the same path
+        assert ser.dumps(json.loads(expected)) == expected
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["samples"][1].__setitem__(0, 'a"b'),
+        lambda d: d["samples"][1].__setitem__(0, "a\\b"),
+        lambda d: d["samples"][1].__setitem__(0, "é"),
+        lambda d: d["samples"][1].__setitem__(0, 1.5),
+        lambda d: d["samples"].__setitem__(1, []),
+        lambda d: d["samples"].__setitem__(1, "0,1"),
+        lambda d: d.__setitem__("samples", []),
+        lambda d: d.__setitem__("tail", 1),
+    ])
+    def test_dumps_falls_back_to_json(self, thm1_dict, edit):
+        d = json.loads(json.dumps(thm1_dict))
+        edit(d)
+        assert ser.dumps(d) == json.dumps(d, indent=1) + "\n"
+
+    def test_reader_matches_float(self, thm1_dict):
+        imm = ser.immersion_from_dict(thm1_dict)
+        flat = np.array([[float(v) for v in row] for row in thm1_dict["samples"]])
+        d = 1 + imm.x_grid.shape[1]
+        assert np.array_equal(imm.s_values, flat[:: len(imm.x_grid), 0])
+        lifts = imm.samples.reshape(len(flat), -1)
+        assert np.array_equal(lifts.real, flat[:, d::2])
+        assert np.array_equal(lifts.imag, flat[:, d + 1::2])
+
+    def test_ragged_row_named(self, thm1_dict):
+        d = json.loads(json.dumps(thm1_dict))
+        width = len(d["samples"][0])
+        d["samples"][3] = d["samples"][3] + ["0"]
+        with pytest.raises(ser.SchemaError,
+                           match=f"row 3 has {width + 1} columns, expected {width}"):
+            ser.immersion_from_dict(d)
+
+    def test_uniform_wrong_width_named(self, thm1_dict):
+        d = json.loads(json.dumps(thm1_dict))
+        d["samples"] = [row[:-1] for row in d["samples"]]
+        with pytest.raises(ser.SchemaError, match="columns"):
+            ser.immersion_from_dict(d)
+
+    @pytest.mark.parametrize("bad", [None, "abc", [1]])
+    def test_bad_value_named(self, thm1_dict, bad):
+        d = json.loads(json.dumps(thm1_dict))
+        d["samples"][2][4] = bad
+        with pytest.raises(ser.SchemaError, match="not a number"):
+            ser.immersion_from_dict(d)
+
+    def test_bad_profile_grid_value(self, thm1_dict):
+        d = json.loads(json.dumps(thm1_dict["profile"]))
+        d["grid"][7][1] = None
+        with pytest.raises(ser.SchemaError, match="profile.grid: not a number"):
+            ser.profile_from_dict(d)
+
+    def test_short_first_row_named(self, thm1_dict):
+        d = json.loads(json.dumps(thm1_dict))
+        width = len(d["samples"][0])
+        d["samples"][0] = d["samples"][0][:-2]
+        with pytest.raises(ser.SchemaError,
+                           match=f"row 0 has {width - 2} columns, expected {width}"):
+            ser.immersion_from_dict(d)
