@@ -77,6 +77,13 @@ __all__ = [
 
 DEFAULT_FD_STEP = 1e-3
 
+# Lagrangian residual above which the SFF is not extracted at all; a guard,
+# not a check verdict, so it is not part of TOLERANCES (which reports record)
+_SFF_LAGRANGIAN_TOL = 1e-5
+
+# seeded group elements and sample points of the invariance check
+_INVARIANCE_SAMPLES = 12
+
 
 class OutOfDomain(GeometryError):
     """Jet base point too close to the profile domain boundary."""
@@ -104,12 +111,7 @@ class JetBatch:
     h: float
 
 
-def jet(
-    imm: SampledImmersion,
-    xi: np.ndarray,
-    h: float = DEFAULT_FD_STEP,
-    five_point: bool = True,
-) -> JetBatch:
+def jet(imm: SampledImmersion, xi: np.ndarray, h: float = DEFAULT_FD_STEP) -> JetBatch:
     """Jet of the lift at chart points ``xi``.
 
     Uses the immersion's product-rule jet when it has one (only the block
@@ -122,9 +124,9 @@ def jet(
         if np.max(np.abs(xi[:, 0])) + margin > imm.profile.s_max:
             raise OutOfDomain("jet base point within 2h of the profile boundary")
     if imm.product_jet is not None:
-        value, d1, d2 = imm.product_jet(xi, h, five_point)
+        value, d1, d2 = imm.product_jet(xi, h)
     else:
-        value, d1, d2 = fd.jet_partials(imm.evaluate_xi, xi, h, five_point)
+        value, d1, d2 = fd.jet_partials(imm.evaluate_xi, xi, h)
     return JetBatch(xi, value, d1, d2, h)
 
 
@@ -251,11 +253,7 @@ def lagrangian_residual(imm: SampledImmersion, batch) -> float:
     return float(np.max(_frames(imm, batch).lagrangian_pointwise()))
 
 
-def second_fundamental_form(
-    imm: SampledImmersion,
-    batch,
-    lagrangian_tol: float = 1e-5,
-) -> SFFBatch:
+def second_fundamental_form(imm: SampledImmersion, batch) -> SFFBatch:
     """Extract h_{ijk} and the mean curvature from ambient second partials.
 
     ``batch`` is a JetBatch or a FrameBatch; a FrameBatch keeps the result
@@ -263,9 +261,9 @@ def second_fundamental_form(
     """
     fb = _frames(imm, batch)
     lag = fb.lagrangian_pointwise()
-    if np.max(lag) > lagrangian_tol:
+    if np.max(lag) > _SFF_LAGRANGIAN_TOL:
         raise NotLagrangianError(
-            f"Lagrangian residual {np.max(lag):.2e} exceeds {lagrangian_tol:.0e}"
+            f"Lagrangian residual {np.max(lag):.2e} exceeds {_SFF_LAGRANGIAN_TOL:.0e}"
         )
     T = fb.require_frame()
     space, hp = fb.space, fb.partials
@@ -435,33 +433,32 @@ def invariance_residual(
     rng = np.random.default_rng(rng_seed)
     space = imm.ambient.space
 
-    idx = rng.integers(0, len(imm.s_values) * len(imm.x_grid), size=k)
-    s_pts = np.repeat(imm.s_values, len(imm.x_grid))[idx]
-    x_chart = np.tile(imm.x_grid, (len(imm.s_values), 1))[idx]
-    x_model = imm.chart.to_model(x_chart)
+    M = len(imm.x_grid)
+    idx = rng.integers(0, len(imm.s_values) * M, size=k)
+    s_pts = imm.s_values[idx // M]
+    x_model = imm.chart.to_model(imm.x_grid[idx % M])
     base = imm.model_evaluate(s_pts, x_model)
 
-    worst = 0.0
+    left, moved = [], []
     for _ in range(k):
         if group == "so_n":
             A = random_so(rng, n)
-            moved = x_model @ A
-            mat = embed_isometry("so_n", A, n).matrix
+            g_x, mat = x_model @ A, embed_isometry("so_n", A, n).matrix
         elif group == "so1_n":
             A = random_so1(rng, n)
-            moved = x_model @ A
-            mat = embed_isometry("so1_n", A, n).matrix
+            g_x, mat = x_model @ A, embed_isometry("so1_n", A, n).matrix
         elif group == "euclid_n":
             A, a = random_euclid(rng, n)
-            moved = x_model @ A + a
-            mat = embed_isometry("euclid_n", (A, a), n).matrix
+            g_x, mat = x_model @ A + a, embed_isometry("euclid_n", (A, a), n).matrix
         else:
             raise InvalidArgument(f"unknown group {group!r}")
-        if moved.shape[1] != x_model.shape[1]:
+        if g_x.shape[1] != x_model.shape[1]:
             raise InvalidArgument("group does not act on this model manifold")
-        right = imm.model_evaluate(s_pts, moved)
-        worst = max(worst, float(np.max(projective_distance(space, base @ mat, right))))
-    return worst
+        left.append(base @ mat)
+        moved.append(g_x)
+    # one evaluation for all k moved copies: the curve is taken once per s
+    right = imm.model_evaluate(np.tile(s_pts, k), np.concatenate(moved))
+    return float(np.max(projective_distance(space, np.concatenate(left), right)))
 
 
 # ---------------------------------------------------------------------------
@@ -622,11 +619,11 @@ ALL_CHECKS = ("lagrangian", "horizontal", "minimal", "metric", "sff", "invarianc
 _TG_FAMILIES = ("tg_sphere", "tg_tube", "tg_horo", "prop4a", "prop4b", "prop4c")
 
 
-def _sample_consistency(imm: SampledImmersion) -> float:
-    """Stored samples vs the rebuilt evaluator, projectively (catches edits)."""
+def _sample_consistency(imm: SampledImmersion, fresh: np.ndarray) -> float:
+    """Stored samples vs ``fresh``, the rebuilt lift on the whole grid in
+    ``grid_xi`` order, projectively (catches edits)."""
     space = imm.ambient.space
     flat = imm.samples.reshape(-1, imm.samples.shape[-1])
-    fresh = imm.evaluate_xi(imm.grid_xi())
     row_scale = np.maximum(
         np.maximum(np.max(np.abs(flat), axis=-1), np.max(np.abs(fresh), axis=-1)), 1.0
     )
@@ -648,7 +645,6 @@ def run_checks(
     checks=ALL_CHECKS,
     h: float = DEFAULT_FD_STEP,
     rng_seed: int = 42,
-    invariance_samples: int = 12,
 ) -> CheckReport:
     """Run the named verification checks on an immersion's cached grid."""
     unknown = set(checks) - set(ALL_CHECKS)
@@ -674,7 +670,7 @@ def run_checks(
     if "lagrangian" in checks:
         report.add("lagrangian", lagrangian_residual(imm, fb), tol["lagrangian"])
     if "horizontal" in checks:
-        res = max(horizontality_residual(imm, fb), _sample_consistency(imm))
+        res = max(horizontality_residual(imm, fb), _sample_consistency(imm, fb.jets.value))
         report.add("horizontal", res, tol["horizontal"])
     if "minimal" in checks:
         report.add("minimal", float(np.max(sff.mean_curvature_norm)),
@@ -690,7 +686,7 @@ def run_checks(
     if "invariance" in checks and imm.group is not None and imm.model_evaluate is not None:
         report.add(
             "invariance",
-            invariance_residual(imm, imm.group, k=invariance_samples, rng_seed=rng_seed),
+            invariance_residual(imm, imm.group, k=_INVARIANCE_SAMPLES, rng_seed=rng_seed),
             tol["invariance"],
         )
     if "symmetry" in checks:

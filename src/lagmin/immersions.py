@@ -1,10 +1,10 @@
-"""Horizontal-lift evaluators for every immersion family.
+"""Horizontal lifts of every immersion family.
 
-Each family produces a vectorized evaluator (s, x_chart) -> lift in C^{n+1}
-(C^n for the flat products) living on the appropriate quadric.  The
-hyperbolic-model families compose a Legendre curve in H^3_1 with a block
-that is either a totally geodesic model factor or the horizontal lift of a
-lower-dimensional minimal Lagrangian seed:
+Each family's lift (s, x_chart) -> C^{n+1} (C^n for the flat products)
+lives on the appropriate quadric.  The hyperbolic-model families compose a
+Legendre curve in H^3_1 with a block that is either a totally geodesic
+model factor or the horizontal lift of a lower-dimensional minimal
+Lagrangian seed:
 
   ch_sphere curve:  ( sinh r e^{i a(s)} B , cosh r e^{i b(s)} )
   ch_tube curve:    ( sinh r e^{i a(s)} , cosh r e^{i b(s)} B )
@@ -19,9 +19,12 @@ The totally geodesic versions replace the curve by the real geodesic
 product is gamma(s) * B with gamma(s)^n = (s, c).
 
 Every lift is therefore alpha(s) * beta(x) + delta(s) componentwise, and
-each immersion carries a product-rule jet built on that split: the curve
-factors are differentiated in closed form, the block by finite
-differences in x alone.
+that one factorization is the only lift code: ``_curve_factors`` gives the
+curve factors alpha, delta as exact jets in s and ``_block_factor`` the
+O(1) block beta.  The evaluator, the model-coordinate evaluator, the cached
+samples and the product-rule jet all compose them (the jet
+finite-differences the block in x alone), and the Legendre curves are the
+first and last columns of alpha.
 """
 
 from __future__ import annotations
@@ -345,17 +348,18 @@ class ImmersionFamilySpec:
 
 @dataclass
 class SampledImmersion:
-    """A family evaluator together with its cached sample grid.
+    """A family's lift together with its cached sample grid.
 
+    For built and loaded immersions one factorization, alpha(s) * beta(x)
+    + delta(s), feeds every field that evaluates the lift.
     ``evaluate(s, X)`` is pure and vectorized; ``samples`` has shape
     (S, M, coords) and is immutable after construction, so instances can be
     shared across workers.  ``model_evaluate`` (closed-formula families
     only) accepts raw model coordinates and is what the group-invariance
-    check composes with isometry actions.  ``product_jet(Xi, h, five_point,
-    order)`` returns the lift's value and chart partials at stacked (s, x)
-    points by the product rule over the family's curve and block factors;
-    hand-built immersions without one fall back to whole-lift finite
-    differences.
+    check composes with isometry actions.  ``product_jet(Xi, h, order)``
+    returns the lift's value and chart partials at stacked (s, x) points by
+    the product rule; hand-built immersions without one fall back to
+    whole-lift finite differences of ``evaluate``.
     """
 
     spec: ImmersionFamilySpec
@@ -457,105 +461,6 @@ def power_curve(s: np.ndarray, c: int, n: int) -> np.ndarray:
     z = np.asarray(s, dtype=float) + 1j * float(c)
     ang = np.unwrap(np.angle(z)) if np.ndim(z) else np.angle(z)
     return np.abs(z) ** (1.0 / n) * np.exp(1j * ang / n)
-
-
-def _make_evaluator(spec, block, potential, profile, phases):
-    """Vectorized lift evaluator for the family."""
-    fam, n = spec.family, spec.n
-
-    if fam in ("thm1", "prop3a", "thm5", "prop6a"):
-        trig = (np.sinh, np.cosh) if fam in ("thm1", "prop3a") else (np.sin, np.cos)
-        R = profile.interpolant
-        a_of, b_of = phases.a_of_s, phases.b_of_s
-
-        def evaluate(s, X):
-            s = np.asarray(s, dtype=float)
-            r = R(s)
-            B = block(X)
-            first = (trig[0](r) * np.exp(1j * a_of(s)))[:, None] * B
-            last = (trig[1](r) * np.exp(1j * b_of(s)))[:, None]
-            return np.concatenate([first, last], axis=-1)
-
-        return evaluate
-
-    if fam in ("thm2", "prop3b"):
-        R = profile.interpolant
-        a_of, b_of = phases.a_of_s, phases.b_of_s
-
-        def evaluate(s, X):
-            s = np.asarray(s, dtype=float)
-            r = R(s)
-            B = block(X)
-            first = (np.sinh(r) * np.exp(1j * a_of(s)))[:, None]
-            rest = (np.cosh(r) * np.exp(1j * b_of(s)))[:, None] * B
-            return np.concatenate([first, rest], axis=-1)
-
-        return evaluate
-
-    if fam in ("thm3", "prop3c"):
-        R = profile.interpolant
-        F, G = phases.a_of_s, phases.b_of_s
-
-        def evaluate(s, X):
-            s = np.asarray(s, dtype=float)
-            r = R(s)
-            eta = block(X)
-            f = potential(X)
-            w = f - 1.0 - 2j * G(s)
-            p = (1.0 + r * r * w) / (2.0 * r)
-            q = (1.0 + r * r * (w + 2.0)) / (2.0 * r)
-            head = r[:, None] * eta
-            z = np.concatenate([head, p[:, None], q[:, None]], axis=-1)
-            return np.exp(1j * F(s))[:, None] * z
-
-        return evaluate
-
-    if fam in ("tg_sphere", "prop4a", "prop6b"):
-        trig = (np.sinh, np.cosh) if fam != "prop6b" else (np.sin, np.cos)
-
-        def evaluate(s, X):
-            s = np.asarray(s, dtype=float)
-            B = block(X)
-            first = trig[0](s)[:, None] * B
-            last = np.broadcast_to(trig[1](s)[:, None], (len(s), 1))
-            return np.concatenate([first, last], axis=-1).astype(complex)
-
-        return evaluate
-
-    if fam in ("tg_tube", "prop4b"):
-
-        def evaluate(s, X):
-            s = np.asarray(s, dtype=float)
-            B = block(X)
-            first = np.broadcast_to(np.sinh(s)[:, None], (len(s), 1))
-            rest = np.cosh(s)[:, None] * B
-            return np.concatenate([first, rest], axis=-1).astype(complex)
-
-        return evaluate
-
-    if fam in ("tg_horo", "prop4c"):
-
-        def evaluate(s, X):
-            s = np.asarray(s, dtype=float)
-            eta = block(X)
-            f = potential(X)
-            es = np.exp(s)
-            head = es[:, None] * eta
-            mid = es * f / 2.0 - np.sinh(s)
-            last = es * f / 2.0 + np.cosh(s)
-            return np.concatenate([head, mid[:, None], last[:, None]], axis=-1)
-
-        return evaluate
-
-    if fam == "cn_product":
-
-        def evaluate(s, X):
-            g = power_curve(np.asarray(s, dtype=float), spec.c, n)
-            return g[:, None] * block(X)
-
-        return evaluate
-
-    raise InvalidArgument(f"no evaluator for family {fam!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +582,7 @@ def _curve_factors(spec, profile, phases):
 
         return curve
 
-    raise InvalidArgument(f"no evaluator for family {fam!r}")
+    raise InvalidArgument(f"no curve factor for family {fam!r}")
 
 
 def _block_factor(spec, block, potential):
@@ -719,32 +624,48 @@ def _make_product_jet(curve, beta):
     distinct s and x of the batch and broadcast.  ``order=1`` stops at d1.
     """
 
-    def product_jet(Xi, h, five_point: bool = True, order: int = 2):
+    def product_jet(Xi, h, order: int = 2):
         Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
         s, s_at = _distinct_rows(Xi[:, :1])
         X, x_at = _distinct_rows(Xi[:, 1:])
         alpha, delta = curve(s[:, 0])
         alpha = alpha[:, s_at]
-        delta = np.zeros((3, 1, 1)) if delta is None else delta[:, s_at]
         if order == 1:
-            b0, b1 = beta(X), fd.first_partials(beta, X, h, five_point)
+            b0, b1 = beta(X), fd.first_partials(beta, X, h)
         else:
-            b0, b1, b2 = fd.jet_partials(beta, X, h, five_point)
+            b0, b1, b2 = fd.jet_partials(beta, X, h)
             b2 = b2[x_at]
         b0, b1 = b0[x_at], b1[x_at]
 
-        value = alpha[0] * b0 + delta[0]
-        d1 = np.concatenate([(alpha[1] * b0 + delta[1])[:, None],
-                             alpha[0][:, None] * b1], axis=1)
+        def in_s(k):  # k-th s-partial at fixed x
+            z = alpha[k] * b0
+            return z if delta is None else z + delta[k, s_at]
+
+        value = in_s(0)
+        d1 = np.concatenate([in_s(1)[:, None], alpha[0][:, None] * b1], axis=1)
         if order == 1:
             return value, d1
         d2 = np.empty(d1.shape[:2] + d1.shape[1:], dtype=complex)
-        d2[:, 0, 0] = alpha[2] * b0 + delta[2]
+        d2[:, 0, 0] = in_s(2)
         d2[:, 0, 1:] = d2[:, 1:, 0] = alpha[1][:, None] * b1
         d2[:, 1:, 1:] = alpha[0][:, None, None] * b2
         return value, d1, d2
 
     return product_jet
+
+
+def _lift(curve, beta):
+    """evaluate(s, X) = alpha(s) * beta(X) + delta(s), the curve taken once
+    per distinct s.  Where the lift has no delta nothing is added, so
+    signed zeros of the product survive into the files."""
+
+    def evaluate(s, X):
+        s, s_at = _distinct_rows(np.asarray(s, dtype=float).reshape(-1, 1))
+        alpha, delta = curve(s[:, 0])
+        z = alpha[0, s_at] * beta(X)
+        return z if delta is None else z + delta[0, s_at]
+
+    return evaluate
 
 
 def _validate_window(spec: ImmersionFamilySpec, s_window) -> tuple[float, float]:
@@ -779,38 +700,37 @@ def assemble_immersion(
     samples: np.ndarray | None = None,
     seed: SeedLagrangian | None = None,
 ) -> SampledImmersion:
-    """Assemble the evaluator over an existing profile and sample grid.
+    """Assemble the lift over an existing profile and sample grid.
 
-    Used both by ``build_immersion`` and when rebuilding from serialized
-    data; in the latter case ``samples`` carries the stored lifts, which
-    are kept verbatim so that consistency checks can compare them against
-    the fresh evaluator.
+    The curve factors and the block factor are built once; ``evaluate``,
+    ``model_evaluate``, the cached ``samples`` and ``product_jet`` all
+    compose them.  Used both by ``build_immersion`` and when rebuilding
+    from serialized data; in the latter case ``samples`` carries the
+    stored lifts, which are kept verbatim so that consistency checks can
+    compare them against the rebuilt lift.
     """
     seed = _resolve_seed(spec, seed)
     chart, block, potential = _block_provider(spec, seed)
     phases = phase_integrals(profile) if profile is not None else None
     lift_phases = _detuned_phases(profile, phases) if spec.detuned else phases
-    evaluate = _make_evaluator(spec, block, potential, profile, lift_phases)
-    product_jet = _make_product_jet(_curve_factors(spec, profile, lift_phases),
-                                    _block_factor(spec, block, potential))
+    curve = _curve_factors(spec, profile, lift_phases)
+    beta = _block_factor(spec, block, potential)
 
     s_values = np.asarray(s_values, dtype=float)
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
     if samples is None:
-        si = np.repeat(s_values, len(x_grid))
-        xi = np.tile(x_grid, (len(s_values), 1))
-        samples = evaluate(si, xi).reshape(len(s_values), len(x_grid), -1)
+        alpha, delta = curve(s_values)
+        samples = alpha[0][:, None] * beta(x_grid)[None]
+        if delta is not None:
+            samples += delta[0][:, None]
     else:
         samples = np.asarray(samples, dtype=complex)
 
     model_evaluate = None
     if spec.family in _GROUP_OF and seed is None:
         ident = lambda Xm: np.atleast_2d(np.asarray(Xm)).astype(complex)
-        if spec.family in ("thm3", "tg_horo"):
-            pot = lambda Xm: np.sum(np.atleast_2d(np.asarray(Xm)) ** 2, axis=-1).astype(complex)
-            model_evaluate = _make_evaluator(spec, ident, pot, profile, lift_phases)
-        else:
-            model_evaluate = _make_evaluator(spec, ident, None, profile, lift_phases)
+        pot = lambda Xm: np.sum(np.atleast_2d(np.asarray(Xm)) ** 2, axis=-1).astype(complex)
+        model_evaluate = _lift(curve, _block_factor(spec, ident, pot))
 
     return SampledImmersion(
         spec=spec,
@@ -819,9 +739,9 @@ def assemble_immersion(
         s_values=s_values,
         x_grid=x_grid,
         samples=samples,
-        evaluate=evaluate,
+        evaluate=_lift(curve, beta),
         model_evaluate=model_evaluate,
-        product_jet=product_jet,
+        product_jet=_make_product_jet(curve, beta),
         profile=profile,
         phases=phases,
         seed=seed,
@@ -838,7 +758,7 @@ def build_immersion(
     fd_step: float = 1e-3,
     check: bool = True,
 ) -> SampledImmersion:
-    """Build a family evaluator and cache lifts on an S x M grid.
+    """Build a family's lift and cache it on an S x M grid.
 
     ``grid`` is (s-points, total transverse points); the transverse budget
     is split evenly across the d chart axes and rounded to per^d points
@@ -987,93 +907,51 @@ class LegendreCurve:
         }
 
 
-def _curve_from_r_f(s, r, rp, rpp, f, fp, signature: str) -> LegendreCurve:
-    """Curve (sinh r e^{ia}, cosh r e^{ib}) (sin/cos upstairs) with phase
-    speeds a' = f, b' = f tanh^2 r; horizontality in the spherical form
-    flips the first sign, a' = -f, b' = f tan^2 r."""
-    if signature == "hyperbolic":
-        sh, ch = np.sinh(r), np.cosh(r)
-        tt = np.tanh(r)
-        sgn = 1.0  # sign of a' and of ch' = sgn * sh
-    else:
-        sh, ch = np.sin(r), np.cos(r)
-        tt = np.tan(r)
-        sgn = -1.0
-    g = f * tt**2
-    gp = fp * tt**2 + 2.0 * f * tt * rp / ch**2
-    fa, fap = sgn * f, sgn * fp
-    a = _cumulative_on_samples(s, fa, fap)
-    b = _cumulative_on_samples(s, g, gp)
-    ea, eb = np.exp(1j * a), np.exp(1j * b)
-    g1 = sh * ea
-    g2 = ch * eb
-    # gamma_1' = (r' ch + i a' sh) e^{ia}; gamma_2' = (sgn r' sh + i b' ch) e^{ib}
-    d1 = np.stack(
-        [(rp * ch + 1j * fa * sh) * ea, (sgn * rp * sh + 1j * g * ch) * eb], axis=-1
-    )
-    d2 = np.stack(
-        [
-            (rpp * ch + sgn * rp**2 * sh - fa**2 * sh + 1j * (fap * sh + 2 * fa * rp * ch)) * ea,
-            (sgn * (rpp * sh + rp**2 * ch) - g**2 * ch + 1j * (gp * ch + sgn * 2 * g * rp * sh)) * eb,
-        ],
-        axis=-1,
-    )
-    gamma = np.stack([g1, g2], axis=-1)
-    return LegendreCurve(signature, np.asarray(s, dtype=float), gamma, d1, d2)
-
-
-def _cumulative_on_samples(s, vals, derivs):
-    anti = cumulative_integral(s, vals, derivs)
-    return anti(s) if s[0] <= 0.0 <= s[-1] else anti(s) - anti(s[0])
+def _family_curve(spec: ImmersionFamilySpec, s, ode_tol: float | None = None) -> LegendreCurve:
+    """The family's Legendre curve: the first and last columns of its curve
+    factor, i.e. the lift at a point where the block is B = e_1."""
+    s = np.asarray(s, dtype=float)
+    profile = phases = None
+    if spec.family in _PROFILE_OF:
+        pf = ProfileFamily(_PROFILE_OF[spec.family], spec.n, spec.rho)
+        profile = solve_profile(pf, float(np.max(np.abs(s))) + 0.5, tol=ode_tol)
+        phases = phase_integrals(profile)
+    alpha, _ = _curve_factors(spec, profile, phases)(s)
+    return LegendreCurve(spec.ambient.space.signature, s, *alpha[..., [0, -1]])
 
 
 def ch_sphere_curve(n: int, rho: float, s: np.ndarray, ode_tol: float = 1e-11) -> LegendreCurve:
     """The profile curve of the ch_sphere family on the sample points s."""
-    s = np.asarray(s, dtype=float)
-    fam = ProfileFamily("ch_sphere", n, rho)
-    sol = solve_profile(fam, float(np.max(np.abs(s))) + 0.5, tol=ode_tol)
-    r = sol.r_of(s)
-    rp = sol.rp_of(s)
-    rpp = fam.second_derivative(r, rp)
-    a_c = fam.phase_constant
-    f = a_c / np.sinh(r) ** (n + 1)
-    fp = -(n + 1) * f * rp / np.tanh(r)
-    return _curve_from_r_f(s, r, rp, rpp, f, fp, "hyperbolic")
+    return _family_curve(ImmersionFamilySpec("thm1", n, rho), s, ode_tol)
 
 
 def cp_sphere_curve(n: int, rho: float, s: np.ndarray, ode_tol: float = 1e-11) -> LegendreCurve:
     """The profile curve of the cp_sphere family, as a Legendre curve in S^3."""
-    s = np.asarray(s, dtype=float)
-    fam = ProfileFamily("cp_sphere", n, rho)
-    sol = solve_profile(fam, float(np.max(np.abs(s))) + 0.5, tol=ode_tol)
-    r = sol.r_of(s)
-    rp = sol.rp_of(s)
-    rpp = fam.second_derivative(r, rp)
-    f = fam.phase_constant / np.sin(r) ** (n + 1)
-    fp = -(n + 1) * f * rp / np.tan(r)
-    return _curve_from_r_f(s, r, rp, rpp, f, fp, "spherical")
+    return _family_curve(ImmersionFamilySpec("thm5", n, rho), s, ode_tol)
 
 
 def real_geodesic_curve(s: np.ndarray) -> LegendreCurve:
     """The totally geodesic curve (sinh s, cosh s); both phase speeds vanish."""
-    s = np.asarray(s, dtype=float)
-    gamma = np.stack([np.sinh(s), np.cosh(s)], axis=-1).astype(complex)
-    d1 = np.stack([np.cosh(s), np.sinh(s)], axis=-1).astype(complex)
-    d2 = np.stack([np.sinh(s), np.cosh(s)], axis=-1).astype(complex)
-    return LegendreCurve("hyperbolic", s, gamma, d1, d2)
+    return _family_curve(ImmersionFamilySpec("tg_sphere", 2), s)
 
 
 def wavy_control_curve(s: np.ndarray) -> LegendreCurve:
     """Unit-speed horizontal control curve with r = 1 + 0.3 sin s.
 
     Legendrian by construction but not a minimality profile; the mean
-    curvature functional is visibly nonzero along it.
+    curvature functional is visibly nonzero along it.  The phase speeds are
+    a' = f = sqrt(1 - r'^2) / tanh r and b' = f tanh^2 r, integrated on the
+    samples.
     """
     s = np.asarray(s, dtype=float)
-    r = 1.0 + 0.3 * np.sin(s)
-    rp = 0.3 * np.cos(s)
-    rpp = -0.3 * np.sin(s)
-    w = np.sqrt(1.0 - rp**2)
-    f = w / np.tanh(r)
-    fp = (-rp * rpp / w) / np.tanh(r) - w * rp / (np.tanh(r) ** 2 * np.cosh(r) ** 2)
-    return _curve_from_r_f(s, r, rp, rpp, f, fp, "hyperbolic")
+    rj = np.stack([1.0 + 0.3 * np.sin(s), 0.3 * np.cos(s), -0.3 * np.sin(s)])
+    r, rp, rpp = rj
+    tt, w = np.tanh(r), np.sqrt(1.0 - rp**2)
+    f = w / tt
+    fp = (-rp * rpp / w) / tt - w * rp / (tt**2 * np.cosh(r) ** 2)
+    g = f * tt**2
+    gp = fp * tt**2 + 2.0 * f * tt * rp / np.cosh(r) ** 2
+    sh, ch = _trig_jets(rj, True)
+    c1 = _mul_jet(sh, _phase_jet(cumulative_integral(s, f, fp)(s), f, fp))
+    c2 = _mul_jet(ch, _phase_jet(cumulative_integral(s, g, gp)(s), g, gp))
+    return LegendreCurve("hyperbolic", s, *np.stack([c1, c2], axis=-1))

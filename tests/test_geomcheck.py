@@ -251,15 +251,27 @@ class TestProductJets:
         # the profile spline's knot wiggle (knots every 2h)
         assert np.max(np.abs(d2 - f2)) <= 1e-4 * scale
 
+    @pytest.mark.parametrize("spec", _EVERY_FAMILY, ids=lambda sp: "-".join(
+        filter(None, (sp.family, sp.seed_kind, "detuned" * sp.detuned))))
+    def test_samples_evaluate_and_jet_value_bitwise(self, spec):
+        # one factorization feeds all three, down to the sign of zero
+        imm = build_immersion(spec, grid=(11, 9))
+        xi = imm.grid_xi()
+        flat = imm.samples.reshape(len(xi), -1)
+        assert flat.tobytes() == imm.evaluate_xi(xi).tobytes()
+        assert flat.tobytes() == imm.product_jet(xi, gc.DEFAULT_FD_STEP)[0].tobytes()
+
     def test_hand_built_immersion_falls_back_to_differences(self):
         imm = _complex_curve_immersion()
         xi = imm.grid_xi()
         jets = gc.jet(imm, xi)
         value, d1, d2 = fd.jet_partials(imm.evaluate_xi, xi, gc.DEFAULT_FD_STEP)
         assert np.array_equal(jets.d2, d2)
+        # the base value the stored-sample consistency check reads
+        assert np.array_equal(jets.value, imm.samples.reshape(len(xi), -1))
 
     def test_run_checks_is_one_geometry_pass(self, thm1, monkeypatch):
-        calls = {"jet": 0, "sff": 0, "fd": []}
+        calls = {"jet": 0, "sff": 0, "fd": [], "evaluate_xi": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -276,10 +288,14 @@ class TestProductJets:
         monkeypatch.setattr(gc, "second_fundamental_form",
                             counted("sff", gc.second_fundamental_form))
         monkeypatch.setattr(fd, "jet_partials", fd_spy)
+        monkeypatch.setattr(SampledImmersion, "evaluate_xi",
+                            counted("evaluate_xi", SampledImmersion.evaluate_xi))
         report = gc.run_checks(thm1)
         assert report.verdict
         assert calls["jet"] == 1
         assert calls["sff"] == 1
+        # sample consistency reads the jet's value: no second lift evaluation
+        assert calls["evaluate_xi"] == 0
         # only the block is differenced, never the whole lift
         assert calls["fd"] and thm1.evaluate_xi not in calls["fd"]
 
@@ -362,7 +378,7 @@ class TestLegendreFunctional:
         s = np.linspace(-2, 2, 301)
         for n in (2, 3):
             a = gc.legendre_functional(ch_sphere_curve(n, 1.0, s), n)
-            assert np.max(np.abs(a)) <= 1e-6
+            assert np.max(np.abs(a)) <= 1e-9
 
     def test_real_geodesic_exact_zero(self):
         s = np.linspace(0.3, 2.3, 101)
@@ -380,7 +396,7 @@ class TestLegendreFunctional:
         curve = cp_sphere_curve(2, 0.6, s)
         assert curve.invariant_residuals()["horizontal"] <= 1e-10
         a = gc.legendre_functional(curve, 2)
-        assert np.max(np.abs(a)) <= 1e-6
+        assert np.max(np.abs(a)) <= 1e-9
 
     def test_vanishing_gamma1_guard(self):
         s = np.linspace(-0.5, 0.5, 51)  # sinh s vanishes at 0

@@ -14,6 +14,7 @@ from lagmin.immersions import (
     seed_residuals,
     slice_at,
     ch_sphere_curve,
+    cp_sphere_curve,
     wavy_control_curve,
 )
 from lagmin.model_spaces import herm_form, projective_distance, quadric_defect
@@ -107,6 +108,24 @@ class TestDisplayedValues:
             [math.sqrt(n) * np.exp(-1j * tau)[:, None] * x,
              np.exp(1j * n * tau)[:, None]], axis=-1) / math.sqrt(n + 1)
         assert np.max(np.abs(got - expect)) < 1e-12
+
+    @pytest.mark.parametrize("spec", [
+        ImmersionFamilySpec("thm3", 2, 1.0),
+        ImmersionFamilySpec("thm3", 3, 0.7),
+        ImmersionFamilySpec("prop3c", 3, 1.0, seed_kind="tg_plane_c"),
+    ])
+    def test_horospherical_lift_matches_displayed_formula(self, spec):
+        # e^{iF} (r eta, (1 + r^2 (f - 1 - 2iG))/2r, (1 + r^2 (f + 1 - 2iG))/2r)
+        imm = build_immersion(spec, grid=(16, 9))
+        s, X = imm.s_values, imm.x_grid[None]
+        r = imm.profile.r_of(s)[:, None, None]
+        F, G = imm.phases.a_of_s(s)[:, None, None], imm.phases.b_of_s(s)[:, None, None]
+        f = np.sum(X**2, axis=-1, keepdims=True)
+        w = f - 1.0 - 2j * G
+        p, q = (1 + r * r * w) / (2 * r), (1 + r * r * (w + 2)) / (2 * r)
+        expect = np.exp(1j * F) * np.concatenate([r * X, p, q], axis=-1)
+        scale = np.max(np.abs(expect), axis=-1)
+        assert np.max(np.max(np.abs(imm.samples - expect), axis=-1) / scale) <= 1e-14
 
     @pytest.mark.parametrize("fam,n,rho,seed", [
         ("thm1", 2, 1.0, None),
@@ -275,6 +294,23 @@ class TestLegendreCurves:
         # arc-length parametrization
         speed = herm_form(curve.space, curve.d1, curve.d1).real
         assert np.max(np.abs(speed - 1.0)) < 1e-9
+
+    @pytest.mark.parametrize("fam,curve,n,rho", [
+        ("thm1", ch_sphere_curve, 2, 1.0), ("thm1", ch_sphere_curve, 3, 0.5),
+        ("thm5", cp_sphere_curve, 2, 0.6),
+    ])
+    def test_profile_curve_is_first_and_last_lift_columns(self, fam, curve, n, rho):
+        # at B = e_1 the lift is (gamma_1, 0, ..., 0, gamma_2); the same
+        # profile window and tolerance give the same profile
+        s = np.linspace(-2.0, 2.0, 41)
+        imm = build_immersion(ImmersionFamilySpec(fam, n, rho), grid=(4, 4),
+                              s_window=(-2.0, 2.0), ode_tol=1e-11)
+        X = np.zeros((len(s), n - 1))
+        assert np.array_equal(imm.chart.to_model(X[:1]), np.eye(1, n))
+        lift = imm.evaluate(s, X)
+        gamma = curve(n, rho, s).gamma
+        assert np.array_equal(gamma, lift[:, [0, -1]])
+        assert np.max(np.abs(lift[:, 1:-1])) == 0.0
 
     def test_wavy_curve_invariants(self):
         s = np.linspace(-2, 2, 201)
