@@ -235,6 +235,11 @@ class ProfileFamily:
             return n / np.tan(r) - np.tan(r)
         raise InvalidArgument("ch_horo has no ODE form; use the closed form")
 
+    def ode_rhs(self, _s, y):
+        """Right-hand side (r', u') = (tanh u, slope(r)) of the (r, u) system,
+        in ``solve_ivp``'s calling convention."""
+        return (math.tanh(y[1]), self.slope(y[0]))
+
     def second_derivative(self, r, rp):
         """r'' from the profile equation at state (r, r') (ch_horo: from its
         first integral, independent of r')."""
@@ -326,13 +331,10 @@ def solve_profile(
         r, rp = _closed_form_horo(family, s)
         return ProfileSolution(family, s, r, rp, None, family.energy_constant, tol)
 
-    def rhs(_, y):
-        return (math.tanh(y[1]), family.slope(y[0]))
-
     halves = []
     for direction in (1.0, -1.0):
         sol = solve_ivp(
-            rhs,
+            family.ode_rhs,
             (0.0, direction * s_max),
             (family.rho, 0.0),
             method="DOP853",
@@ -706,53 +708,46 @@ def detect_period(
     rho: float,
     search_time: float = 1000.0,
 ) -> PeriodResult | None:
-    """First return time of (r, r') to (rho, 0) for the cp_sphere profile.
+    """First return time T of (r, r') to (rho, 0) for the cp_sphere profile.
 
     Returns None at the equilibrium radius arctan(sqrt(n)), detected by
-    |r''(rho)| < 1e-12.  The return time is located as the second sign
-    change of r' and refined by bisection on r'(s) = 0 (via the dense ODE
-    interpolant) to 1e-10.
+    |r''(rho)| < 1e-12.  Otherwise one DOP853 solve from (rho, 0) (rtol
+    1e-12, atol 1e-14, dense output) carries an event on u = artanh r'
+    that counts only crossings in the direction of r''(rho).  Those are the
+    start, where u(0) = 0 exactly, and the return; the half-period crossing
+    runs the other way.  The solve stops at the second of them, and T is
+    that event's root of the dense interpolant (scipy's brentq).  The
+    closure residual |r(T) - rho| + |r'(T)| and the amplitude
+    max |r - rho| over [0, T] are read from the same interpolant.
+
+    Raises DetectionFailure when the orbit has not returned by
+    ``search_time`` (which must be positive) and IntegrationFailure when
+    the solver stops early.
     """
+    if not search_time > 0:
+        raise InvalidArgument("search_time must be positive")
     fam = ProfileFamily("cp_sphere", n, rho)
-    if abs(fam.second_derivative(rho, 0.0)) < 1e-12:
+    curvature = fam.second_derivative(rho, 0.0)
+    if abs(curvature) < 1e-12:
         return None
 
-    def rhs(_, y):
-        return (math.tanh(y[1]), fam.slope(y[0]))
+    def rp_zero(_, y):
+        return y[1]
 
-    t_end = 60.0
-    while True:
-        sol = solve_ivp(
-            rhs, (0.0, t_end), (rho, 0.0),
-            method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True,
-        )
-        if not sol.success:
-            raise IntegrationFailure(sol.message, last_s=float(sol.t[-1]))
-        ts = np.linspace(0.0, t_end, int(t_end * 400) + 1)
-        u = sol.sol(ts)[1]
-        crossings = np.nonzero((u[:-1] != 0) & (np.sign(u[:-1]) != np.sign(u[1:])))[0]
-        if len(crossings) >= 2:
-            break
-        if t_end >= search_time:
-            raise DetectionFailure(f"no periodic return within {search_time} time units")
-        t_end = min(search_time, t_end * 4.0)
+    rp_zero.direction = math.copysign(1.0, curvature)
+    rp_zero.terminal = 2  # the root at s = 0, then the return
 
-    k = crossings[1]
-    lo, hi = ts[k], ts[k + 1]
-    f = lambda t: sol.sol(t)[1]
-    flo = f(lo)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0 or hi - lo < 1e-13:
-            lo = hi = mid
-            break
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    T = 0.5 * (lo + hi)
+    sol = solve_ivp(
+        fam.ode_rhs, (0.0, search_time), (rho, 0.0),
+        method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True, events=rp_zero,
+    )
+    if not sol.success:
+        raise IntegrationFailure(sol.message, last_s=float(sol.t[-1]))
+    roots = sol.t_events[0]
+    if len(roots) < 2:
+        raise DetectionFailure(f"no periodic return within {search_time} time units")
+    T = float(roots[1])
     rT, uT = sol.sol(T)
     residual = abs(rT - rho) + abs(math.tanh(uT))
     orbit = sol.sol(np.linspace(0.0, T, 400))[0]
-    return PeriodResult(float(T), float(residual), float(np.max(np.abs(orbit - rho))))
+    return PeriodResult(T, float(residual), float(np.max(np.abs(orbit - rho))))

@@ -6,11 +6,11 @@ pairs.  Dictionaries are emitted in a fixed key order, which together with
 the string encoding makes identical invocations byte-identical.
 
 The bulk tables (immersion samples, profile grids) are handled as whole
-arrays: rows are formatted from ``tolist()`` floats, ``dumps`` writes the
-top-level ``samples`` block itself in the layout ``json.dumps(indent=1)``
-produces, and readers parse a table with one ``np.array(rows,
-dtype=float)``, scanning value by value only to name a bad entry.  Nothing
-here imports scipy.
+arrays: rows are formatted from ``tolist()`` floats, ``dumps`` writes
+every table of string rows itself, at any depth, in the layout
+``json.dumps(indent=1)`` produces, and readers parse a table with one
+``np.array(rows, dtype=float)``, scanning value by value only to name a
+bad entry.  Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -61,26 +61,42 @@ def format_rows(table) -> list:
 def dumps(obj) -> str:
     """``json.dumps(obj, indent=1)`` plus a newline.
 
-    A last top-level ``samples`` key holding rows of strings is written
+    Every table of string rows (a list of non-empty lists of strings, such
+    as immersion samples and profile grids), at any depth, is written
     directly, byte for byte in the same layout: json's pure-Python indent
     encoder spends about 10 us per row on it.
     """
-    if isinstance(obj, dict) and len(obj) > 1 and next(reversed(obj)) == "samples":
-        block = _string_rows_block(obj["samples"])
+    return _encode(obj, 0) + "\n"
+
+
+def _encode(obj, level: int) -> str:
+    """``obj`` as json.dumps(indent=1) writes it ``level`` containers deep.
+
+    Lists and string-keyed dicts are walked so that tables inside them take
+    the direct path; anything else is json's own text, whose newlines are
+    indented by ``level`` (json strings never hold a raw newline).
+    """
+    pad = "\n" + " " * level
+    if type(obj) is list and obj:
+        block = _string_rows_block(obj, pad)
         if block is not None:
-            head = json.dumps({k: v for k, v in obj.items() if k != "samples"}, indent=1)
-            return head[:-2] + ',\n "samples": ' + block + "\n}\n"
-    return json.dumps(obj, indent=1) + "\n"
+            return block
+        items = [_encode(v, level + 1) for v in obj]
+        return "[" + pad + " " + ("," + pad + " ").join(items) + pad + "]"
+    if type(obj) is dict and obj and all(type(k) is str for k in obj):
+        items = [json.dumps(k) + ": " + _encode(v, level + 1) for k, v in obj.items()]
+        return "{" + pad + " " + ("," + pad + " ").join(items) + pad + "}"
+    return json.dumps(obj, indent=1).replace("\n", pad)
 
 
 _JSON_ESCAPED = re.compile(r'["\\\x00-\x1f]')
 
 
-def _string_rows_block(rows) -> str | None:
+def _string_rows_block(rows: list, pad: str) -> str | None:
     """A list of non-empty lists of strings as json.dumps(indent=1) writes it
-    one level deep; None for anything else, or for strings json would
-    escape."""
-    if not rows or not all(type(row) is list and row for row in rows):
+    after the newline-and-indent ``pad``; None for anything else, or for
+    strings json would escape."""
+    if not all(type(row) is list and row for row in rows):
         return None
     try:
         raw = "".join(["".join(row) for row in rows])
@@ -88,8 +104,10 @@ def _string_rows_block(rows) -> str | None:
         return None
     if not raw.isascii() or _JSON_ESCAPED.search(raw):
         return None
-    inner = '"\n  ],\n  [\n   "'.join(['",\n   "'.join(row) for row in rows])
-    return '[\n  [\n   "' + inner + '"\n  ]\n ]'
+    row_pad, value_pad = pad + " ", pad + "  "
+    inner = ('"' + row_pad + "]," + row_pad + "[" + value_pad + '"').join(
+        [('",' + value_pad + '"').join(row) for row in rows])
+    return "[" + row_pad + "[" + value_pad + '"' + inner + '"' + row_pad + "]" + pad + "]"
 
 
 def _require(d: dict, key: str, where: str):

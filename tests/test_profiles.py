@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from lagmin import profiles
 from lagmin.model_spaces import InvalidArgument
 from lagmin.profiles import (
+    DetectionFailure,
+    IntegrationFailure,
     NeedsLargerDomain,
     ProfileFamily,
     SigmaIntegralSpec,
@@ -220,6 +223,98 @@ class TestDetectPeriod:
         pr = detect_period(2, 0.9553)
         assert pr is not None
         assert pr.amplitude < 1e-3
+
+
+def _mp_period(n, rho, dps=40):
+    """cp_sphere period by mpmath quadrature of the energy integral.
+
+    (1 - r'^2) sin^2n r cos^2 r = E gives T = 2 int_a^b dr / sqrt(1 - E/F(r))
+    between the turning points a, b (F(a) = F(b) = E, F = sin^2n r cos^2 r).
+    r = a + (b - a)(1 - cos theta)/2 = a + (b - a) sin^2(theta/2) cancels both
+    endpoint singularities.
+    The turning points and the integrand are evaluated at 3 * dps digits, so
+    nodes within 10^-dps of an end still resolve 1 - E/F(r) > 0.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    inner = 3 * dps
+    with mpmath.workdps(inner):
+        def log_f(r):
+            return 2 * n * mpmath.log(mpmath.sin(r)) + 2 * mpmath.log(mpmath.cos(r))
+
+        start = mpmath.mpf(rho)
+        level = log_f(start)
+        peak = mpmath.atan(mpmath.sqrt(n))
+        edge = mpmath.mpf(10) ** -inner
+        bracket = (peak, mpmath.pi / 2 - edge) if start < peak else (edge, peak)
+        other = mpmath.findroot(lambda r: log_f(r) - level, bracket, solver="anderson")
+        a, b = min(start, other), max(start, other)
+
+    def integrand(theta):
+        with mpmath.workdps(inner):
+            r = a + (b - a) * mpmath.sin(theta / 2) ** 2
+            return (b - a) / 2 * mpmath.sin(theta) / mpmath.sqrt(-mpmath.expm1(level - log_f(r)))
+
+    with mpmath.workdps(dps):
+        return float(2 * mpmath.quad(integrand, [0, mpmath.pi]))
+
+
+class TestPeriodEvent:
+    """detect_period as one event-terminated ODE solve."""
+
+    @pytest.mark.parametrize("n, rho", [(2, 0.6), (2, 1.2), (3, 0.3), (4, 0.05)])
+    def test_matches_mpmath_quadrature(self, n, rho):
+        assert abs(detect_period(n, rho).period - _mp_period(n, rho)) <= 1e-11
+
+    def test_one_solve_stopping_at_the_return(self, monkeypatch):
+        solves = []
+        solve = profiles.solve_ivp
+
+        def recorded(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(profiles, "solve_ivp", recorded)
+        for n, rho in ((2, 0.6), (3, 1.2)):
+            solves.clear()
+            T = detect_period(n, rho).period
+            assert len(solves) == 1
+            assert solves[0].t[-1] == T
+
+    def test_search_time_short_of_the_period(self):
+        T = detect_period(2, 0.6).period
+        with pytest.raises(DetectionFailure):
+            detect_period(2, 0.6, search_time=0.9 * T)
+        with pytest.raises(InvalidArgument):
+            detect_period(2, 0.6, search_time=-T)
+        assert detect_period(2, 0.6, search_time=1.1 * T).period == pytest.approx(T, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("offset", [-0.3, 0.3])
+    def test_both_sides_of_equilibrium(self, n, offset):
+        # the orbit crosses arctan(sqrt n) to the turning point on the other
+        # side and comes back once
+        equilibrium = math.atan(math.sqrt(n))
+        pr = detect_period(n, equilibrium + offset)
+        assert pr.amplitude > abs(offset)
+        assert pr.closure_residual <= 1e-11
+        assert 1.0 < pr.period < 4.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("rho", [0.05, 0.3, 0.6, 1.2, 1.5])
+    def test_closure(self, n, rho):
+        assert detect_period(n, rho).closure_residual <= 1e-11
+
+    @pytest.mark.xfail(strict=True, raises=IntegrationFailure, reason=(
+        "known limit: at n = 8, rho = 0.05 the orbit runs to within 4e-11 of "
+        "pi/2, where tan r blows up, and DOP853 stops (required step below "
+        "the spacing of doubles)"))
+    @pytest.mark.parametrize("solve", ["profile", "period"])
+    def test_n8_small_rho(self, solve):
+        if solve == "profile":
+            sol = solve_profile(ProfileFamily("cp_sphere", 8, 0.05), 8.0)
+            assert energy_residual(sol) <= 1e-8
+        else:
+            assert detect_period(8, 0.05).closure_residual <= 1e-11
 
 
 class TestSpline:

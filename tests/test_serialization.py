@@ -158,6 +158,21 @@ class TestBulkCodec:
         edit(d)
         assert ser.dumps(d) == json.dumps(d, indent=1) + "\n"
 
+    def test_dumps_writes_nested_tables_like_json(self, thm1_dict):
+        # the embedded profile grid sits two levels deep; a solve payload
+        # carries its grid one level deep
+        assert ser.dumps(thm1_dict["profile"]) == json.dumps(thm1_dict["profile"], indent=1) + "\n"
+        rows = [["1", "-2.5"], ["3e-07", "4"]]
+        for obj in (
+            rows,
+            [rows],
+            {"a": {"b": {"c": rows}}, "d": [rows, {"e": rows}], "f": rows},
+            [{"t": rows}, [["x"]], "s", [1, [2.5, [None, True]]], {}, []],
+            {"t": rows, "keys": {1: rows}, "tuple": (rows,), "empty": {"e": [], "r": [[]]}},
+            {"ragged": [["1"], [], ["2"]], "mixed": [["1", 2.0]], "escaped": [['a"b'], ["é"]]},
+        ):
+            assert ser.dumps(obj) == json.dumps(obj, indent=1) + "\n"
+
     def test_reader_matches_float(self, thm1_dict):
         imm = ser.immersion_from_dict(thm1_dict)
         flat = np.array([[float(v) for v in row] for row in thm1_dict["samples"]])
