@@ -20,11 +20,13 @@ and makes the conserved quantity cosh^2 r sinh^2n r / cosh^2 u, which is
 evaluated in log space.  The phase speed of every family is
 f(s) = a / denom(r)^{n+1} with a = sqrt(energy constant).
 
-Interpolants and cumulative integrals use ``Spline``, a numpy piecewise
-polynomial bit-identical to scipy's ``CubicHermiteSpline``.  scipy itself
-is imported only when an ODE is solved (``solve_ivp``) or an integral is
-computed by quadrature (``quad``), so reading a stored profile, building
-its interpolant and phase integrals does not load it.
+The ODEs are solved by ``solve_ivp``, the in-repo DOP853 of ``dop853``
+(bit-identical to scipy's), imported on the first solve.  Interpolants and
+cumulative integrals use ``Spline``, a numpy piecewise polynomial
+bit-identical to scipy's ``CubicHermiteSpline``.  scipy itself is imported
+only when an integral is computed by quadrature (``quad``: the s- and
+t-forms of the total curvature integral), so solving, building, reading a
+stored profile and its phase integrals do not load it.
 """
 
 from __future__ import annotations
@@ -76,14 +78,14 @@ class DetectionFailure(GeometryError):
 
 
 def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first solve.
+    """``dop853.solve_ivp``, imported on the first solve.
 
-    Importing scipy.integrate costs about half a second; commands that only
-    read stored profiles never pay it.
+    Compiling the solver module takes about 6 ms where no bytecode cache is
+    kept; commands that only read stored profiles never pay it.
     """
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    from .dop853 import solve_ivp as dop853_solve_ivp
 
-    return scipy_solve_ivp(*args, **kwargs)
+    return dop853_solve_ivp(*args, **kwargs)
 
 
 def quad(*args, **kwargs):
@@ -316,9 +318,10 @@ def solve_profile(
     """Solve the profile equation on [-s_max, s_max].
 
     ch_horo is evaluated from its closed form; the other families are
-    integrated by adaptive explicit Runge-Kutta (DOP853) in the (r, u)
-    variables with local error <= tol, forward and backward half-lines
-    independently so that evenness stays a genuine numerical property.
+    integrated by ``solve_ivp``'s adaptive explicit Runge-Kutta (DOP853) in
+    the (r, u) variables with local error <= tol, forward and backward
+    half-lines independently so that evenness stays a genuine numerical
+    property; the grid is read from the two dense outputs.
     """
     if not (1e-13 <= tol <= 1e-6):
         raise InvalidArgument("tol must lie in [1e-13, 1e-6]")
@@ -337,10 +340,8 @@ def solve_profile(
             family.ode_rhs,
             (0.0, direction * s_max),
             (family.rho, 0.0),
-            method="DOP853",
             rtol=max(tol, 2.3e-14),
             atol=tol * 1e-3,
-            dense_output=True,
         )
         if not sol.success:
             raise IntegrationFailure(sol.message, last_s=float(sol.t[-1]))
@@ -716,7 +717,7 @@ def detect_period(
     that counts only crossings in the direction of r''(rho).  Those are the
     start, where u(0) = 0 exactly, and the return; the half-period crossing
     runs the other way.  The solve stops at the second of them, and T is
-    that event's root of the dense interpolant (scipy's brentq).  The
+    that event's root of the dense interpolant (``dop853.brentq``).  The
     closure residual |r(T) - rho| + |r'(T)| and the amplitude
     max |r - rho| over [0, T] are read from the same interpolant.
 
@@ -737,13 +738,11 @@ def detect_period(
     rp_zero.direction = math.copysign(1.0, curvature)
     rp_zero.terminal = 2  # the root at s = 0, then the return
 
-    sol = solve_ivp(
-        fam.ode_rhs, (0.0, search_time), (rho, 0.0),
-        method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True, events=rp_zero,
-    )
+    sol = solve_ivp(fam.ode_rhs, (0.0, search_time), (rho, 0.0),
+                    rtol=1e-12, atol=1e-14, event=rp_zero)
     if not sol.success:
         raise IntegrationFailure(sol.message, last_s=float(sol.t[-1]))
-    roots = sol.t_events[0]
+    roots = sol.t_events
     if len(roots) < 2:
         raise DetectionFailure(f"no periodic return within {search_time} time units")
     T = float(roots[1])

@@ -283,6 +283,37 @@ class TestColdPath:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[0, 0, 0, 0] []"
 
+    def test_solving_commands_load_no_scipy(self, tmp_path):
+        """Every ODE solve runs on the in-repo DOP853; only the s- and
+        t-form quadratures of ``sigma-integral`` import scipy."""
+        import subprocess
+        import sys
+
+        script = "\n".join([
+            "import sys",
+            "import lagmin.cli",
+            "def scipy_loaded():",
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')[:1]",
+            "conf = ['--config', 'none.conf']",
+            "codes = [lagmin.cli.main(conf + a) for a in (",
+            "    ['build', '--family', 'thm1', '--n', '3', '--rho', '1', '--grid', '12x9',",
+            "     '--out', 'thm1.json'],",
+            "    ['build', '--family', 'thm5', '--n', '2', '--rho', '0.6', '--grid', '12x9',",
+            "     '--out', 'thm5.json'],",
+            "    ['solve', '--family', 'cp-sphere', '--n', '2', '--rho', '0.6', '--s-max', '3',",
+            "     '--out', 'cp.json'],",
+            "    ['period', '--n', '3', '--rho', '0.3', '--out', 'period.json'],",
+            "    ['export', '--in', 'cp.json', '--what', 'phase-portrait', '--out', 'pp.csv'])]",
+            "print(codes, scipy_loaded())",
+            "print(lagmin.cli.main(conf + ['sigma-integral', '--method', 't', '--out', 'sig.json']),",
+            "      scipy_loaded())",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env=_subprocess_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:2] == ["[0, 0, 0, 0, 0] []", "0 ['scipy']"]
+
     def test_ragged_samples_row_is_schema_error(self, tmp_path, thm1_n3_file):
         import subprocess
         import sys
