@@ -4,13 +4,18 @@ The method is Dormand-Prince 8(5,3) as given by Hairer, Norsett and Wanner,
 *Solving Ordinary Differential Equations I* (2nd ed.), sections II.5-II.6.
 This module ports the DOP853 path of scipy's ``solve_ivp`` (scipy 1.17,
 ``scipy/integrate/_ivp/{ivp,rk,common,base,dop853_coefficients}.py``) and
-the C ``brentq`` it locates events with, operation for operation and with
-the same numpy calls, so that step sizes, rhs evaluations, dense output and
+the C ``brentq`` it locates events with, operation for operation on the
+same numpy kernels, so that step sizes, rhs evaluations, dense output and
 event roots are bit-identical to scipy's.  Only what lagmin uses is ported:
 DOP853 on a real state, scalar rtol and atol, dense output always on, and
 at most one event with ``direction`` and an integer ``terminal``.  Loading
 it costs numpy only, where ``import scipy.integrate`` costs about half a
 second.
+
+The layout differs, not the arithmetic: the stages reuse preallocated
+buffers, and the dense output keeps each step's interpolant as one row of
+an array that ``OdeSolution`` evaluates for all query points in one pass
+(scipy sorts them and calls each step's interpolant), event roots included.
 
 The tableau and the step control are scipy's, under its license:
 
@@ -50,11 +55,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
-__all__ = ["OdeResult", "OdeSolution", "Dop853DenseOutput", "solve_ivp", "brentq"]
+__all__ = ["OdeResult", "OdeSolution", "solve_ivp", "brentq"]
 
 EPS = np.finfo(float).eps
 
@@ -266,81 +270,62 @@ D[3, 15] = -0.14972683625798562581422125276e+3
 
 # (stage s, row a[:s], node c) of each stage after the first, and of the
 # three extra stages of the dense output: the same views scipy's DOP853 slices
-_STEP_STAGES = [(s, A[s, :s], C[s]) for s in range(1, N_STAGES)]
-_EXTRA_STAGES = [(s, A[s, :s], C[s]) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
+_STEP_STAGES = [(s, A[s, :s], float(C[s])) for s in range(1, N_STAGES)]
+_EXTRA_STAGES = [(s, A[s, :s], float(C[s])) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
 
 
 # ---------------------------------------------------------------------------
 # dense output
 
 
-class Dop853DenseOutput:
-    """The degree-7 interpolant of one step from t_old to t."""
-
-    def __init__(self, t_old, t, y_old, F):
-        self.t_old = t_old
-        self.t = t
-        self.h = t - t_old
-        self.F = F
-        self.y_old = y_old
-
-    def __call__(self, t):
-        t = np.asarray(t)
-        x = (t - self.t_old) / self.h
-        if t.ndim == 0:
-            y = np.zeros_like(self.y_old)
-        else:
-            x = x[:, None]
-            y = np.zeros((len(x), len(self.y_old)))
-        for i, f in enumerate(reversed(self.F)):
-            y += f
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
-        y += self.y_old
-        return y.T
-
-
 class OdeSolution:
-    """Piecewise dense output over the accepted steps; a time on a step
-    boundary takes the earlier step."""
+    """Piecewise degree-7 dense output over the accepted steps.
 
-    def __init__(self, ts, interpolants):
-        ts = np.asarray(ts)
-        self.n_segments = len(interpolants)
-        self.interpolants = interpolants
-        self.ascending = bool(ts[-1] >= ts[0])
+    ``steps`` has one row [t_old, t, y_old, F] per step, F being the
+    coefficient vectors of the step's interpolant.  A call evaluates all
+    points at once: ``searchsorted`` on the boundaries ``ts`` gives each
+    point its step (on a boundary the earlier one, outside the span the end
+    one), one gather takes those steps' columns, and the interpolant's
+    nested product runs over all points with scipy's operations in scipy's
+    order.  ``interpolants[k]`` is step k alone, whose ``t_old`` and ``t``
+    (``ts[0]`` and ``ts[-1]``) are the ends of that step.
+    """
+
+    def __init__(self, ts, steps):
+        self.ts = np.asarray(ts, dtype=float)
+        self.n_segments = len(steps)
+        self.n = (steps.shape[1] - 2) // (INTERPOLATOR_POWER + 1)
+        self.ascending = bool(self.ts[-1] >= self.ts[0])
         self.side = "left" if self.ascending else "right"
-        self.ts_sorted = ts if self.ascending else ts[::-1]
+        # the interior boundaries, ascending: searching them puts a point
+        # outside the span in an end step
+        self.interior = self.ts[1:-1] if self.ascending else self.ts[-2:0:-1]
+        self.t_old, self.t = self.ts[0], self.ts[-1]
+        self._columns = np.ascontiguousarray(steps.T)
+
+    @property
+    def interpolants(self):
+        return [OdeSolution(row[:2], row[None]) for row in self._columns.T]
 
     def __call__(self, t):
         t = np.asarray(t)
-        if t.ndim == 0:
-            ind = np.searchsorted(self.ts_sorted, t, side=self.side)
-            segment = min(max(ind - 1, 0), self.n_segments - 1)
-            if not self.ascending:
-                segment = self.n_segments - 1 - segment
-            return self.interpolants[segment](t)
-
-        order = np.argsort(t)
-        reverse = np.empty_like(order)
-        reverse[order] = np.arange(order.shape[0])
-        t_sorted = t[order]
-        segments = np.searchsorted(self.ts_sorted, t_sorted, side=self.side)
-        segments -= 1
-        segments[segments < 0] = 0
-        segments[segments > self.n_segments - 1] = self.n_segments - 1
+        points = t.reshape(-1)
+        segments = self.interior.searchsorted(points, side=self.side)
         if not self.ascending:
             segments = self.n_segments - 1 - segments
+        columns = self._columns.take(segments, axis=1)
+        t_old, t_new = columns[:2]
+        y_old = columns[2:2 + self.n]
+        F = columns[2 + self.n:].reshape(INTERPOLATOR_POWER, self.n, -1)
 
-        ys = []
-        group_start = 0
-        for segment, group in groupby(segments):
-            group_end = group_start + len(list(group))
-            ys.append(self.interpolants[segment](t_sorted[group_start:group_end]))
-            group_start = group_end
-        return np.hstack(ys)[:, reverse]
+        x = (points - t_old) / (t_new - t_old)
+        one_minus_x = 1 - x
+        y = np.zeros((self.n, len(points)))
+        for i, f in enumerate(reversed(F)):
+            y += f
+            y *= x if i % 2 == 0 else one_minus_x
+        y += y_old
+        return y[:, 0] if t.ndim == 0 else y
 
 
 @dataclass
@@ -386,7 +371,7 @@ def _initial_step(f, t0, y0, f0, interval_length, direction, rtol, atol):
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
     y1 = y0 + h0 * direction * f0
-    f1 = f(t0 + h0 * direction, y1)
+    f1 = np.asarray(f(t0 + h0 * direction, y1), dtype=float)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -397,8 +382,8 @@ def _initial_step(f, t0, y0, f0, interval_length, direction, rtol, atol):
 
 def _error_norm(KT, h, scale):
     """RMS norm of the error estimate, the E5 estimate damped by E3."""
-    err5 = np.dot(KT, E5) / scale
-    err3 = np.dot(KT, E3) / scale
+    err5 = KT.dot(E5) / scale
+    err3 = KT.dot(E3) / scale
     err5_norm_2 = _l2(err5) ** 2
     err3_norm_2 = _l2(err3) ** 2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
@@ -412,10 +397,11 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6, event=None) -> OdeResult:
 
     Matches scipy's ``solve_ivp(..., method="DOP853", dense_output=True,
     events=event)`` bit for bit, for a real state and scalar tolerances.
-    ``event`` is one callable g(t, y); its optional ``direction`` attribute
-    keeps only crossings of that sign, and a positive integer ``terminal``
-    stops the solve at that crossing.  Its roots are those of g on the
-    step's dense output, found by ``brentq``.
+    ``fun`` gets its stage states in reused buffers, so it must not keep
+    ``y``.  ``event`` is one callable g(t, y); its optional ``direction``
+    attribute keeps only crossings of that sign, and a positive integer
+    ``terminal`` stops the solve at that crossing.  Its roots are those of
+    g on the step's dense output, found by ``brentq``.
     """
     t0, tf = map(float, t_span)
     if t0 == tf:
@@ -435,25 +421,24 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6, event=None) -> OdeResult:
         event_count = 0
         g = event(t0, y0)
         t_events = []
-    direction = np.sign(tf - t0)
-    nfev = 0
-
-    def f(t, y):
-        nonlocal nfev
-        nfev += 1
-        return np.asarray(fun(t, y), dtype=float)
-
-    f_cur = f(t0, y)
-    h_abs = _initial_step(f, t0, y, f_cur, abs(tf - t0), direction, rtol, atol)
-    K_extended = np.empty((N_STAGES_EXTENDED, len(y)))
+    direction = math.copysign(1.0, tf - t0)
+    n = len(y)
+    K_extended = np.empty((N_STAGES_EXTENDED, n))
     K = K_extended[:N_STAGES + 1]
     # the transposed stage blocks K[:s].T as views, made once per solve
     KT = [K_extended[:s].T for s in range(N_STAGES_EXTENDED)]
+    K[0] = fun(t0, y)
+    h_abs = _initial_step(fun, t0, y, K[0], abs(tf - t0), direction, rtol, atol)
+    nfev = 2
+    dy, y_stage = np.empty((2, n))
+    # one row [t_old, t, y_old, F] per accepted step, the capacity doubled when full
+    steps = np.empty((64, 2 + (INTERPOLATOR_POWER + 1) * n))
+    n_steps = 0
     t = t0
-    ts, interpolants = [t0], []
+    ts = [t0]
     status = None
     while status is None:
-        # one accepted step (scipy's RungeKutta._step_impl)
+        # one accepted step (scipy's RungeKutta._step_impl); K[0] is f(t, y)
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(h_abs, min_step)
         step_rejected = False
@@ -461,20 +446,23 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6, event=None) -> OdeResult:
             if h_abs < min_step:
                 status = -1
                 break
-            h = h_abs * direction
+            h = float(h_abs * direction)
             t_new = t + h
             if direction * (t_new - tf) > 0:
                 t_new = tf
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
 
-            K[0] = f_cur
             for s, a, c in _STEP_STAGES:
-                dy = np.dot(KT[s], a) * h
-                K[s] = f(t + c * h, y + dy)
-            y_new = y + h * np.dot(KT[N_STAGES], B)
-            f_new = f(t + h, y_new)
-            K[-1] = f_new
+                KT[s].dot(a, out=dy)
+                dy *= h
+                np.add(y, dy, out=y_stage)
+                K[s] = fun(t + c * h, y_stage)
+            KT[N_STAGES].dot(B, out=dy)
+            dy *= h
+            y_new = y + dy
+            K[-1] = fun(t + h, y_new)
+            nfev += N_STAGES
 
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             error_norm = _error_norm(KT[N_STAGES + 1], h, scale)
@@ -491,23 +479,31 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6, event=None) -> OdeResult:
             step_rejected = True
         if status == -1:
             break
-        t_old, y_old, f_old = t, y, f_cur
-        t, y, f_cur = t_new, y_new, f_new
+        t_old, y_old = t, y
+        t, y = t_new, y_new
         if direction * (t - tf) >= 0:
             status = 0
 
-        # dense output of the step (scipy's DOP853._dense_output_impl)
+        # dense output of the step (scipy's DOP853._dense_output_impl), into its row
         for s, a, c in _EXTRA_STAGES:
-            dy = np.dot(KT[s], a) * h
-            K_extended[s] = f(t_old + c * h, y_old + dy)
-        F = np.empty((INTERPOLATOR_POWER, len(y)))
-        delta_y = y - y_old
-        F[0] = delta_y
+            KT[s].dot(a, out=dy)
+            dy *= h
+            np.add(y_old, dy, out=y_stage)
+            K_extended[s] = fun(t_old + c * h, y_stage)
+        nfev += N_STAGES_EXTENDED - N_STAGES - 1
+        if n_steps == len(steps):
+            steps = np.concatenate([steps, np.empty_like(steps)])
+        row = steps[n_steps]
+        row[:2] = t_old, t
+        row[2:2 + n] = y_old
+        F = row[2 + n:].reshape(INTERPOLATOR_POWER, n)
+        f_old, f_new = K[0], K[-1]
+        F[0] = delta_y = y - y_old
         F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (f_cur + f_old)
-        F[3:] = h * np.dot(D, K_extended)
-        sol = Dop853DenseOutput(t_old, t, y_old, F)
-        interpolants.append(sol)
+        F[2] = 2 * delta_y - h * (f_new + f_old)
+        D.dot(K_extended, out=F[3:])
+        F[3:] *= h
+        K[0] = f_new
 
         t_end = t
         if event is not None:
@@ -517,20 +513,20 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6, event=None) -> OdeResult:
             if (up and event_direction > 0 or down and event_direction < 0
                     or (up or down) and event_direction == 0):
                 event_count += 1
-                t_events.append(brentq(lambda x: event(x, sol(x)), t_old, t))
+                step = OdeSolution(row[:2], steps[n_steps:n_steps + 1])
+                t_events.append(brentq(lambda x: event(x, step(x)), t_old, t))
                 if terminal and event_count >= terminal:
                     status = 1
                     t_end = t_events[-1]
             g = g_new
 
         # a terminal root on the previous step's end adds no step
-        if len(ts) > 1 and ts[-1] == t_end:
-            interpolants.pop()
-        else:
+        if len(ts) == 1 or ts[-1] != t_end:
             ts.append(t_end)
+            n_steps += 1
 
     return OdeResult(
-        t=np.array(ts), sol=OdeSolution(ts, interpolants),
+        t=np.array(ts), sol=OdeSolution(ts, steps[:n_steps]),
         t_events=None if event is None else np.asarray(t_events),
         nfev=nfev, status=status, message=MESSAGES.get(status, TOO_SMALL_STEP),
     )

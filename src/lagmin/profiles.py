@@ -230,11 +230,14 @@ class ProfileFamily:
         """u' as a function of r for the (r, u) system (r' = tanh u)."""
         n = self.n
         if self.tag == "ch_sphere":
-            return np.tanh(r) + n / np.tanh(r)
+            t = np.tanh(r)
+            return t + n / t
         if self.tag == "ch_tube":
-            return 1.0 / np.tanh(r) + n * np.tanh(r)
+            t = np.tanh(r)
+            return 1.0 / t + n * t
         if self.tag == "cp_sphere":
-            return n / np.tan(r) - np.tan(r)
+            t = np.tan(r)
+            return n / t - t
         raise InvalidArgument("ch_horo has no ODE form; use the closed form")
 
     def ode_rhs(self, _s, y):

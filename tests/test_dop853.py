@@ -201,3 +201,89 @@ def test_arguments_outside_the_port_are_rejected():
         dop853.solve_ivp(rhs, (0.0, 1.0), (1.0, 0.0), rtol=1e-15)
     with pytest.raises(ValueError):
         dop853.solve_ivp(rhs, (0.0, 1.0), (1.0, math.inf))
+
+
+def _dense_solve(name):
+    """The port's and scipy's result for one shape of solution that the
+    stacked dense output must evaluate like scipy's per-step interpolants."""
+    fam = ProfileFamily("cp_sphere", 3, 0.3)
+
+    def u_zero(_t, y):
+        return y[1]
+
+    u_zero.direction = 1.0
+    u_zero.terminal = 2
+    args, event = {
+        "forward": ((ProfileFamily("ch_sphere", 3, 1.0).ode_rhs, (0.0, 3.0), (1.0, 0.0)), None),
+        "backward": ((fam.ode_rhs, (0.0, -4.0), (0.3, 0.0)), None),
+        "one step": ((lambda _t, y: -y, (0.0, 1e-3), (1.0, 2.0)), None),
+        "terminal event": ((fam.ode_rhs, (0.0, 30.0), (0.3, 0.0)), u_zero),
+    }[name]
+    kw = dict(rtol=1e-10, atol=1e-13, event=event)
+    return dop853.solve_ivp(*args, **kw), _scipy_dop853(*args, **kw)
+
+
+@pytest.mark.parametrize("name", ["forward", "backward", "one step", "terminal event"])
+def test_stacked_dense_output_matches_scipy(name):
+    ours, ref = _dense_solve(name)
+    assert _bits(ours.t) == _bits(ref.t) and ours.nfev == ref.nfev
+    assert (len(ours.t) == 2) == (name == "one step")
+    t = ours.t
+    span = t[-1] - t[0]
+    rng = np.random.default_rng(3)
+    inside = t[0] + span * rng.uniform(0.0, 1.0, 301)
+    queries = {
+        "unsorted": inside,
+        "duplicated": np.concatenate([inside[:40], inside[:40], inside[7:9], inside[7:9]]),
+        "boundaries ascending": np.sort(t),
+        "boundaries descending": np.sort(t)[::-1],
+        "boundaries as stored": t,
+        "outside": t[0] + span * np.array([-3.0, 2.5, -1e-3, 1.0 + 1e-3, 40.0, -0.5]),
+        "mixed": rng.permutation(np.concatenate([inside, t, t[0] - span * inside[:5]])),
+    }
+    for what, points in queries.items():
+        assert _bits(ours.sol(points)) == _bits(ref.sol(points)), what
+        assert ours.sol(points).shape == ref.sol(points).shape, what
+    for point in [*t, *inside[:25], t[0] - span, t[-1] + span]:
+        assert _bits(ours.sol(point)) == _bits(ref.sol(point)), point
+        assert ours.sol(point).shape == ref.sol(point).shape == (2,)
+
+
+def test_terminal_event_dense_output_keeps_the_step_end():
+    # the last boundary is the root, but the last piece is still the whole
+    # step's interpolant, with x from that step's own t_old and h
+    ours, ref = _dense_solve("terminal event")
+    assert ours.status == 1 and ours.t[-1] == ours.t_events[-1]
+    last = ours.sol.interpolants[-1]
+    assert last.t_old == ours.t[-2] and last.t > ours.t[-1]
+    ref_last = ref.sol.interpolants[-1]
+    assert (last.t_old, last.t) == (ref_last.t_old, ref_last.t)
+    points = np.linspace(last.t_old, last.t, 57)
+    assert _bits(last(points)) == _bits(ref_last(points))
+    assert _bits(ours.sol(points)) == _bits(ref.sol(points))
+    assert len(ours.sol.interpolants) == len(ref.sol.interpolants) == ours.sol.n_segments
+
+
+@pytest.mark.parametrize("ascending", [True, False])
+def test_side_rule_on_pieces_that_disagree_at_the_boundaries(ascending):
+    # a solver's pieces meet bit for bit (fl(fl(y_old + dy) - y_old) + y_old
+    # is fl(y_old + dy)), so random pieces are what shows which one owns a
+    # boundary: the earlier in the direction of integration, as in scipy
+    from scipy.integrate._ivp.common import OdeSolution
+    from scipy.integrate._ivp.rk import Dop853DenseOutput
+
+    rng = np.random.default_rng(17 if ascending else 18)
+    ts = np.cumsum(rng.uniform(0.1, 1.0, 9))
+    ts = ts if ascending else ts[::-1]
+    y_old = rng.normal(size=(8, 2))
+    F = rng.normal(size=(8, dop853.INTERPOLATOR_POWER, 2))
+    steps = np.column_stack([ts[:-1], ts[1:], y_old, F.reshape(8, -1)])
+    ours = dop853.OdeSolution(ts, steps)
+    ref = OdeSolution(ts, [Dop853DenseOutput(a, b, y, f)
+                           for a, b, y, f in zip(ts[:-1], ts[1:], y_old, F)])
+    span = ts[-1] - ts[0]
+    points = np.concatenate([ts, ts[::-1], ts[0] + span * rng.uniform(-0.2, 1.2, 50)])
+    assert _bits(ours(points)) == _bits(ref(points))
+    for point in points:
+        assert _bits(ours(point)) == _bits(ref(point))
+    assert _bits(ours(ts[1:-1])) != _bits(ours.interpolants[1](ts[1:-1]))  # the pieces do disagree
