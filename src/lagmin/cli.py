@@ -348,7 +348,7 @@ def make_parser() -> _Parser:
     bp.add_argument("--n", type=int, required=True)
     bp.add_argument("--rho", type=float, default=None)
     bp.add_argument("--seed", default=None,
-                    choices=[_dash(t) for t in SEED_KINDS if t != "custom"])
+                    choices=[_dash(t) for t in SEED_KINDS])
     bp.add_argument("--c", type=int, default=1, choices=(0, 1))
     bp.add_argument("--grid", default=None, help="SxM, e.g. 64x64")
     bp.add_argument("--s-window", default=None, help="LO:HI sample window")

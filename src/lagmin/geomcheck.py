@@ -303,9 +303,10 @@ def minimality_residual(imm: SampledImmersion, batch) -> float:
 
 
 def expected_metric(imm: SampledImmersion, xi: np.ndarray) -> np.ndarray | None:
-    """Chart-coordinate closed form of the induced metric, where known."""
-    fam = imm.spec.family
-    if imm.spec.detuned or imm.seed is not None:
+    """Chart-coordinate closed form of the induced metric of the model
+    families: the curve's warp over the totally geodesic block."""
+    kind = imm.spec.kind
+    if not kind.model or imm.spec.detuned or imm.seed is not None:
         return None
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     s, X = xi[:, 0], xi[:, 1:]
@@ -323,31 +324,25 @@ def expected_metric(imm: SampledImmersion, xi: np.ndarray) -> np.ndarray | None:
             run = run * np.sin(angles[:, k]) ** 2
         return out
 
-    if fam in ("thm1", "thm5", "tg_sphere"):
-        if fam == "thm1":
-            warp = np.sinh(imm.profile.r_of(s)) ** 2
-        elif fam == "thm5":
-            warp = np.sin(imm.profile.r_of(s)) ** 2
-        else:
-            warp = np.sinh(s) ** 2
+    # the curve's radius: r(s) on a profile, s along the geodesic
+    r = s if kind.profile is None else imm.profile.r_of(s)
+    if kind.layout == "sphere":
+        warp = (np.sinh(r) if kind.ambient == "ch" else np.sin(r)) ** 2
         blk = sphere_block(X)
         for k in range(d):
             g[:, 1 + k, 1 + k] = warp * blk[:, k]
-        return g
-    if fam in ("thm2", "tg_tube"):
-        warp = np.cosh(imm.profile.r_of(s)) ** 2 if fam == "thm2" else np.cosh(s) ** 2
+    elif kind.layout == "tube":
+        warp = np.cosh(r) ** 2
         g[:, 1, 1] = warp
         if d > 1:
             blk = sphere_block(X[:, 1:])
             for k in range(d - 1):
                 g[:, 2 + k, 2 + k] = warp * np.sinh(X[:, 0]) ** 2 * blk[:, k]
-        return g
-    if fam in ("thm3", "tg_horo"):
-        warp = imm.profile.r_of(s) ** 2 if fam == "thm3" else np.exp(2.0 * s)
+    else:
+        warp = np.exp(2.0 * s) if kind.profile is None else r**2
         for k in range(d):
             g[:, 1 + k, 1 + k] = warp
-        return g
-    return None
+    return g
 
 
 def metric_residual(imm: SampledImmersion, batch) -> float | None:
@@ -616,8 +611,6 @@ TOLERANCES = {"lagrangian": 1e-6, "horizontal": 1e-6,
 
 ALL_CHECKS = ("lagrangian", "horizontal", "minimal", "metric", "sff", "invariance", "symmetry")
 
-_TG_FAMILIES = ("tg_sphere", "tg_tube", "tg_horo", "prop4a", "prop4b", "prop4c")
-
 
 def _sample_consistency(imm: SampledImmersion, fresh: np.ndarray) -> float:
     """Stored samples vs ``fresh``, the rebuilt lift on the whole grid in
@@ -662,7 +655,8 @@ def run_checks(
     )
     tol = TOLERANCES
     fb = frame_batch(imm, jet(imm, imm.grid_xi(), h=h))
-    is_tg = fam in _TG_FAMILIES and (imm.seed is None or imm.seed.kind.startswith("tg"))
+    # the real geodesic over a totally geodesic seed is totally geodesic
+    is_tg = imm.spec.kind.geodesic and (imm.seed is None or imm.seed.kind.startswith("tg"))
     sff = None
     if {"minimal", "sff", "symmetry"} & set(checks):
         sff = second_fundamental_form(imm, fb)

@@ -1,22 +1,24 @@
 """Horizontal lifts of every immersion family.
 
-Each family's lift (s, x_chart) -> C^{n+1} (C^n for the flat products)
-lives on the appropriate quadric.  The hyperbolic-model families compose a
-Legendre curve in H^3_1 with a block that is either a totally geodesic
-model factor or the horizontal lift of a lower-dimensional minimal
-Lagrangian seed:
+Every family tag is a Legendre curve in H^3_1 or S^3 (or a plane curve)
+composed with a seed: an (n-1)-dimensional minimal Lagrangian of CP^{n-1},
+CH^{n-1} or C^{n-1}, given by its horizontal lift B (and, for flat seeds,
+its potential f).  One row per tag, ``ImmersionFamilySpec.kind``, names the
+ambient, the curve's profile ODE and the layout, i.e. where the block sits:
 
-  ch_sphere curve:  ( sinh r e^{i a(s)} B , cosh r e^{i b(s)} )
-  ch_tube curve:    ( sinh r e^{i a(s)} , cosh r e^{i b(s)} B )
-  ch_horo curve:    e^{i F(s)} ( r B , (1 + r^2 (f - 1 - 2 i G))/2r ,
-                                       (1 + r^2 (f + 1 - 2 i G))/2r )
-  cp_sphere curve:  ( sin r e^{i a(s)} B , cos r e^{i b(s)} )   [a(s) < 0]
+  sphere:  ( sinh r e^{i a(s)} B , cosh r e^{i b(s)} )   (sin, cos in CP^n)
+  tube:    ( sinh r e^{i a(s)} , cosh r e^{i b(s)} B )
+  horo:    e^{i F(s)} ( r B , (1 + r^2 (f - 1 - 2 i G))/2r ,
+                             (1 + r^2 (f + 1 - 2 i G))/2r )
+  flat:    gamma(s) B with gamma(s)^n = (s, c)
 
 with the phase integrals carrying the first-integral constant
-a = sqrt(energy), which is what makes the maps unit-speed in s and minimal.
-The totally geodesic versions replace the curve by the real geodesic
-(sinh s, cosh s) (or (sin s, cos s) upstairs), and the complex-Euclidean
-product is gamma(s) * B with gamma(s)^n = (s, c).
+a = sqrt(energy), which is what makes the maps unit-speed in s and minimal
+(a(s) < 0 in CP^n).  The geodesic families replace the profile curve by the
+real geodesic (sinh s, cosh s) (or (sin s, cos s) upstairs).  The model
+families thm1/2/3/5 and tg_sphere/tube/horo are built over the totally
+geodesic seed of their layout (tg_sphere_cp, tg_rh_ch, tg_plane_c), so each
+is its prop3/prop4/prop6a twin over that seed; the others take a seed.
 
 Every lift is therefore alpha(s) * beta(x) + delta(s) componentwise, and
 that one factorization is the only lift code: ``_curve_factors`` gives the
@@ -77,40 +79,59 @@ __all__ = [
     "power_curve",
 ]
 
-FAMILY_TAGS = (
-    "thm1", "thm2", "thm3", "thm5",
-    "tg_sphere", "tg_tube", "tg_horo",
-    "prop3a", "prop3b", "prop3c",
-    "prop4a", "prop4b", "prop4c",
-    "prop6a", "prop6b",
-    "cn_product",
-)
+@dataclass(frozen=True)
+class _Kind:
+    """A family tag's row: a Legendre curve composed with an (n-1)-dimensional
+    block.
 
-SEED_KINDS = ("tg_sphere_cp", "tg_rh_ch", "tg_plane_c", "clifford_cp", "custom")
+    ``ambient`` is "ch", "cp" or "c"; ``profile`` is the curve's profile ODE
+    (None for the real geodesic and the power curve); ``layout`` says where
+    the block sits in the lift: first ("sphere"), last ("tube"), next to the
+    potential ("horo") or alone ("flat").  ``model`` families are built over
+    their layout's totally geodesic seed; the others take a seed.
+    """
 
-# profile family backing each ODE-based immersion family
-_PROFILE_OF = {
-    "thm1": "ch_sphere", "prop3a": "ch_sphere",
-    "thm2": "ch_tube", "prop3b": "ch_tube",
-    "thm3": "ch_horo", "prop3c": "ch_horo",
-    "thm5": "cp_sphere", "prop6a": "cp_sphere",
+    ambient: str
+    profile: str | None
+    layout: str
+    model: bool = False
+
+    @property
+    def geodesic(self) -> bool:
+        """The curve is the real geodesic of H^3_1 or S^3."""
+        return self.profile is None and self.layout != "flat"
+
+
+# per layout: seed target, totally geodesic model seed, symmetry group
+_LAYOUTS = {
+    "sphere": ("cp", "tg_sphere_cp", "so_n"),
+    "tube": ("ch", "tg_rh_ch", "so1_n"),
+    "horo": ("c", "tg_plane_c", "euclid_n"),
+    "flat": ("cp", None, None),
 }
 
-# claimed symmetry group of the closed-formula families
-_GROUP_OF = {
-    "thm1": "so_n", "tg_sphere": "so_n", "thm5": "so_n",
-    "thm2": "so1_n", "tg_tube": "so1_n",
-    "thm3": "euclid_n", "tg_horo": "euclid_n",
+_FAMILIES = {
+    "thm1": _Kind("ch", "ch_sphere", "sphere", model=True),
+    "thm2": _Kind("ch", "ch_tube", "tube", model=True),
+    "thm3": _Kind("ch", "ch_horo", "horo", model=True),
+    "thm5": _Kind("cp", "cp_sphere", "sphere", model=True),
+    "tg_sphere": _Kind("ch", None, "sphere", model=True),
+    "tg_tube": _Kind("ch", None, "tube", model=True),
+    "tg_horo": _Kind("ch", None, "horo", model=True),
+    "prop3a": _Kind("ch", "ch_sphere", "sphere"),
+    "prop3b": _Kind("ch", "ch_tube", "tube"),
+    "prop3c": _Kind("ch", "ch_horo", "horo"),
+    "prop4a": _Kind("ch", None, "sphere"),
+    "prop4b": _Kind("ch", None, "tube"),
+    "prop4c": _Kind("ch", None, "horo"),
+    "prop6a": _Kind("cp", "cp_sphere", "sphere"),
+    "prop6b": _Kind("cp", None, "sphere"),
+    "cn_product": _Kind("c", None, "flat"),
 }
 
-_SEEDED = ("prop3a", "prop3b", "prop3c", "prop4a", "prop4b", "prop4c",
-           "prop6a", "prop6b", "cn_product")
+FAMILY_TAGS = tuple(_FAMILIES)
 
-_SEED_TARGET = {
-    "prop3a": "cp", "prop4a": "cp", "prop6a": "cp", "prop6b": "cp", "cn_product": "cp",
-    "prop3b": "ch", "prop4b": "ch",
-    "prop3c": "c", "prop4c": "c",
-}
+SEED_KINDS = ("tg_sphere_cp", "tg_rh_ch", "tg_plane_c", "clifford_cp")
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +153,6 @@ class Chart:
     hi: np.ndarray
     periodic: tuple
     to_model: object
-    model_kind: str | None
 
     @property
     def dim(self) -> int:
@@ -157,7 +177,7 @@ def sphere_chart(d: int) -> Chart:
     lo = np.r_[np.full(d - 1, 0.25), 0.0] if d > 1 else np.zeros(1)
     hi = np.r_[np.full(d - 1, math.pi - 0.25), 2 * math.pi] if d > 1 else np.array([2 * math.pi])
     periodic = tuple([False] * (d - 1) + [True])
-    return Chart(names, lo, hi, periodic, _sphere_coords, "sphere")
+    return Chart(names, lo, hi, periodic, _sphere_coords)
 
 
 def rh_chart(d: int) -> Chart:
@@ -166,7 +186,7 @@ def rh_chart(d: int) -> Chart:
         to_model = lambda X: np.stack(
             [np.sinh(np.asarray(X)[:, 0]), np.cosh(np.asarray(X)[:, 0])], axis=-1
         )
-        return Chart(("u",), np.array([-1.4]), np.array([1.4]), (False,), to_model, "hyperbolic")
+        return Chart(("u",), np.array([-1.4]), np.array([1.4]), (False,), to_model)
 
     def to_model(X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -178,7 +198,7 @@ def rh_chart(d: int) -> Chart:
     lo = np.r_[0.15, np.full(max(d - 2, 0), 0.25), 0.0]
     hi = np.r_[1.6, np.full(max(d - 2, 0), math.pi - 0.25), 2 * math.pi]
     periodic = tuple([False] * (d - 1) + [True])
-    return Chart(names, lo, hi, periodic, to_model, "hyperbolic")
+    return Chart(names, lo, hi, periodic, to_model)
 
 
 def box_chart(d: int, half_width: float = 1.2) -> Chart:
@@ -189,7 +209,6 @@ def box_chart(d: int, half_width: float = 1.2) -> Chart:
         np.full(d, half_width),
         tuple([False] * d),
         lambda X: np.atleast_2d(np.asarray(X, dtype=float)),
-        "euclidean",
     )
 
 
@@ -199,7 +218,7 @@ def clifford_chart(d: int) -> Chart:
     lo = np.r_[0.0, sub.lo]
     hi = np.r_[2 * math.pi, sub.hi]
     periodic = (True,) + sub.periodic
-    return Chart(names, lo, hi, periodic, None, None)
+    return Chart(names, lo, hi, periodic, None)
 
 
 # ---------------------------------------------------------------------------
@@ -330,20 +349,23 @@ class ImmersionFamilySpec:
             raise InvalidArgument(f"unknown immersion family {self.family!r}")
         if self.n < 2:
             raise InvalidArgument("immersion families need n >= 2")
-        if self.family in _PROFILE_OF and self.rho is None:
+        if self.kind.profile is not None and self.rho is None:
             raise InvalidArgument(f"{self.family} requires rho")
+        if self.kind.model and self.seed_kind is not None:
+            raise InvalidArgument(f"{self.family} is built over its totally geodesic "
+                                  "seed and takes no seed")
         if self.family == "cn_product" and self.c not in (0, 1):
             raise InvalidArgument("cn_product takes c in {0, 1}")
         if self.detuned and self.family != "thm1":
             raise InvalidArgument("only thm1 has the detuned control variant")
 
     @property
+    def kind(self) -> _Kind:
+        return _FAMILIES[self.family]
+
+    @property
     def ambient(self) -> Ambient:
-        if self.family in ("thm5", "prop6a", "prop6b"):
-            return Ambient("cp", self.n)
-        if self.family == "cn_product":
-            return Ambient("c", self.n)
-        return Ambient("ch", self.n)
+        return Ambient(self.kind.ambient, self.n)
 
 
 @dataclass
@@ -403,12 +425,10 @@ class SampledImmersion:
 def default_grid_spec(spec: ImmersionFamilySpec) -> tuple[float, float]:
     """Default s-window; small enough that finite-difference roundoff on the
     verification residuals stays well below the tolerance ladder."""
-    fam = spec.family
-    if fam in ("tg_sphere", "prop4a"):
-        return (0.1, 2.6)
-    if fam == "prop6b":
-        return (0.05, math.pi / 2 - 0.05)
-    if fam == "cn_product" and spec.c == 0:
+    kind = spec.kind
+    if kind.geodesic and kind.layout == "sphere":  # the sphere shrinks at s = 0
+        return (0.1, 2.6) if kind.ambient == "ch" else (0.05, math.pi / 2 - 0.05)
+    if kind.layout == "flat" and spec.c == 0:
         return (0.2, 2.7)
     return (-2.5, 2.5)
 
@@ -426,34 +446,6 @@ def _split_transverse(M: int, chart: Chart) -> np.ndarray:
             axes.append(np.linspace(chart.lo[k], chart.hi[k], per))
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.column_stack([m.ravel() for m in mesh])
-
-
-def _block_provider(spec: ImmersionFamilySpec, seed: SeedLagrangian | None):
-    """Transverse block B(x) (and potential f for horospherical curves)."""
-    n = spec.n
-    fam = spec.family
-    if seed is not None:
-        want = _SEED_TARGET[fam]
-        if seed.target != want:
-            raise InvalidArgument(f"{fam} needs a seed with target {want!r}")
-        if seed.dim != n - 1:
-            raise InvalidArgument(f"{fam} at n={n} needs a seed of dimension {n-1}")
-        if want == "c":
-            return seed.chart, seed.lift, seed.potential
-        return seed.chart, seed.lift, None
-    if fam in ("thm1", "tg_sphere", "thm5"):
-        chart = sphere_chart(n - 1)
-    elif fam in ("thm2", "tg_tube"):
-        chart = rh_chart(n - 1)
-    elif fam in ("thm3", "tg_horo"):
-        chart = box_chart(n - 1)
-    else:
-        raise InvalidArgument(f"{fam} requires a seed")
-    lift = lambda X: chart.to_model(X).astype(complex)
-    if fam in ("thm3", "tg_horo"):
-        potential = lambda X: np.sum(np.atleast_2d(np.asarray(X)) ** 2, axis=-1).astype(complex)
-        return chart, lift, potential
-    return chart, lift, None
 
 
 def power_curve(s: np.ndarray, c: int, n: int) -> np.ndarray:
@@ -506,14 +498,20 @@ def _trig_jets(t, hyperbolic: bool):
 def _curve_factors(spec, profile, phases):
     """s -> (alpha, delta), the curve factors as jets of shape (3, S, C).
 
-    Profile families take r and r' from the interpolant, r'' from the
-    profile equation and the phase derivatives from ``phases.rates``; the
-    geodesic and power curves are closed forms.  ``delta`` is None where
+    Profile curves take r and r' from the interpolant, r'' from the profile
+    equation and the phase derivatives from ``phases.rates``; the real
+    geodesic and the power curve are closed forms.  ``delta`` is None where
     the lift has no additive curve term.
     """
-    fam, n = spec.family, spec.n
+    kind, n = spec.kind, spec.n
+    hyperbolic = kind.ambient == "ch"
 
-    if fam in _PROFILE_OF:
+    def columns(first, last):
+        # the block multiplies the n columns that are not the lone one
+        cols = [first] + [last] * n if kind.layout == "tube" else [first] * n + [last]
+        return np.stack(cols, axis=-1)
+
+    if kind.profile is not None:
         R, dR = profile.interpolant, profile.rp_interpolant()
         rpp_of = profile.family.second_derivative
         a_of, b_of, rates = phases.a_of_s, phases.b_of_s, phases.rates
@@ -523,7 +521,7 @@ def _curve_factors(spec, profile, phases):
             rpp = rpp_of(r, rp)
             rj = np.stack([r, rp, rpp])
             sa, sa1, sb, sb1 = rates(r, rp)
-            if fam in ("thm3", "prop3c"):
+            if kind.layout == "horo":
                 # e^{iF} (r eta, P + r f/2, P + r + r f/2), P = 1/2r - r/2 - i r G
                 E = _phase_jet(a_of(s), sa, sa1)
                 G = b_of(s)
@@ -538,27 +536,28 @@ def _curve_factors(spec, profile, phases):
                 return (np.stack([Er] * (n + 1), axis=-1),
                         np.stack([zero] * (n - 1) + [_mul_jet(E, P), _mul_jet(E, P + rj)],
                                  axis=-1))
-            t0, t1 = _trig_jets(rj, fam not in ("thm5", "prop6a"))
+            t0, t1 = _trig_jets(rj, hyperbolic)
             c1 = _mul_jet(t0, _phase_jet(a_of(s), sa, sa1))
             c2 = _mul_jet(t1, _phase_jet(b_of(s), sb, sb1))
-            cols = [c1] + [c2] * n if fam in ("thm2", "prop3b") else [c1] * n + [c2]
-            return np.stack(cols, axis=-1), None
+            return columns(c1, c2), None
+
+        return curve
+
+    if kind.layout == "flat":
+
+        def curve(s):
+            # gamma' = gamma / (n z) and gamma'' = gamma' (1 - n) / (n z), z = gamma^n
+            g = power_curve(s, spec.c, n)
+            g1 = g / (n * (s + 1j * spec.c))
+            g2 = g1 * (1 - n) / (n * (s + 1j * spec.c))
+            return np.stack([np.stack([g, g1, g2])] * n, axis=-1), None
 
         return curve
 
     def geodesic(s):
         return np.stack([s, np.ones_like(s), np.zeros_like(s)])
 
-    if fam in ("tg_sphere", "prop4a", "prop6b", "tg_tube", "prop4b"):
-
-        def curve(s):
-            t0, t1 = _trig_jets(geodesic(s), fam != "prop6b")
-            cols = [t0] + [t1] * n if fam in ("tg_tube", "prop4b") else [t0] * n + [t1]
-            return np.stack(cols, axis=-1).astype(complex), None
-
-        return curve
-
-    if fam in ("tg_horo", "prop4c"):
+    if kind.layout == "horo":
 
         def curve(s):
             # (e^s eta, e^s f/2 - sinh s, e^s f/2 + cosh s)
@@ -571,39 +570,31 @@ def _curve_factors(spec, profile, phases):
 
         return curve
 
-    if fam == "cn_product":
+    def curve(s):
+        return columns(*_trig_jets(geodesic(s), hyperbolic)).astype(complex), None
 
-        def curve(s):
-            # gamma' = gamma / (n z) and gamma'' = gamma' (1 - n) / (n z), z = gamma^n
-            g = power_curve(s, spec.c, n)
-            g1 = g / (n * (s + 1j * spec.c))
-            g2 = g1 * (1 - n) / (n * (s + 1j * spec.c))
-            return np.stack([np.stack([g, g1, g2])] * n, axis=-1), None
-
-        return curve
-
-    raise InvalidArgument(f"no curve factor for family {fam!r}")
+    return curve
 
 
-def _block_factor(spec, block, potential):
-    """x -> beta(x), the O(1) transverse factor of the lift."""
-    fam = spec.family
+def _block_factor(layout, lift, potential):
+    """x -> beta(x), the O(1) transverse factor of the lift: the block's lift
+    placed as ``layout`` says."""
 
     def ones(X):
         return np.ones((len(X), 1), dtype=complex)
 
-    if fam in ("thm3", "prop3c", "tg_horo", "prop4c"):
+    if layout == "horo":
 
         def beta(X):
             half_f = potential(X)[:, None] / 2.0
-            return np.concatenate([block(X), half_f, half_f], axis=-1)
+            return np.concatenate([lift(X), half_f, half_f], axis=-1)
 
         return beta
-    if fam in ("thm2", "prop3b", "tg_tube", "prop4b"):
-        return lambda X: np.concatenate([ones(X), block(X)], axis=-1)
-    if fam == "cn_product":
-        return block
-    return lambda X: np.concatenate([block(X), ones(X)], axis=-1)
+    if layout == "tube":
+        return lambda X: np.concatenate([ones(X), lift(X)], axis=-1)
+    if layout == "flat":
+        return lift
+    return lambda X: np.concatenate([lift(X), ones(X)], axis=-1)
 
 
 def _distinct_rows(X: np.ndarray):
@@ -672,24 +663,36 @@ def _validate_window(spec: ImmersionFamilySpec, s_window) -> tuple[float, float]
     s_lo, s_hi = s_window
     if not s_hi > s_lo:
         raise InvalidArgument("empty s window")
-    if spec.family in ("tg_sphere", "prop4a") and s_lo <= 0:
-        raise InvalidArgument("this family lives on s > 0")
-    if spec.family == "prop6b" and not (0 < s_lo and s_hi < math.pi / 2):
-        raise InvalidArgument("prop6b lives on (0, pi/2)")
-    if spec.family == "cn_product" and spec.c == 0 and s_lo <= 0:
+    kind = spec.kind
+    if kind.geodesic and kind.layout == "sphere":
+        if kind.ambient == "ch" and s_lo <= 0:
+            raise InvalidArgument("this family lives on s > 0")
+        if kind.ambient == "cp" and not (0 < s_lo and s_hi < math.pi / 2):
+            raise InvalidArgument(f"{spec.family} lives on (0, pi/2)")
+    if kind.layout == "flat" and spec.c == 0 and s_lo <= 0:
         raise InvalidArgument("the c=0 product curve passes through 0; use s > 0")
     return float(s_lo), float(s_hi)
 
 
 def _resolve_seed(spec: ImmersionFamilySpec, seed: SeedLagrangian | None):
-    if spec.family in _SEEDED:
-        if seed is None and spec.seed_kind is not None:
-            seed = make_seed(spec.seed_kind, spec.n - 1)
-        if seed is None:
-            raise InvalidArgument(f"{spec.family} requires a seed")
-    elif seed is not None:
-        raise InvalidArgument(f"{spec.family} does not take a seed")
-    return seed
+    """(seed, block): the seed the family was given (None for the model
+    families) and the block its lift composes, which for the model families
+    is the totally geodesic seed of their layout."""
+    kind, n = spec.kind, spec.n
+    target, model_seed, _ = _LAYOUTS[kind.layout]
+    if kind.model:
+        if seed is not None:
+            raise InvalidArgument(f"{spec.family} does not take a seed")
+        return None, make_seed(model_seed, n - 1)
+    if seed is None and spec.seed_kind is not None:
+        seed = make_seed(spec.seed_kind, n - 1)
+    if seed is None:
+        raise InvalidArgument(f"{spec.family} requires a seed")
+    if seed.target != target:
+        raise InvalidArgument(f"{spec.family} needs a seed with target {target!r}")
+    if seed.dim != n - 1:
+        raise InvalidArgument(f"{spec.family} at n={n} needs a seed of dimension {n-1}")
+    return seed, seed
 
 
 def assemble_immersion(
@@ -709,12 +712,12 @@ def assemble_immersion(
     stored lifts, which are kept verbatim so that consistency checks can
     compare them against the rebuilt lift.
     """
-    seed = _resolve_seed(spec, seed)
-    chart, block, potential = _block_provider(spec, seed)
+    seed, block = _resolve_seed(spec, seed)
+    kind = spec.kind
     phases = phase_integrals(profile) if profile is not None else None
     lift_phases = _detuned_phases(profile, phases) if spec.detuned else phases
     curve = _curve_factors(spec, profile, lift_phases)
-    beta = _block_factor(spec, block, potential)
+    beta = _block_factor(kind.layout, block.lift, block.potential)
 
     s_values = np.asarray(s_values, dtype=float)
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
@@ -727,15 +730,15 @@ def assemble_immersion(
         samples = np.asarray(samples, dtype=complex)
 
     model_evaluate = None
-    if spec.family in _GROUP_OF and seed is None:
+    if kind.model:
         ident = lambda Xm: np.atleast_2d(np.asarray(Xm)).astype(complex)
         pot = lambda Xm: np.sum(np.atleast_2d(np.asarray(Xm)) ** 2, axis=-1).astype(complex)
-        model_evaluate = _lift(curve, _block_factor(spec, ident, pot))
+        model_evaluate = _lift(curve, _block_factor(kind.layout, ident, pot))
 
     return SampledImmersion(
         spec=spec,
         ambient=spec.ambient,
-        chart=chart,
+        chart=block.chart,
         s_values=s_values,
         x_grid=x_grid,
         samples=samples,
@@ -745,7 +748,7 @@ def assemble_immersion(
         profile=profile,
         phases=phases,
         seed=seed,
-        group=_GROUP_OF.get(spec.family),
+        group=_LAYOUTS[kind.layout][2] if kind.model else None,
     )
 
 
@@ -767,21 +770,20 @@ def build_immersion(
     quadric membership and the Legendrian (horizontality) residual of the
     cached samples go into ``header``.
     """
-    seed = _resolve_seed(spec, seed)
+    seed, block = _resolve_seed(spec, seed)
     if s_window is None:
         s_window = default_grid_spec(spec)
     s_lo, s_hi = _validate_window(spec, s_window)
 
     profile = None
-    if spec.family in _PROFILE_OF:
-        pf = ProfileFamily(_PROFILE_OF[spec.family], spec.n, spec.rho)
+    if spec.kind.profile is not None:
+        pf = ProfileFamily(spec.kind.profile, spec.n, spec.rho)
         span = max(abs(s_lo), abs(s_hi)) + 0.5
         profile = solve_profile(pf, span, tol=ode_tol)
 
-    chart, _, _ = _block_provider(spec, seed)
     S, M = grid
     s_values = np.linspace(s_lo, s_hi, S)
-    x_grid = _split_transverse(M, chart)
+    x_grid = _split_transverse(M, block.chart)
     if check and seed is not None:
         _validate_seed(seed, x_grid)
     imm = assemble_immersion(spec, profile, s_values, x_grid, seed=seed)
@@ -912,8 +914,8 @@ def _family_curve(spec: ImmersionFamilySpec, s, ode_tol: float | None = None) ->
     factor, i.e. the lift at a point where the block is B = e_1."""
     s = np.asarray(s, dtype=float)
     profile = phases = None
-    if spec.family in _PROFILE_OF:
-        pf = ProfileFamily(_PROFILE_OF[spec.family], spec.n, spec.rho)
+    if spec.kind.profile is not None:
+        pf = ProfileFamily(spec.kind.profile, spec.n, spec.rho)
         profile = solve_profile(pf, float(np.max(np.abs(s))) + 0.5, tol=ode_tol)
         phases = phase_integrals(profile)
     alpha, _ = _curve_factors(spec, profile, phases)(s)

@@ -89,6 +89,18 @@ class TestBuildVerify:
         code = run(tmp_path, "build", "--family", "prop3a", "--n", "2", "--rho", "1")
         assert code == EXIT_USAGE
 
+    def test_model_family_rejects_seed(self, tmp_path, thm1_file):
+        out = tmp_path / "seeded.json"
+        code = run(tmp_path, "build", "--family", "thm1", "--n", "2", "--rho", "1",
+                   "--seed", "tg-sphere-cp", "--grid", "8x8", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert not out.exists()
+        # a file that labels a model family with a seed no longer loads
+        d = json.loads(thm1_file.read_text())
+        d["spec"]["seed"] = "tg_sphere_cp"
+        thm1_file.write_text(json.dumps(d))
+        assert run(tmp_path, "verify", "--in", str(thm1_file)) == EXIT_USAGE
+
     def test_build_seeded(self, tmp_path):
         out = tmp_path / "p3.json"
         code = run(tmp_path, "build", "--family", "prop3a", "--n", "3", "--rho", "1",

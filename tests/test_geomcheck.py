@@ -225,17 +225,21 @@ _EVERY_FAMILY = [
     ImmersionFamilySpec("prop4c", 3, seed_kind="tg_plane_c"),
     ImmersionFamilySpec("prop6a", 3, 0.6, seed_kind="clifford_cp"),
     ImmersionFamilySpec("prop6b", 3, seed_kind="clifford_cp"),
+    ImmersionFamilySpec("prop6b", 3, seed_kind="tg_sphere_cp"),
     ImmersionFamilySpec("cn_product", 3, seed_kind="clifford_cp", c=1),
     ImmersionFamilySpec("cn_product", 2, seed_kind="tg_sphere_cp", c=0),
 ]
+
+
+def _spec_id(spec) -> str:
+    return "-".join(filter(None, (spec.family, spec.seed_kind, "detuned" * spec.detuned)))
 
 
 class TestProductJets:
     def test_every_family_tag_covered(self):
         assert {spec.family for spec in _EVERY_FAMILY} == set(FAMILY_TAGS)
 
-    @pytest.mark.parametrize("spec", _EVERY_FAMILY, ids=lambda sp: "-".join(
-        filter(None, (sp.family, sp.seed_kind, "detuned" * sp.detuned))))
+    @pytest.mark.parametrize("spec", _EVERY_FAMILY, ids=_spec_id)
     def test_matches_whole_lift_differences(self, spec):
         imm = build_immersion(spec, grid=(11, 9))
         xi = imm.grid_xi()
@@ -251,8 +255,7 @@ class TestProductJets:
         # the profile spline's knot wiggle (knots every 2h)
         assert np.max(np.abs(d2 - f2)) <= 1e-4 * scale
 
-    @pytest.mark.parametrize("spec", _EVERY_FAMILY, ids=lambda sp: "-".join(
-        filter(None, (sp.family, sp.seed_kind, "detuned" * sp.detuned))))
+    @pytest.mark.parametrize("spec", _EVERY_FAMILY, ids=_spec_id)
     def test_samples_evaluate_and_jet_value_bitwise(self, spec):
         # one factorization feeds all three, down to the sign of zero
         imm = build_immersion(spec, grid=(11, 9))
@@ -444,3 +447,44 @@ class TestRunChecks:
         report = gc.run_checks(thm1, checks=("minimal",))
         assert [c["name"] for c in report.checks] == ["minimal"]
         assert report.verdict
+
+    @pytest.mark.parametrize("spec", _EVERY_FAMILY, ids=_spec_id)
+    def test_report_checks_of_every_family(self, spec):
+        report = gc.run_checks(build_immersion(spec, grid=(11, 9)))
+        got = [(c["name"], c["tol"]) for c in report.checks]
+        assert got == _REPORT_CHECKS[_spec_id(spec)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_prop6b_over_the_tg_seed_is_totally_geodesic(self, n):
+        # the real geodesic of S^3 over the totally geodesic RP^{n-1}
+        imm = build_immersion(ImmersionFamilySpec("prop6b", n, seed_kind="tg_sphere_cp"))
+        report = gc.run_checks(imm, ("minimal", "sff"))
+        assert [(c["name"], c["tol"], c["residual"]) for c in report.checks] == [
+            ("minimal", 1e-5, 0.0), ("sff", 1e-5, 0.0)]
+
+
+# (name, tol) of every report check, per _EVERY_FAMILY spec
+_LAG, _HOR, _SYM = ("lagrangian", 1e-6), ("horizontal", 1e-6), ("symmetry", 1e-4)
+_MIN, _MIN_TG = ("minimal", 5e-4), ("minimal", 1e-5)
+_MET, _INV, _SFF_TG = ("metric", 1e-6), ("invariance", 1e-8), ("sff", 1e-5)
+_REPORT_CHECKS = {
+    "thm1": [_LAG, _HOR, _MIN, _MET, ("sff", 1e-3), _INV, _SYM],
+    "thm1-detuned": [_LAG, _HOR, _MIN, _INV, _SYM],
+    "thm2": [_LAG, _HOR, _MIN, _MET, _INV, _SYM],
+    "thm3": [_LAG, _HOR, _MIN, _MET, _INV, _SYM],
+    "thm5": [_LAG, _HOR, _MIN, _MET, _INV, _SYM],
+    "tg_sphere": [_LAG, _HOR, _MIN_TG, _MET, _SFF_TG, _INV, _SYM],
+    "tg_tube": [_LAG, _HOR, _MIN_TG, _MET, _SFF_TG, _INV, _SYM],
+    "tg_horo": [_LAG, _HOR, _MIN_TG, _MET, _SFF_TG, _INV, _SYM],
+    "prop3a-clifford_cp": [_LAG, _HOR, _MIN, _SYM],
+    "prop3b-tg_rh_ch": [_LAG, _HOR, _MIN, _SYM],
+    "prop3c-tg_plane_c": [_LAG, _HOR, _MIN, _SYM],
+    "prop4a-tg_sphere_cp": [_LAG, _HOR, _MIN_TG, _SFF_TG, _SYM],
+    "prop4b-tg_rh_ch": [_LAG, _HOR, _MIN_TG, _SFF_TG, _SYM],
+    "prop4c-tg_plane_c": [_LAG, _HOR, _MIN_TG, _SFF_TG, _SYM],
+    "prop6a-clifford_cp": [_LAG, _HOR, _MIN, _SYM],
+    "prop6b-clifford_cp": [_LAG, _HOR, _MIN, _SYM],
+    "prop6b-tg_sphere_cp": [_LAG, _HOR, _MIN_TG, _SFF_TG, _SYM],
+    "cn_product-clifford_cp": [_LAG, _HOR, _MIN, _SYM],
+    "cn_product-tg_sphere_cp": [_LAG, _HOR, _MIN, _SYM],
+}

@@ -44,6 +44,15 @@ class TestSpecValidation:
         with pytest.raises(InvalidArgument):
             build_immersion(ImmersionFamilySpec("prop3a", 2, 1.0), grid=(4, 4), seed=seed)
 
+    def test_model_families_take_no_seed(self):
+        # they are built over their own totally geodesic seed
+        for fam, rho in (("thm1", 1.0), ("tg_sphere", None)):
+            with pytest.raises(InvalidArgument, match="takes no seed"):
+                ImmersionFamilySpec(fam, 2, rho, seed_kind="nonsense")
+            with pytest.raises(InvalidArgument, match="does not take a seed"):
+                build_immersion(ImmersionFamilySpec(fam, 2, rho), grid=(4, 4),
+                                seed=make_seed("tg_sphere_cp", 1))
+
     def test_detuned_only_thm1(self):
         with pytest.raises(InvalidArgument):
             ImmersionFamilySpec("thm2", 2, 1.0, detuned=True)
@@ -187,21 +196,35 @@ class TestSeeds:
             assert res["norm"] <= 1e-10
 
 
-class TestComposedFamilies:
-    def test_prop3a_with_tg_seed_reproduces_thm1(self, thm1_n2):
-        imm = build_immersion(
-            ImmersionFamilySpec("prop3a", 2, 1.0, seed_kind="tg_sphere_cp"), grid=(16, 16))
-        space = imm.ambient.space
-        a = thm1_n2.samples.reshape(-1, 3)
-        b = imm.samples.reshape(-1, 3)
-        worst = max(projective_distance(space, a[i], b[i]) for i in range(0, len(a), 7))
-        assert worst <= 1e-8
+# each model family, and its seeded twin over the same layout's totally
+# geodesic seed
+_TWINS = [
+    ("thm1", "prop3a", 1.0, "tg_sphere_cp"),
+    ("thm2", "prop3b", 1.0, "tg_rh_ch"),
+    ("thm3", "prop3c", 1.0, "tg_plane_c"),
+    ("thm5", "prop6a", 0.6, "tg_sphere_cp"),
+    ("tg_sphere", "prop4a", None, "tg_sphere_cp"),
+    ("tg_tube", "prop4b", None, "tg_rh_ch"),
+    ("tg_horo", "prop4c", None, "tg_plane_c"),
+]
 
-    def test_prop4a_with_tg_seed_is_tg_sphere(self):
-        tg = build_immersion(ImmersionFamilySpec("tg_sphere", 3), grid=(8, 8))
-        p4 = build_immersion(
-            ImmersionFamilySpec("prop4a", 3, seed_kind="tg_sphere_cp"), grid=(8, 8))
-        assert np.max(np.abs(tg.samples - p4.samples)) < 1e-14
+
+class TestComposedFamilies:
+    @pytest.mark.parametrize("model,twin,rho,seed", _TWINS,
+                             ids=[f"{m}-{t}" for m, t, *_ in _TWINS])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_model_family_is_its_seeded_twin(self, model, twin, rho, seed, n):
+        # a model family is its seeded twin over the tg seed, bit for bit
+        a = build_immersion(ImmersionFamilySpec(model, n, rho), grid=(12, 16))
+        b = build_immersion(ImmersionFamilySpec(twin, n, rho, seed_kind=seed), grid=(12, 16))
+        assert a.seed is None and b.seed.kind == seed
+        assert a.chart.names == b.chart.names
+        assert a.x_grid.tobytes() == b.x_grid.tobytes()
+        assert a.samples.tobytes() == b.samples.tobytes()
+        assert a.header == b.header
+        xi = a.grid_xi()
+        for u, v in zip(a.product_jet(xi, 1e-3), b.product_jet(xi, 1e-3)):
+            assert u.tobytes() == v.tobytes()
 
     def test_cn_product_power_curve(self):
         s = np.linspace(-2.5, 2.5, 301)
