@@ -688,6 +688,12 @@ def _resolve_seed(spec: ImmersionFamilySpec, seed: SeedLagrangian | None):
         seed = make_seed(spec.seed_kind, n - 1)
     if seed is None:
         raise InvalidArgument(f"{spec.family} requires a seed")
+    # a file records the spec, so the spec must name the seed it is built over
+    if seed.kind != spec.seed_kind:
+        raise InvalidArgument(
+            f"{spec.family}: the seed is {seed.kind!r} but the spec's seed_kind"
+            f" is {spec.seed_kind!r}"
+        )
     if seed.target != target:
         raise InvalidArgument(f"{spec.family} needs a seed with target {target!r}")
     if seed.dim != n - 1:

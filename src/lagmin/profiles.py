@@ -23,10 +23,9 @@ f(s) = a / denom(r)^{n+1} with a = sqrt(energy constant).
 The ODEs are solved by ``solve_ivp``, the in-repo DOP853 of ``dop853``
 (bit-identical to scipy's), imported on the first solve.  Interpolants and
 cumulative integrals use ``Spline``, a numpy piecewise polynomial
-bit-identical to scipy's ``CubicHermiteSpline``.  scipy itself is imported
-only when an integral is computed by quadrature (``quad``: the s- and
-t-forms of the total curvature integral), so solving, building, reading a
-stored profile and its phase integrals do not load it.
+bit-identical to scipy's ``CubicHermiteSpline``.  The s- and t-forms of
+the total curvature integral use ``quad``, an adaptive 21-point
+Gauss-Kronrod rule over numpy arrays.  Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -88,11 +87,123 @@ def solve_ivp(*args, **kwargs):
     return dop853_solve_ivp(*args, **kwargs)
 
 
-def quad(*args, **kwargs):
-    """``scipy.integrate.quad``, imported on the first quadrature."""
-    from scipy.integrate import quad as scipy_quad
+# The 21-point Gauss-Kronrod rule of QUADPACK's qk21: nodes on [-1, 1], the
+# 10-point Gauss weights at the odd nodes and the 21-point Kronrod weights, as
+# scipy's ``integrate/_quad_vec.py::_quadrature_gk21`` lists them (scipy's BSD
+# license is quoted in ``dop853``).
+_GK21_NODES = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0,
+    -0.148874338981631210884826001129720,
+    -0.294392862701460198131126603103866,
+    -0.433395394129247190799265943165784,
+    -0.562757134668604683339000099272694,
+    -0.679409568299024406234327365114874,
+    -0.780817726586416897063717578345042,
+    -0.865063366688984510732096688423493,
+    -0.930157491355708226001207180059508,
+    -0.973906528517171720077964012084452,
+    -0.995657163025808080735527280689003,
+)
+_GK21_GAUSS = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+    0.295524224714752870173892994651338,
+    0.269266719309996355091226921569469,
+    0.219086362515982043995534934228163,
+    0.149451349150580593145776339657697,
+    0.066671344308688137593568809893332,
+)
+_GK21_KRONROD = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+    0.147739104901338491374841515972068,
+    0.142775938577060080797094273138717,
+    0.134709217311473325928054001771707,
+    0.123491976262065851077958109831074,
+    0.109387158802297641899210590325805,
+    0.093125454583697605535065465083366,
+    0.075039674810919952767043140916190,
+    0.054755896574351996031381300244580,
+    0.032558162307964727478818972459390,
+    0.011694638867371874278064396062192,
+)
+_GK21_X = np.array(_GK21_NODES)
+_GK21_K = np.array(_GK21_KRONROD)
+_GK21_G = np.zeros(21)
+_GK21_G[1::2] = _GK21_GAUSS
 
-    return scipy_quad(*args, **kwargs)
+
+def _gk21_panels(f, lo, hi):
+    """Kronrod values and QUADPACK error estimates of f on the panels
+    [lo, hi], all panels' nodes in one call of f."""
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fx = np.asarray(f((c[:, None] + h[:, None] * _GK21_X).ravel()), dtype=float)
+    fx = fx.reshape(len(lo), 21)
+    k = fx @ _GK21_K
+    width = np.abs(h)
+    err = np.abs(fx @ _GK21_G - k) * width
+    # qk21's scaling by the spread about the mean, and its roundoff floor
+    spread = (np.abs(fx - 0.5 * k[:, None]) @ _GK21_K) * width
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = spread * np.minimum(1.0, (200.0 * err / spread) ** 1.5)
+    err = np.where((spread != 0) & (err != 0), scaled, err)
+    err = np.maximum(err, 50.0 * np.finfo(float).eps * (np.abs(fx) @ _GK21_K) * width)
+    return k * h, err
+
+
+def quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
+    """(integral of f over [a, b], error estimate) by adaptive 21-point
+    Gauss-Kronrod quadrature.
+
+    ``f`` takes an array of points and returns the values there.  Each round
+    evaluates every new panel in one call of ``f`` and bisects each panel
+    whose error estimate exceeds its width's share of the tolerance
+    max(epsabs, epsrel |I|), until the summed estimate is within it.  Raises
+    ``IntegrationFailure`` when that would take more than ``limit`` panels.
+    """
+    lo, hi = np.array([float(a)]), np.array([float(b)])
+    val, err = _gk21_panels(f, lo, hi)
+    while True:
+        total, abserr = float(val.sum()), float(err.sum())
+        tol = max(epsabs, epsrel * abs(total))
+        if abserr <= tol:
+            return total, abserr
+        # NaN estimates split too, and the worst panel always does
+        split = ~(err <= tol * (hi - lo) / (b - a)) | (err == err.max())
+        if len(lo) + np.count_nonzero(split) > limit:
+            raise IntegrationFailure(
+                f"quadrature error {abserr:.2e} above {tol:.2e} with {len(lo)} panels"
+                f" (limit {limit})"
+            )
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_val, new_err = _gk21_panels(f, new_lo, new_hi)
+        keep = ~split
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        val, err = np.concatenate([val[keep], new_val]), np.concatenate([err[keep], new_err])
 
 
 class Spline:
@@ -614,7 +725,10 @@ def sigma_integral_thm1(spec: SigmaIntegralSpec, profile: ProfileSolution | None
     s-form: quadrature of sinh^{-(n^2+1)} r(s) along a solved profile with an
     exponential tail bound.  t-form: the hyperelliptic integral from
     t = sinh rho, with the inverse-square-root endpoint removed by the
-    substitution t = sinh rho + u^2 and a power-law tail bound.
+    substitution t = sinh rho + u^2 and a power-law tail bound.  Both
+    quadratures hold a relative tolerance only: the s-form integral is about
+    sinh^{-(n^2+1)} rho (1e-21 at n = 6, rho = 2), below any fixed absolute
+    one.
     """
     n, rho = spec.n, spec.rho
     m = n * n + 1
@@ -623,7 +737,7 @@ def sigma_integral_thm1(spec: SigmaIntegralSpec, profile: ProfileSolution | None
         if sol is None or sol.family != spec.family or sol.s_max < spec.s_max:
             sol = solve_profile(spec.family, spec.s_max, tol=1e-11)
         integrand = lambda s: np.sinh(sol.r_of(s)) ** (-m)
-        val, _ = quad(integrand, 0.0, spec.s_max, epsabs=1e-14, epsrel=1e-11, limit=200)
+        val, _ = quad(integrand, 0.0, spec.s_max, epsabs=0.0, epsrel=1e-11, limit=200)
         r_m, v = float(sol.r_of(spec.s_max)), float(sol.rp_of(spec.s_max))
         K = (2.0 / (1.0 - math.exp(-2.0 * r_m))) ** m
         tail = K * math.exp(-m * r_m) / (m * v)
@@ -646,7 +760,7 @@ def sigma_integral_thm1(spec: SigmaIntegralSpec, profile: ProfileSolution | None
         U_prev = 0.0
         for _ in range(12):
             U = math.sqrt(T - t0)
-            piece, _ = quad(integrand, U_prev, U, epsabs=1e-16, epsrel=1e-11, limit=200)
+            piece, _ = quad(integrand, U_prev, U, epsabs=0.0, epsrel=1e-11, limit=200)
             val += piece
             tail = T ** (-m) / (m * math.sqrt(max(1.0 - E / T ** (2 * n + 2), 0.5)))
             if tail <= spec.tol * max(val, 1e-300):

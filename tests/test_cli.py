@@ -296,8 +296,8 @@ class TestColdPath:
         assert proc.stdout.strip() == "[0, 0, 0, 0] []"
 
     def test_solving_commands_load_no_scipy(self, tmp_path):
-        """Every ODE solve runs on the in-repo DOP853; only the s- and
-        t-form quadratures of ``sigma-integral`` import scipy."""
+        """Every ODE solve runs on the in-repo DOP853 and every quadrature
+        on the in-repo Gauss-Kronrod rule, so no command imports scipy."""
         import subprocess
         import sys
 
@@ -317,14 +317,17 @@ class TestColdPath:
             "    ['period', '--n', '3', '--rho', '0.3', '--out', 'period.json'],",
             "    ['export', '--in', 'cp.json', '--what', 'phase-portrait', '--out', 'pp.csv'])]",
             "print(codes, scipy_loaded())",
-            "print(lagmin.cli.main(conf + ['sigma-integral', '--method', 't', '--out', 'sig.json']),",
-            "      scipy_loaded())",
+            "codes = [lagmin.cli.main(conf + ['sigma-integral', '--n', '3', '--method', m,",
+            "                                 '--out', f'sig_{m}.json']) for m in 'st']",
+            "codes.append(lagmin.cli.main(conf + ['sigma-integral', '--method', 'both',",
+            "                                     '--out', 'sig_both.json']))",
+            "print(codes, scipy_loaded())",
         ])
         proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                               env=_subprocess_env(), capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[:2] == ["[0, 0, 0, 0, 0] []", "0 ['scipy']"]
+        assert proc.stdout.split("\n")[:2] == ["[0, 0, 0, 0, 0] []", "[0, 0, 0] []"]
 
     def test_ragged_samples_row_is_schema_error(self, tmp_path, thm1_n3_file):
         import subprocess

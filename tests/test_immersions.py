@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -36,13 +37,37 @@ class TestSpecValidation:
 
     def test_seed_target_mismatch(self):
         seed = make_seed("tg_plane_c", 1)
-        with pytest.raises(InvalidArgument):
-            build_immersion(ImmersionFamilySpec("prop3a", 2, 1.0), grid=(4, 4), seed=seed)
+        with pytest.raises(InvalidArgument, match="target"):
+            build_immersion(ImmersionFamilySpec("prop3a", 2, 1.0, seed_kind="tg_plane_c"),
+                            grid=(4, 4), seed=seed)
 
     def test_seed_dimension_mismatch(self):
         seed = make_seed("tg_sphere_cp", 2)
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InvalidArgument, match="dimension"):
+            build_immersion(ImmersionFamilySpec("prop3a", 2, 1.0, seed_kind="tg_sphere_cp"),
+                            grid=(4, 4), seed=seed)
+
+    def test_seed_kind_must_match_the_spec(self):
+        # the file records spec.seed_kind, so it must name the seed object
+        seed = make_seed("tg_sphere_cp", 2)
+        with pytest.raises(InvalidArgument, match="'tg_sphere_cp' but the spec's seed_kind"
+                                                  " is 'clifford_cp'"):
+            build_immersion(ImmersionFamilySpec("prop3a", 3, 1.0, seed_kind="clifford_cp"),
+                            grid=(4, 4), seed=seed)
+
+    def test_seed_object_needs_a_seed_kind(self):
+        seed = make_seed("tg_sphere_cp", 1)
+        with pytest.raises(InvalidArgument, match="seed_kind is None"):
             build_immersion(ImmersionFamilySpec("prop3a", 2, 1.0), grid=(4, 4), seed=seed)
+
+    def test_seed_object_matching_the_spec_round_trips(self):
+        from lagmin import serialization as ser
+
+        spec = ImmersionFamilySpec("prop3a", 2, 1.0, seed_kind="tg_sphere_cp")
+        imm = build_immersion(spec, grid=(4, 4), seed=make_seed("tg_sphere_cp", 1))
+        back = ser.immersion_from_dict(json.loads(ser.dumps(ser.immersion_to_dict(imm))))
+        assert back.spec == spec
+        assert np.array_equal(back.samples, imm.samples)
 
     def test_model_families_take_no_seed(self):
         # they are built over their own totally geodesic seed
@@ -69,7 +94,8 @@ class TestSpecValidation:
                                  + 0.1).astype(complex),
         )
         with pytest.raises(InvalidArgument, match="Re f"):
-            build_immersion(ImmersionFamilySpec("prop3c", 2, 1.0), grid=(4, 4), seed=bad)
+            build_immersion(ImmersionFamilySpec("prop3c", 2, 1.0, seed_kind="custom"),
+                            grid=(4, 4), seed=bad)
 
         # a lift off the unit sphere fails the norm invariant
         bad2 = SeedLagrangian(
@@ -78,7 +104,8 @@ class TestSpecValidation:
             .repeat(2, axis=-1),
         )
         with pytest.raises(InvalidArgument, match="quadric"):
-            build_immersion(ImmersionFamilySpec("prop4a", 2), grid=(4, 4), seed=bad2)
+            build_immersion(ImmersionFamilySpec("prop4a", 2, seed_kind="custom"),
+                            grid=(4, 4), seed=bad2)
 
     def test_domain_guards(self):
         with pytest.raises(InvalidArgument):

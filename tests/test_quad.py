@@ -1,0 +1,89 @@
+"""The in-repo Gauss-Kronrod ``quad`` against scipy's ``quad``.
+
+scipy is the oracle here and is imported only by these tests: the rule's
+table must be scipy's, and the total curvature integrals must come out of
+``profiles.quad`` as they do out of ``scipy.integrate.quad``.
+"""
+
+import ast
+import inspect
+import math
+import textwrap
+
+import numpy as np
+import pytest
+
+from lagmin import profiles
+from lagmin.profiles import IntegrationFailure, SigmaIntegralSpec, quad, sigma_integral_thm1
+
+SWEEP = [(n, rho) for n in range(2, 9) for rho in (0.05, 0.3, 0.5, 1.0, 2.0, 3.0)]
+
+
+def test_gk21_table_is_scipys():
+    from scipy.integrate import _quad_vec
+
+    tree = ast.parse(textwrap.dedent(inspect.getsource(_quad_vec._quadrature_gk21)))
+    tables = {node.targets[0].id: ast.literal_eval(node.value)
+              for node in ast.walk(tree) if isinstance(node, ast.Assign)}
+    assert tables == {"x": profiles._GK21_NODES, "w": profiles._GK21_GAUSS,
+                      "v": profiles._GK21_KRONROD}
+
+
+@pytest.mark.parametrize("n, rho", SWEEP)
+def test_t_form_matches_scipy(monkeypatch, n, rho):
+    from scipy.integrate import quad as scipy_quad
+
+    spec = SigmaIntegralSpec(n, rho, method="t")
+    ours = sigma_integral_thm1(spec)
+    monkeypatch.setattr(profiles, "quad", scipy_quad)
+    ref = sigma_integral_thm1(spec)
+    assert abs(ours - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (np.exp, -1.0, 2.0),
+    (lambda x: 1.0 / (1.0 + x * x), 0.0, 40.0),
+    (lambda x: np.sin(30.0 * x) ** 2, 0.0, math.pi),
+])
+def test_smooth_integrands_match_scipy(f, a, b):
+    from scipy.integrate import quad as scipy_quad
+
+    ours, our_err = quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)
+    ref, _ = scipy_quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)
+    assert abs(ours - ref) <= 1e-13 * abs(ref)
+    assert our_err <= 1e-12 * abs(ours)
+
+
+def test_exact_on_polynomials_up_to_degree_31():
+    rng = np.random.default_rng(3)
+    a, b = -0.3, 1.7
+    for degree in range(32):
+        poly = np.polynomial.Polynomial(rng.standard_normal(degree + 1))
+        exact = poly.integ()(b) - poly.integ()(a)
+        scale = np.polynomial.Polynomial(np.abs(poly.coef)).integ()(max(abs(a), b))
+        (value,), _ = profiles._gk21_panels(poly, np.array([a]), np.array([b]))
+        assert abs(value - exact) <= 1e-14 * scale, degree
+        if degree <= 19:  # the embedded Gauss rule is exact too: one panel suffices
+            value, _ = quad(poly, a, b, limit=1)
+            assert abs(value - exact) <= 1e-14 * scale, degree
+
+
+def test_one_call_of_f_per_round():
+    sizes = []
+
+    def f(x):
+        sizes.append(x.shape)
+        return 1.0 / (1e-3 + x * x)
+
+    value, _ = quad(f, -1.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)
+    assert value == pytest.approx(2.0 * math.atan(1e-3 ** -0.5) / 1e-3 ** 0.5, rel=1e-12)
+    assert len(sizes) > 2
+    assert all(len(s) == 1 and s[0] % 21 == 0 for s in sizes)
+
+
+def test_running_out_of_panels_raises():
+    step = lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0)
+    with pytest.raises(IntegrationFailure, match="limit 30"):
+        quad(step, 0.0, 1.0, epsabs=0.0, epsrel=1e-14, limit=30)
+    with pytest.raises(IntegrationFailure, match="limit 50"):
+        quad(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
