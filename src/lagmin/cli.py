@@ -217,13 +217,7 @@ def cmd_verify(args, cfg) -> int:
         [f"verify {report.family} n={report.n}: "
          f"{'all checks pass' if report.verdict else 'FAILURES'}"] + lines
     )
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(ser.dumps(payload))
-        print(summary, file=sys.stderr)
-    else:
-        sys.stdout.write(ser.dumps(payload))
-        print(summary, file=sys.stderr)
+    _emit(payload, args.report, summary)
     return EXIT_OK if report.verdict else EXIT_VERIFY
 
 

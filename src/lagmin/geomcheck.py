@@ -405,9 +405,6 @@ def sff_residuals(imm: SampledImmersion, batch) -> dict:
 # group invariance
 
 
-_MODEL_ACTION_DIM = {"so_n": 0, "so1_n": 0, "euclid_n": -1}  # offset from n
-
-
 def invariance_residual(
     imm: SampledImmersion,
     group: str,

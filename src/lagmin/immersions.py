@@ -461,14 +461,16 @@ def power_curve(s: np.ndarray, c: int, n: int) -> np.ndarray:
 
 def _detuned_phases(profile: ProfileSolution, phases: PhaseIntegrals) -> PhaseIntegrals:
     """Phases of the thm1 negative control: the speed frozen at f(0)."""
-    f0 = float(phases.phase_speed(0.0))
-    gb = lambda r: f0 * np.tanh(r) ** 2
-    dgb = lambda r: 2.0 * f0 * np.tanh(r) / np.cosh(r) ** 2
-    b_of = cumulative_integral(profile.s, gb(profile.r), dgb(profile.r) * profile.rp)
+    fam, f0 = phases.family, float(phases.phase_speed(0.0))
+
+    def rates(r, rp):
+        gb, dgb = fam.integrand(f0, 2, -2, r)  # f0 tanh^2 r
+        return np.full_like(r, f0), np.zeros_like(r), gb, dgb * rp
+
+    b_of = cumulative_integral(profile.s, *rates(profile.r, profile.rp)[2:])
     a_of = lambda x: f0 * np.asarray(x, dtype=float)
     speed = lambda x: np.full_like(np.asarray(x, dtype=float), f0)
-    rates = lambda r, rp: (np.full_like(r, f0), np.zeros_like(r), gb(r), dgb(r) * rp)
-    return PhaseIntegrals(phases.family, a_of, b_of, speed, rates)
+    return PhaseIntegrals(fam, a_of, b_of, speed, rates)
 
 
 def _mul_jet(u, v):

@@ -20,6 +20,15 @@ and makes the conserved quantity cosh^2 r sinh^2n r / cosh^2 u, which is
 evaluated in log space.  The phase speed of every family is
 f(s) = a / denom(r)^{n+1} with a = sqrt(energy constant).
 
+Each family is one row of a table (``_row``): a pair (S, C) = (sinh, cosh),
+(sin, cos) or, for ch_horo, (r, 1) with S' = C, C' = sigma S and T = S / C;
+the exponents (alpha, beta) of the first integral (1 - r'^2) S^{2 alpha}
+C^{2 beta}; and the phase integrands sign a S^p C^q as (sign, p, q).  The
+energy constant, u' = alpha / T + sigma beta T, r'' = (1 - r'^2) u', the
+energy residual's logs and every phase integrand with its derivative
+dg/dr = g (p / T + sigma q T) are read from the row; ch_horo keeps its
+closed form and first integral r'^2 + a^2 / r^{2n} = r^2.
+
 The ODEs are solved by ``solve_ivp``, the in-repo DOP853 of ``dop853``
 (bit-identical to scipy's), imported on the first solve.  Interpolants and
 cumulative integrals use ``Spline``, a numpy piecewise polynomial
@@ -303,12 +312,64 @@ def _logsinh(x):
 
 
 @dataclass(frozen=True)
+class _Trig:
+    """(S, C) with S' = C, C' = sigma S and T = S / C, over arrays; ``S0``,
+    ``C0`` and ``logs0`` are the forms the scalar rho has always used."""
+
+    sigma: float
+    S: object
+    C: object
+    T: object
+    S0: object
+    C0: object
+    logs: object = None  # r -> (log S, log C)
+    logs0: object = None
+
+
+def _log_sinh_cosh(r):
+    return _logsinh(r), _logcosh(r)
+
+
+_HYPERBOLIC = _Trig(1.0, np.sinh, np.cosh, np.tanh, math.sinh, math.cosh,
+                    _log_sinh_cosh, _log_sinh_cosh)
+_CIRCULAR = _Trig(-1.0, np.sin, np.cos, np.tan, math.sin, math.cos,
+                  lambda r: (np.log(np.sin(r)), np.log(np.cos(r))),
+                  lambda r: (math.log(math.sin(r)), math.log(math.cos(r))))
+# ch_horo: S = r, C = 1; its first integral is not of the (1 - r'^2) form
+_FLAT = _Trig(0.0, lambda r: r, np.ones_like, lambda r: r, lambda r: r, lambda r: 1.0)
+
+
+@dataclass(frozen=True)
+class _Row:
+    """One profile family; ``speed`` is a / denom^{n+1} = a S^p C^q as (p, q)."""
+
+    trig: _Trig
+    alpha: int
+    beta: int
+    phase_a: tuple
+    phase_b: tuple
+    speed: tuple
+
+
+def _row(tag: str, n: int) -> _Row:
+    m = n + 1
+    return {
+        "ch_sphere": _Row(_HYPERBOLIC, n, 1, (1.0, -m, 0), (1.0, 1 - n, -2), (-m, 0)),
+        "ch_tube": _Row(_HYPERBOLIC, 1, n, (1.0, -2, 1 - n), (1.0, 0, -m), (0, -m)),
+        "ch_horo": _Row(_FLAT, m, 0, (1.0, -m, 0), (1.0, -m - 2, 0), (-m, 0)),
+        "cp_sphere": _Row(_CIRCULAR, n, 1, (-1.0, -m, 0), (1.0, 1 - n, -2), (-m, 0)),
+    }[tag]
+
+
+@dataclass(frozen=True)
 class ProfileFamily:
     """Family tag plus parameters (n, rho) of the initial radius."""
 
     tag: str
     n: int
     rho: float
+    # built once: ode_rhs reads it on every right-hand-side evaluation
+    row: _Row = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tag not in FAMILY_TAGS:
@@ -319,17 +380,13 @@ class ProfileFamily:
             raise InvalidArgument("rho must be positive")
         if self.tag == "cp_sphere" and not self.rho < math.pi / 2:
             raise InvalidArgument("cp_sphere requires rho < pi/2")
+        object.__setattr__(self, "row", _row(self.tag, self.n))
 
     @property
     def energy_constant(self) -> float:
-        n, rho = self.n, self.rho
-        if self.tag == "ch_sphere":
-            return math.cosh(rho) ** 2 * math.sinh(rho) ** (2 * n)
-        if self.tag == "ch_tube":
-            return math.sinh(rho) ** 2 * math.cosh(rho) ** (2 * n)
-        if self.tag == "ch_horo":
-            return rho ** (2 * (n + 1))
-        return math.sin(rho) ** (2 * n) * math.cos(rho) ** 2
+        """S(rho)^{2 alpha} C(rho)^{2 beta}."""
+        row = self.row
+        return row.trig.S0(self.rho) ** (2 * row.alpha) * row.trig.C0(self.rho) ** (2 * row.beta)
 
     @property
     def phase_constant(self) -> float:
@@ -338,18 +395,13 @@ class ProfileFamily:
         return math.sqrt(self.energy_constant)
 
     def slope(self, r):
-        """u' as a function of r for the (r, u) system (r' = tanh u)."""
-        n = self.n
-        if self.tag == "ch_sphere":
-            t = np.tanh(r)
-            return t + n / t
-        if self.tag == "ch_tube":
-            t = np.tanh(r)
-            return 1.0 / t + n * t
-        if self.tag == "cp_sphere":
-            t = np.tan(r)
-            return n / t - t
-        raise InvalidArgument("ch_horo has no ODE form; use the closed form")
+        """u' = alpha / T + sigma beta T as a function of r for the (r, u)
+        system (r' = tanh u)."""
+        row = self.row
+        if row.trig is _FLAT:
+            raise InvalidArgument("ch_horo has no ODE form; use the closed form")
+        t = row.trig.T(r)
+        return row.alpha / t + row.trig.sigma * row.beta * t
 
     def ode_rhs(self, _s, y):
         """Right-hand side (r', u') = (tanh u, slope(r)) of the (r, u) system,
@@ -357,17 +409,19 @@ class ProfileFamily:
         return (math.tanh(y[1]), self.slope(y[0]))
 
     def second_derivative(self, r, rp):
-        """r'' from the profile equation at state (r, r') (ch_horo: from its
-        first integral, independent of r')."""
-        n = self.n
-        if self.tag == "ch_sphere":
-            return (1.0 - rp**2) * (np.sinh(r) ** 2 + n * np.cosh(r) ** 2) / (np.sinh(r) * np.cosh(r))
-        if self.tag == "ch_tube":
-            return (1.0 - rp**2) * (np.cosh(r) ** 2 + n * np.sinh(r) ** 2) / (np.sinh(r) * np.cosh(r))
-        if self.tag == "cp_sphere":
-            return (1.0 - rp**2) * (n * np.cos(r) ** 2 - np.sin(r) ** 2) / (np.sin(r) * np.cos(r))
-        # ch_horo: differentiating the first integral r'^2 + a^2 / r^{2n} = r^2
-        return r + n * self.energy_constant / r ** (2 * n + 1)
+        """r'' = (1 - r'^2) slope(r) from the profile equation at state
+        (r, r') (ch_horo: from its first integral, independent of r')."""
+        if self.tag == "ch_horo":
+            # differentiating the first integral r'^2 + a^2 / r^{2n} = r^2
+            return r + self.n * self.energy_constant / r ** (2 * self.n + 1)
+        return (1.0 - rp**2) * self.slope(r)
+
+    def integrand(self, c, p, q, r):
+        """(g, dg/dr) for g = c S(r)^p C(r)^q, with dg/dr = g (p / T + sigma q T)."""
+        trig = self.row.trig
+        t = trig.T(r)
+        g = c * trig.S(r) ** p * trig.C(r) ** q
+        return g, g * (p / t + trig.sigma * q * t)
 
 
 @dataclass
@@ -493,10 +547,8 @@ def energy_residual(sol: ProfileSolution) -> float:
     from rounding of r').
     """
     fam = sol.family
-    n = fam.n
     if fam.tag == "ch_horo":
-        a2 = fam.rho ** (2 * (n + 1))
-        res = sol.rp**2 + a2 / sol.r ** (2 * n) - sol.r**2
+        res = sol.rp**2 + fam.energy_constant / sol.r ** (2 * fam.n) - sol.r**2
         return float(np.max(np.abs(res)))
     keep = np.ones(len(sol.s), dtype=bool)
     if sol.u_reconstructed:
@@ -504,15 +556,11 @@ def energy_residual(sol: ProfileSolution) -> float:
         if not np.any(keep):
             keep[:] = True
     r, u = sol.r[keep], sol.u[keep]
-    if fam.tag == "ch_sphere":
-        L = 2.0 * _logcosh(r) + 2.0 * n * _logsinh(r) - 2.0 * _logcosh(u)
-        Lref = 2.0 * _logcosh(fam.rho) + 2.0 * n * _logsinh(fam.rho)
-    elif fam.tag == "ch_tube":
-        L = 2.0 * _logsinh(r) + 2.0 * n * _logcosh(r) - 2.0 * _logcosh(u)
-        Lref = 2.0 * _logsinh(fam.rho) + 2.0 * n * _logcosh(fam.rho)
-    else:
-        L = 2.0 * n * np.log(np.sin(r)) + 2.0 * np.log(np.cos(r)) - 2.0 * _logcosh(u)
-        Lref = 2.0 * n * math.log(math.sin(fam.rho)) + 2.0 * math.log(math.cos(fam.rho))
+    row = fam.row
+    log_s, log_c = row.trig.logs(r)
+    L = 2.0 * row.alpha * log_s + 2.0 * row.beta * log_c - 2.0 * _logcosh(u)
+    log_s, log_c = row.trig.logs0(fam.rho)
+    Lref = 2.0 * row.alpha * log_s + 2.0 * row.beta * log_c
     return float(np.max(np.abs(np.expm1(L - Lref))))
 
 
@@ -528,9 +576,7 @@ class PhaseIntegrals:
     second components of the corresponding immersion (cp_sphere carries the
     minus sign on a_of_s).  ``phase_speed`` is f(s) = a / denom(r)^{n+1}.
     ``rates(r, r')`` returns the exponents' first and second s-derivatives
-    (a', a'', b', b'') in closed form from the profile state.  For ch_horo
-    the raw integrals A_{n+1}(s) and A_{n+3}(s) (without the rho^{n+1}
-    factor) are exposed as well.
+    (a', a'', b', b'') in closed form from the profile state.
     """
 
     family: ProfileFamily
@@ -538,8 +584,6 @@ class PhaseIntegrals:
     b_of_s: object
     phase_speed: object
     rates: object
-    a_n_plus_1: object | None = None
-    a_n_plus_3: object | None = None
 
 
 def _antiderivative(s, vals, derivs):
@@ -561,69 +605,25 @@ def cumulative_integral(s, vals, derivs):
     return integral
 
 
-def _integrand_table(fam: ProfileFamily):
-    """Per-family phase integrands g(r) and dg/dr for (a, b)."""
-    n, a_c = fam.n, fam.phase_constant
-    if fam.tag == "ch_sphere":
-        ga = lambda r: a_c / np.sinh(r) ** (n + 1)
-        dga = lambda r: -(n + 1) * a_c * np.cosh(r) / np.sinh(r) ** (n + 2)
-        gb = lambda r: a_c * np.tanh(r) ** 2 / np.sinh(r) ** (n + 1)
-        dgb = lambda r: a_c * (
-            2 * np.tanh(r) / (np.cosh(r) ** 2 * np.sinh(r) ** (n + 1))
-            - (n + 1) * np.tanh(r) ** 2 * np.cosh(r) / np.sinh(r) ** (n + 2)
-        )
-        return (ga, dga, 1.0), (gb, dgb, 1.0)
-    if fam.tag == "ch_tube":
-        # first exponent carries coth^2, second is the bare speed
-        ga = lambda r: a_c / np.tanh(r) ** 2 / np.cosh(r) ** (n + 1)
-        dga = lambda r: a_c * (
-            -2.0 / (np.tanh(r) ** 3 * np.cosh(r) ** (n + 3))
-            - (n + 1) * np.sinh(r) / (np.tanh(r) ** 2 * np.cosh(r) ** (n + 2))
-        )
-        gb = lambda r: a_c / np.cosh(r) ** (n + 1)
-        dgb = lambda r: -(n + 1) * a_c * np.sinh(r) / np.cosh(r) ** (n + 2)
-        return (ga, dga, 1.0), (gb, dgb, 1.0)
-    if fam.tag == "ch_horo":
-        ga = lambda r: a_c / r ** (n + 1)
-        dga = lambda r: -(n + 1) * a_c / r ** (n + 2)
-        gb = lambda r: a_c / r ** (n + 3)
-        dgb = lambda r: -(n + 3) * a_c / r ** (n + 4)
-        return (ga, dga, 1.0), (gb, dgb, 1.0)
-    # cp_sphere: first exponent is negative
-    ga = lambda r: a_c / np.sin(r) ** (n + 1)
-    dga = lambda r: -(n + 1) * a_c * np.cos(r) / np.sin(r) ** (n + 2)
-    gb = lambda r: a_c * np.tan(r) ** 2 / np.sin(r) ** (n + 1)
-    dgb = lambda r: a_c * (
-        2 * np.tan(r) / (np.cos(r) ** 2 * np.sin(r) ** (n + 1))
-        - (n + 1) * np.tan(r) ** 2 * np.cos(r) / np.sin(r) ** (n + 2)
-    )
-    return (ga, dga, -1.0), (gb, dgb, 1.0)
+def phase_integrals(sol: ProfileSolution) -> PhaseIntegrals:
+    """Cumulative phase integrals on the solution grid, their integrands
+    sign a S^p C^q read from the family's row.
 
-
-def phase_integrals(sol: ProfileSolution, coarsen: int = 1) -> PhaseIntegrals:
-    """Cumulative phase integrals on the solution grid.
-
-    Composite cubic-Hermite quadrature with one Richardson refinement;
-    ``coarsen`` thins the grid (used by the self-consistency oracle).
+    Composite cubic-Hermite quadrature with one Richardson refinement.
     """
     fam = sol.family
-    s, r, rp = sol.s[::coarsen], sol.r[::coarsen], sol.rp[::coarsen]
-    (ga, dga, sign_a), (gb, dgb, sign_b) = _integrand_table(fam)
-    A = cumulative_integral(s, ga(r), dga(r) * rp)
-    B = cumulative_integral(s, gb(r), dgb(r) * rp)
-    a_of_s = lambda x: sign_a * A(x)
-    b_of_s = lambda x: sign_b * B(x)
-    speed = lambda x: ga(sol.r_of(x)) if fam.tag != "ch_tube" else (
-        fam.phase_constant / np.cosh(sol.r_of(x)) ** (fam.n + 1)
-    )
-    rates = lambda r, rp: (sign_a * ga(r), sign_a * dga(r) * rp,
-                           sign_b * gb(r), sign_b * dgb(r) * rp)
-    out = PhaseIntegrals(fam, a_of_s, b_of_s, speed, rates)
-    if fam.tag == "ch_horo":
-        a_c = fam.phase_constant
-        out.a_n_plus_1 = lambda x: A(x) / a_c
-        out.a_n_plus_3 = lambda x: B(x) / a_c
-    return out
+    a, row = fam.phase_constant, fam.row
+    (sa, pa, qa), (sb, pb, qb) = row.phase_a, row.phase_b
+
+    def rates(r, rp):
+        ga, dga = fam.integrand(sa * a, pa, qa, r)
+        gb, dgb = fam.integrand(sb * a, pb, qb, r)
+        return ga, dga * rp, gb, dgb * rp
+
+    ga, dga, gb, dgb = rates(sol.r, sol.rp)
+    speed = lambda x: fam.integrand(a, *row.speed, sol.r_of(x))[0]
+    return PhaseIntegrals(fam, cumulative_integral(sol.s, ga, dga),
+                          cumulative_integral(sol.s, gb, dgb), speed, rates)
 
 
 def embedding_phase_sup(sol: ProfileSolution, tol: float = 1e-8) -> float:
@@ -638,14 +638,10 @@ def embedding_phase_sup(sol: ProfileSolution, tol: float = 1e-8) -> float:
     if fam.tag != "ch_sphere":
         raise InvalidArgument("the embedding phase bound applies to ch_sphere")
     n, a_c = fam.n, fam.phase_constant
-    g = lambda r: 2.0 * a_c / (np.cosh(r) ** 2 * np.sinh(r) ** (n + 1))
-    dg = lambda r: 2.0 * a_c * (
-        -2.0 * np.sinh(r) / (np.cosh(r) ** 3 * np.sinh(r) ** (n + 1))
-        - (n + 1) * np.cosh(r) / (np.cosh(r) ** 2 * np.sinh(r) ** (n + 2))
-    )
     pos = sol.s >= 0
     s, r, rp = sol.s[pos], sol.r[pos], sol.rp[pos]
-    value = cumulative_integral(s, g(r), dg(r) * rp)(s[-1])
+    g, dg = fam.integrand(2.0 * a_c, -(n + 1), -2, r)
+    value = cumulative_integral(s, g, dg * rp)(s[-1])
     r_m, v = float(r[-1]), float(rp[-1])
     # r(s) >= r_m + v (s - s_max) by convexity; sech^2 <= 4 e^{-2r}
     K = 8.0 * a_c * (2.0 / (1.0 - math.exp(-2.0 * r_m))) ** (n + 1)

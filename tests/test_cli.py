@@ -122,6 +122,13 @@ class TestBuildVerify:
         assert d["pass"] is True
         assert {c["name"] for c in d["checks"]} >= {"lagrangian", "horizontal", "minimal"}
 
+    def test_verify_stdout_is_the_report(self, tmp_path, thm1_file, capsys):
+        rep = tmp_path / "rep.json"
+        assert run(tmp_path, "verify", "--in", str(thm1_file), "--report", str(rep)) == EXIT_OK
+        capsys.readouterr()
+        assert run(tmp_path, "verify", "--in", str(thm1_file)) == EXIT_OK
+        assert capsys.readouterr().out.encode() == rep.read_bytes()
+
     def test_thm1_n4_default_grid_verifies(self, tmp_path):
         # the sff check used to fail here on correct geometry: finite
         # differences of the cosh-sized lift lost the curvature at |s| = 2.5

@@ -10,6 +10,7 @@ from lagmin.profiles import (
     IntegrationFailure,
     NeedsLargerDomain,
     ProfileFamily,
+    ProfileSolution,
     SigmaIntegralSpec,
     Spline,
     detect_period,
@@ -46,6 +47,28 @@ class TestFamilyValidation:
         assert ProfileFamily("ch_horo", 2, 1.5).energy_constant == pytest.approx(1.5 ** 6)
         assert ProfileFamily("cp_sphere", 2, 0.6).energy_constant == pytest.approx(
             math.sin(0.6) ** 4 * math.cos(0.6) ** 2)
+
+    @pytest.mark.parametrize("tag", ["ch_sphere", "ch_tube", "ch_horo", "cp_sphere"])
+    def test_second_derivative_is_the_displayed_equation(self, tag):
+        # the profile equations as the module docstring displays them
+        n, rho = 3, 0.8
+        fam = ProfileFamily(tag, n, rho)
+        rng = np.random.default_rng(11)
+        if tag == "ch_horo":
+            # along r = rho cosh^{1/(n+1)}((n+1) s)
+            s = rng.uniform(-2.0, 2.0, 64)
+            m = n + 1
+            r = rho * np.cosh(m * s) ** (1 / m)
+            rp = r * np.tanh(m * s)
+            expected = r * (np.tanh(m * s) ** 2 + m / np.cosh(m * s) ** 2)
+        else:
+            r, rp = rng.uniform(0.1, 1.5, 64), rng.uniform(-0.99, 0.99, 64)
+            sh, ch = (np.sin(r), np.cos(r)) if tag == "cp_sphere" else (np.sinh(r), np.cosh(r))
+            rhs = {"ch_sphere": sh**2 + n * ch**2, "ch_tube": ch**2 + n * sh**2,
+                   "cp_sphere": n * ch**2 - sh**2}[tag]
+            expected = (1 - rp**2) * rhs / (sh * ch)
+        np.testing.assert_allclose(fam.second_derivative(r, rp), expected,
+                                   rtol=1e-13, atol=1e-13)
 
     def test_tol_range(self):
         with pytest.raises(InvalidArgument):
@@ -126,8 +149,11 @@ class TestPhaseIntegrals:
 
     def test_refinement_consistency(self, sphere21):
         # quadrature self-consistency between grid steps h and 2h
-        a1 = phase_integrals(sphere21).a_of_s(1.0)
-        a2 = phase_integrals(sphere21, coarsen=2).a_of_s(1.0)
+        sol = sphere21
+        thinned = ProfileSolution(sol.family, sol.s[::2], sol.r[::2], sol.rp[::2],
+                                  sol.u[::2], sol.energy_constant, sol.tol)
+        a1 = phase_integrals(sol).a_of_s(1.0)
+        a2 = phase_integrals(thinned).a_of_s(1.0)
         assert abs(a1 - a2) <= 1e-8
 
     def test_phase_speed_matches_derivative(self, sphere21):
@@ -142,11 +168,38 @@ class TestPhaseIntegrals:
         assert ph.a_of_s(1.0) < 0
         assert ph.b_of_s(1.0) > 0
 
-    def test_horo_raw_integrals(self):
-        sol = solve_profile(ProfileFamily("ch_horo", 2, 2.0), 3.0)
+    def test_horo_phase_closed_form(self):
+        # r = rho cosh^{1/(n+1)}((n+1) s) makes a' = rho^{n+1} / r^{n+1}
+        # = sech((n+1) s), whose integral is 2 atan(tanh((n+1) s / 2)) / (n+1)
+        s = np.linspace(-2.5, 2.5, 101)
+        for n, rho in ((2, 2.0), (3, 0.5), (5, 1.0)):
+            ph = phase_integrals(solve_profile(ProfileFamily("ch_horo", n, rho), 3.0))
+            exact = 2.0 * np.arctan(np.tanh((n + 1) * s / 2)) / (n + 1)
+            assert np.max(np.abs(ph.a_of_s(s) - exact)) <= 1e-13
+
+    @pytest.mark.parametrize("tag,rho", [
+        ("ch_sphere", 1.0), ("ch_tube", 0.5), ("ch_horo", 1.0), ("cp_sphere", 0.6),
+    ])
+    def test_rates_are_the_derivatives(self, tag, rho):
+        # a', b' against central differences of the cumulative integrals, and
+        # a'', b'' against central differences of a', b' along the profile
+        sol = solve_profile(ProfileFamily(tag, 3, rho), 3.0)
         ph = phase_integrals(sol)
-        # a_of_s carries the rho^{n+1} factor, the raw A_{n+1} does not
-        assert float(ph.a_of_s(1.0)) == pytest.approx(8.0 * float(ph.a_n_plus_1(1.0)), rel=1e-12)
+        R, dR = sol.interpolant, sol.rp_interpolant()
+        s, eps = np.array([-1.1, 0.4, 0.7, 1.3]), 1e-5
+
+        def rates(x):
+            return np.stack(ph.rates(R(x), dR(x)))
+
+        def central(f):
+            return (f(s + eps) - f(s - eps)) / (2 * eps)
+
+        a1, a2, b1, b2 = rates(s)
+        np.testing.assert_allclose(a1, central(ph.a_of_s), rtol=1e-8)
+        np.testing.assert_allclose(b1, central(ph.b_of_s), rtol=1e-8)
+        da1, _, db1, _ = central(rates)
+        np.testing.assert_allclose(a2, da1, rtol=1e-8)
+        np.testing.assert_allclose(b2, db1, rtol=1e-8)
 
 
 class TestEmbeddingPhase:
