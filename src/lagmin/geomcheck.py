@@ -325,7 +325,7 @@ def expected_metric(imm: SampledImmersion, xi: np.ndarray) -> np.ndarray | None:
         return out
 
     # the curve's radius: r(s) on a profile, s along the geodesic
-    r = s if kind.profile is None else imm.profile.r_of(s)
+    r = s if kind.geodesic else imm.profile.r_of(s)
     if kind.layout == "sphere":
         warp = (np.sinh(r) if kind.ambient == "ch" else np.sin(r)) ** 2
         blk = sphere_block(X)
@@ -339,7 +339,7 @@ def expected_metric(imm: SampledImmersion, xi: np.ndarray) -> np.ndarray | None:
             for k in range(d - 1):
                 g[:, 2 + k, 2 + k] = warp * np.sinh(X[:, 0]) ** 2 * blk[:, k]
     else:
-        warp = np.exp(2.0 * s) if kind.profile is None else r**2
+        warp = np.exp(2.0 * s) if kind.geodesic else r**2
         for k in range(d):
             g[:, 1 + k, 1 + k] = warp
     return g

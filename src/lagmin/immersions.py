@@ -4,7 +4,7 @@ Every family tag is a Legendre curve in H^3_1 or S^3 (or a plane curve)
 composed with a seed: an (n-1)-dimensional minimal Lagrangian of CP^{n-1},
 CH^{n-1} or C^{n-1}, given by its horizontal lift B (and, for flat seeds,
 its potential f).  One row per tag, ``ImmersionFamilySpec.kind``, names the
-ambient, the curve's profile ODE and the layout, i.e. where the block sits:
+ambient, the curve's profile row and the layout, i.e. where the block sits:
 
   sphere:  ( sinh r e^{i a(s)} B , cosh r e^{i b(s)} )   (sin, cos in CP^n)
   tube:    ( sinh r e^{i a(s)} , cosh r e^{i b(s)} B )
@@ -14,19 +14,20 @@ ambient, the curve's profile ODE and the layout, i.e. where the block sits:
 
 with the phase integrals carrying the first-integral constant
 a = sqrt(energy), which is what makes the maps unit-speed in s and minimal
-(a(s) < 0 in CP^n).  The geodesic families replace the profile curve by the
-real geodesic (sinh s, cosh s) (or (sin s, cos s) upstairs).  The model
-families thm1/2/3/5 and tg_sphere/tube/horo are built over the totally
-geodesic seed of their layout (tg_sphere_cp, tg_rh_ch, tg_plane_c), so each
-is its prop3/prop4/prop6a twin over that seed; the others take a seed.
+(a(s) < 0 in CP^n).  The geodesic families are the a = 0 member of their
+layout's row: the real geodesic r = s (r = e^s on the horo row) with every
+phase zero.  The model families thm1/2/3/5 and tg_sphere/tube/horo are
+built over the totally geodesic seed of their layout (tg_sphere_cp,
+tg_rh_ch, tg_plane_c), so each is its prop3/prop4/prop6a twin over that
+seed; the others take a seed.
 
 Every lift is therefore alpha(s) * beta(x) + delta(s) componentwise, and
 that one factorization is the only lift code: ``_curve_factors`` gives the
-curve factors alpha, delta as exact jets in s and ``_block_factor`` the
-O(1) block beta.  The evaluator, the model-coordinate evaluator, the cached
-samples and the product-rule jet all compose them (the jet
-finite-differences the block in x alone), and the Legendre curves are the
-first and last columns of alpha.
+curve factors alpha, delta as exact jets in s, the pair (S, C) read from
+the profile row, and ``_block_factor`` the O(1) block beta.  The
+evaluator, the model-coordinate evaluator, the cached samples and the
+product-rule jet all compose them (the jet finite-differences the block in
+x alone), and the Legendre curves are the first and last columns of alpha.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .model_spaces import (
     quadric_defect,
 )
 from .profiles import (
+    PAIRS,
     PhaseIntegrals,
     ProfileFamily,
     ProfileSolution,
@@ -84,22 +86,24 @@ class _Kind:
     """A family tag's row: a Legendre curve composed with an (n-1)-dimensional
     block.
 
-    ``ambient`` is "ch", "cp" or "c"; ``profile`` is the curve's profile ODE
-    (None for the real geodesic and the power curve); ``layout`` says where
-    the block sits in the lift: first ("sphere"), last ("tube"), next to the
-    potential ("horo") or alone ("flat").  ``model`` families are built over
-    their layout's totally geodesic seed; the others take a seed.
+    ``ambient`` is "ch", "cp" or "c"; ``profile`` is the curve's row of
+    ``profiles`` (None for the power curve), of which a ``geodesic`` curve
+    is the a = 0 member; ``layout`` says where the block sits in the lift:
+    first ("sphere"), last ("tube"), next to the potential ("horo") or alone
+    ("flat").  ``model`` families are built over their layout's totally
+    geodesic seed; the others take a seed.
     """
 
     ambient: str
     profile: str | None
     layout: str
     model: bool = False
+    geodesic: bool = False
 
     @property
-    def geodesic(self) -> bool:
-        """The curve is the real geodesic of H^3_1 or S^3."""
-        return self.profile is None and self.layout != "flat"
+    def solved(self) -> bool:
+        """The curve is solved from its profile row at a rho."""
+        return self.profile is not None and not self.geodesic
 
 
 # per layout: seed target, totally geodesic model seed, symmetry group
@@ -115,17 +119,17 @@ _FAMILIES = {
     "thm2": _Kind("ch", "ch_tube", "tube", model=True),
     "thm3": _Kind("ch", "ch_horo", "horo", model=True),
     "thm5": _Kind("cp", "cp_sphere", "sphere", model=True),
-    "tg_sphere": _Kind("ch", None, "sphere", model=True),
-    "tg_tube": _Kind("ch", None, "tube", model=True),
-    "tg_horo": _Kind("ch", None, "horo", model=True),
+    "tg_sphere": _Kind("ch", "ch_sphere", "sphere", model=True, geodesic=True),
+    "tg_tube": _Kind("ch", "ch_tube", "tube", model=True, geodesic=True),
+    "tg_horo": _Kind("ch", "ch_horo", "horo", model=True, geodesic=True),
     "prop3a": _Kind("ch", "ch_sphere", "sphere"),
     "prop3b": _Kind("ch", "ch_tube", "tube"),
     "prop3c": _Kind("ch", "ch_horo", "horo"),
-    "prop4a": _Kind("ch", None, "sphere"),
-    "prop4b": _Kind("ch", None, "tube"),
-    "prop4c": _Kind("ch", None, "horo"),
+    "prop4a": _Kind("ch", "ch_sphere", "sphere", geodesic=True),
+    "prop4b": _Kind("ch", "ch_tube", "tube", geodesic=True),
+    "prop4c": _Kind("ch", "ch_horo", "horo", geodesic=True),
     "prop6a": _Kind("cp", "cp_sphere", "sphere"),
-    "prop6b": _Kind("cp", None, "sphere"),
+    "prop6b": _Kind("cp", "cp_sphere", "sphere", geodesic=True),
     "cn_product": _Kind("c", None, "flat"),
 }
 
@@ -349,8 +353,10 @@ class ImmersionFamilySpec:
             raise InvalidArgument(f"unknown immersion family {self.family!r}")
         if self.n < 2:
             raise InvalidArgument("immersion families need n >= 2")
-        if self.kind.profile is not None and self.rho is None:
+        if self.kind.solved and self.rho is None:
             raise InvalidArgument(f"{self.family} requires rho")
+        if not self.kind.solved and self.rho is not None:
+            raise InvalidArgument(f"{self.family} has no profile to solve and takes no rho")
         if self.kind.model and self.seed_kind is not None:
             raise InvalidArgument(f"{self.family} is built over its totally geodesic "
                                   "seed and takes no seed")
@@ -485,65 +491,16 @@ def _phase_jet(phase, speed, accel):
     return np.stack([e, 1j * speed * e, (1j * accel - speed**2) * e])
 
 
-def _trig_jets(t, hyperbolic: bool):
-    """Jets of (sinh t, cosh t), or (sin t, cos t), from the jet t = (t, t', t'')."""
-    t0, t1, t2 = t
-    if hyperbolic:
-        sh, ch, sgn = np.sinh(t0), np.cosh(t0), 1.0
-    else:
-        sh, ch, sgn = np.sin(t0), np.cos(t0), -1.0
-    # sh' = ch and ch' = sgn sh
-    return (np.stack([sh, ch * t1, sgn * sh * t1**2 + ch * t2]),
-            np.stack([ch, sgn * sh * t1, sgn * (ch * t1**2 + sh * t2)]))
-
-
 def _curve_factors(spec, profile, phases):
     """s -> (alpha, delta), the curve factors as jets of shape (3, S, C).
 
-    Profile curves take r and r' from the interpolant, r'' from the profile
-    equation and the phase derivatives from ``phases.rates``; the real
-    geodesic and the power curve are closed forms.  ``delta`` is None where
-    the lift has no additive curve term.
+    Non-flat curves read one state: the jet of r and each phase with its
+    two rates.  Solved curves take r and r' from the interpolant, r'' from
+    the profile equation and the rates from ``phases.rates``; geodesic ones
+    are their row's a = 0 member.  (S, C) is the row's pair.  ``delta`` is
+    None where the lift has no additive curve term.
     """
     kind, n = spec.kind, spec.n
-    hyperbolic = kind.ambient == "ch"
-
-    def columns(first, last):
-        # the block multiplies the n columns that are not the lone one
-        cols = [first] + [last] * n if kind.layout == "tube" else [first] * n + [last]
-        return np.stack(cols, axis=-1)
-
-    if kind.profile is not None:
-        R, dR = profile.interpolant, profile.rp_interpolant()
-        rpp_of = profile.family.second_derivative
-        a_of, b_of, rates = phases.a_of_s, phases.b_of_s, phases.rates
-
-        def curve(s):
-            r, rp = R(s), dR(s)
-            rpp = rpp_of(r, rp)
-            rj = np.stack([r, rp, rpp])
-            sa, sa1, sb, sb1 = rates(r, rp)
-            if kind.layout == "horo":
-                # e^{iF} (r eta, P + r f/2, P + r + r f/2), P = 1/2r - r/2 - i r G
-                E = _phase_jet(a_of(s), sa, sa1)
-                G = b_of(s)
-                P = np.stack([
-                    0.5 / r - 0.5 * r - 1j * r * G,
-                    -0.5 * rp / r**2 - 0.5 * rp - 1j * (rp * G + r * sb),
-                    -0.5 * rpp / r**2 + rp**2 / r**3 - 0.5 * rpp
-                    - 1j * (rpp * G + 2.0 * rp * sb + r * sb1),
-                ])
-                Er = _mul_jet(E, rj)
-                zero = np.zeros_like(Er)
-                return (np.stack([Er] * (n + 1), axis=-1),
-                        np.stack([zero] * (n - 1) + [_mul_jet(E, P), _mul_jet(E, P + rj)],
-                                 axis=-1))
-            t0, t1 = _trig_jets(rj, hyperbolic)
-            c1 = _mul_jet(t0, _phase_jet(a_of(s), sa, sa1))
-            c2 = _mul_jet(t1, _phase_jet(b_of(s), sb, sb1))
-            return columns(c1, c2), None
-
-        return curve
 
     if kind.layout == "flat":
 
@@ -556,24 +513,57 @@ def _curve_factors(spec, profile, phases):
 
         return curve
 
-    def geodesic(s):
-        return np.stack([s, np.ones_like(s), np.zeros_like(s)])
+    if kind.geodesic:
+
+        def state(s):
+            # a = 0 in the first integrals: r' = 1, or r' = r on the horo row
+            zero = np.zeros_like(s)
+            if kind.layout == "horo":
+                rj = np.stack([np.exp(s)] * 3)
+            else:
+                rj = np.stack([s, np.ones_like(s), zero])
+            return rj, (zero, zero, zero), (zero, zero, zero)
+
+    else:
+        R, dR = profile.interpolant, profile.rp_interpolant()
+        rpp_of = profile.family.second_derivative
+        a_of, b_of, rates = phases.a_of_s, phases.b_of_s, phases.rates
+
+        def state(s):
+            r, rp = R(s), dR(s)
+            sa, sa1, sb, sb1 = rates(r, rp)
+            return np.stack([r, rp, rpp_of(r, rp)]), (a_of(s), sa, sa1), (b_of(s), sb, sb1)
 
     if kind.layout == "horo":
 
         def curve(s):
-            # (e^s eta, e^s f/2 - sinh s, e^s f/2 + cosh s)
-            sh, ch = _trig_jets(geodesic(s), True)
-            es = np.exp(s)
-            zero = np.zeros_like(sh)
-            alpha = np.stack([np.stack([es, es, es])] * (n + 1), axis=-1)
-            delta = np.stack([zero] * (n - 1) + [-sh, ch], axis=-1)
-            return alpha.astype(complex), delta.astype(complex)
+            # e^{iF} (r eta, P + r f/2, P + r + r f/2), P = 1/2r - r/2 - i r G
+            rj, pa, (G, sb, sb1) = state(s)
+            r, rp, rpp = rj
+            E = _phase_jet(*pa)
+            P = np.stack([
+                0.5 / r - 0.5 * r - 1j * r * G,
+                -0.5 * rp / r**2 - 0.5 * rp - 1j * (rp * G + r * sb),
+                -0.5 * rpp / r**2 + rp**2 / r**3 - 0.5 * rpp
+                - 1j * (rpp * G + 2.0 * rp * sb + r * sb1),
+            ])
+            Er = _mul_jet(E, rj)
+            zero = np.zeros_like(Er)
+            return (np.stack([Er] * (n + 1), axis=-1),
+                    np.stack([zero] * (n - 1) + [_mul_jet(E, P), _mul_jet(E, P + rj)],
+                             axis=-1))
 
         return curve
 
+    trig = PAIRS[kind.profile]
+
     def curve(s):
-        return columns(*_trig_jets(geodesic(s), hyperbolic)).astype(complex), None
+        rj, pa, pb = state(s)
+        S, C = trig.jets(rj)
+        first, last = _mul_jet(S, _phase_jet(*pa)), _mul_jet(C, _phase_jet(*pb))
+        # the block multiplies the n columns that are not the lone one
+        cols = [first] + [last] * n if kind.layout == "tube" else [first] * n + [last]
+        return np.stack(cols, axis=-1), None
 
     return curve
 
@@ -767,16 +757,15 @@ def build_immersion(
     ode_tol: float = 1e-10,
     seed: SeedLagrangian | None = None,
     fd_step: float = 1e-3,
-    check: bool = True,
 ) -> SampledImmersion:
     """Build a family's lift and cache it on an S x M grid.
 
     ``grid`` is (s-points, total transverse points); the transverse budget
     is split evenly across the d chart axes and rounded to per^d points
     (64x48 at n = 3 gives 7^2 = 49).  Profiles are solved internally
-    on a window 0.5 wider than the sample window.  When ``check`` is on,
-    quadric membership and the Legendrian (horizontality) residual of the
-    cached samples go into ``header``.
+    on a window 0.5 wider than the sample window.  A given seed is
+    validated on the grid, and quadric membership and the Legendrian
+    (horizontality) residual of the cached samples go into ``header``.
     """
     seed, block = _resolve_seed(spec, seed)
     if s_window is None:
@@ -784,7 +773,7 @@ def build_immersion(
     s_lo, s_hi = _validate_window(spec, s_window)
 
     profile = None
-    if spec.kind.profile is not None:
+    if spec.kind.solved:
         pf = ProfileFamily(spec.kind.profile, spec.n, spec.rho)
         span = max(abs(s_lo), abs(s_hi)) + 0.5
         profile = solve_profile(pf, span, tol=ode_tol)
@@ -792,15 +781,14 @@ def build_immersion(
     S, M = grid
     s_values = np.linspace(s_lo, s_hi, S)
     x_grid = _split_transverse(M, block.chart)
-    if check and seed is not None:
+    if seed is not None:
         _validate_seed(seed, x_grid)
     imm = assemble_immersion(spec, profile, s_values, x_grid, seed=seed)
-    if check:
-        imm.header.update(_sample_invariants(imm, fd_step))
-        if imm.header["quadric"] > 1e-8:
-            raise GeometryError(
-                f"cached lifts leave the quadric: defect {imm.header['quadric']:.2e}"
-            )
+    imm.header.update(_sample_invariants(imm, fd_step))
+    if imm.header["quadric"] > 1e-8:
+        raise GeometryError(
+            f"cached lifts leave the quadric: defect {imm.header['quadric']:.2e}"
+        )
     return imm
 
 
@@ -922,7 +910,7 @@ def _family_curve(spec: ImmersionFamilySpec, s, ode_tol: float | None = None) ->
     factor, i.e. the lift at a point where the block is B = e_1."""
     s = np.asarray(s, dtype=float)
     profile = phases = None
-    if spec.kind.profile is not None:
+    if spec.kind.solved:
         pf = ProfileFamily(spec.kind.profile, spec.n, spec.rho)
         profile = solve_profile(pf, float(np.max(np.abs(s))) + 0.5, tol=ode_tol)
         phases = phase_integrals(profile)
@@ -961,7 +949,7 @@ def wavy_control_curve(s: np.ndarray) -> LegendreCurve:
     fp = (-rp * rpp / w) / tt - w * rp / (tt**2 * np.cosh(r) ** 2)
     g = f * tt**2
     gp = fp * tt**2 + 2.0 * f * tt * rp / np.cosh(r) ** 2
-    sh, ch = _trig_jets(rj, True)
+    sh, ch = PAIRS["ch_sphere"].jets(rj)
     c1 = _mul_jet(sh, _phase_jet(cumulative_integral(s, f, fp)(s), f, fp))
     c2 = _mul_jet(ch, _phase_jet(cumulative_integral(s, g, gp)(s), g, gp))
     return LegendreCurve("hyperbolic", s, *np.stack([c1, c2], axis=-1))

@@ -27,7 +27,9 @@ C^{2 beta}; and the phase integrands sign a S^p C^q as (sign, p, q).  The
 energy constant, u' = alpha / T + sigma beta T, r'' = (1 - r'^2) u', the
 energy residual's logs and every phase integrand with its derivative
 dg/dr = g (p / T + sigma q T) are read from the row; ch_horo keeps its
-closed form and first integral r'^2 + a^2 / r^{2n} = r^2.
+closed form and first integral r'^2 + a^2 / r^{2n} = r^2.  ``PAIRS`` gives
+a tag's pair without a rho; its ``jets`` are what every lift's curve
+factor multiplies, the real geodesic (the a = 0 member) included.
 
 The ODEs are solved by ``solve_ivp``, the in-repo DOP853 of ``dop853``
 (bit-identical to scipy's), imported on the first solve.  Interpolants and
@@ -48,6 +50,7 @@ from .model_spaces import GeometryError, InvalidArgument
 
 __all__ = [
     "FAMILY_TAGS",
+    "PAIRS",
     "Spline",
     "ProfileFamily",
     "ProfileSolution",
@@ -313,8 +316,8 @@ def _logsinh(x):
 
 @dataclass(frozen=True)
 class _Trig:
-    """(S, C) with S' = C, C' = sigma S and T = S / C, over arrays; ``S0``,
-    ``C0`` and ``logs0`` are the forms the scalar rho has always used."""
+    """(S, C) with S' = C, C' = sigma S and T = S / C, over arrays; ``S0``
+    and ``C0`` are the forms the scalar rho has always used."""
 
     sigma: float
     S: object
@@ -323,18 +326,19 @@ class _Trig:
     S0: object
     C0: object
     logs: object = None  # r -> (log S, log C)
-    logs0: object = None
 
-
-def _log_sinh_cosh(r):
-    return _logsinh(r), _logcosh(r)
+    def jets(self, t):
+        """Jets of (S(t), C(t)) from the jet t = (t, t', t'')."""
+        t0, t1, t2 = t
+        S, C, sigma = self.S(t0), self.C(t0), self.sigma
+        return (np.stack([S, C * t1, sigma * S * t1**2 + C * t2]),
+                np.stack([C, sigma * S * t1, sigma * (C * t1**2 + S * t2)]))
 
 
 _HYPERBOLIC = _Trig(1.0, np.sinh, np.cosh, np.tanh, math.sinh, math.cosh,
-                    _log_sinh_cosh, _log_sinh_cosh)
+                    lambda r: (_logsinh(r), _logcosh(r)))
 _CIRCULAR = _Trig(-1.0, np.sin, np.cos, np.tan, math.sin, math.cos,
-                  lambda r: (np.log(np.sin(r)), np.log(np.cos(r))),
-                  lambda r: (math.log(math.sin(r)), math.log(math.cos(r))))
+                  lambda r: (np.log(np.sin(r)), np.log(np.cos(r))))
 # ch_horo: S = r, C = 1; its first integral is not of the (1 - r'^2) form
 _FLAT = _Trig(0.0, lambda r: r, np.ones_like, lambda r: r, lambda r: r, lambda r: 1.0)
 
@@ -351,14 +355,19 @@ class _Row:
     speed: tuple
 
 
+# each family's pair (S, C), which its tag alone decides
+PAIRS = {"ch_sphere": _HYPERBOLIC, "ch_tube": _HYPERBOLIC, "ch_horo": _FLAT,
+         "cp_sphere": _CIRCULAR}
+
+
 def _row(tag: str, n: int) -> _Row:
     m = n + 1
-    return {
-        "ch_sphere": _Row(_HYPERBOLIC, n, 1, (1.0, -m, 0), (1.0, 1 - n, -2), (-m, 0)),
-        "ch_tube": _Row(_HYPERBOLIC, 1, n, (1.0, -2, 1 - n), (1.0, 0, -m), (0, -m)),
-        "ch_horo": _Row(_FLAT, m, 0, (1.0, -m, 0), (1.0, -m - 2, 0), (-m, 0)),
-        "cp_sphere": _Row(_CIRCULAR, n, 1, (-1.0, -m, 0), (1.0, 1 - n, -2), (-m, 0)),
-    }[tag]
+    return _Row(PAIRS[tag], *{
+        "ch_sphere": (n, 1, (1.0, -m, 0), (1.0, 1 - n, -2), (-m, 0)),
+        "ch_tube": (1, n, (1.0, -2, 1 - n), (1.0, 0, -m), (0, -m)),
+        "ch_horo": (m, 0, (1.0, -m, 0), (1.0, -m - 2, 0), (-m, 0)),
+        "cp_sphere": (n, 1, (-1.0, -m, 0), (1.0, 1 - n, -2), (-m, 0)),
+    }[tag])
 
 
 @dataclass(frozen=True)
@@ -477,12 +486,11 @@ def _closed_form_horo(fam: ProfileFamily, s: np.ndarray):
     return r, rp
 
 
-def solve_profile(
-    family: ProfileFamily,
-    s_max: float,
-    tol: float = 1e-10,
-    grid_step: float = 2e-3,
-) -> ProfileSolution:
+# spacing of the profile grid that interpolants and phase integrals read
+_GRID_STEP = 2e-3
+
+
+def solve_profile(family: ProfileFamily, s_max: float, tol: float = 1e-10) -> ProfileSolution:
     """Solve the profile equation on [-s_max, s_max].
 
     ch_horo is evaluated from its closed form; the other families are
@@ -495,7 +503,7 @@ def solve_profile(
         raise InvalidArgument("tol must lie in [1e-13, 1e-6]")
     if not s_max > 0:
         raise InvalidArgument("s_max must be positive")
-    half = max(8, int(math.ceil(s_max / grid_step)))
+    half = max(8, int(math.ceil(s_max / _GRID_STEP)))
     s = np.linspace(-s_max, s_max, 2 * half + 1)
 
     if family.tag == "ch_horo":
@@ -559,7 +567,7 @@ def energy_residual(sol: ProfileSolution) -> float:
     row = fam.row
     log_s, log_c = row.trig.logs(r)
     L = 2.0 * row.alpha * log_s + 2.0 * row.beta * log_c - 2.0 * _logcosh(u)
-    log_s, log_c = row.trig.logs0(fam.rho)
+    log_s, log_c = row.trig.logs(fam.rho)
     Lref = 2.0 * row.alpha * log_s + 2.0 * row.beta * log_c
     return float(np.max(np.abs(np.expm1(L - Lref))))
 

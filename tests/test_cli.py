@@ -101,6 +101,20 @@ class TestBuildVerify:
         thm1_file.write_text(json.dumps(d))
         assert run(tmp_path, "verify", "--in", str(thm1_file)) == EXIT_USAGE
 
+    def test_unsolved_family_rejects_rho(self, tmp_path):
+        out = tmp_path / "tg.json"
+        code = run(tmp_path, "build", "--family", "tg-sphere", "--n", "2", "--rho", "0.7",
+                   "--grid", "8x8", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert not out.exists()
+        # a file that gives a geodesic family a rho no longer loads
+        assert run(tmp_path, "build", "--family", "tg-sphere", "--n", "2",
+                   "--grid", "8x8", "--out", str(out)) == EXIT_OK
+        d = json.loads(out.read_text())
+        d["spec"]["rho"] = "0.69999999999999996"
+        out.write_text(json.dumps(d))
+        assert run(tmp_path, "verify", "--in", str(out)) == EXIT_USAGE
+
     def test_build_seeded(self, tmp_path):
         out = tmp_path / "p3.json"
         code = run(tmp_path, "build", "--family", "prop3a", "--n", "3", "--rho", "1",

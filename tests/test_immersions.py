@@ -78,6 +78,16 @@ class TestSpecValidation:
                 build_immersion(ImmersionFamilySpec(fam, 2, rho), grid=(4, 4),
                                 seed=make_seed("tg_sphere_cp", 1))
 
+    @pytest.mark.parametrize("fam,seed", [
+        ("tg_sphere", None), ("tg_tube", None), ("tg_horo", None),
+        ("prop4a", "tg_sphere_cp"), ("prop4b", "tg_rh_ch"), ("prop4c", "tg_plane_c"),
+        ("prop6b", "tg_sphere_cp"), ("cn_product", "tg_sphere_cp"),
+    ])
+    def test_unsolved_families_take_no_rho(self, fam, seed):
+        # nothing reads it, so a file must not record one
+        with pytest.raises(InvalidArgument, match="takes no rho"):
+            ImmersionFamilySpec(fam, 2, 0.7, seed_kind=seed)
+
     def test_detuned_only_thm1(self):
         with pytest.raises(InvalidArgument):
             ImmersionFamilySpec("thm2", 2, 1.0, detuned=True)
@@ -149,19 +159,47 @@ class TestDisplayedValues:
         ImmersionFamilySpec("thm3", 2, 1.0),
         ImmersionFamilySpec("thm3", 3, 0.7),
         ImmersionFamilySpec("prop3c", 3, 1.0, seed_kind="tg_plane_c"),
+        ImmersionFamilySpec("tg_horo", 3),
+        ImmersionFamilySpec("prop4c", 2, seed_kind="tg_plane_c"),
     ])
     def test_horospherical_lift_matches_displayed_formula(self, spec):
         # e^{iF} (r eta, (1 + r^2 (f - 1 - 2iG))/2r, (1 + r^2 (f + 1 - 2iG))/2r)
         imm = build_immersion(spec, grid=(16, 9))
         s, X = imm.s_values, imm.x_grid[None]
-        r = imm.profile.r_of(s)[:, None, None]
-        F, G = imm.phases.a_of_s(s)[:, None, None], imm.phases.b_of_s(s)[:, None, None]
+        if spec.kind.geodesic:  # the a = 0 member of the ch_horo row
+            r, F, G = np.exp(s)[:, None, None], 0.0, 0.0
+        else:
+            r = imm.profile.r_of(s)[:, None, None]
+            F, G = imm.phases.a_of_s(s)[:, None, None], imm.phases.b_of_s(s)[:, None, None]
         f = np.sum(X**2, axis=-1, keepdims=True)
         w = f - 1.0 - 2j * G
         p, q = (1 + r * r * w) / (2 * r), (1 + r * r * (w + 2)) / (2 * r)
         expect = np.exp(1j * F) * np.concatenate([r * X, p, q], axis=-1)
         scale = np.max(np.abs(expect), axis=-1)
         assert np.max(np.max(np.abs(imm.samples - expect), axis=-1) / scale) <= 1e-14
+
+    @pytest.mark.parametrize("spec", [
+        ImmersionFamilySpec("tg_sphere", 3),
+        ImmersionFamilySpec("prop4a", 2, seed_kind="tg_sphere_cp"),
+        ImmersionFamilySpec("tg_tube", 3),
+        ImmersionFamilySpec("prop4b", 2, seed_kind="tg_rh_ch"),
+        ImmersionFamilySpec("prop6b", 3, seed_kind="tg_sphere_cp"),
+    ])
+    def test_geodesic_lift_matches_displayed_formula(self, spec):
+        # (sinh s B, cosh s), (sinh s, cosh s B) and upstairs (sin s B, cos s),
+        # over blocks whose lift B is the chart's model point
+        imm = build_immersion(spec, grid=(16, 9))
+        s = imm.s_values[:, None, None]
+        B = imm.chart.to_model(imm.x_grid)[None]
+        ones = np.ones((1, len(imm.x_grid), 1))
+        if spec.kind.layout == "tube":
+            expect = np.concatenate([np.sinh(s) * ones, np.cosh(s) * B], axis=-1)
+        elif spec.kind.ambient == "cp":
+            expect = np.concatenate([np.sin(s) * B, np.cos(s) * ones], axis=-1)
+        else:
+            expect = np.concatenate([np.sinh(s) * B, np.cosh(s) * ones], axis=-1)
+        scale = np.max(np.abs(expect), axis=-1)
+        assert np.max(np.max(np.abs(imm.samples - expect), axis=-1) / scale) <= 1e-15
 
     @pytest.mark.parametrize("fam,n,rho,seed", [
         ("thm1", 2, 1.0, None),

@@ -121,6 +121,17 @@ class TestEnergyResidual:
         assert res <= 1e-8
         assert res_tight <= res * 10 + 1e-12
 
+    @pytest.mark.parametrize("rho", [0.61, 0.635])
+    def test_constant_state_reads_zero(self, rho):
+        # r = rho, u = 0 is the reference state itself, so its logs must be
+        # taken exactly as the grid's are (math and numpy logs differ by an
+        # ulp at these rho)
+        fam = ProfileFamily("cp_sphere", 2, rho)
+        zero = np.zeros(2)
+        sol = ProfileSolution(fam, np.array([0.0, 1.0]), np.full(2, rho), zero, zero,
+                              fam.energy_constant, 1e-10)
+        assert energy_residual(sol) == 0.0
+
     def test_cp_equilibrium_exact(self):
         rho = math.atan(math.sqrt(3.0))
         sol = solve_profile(ProfileFamily("cp_sphere", 3, rho), 4.0)
