@@ -10,11 +10,12 @@ differences of the whole lift evaluator.
 ``frame_batch`` then does the geometry once for all checks: the first
 partials are projected to the horizontal space of the quadric (h_i), and
 one Hermitian Gram matrix (h_i, h_j) gives both the induced metric
-g = Re and the Kahler pullback Omega(h_i, h_j) = Re (i h_i, h_j) = -Im.
-Its Cholesky factor L and T = L^{-1} give the Gram-Schmidt
-g-orthonormal frame e_a = sum_k T_ak h_k.  ``second_fundamental_form``
-pairs the ambient second partials w_ij with the h_l in one batched
-matmul, P = (w_ij, h_l); the tangential part is removed with
+g = Re and the Kahler pullback Omega(h_i, h_j) = Re (i h_i, h_j) = -Im
+(every pairing is ``herm_gram``, one real matmul returning both parts).
+Its Cholesky factor L and T = L^{-1}, by forward substitution, give the
+Gram-Schmidt g-orthonormal frame e_a = sum_k T_ak h_k.
+``second_fundamental_form`` pairs the ambient second partials w_ij with
+the h_l the same way, P = (w_ij, h_l); the tangential part is removed with
 g^{-1} = T^t T applied to Re P, the components along z and i z never
 pair with horizontal vectors, and the remainder of a Lagrangian immersion
 lies in J(tangent), so h_{abk} = sum T_ai T_bj T_kl Im (sigma_ij, h_l).
@@ -170,10 +171,12 @@ class FrameBatch:
     ``partials`` are the horizontal projections h_i of the first partials,
     ``vertical`` the pairings (d_i z, z) that projection removed (None in
     the flat ambient), ``metric`` g_ij = Re (h_i, h_j) and ``omega`` the
-    Kahler-form pullback Re (i h_i, h_j).  ``chol`` is the lower Cholesky
-    factor L of g and ``chol_inv`` its inverse T, whose rows give the
-    Gram-Schmidt frame e_a = sum_k T_ak h_k; both are None when g is not
-    positive definite.  ``sff`` is filled in by ``second_fundamental_form``.
+    Kahler-form pullback Re (i h_i, h_j); ``lagrangian`` is the per-point
+    residual |Omega(h_i, h_j)| / sqrt(g_ii g_jj), max over (i, j).  ``chol``
+    is the lower Cholesky factor L of g and ``chol_inv`` its inverse T,
+    whose rows give the Gram-Schmidt frame e_a = sum_k T_ak h_k; both are
+    None when g is not positive definite.  ``sff`` is filled in by
+    ``second_fundamental_form``.
     """
 
     jets: JetBatch
@@ -182,15 +185,10 @@ class FrameBatch:
     vertical: np.ndarray | None
     metric: np.ndarray
     omega: np.ndarray
+    lagrangian: np.ndarray
     chol: np.ndarray | None
     chol_inv: np.ndarray | None
     sff: SFFBatch | None = None
-
-    def lagrangian_pointwise(self) -> np.ndarray:
-        """|Omega(h_i, h_j)| / sqrt(g_ii g_jj), max over (i, j) per point."""
-        diag = np.diagonal(self.metric, axis1=1, axis2=2)
-        scale = np.sqrt(np.abs(diag[:, :, None] * diag[:, None, :]))
-        return np.max(np.abs(self.omega) / np.maximum(scale, 1e-12), axis=(1, 2))
 
     def require_frame(self) -> np.ndarray:
         if self.chol_inv is None:
@@ -205,18 +203,42 @@ def frame_batch(imm: SampledImmersion, jets: JetBatch) -> FrameBatch:
     hp, vertical = d1, None
     if space is not None:
         z = jets.value[:, None, :]
-        coeff = herm_gram(space, d1, z)  # (d_i z, z), shape (M, D, 1)
+        c_re, c_im = herm_gram(space, d1, z)  # (d_i z, z), shape (M, D, 1)
+        coeff = c_re + 1j * c_im
         vertical = coeff[..., 0]
         hp = d1 + coeff * z if space.signature == "hyperbolic" else d1 - coeff * z
-    gram = herm_gram(space, hp, hp)
-    g = gram.real
+    g, im = herm_gram(space, hp, hp)
+    omega = -im  # Re (i h_i, h_j) = -Im (h_i, h_j)
     try:
         L = np.linalg.cholesky(g)
-        T = np.linalg.inv(L)
     except np.linalg.LinAlgError:
         L = T = None
-    # Re (i h_i, h_j) = -Im (h_i, h_j)
-    return FrameBatch(jets, space, hp, vertical, g, -gram.imag, L, T)
+    else:
+        T = _lower_inverse(L)
+    return FrameBatch(jets, space, hp, vertical, g, omega, _lagrangian_pointwise(g, omega),
+                      L, T)
+
+
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """T = L^{-1} of stacked lower-triangular L, shape (M, D, D), by forward
+    substitution: row i of L T = I gives T_ii = 1 / L_ii and
+    T_i,:i = -(L_i,:i T_:i,:i) / L_ii, one vectorized step per row."""
+    D = L.shape[-1]
+    T = np.zeros_like(L)
+    inv_diag = 1.0 / np.diagonal(L, axis1=1, axis2=2)
+    for i in range(D):
+        T[:, i, i] = inv_diag[:, i]
+        if i:
+            row = L[:, i, None, :i] @ T[:, :i, :i]
+            T[:, i, :i] = -row[:, 0] * inv_diag[:, i, None]
+    return T
+
+
+def _lagrangian_pointwise(g: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """|Omega(h_i, h_j)| / sqrt(g_ii g_jj), max over (i, j) per point."""
+    diag = np.diagonal(g, axis1=1, axis2=2)
+    scale = np.sqrt(np.abs(diag[:, :, None] * diag[:, None, :]))
+    return np.max(np.abs(omega) / np.maximum(scale, 1e-12), axis=(1, 2))
 
 
 def _frames(imm: SampledImmersion, batch) -> FrameBatch:
@@ -250,7 +272,7 @@ def horizontality_residual(imm: SampledImmersion, batch) -> float:
 
 def lagrangian_residual(imm: SampledImmersion, batch) -> float:
     """Kahler-form pullback residual |Omega(h_i, h_j)| / sqrt(g_ii g_jj)."""
-    return float(np.max(_frames(imm, batch).lagrangian_pointwise()))
+    return float(np.max(_frames(imm, batch).lagrangian))
 
 
 def second_fundamental_form(imm: SampledImmersion, batch) -> SFFBatch:
@@ -260,10 +282,10 @@ def second_fundamental_form(imm: SampledImmersion, batch) -> SFFBatch:
     in its ``sff`` field for the checks that read it later.
     """
     fb = _frames(imm, batch)
-    lag = fb.lagrangian_pointwise()
-    if np.max(lag) > _SFF_LAGRANGIAN_TOL:
+    lag = float(np.max(fb.lagrangian))
+    if lag > _SFF_LAGRANGIAN_TOL:
         raise NotLagrangianError(
-            f"Lagrangian residual {np.max(lag):.2e} exceeds {_SFF_LAGRANGIAN_TOL:.0e}"
+            f"Lagrangian residual {lag:.2e} exceeds {_SFF_LAGRANGIAN_TOL:.0e}"
         )
     T = fb.require_frame()
     space, hp = fb.space, fb.partials
@@ -272,14 +294,18 @@ def second_fundamental_form(imm: SampledImmersion, batch) -> SFFBatch:
     # sigma_ij = w_ij - c_ijk h_k with g c = Re (w_ij, h_k) the tangential
     # coefficients; w's components along z and i z drop out because every
     # h_l is horizontal, (z, h_l) = 0
-    P = herm_gram(space, fb.jets.d2.reshape(M, D * D, C), hp)  # (w_ij, h_l)
-    c = P.real @ (T.swapaxes(1, 2) @ T)  # g^{-1} = T^t T
-    normal = P.imag + c @ fb.omega
-    # h_abk = sum T_ai T_bj T_kl normal_ijl
-    h = normal.reshape(M, D, D, D) @ T.swapaxes(1, 2)[:, None]
+    p_re, p_im = herm_gram(space, fb.jets.d2.reshape(M, D * D, C), hp)  # (w_ij, h_l)
+    Tt = T.swapaxes(1, 2)
+    c = p_re @ (Tt @ T)  # g^{-1} = T^t T
+    normal = p_im + c @ fb.omega
+    # h_abk = sum T_ai T_bj T_kl normal_ijl: contract l as one (M, D^2, D) @
+    # (M, D, D) matmul, then j and i from the left; moving j last instead
+    # would copy the (M, D^3) tensor twice, which costs more than it saves
+    # at D = 8
+    h = (normal @ Tt).reshape(M, D, D, D)
     h = T[:, None] @ h
     h_ijk = (T @ h.reshape(M, D, D * D)).reshape(M, D, D, D)
-    H = np.mean(np.diagonal(h_ijk, axis1=1, axis2=2), axis=-1)
+    H = np.einsum("miik->mk", h_ijk) / D
     sigma_sq = np.sum(h_ijk**2, axis=(1, 2, 3))
     sff = SFFBatch(h_ijk, H, sigma_sq, fb.metric)
     if isinstance(batch, FrameBatch):

@@ -693,6 +693,25 @@ def _resolve_seed(spec: ImmersionFamilySpec, seed: SeedLagrangian | None):
     return seed, seed
 
 
+def _check_profile(spec: ImmersionFamilySpec, profile: ProfileSolution | None) -> None:
+    """A solved family needs the profile of its own row at its (n, rho); the
+    others take none (a file can carry any profile block)."""
+    kind = spec.kind
+    if not kind.solved:
+        if profile is not None:
+            raise InvalidArgument(f"{spec.family} has no profile to solve but was "
+                                  f"given a {profile.family.tag} profile")
+        return
+    if profile is None:
+        raise InvalidArgument(f"{spec.family} needs its {kind.profile} profile")
+    fam = profile.family
+    if (fam.tag, fam.n, fam.rho) != (kind.profile, spec.n, spec.rho):
+        raise InvalidArgument(
+            f"{spec.family} at n={spec.n}, rho={spec.rho!r} needs the {kind.profile} "
+            f"profile at those values, got {fam.tag} at n={fam.n}, rho={fam.rho!r}"
+        )
+
+
 def assemble_immersion(
     spec: ImmersionFamilySpec,
     profile: ProfileSolution | None,
@@ -712,6 +731,7 @@ def assemble_immersion(
     """
     seed, block = _resolve_seed(spec, seed)
     kind = spec.kind
+    _check_profile(spec, profile)
     phases = phase_integrals(profile) if profile is not None else None
     lift_phases = _detuned_phases(profile, phases) if spec.detuned else phases
     curve = _curve_factors(spec, profile, lift_phases)

@@ -118,19 +118,34 @@ def herm_form(space: HermitianSpace, z: np.ndarray, w: np.ndarray) -> np.ndarray
     return np.einsum("...i,...i,i->...", z, np.conj(w), space.signs)
 
 
-def herm_gram(space: HermitianSpace | None, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Batched Gram matrices G[..., a, b] = (z_a, w_b) as one matmul.
+def herm_gram(
+    space: HermitianSpace | None, z: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batched Gram matrices G[..., a, b] = (z_a, w_b) as (Re G, Im G).
 
     ``z`` and ``w`` stack vectors along their second-to-last axis, shapes
-    (..., A, m) and (..., B, m); the result has shape (..., A, B).  A
+    (..., A, m) and (..., B, m); both parts have shape (..., A, B).  A
     ``space`` of None stands for the flat positive form on C^m.
+
+    Both parts come from one real matmul: the interleaved (re, im) float
+    view of ``z``, shape (..., A, 2m), times a real (..., 2m, 2B) operand
+    whose first B columns are the float views of s w_b (they give
+    Re G = sum s (Re z Re w + Im z Im w)) and whose last B are those of
+    i s w_b (Im G = sum s (Im z Re w - Re z Im w)).  A stacked complex
+    matmul of these small shapes costs several times as much.
     """
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
     if space is not None:
         _check_dim(space, z, w)
-        z = z * space.signs
-    return z @ np.conj(w).swapaxes(-1, -2)
+    B, m = w.shape[-2:]
+    # (..., 2, B, m) complex rows [s w_b ; i s w_b] -> (..., 2B, 2m) real
+    rows = np.empty(w.shape[:-2] + (2, B, m), dtype=complex)
+    np.multiply(w, 1.0 if space is None else space.signs, out=rows[..., 0, :, :])
+    np.multiply(rows[..., 0, :, :], 1j, out=rows[..., 1, :, :])
+    rows = rows.view(np.float64).reshape(w.shape[:-2] + (2 * B, 2 * m))
+    prod = np.ascontiguousarray(z).view(np.float64) @ rows.swapaxes(-1, -2)
+    return prod[..., :B], prod[..., B:]
 
 
 def quadric_defect(space: HermitianSpace, z: np.ndarray) -> np.ndarray:

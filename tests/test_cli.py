@@ -115,6 +115,38 @@ class TestBuildVerify:
         out.write_text(json.dumps(d))
         assert run(tmp_path, "verify", "--in", str(out)) == EXIT_USAGE
 
+    def test_profile_block_must_match_the_spec(self, tmp_path, thm1_file, capsys):
+        def verify_edited(d, name):
+            p = tmp_path / name
+            p.write_text(json.dumps(d))
+            capsys.readouterr()
+            code = run(tmp_path, "verify", "--in", str(p))
+            return code, capsys.readouterr().err
+
+        thm1 = json.loads(thm1_file.read_text())
+        d = dict(thm1, profile=None)
+        code, err = verify_edited(d, "no_profile.json")
+        assert code == EXIT_USAGE
+        assert "thm1 needs its ch_sphere profile" in err
+
+        tg = tmp_path / "tg.json"
+        assert run(tmp_path, "build", "--family", "tg-sphere", "--n", "2",
+                   "--grid", "8x8", "--out", str(tg)) == EXIT_OK
+        d = json.loads(tg.read_text())
+        assert d["profile"] is None
+        d["profile"] = thm1["profile"]
+        code, err = verify_edited(d, "tg_with_profile.json")
+        assert code == EXIT_USAGE
+        assert "tg_sphere has no profile to solve" in err
+
+        thm2 = tmp_path / "thm2.json"
+        assert run(tmp_path, "build", "--family", "thm2", "--n", "2", "--rho", "1",
+                   "--grid", "8x8", "--out", str(thm2)) == EXIT_OK
+        d = dict(thm1, profile=json.loads(thm2.read_text())["profile"])
+        code, err = verify_edited(d, "thm1_with_tube_profile.json")
+        assert code == EXIT_USAGE
+        assert "needs the ch_sphere profile" in err and "got ch_tube" in err
+
     def test_build_seeded(self, tmp_path):
         out = tmp_path / "p3.json"
         code = run(tmp_path, "build", "--family", "prop3a", "--n", "3", "--rho", "1",

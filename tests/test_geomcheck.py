@@ -125,6 +125,33 @@ class TestMetric:
         assert gc.metric_residual(thm1, thm1_jets) <= 1e-6
 
 
+class TestFrame:
+    @pytest.mark.parametrize("D", range(1, 9))
+    def test_lower_inverse_by_forward_substitution(self, D):
+        rng = np.random.default_rng(D)
+        A = rng.normal(size=(200, D, D))
+        g = A @ A.swapaxes(1, 2) + 0.1 * np.eye(D)  # random SPD metrics
+        L = np.linalg.cholesky(g)
+        T = gc._lower_inverse(L)
+        assert np.max(np.abs(L @ T - np.eye(D))) <= 1e-13
+        ref = np.linalg.inv(L)
+        rel = np.max(np.abs(T - ref), axis=(1, 2)) / np.max(np.abs(ref), axis=(1, 2))
+        assert np.max(rel) <= 1e-13
+        assert np.array_equal(np.triu(T, 1), np.zeros_like(T))
+
+    def test_degenerate_metric_raises(self, thm1, thm1_jets):
+        # a vanishing chart partial: g is singular, so there is no frame
+        d1 = thm1_jets.d1.copy()
+        d1[:, 1] = 0.0
+        jets = gc.JetBatch(thm1_jets.xi, thm1_jets.value, d1, thm1_jets.d2, thm1_jets.h)
+        fb = gc.frame_batch(thm1, jets)
+        assert fb.chol is None and fb.chol_inv is None
+        with pytest.raises(gc.DegeneracyError):
+            gc.induced_metric(thm1, fb)
+        with pytest.raises(gc.DegeneracyError):
+            gc.second_fundamental_form(thm1, jets)
+
+
 class TestLagrangian:
     def test_real_lift_exactly_zero(self):
         imm = build_immersion(ImmersionFamilySpec("tg_tube", 2), grid=(6, 6))
@@ -274,7 +301,7 @@ class TestProductJets:
         assert np.array_equal(jets.value, imm.samples.reshape(len(xi), -1))
 
     def test_run_checks_is_one_geometry_pass(self, thm1, monkeypatch):
-        calls = {"jet": 0, "sff": 0, "fd": [], "evaluate_xi": 0}
+        calls = {"jet": 0, "sff": 0, "fd": [], "evaluate_xi": 0, "lagrangian": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -291,12 +318,16 @@ class TestProductJets:
         monkeypatch.setattr(gc, "second_fundamental_form",
                             counted("sff", gc.second_fundamental_form))
         monkeypatch.setattr(fd, "jet_partials", fd_spy)
+        monkeypatch.setattr(gc, "_lagrangian_pointwise",
+                            counted("lagrangian", gc._lagrangian_pointwise))
         monkeypatch.setattr(SampledImmersion, "evaluate_xi",
                             counted("evaluate_xi", SampledImmersion.evaluate_xi))
         report = gc.run_checks(thm1)
         assert report.verdict
         assert calls["jet"] == 1
         assert calls["sff"] == 1
+        # the SFF guard and the lagrangian check read one per-point residual
+        assert calls["lagrangian"] == 1
         # sample consistency reads the jet's value: no second lift evaluation
         assert calls["evaluate_xi"] == 0
         # only the block is differenced, never the whole lift

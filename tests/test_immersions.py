@@ -129,6 +129,24 @@ class TestSpecValidation:
                 ImmersionFamilySpec("cn_product", 2, seed_kind="tg_sphere_cp", c=0),
                 grid=(4, 4), s_window=(-1.0, 1.0))
 
+    def test_profile_must_match_the_spec(self, thm1_n2):
+        from lagmin.immersions import assemble_immersion
+
+        thm1, grid = thm1_n2.spec, (thm1_n2.s_values, thm1_n2.x_grid)
+        thm2 = build_immersion(ImmersionFamilySpec("thm2", 2, 1.0), grid=(4, 4))
+        thm1_n3 = build_immersion(ImmersionFamilySpec("thm1", 3, 1.0), grid=(4, 4))
+        thm1_rho2 = build_immersion(ImmersionFamilySpec("thm1", 2, 2.0), grid=(4, 4))
+        with pytest.raises(InvalidArgument, match="needs its ch_sphere profile"):
+            assemble_immersion(thm1, None, *grid)
+        for other in (thm2, thm1_n3, thm1_rho2):
+            with pytest.raises(InvalidArgument, match="needs the ch_sphere profile"):
+                assemble_immersion(thm1, other.profile, *grid)
+        with pytest.raises(InvalidArgument, match="no profile to solve"):
+            assemble_immersion(ImmersionFamilySpec("tg_sphere", 2), thm1_n2.profile, *grid)
+        # the matching profile assembles the same lift
+        again = assemble_immersion(thm1, thm1_n2.profile, *grid)
+        assert np.array_equal(again.samples, thm1_n2.samples)
+
 
 class TestDisplayedValues:
     def test_thm1_initial_slice(self, thm1_n2):

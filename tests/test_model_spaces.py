@@ -9,6 +9,7 @@ from lagmin.model_spaces import (
     ProjectivePoint,
     embed_isometry,
     herm_form,
+    herm_gram,
     horizontal_project,
     normalize_phase,
     omega_eval,
@@ -66,6 +67,40 @@ class TestHermForm:
         cp2 = HermitianSpace(2, "spherical")
         z = _rand_vec(cp2)
         assert herm_form(cp2, z, z).real > 0
+
+
+class TestHermGram:
+    """The one-real-matmul Gram pairing against the einsum form herm_form."""
+
+    @pytest.mark.parametrize("signature", [None, "hyperbolic", "spherical"])
+    @pytest.mark.parametrize("m", [2, 3, 5, 9])
+    @pytest.mark.parametrize("A", [1, 4, 64])
+    @pytest.mark.parametrize("B", [1, 3])
+    def test_matches_herm_form(self, signature, m, A, B):
+        rng = np.random.default_rng(1000 * m + 10 * A + B)
+        P = 5  # stacked points
+        # z as a swapaxes view (not contiguous), w contiguous, mixed scales
+        z = (rng.normal(size=(P, m, A)) + 1j * rng.normal(size=(P, m, A))).swapaxes(-1, -2)
+        z = z * 10.0 ** rng.uniform(-3, 3, size=(P, A, 1))
+        w = rng.normal(size=(P, B, m)) + 1j * rng.normal(size=(P, B, m))
+        space = None if signature is None else HermitianSpace(m - 1, signature)
+        # the flat form is the spherical one: every sign +1
+        ref_space = space or HermitianSpace(m - 1, "spherical")
+        ref = herm_form(ref_space, z[:, :, None, :], w[:, None, :, :])
+        re, im = herm_gram(space, z, w)
+        assert re.shape == im.shape == (P, A, B)
+        scale = np.abs(z) @ np.abs(w).swapaxes(-1, -2)  # sum_i |z_i| |w_i|
+        ulp = np.finfo(float).eps * scale
+        assert np.all(np.abs(re - ref.real) <= 4 * ulp)
+        assert np.all(np.abs(im - ref.imag) <= 4 * ulp)
+
+    def test_single_pair_and_dimension_check(self, ch2):
+        z, w = _rand_vec(ch2), _rand_vec(ch2)
+        re, im = herm_gram(ch2, z[None], w[None])
+        assert re.shape == (1, 1)
+        assert abs(re[0, 0] + 1j * im[0, 0] - herm_form(ch2, z, w)) < 1e-14
+        with pytest.raises(InvalidArgument):
+            herm_gram(ch2, np.zeros((2, 4), dtype=complex), np.zeros((2, 4), dtype=complex))
 
 
 class TestQuadric:
