@@ -1,11 +1,13 @@
 """Differential geometry of sampled immersions, one pass per batch.
 
-Jets come from the immersion's product-rule jet: every family's lift is
+Jets are taken over a product of S values s and M transverse points x and
+come from the immersion's product-rule jet: every family's lift is
 alpha(s) * beta(x) + delta(s) componentwise, with the curve factors alpha
-and delta differentiated in closed form from the profile ODE and only the
-O(1) transverse block beta finite-differenced in x (``fd`` stencils, step
-h).  Hand-built immersions without a product jet fall back to central
-differences of the whole lift evaluator.
+and delta differentiated in closed form from the profile ODE on the s
+values and only the O(1) transverse block beta finite-differenced, in x
+on the M points (``fd`` stencils, step h).  Hand-built immersions without
+a product jet fall back to central differences of the whole lift
+evaluator on the S*M stacked rows.
 
 ``frame_batch`` then does the geometry once for all checks: the first
 partials are projected to the horizontal space of the quadric (h_i), and
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fd
-from .immersions import LegendreCurve, SampledImmersion
+from .immersions import LegendreCurve, SampledImmersion, product_xi
 from .model_spaces import (
     GeometryError,
     HermitianSpace,
@@ -112,20 +114,24 @@ class JetBatch:
     h: float
 
 
-def jet(imm: SampledImmersion, xi: np.ndarray, h: float = DEFAULT_FD_STEP) -> JetBatch:
-    """Jet of the lift at chart points ``xi``.
+def jet(imm: SampledImmersion, s, X, h: float = DEFAULT_FD_STEP) -> JetBatch:
+    """Jet of the lift on the product of the S values ``s`` and the M chart
+    points ``X`` (M, d), as S*M rows in ``grid_xi`` order.
 
-    Uses the immersion's product-rule jet when it has one (only the block
-    is finite-differenced, with step ``h``), else central differences of
-    the whole lift evaluator.
+    Uses the immersion's product-rule jet when it has one (the curve taken
+    on ``s``, only the block finite-differenced, on ``X``, with step
+    ``h``), else central differences of the whole lift evaluator on the
+    stacked rows.  A single point is a 1 x 1 product.
     """
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    X = np.atleast_2d(np.asarray(X, dtype=float))
     if imm.profile is not None:
         margin = 2.0 * h
-        if np.max(np.abs(xi[:, 0])) + margin > imm.profile.s_max:
+        if np.max(np.abs(s)) + margin > imm.profile.s_max:
             raise OutOfDomain("jet base point within 2h of the profile boundary")
+    xi = product_xi(s, X)
     if imm.product_jet is not None:
-        value, d1, d2 = imm.product_jet(xi, h)
+        value, d1, d2 = imm.product_jet(s, X, h)
     else:
         value, d1, d2 = fd.jet_partials(imm.evaluate_xi, xi, h)
     return JetBatch(xi, value, d1, d2, h)
@@ -143,7 +149,6 @@ class SFFBatch:
     coeffs: np.ndarray
     mean_curvature: np.ndarray
     sigma_sq: np.ndarray
-    metric: np.ndarray
 
     @property
     def mean_curvature_norm(self) -> np.ndarray:
@@ -307,7 +312,7 @@ def second_fundamental_form(imm: SampledImmersion, batch) -> SFFBatch:
     h_ijk = (T @ h.reshape(M, D, D * D)).reshape(M, D, D, D)
     H = np.einsum("miik->mk", h_ijk) / D
     sigma_sq = np.sum(h_ijk**2, axis=(1, 2, 3))
-    sff = SFFBatch(h_ijk, H, sigma_sq, fb.metric)
+    sff = SFFBatch(h_ijk, H, sigma_sq)
     if isinstance(batch, FrameBatch):
         batch.sff = sff
     return sff
@@ -474,7 +479,7 @@ def invariance_residual(
             raise InvalidArgument("group does not act on this model manifold")
         left.append(base @ mat)
         moved.append(g_x)
-    # one evaluation for all k moved copies: the curve is taken once per s
+    # one evaluation for all k moved copies
     right = imm.model_evaluate(np.tile(s_pts, k), np.concatenate(moved))
     return float(np.max(projective_distance(space, np.concatenate(left), right)))
 
@@ -549,7 +554,7 @@ def _transverse_weights(imm: SampledImmersion) -> np.ndarray:
 def curvature_field(imm: SampledImmersion, h: float = DEFAULT_FD_STEP) -> dict:
     """|sigma| and sqrt(det g) on the cached grid, plus transverse weights."""
     S, M = len(imm.s_values), len(imm.x_grid)
-    fb = frame_batch(imm, jet(imm, imm.grid_xi(), h=h))
+    fb = frame_batch(imm, jet(imm, imm.s_values, imm.x_grid, h=h))
     sff = second_fundamental_form(imm, fb)
     sqrt_det = np.prod(np.diagonal(fb.chol, axis1=1, axis2=2), axis=-1)  # det L
     return {
@@ -640,18 +645,12 @@ def _sample_consistency(imm: SampledImmersion, fresh: np.ndarray) -> float:
     ``grid_xi`` order, projectively (catches edits)."""
     space = imm.ambient.space
     flat = imm.samples.reshape(-1, imm.samples.shape[-1])
-    row_scale = np.maximum(
-        np.maximum(np.max(np.abs(flat), axis=-1), np.max(np.abs(fresh), axis=-1)), 1.0
-    )
     if space is None:
+        row_scale = np.maximum(
+            np.maximum(np.max(np.abs(flat), axis=-1), np.max(np.abs(fresh), axis=-1)), 1.0
+        )
         return float(np.max(np.abs(flat - fresh)) / np.min(row_scale))
-    k = np.argmax(np.abs(fresh), axis=-1)
-    piv_fresh = np.take_along_axis(fresh, k[:, None], axis=-1)[:, 0]
-    piv_flat = np.take_along_axis(flat, k[:, None], axis=-1)[:, 0]
-    phase = np.where(np.abs(piv_flat) > 0, piv_fresh / np.where(piv_flat == 0, 1, piv_flat), 1.0)
-    phase = phase / np.maximum(np.abs(phase), 1e-300)
-    dist = np.max(np.abs(flat * phase[:, None] - fresh), axis=-1) / row_scale
-    worst = float(np.max(dist))
+    worst = float(np.max(projective_distance(space, flat, fresh)))
     qscale = np.maximum(np.sum(np.abs(flat) ** 2, axis=-1), 1.0)
     return max(worst, float(np.max(quadric_defect(space, flat) / qscale)))
 
@@ -677,7 +676,7 @@ def run_checks(
                     "tolerances": dict(TOLERANCES)},
     )
     tol = TOLERANCES
-    fb = frame_batch(imm, jet(imm, imm.grid_xi(), h=h))
+    fb = frame_batch(imm, jet(imm, imm.s_values, imm.x_grid, h=h))
     # the real geodesic over a totally geodesic seed is totally geodesic
     is_tg = imm.spec.kind.geodesic and (imm.seed is None or imm.seed.kind.startswith("tg"))
     sff = None

@@ -65,6 +65,7 @@ __all__ = [
     "SeedLagrangian",
     "ImmersionFamilySpec",
     "SampledImmersion",
+    "product_xi",
     "LegendreCurve",
     "SliceRecord",
     "make_seed",
@@ -380,14 +381,17 @@ class SampledImmersion:
 
     For built and loaded immersions one factorization, alpha(s) * beta(x)
     + delta(s), feeds every field that evaluates the lift.
-    ``evaluate(s, X)`` is pure and vectorized; ``samples`` has shape
-    (S, M, coords) and is immutable after construction, so instances can be
-    shared across workers.  ``model_evaluate`` (closed-formula families
-    only) accepts raw model coordinates and is what the group-invariance
-    check composes with isometry actions.  ``product_jet(Xi, h, order)``
-    returns the lift's value and chart partials at stacked (s, x) points by
-    the product rule; hand-built immersions without one fall back to
-    whole-lift finite differences of ``evaluate``.
+    ``evaluate(s, X)`` is pure and vectorized over points (s_k, X_k);
+    ``samples`` has shape (S, M, coords), the lift on the product
+    ``s_values`` x ``x_grid``, and is immutable after construction, so
+    instances can be shared across workers.  ``model_evaluate``
+    (closed-formula families only) accepts raw model coordinates and is
+    what the group-invariance check composes with isometry actions.
+    ``product_jet(s, X, h, order)`` returns the lift's value and chart
+    partials on the product of S values s and M transverse points X, as
+    S*M rows in ``grid_xi`` order, by the product rule; hand-built
+    immersions without one fall back to whole-lift finite differences of
+    ``evaluate``.
     """
 
     spec: ImmersionFamilySpec
@@ -422,10 +426,14 @@ class SampledImmersion:
 
     def grid_xi(self) -> np.ndarray:
         """All cached sample coordinates, flattened to (S*M, 1+d)."""
-        S, M = len(self.s_values), len(self.x_grid)
-        si = np.repeat(self.s_values, M)
-        xi = np.tile(self.x_grid, (S, 1))
-        return np.column_stack([si, xi])
+        return product_xi(self.s_values, self.x_grid)
+
+
+def product_xi(s: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The product of S values s and M points X (M, d) as stacked (s, x)
+    rows (S*M, 1+d), s slowest."""
+    S, M = len(s), len(X)
+    return np.column_stack([np.repeat(s, M), np.tile(X, (S, 1))])
 
 
 def default_grid_spec(spec: ImmersionFamilySpec) -> tuple[float, float]:
@@ -589,64 +597,60 @@ def _block_factor(layout, lift, potential):
     return lambda X: np.concatenate([lift(X), ones(X)], axis=-1)
 
 
-def _distinct_rows(X: np.ndarray):
-    """Distinct rows of X and, for each row of X, its index among them."""
-    order = np.lexsort(X.T[::-1])
-    Xs = X[order]
-    new = np.r_[True, np.any(Xs[1:] != Xs[:-1], axis=1)]
-    at = np.empty(len(X), dtype=np.intp)
-    at[order] = np.cumsum(new) - 1
-    return Xs[new], at
-
-
 def _make_product_jet(curve, beta):
-    """Jet (value, d1, d2) of alpha(s) * beta(x) + delta(s) by the product rule.
+    """Jet (value, d1, d2) of alpha(s) * beta(x) + delta(s) by the product rule
+    over the product of the S values ``s`` and the M transverse points ``X``.
 
-    The curve factors are exact; only beta is finite-differenced, in x
-    alone, with the ``fd`` stencils.  Both factors are evaluated once per
-    distinct s and x of the batch and broadcast.  ``order=1`` stops at d1.
+    The curve factors are exact and taken once on ``s``; only beta is
+    finite-differenced, once on ``X``, in x alone with the ``fd`` stencils.
+    Each block is written by broadcasting into an (S, M, ...) array, and
+    the arrays are returned as (S*M, ...) rows in ``grid_xi`` order (s
+    slowest).  ``order=1`` stops at d1.
     """
 
-    def product_jet(Xi, h, order: int = 2):
-        Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
-        s, s_at = _distinct_rows(Xi[:, :1])
-        X, x_at = _distinct_rows(Xi[:, 1:])
-        alpha, delta = curve(s[:, 0])
-        alpha = alpha[:, s_at]
+    def product_jet(s, X, h, order: int = 2):
+        s = np.asarray(s, dtype=float)
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        alpha, delta = curve(s)
         if order == 1:
             b0, b1 = beta(X), fd.first_partials(beta, X, h)
         else:
             b0, b1, b2 = fd.jet_partials(beta, X, h)
-            b2 = b2[x_at]
-        b0, b1 = b0[x_at], b1[x_at]
+        S, (M, d, C) = len(s), b1.shape
 
-        def in_s(k):  # k-th s-partial at fixed x
-            z = alpha[k] * b0
-            return z if delta is None else z + delta[k, s_at]
+        def in_s(k, out):  # k-th s-partial at fixed x, written into out (S, M, C)
+            np.multiply(alpha[k][:, None], b0, out=out)
+            if delta is not None:
+                out += delta[k][:, None]
 
-        value = in_s(0)
-        d1 = np.concatenate([in_s(1)[:, None], alpha[0][:, None] * b1], axis=1)
+        value = np.empty((S, M, C), dtype=complex)
+        in_s(0, value)
+        d1 = np.empty((S, M, 1 + d, C), dtype=complex)
+        in_s(1, d1[:, :, 0])
+        np.multiply(alpha[0][:, None, None], b1, out=d1[:, :, 1:])
+        rows = S * M
         if order == 1:
-            return value, d1
-        d2 = np.empty(d1.shape[:2] + d1.shape[1:], dtype=complex)
-        d2[:, 0, 0] = in_s(2)
-        d2[:, 0, 1:] = d2[:, 1:, 0] = alpha[1][:, None] * b1
-        d2[:, 1:, 1:] = alpha[0][:, None, None] * b2
-        return value, d1, d2
+            return value.reshape(rows, C), d1.reshape(rows, 1 + d, C)
+        d2 = np.empty((S, M, 1 + d, 1 + d, C), dtype=complex)
+        in_s(2, d2[:, :, 0, 0])
+        np.multiply(alpha[1][:, None, None], b1, out=d2[:, :, 0, 1:])
+        d2[:, :, 1:, 0] = d2[:, :, 0, 1:]
+        np.multiply(alpha[0][:, None, None, None], b2, out=d2[:, :, 1:, 1:])
+        return (value.reshape(rows, C), d1.reshape(rows, 1 + d, C),
+                d2.reshape(rows, 1 + d, 1 + d, C))
 
     return product_jet
 
 
 def _lift(curve, beta):
-    """evaluate(s, X) = alpha(s) * beta(X) + delta(s), the curve taken once
-    per distinct s.  Where the lift has no delta nothing is added, so
-    signed zeros of the product survive into the files."""
+    """evaluate(s, X) = alpha(s) * beta(X) + delta(s) at the points (s_k, X_k),
+    the curve taken on ``s`` as given.  Where the lift has no delta nothing
+    is added, so signed zeros of the product survive into the files."""
 
     def evaluate(s, X):
-        s, s_at = _distinct_rows(np.asarray(s, dtype=float).reshape(-1, 1))
-        alpha, delta = curve(s[:, 0])
-        z = alpha[0, s_at] * beta(X)
-        return z if delta is None else z + delta[0, s_at]
+        alpha, delta = curve(np.asarray(s, dtype=float))
+        z = alpha[0] * beta(X)
+        return z if delta is None else z + delta[0]
 
     return evaluate
 
@@ -833,7 +837,7 @@ def _sample_invariants(imm: SampledImmersion, fd_step: float) -> dict:
         return {"quadric": 0.0, "horizontal": 0.0}
     scale = np.maximum(np.sum(np.abs(flat) ** 2, axis=-1), 1.0)
     quadric = float(np.max(quadric_defect(space, flat) / scale))
-    _, d1 = imm.product_jet(imm.grid_xi(), fd_step, order=1)
+    _, d1 = imm.product_jet(imm.s_values, imm.x_grid, fd_step, order=1)
     inner = herm_form(space, d1, flat[:, None, :])
     norms = np.sqrt(np.sum(np.abs(d1) ** 2, axis=-1))
     denom = np.maximum(norms * np.sqrt(np.sum(np.abs(flat) ** 2, axis=-1))[:, None], 1.0)

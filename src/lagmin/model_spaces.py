@@ -225,9 +225,6 @@ class ProjectivePoint:
         rep.setflags(write=False)
         object.__setattr__(self, "rep", rep)
 
-    def distance_to(self, other: "ProjectivePoint") -> float:
-        return projective_distance(self.space, self.rep, other.rep)
-
     def __eq__(self, other):
         if not isinstance(other, ProjectivePoint):
             return NotImplemented
@@ -297,9 +294,6 @@ class IsometryElement:
             raise InvalidArgument(f"form-preservation defect {defect:.3e} exceeds 1e-10")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(z, dtype=complex) @ self.matrix
 
     def inverse(self) -> "IsometryElement":
         S = self.space.signature_matrix()

@@ -20,7 +20,7 @@ import re
 
 import numpy as np
 
-from .immersions import ImmersionFamilySpec, SampledImmersion, assemble_immersion
+from .immersions import ImmersionFamilySpec, SampledImmersion, assemble_immersion, product_xi
 from .model_spaces import InvalidArgument
 from .profiles import ProfileFamily, ProfileSolution, energy_residual
 
@@ -282,6 +282,12 @@ def immersion_from_dict(d: dict) -> SampledImmersion:
         )
     s_values = arr[: S * M : M, 0]
     x_grid = arr[:M, 1 : 1 + chart_dim]
+    # the (s, x) columns must be the product grid itself, s slowest
+    off = np.any(arr[:, : 1 + chart_dim] != product_xi(s_values, x_grid), axis=1)
+    if off.any():
+        k = int(np.argmax(off))
+        raise SchemaError(f"immersion.samples: row {k} is not the grid point "
+                          f"(s_values[{k // M}], x_grid[{k % M}]) of the {S}x{M} product grid")
     lifts = arr[:, 1 + chart_dim :]
     samples = (lifts[:, 0::2] + 1j * lifts[:, 1::2]).reshape(S, M, coords)
     imm = assemble_immersion(spec, profile, s_values, x_grid, samples=samples)

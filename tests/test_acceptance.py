@@ -86,7 +86,7 @@ def test_03_lagrangian_and_legendrian():
     for fam, needs_rho, seed in _ALL_FAMILIES:
         for n in (2, 3):
             imm = build_immersion(_spec(fam, needs_rho, seed, n), grid=(64, 64))
-            jets = gc.jet(imm, imm.grid_xi())
+            jets = gc.jet(imm, imm.s_values, imm.x_grid)
             lag = gc.lagrangian_residual(imm, jets)
             hor = gc.horizontality_residual(imm, jets)
             if max(lag, hor) > max(worst_lag, worst_hor):
@@ -105,20 +105,22 @@ def test_04_minimality():
     for fam, rho, seed in cases:
         for n in (2, 3):
             imm = build_immersion(ImmersionFamilySpec(fam, n, rho), grid=(24, 24))
-            jets = gc.jet(imm, imm.grid_xi(), h=1e-3)
+            jets = gc.jet(imm, imm.s_values, imm.x_grid, h=1e-3)
             worst_min = max(worst_min, gc.minimality_residual(imm, jets))
     imm = build_immersion(
         ImmersionFamilySpec("prop3a", 3, 1.0, seed_kind="clifford_cp"), grid=(24, 24))
-    worst_min = max(worst_min, gc.minimality_residual(imm, gc.jet(imm, imm.grid_xi())))
+    jets = gc.jet(imm, imm.s_values, imm.x_grid)
+    worst_min = max(worst_min, gc.minimality_residual(imm, jets))
 
     worst_tg = 0.0
     for fam in ("tg_sphere", "tg_tube", "tg_horo"):
         for n in (2, 3):
             imm = build_immersion(ImmersionFamilySpec(fam, n), grid=(16, 16))
-            worst_tg = max(worst_tg, gc.minimality_residual(imm, gc.jet(imm, imm.grid_xi())))
+            jets = gc.jet(imm, imm.s_values, imm.x_grid)
+            worst_tg = max(worst_tg, gc.minimality_residual(imm, jets))
 
     bad = build_immersion(ImmersionFamilySpec("thm1", 2, 1.0, detuned=True), grid=(16, 16))
-    control = gc.minimality_residual(bad, gc.jet(bad, bad.grid_xi()))
+    control = gc.minimality_residual(bad, gc.jet(bad, bad.s_values, bad.x_grid))
 
     ok = worst_min <= 5e-4 and worst_tg <= 1e-5 and control >= 1e-2
     _report(4, "minimality |H| (families / totally geodesic / detuned control)",
@@ -129,7 +131,7 @@ def test_05_sff_closed_form():
     worst = 0.0
     for n in (2, 3):
         imm = build_immersion(ImmersionFamilySpec("thm1", n, 1.0), grid=(32, 32))
-        res = gc.sff_residuals(imm, gc.jet(imm, imm.grid_xi()))
+        res = gc.sff_residuals(imm, gc.jet(imm, imm.s_values, imm.x_grid))
         worst = max(worst, res["component_rel"], res["sigma_sq_rel"])
     _report(5, "second-fundamental-form closed-form match on 32x32 grids",
             worst <= 1e-3, f"worst relative error {worst:.2e}")
@@ -140,7 +142,7 @@ def test_06_metric_closed_form():
     for fam in ("thm1", "thm3"):
         for n in (2, 3):
             imm = build_immersion(ImmersionFamilySpec(fam, n, 1.0), grid=(24, 24))
-            worst = max(worst, gc.metric_residual(imm, gc.jet(imm, imm.grid_xi())))
+            worst = max(worst, gc.metric_residual(imm, gc.jet(imm, imm.s_values, imm.x_grid)))
     _report(6, "induced-metric closed-form match", worst <= 1e-6,
             f"worst entrywise residual {worst:.2e}")
 
@@ -249,7 +251,8 @@ def test_12_flat_products():
         imm = build_immersion(
             ImmersionFamilySpec("cn_product", 2, seed_kind="tg_sphere_cp", c=c),
             grid=(16, 16))
-        worst_min = max(worst_min, gc.minimality_residual(imm, gc.jet(imm, imm.grid_xi())))
+        jets = gc.jet(imm, imm.s_values, imm.x_grid)
+        worst_min = max(worst_min, gc.minimality_residual(imm, jets))
 
     ok = worst_kappa <= 1e-6 and worst_min <= 5e-4
     _report(12, "flat products: power-curve curvature and minimality", ok,

@@ -207,6 +207,20 @@ class TestBuildVerify:
         code = run(tmp_path, "verify", "--in", str(edited), "--checks", "horizontal")
         assert code == EXIT_VERIFY
 
+    def test_coordinates_off_the_product_grid_are_schema_errors(self, tmp_path, capsys):
+        out = tmp_path / "thm1.json"
+        assert run(tmp_path, "build", "--family", "thm1", "--n", "2", "--rho", "1",
+                   "--grid", "8x8", "--out", str(out)) == EXIT_OK
+        # an s off its row of the grid, then an x off its column
+        for row, col in ((11, 0), (13, 1)):
+            d = json.loads(out.read_text())
+            d["samples"][row][col] = format(float(d["samples"][row][col]) + 0.01, ".17g")
+            edited = tmp_path / f"edited_{row}.json"
+            edited.write_text(json.dumps(d))
+            capsys.readouterr()
+            assert run(tmp_path, "verify", "--in", str(edited)) == EXIT_USAGE
+            assert f"immersion.samples: row {row} is not the grid point" in capsys.readouterr().err
+
     def test_verify_thm3_euclid_family(self, tmp_path):
         out = tmp_path / "t3.json"
         run(tmp_path, "build", "--family", "thm3", "--n", "3", "--rho", "1",

@@ -11,6 +11,7 @@ from lagmin.immersions import (
     SampledImmersion,
     box_chart,
     build_immersion,
+    product_xi,
     real_geodesic_curve,
     ch_sphere_curve,
     wavy_control_curve,
@@ -33,7 +34,7 @@ def thm1():
 
 @pytest.fixture(scope="module")
 def thm1_jets(thm1):
-    return gc.jet(thm1, thm1.grid_xi())
+    return gc.jet(thm1, thm1.s_values, thm1.x_grid)
 
 
 def _complex_curve_immersion():
@@ -59,13 +60,30 @@ def _complex_curve_immersion():
     )
 
 
+def _sheared(imm: SampledImmersion, k: float) -> SampledImmersion:
+    """``imm`` in the sheared chart x -> x + k s e_last, hand-built without a
+    product jet, so its jets are whole-lift differences."""
+
+    def evaluate(s, X):
+        X = np.array(np.atleast_2d(X), dtype=float)
+        X[:, -1] += k * np.asarray(s, dtype=float)
+        return imm.evaluate(s, X)
+
+    xi = imm.grid_xi()
+    samples = evaluate(xi[:, 0], xi[:, 1:]).reshape(imm.samples.shape)
+    return SampledImmersion(
+        spec=imm.spec, ambient=imm.ambient, chart=imm.chart, s_values=imm.s_values,
+        x_grid=imm.x_grid, samples=samples, evaluate=evaluate, profile=imm.profile,
+    )
+
+
 class TestJets:
     def test_mixed_partial_symmetry_nested(self, thm1):
         # cross-check the symmetric cross stencil against nested first
         # differences taken in both orders
         xi = np.array([[0.3, 1.1]])
         h = 1e-3
-        jets = gc.jet(thm1, xi, h=h)
+        jets = gc.jet(thm1, [0.3], [[1.1]], h=h)
 
         def d_theta(Xi):
             return fd.first_partials(thm1.evaluate_xi, Xi, h)[:, 1, :]
@@ -91,34 +109,32 @@ class TestJets:
         # the horospherical lift is quadratic in x, so x-second-partials are
         # exactly the ambient formula e^s (0, delta, delta)
         imm = build_immersion(ImmersionFamilySpec("tg_horo", 3), grid=(4, 4))
-        xi = np.array([[0.4, 0.3, -0.2]])
-        jets = gc.jet(imm, xi)
+        jets = gc.jet(imm, [0.4], [[0.3, -0.2]])
         expect = math.exp(0.4) * np.array([0, 0, 1.0, 1.0], dtype=complex)
         assert np.max(np.abs(jets.d2[0, 1, 1] - expect)) <= 1e-6
         assert np.max(np.abs(jets.d2[0, 1, 2])) <= 1e-6
 
     def test_out_of_domain(self, thm1):
         with pytest.raises(gc.OutOfDomain):
-            gc.jet(thm1, np.array([[thm1.profile.s_max, 0.5]]))
+            gc.jet(thm1, [thm1.profile.s_max], [[0.5]])
 
 
 class TestMetric:
     def test_thm1_at_origin(self, thm1):
-        jets = gc.jet(thm1, np.array([[0.0, 0.7]]))
+        jets = gc.jet(thm1, [0.0], [[0.7]])
         g = gc.induced_metric(thm1, jets)
         expect = np.diag([1.0, math.sinh(1.0) ** 2])
         assert np.max(np.abs(g[0] - expect)) < 1e-8
 
     def test_thm3_warped_euclidean(self):
         imm = build_immersion(ImmersionFamilySpec("thm3", 3, 1.0), grid=(4, 4))
-        xi = np.array([[0.6, 0.2, -0.4]])
-        g = gc.induced_metric(imm, gc.jet(imm, xi))
+        g = gc.induced_metric(imm, gc.jet(imm, [0.6], [[0.2, -0.4]]))
         r = float(imm.profile.r_of(0.6))
         assert np.max(np.abs(g[0] - np.diag([1.0, r * r, r * r]))) < 1e-6 * r * r
 
     def test_tg_tube_unit_speed(self):
         imm = build_immersion(ImmersionFamilySpec("tg_tube", 2), grid=(4, 4))
-        g = gc.induced_metric(imm, gc.jet(imm, np.array([[0.9, 0.5]])))
+        g = gc.induced_metric(imm, gc.jet(imm, [0.9], [[0.5]]))
         assert g[0, 0, 0] == pytest.approx(1.0, abs=1e-9)
 
     def test_metric_residual_families(self, thm1, thm1_jets):
@@ -139,6 +155,21 @@ class TestFrame:
         assert np.max(rel) <= 1e-13
         assert np.array_equal(np.triu(T, 1), np.zeros_like(T))
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_off_diagonal_metric_end_to_end(self, n):
+        # no family's chart metric has off-diagonal entries; the sheared
+        # chart gives g_{0,last} above 10, so a wrong off-diagonal of the
+        # frame shows in the curvature of an unchanged immersion
+        imm = build_immersion(ImmersionFamilySpec("thm1", n, 1.0), grid=(9, 9),
+                              s_window=(-1.5, 1.5))
+        sheared = _sheared(imm, 0.7)
+        fb = gc.frame_batch(sheared, gc.jet(sheared, sheared.s_values, sheared.x_grid))
+        assert np.max(np.abs(fb.metric[:, 0, -1])) >= 10.0
+        assert gc.minimality_residual(sheared, fb) <= gc.TOLERANCES["minimal"]
+        # |sigma|^2 of thm1 depends on s alone
+        ref = gc.second_fundamental_form(imm, gc.jet(imm, imm.s_values, imm.x_grid))
+        assert np.max(np.abs(fb.sff.sigma_sq - ref.sigma_sq) / ref.sigma_sq) <= 1e-4
+
     def test_degenerate_metric_raises(self, thm1, thm1_jets):
         # a vanishing chart partial: g is singular, so there is no frame
         d1 = thm1_jets.d1.copy()
@@ -155,7 +186,7 @@ class TestFrame:
 class TestLagrangian:
     def test_real_lift_exactly_zero(self):
         imm = build_immersion(ImmersionFamilySpec("tg_tube", 2), grid=(6, 6))
-        jets = gc.jet(imm, imm.grid_xi())
+        jets = gc.jet(imm, imm.s_values, imm.x_grid)
         assert gc.lagrangian_residual(imm, jets) <= 1e-12
 
     def test_families_small(self, thm1, thm1_jets):
@@ -163,7 +194,7 @@ class TestLagrangian:
 
     def test_complex_curve_is_not_lagrangian(self):
         imm = _complex_curve_immersion()
-        jets = gc.jet(imm, imm.grid_xi())
+        jets = gc.jet(imm, imm.s_values, imm.x_grid)
         assert gc.lagrangian_residual(imm, jets) >= 0.5
         with pytest.raises(gc.NotLagrangianError):
             gc.second_fundamental_form(imm, jets)
@@ -177,7 +208,7 @@ class TestSecondFundamentalForm:
         assert res["sigma_sq_rel"] <= 1e-3
 
     def test_component_signs(self, thm1):
-        jets = gc.jet(thm1, np.array([[0.5, 1.0]]))
+        jets = gc.jet(thm1, [0.5], [[1.0]])
         sff = gc.second_fundamental_form(thm1, jets)
         n = 2
         r = float(thm1.profile.r_of(0.5))
@@ -188,7 +219,7 @@ class TestSecondFundamentalForm:
 
     def test_totally_geodesic_zero(self):
         imm = build_immersion(ImmersionFamilySpec("tg_horo", 2), grid=(6, 6))
-        sff = gc.second_fundamental_form(imm, gc.jet(imm, imm.grid_xi()))
+        sff = gc.second_fundamental_form(imm, gc.jet(imm, imm.s_values, imm.x_grid))
         assert np.max(np.abs(sff.coeffs)) <= 1e-5
 
     @pytest.mark.parametrize("fam,seed", [
@@ -197,7 +228,7 @@ class TestSecondFundamentalForm:
     def test_geodesic_products_over_tg_seeds(self, fam, seed):
         # with totally geodesic seeds the full product map is totally geodesic
         imm = build_immersion(ImmersionFamilySpec(fam, 2, seed_kind=seed), grid=(6, 6))
-        sff = gc.second_fundamental_form(imm, gc.jet(imm, imm.grid_xi()))
+        sff = gc.second_fundamental_form(imm, gc.jet(imm, imm.s_values, imm.x_grid))
         assert np.max(np.abs(sff.coeffs)) <= 1e-5
 
     def test_symmetry(self, thm1, thm1_jets):
@@ -208,7 +239,7 @@ class TestSecondFundamentalForm:
         assert gc.minimality_residual(thm1, thm1_jets) <= 5e-4
         bad = build_immersion(ImmersionFamilySpec("thm1", 2, 1.0, detuned=True),
                               grid=(8, 8))
-        jets = gc.jet(bad, bad.grid_xi())
+        jets = gc.jet(bad, bad.s_values, bad.x_grid)
         assert gc.minimality_residual(bad, jets) >= 1e-2
 
     @pytest.mark.parametrize("spec", [
@@ -269,10 +300,10 @@ class TestProductJets:
     @pytest.mark.parametrize("spec", _EVERY_FAMILY, ids=_spec_id)
     def test_matches_whole_lift_differences(self, spec):
         imm = build_immersion(spec, grid=(11, 9))
-        xi = imm.grid_xi()
-        xi = xi[np.abs(xi[:, 0]) <= 1.0]
+        s = imm.s_values[np.abs(imm.s_values) <= 1.0]
+        xi = product_xi(s, imm.x_grid)
         h = 1e-3
-        value, d1, d2 = imm.product_jet(xi, h)
+        value, d1, d2 = imm.product_jet(s, imm.x_grid, h)
         fv, f1, f2 = fd.jet_partials(imm.evaluate_xi, xi, h)
         scale = np.max(np.abs(fv))
         assert np.max(np.abs(value - fv)) <= 1e-13 * scale
@@ -289,12 +320,13 @@ class TestProductJets:
         xi = imm.grid_xi()
         flat = imm.samples.reshape(len(xi), -1)
         assert flat.tobytes() == imm.evaluate_xi(xi).tobytes()
-        assert flat.tobytes() == imm.product_jet(xi, gc.DEFAULT_FD_STEP)[0].tobytes()
+        jet_value = imm.product_jet(imm.s_values, imm.x_grid, gc.DEFAULT_FD_STEP)[0]
+        assert flat.tobytes() == jet_value.tobytes()
 
     def test_hand_built_immersion_falls_back_to_differences(self):
         imm = _complex_curve_immersion()
         xi = imm.grid_xi()
-        jets = gc.jet(imm, xi)
+        jets = gc.jet(imm, imm.s_values, imm.x_grid)
         value, d1, d2 = fd.jet_partials(imm.evaluate_xi, xi, gc.DEFAULT_FD_STEP)
         assert np.array_equal(jets.d2, d2)
         # the base value the stored-sample consistency check reads

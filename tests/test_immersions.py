@@ -305,8 +305,8 @@ class TestComposedFamilies:
         assert a.x_grid.tobytes() == b.x_grid.tobytes()
         assert a.samples.tobytes() == b.samples.tobytes()
         assert a.header == b.header
-        xi = a.grid_xi()
-        for u, v in zip(a.product_jet(xi, 1e-3), b.product_jet(xi, 1e-3)):
+        grid = (a.s_values, a.x_grid, 1e-3)
+        for u, v in zip(a.product_jet(*grid), b.product_jet(*grid)):
             assert u.tobytes() == v.tobytes()
 
     def test_cn_product_power_curve(self):
