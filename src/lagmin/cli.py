@@ -30,6 +30,7 @@ from .profiles import (
     DetectionFailure,
     IntegrationFailure,
     NeedsLargerDomain,
+    SIGMA_TAIL_TOL,
     ProfileFamily,
     SigmaIntegralSpec,
     detect_period,
@@ -237,10 +238,9 @@ def cmd_sigma_integral(args, cfg) -> int:
         raise UsageError("closed-form curvature integrals exist for --family thm1")
     try:
         if args.method in ("s", "t"):
-            spec = SigmaIntegralSpec(args.n, args.rho, method=args.method)
-            value = sigma_integral_thm1(spec)
+            value = sigma_integral_thm1(SigmaIntegralSpec(args.n, args.rho, method=args.method))
             payload = {"method": args.method, "value": ser.fnum(value),
-                       "tail_tol": ser.fnum(spec.tol)}
+                       "tail_tol": ser.fnum(SIGMA_TAIL_TOL)}
             _emit(payload, args.out, f"{args.method}-form value: {value:.10g}")
         else:
             vs = sigma_integral_thm1(SigmaIntegralSpec(args.n, args.rho, method="s"))
@@ -288,18 +288,17 @@ def cmd_export(args, cfg) -> int:
         if "samples" not in data:
             raise UsageError("input is not an immersion file")
         text = ser.samples_to_csv(data)
-    elif args.what == "profile":
+    else:
         prof = data if "grid" in data and "family" in data else data.get("profile")
         if not prof:
             raise UsageError("input carries no profile")
+    if args.what == "profile":
         text = ser.profile_to_csv(prof)
-    else:  # phase-portrait
-        prof = data if "family" in data and "grid" in data else data.get("profile")
-        if not prof:
-            raise UsageError("input carries no profile")
-        if prof["family"] != "cp_sphere":
+    elif args.what == "phase-portrait":
+        if prof.get("family") != "cp_sphere":
             raise UsageError("phase portraits are for cp_sphere profiles")
-        n, rho = int(prof["n"]), float(prof["rho"])
+        n = ser.parse_int(prof.get("n"), "profile.n")
+        rho = ser.parse_float(prof.get("rho"), "profile.rho")
         result = detect_period(n, rho)
         if result is None:
             T = 2.0 * math.pi / math.sqrt(2.0 * (n + 1))  # linearized period scale

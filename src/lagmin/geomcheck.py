@@ -9,43 +9,48 @@ on the M points (``fd`` stencils, step h).  Hand-built immersions without
 a product jet fall back to central differences of the whole lift
 evaluator on the S*M stacked rows.
 
-``frame_batch`` then does the geometry once for all checks: the first
-partials are projected to the horizontal space of the quadric (h_i), and
-one Hermitian Gram matrix (h_i, h_j) gives both the induced metric
-g = Re and the Kahler pullback Omega(h_i, h_j) = Re (i h_i, h_j) = -Im
-(every pairing is ``herm_gram``, one real matmul returning both parts).
-Its Cholesky factor L and T = L^{-1}, by forward substitution, give the
-Gram-Schmidt g-orthonormal frame e_a = sum_k T_ak h_k.
-``second_fundamental_form`` pairs the ambient second partials w_ij with
-the h_l the same way, P = (w_ij, h_l); the tangential part is removed with
-g^{-1} = T^t T applied to Re P, the components along z and i z never
-pair with horizontal vectors, and the remainder of a Lagrangian immersion
-lies in J(tangent), so h_{abk} = sum T_ai T_bj T_kl Im (sigma_ij, h_l).
-All residuals are dimensionless (normalized by coordinate or metric
-scale) so one tolerance table, ``TOLERANCES``, applies across families.
+One data path, jets -> FrameBatch -> SFFBatch, feeds every check, and each
+check takes the batch it reads.  ``frame_batch`` projects the first
+partials to the horizontal space (h_i) with one call of
+``model_spaces.horizontal_split``, which also returns the pairings
+(d_i z, z) that the Legendrian check reads; one Hermitian Gram matrix
+(h_i, h_j) gives both the induced metric g = Re and the Kahler pullback
+Omega(h_i, h_j) = Re (i h_i, h_j) = -Im (every pairing is ``herm_gram``,
+one real matmul returning both parts).  Its Cholesky factor L and
+T = L^{-1}, by forward substitution, give the g-orthonormal frame
+e_a = sum_k T_ak h_k.  ``second_fundamental_form`` pairs the ambient
+second partials w_ij with the h_l the same way, P = (w_ij, h_l); the
+tangential part is removed with g^{-1} = T^t T applied to Re P, the
+components along z and i z never pair with horizontal vectors, and the
+remainder of a Lagrangian immersion lies in J(tangent), so
+h_{abk} = sum T_ai T_bj T_kl Im (sigma_ij, h_l).  All residuals are
+dimensionless so one tolerance table, ``TOLERANCES``, applies across
+families.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from . import fd
-from .immersions import LegendreCurve, SampledImmersion, product_xi
+from .immersions import LegendreCurve, SampledImmersion, build_immersion, product_xi
 from .model_spaces import (
     GeometryError,
-    HermitianSpace,
     InvalidArgument,
     herm_form,
     herm_gram,
+    horizontal_split,
+    legendrian_residual,
     projective_distance,
-    quadric_defect,
     random_euclid,
     random_so,
     random_so1,
     embed_isometry,
+    relative_quadric_defect,
 )
 from .profiles import sigma_integral_numeric
 
@@ -111,7 +116,6 @@ class JetBatch:
     value: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-    h: float
 
 
 def jet(imm: SampledImmersion, s, X, h: float = DEFAULT_FD_STEP) -> JetBatch:
@@ -134,18 +138,19 @@ def jet(imm: SampledImmersion, s, X, h: float = DEFAULT_FD_STEP) -> JetBatch:
         value, d1, d2 = imm.product_jet(s, X, h)
     else:
         value, d1, d2 = fd.jet_partials(imm.evaluate_xi, xi, h)
-    return JetBatch(xi, value, d1, d2, h)
+    return JetBatch(xi, value, d1, d2)
 
 
 @dataclass
 class SFFBatch:
     """Second-fundamental-form data in a g-orthonormal frame.
 
-    ``coeffs`` holds h_{ijk} with sigma(e_i, e_j) = sum_k h_{ijk} J e_k;
-    ``mean_curvature`` the components H_k = (1/n) sum_i h_{iik};
+    ``xi`` are the chart points; ``coeffs`` h_{ijk} with sigma(e_i, e_j) =
+    sum_k h_{ijk} J e_k; ``mean_curvature`` H_k = (1/n) sum_i h_{iik};
     ``sigma_sq`` is |sigma|^2 summed over both (i, j) orders.
     """
 
+    xi: np.ndarray
     coeffs: np.ndarray
     mean_curvature: np.ndarray
     sigma_sq: np.ndarray
@@ -180,12 +185,10 @@ class FrameBatch:
     residual |Omega(h_i, h_j)| / sqrt(g_ii g_jj), max over (i, j).  ``chol``
     is the lower Cholesky factor L of g and ``chol_inv`` its inverse T,
     whose rows give the Gram-Schmidt frame e_a = sum_k T_ak h_k; both are
-    None when g is not positive definite.  ``sff`` is filled in by
-    ``second_fundamental_form``.
+    None when g is not positive definite.
     """
 
     jets: JetBatch
-    space: HermitianSpace | None
     partials: np.ndarray
     vertical: np.ndarray | None
     metric: np.ndarray
@@ -193,7 +196,6 @@ class FrameBatch:
     lagrangian: np.ndarray
     chol: np.ndarray | None
     chol_inv: np.ndarray | None
-    sff: SFFBatch | None = None
 
     def require_frame(self) -> np.ndarray:
         if self.chol_inv is None:
@@ -204,14 +206,9 @@ class FrameBatch:
 def frame_batch(imm: SampledImmersion, jets: JetBatch) -> FrameBatch:
     """Horizontal partials, metric, Kahler pullback and frame of a jet batch."""
     space = imm.ambient.space
-    d1 = jets.d1
-    hp, vertical = d1, None
+    hp, vertical = jets.d1, None
     if space is not None:
-        z = jets.value[:, None, :]
-        c_re, c_im = herm_gram(space, d1, z)  # (d_i z, z), shape (M, D, 1)
-        coeff = c_re + 1j * c_im
-        vertical = coeff[..., 0]
-        hp = d1 + coeff * z if space.signature == "hyperbolic" else d1 - coeff * z
+        hp, vertical = horizontal_split(space, jets.value, jets.d1)
     g, im = herm_gram(space, hp, hp)
     omega = -im  # Re (i h_i, h_j) = -Im (h_i, h_j)
     try:
@@ -220,8 +217,7 @@ def frame_batch(imm: SampledImmersion, jets: JetBatch) -> FrameBatch:
         L = T = None
     else:
         T = _lower_inverse(L)
-    return FrameBatch(jets, space, hp, vertical, g, omega, _lagrangian_pointwise(g, omega),
-                      L, T)
+    return FrameBatch(jets, hp, vertical, g, omega, _lagrangian_pointwise(g, omega), L, T)
 
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:
@@ -246,54 +242,35 @@ def _lagrangian_pointwise(g: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return np.max(np.abs(omega) / np.maximum(scale, 1e-12), axis=(1, 2))
 
 
-def _frames(imm: SampledImmersion, batch) -> FrameBatch:
-    return batch if isinstance(batch, FrameBatch) else frame_batch(imm, batch)
-
-
-def _jets(batch) -> JetBatch:
-    return batch.jets if isinstance(batch, FrameBatch) else batch
-
-
-def induced_metric(imm: SampledImmersion, batch) -> np.ndarray:
+def induced_metric(imm: SampledImmersion, fb: FrameBatch) -> np.ndarray:
     """Riemannian metric g_ij = Re (h_i, h_j) of horizontal-projected partials."""
-    fb = _frames(imm, batch)
     fb.require_frame()
     return fb.metric
 
 
-def horizontality_residual(imm: SampledImmersion, batch) -> float:
-    """Legendrian residual |(d_i z, z)| / (|d_i z| |z|), max over the batch.
-
-    Vacuously zero for the flat ambient (no fibration to be horizontal for).
-    """
-    if imm.ambient.space is None:
+def horizontality_residual(imm: SampledImmersion, fb: FrameBatch) -> float:
+    """Legendrian residual |(d_i z, z)| / max(|d_i z| |z|, 1), max over the
+    batch; vacuously zero for the flat ambient (no fibration to be horizontal for)."""
+    if fb.vertical is None:
         return 0.0
-    fb = _frames(imm, batch)
-    jets = fb.jets
-    nd = np.sqrt(np.sum(np.abs(jets.d1) ** 2, axis=-1))
-    nz = np.sqrt(np.sum(np.abs(jets.value) ** 2, axis=-1))[:, None]
-    return float(np.max(np.abs(fb.vertical) / np.maximum(nd * nz, 1.0)))
+    return float(np.max(legendrian_residual(fb.jets.value, fb.jets.d1, fb.vertical)))
 
 
-def lagrangian_residual(imm: SampledImmersion, batch) -> float:
+def lagrangian_residual(imm: SampledImmersion, fb: FrameBatch) -> float:
     """Kahler-form pullback residual |Omega(h_i, h_j)| / sqrt(g_ii g_jj)."""
-    return float(np.max(_frames(imm, batch).lagrangian))
+    return float(np.max(fb.lagrangian))
 
 
-def second_fundamental_form(imm: SampledImmersion, batch) -> SFFBatch:
-    """Extract h_{ijk} and the mean curvature from ambient second partials.
-
-    ``batch`` is a JetBatch or a FrameBatch; a FrameBatch keeps the result
-    in its ``sff`` field for the checks that read it later.
-    """
-    fb = _frames(imm, batch)
+def second_fundamental_form(imm: SampledImmersion, fb: FrameBatch) -> SFFBatch:
+    """Extract h_{ijk} and the mean curvature of a FrameBatch from its ambient
+    second partials."""
     lag = float(np.max(fb.lagrangian))
     if lag > _SFF_LAGRANGIAN_TOL:
         raise NotLagrangianError(
             f"Lagrangian residual {lag:.2e} exceeds {_SFF_LAGRANGIAN_TOL:.0e}"
         )
     T = fb.require_frame()
-    space, hp = fb.space, fb.partials
+    space, hp = imm.ambient.space, fb.partials
     M, D, C = hp.shape
     # the normal part of w_ij = d_i d_j z pairs with J h_l as Im (sigma_ij, h_l),
     # sigma_ij = w_ij - c_ijk h_k with g c = Re (w_ij, h_k) the tangential
@@ -312,21 +289,12 @@ def second_fundamental_form(imm: SampledImmersion, batch) -> SFFBatch:
     h_ijk = (T @ h.reshape(M, D, D * D)).reshape(M, D, D, D)
     H = np.einsum("miik->mk", h_ijk) / D
     sigma_sq = np.sum(h_ijk**2, axis=(1, 2, 3))
-    sff = SFFBatch(h_ijk, H, sigma_sq)
-    if isinstance(batch, FrameBatch):
-        batch.sff = sff
-    return sff
+    return SFFBatch(fb.jets.xi, h_ijk, H, sigma_sq)
 
 
-def _sff_of(imm: SampledImmersion, batch) -> SFFBatch:
-    if isinstance(batch, FrameBatch) and batch.sff is not None:
-        return batch.sff
-    return second_fundamental_form(imm, batch)
-
-
-def minimality_residual(imm: SampledImmersion, batch) -> float:
+def minimality_residual(imm: SampledImmersion, sff: SFFBatch) -> float:
     """max |H| over the batch, in the induced metric."""
-    return float(np.max(_sff_of(imm, batch).mean_curvature_norm))
+    return float(np.max(sff.mean_curvature_norm))
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +344,12 @@ def expected_metric(imm: SampledImmersion, xi: np.ndarray) -> np.ndarray | None:
     return g
 
 
-def metric_residual(imm: SampledImmersion, batch) -> float | None:
+def metric_residual(imm: SampledImmersion, fb: FrameBatch) -> float | None:
     """Entrywise deviation from the closed-form metric, metric-normalized."""
-    expected = expected_metric(imm, _jets(batch).xi)
+    expected = expected_metric(imm, fb.jets.xi)
     if expected is None:
         return None
-    g = induced_metric(imm, batch)
+    g = induced_metric(imm, fb)
     diag = np.maximum(np.einsum("mii->mi", expected), 1.0)
     scale = np.sqrt(diag[:, :, None] * diag[:, None, :])
     return float(np.max(np.abs(g - expected) / scale))
@@ -410,10 +378,9 @@ def expected_sff_thm1(imm: SampledImmersion, xi: np.ndarray) -> np.ndarray:
     return h
 
 
-def sff_residuals(imm: SampledImmersion, batch) -> dict:
+def sff_residuals(imm: SampledImmersion, sff: SFFBatch) -> dict:
     """Relative closed-form match of the thm1 coefficients and |sigma|^2."""
-    sff = _sff_of(imm, batch)
-    xi = _jets(batch).xi
+    xi = sff.xi
     expected = expected_sff_thm1(imm, xi)
     scale = np.max(np.abs(expected), axis=(1, 2, 3), keepdims=True)
     nonzero = np.abs(expected) > 1e-12 * scale
@@ -544,11 +511,7 @@ def _transverse_weights(imm: SampledImmersion) -> np.ndarray:
             w = np.full(per, step)
             w[0] = w[-1] = step / 2.0
             axis_weights.append(w)
-    mesh = np.meshgrid(*axis_weights, indexing="ij")
-    out = np.ones_like(mesh[0])
-    for m_ in mesh:
-        out = out * m_
-    return out.ravel()
+    return reduce(np.multiply.outer, axis_weights).ravel()
 
 
 def curvature_field(imm: SampledImmersion, h: float = DEFAULT_FD_STEP) -> dict:
@@ -565,25 +528,15 @@ def curvature_field(imm: SampledImmersion, h: float = DEFAULT_FD_STEP) -> dict:
     }
 
 
-def sigma_numeric_report(build, spec, base_grid=(257, 48), s_window=(-5.0, 5.0)) -> dict:
-    """Riemann-sum estimate of int |sigma|^n dv with a grid-doubling check.
-
-    ``build`` is the immersion builder (kept injectable so callers control
-    seeds); the change under doubling is the finiteness evidence, and a
-    change above 1e-2 marks the estimate low-confidence.
-    """
-    n = spec.n
+def sigma_numeric_report(spec) -> dict:
+    """Riemann-sum estimate of int |sigma|^n dv over s in [-5, 5] on a 257x48
+    grid and on its doubling; the change under doubling is the finiteness
+    evidence, and a change above 1e-2 marks the estimate low-confidence."""
     values = []
-    for factor in (1, 2):
-        S = (base_grid[0] - 1) * factor + 1
-        M = base_grid[1] * factor
-        imm = build(spec, grid=(S, M), s_window=s_window)
-        f = curvature_field(imm)
-        values.append(
-            sigma_integral_numeric(
-                f["s_values"], f["sigma_norms"], f["sqrt_det_g"], f["chart_weights"], n
-            )
-        )
+    for grid in ((257, 48), (513, 96)):
+        f = curvature_field(build_immersion(spec, grid=grid, s_window=(-5.0, 5.0)))
+        values.append(sigma_integral_numeric(f["s_values"], f["sigma_norms"],
+                                             f["sqrt_det_g"], f["chart_weights"], spec.n))
     change = abs(values[1] - values[0]) / max(abs(values[1]), 1e-300)
     return {
         "value": values[1],
@@ -651,8 +604,7 @@ def _sample_consistency(imm: SampledImmersion, fresh: np.ndarray) -> float:
         )
         return float(np.max(np.abs(flat - fresh)) / np.min(row_scale))
     worst = float(np.max(projective_distance(space, flat, fresh)))
-    qscale = np.maximum(np.sum(np.abs(flat) ** 2, axis=-1), 1.0)
-    return max(worst, float(np.max(quadric_defect(space, flat) / qscale)))
+    return max(worst, float(np.max(relative_quadric_defect(space, flat))))
 
 
 def run_checks(
@@ -665,6 +617,8 @@ def run_checks(
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:
         raise InvalidArgument(f"unknown checks: {sorted(unknown)}")
+    if not checks:
+        raise InvalidArgument(f"no checks selected; choose from {', '.join(ALL_CHECKS)}")
     fam = imm.spec.family
     report = CheckReport(
         family=fam,
@@ -689,13 +643,13 @@ def run_checks(
         res = max(horizontality_residual(imm, fb), _sample_consistency(imm, fb.jets.value))
         report.add("horizontal", res, tol["horizontal"])
     if "minimal" in checks:
-        report.add("minimal", float(np.max(sff.mean_curvature_norm)),
+        report.add("minimal", minimality_residual(imm, sff),
                    tol["minimal_tg" if is_tg else "minimal"])
     if "metric" in checks:
         report.add("metric", metric_residual(imm, fb), tol["metric"])
     if "sff" in checks:
         if fam == "thm1" and not imm.spec.detuned:
-            res = sff_residuals(imm, fb)
+            res = sff_residuals(imm, sff)
             report.add("sff", max(res["component_rel"], res["sigma_sq_rel"]), tol["sff"])
         elif is_tg:
             report.add("sff", float(np.max(np.abs(sff.coeffs))), tol["sff_tg"])

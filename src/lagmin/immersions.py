@@ -45,7 +45,11 @@ from .model_spaces import (
     IsometryElement,
     ProjectivePoint,
     herm_form,
+    legendrian_residual,
+    normalize_phase,
     quadric_defect,
+    relative_quadric_defect,
+    vertical_coefficients,
 )
 from .profiles import (
     PAIRS,
@@ -299,11 +303,9 @@ def seed_residuals(seed: SeedLagrangian, X: np.ndarray, h: float = 1e-4) -> dict
     X = np.atleast_2d(np.asarray(X, dtype=float))
     lift = seed.lift(X)
     out = {}
-    if seed.target == "cp":
-        out["norm"] = float(np.max(np.abs(np.sum(np.abs(lift) ** 2, axis=-1) - 1.0)))
-    elif seed.target == "ch":
-        space = HermitianSpace(seed.dim, "hyperbolic")
-        out["norm"] = float(np.max(np.abs(herm_form(space, lift, lift).real + 1.0)))
+    space = Ambient(seed.target, seed.dim).space
+    if space is not None:
+        out["norm"] = float(np.max(quadric_defect(space, lift)))
     else:
         eta = lift
         f = seed.potential(X)
@@ -830,18 +832,16 @@ def _validate_seed(seed: SeedLagrangian, x_grid: np.ndarray) -> None:
 
 
 def _sample_invariants(imm: SampledImmersion, fd_step: float) -> dict:
-    """Quadric-membership and Legendrian residuals of the cached samples."""
+    """Quadric-membership and Legendrian residuals of the cached samples,
+    from the same ``model_spaces`` pairings and scales that verify reads."""
     flat = imm.samples.reshape(-1, imm.samples.shape[-1])
     space = imm.ambient.space
     if space is None:
         return {"quadric": 0.0, "horizontal": 0.0}
-    scale = np.maximum(np.sum(np.abs(flat) ** 2, axis=-1), 1.0)
-    quadric = float(np.max(quadric_defect(space, flat) / scale))
+    quadric = float(np.max(relative_quadric_defect(space, flat)))
     _, d1 = imm.product_jet(imm.s_values, imm.x_grid, fd_step, order=1)
-    inner = herm_form(space, d1, flat[:, None, :])
-    norms = np.sqrt(np.sum(np.abs(d1) ** 2, axis=-1))
-    denom = np.maximum(norms * np.sqrt(np.sum(np.abs(flat) ** 2, axis=-1))[:, None], 1.0)
-    horizontal = float(np.max(np.abs(inner) / denom))
+    coeffs = vertical_coefficients(space, flat, d1)
+    horizontal = float(np.max(legendrian_residual(flat, d1, coeffs)))
     return {"quadric": quadric, "horizontal": horizontal}
 
 
@@ -870,11 +870,8 @@ def slice_at(imm: SampledImmersion, s: float) -> SliceRecord:
     diag = np.r_[np.full(n, np.exp(1j * a)), np.exp(1j * b)]
     A = IsometryElement(space, np.diag(diag))
     lifts = imm.evaluate(np.full(len(imm.x_grid), float(s)), imm.x_grid)
-    dephased = lifts * np.conj(diag)[None, :]
     # align the residual global phase on the largest coordinate per sample
-    k = np.argmax(np.abs(dephased), axis=-1)
-    piv = np.take_along_axis(dephased, k[:, None], axis=-1)[:, 0]
-    aligned = dephased * np.conj(piv / np.abs(piv))[:, None]
+    aligned = normalize_phase(lifts * np.conj(diag)[None, :])
     residual = float(np.max(np.abs(aligned.imag)) / max(1.0, np.max(np.abs(lifts))))
     center = ProjectivePoint(space, np.r_[np.zeros(n), 1.0].astype(complex))
     return SliceRecord(center, float(imm.profile.r_of(s)), A, lifts, residual)
@@ -921,12 +918,8 @@ class LegendreCurve:
 
     def invariant_residuals(self) -> dict:
         space = self.space
-        norm = herm_form(space, self.gamma, self.gamma).real - space.quadric_target
-        horiz = herm_form(space, self.d1, self.gamma)
-        return {
-            "norm": float(np.max(np.abs(norm))),
-            "horizontal": float(np.max(np.abs(horiz))),
-        }
+        return {"norm": float(np.max(quadric_defect(space, self.gamma))),
+                "horizontal": float(np.max(np.abs(herm_form(space, self.d1, self.gamma))))}
 
 
 def _family_curve(spec: ImmersionFamilySpec, s, ode_tol: float | None = None) -> LegendreCurve:

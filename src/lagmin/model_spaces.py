@@ -33,9 +33,13 @@ __all__ = [
     "herm_gram",
     "on_quadric",
     "quadric_defect",
+    "relative_quadric_defect",
     "normalize_phase",
     "projective_distance",
     "projective_equal",
+    "vertical_coefficients",
+    "horizontal_split",
+    "legendrian_residual",
     "horizontal_project",
     "omega_eval",
     "embed_isometry",
@@ -153,6 +157,11 @@ def quadric_defect(space: HermitianSpace, z: np.ndarray) -> np.ndarray:
     return np.abs(herm_form(space, z, z).real - space.quadric_target)
 
 
+def relative_quadric_defect(space: HermitianSpace, z: np.ndarray) -> np.ndarray:
+    """|(z,z) - target| / max(|z|^2, 1): the quadric defect on the scale of z."""
+    return quadric_defect(space, z) / np.maximum(np.sum(np.abs(z) ** 2, axis=-1), 1.0)
+
+
 def on_quadric(space: HermitianSpace, z: np.ndarray, tol: float = DEFAULT_TOL):
     """Whether z lies on H^{2n+1}_1 (resp. S^{2n+1}) within ``tol``."""
     return quadric_defect(space, z) <= tol
@@ -234,23 +243,38 @@ class ProjectivePoint:
         )
 
 
+def vertical_coefficients(space: HermitianSpace, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(v_a, z) for vectors v_a stacked as ``v`` (..., A, m) at points ``z``
+    (..., m): complex, shape (..., A), from one ``herm_gram``."""
+    c_re, c_im = herm_gram(space, v, np.asarray(z, dtype=complex)[..., None, :])
+    return (c_re + 1j * c_im)[..., 0]
+
+
+def horizontal_split(space: HermitianSpace, z: np.ndarray, v: np.ndarray):
+    """(h, c): the horizontal parts h_a = v_a - (v_a, z) z / (z, z) of ``v``
+    at points ``z`` of the quadric ((z, z) is read as its target) and the
+    removed c_a = (v_a, z), shapes as in ``vertical_coefficients``."""
+    c = vertical_coefficients(space, z, v)
+    return v - (c / space.quadric_target)[..., None] * np.asarray(z)[..., None, :], c
+
+
+def legendrian_residual(z: np.ndarray, v: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """|(v_a, z)| / max(|v_a| |z|, 1) per vector from c = (v_a, z)."""
+    nv = np.sqrt(np.sum(np.abs(v) ** 2, axis=-1))
+    nz = np.sqrt(np.sum(np.abs(z) ** 2, axis=-1))[..., None]
+    return np.abs(c) / np.maximum(nv * nz, 1.0)
+
+
 def horizontal_project(
     space: HermitianSpace, z: np.ndarray, v: np.ndarray, tol: float = 1e-10
 ) -> np.ndarray:
-    """Project ``v`` onto the horizontal space of the Hopf fibration at ``z``.
-
-    The single complex condition (h, z) = 0 encodes both tangency to the
-    quadric and orthogonality to the fiber direction i z.  Idempotent, and
-    annihilates the fiber.
-    """
-    z = np.asarray(z, dtype=complex)
-    v = np.asarray(v, dtype=complex)
+    """Project ``v`` onto the horizontal space of the Hopf fibration at ``z``:
+    ``horizontal_split`` of one vector at a z checked to lie on the quadric
+    within ``tol``.  (h, z) = 0 is tangency to the quadric and orthogonality
+    to the fiber i z together; idempotent, and annihilates the fiber."""
     if np.any(quadric_defect(space, z) > tol):
         raise PreconditionViolation("base point is not on the quadric")
-    coeff = herm_form(space, v, z)[..., None]
-    if space.signature == "hyperbolic":
-        return v + coeff * z
-    return v - coeff * z
+    return horizontal_split(space, z, np.asarray(v, dtype=complex)[..., None, :])[0][..., 0, :]
 
 
 def omega_eval(

@@ -56,6 +56,7 @@ __all__ = [
     "ProfileSolution",
     "PhaseIntegrals",
     "SigmaIntegralSpec",
+    "SIGMA_TAIL_TOL",
     "PeriodResult",
     "IntegrationFailure",
     "NeedsLargerDomain",
@@ -453,6 +454,7 @@ class ProfileSolution:
     tol: float
     u_reconstructed: bool = False
     interpolant: Spline = field(init=False, repr=False)
+    _rp_spline: Spline | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for a in (self.s, self.r, self.rp):
@@ -467,12 +469,16 @@ class ProfileSolution:
         return self.interpolant(s)
 
     def rp_of(self, s):
-        return self.interpolant.derivative()(s)
+        return self.rp_interpolant()(s)
 
     def rp_interpolant(self) -> Spline:
         """r' as a cubic Hermite spline with the profile equation's r'' as
-        knot slopes: O(step^4) between knots, where ``rp_of`` is O(step^3)."""
-        return Spline.hermite(self.s, self.rp, self.family.second_derivative(self.r, self.rp))
+        knot slopes, built on first use: O(step^4) between knots, where the
+        derivative of ``interpolant`` is O(step^3)."""
+        if self._rp_spline is None:
+            rpp = self.family.second_derivative(self.r, self.rp)
+            self._rp_spline = Spline.hermite(self.s, self.rp, rpp)
+        return self._rp_spline
 
     def evenness_residual(self) -> float:
         return float(np.max(np.abs(self.r - self.r[::-1])))
@@ -673,6 +679,11 @@ def sphere_volume(m: int) -> float:
     return 2.0 * math.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0)
 
 
+# the s-form's window [0, s_max]; the relative tolerance of either tail bound
+_SIGMA_S_MAX = 10.0
+SIGMA_TAIL_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class SigmaIntegralSpec:
     """Parameters of the total curvature integral of the ch_sphere family.
@@ -687,8 +698,6 @@ class SigmaIntegralSpec:
     n: int
     rho: float
     method: str = "t"
-    s_max: float = 10.0
-    tol: float = 1e-9
 
     def __post_init__(self):
         if self.n < 2 or not self.rho > 0:
@@ -723,7 +732,7 @@ def _power_sum(t, t0, m):
     return acc
 
 
-def sigma_integral_thm1(spec: SigmaIntegralSpec, profile: ProfileSolution | None = None) -> float:
+def sigma_integral_thm1(spec: SigmaIntegralSpec) -> float:
     """Total curvature integral of the ch_sphere family, either quadrature form.
 
     s-form: quadrature of sinh^{-(n^2+1)} r(s) along a solved profile with an
@@ -737,15 +746,13 @@ def sigma_integral_thm1(spec: SigmaIntegralSpec, profile: ProfileSolution | None
     n, rho = spec.n, spec.rho
     m = n * n + 1
     if spec.method == "s":
-        sol = profile
-        if sol is None or sol.family != spec.family or sol.s_max < spec.s_max:
-            sol = solve_profile(spec.family, spec.s_max, tol=1e-11)
+        sol = solve_profile(spec.family, _SIGMA_S_MAX, tol=1e-11)
         integrand = lambda s: np.sinh(sol.r_of(s)) ** (-m)
-        val, _ = quad(integrand, 0.0, spec.s_max, epsabs=0.0, epsrel=1e-11, limit=200)
-        r_m, v = float(sol.r_of(spec.s_max)), float(sol.rp_of(spec.s_max))
+        val, _ = quad(integrand, 0.0, _SIGMA_S_MAX, epsabs=0.0, epsrel=1e-11, limit=200)
+        r_m, v = float(sol.r_of(_SIGMA_S_MAX)), float(sol.rp_of(_SIGMA_S_MAX))
         K = (2.0 / (1.0 - math.exp(-2.0 * r_m))) ** m
         tail = K * math.exp(-m * r_m) / (m * v)
-        if tail > spec.tol * max(val, 1e-300):
+        if tail > SIGMA_TAIL_TOL * max(val, 1e-300):
             raise NeedsLargerDomain("increase s_max for the s-form tail")
         total = val + tail
     else:
@@ -767,7 +774,7 @@ def sigma_integral_thm1(spec: SigmaIntegralSpec, profile: ProfileSolution | None
             piece, _ = quad(integrand, U_prev, U, epsabs=0.0, epsrel=1e-11, limit=200)
             val += piece
             tail = T ** (-m) / (m * math.sqrt(max(1.0 - E / T ** (2 * n + 2), 0.5)))
-            if tail <= spec.tol * max(val, 1e-300):
+            if tail <= SIGMA_TAIL_TOL * max(val, 1e-300):
                 break
             U_prev, T = U, 4.0 * T
         else:
@@ -791,7 +798,8 @@ def sigma_integral_numeric(
     even).
     """
     s_values = np.asarray(s_values, dtype=float)
-    S = len(s_values)
+    if len(s_values) < 3:
+        raise InvalidArgument(f"the s quadrature needs at least 3 s values, got {len(s_values)}")
     w = _simpson_weights(s_values)
     dens = (sigma_norms**n) * sqrt_det_g
     transverse = dens @ np.asarray(chart_weights, dtype=float)

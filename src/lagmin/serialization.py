@@ -26,6 +26,9 @@ from .profiles import ProfileFamily, ProfileSolution, energy_residual
 
 __all__ = [
     "SchemaError",
+    "parse_float",
+    "parse_int",
+    "parse_bool",
     "fnum",
     "format_rows",
     "dumps",
@@ -116,11 +119,28 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
-def _parse_float(v, where: str) -> float:
+def parse_float(v, where: str) -> float:
     try:
         return float(v)
     except (TypeError, ValueError):
         raise SchemaError(f"{where}: not a number: {v!r}") from None
+
+
+def parse_int(v, where: str) -> int:
+    """A JSON integer or a string of one (not a bool, not 2.5)."""
+    try:
+        if type(v) in (int, str):
+            return int(v)
+    except ValueError:
+        pass
+    raise SchemaError(f"{where}: not an integer: {v!r}")
+
+
+def parse_bool(v, where: str) -> bool:
+    """A JSON true or false; the string "false" is not."""
+    if type(v) is bool:
+        return v
+    raise SchemaError(f"{where}: not true or false: {v!r}")
 
 
 def _parse_rows(rows, width: int, where: str) -> np.ndarray:
@@ -146,7 +166,7 @@ def _parse_rows(rows, width: int, where: str) -> np.ndarray:
     if len(widths) > 1:
         k = next(k for k, row in enumerate(rows) if len(row) != width)
         raise SchemaError(f"{where}: row {k} has {len(rows[k])} columns, expected {width}")
-    values = [[_parse_float(v, where) for v in row] for row in rows]
+    values = [[parse_float(v, where) for v in row] for row in rows]
     return np.array(values, dtype=float).reshape(len(rows), widths.pop() if widths else width)
 
 
@@ -197,14 +217,12 @@ def profile_to_dict(sol: ProfileSolution) -> dict:
 
 def profile_from_dict(d: dict) -> ProfileSolution:
     tag = _require(d, "family", "profile")
-    fam = ProfileFamily(tag, int(_require(d, "n", "profile")),
-                        _parse_float(_require(d, "rho", "profile"), "profile.rho"))
+    fam = ProfileFamily(tag, parse_int(_require(d, "n", "profile"), "profile.n"),
+                        parse_float(_require(d, "rho", "profile"), "profile.rho"))
     grid = _require(d, "grid", "profile")
-    if not grid:
-        raise SchemaError("profile.grid: expected rows [s, r, rp]")
-    arr = _parse_rows(grid, 3, "profile.grid")
-    if arr.shape[1] != 3:
-        raise SchemaError("profile.grid: expected rows [s, r, rp]")
+    arr = _parse_rows(grid if isinstance(grid, list) else [], 3, "profile.grid")
+    if arr.shape[1] != 3 or len(arr) < 2:
+        raise SchemaError("profile.grid: expected at least 2 rows [s, r, rp]")
     s, r, rp = arr[:, 0], arr[:, 1], arr[:, 2]
     if np.any(np.diff(s) <= 0):
         raise SchemaError("profile.grid: s must be strictly increasing")
@@ -215,8 +233,8 @@ def profile_from_dict(d: dict) -> ProfileSolution:
         u = np.arctanh(np.clip(rp, -1 + 1e-16, 1 - 1e-16))
     return ProfileSolution(
         fam, s, r, rp, u,
-        _parse_float(_require(d, "energy_constant", "profile"), "profile.energy_constant"),
-        _parse_float(_require(d, "tol", "profile"), "profile.tol"),
+        parse_float(_require(d, "energy_constant", "profile"), "profile.energy_constant"),
+        parse_float(_require(d, "tol", "profile"), "profile.tol"),
         u_reconstructed=tag != "ch_horo",
     )
 
@@ -256,15 +274,17 @@ def immersion_from_dict(d: dict) -> SampledImmersion:
     sd = _require(d, "spec", "immersion")
     spec = ImmersionFamilySpec(
         family=_require(sd, "family", "immersion.spec"),
-        n=int(_require(sd, "n", "immersion.spec")),
-        rho=None if sd.get("rho") is None else _parse_float(sd["rho"], "spec.rho"),
+        n=parse_int(_require(sd, "n", "immersion.spec"), "immersion.spec.n"),
+        rho=None if sd.get("rho") is None else parse_float(sd["rho"], "spec.rho"),
         seed_kind=sd.get("seed"),
-        c=int(sd.get("c", 1)),
-        detuned=bool(sd.get("detuned", False)),
+        c=parse_int(sd.get("c", 1), "immersion.spec.c"),
+        detuned=parse_bool(sd.get("detuned", False), "immersion.spec.detuned"),
     )
     gd = _require(d, "grid", "immersion")
-    S = int(_require(gd, "s_points", "immersion.grid"))
-    M = int(_require(gd, "transverse_points", "immersion.grid"))
+    S, M = (parse_int(_require(gd, key, "immersion.grid"), f"immersion.grid.{key}")
+            for key in ("s_points", "transverse_points"))
+    if S < 1 or M < 1:
+        raise SchemaError(f"immersion.grid: {S}x{M} holds no grid point")
     rows = _require(d, "samples", "immersion")
     if len(rows) != S * M:
         raise SchemaError(f"immersion.samples: expected {S * M} rows, got {len(rows)}")
@@ -291,7 +311,7 @@ def immersion_from_dict(d: dict) -> SampledImmersion:
     lifts = arr[:, 1 + chart_dim :]
     samples = (lifts[:, 0::2] + 1j * lifts[:, 1::2]).reshape(S, M, coords)
     imm = assemble_immersion(spec, profile, s_values, x_grid, samples=samples)
-    imm.header.update({k: _parse_float(v, "immersion.header")
+    imm.header.update({k: parse_float(v, "immersion.header")
                        for k, v in d.get("header", {}).items()})
     return imm
 

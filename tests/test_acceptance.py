@@ -73,6 +73,12 @@ _ALL_FAMILIES = [
 ]
 
 
+def _sff(imm):
+    """The second fundamental form of ``imm`` on its cached grid."""
+    fb = gc.frame_batch(imm, gc.jet(imm, imm.s_values, imm.x_grid))
+    return gc.second_fundamental_form(imm, fb)
+
+
 def _spec(fam, needs_rho, seed, n):
     rho = None
     if needs_rho:
@@ -86,9 +92,9 @@ def test_03_lagrangian_and_legendrian():
     for fam, needs_rho, seed in _ALL_FAMILIES:
         for n in (2, 3):
             imm = build_immersion(_spec(fam, needs_rho, seed, n), grid=(64, 64))
-            jets = gc.jet(imm, imm.s_values, imm.x_grid)
-            lag = gc.lagrangian_residual(imm, jets)
-            hor = gc.horizontality_residual(imm, jets)
+            fb = gc.frame_batch(imm, gc.jet(imm, imm.s_values, imm.x_grid))
+            lag = gc.lagrangian_residual(imm, fb)
+            hor = gc.horizontality_residual(imm, fb)
             if max(lag, hor) > max(worst_lag, worst_hor):
                 worst_case = f"{fam} n={n}"
             worst_lag = max(worst_lag, lag)
@@ -105,22 +111,19 @@ def test_04_minimality():
     for fam, rho, seed in cases:
         for n in (2, 3):
             imm = build_immersion(ImmersionFamilySpec(fam, n, rho), grid=(24, 24))
-            jets = gc.jet(imm, imm.s_values, imm.x_grid, h=1e-3)
-            worst_min = max(worst_min, gc.minimality_residual(imm, jets))
+            worst_min = max(worst_min, gc.minimality_residual(imm, _sff(imm)))
     imm = build_immersion(
         ImmersionFamilySpec("prop3a", 3, 1.0, seed_kind="clifford_cp"), grid=(24, 24))
-    jets = gc.jet(imm, imm.s_values, imm.x_grid)
-    worst_min = max(worst_min, gc.minimality_residual(imm, jets))
+    worst_min = max(worst_min, gc.minimality_residual(imm, _sff(imm)))
 
     worst_tg = 0.0
     for fam in ("tg_sphere", "tg_tube", "tg_horo"):
         for n in (2, 3):
             imm = build_immersion(ImmersionFamilySpec(fam, n), grid=(16, 16))
-            jets = gc.jet(imm, imm.s_values, imm.x_grid)
-            worst_tg = max(worst_tg, gc.minimality_residual(imm, jets))
+            worst_tg = max(worst_tg, gc.minimality_residual(imm, _sff(imm)))
 
     bad = build_immersion(ImmersionFamilySpec("thm1", 2, 1.0, detuned=True), grid=(16, 16))
-    control = gc.minimality_residual(bad, gc.jet(bad, bad.s_values, bad.x_grid))
+    control = gc.minimality_residual(bad, _sff(bad))
 
     ok = worst_min <= 5e-4 and worst_tg <= 1e-5 and control >= 1e-2
     _report(4, "minimality |H| (families / totally geodesic / detuned control)",
@@ -131,7 +134,7 @@ def test_05_sff_closed_form():
     worst = 0.0
     for n in (2, 3):
         imm = build_immersion(ImmersionFamilySpec("thm1", n, 1.0), grid=(32, 32))
-        res = gc.sff_residuals(imm, gc.jet(imm, imm.s_values, imm.x_grid))
+        res = gc.sff_residuals(imm, _sff(imm))
         worst = max(worst, res["component_rel"], res["sigma_sq_rel"])
     _report(5, "second-fundamental-form closed-form match on 32x32 grids",
             worst <= 1e-3, f"worst relative error {worst:.2e}")
@@ -142,7 +145,8 @@ def test_06_metric_closed_form():
     for fam in ("thm1", "thm3"):
         for n in (2, 3):
             imm = build_immersion(ImmersionFamilySpec(fam, n, 1.0), grid=(24, 24))
-            worst = max(worst, gc.metric_residual(imm, gc.jet(imm, imm.s_values, imm.x_grid)))
+            fb = gc.frame_batch(imm, gc.jet(imm, imm.s_values, imm.x_grid))
+            worst = max(worst, gc.metric_residual(imm, fb))
     _report(6, "induced-metric closed-form match", worst <= 1e-6,
             f"worst entrywise residual {worst:.2e}")
 
@@ -164,8 +168,7 @@ def test_07_sigma_integral():
 
     worst_doubling = 0.0
     for fam in ("thm2", "thm3"):
-        rep = gc.sigma_numeric_report(build_immersion, ImmersionFamilySpec(fam, 2, 1.0),
-                                      base_grid=(257, 48), s_window=(-5.0, 5.0))
+        rep = gc.sigma_numeric_report(ImmersionFamilySpec(fam, 2, 1.0))
         worst_doubling = max(worst_doubling, rep["doubling_change"])
 
     ok = worst_pair <= 1e-4 and grid_rel <= 1e-2 and worst_doubling <= 1e-3
@@ -251,8 +254,7 @@ def test_12_flat_products():
         imm = build_immersion(
             ImmersionFamilySpec("cn_product", 2, seed_kind="tg_sphere_cp", c=c),
             grid=(16, 16))
-        jets = gc.jet(imm, imm.s_values, imm.x_grid)
-        worst_min = max(worst_min, gc.minimality_residual(imm, jets))
+        worst_min = max(worst_min, gc.minimality_residual(imm, _sff(imm)))
 
     ok = worst_kappa <= 1e-6 and worst_min <= 5e-4
     _report(12, "flat products: power-curve curvature and minimality", ok,

@@ -240,6 +240,89 @@ class TestBuildVerify:
         assert code == EXIT_USAGE
 
 
+def _set(*path_and_value):
+    """An edit of a loaded JSON file: set the value at a key path."""
+    *path, value = path_and_value
+
+    def edit(d):
+        for key in path[:-1]:
+            d = d[key]
+        d[path[-1]] = value
+
+    return edit
+
+
+def _no_grid_points(d):
+    d["grid"]["s_points"] = d["grid"]["transverse_points"] = 0
+    d["samples"] = []
+
+
+def _one_profile_row(d):
+    d["profile"]["grid"] = d["profile"]["grid"][:1]
+
+
+class TestRejectedInput:
+    """Input that means nothing exits 1 with a message naming the field."""
+
+    @pytest.fixture(scope="class")
+    def thm1_doc(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("thm1") / "thm1.json"
+        assert main(["--config", str(out.parent / "none.conf"), "build", "--family", "thm1",
+                     "--n", "2", "--rho", "1", "--grid", "8x8", "--out", str(out)]) == EXIT_OK
+        return out.read_text()
+
+    def _usage_error(self, tmp_path, capsys, *argv):
+        capsys.readouterr()
+        code = run(tmp_path, *argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("edit,field", [
+        (_set("spec", "n", "two"), "immersion.spec.n"),
+        (_set("spec", "c", None), "immersion.spec.c"),
+        (_set("spec", "detuned", "false"), "immersion.spec.detuned"),
+        (_set("grid", "s_points", "x"), "immersion.grid.s_points"),
+        (_no_grid_points, "immersion.grid"),
+        (_one_profile_row, "profile.grid"),
+        (_set("profile", "n", "x"), "profile.n"),
+    ], ids=["n-two", "c-null", "detuned-string", "s_points-x", "no-points", "one-profile-row",
+            "profile-n-x"])
+    def test_verify_rejects(self, tmp_path, capsys, thm1_doc, edit, field):
+        d = json.loads(thm1_doc)
+        edit(d)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        assert field in self._usage_error(tmp_path, capsys, "verify", "--in", str(bad))
+
+    def test_verify_rejects_an_empty_check_list(self, tmp_path, capsys, thm1_doc):
+        good = tmp_path / "thm1.json"
+        good.write_text(thm1_doc)
+        err = self._usage_error(tmp_path, capsys, "verify", "--in", str(good), "--checks", ",")
+        assert "no checks selected" in err
+
+    def test_numeric_sigma_integral_rejects_one_s_value(self, tmp_path, capsys, thm1_doc):
+        d = json.loads(thm1_doc)
+        d["grid"]["s_points"] = 1
+        d["samples"] = d["samples"][:d["grid"]["transverse_points"]]
+        bad = tmp_path / "one_s.json"
+        bad.write_text(json.dumps(d))
+        err = self._usage_error(tmp_path, capsys, "sigma-integral", "--in", str(bad))
+        assert "at least 3 s values" in err
+
+    def test_phase_portrait_rejects_a_fractional_n(self, tmp_path, capsys):
+        prof = tmp_path / "cp.json"
+        assert run(tmp_path, "solve", "--family", "cp-sphere", "--n", "2", "--rho", "0.6",
+                   "--s-max", "1", "--out", str(prof)) == EXIT_OK
+        d = json.loads(prof.read_text())
+        d["n"] = "2.5"
+        prof.write_text(json.dumps(d))
+        err = self._usage_error(tmp_path, capsys, "export", "--in", str(prof), "--what",
+                                "phase-portrait", "--out", str(tmp_path / "pp.csv"))
+        assert "profile.n" in err
+
+
 class TestSigmaIntegral:
     def test_both_methods_agree(self, tmp_path, capsys):
         code = run(tmp_path, "sigma-integral", "--family", "thm1", "--n", "2",
@@ -305,6 +388,25 @@ class TestPeriodExport:
         first, last = rows[0], rows[-1]
         assert abs(float(first[1]) - float(last[1])) <= 1e-6
         assert abs(float(first[2]) - float(last[2])) <= 1e-6
+
+    def test_phase_portrait_rp_against_a_tight_solve(self, tmp_path):
+        # r' comes from the r' spline (the profile equation's r'' as knot
+        # slopes), not from differentiating the r spline, which is 7.7e-6 off
+        # here; the reference is scipy's DOP853 at rtol 1e-13
+        from scipy.integrate import solve_ivp
+
+        from lagmin.profiles import ProfileFamily
+
+        prof, out = tmp_path / "cp.json", tmp_path / "pp.csv"
+        assert run(tmp_path, "solve", "--family", "cp-sphere", "--n", "3", "--rho", "0.3",
+                   "--s-max", "1", "--out", str(prof)) == EXIT_OK
+        assert run(tmp_path, "export", "--in", str(prof), "--out", str(out),
+                   "--what", "phase-portrait") == EXIT_OK
+        rows = np.array([ln.split(",") for ln in out.read_text().splitlines()[1:]], dtype=float)
+        s, rp = rows[:, 0], rows[:, 2]
+        ref = solve_ivp(ProfileFamily("cp_sphere", 3, 0.3).ode_rhs, (0.0, s[-1]), [0.3, 0.0],
+                        method="DOP853", rtol=1e-13, atol=1e-15, t_eval=s)
+        assert np.max(np.abs(rp - np.tanh(ref.y[1]))) <= 1e-6
 
     def test_export_unknown_format(self, tmp_path):
         prof = tmp_path / "p.json"

@@ -18,11 +18,15 @@ from lagmin.immersions import (
 )
 from lagmin.model_spaces import (
     InvalidArgument,
+    PreconditionViolation,
     embed_isometry,
+    horizontal_project,
     projective_distance,
+    quadric_defect,
     random_euclid,
     random_so,
     random_so1,
+    relative_quadric_defect,
 )
 from lagmin import fd
 
@@ -35,6 +39,27 @@ def thm1():
 @pytest.fixture(scope="module")
 def thm1_jets(thm1):
     return gc.jet(thm1, thm1.s_values, thm1.x_grid)
+
+
+@pytest.fixture(scope="module")
+def thm1_fb(thm1, thm1_jets):
+    return gc.frame_batch(thm1, thm1_jets)
+
+
+@pytest.fixture(scope="module")
+def thm1_sff(thm1, thm1_fb):
+    return gc.second_fundamental_form(thm1, thm1_fb)
+
+
+def _frames(imm, s=None, X=None, h=gc.DEFAULT_FD_STEP):
+    """The FrameBatch of ``imm`` on the product of s and X (its grid by default)."""
+    s = imm.s_values if s is None else s
+    X = imm.x_grid if X is None else X
+    return gc.frame_batch(imm, gc.jet(imm, s, X, h=h))
+
+
+def _sff(imm, s=None, X=None, h=gc.DEFAULT_FD_STEP):
+    return gc.second_fundamental_form(imm, _frames(imm, s, X, h))
 
 
 def _complex_curve_immersion():
@@ -121,24 +146,23 @@ class TestJets:
 
 class TestMetric:
     def test_thm1_at_origin(self, thm1):
-        jets = gc.jet(thm1, [0.0], [[0.7]])
-        g = gc.induced_metric(thm1, jets)
+        g = gc.induced_metric(thm1, _frames(thm1, [0.0], [[0.7]]))
         expect = np.diag([1.0, math.sinh(1.0) ** 2])
         assert np.max(np.abs(g[0] - expect)) < 1e-8
 
     def test_thm3_warped_euclidean(self):
         imm = build_immersion(ImmersionFamilySpec("thm3", 3, 1.0), grid=(4, 4))
-        g = gc.induced_metric(imm, gc.jet(imm, [0.6], [[0.2, -0.4]]))
+        g = gc.induced_metric(imm, _frames(imm, [0.6], [[0.2, -0.4]]))
         r = float(imm.profile.r_of(0.6))
         assert np.max(np.abs(g[0] - np.diag([1.0, r * r, r * r]))) < 1e-6 * r * r
 
     def test_tg_tube_unit_speed(self):
         imm = build_immersion(ImmersionFamilySpec("tg_tube", 2), grid=(4, 4))
-        g = gc.induced_metric(imm, gc.jet(imm, [0.9], [[0.5]]))
+        g = gc.induced_metric(imm, _frames(imm, [0.9], [[0.5]]))
         assert g[0, 0, 0] == pytest.approx(1.0, abs=1e-9)
 
-    def test_metric_residual_families(self, thm1, thm1_jets):
-        assert gc.metric_residual(thm1, thm1_jets) <= 1e-6
+    def test_metric_residual_families(self, thm1, thm1_fb):
+        assert gc.metric_residual(thm1, thm1_fb) <= 1e-6
 
 
 class TestFrame:
@@ -163,53 +187,82 @@ class TestFrame:
         imm = build_immersion(ImmersionFamilySpec("thm1", n, 1.0), grid=(9, 9),
                               s_window=(-1.5, 1.5))
         sheared = _sheared(imm, 0.7)
-        fb = gc.frame_batch(sheared, gc.jet(sheared, sheared.s_values, sheared.x_grid))
+        fb = _frames(sheared)
         assert np.max(np.abs(fb.metric[:, 0, -1])) >= 10.0
-        assert gc.minimality_residual(sheared, fb) <= gc.TOLERANCES["minimal"]
+        sff = gc.second_fundamental_form(sheared, fb)
+        assert gc.minimality_residual(sheared, sff) <= gc.TOLERANCES["minimal"]
         # |sigma|^2 of thm1 depends on s alone
-        ref = gc.second_fundamental_form(imm, gc.jet(imm, imm.s_values, imm.x_grid))
-        assert np.max(np.abs(fb.sff.sigma_sq - ref.sigma_sq) / ref.sigma_sq) <= 1e-4
+        ref = _sff(imm)
+        assert np.max(np.abs(sff.sigma_sq - ref.sigma_sq) / ref.sigma_sq) <= 1e-4
 
     def test_degenerate_metric_raises(self, thm1, thm1_jets):
         # a vanishing chart partial: g is singular, so there is no frame
         d1 = thm1_jets.d1.copy()
         d1[:, 1] = 0.0
-        jets = gc.JetBatch(thm1_jets.xi, thm1_jets.value, d1, thm1_jets.d2, thm1_jets.h)
+        jets = gc.JetBatch(thm1_jets.xi, thm1_jets.value, d1, thm1_jets.d2)
         fb = gc.frame_batch(thm1, jets)
         assert fb.chol is None and fb.chol_inv is None
         with pytest.raises(gc.DegeneracyError):
             gc.induced_metric(thm1, fb)
         with pytest.raises(gc.DegeneracyError):
-            gc.second_fundamental_form(thm1, jets)
+            gc.second_fundamental_form(thm1, fb)
+
+
+class TestOneGeometryLayer:
+    @pytest.mark.parametrize("spec", [
+        ImmersionFamilySpec("thm1", 3, 1.0),
+        ImmersionFamilySpec("thm2", 2, 1.0),
+        ImmersionFamilySpec("thm5", 3, 0.6),
+        ImmersionFamilySpec("prop3a", 3, 1.0, seed_kind="clifford_cp"),
+        ImmersionFamilySpec("prop6b", 3, seed_kind="clifford_cp"),
+    ], ids=lambda spec: _spec_id(spec))
+    def test_build_header_is_the_verify_residual(self, spec):
+        # the header and verify pair the same partials with the same
+        # model_spaces functions, so they agree bit for bit
+        imm = build_immersion(spec, grid=(17, 16))
+        assert imm.header["horizontal"] == gc.horizontality_residual(imm, _frames(imm))
+
+    def test_frame_batch_takes_wide_windows(self):
+        # far out the lift is cosh-sized: its absolute quadric defect passes
+        # horizontal_project's 1e-10 while the relative one is roundoff, so
+        # frame_batch checks no absolute precondition
+        imm = build_immersion(ImmersionFamilySpec("thm1", 2, 1.0), grid=(33, 8),
+                              s_window=(-8.0, 8.0))
+        fb = _frames(imm)
+        z, space = fb.jets.value, imm.ambient.space
+        assert np.max(quadric_defect(space, z)) > 1e-10
+        assert np.max(relative_quadric_defect(space, z)) <= 1e-15
+        with pytest.raises(PreconditionViolation):
+            horizontal_project(space, z, fb.jets.d1[:, 0])
+        assert gc.horizontality_residual(imm, fb) <= gc.TOLERANCES["horizontal"]
+        assert gc.lagrangian_residual(imm, fb) <= gc.TOLERANCES["lagrangian"]
 
 
 class TestLagrangian:
     def test_real_lift_exactly_zero(self):
         imm = build_immersion(ImmersionFamilySpec("tg_tube", 2), grid=(6, 6))
-        jets = gc.jet(imm, imm.s_values, imm.x_grid)
-        assert gc.lagrangian_residual(imm, jets) <= 1e-12
+        assert gc.lagrangian_residual(imm, _frames(imm)) <= 1e-12
 
-    def test_families_small(self, thm1, thm1_jets):
-        assert gc.lagrangian_residual(thm1, thm1_jets) <= 1e-6
+    def test_families_small(self, thm1, thm1_fb):
+        assert gc.lagrangian_residual(thm1, thm1_fb) <= 1e-6
 
     def test_complex_curve_is_not_lagrangian(self):
         imm = _complex_curve_immersion()
-        jets = gc.jet(imm, imm.s_values, imm.x_grid)
-        assert gc.lagrangian_residual(imm, jets) >= 0.5
+        fb = _frames(imm)
+        assert gc.lagrangian_residual(imm, fb) >= 0.5
         with pytest.raises(gc.NotLagrangianError):
-            gc.second_fundamental_form(imm, jets)
+            gc.second_fundamental_form(imm, fb)
 
 
 class TestSecondFundamentalForm:
-    def test_thm1_closed_form(self, thm1, thm1_jets):
-        res = gc.sff_residuals(thm1, thm1_jets)
+    def test_thm1_closed_form(self, thm1, thm1_sff):
+        res = gc.sff_residuals(thm1, thm1_sff)
         assert res["component_rel"] <= 1e-3
         assert res["zero_component"] <= 1e-3
         assert res["sigma_sq_rel"] <= 1e-3
 
     def test_component_signs(self, thm1):
-        jets = gc.jet(thm1, [0.5], [[1.0]])
-        sff = gc.second_fundamental_form(thm1, jets)
+        sff = _sff(thm1, [0.5], [[1.0]])
         n = 2
         r = float(thm1.profile.r_of(0.5))
         F = thm1.profile.family.phase_constant / math.sinh(r) ** (n + 1)
@@ -219,7 +272,7 @@ class TestSecondFundamentalForm:
 
     def test_totally_geodesic_zero(self):
         imm = build_immersion(ImmersionFamilySpec("tg_horo", 2), grid=(6, 6))
-        sff = gc.second_fundamental_form(imm, gc.jet(imm, imm.s_values, imm.x_grid))
+        sff = _sff(imm)
         assert np.max(np.abs(sff.coeffs)) <= 1e-5
 
     @pytest.mark.parametrize("fam,seed", [
@@ -228,19 +281,17 @@ class TestSecondFundamentalForm:
     def test_geodesic_products_over_tg_seeds(self, fam, seed):
         # with totally geodesic seeds the full product map is totally geodesic
         imm = build_immersion(ImmersionFamilySpec(fam, 2, seed_kind=seed), grid=(6, 6))
-        sff = gc.second_fundamental_form(imm, gc.jet(imm, imm.s_values, imm.x_grid))
+        sff = _sff(imm)
         assert np.max(np.abs(sff.coeffs)) <= 1e-5
 
-    def test_symmetry(self, thm1, thm1_jets):
-        sff = gc.second_fundamental_form(thm1, thm1_jets)
-        assert sff.symmetry_residual() <= 1e-4
+    def test_symmetry(self, thm1_sff):
+        assert thm1_sff.symmetry_residual() <= 1e-4
 
-    def test_minimality_and_detuned_control(self, thm1, thm1_jets):
-        assert gc.minimality_residual(thm1, thm1_jets) <= 5e-4
+    def test_minimality_and_detuned_control(self, thm1, thm1_sff):
+        assert gc.minimality_residual(thm1, thm1_sff) <= 5e-4
         bad = build_immersion(ImmersionFamilySpec("thm1", 2, 1.0, detuned=True),
                               grid=(8, 8))
-        jets = gc.jet(bad, bad.s_values, bad.x_grid)
-        assert gc.minimality_residual(bad, jets) >= 1e-2
+        assert gc.minimality_residual(bad, _sff(bad)) >= 1e-2
 
     @pytest.mark.parametrize("spec", [
         # closed-form complex lifts: the constant-profile cp family (its
@@ -257,8 +308,8 @@ class TestSecondFundamentalForm:
         vals = []
         for h in hs:
             # whole-lift differences: the stencil order is what is under test
-            jets = gc.JetBatch(xi, *fd.jet_partials(imm.evaluate_xi, xi, h, False), h)
-            sff = gc.second_fundamental_form(imm, jets)
+            jets = gc.JetBatch(xi, *fd.jet_partials(imm.evaluate_xi, xi, h, False))
+            sff = gc.second_fundamental_form(imm, gc.frame_batch(imm, jets))
             vals.append(float(np.max(sff.mean_curvature_norm)))
         slope = np.polyfit(np.log(hs), np.log(vals), 1)[0]
         assert slope >= 1.7
@@ -505,6 +556,10 @@ class TestRunChecks:
     def test_unknown_check(self, thm1):
         with pytest.raises(InvalidArgument):
             gc.run_checks(thm1, checks=("lagrangian", "frobnicate"))
+
+    def test_empty_selection(self, thm1):
+        with pytest.raises(InvalidArgument, match="no checks selected"):
+            gc.run_checks(thm1, checks=())
 
     def test_selected_checks_only(self, thm1):
         report = gc.run_checks(thm1, checks=("minimal",))

@@ -11,16 +11,21 @@ from lagmin.model_spaces import (
     herm_form,
     herm_gram,
     horizontal_project,
+    horizontal_split,
+    legendrian_residual,
     normalize_phase,
     omega_eval,
     on_quadric,
     projective_distance,
     projective_equal,
+    quadric_defect,
     random_euclid,
     random_so,
     random_so1,
+    relative_quadric_defect,
     umbilical_embed,
     validate_model_point,
+    vertical_coefficients,
 )
 
 RNG = np.random.default_rng(42)
@@ -176,6 +181,52 @@ class TestHorizontalProject:
         with pytest.raises(PreconditionViolation):
             horizontal_project(ch2, np.array([1.0, 0, 0], dtype=complex),
                                np.zeros(3, dtype=complex))
+
+
+def _quadric_points(space, P, rng):
+    """P random points of the space's quadric, shape (P, n+1)."""
+    z = rng.normal(size=(P, space.ambient_dim)) + 1j * rng.normal(size=(P, space.ambient_dim))
+    if space.signature == "spherical":
+        return z / np.linalg.norm(z, axis=-1, keepdims=True)
+    # the last coordinate makes (z, z) = -1
+    spacelike = np.sum(np.abs(z[:, :-1]) ** 2, axis=-1)
+    z[:, -1] *= np.sqrt(1.0 + spacelike) / np.abs(z[:, -1])
+    return z
+
+
+class TestHorizontalSplit:
+    @pytest.mark.parametrize("signature", ["hyperbolic", "spherical"])
+    def test_stacked_split_against_the_einsum_form(self, signature):
+        rng = np.random.default_rng(7)
+        space = HermitianSpace(3, signature)
+        z = _quadric_points(space, 20, rng)
+        v = rng.normal(size=(20, 5, 4)) + 1j * rng.normal(size=(20, 5, 4))
+        h, c = horizontal_split(space, z, v)
+        ref = herm_form(space, v, z[:, None, :])
+        assert np.max(np.abs(c - ref)) <= 1e-13
+        assert np.array_equal(c, vertical_coefficients(space, z, v))
+        # every part is horizontal, and v = h + (v, z) z / (z, z)
+        assert np.max(np.abs(herm_form(space, h, z[:, None, :]))) <= 1e-12
+        back = h + (ref / space.quadric_target)[..., None] * z[:, None, :]
+        assert np.max(np.abs(back - v)) <= 1e-13
+        # one vector at a time through horizontal_project gives the same parts
+        for k in (0, 3):
+            assert np.max(np.abs(horizontal_project(space, z[k], v[k, 2]) - h[k, 2])) <= 1e-14
+
+    def test_legendrian_residual_scale(self, ch2):
+        z = np.array([[0.0, 0.0, 1.0]], dtype=complex)
+        v = np.array([[[0.0, 0.0, 2.0], [1e-3, 0.0, 0.0]]], dtype=complex)
+        c = vertical_coefficients(ch2, z, v)
+        # |(v, z)| / max(|v| |z|, 1): a vertical vector scores 1, a small
+        # horizontal one 0
+        assert np.array_equal(legendrian_residual(z, v, c), [[1.0, 0.0]])
+
+    def test_relative_quadric_defect(self, ch2):
+        z = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 10.0], [0.0, 0.0, 0.5]], dtype=complex)
+        # |(z,z) + 1| over max(|z|^2, 1)
+        assert np.array_equal(relative_quadric_defect(ch2, z), [0.0, 99.0 / 100.0, 0.75])
+        assert np.array_equal(relative_quadric_defect(ch2, z) * [1.0, 100.0, 1.0],
+                              quadric_defect(ch2, z))
 
 
 class TestOmega:
