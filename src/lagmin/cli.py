@@ -284,6 +284,8 @@ def cmd_export(args, cfg) -> int:
         raise UsageError(f"unknown format {args.format!r}")
     with open(args.infile) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise UsageError(f"input is a JSON {type(data).__name__}, not a lagmin file object")
     if args.what == "samples":
         if "samples" not in data:
             raise UsageError("input is not an immersion file")

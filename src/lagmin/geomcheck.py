@@ -1,31 +1,37 @@
 """Differential geometry of sampled immersions, one pass per batch.
 
-Jets are taken over a product of S values s and M transverse points x and
-come from the immersion's product-rule jet: every family's lift is
-alpha(s) * beta(x) + delta(s) componentwise, with the curve factors alpha
-and delta differentiated in closed form from the profile ODE on the s
-values and only the O(1) transverse block beta finite-differenced, in x
-on the M points (``fd`` stencils, step h).  Hand-built immersions without
-a product jet fall back to central differences of the whole lift
-evaluator on the S*M stacked rows.
+Jets are taken over a product of S values s and M transverse points x.
+Every family's lift is alpha(s) * beta(x) + delta(s) componentwise, with
+the curve factors alpha and delta differentiated in closed form from the
+profile ODE on the s values and only the O(1) transverse block beta
+finite-differenced, in x on the M points (``fd`` stencils, step h).
+
+The geometry reads the jets only through their Hermitian pairings, so a
+``JetBatch`` holds the lift's value and one Gram matrix of the raw jets:
+rows u in [z, d_i z, d_i d_j z (i <= j)], columns v in [z, d_l z].  For a
+product jet each pairing (u, v)(s, x) is a sum of s-factors times
+x-factors, and ``ProductJet.gram`` takes all of them as one stacked matmul
+(``model_spaces.product_gram``): no S*M-row partial is materialised, only
+the value, which the sample-consistency check compares with the stored
+samples.  Hand-built immersions without a product jet build the same Gram
+from central differences of the whole lift evaluator with ``herm_gram``
+(``JetBatch.from_partials``), so everything downstream has one path.
 
 One data path, jets -> FrameBatch -> SFFBatch, feeds every check, and each
-check takes the batch it reads.  ``frame_batch`` projects the first
-partials to the horizontal space (h_i) with one call of
-``model_spaces.horizontal_split``, which also returns the pairings
-(d_i z, z) that the Legendrian check reads; one Hermitian Gram matrix
-(h_i, h_j) gives both the induced metric g = Re and the Kahler pullback
-Omega(h_i, h_j) = Re (i h_i, h_j) = -Im (every pairing is ``herm_gram``,
-one real matmul returning both parts).  Its Cholesky factor L and
-T = L^{-1}, by forward substitution, give the g-orthonormal frame
-e_a = sum_k T_ak h_k.  ``second_fundamental_form`` pairs the ambient
-second partials w_ij with the h_l the same way, P = (w_ij, h_l); the
-tangential part is removed with g^{-1} = T^t T applied to Re P, the
-components along z and i z never pair with horizontal vectors, and the
-remainder of a Lagrangian immersion lies in J(tangent), so
-h_{abk} = sum T_ai T_bj T_kl Im (sigma_ij, h_l).  All residuals are
-dimensionless so one tolerance table, ``TOLERANCES``, applies across
-families.
+check takes the batch it reads.  On the quadric (z, z) is read as its
+target t; with c_i = (d_i z, z), the Legendrian pairings, the horizontal
+parts h_i = d_i z - c_i z / t pair as (h_i, h_j) = (d_i z, d_j z) -
+c_i conj(c_j) / t (in the flat ambient the c terms drop out), giving the
+induced metric g = Re and the Kahler pullback Omega(h_i, h_j) =
+Re (i h_i, h_j) = -Im.  The Cholesky factor L of g and T = L^{-1}, by
+forward substitution, give the g-orthonormal frame e_a = sum_k T_ak h_k.
+``second_fundamental_form`` reads P = (w_ij, h_l) = (w_ij, d_l z) -
+conj(c_l) (w_ij, z) / t for the second partials w_ij; the tangential part
+is removed with g^{-1} = T^t T applied to Re P, the components along z and
+i z never pair with horizontal vectors, and the remainder of a Lagrangian
+immersion lies in J(tangent), so h_{abk} = sum T_ai T_bj T_kl
+Im (sigma_ij, h_l).  All residuals are dimensionless so one tolerance
+table, ``TOLERANCES``, applies across families.
 """
 
 from __future__ import annotations
@@ -33,17 +39,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import permutations
 
 import numpy as np
 
 from . import fd
-from .immersions import LegendreCurve, SampledImmersion, build_immersion, product_xi
+from .immersions import (
+    LegendreCurve,
+    SampledImmersion,
+    build_immersion,
+    jet_rows,
+    product_xi,
+)
 from .model_spaces import (
     GeometryError,
     InvalidArgument,
     herm_form,
     herm_gram,
-    horizontal_split,
     legendrian_residual,
     projective_distance,
     random_euclid,
@@ -107,25 +119,44 @@ class NotLagrangianError(GeometryError):
 
 @dataclass
 class JetBatch:
-    """Lift value with first and second chart partials at a batch of points.
+    """Lift value and the Hermitian Gram of its raw jets at a batch of points.
 
     ``xi`` stacks (s, x) chart coordinates; coordinate 0 is always s.
+    ``gram`` (N, R, 1 + D) holds (u_r, v_c) for the raw jets u_r in
+    ``jet_rows(D)`` (z, d_i z, then d_i d_j z for i <= j) and v_c in
+    [z, d_l z]; ``d1_norm`` (N, D) are the Euclidean norms |d_i z| that
+    scale the Legendrian residual.
     """
 
     xi: np.ndarray
     value: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
+    gram: np.ndarray
+    d1_norm: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.d1_norm.shape[1]
+
+    @classmethod
+    def from_partials(cls, space, xi, value, d1, d2) -> "JetBatch":
+        """The same Gram from materialised jets (N, C), (N, D, C), (N, D, D, C):
+        the rows stacked in ``jet_rows`` order and paired against the first
+        1 + D by one ``herm_gram``."""
+        D, jets = d1.shape[1], (value, d1, d2)
+        rows = np.stack([jets[len(idx)][(slice(None),) + idx] for idx in jet_rows(D)], axis=1)
+        re, im = herm_gram(space, rows, rows[:, :1 + D])
+        return cls(xi, value, re + 1j * im, np.sqrt(np.sum(np.abs(d1) ** 2, axis=-1)))
 
 
 def jet(imm: SampledImmersion, s, X, h: float = DEFAULT_FD_STEP) -> JetBatch:
     """Jet of the lift on the product of the S values ``s`` and the M chart
     points ``X`` (M, d), as S*M rows in ``grid_xi`` order.
 
-    Uses the immersion's product-rule jet when it has one (the curve taken
-    on ``s``, only the block finite-differenced, on ``X``, with step
-    ``h``), else central differences of the whole lift evaluator on the
-    stacked rows.  A single point is a 1 x 1 product.
+    Uses the immersion's product jet when it has one (the curve taken on
+    ``s``, only the block finite-differenced, on ``X``, with step ``h``)
+    and pairs it factor by factor, else central differences of the whole
+    lift evaluator on the stacked rows, paired as stacked vectors.  A
+    single point is a 1 x 1 product.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -134,11 +165,25 @@ def jet(imm: SampledImmersion, s, X, h: float = DEFAULT_FD_STEP) -> JetBatch:
         if np.max(np.abs(s)) + margin > imm.profile.s_max:
             raise OutOfDomain("jet base point within 2h of the profile boundary")
     xi = product_xi(s, X)
-    if imm.product_jet is not None:
-        value, d1, d2 = imm.product_jet(s, X, h)
-    else:
-        value, d1, d2 = fd.jet_partials(imm.evaluate_xi, xi, h)
-    return JetBatch(xi, value, d1, d2)
+    space = imm.ambient.space
+    if imm.jet_factors is None:
+        return JetBatch.from_partials(space, xi, *fd.jet_partials(imm.evaluate_xi, xi, h))
+    pj = imm.jet_factors(s, X, h)
+    return JetBatch(xi, pj.value(), *pj.gram(space))
+
+
+def _second_rows(D: int) -> np.ndarray:
+    """For each (i, j) of D x D, row-major, the position of d_i d_j z =
+    d_j d_i z among the second-order rows of ``jet_rows(D)``."""
+    pos = {idx: k for k, idx in enumerate(jet_rows(D)[1 + D:])}
+    return np.array([pos[min(i, j), max(i, j)] for i in range(D) for j in range(D)])
+
+
+def _index_orbits(D: int) -> np.ndarray:
+    """Flat indices into a D x D x D tensor of the 6 index permutations of
+    each sorted triple i <= j <= k, shape (orbits, 6)."""
+    return np.array([[(a * D + b) * D + c for a, b, c in permutations((i, j, k))]
+                     for i in range(D) for j in range(i, D) for k in range(j, D)])
 
 
 @dataclass
@@ -164,12 +209,17 @@ class SFFBatch:
         return np.sqrt(self.sigma_sq)
 
     def symmetry_residual(self) -> float:
-        """Total-symmetry defect of h_{ijk}, normalized by the largest entry."""
+        """Total-symmetry defect of h_{ijk}, normalized by the largest entry.
+
+        The defect at a point is the largest |h_ijk - h_pi(ijk)| over index
+        permutations pi, taken in one pass as the largest spread max - min
+        of an orbit {h_pi(ijk)}: fl(a - b) is monotone, so fl(max - min) is
+        the largest rounded pair difference, bit for bit.
+        """
         h = self.coeffs
-        worst = np.zeros(h.shape[0])
-        for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-            axes = (0,) + tuple(1 + p for p in perm)
-            worst = np.maximum(worst, np.max(np.abs(h - h.transpose(axes)), axis=(1, 2, 3)))
+        M, D = h.shape[:2]
+        orbits = h.reshape(M, -1)[:, _index_orbits(D)]
+        worst = np.max(np.max(orbits, axis=-1) - np.min(orbits, axis=-1), axis=1)
         scale = np.maximum(np.max(np.abs(h), axis=(1, 2, 3)), 1.0)
         return float(np.max(worst / scale))
 
@@ -178,18 +228,17 @@ class SFFBatch:
 class FrameBatch:
     """The geometry of one jet batch, computed once and read by every check.
 
-    ``partials`` are the horizontal projections h_i of the first partials,
-    ``vertical`` the pairings (d_i z, z) that projection removed (None in
-    the flat ambient), ``metric`` g_ij = Re (h_i, h_j) and ``omega`` the
-    Kahler-form pullback Re (i h_i, h_j); ``lagrangian`` is the per-point
-    residual |Omega(h_i, h_j)| / sqrt(g_ii g_jj), max over (i, j).  ``chol``
-    is the lower Cholesky factor L of g and ``chol_inv`` its inverse T,
-    whose rows give the Gram-Schmidt frame e_a = sum_k T_ak h_k; both are
-    None when g is not positive definite.
+    ``vertical`` are the Legendrian pairings c_i = (d_i z, z) (None in the
+    flat ambient), ``metric`` g_ij = Re (h_i, h_j) and ``omega`` the
+    Kahler-form pullback Re (i h_i, h_j) of the horizontal parts h_i of the
+    first partials; ``lagrangian`` is the per-point residual
+    |Omega(h_i, h_j)| / sqrt(g_ii g_jj), max over (i, j).  ``chol`` is the
+    lower Cholesky factor L of g and ``chol_inv`` its inverse T, whose rows
+    give the Gram-Schmidt frame e_a = sum_k T_ak h_k; both are None when g
+    is not positive definite.
     """
 
     jets: JetBatch
-    partials: np.ndarray
     vertical: np.ndarray | None
     metric: np.ndarray
     omega: np.ndarray
@@ -204,20 +253,22 @@ class FrameBatch:
 
 
 def frame_batch(imm: SampledImmersion, jets: JetBatch) -> FrameBatch:
-    """Horizontal partials, metric, Kahler pullback and frame of a jet batch."""
-    space = imm.ambient.space
-    hp, vertical = jets.d1, None
+    """Metric, Kahler pullback and frame of a jet batch, read from its Gram."""
+    space, D = imm.ambient.space, jets.dim
+    hh, vertical = jets.gram[:, 1:1 + D, 1:], None
     if space is not None:
-        hp, vertical = horizontal_split(space, jets.value, jets.d1)
-    g, im = herm_gram(space, hp, hp)
-    omega = -im  # Re (i h_i, h_j) = -Im (h_i, h_j)
+        # (h_i, h_j) = (d_i, d_j) - c_i conj(c_j) / t, h_i = d_i - c_i z / t
+        vertical = jets.gram[:, 1:1 + D, 0]
+        hh = hh - vertical[:, :, None] * (np.conj(vertical) / space.quadric_target)[:, None]
+    g = np.ascontiguousarray(hh.real)
+    omega = -hh.imag  # Re (i h_i, h_j) = -Im (h_i, h_j)
     try:
         L = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         L = T = None
     else:
         T = _lower_inverse(L)
-    return FrameBatch(jets, hp, vertical, g, omega, _lagrangian_pointwise(g, omega), L, T)
+    return FrameBatch(jets, vertical, g, omega, _lagrangian_pointwise(g, omega), L, T)
 
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:
@@ -253,7 +304,7 @@ def horizontality_residual(imm: SampledImmersion, fb: FrameBatch) -> float:
     batch; vacuously zero for the flat ambient (no fibration to be horizontal for)."""
     if fb.vertical is None:
         return 0.0
-    return float(np.max(legendrian_residual(fb.jets.value, fb.jets.d1, fb.vertical)))
+    return float(np.max(legendrian_residual(fb.jets.value, fb.jets.d1_norm, fb.vertical)))
 
 
 def lagrangian_residual(imm: SampledImmersion, fb: FrameBatch) -> float:
@@ -262,24 +313,28 @@ def lagrangian_residual(imm: SampledImmersion, fb: FrameBatch) -> float:
 
 
 def second_fundamental_form(imm: SampledImmersion, fb: FrameBatch) -> SFFBatch:
-    """Extract h_{ijk} and the mean curvature of a FrameBatch from its ambient
-    second partials."""
+    """Extract h_{ijk} and the mean curvature of a FrameBatch from the
+    pairings of the second partials in its Gram."""
     lag = float(np.max(fb.lagrangian))
     if lag > _SFF_LAGRANGIAN_TOL:
         raise NotLagrangianError(
             f"Lagrangian residual {lag:.2e} exceeds {_SFF_LAGRANGIAN_TOL:.0e}"
         )
     T = fb.require_frame()
-    space, hp = imm.ambient.space, fb.partials
-    M, D, C = hp.shape
+    space, D = imm.ambient.space, fb.jets.dim
+    M = len(T)
     # the normal part of w_ij = d_i d_j z pairs with J h_l as Im (sigma_ij, h_l),
     # sigma_ij = w_ij - c_ijk h_k with g c = Re (w_ij, h_k) the tangential
     # coefficients; w's components along z and i z drop out because every
-    # h_l is horizontal, (z, h_l) = 0
-    p_re, p_im = herm_gram(space, fb.jets.d2.reshape(M, D * D, C), hp)  # (w_ij, h_l)
-    Tt = T.swapaxes(1, 2)
-    c = p_re @ (Tt @ T)  # g^{-1} = T^t T
-    normal = p_im + c @ fb.omega
+    # h_l is horizontal, (z, h_l) = 0.  The Gram holds one row per i <= j;
+    # the rows are spread to all D^2 pairs (i, j) once the normal part is in
+    w = fb.jets.gram[:, 1 + D:]
+    p = w[..., 1:]  # (w_ij, d_l)
+    if space is not None:  # (w_ij, h_l) = (w_ij, d_l) - conj(c_l) (w_ij, z) / t
+        p = p - w[..., :1] * (np.conj(fb.vertical) / space.quadric_target)[:, None]
+    Tt = np.ascontiguousarray(T.swapaxes(1, 2))
+    # Im (sigma_ij, h_l) = Im P + c Omega with c = Re P g^{-1}, g^{-1} = T^t T
+    normal = (p.imag + p.real @ (Tt @ (T @ fb.omega)))[:, _second_rows(D)]  # (M, D^2, D)
     # h_abk = sum T_ai T_bj T_kl normal_ijl: contract l as one (M, D^2, D) @
     # (M, D, D) matmul, then j and i from the left; moving j last instead
     # would copy the (M, D^3) tensor twice, which costs more than it saves
@@ -507,6 +562,10 @@ def _transverse_weights(imm: SampledImmersion) -> np.ndarray:
             step = (chart.hi[k] - chart.lo[k]) / per
             axis_weights.append(np.full(per, step))
         else:
+            if per < 2:
+                raise InvalidArgument(
+                    f"transverse axis {chart.names[k]} is not periodic and has {per} "
+                    "point; its trapezoid weights need at least 2")
             step = (chart.hi[k] - chart.lo[k]) / (per - 1)
             w = np.full(per, step)
             w[0] = w[-1] = step / 2.0
@@ -517,6 +576,7 @@ def _transverse_weights(imm: SampledImmersion) -> np.ndarray:
 def curvature_field(imm: SampledImmersion, h: float = DEFAULT_FD_STEP) -> dict:
     """|sigma| and sqrt(det g) on the cached grid, plus transverse weights."""
     S, M = len(imm.s_values), len(imm.x_grid)
+    weights = _transverse_weights(imm)
     fb = frame_batch(imm, jet(imm, imm.s_values, imm.x_grid, h=h))
     sff = second_fundamental_form(imm, fb)
     sqrt_det = np.prod(np.diagonal(fb.chol, axis1=1, axis2=2), axis=-1)  # det L
@@ -524,7 +584,7 @@ def curvature_field(imm: SampledImmersion, h: float = DEFAULT_FD_STEP) -> dict:
         "s_values": imm.s_values,
         "sigma_norms": sff.sigma_norm.reshape(S, M),
         "sqrt_det_g": sqrt_det.reshape(S, M),
-        "chart_weights": _transverse_weights(imm),
+        "chart_weights": weights,
     }
 
 

@@ -25,9 +25,11 @@ Every lift is therefore alpha(s) * beta(x) + delta(s) componentwise, and
 that one factorization is the only lift code: ``_curve_factors`` gives the
 curve factors alpha, delta as exact jets in s, the pair (S, C) read from
 the profile row, and ``_block_factor`` the O(1) block beta.  The
-evaluator, the model-coordinate evaluator, the cached samples and the
-product-rule jet all compose them (the jet finite-differences the block in
-x alone), and the Legendre curves are the first and last columns of alpha.
+evaluator, the model-coordinate evaluator and the cached samples compose
+them, the jet keeps them apart (``ProductJet``: the block finite-
+differenced in x alone, every Hermitian pairing of the jets taken factor
+by factor), and the Legendre curves are the first and last columns of
+alpha.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ from .model_spaces import (
     herm_form,
     legendrian_residual,
     normalize_phase,
+    product_gram,
     quadric_defect,
     relative_quadric_defect,
-    vertical_coefficients,
 )
 from .profiles import (
     PAIRS,
@@ -70,6 +72,8 @@ __all__ = [
     "ImmersionFamilySpec",
     "SampledImmersion",
     "product_xi",
+    "jet_rows",
+    "ProductJet",
     "LegendreCurve",
     "SliceRecord",
     "make_seed",
@@ -389,11 +393,10 @@ class SampledImmersion:
     instances can be shared across workers.  ``model_evaluate``
     (closed-formula families only) accepts raw model coordinates and is
     what the group-invariance check composes with isometry actions.
-    ``product_jet(s, X, h, order)`` returns the lift's value and chart
-    partials on the product of S values s and M transverse points X, as
-    S*M rows in ``grid_xi`` order, by the product rule; hand-built
-    immersions without one fall back to whole-lift finite differences of
-    ``evaluate``.
+    ``jet_factors(s, X, h, order)`` returns the lift's jet on the product
+    of S values s and M transverse points X as a ``ProductJet``, kept in
+    its curve and block factors; hand-built immersions without one fall
+    back to whole-lift finite differences of ``evaluate``.
     """
 
     spec: ImmersionFamilySpec
@@ -404,7 +407,7 @@ class SampledImmersion:
     samples: np.ndarray
     evaluate: object
     model_evaluate: object | None = None
-    product_jet: object | None = None
+    jet_factors: object | None = None
     profile: ProfileSolution | None = None
     phases: PhaseIntegrals | None = None
     seed: SeedLagrangian | None = None
@@ -429,6 +432,12 @@ class SampledImmersion:
     def grid_xi(self) -> np.ndarray:
         """All cached sample coordinates, flattened to (S*M, 1+d)."""
         return product_xi(self.s_values, self.x_grid)
+
+    def product_jet(self, s, X, h, order: int = 2):
+        """The value and chart partials (value, d1[, d2]) of the lift on the
+        product of ``s`` and ``X``, materialised as S*M rows in ``grid_xi``
+        order by the product rule (``ProductJet.partials``)."""
+        return self.jet_factors(s, X, h, order).partials()
 
 
 def product_xi(s: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -599,49 +608,117 @@ def _block_factor(layout, lift, potential):
     return lambda X: np.concatenate([lift(X), ones(X)], axis=-1)
 
 
-def _make_product_jet(curve, beta):
-    """Jet (value, d1, d2) of alpha(s) * beta(x) + delta(s) by the product rule
-    over the product of the S values ``s`` and the M transverse points ``X``.
+def jet_rows(D: int, order: int = 2) -> list:
+    """The raw jets of a D-dimensional chart as multi-indices of chart axes
+    (axis 0 is s): z as (), d_i z as (i,) and, at order 2, d_i d_j z as
+    (i, j) for i <= j.  This is the row order of every jet Gram."""
+    rows = [()] + [(i,) for i in range(D)]
+    if order == 2:
+        rows += [(i, j) for i in range(D) for j in range(i, D)]
+    return rows
 
-    The curve factors are exact and taken once on ``s``; only beta is
-    finite-differenced, once on ``X``, in x alone with the ``fd`` stencils.
-    Each block is written by broadcasting into an (S, M, ...) array, and
-    the arrays are returned as (S*M, ...) rows in ``grid_xi`` order (s
-    slowest).  ``order=1`` stops at d1.
+
+@dataclass(frozen=True)
+class ProductJet:
+    """The jet of Z(s, x) = alpha(s) * beta(x) + delta(s) over the product of
+    S values s and M transverse points x, kept as its factors.
+
+    ``alpha`` and ``delta`` are the curve jets (3, S, C), exact, taken once
+    on the s values (``delta`` is None where the lift has no additive
+    term); ``block`` is the block's jet (beta, d1 beta[, d2 beta]) on the M
+    points, (M, C), (M, d, C) and (M, d, d, C), finite-differenced in x
+    alone with the ``fd`` stencils.
     """
 
-    def product_jet(s, X, h, order: int = 2):
+    alpha: np.ndarray
+    delta: np.ndarray | None
+    block: tuple
+
+    def factors(self, idx: tuple) -> tuple:
+        """(A, B, Delta) of the partial d_idx Z = A(s) B(x) + Delta(s) by the
+        product rule: A is the s-derivative of alpha of order idx.count(0),
+        B the x-partial of beta along the other axes, and Delta the
+        s-derivative of delta, zero once an x-axis is taken (None for a
+        lift without delta)."""
+        k = idx.count(0)
+        xs = tuple(i - 1 for i in idx if i)
+        B = self.block[len(xs)][(slice(None),) + xs]
+        Delta = None
+        if self.delta is not None:
+            Delta = np.zeros_like(self.delta[k]) if xs else self.delta[k]
+        return self.alpha[k], B, Delta
+
+    def value(self) -> np.ndarray:
+        """Z on the grid as (S*M, C) rows in ``grid_xi`` order (s slowest),
+        bit for bit the cached samples."""
+        return self._in_s(0).reshape(-1, self.alpha.shape[-1])
+
+    def _in_s(self, k: int) -> np.ndarray:
+        """The k-th s-partial alpha^(k) beta + delta^(k), shape (S, M, C)."""
+        b0 = self.block[0]
+        out = np.empty((self.alpha.shape[1],) + b0.shape, dtype=complex)
+        np.multiply(self.alpha[k][:, None], b0, out=out)
+        if self.delta is not None:
+            out += self.delta[k][:, None]
+        return out
+
+    def partials(self):
+        """(value, d1[, d2]) materialised as (S*M, ...) rows in ``grid_xi``
+        order, written block by block by broadcasting: the stacked route
+        the factored Gram is checked against."""
+        alpha, (b0, b1, *b2) = self.alpha, self.block
+        value = self._in_s(0)
+        (S, M, C), d = value.shape, b1.shape[1]
+        rows = S * M
+        d1 = np.empty((S, M, 1 + d, C), dtype=complex)
+        d1[:, :, 0] = self._in_s(1)
+        np.multiply(alpha[0][:, None, None], b1, out=d1[:, :, 1:])
+        out = (value.reshape(rows, C), d1.reshape(rows, 1 + d, C))
+        if not b2:
+            return out
+        d2 = np.empty((S, M, 1 + d, 1 + d, C), dtype=complex)
+        d2[:, :, 0, 0] = self._in_s(2)
+        np.multiply(alpha[1][:, None, None], b1, out=d2[:, :, 0, 1:])
+        d2[:, :, 1:, 0] = d2[:, :, 0, 1:]
+        np.multiply(alpha[0][:, None, None, None], b2[0], out=d2[:, :, 1:, 1:])
+        return out + (d2.reshape(rows, 1 + d, 1 + d, C),)
+
+    def gram(self, space: HermitianSpace | None) -> tuple:
+        """(G, norms): the Hermitian Gram of the raw jets and the Euclidean
+        norms |d_i z|, shapes (S*M, R, V) and (S*M, D), from
+        ``product_gram`` over the factors.  Rows are ``jet_rows`` of the
+        block's order; columns are z alone at order 1 and [z, d_l z] at
+        order 2.  No (S*M)-row jet is built."""
+        D = 1 + self.block[1].shape[1]
+        rows = jet_rows(D, len(self.block) - 1)
+        A, B, deltas = zip(*map(self.factors, rows))
+        A, B = np.stack(A), np.stack(B)
+        delta = None if self.delta is None else np.stack(deltas)
+        R, V = len(rows), 1 if len(self.block) == 2 else 1 + D
+        G = product_gram(space, A, B, delta, np.repeat(np.arange(R), V),
+                         np.tile(np.arange(V), R))
+        diag = np.arange(1, 1 + D)
+        norms = np.sqrt(product_gram(None, A, B, delta, diag, diag).real)
+        return G.reshape(-1, R, V), norms
+
+
+def _make_jet_factors(curve, beta):
+    """(s, X, h, order=2) -> ProductJet: the curve factors taken once on the
+    S values ``s``, the block differenced once on the M points ``X``
+    (``fd.jet_partials``, or ``beta`` and ``fd.first_partials`` at
+    ``order=1``)."""
+
+    def jet_factors(s, X, h, order: int = 2):
         s = np.asarray(s, dtype=float)
         X = np.atleast_2d(np.asarray(X, dtype=float))
         alpha, delta = curve(s)
         if order == 1:
-            b0, b1 = beta(X), fd.first_partials(beta, X, h)
+            block = (beta(X), fd.first_partials(beta, X, h))
         else:
-            b0, b1, b2 = fd.jet_partials(beta, X, h)
-        S, (M, d, C) = len(s), b1.shape
+            block = fd.jet_partials(beta, X, h)
+        return ProductJet(alpha, delta, tuple(block))
 
-        def in_s(k, out):  # k-th s-partial at fixed x, written into out (S, M, C)
-            np.multiply(alpha[k][:, None], b0, out=out)
-            if delta is not None:
-                out += delta[k][:, None]
-
-        value = np.empty((S, M, C), dtype=complex)
-        in_s(0, value)
-        d1 = np.empty((S, M, 1 + d, C), dtype=complex)
-        in_s(1, d1[:, :, 0])
-        np.multiply(alpha[0][:, None, None], b1, out=d1[:, :, 1:])
-        rows = S * M
-        if order == 1:
-            return value.reshape(rows, C), d1.reshape(rows, 1 + d, C)
-        d2 = np.empty((S, M, 1 + d, 1 + d, C), dtype=complex)
-        in_s(2, d2[:, :, 0, 0])
-        np.multiply(alpha[1][:, None, None], b1, out=d2[:, :, 0, 1:])
-        d2[:, :, 1:, 0] = d2[:, :, 0, 1:]
-        np.multiply(alpha[0][:, None, None, None], b2, out=d2[:, :, 1:, 1:])
-        return (value.reshape(rows, C), d1.reshape(rows, 1 + d, C),
-                d2.reshape(rows, 1 + d, 1 + d, C))
-
-    return product_jet
+    return jet_factors
 
 
 def _lift(curve, beta):
@@ -729,7 +806,7 @@ def assemble_immersion(
     """Assemble the lift over an existing profile and sample grid.
 
     The curve factors and the block factor are built once; ``evaluate``,
-    ``model_evaluate``, the cached ``samples`` and ``product_jet`` all
+    ``model_evaluate``, the cached ``samples`` and ``jet_factors`` all
     compose them.  Used both by ``build_immersion`` and when rebuilding
     from serialized data; in the latter case ``samples`` carries the
     stored lifts, which are kept verbatim so that consistency checks can
@@ -768,7 +845,7 @@ def assemble_immersion(
         samples=samples,
         evaluate=_lift(curve, beta),
         model_evaluate=model_evaluate,
-        product_jet=_make_product_jet(curve, beta),
+        jet_factors=_make_jet_factors(curve, beta),
         profile=profile,
         phases=phases,
         seed=seed,
@@ -832,16 +909,17 @@ def _validate_seed(seed: SeedLagrangian, x_grid: np.ndarray) -> None:
 
 
 def _sample_invariants(imm: SampledImmersion, fd_step: float) -> dict:
-    """Quadric-membership and Legendrian residuals of the cached samples,
-    from the same ``model_spaces`` pairings and scales that verify reads."""
+    """Quadric-membership and Legendrian residuals of the cached samples.
+    The coefficients (d_i z, z) and norms |d_i z| come from the order-1
+    factored Gram, the same pairings that verify reads from its order-2
+    Gram, so the two residuals agree bit for bit."""
     flat = imm.samples.reshape(-1, imm.samples.shape[-1])
     space = imm.ambient.space
     if space is None:
         return {"quadric": 0.0, "horizontal": 0.0}
     quadric = float(np.max(relative_quadric_defect(space, flat)))
-    _, d1 = imm.product_jet(imm.s_values, imm.x_grid, fd_step, order=1)
-    coeffs = vertical_coefficients(space, flat, d1)
-    horizontal = float(np.max(legendrian_residual(flat, d1, coeffs)))
+    gram, norms = imm.jet_factors(imm.s_values, imm.x_grid, fd_step, order=1).gram(space)
+    horizontal = float(np.max(legendrian_residual(flat, norms, gram[:, 1:, 0])))
     return {"quadric": quadric, "horizontal": horizontal}
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "IsometryElement",
     "herm_form",
     "herm_gram",
+    "product_gram",
     "on_quadric",
     "quadric_defect",
     "relative_quadric_defect",
@@ -152,6 +153,38 @@ def herm_gram(
     return prod[..., :B], prod[..., B:]
 
 
+def product_gram(space: HermitianSpace | None, A: np.ndarray, B: np.ndarray,
+                 delta: np.ndarray | None, u, v) -> np.ndarray:
+    """Pairings (w_u, w_v) of vectors over a product grid, factor by factor.
+
+    Each vector is w_r(s, x) = A_r(s) B_r(x) + delta_r(s) componentwise:
+    ``A`` and ``delta`` have shape (R, S, m) on S values s, ``B`` (R, M, m)
+    on M points x, and ``delta`` is None when no vector has the additive
+    term.  The index arrays ``u`` and ``v`` (P,) name the pairs.  Returns
+    complex (S*M, P), s slowest; a ``space`` of None is the flat form.
+
+    Every pairing is a sum of s-factors times x-factors,
+
+        sum_c s_c (A_u B_u + d_u) conj(A_v B_v + d_v)
+          = sum_c [s A_u conj(A_v)] [B_u conj(B_v)] + [s A_u conj(d_v)] B_u
+                  + [s d_u conj(A_v)] conj(B_v) + [sum_c s d_u conj(d_v)] 1,
+
+    so all pairs are one stacked complex matmul (P, S, K) @ (P, K, M) with
+    K = m, or 3m + 1 with the delta terms: O(S + M) factor terms per pair
+    instead of O(S M) ambient vectors.
+    """
+    signs = 1.0 if space is None else space.signs
+    Au, Av = A[u] * signs, np.conj(A[v])
+    Bu, Bv = B[u], np.conj(B[v])
+    left, right = [Au * Av], [Bu * Bv]
+    if delta is not None:
+        du, dv = delta[u] * signs, np.conj(delta[v])
+        left += [Au * dv, du * Av, np.sum(du * dv, axis=-1, keepdims=True)]
+        right += [Bu, Bv, np.ones(Bu.shape[:-1] + (1,))]
+    G = np.concatenate(left, axis=-1) @ np.concatenate(right, axis=-1).swapaxes(-1, -2)
+    return G.reshape(len(G), -1).T  # (P, S, M) -> (S*M, P)
+
+
 def quadric_defect(space: HermitianSpace, z: np.ndarray) -> np.ndarray:
     """|(z,z) - target|, the deviation from quadric membership."""
     return np.abs(herm_form(space, z, z).real - space.quadric_target)
@@ -258,11 +291,11 @@ def horizontal_split(space: HermitianSpace, z: np.ndarray, v: np.ndarray):
     return v - (c / space.quadric_target)[..., None] * np.asarray(z)[..., None, :], c
 
 
-def legendrian_residual(z: np.ndarray, v: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """|(v_a, z)| / max(|v_a| |z|, 1) per vector from c = (v_a, z)."""
-    nv = np.sqrt(np.sum(np.abs(v) ** 2, axis=-1))
+def legendrian_residual(z: np.ndarray, v_norm: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """|(v_a, z)| / max(|v_a| |z|, 1) per vector from c = (v_a, z) and the
+    Euclidean norms |v_a| (shape (..., A))."""
     nz = np.sqrt(np.sum(np.abs(z) ** 2, axis=-1))[..., None]
-    return np.abs(c) / np.maximum(nv * nz, 1.0)
+    return np.abs(c) / np.maximum(v_norm * nz, 1.0)
 
 
 def horizontal_project(

@@ -311,6 +311,29 @@ class TestRejectedInput:
         err = self._usage_error(tmp_path, capsys, "sigma-integral", "--in", str(bad))
         assert "at least 3 s values" in err
 
+    def test_numeric_sigma_integral_rejects_a_one_point_axis(self, tmp_path, capsys):
+        # an 8x9 thm1 n=3 file cut to its first transverse point per s: the
+        # polar axis a1 is not periodic, so one point has no trapezoid weights
+        full = tmp_path / "thm1_n3.json"
+        assert run(tmp_path, "build", "--family", "thm1", "--n", "3", "--rho", "1",
+                   "--grid", "8x9", "--out", str(full)) == EXIT_OK
+        d = json.loads(full.read_text())
+        M = d["grid"]["transverse_points"]
+        d["grid"]["transverse_points"] = 1
+        d["samples"] = d["samples"][::M]
+        bad = tmp_path / "one_point.json"
+        bad.write_text(json.dumps(d))
+        err = self._usage_error(tmp_path, capsys, "sigma-integral", "--in", str(bad))
+        assert "transverse axis a1" in err
+
+    @pytest.mark.parametrize("what", ["profile", "phase-portrait", "samples"])
+    def test_export_rejects_a_json_list(self, tmp_path, capsys, what):
+        bad = tmp_path / "list.json"
+        bad.write_text("[]\n")
+        err = self._usage_error(tmp_path, capsys, "export", "--in", str(bad), "--what", what,
+                                "--out", str(tmp_path / "out.csv"))
+        assert "JSON list" in err
+
     def test_phase_portrait_rejects_a_fractional_n(self, tmp_path, capsys):
         prof = tmp_path / "cp.json"
         assert run(tmp_path, "solve", "--family", "cp-sphere", "--n", "2", "--rho", "0.6",

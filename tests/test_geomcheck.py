@@ -8,13 +8,17 @@ from lagmin.immersions import (
     FAMILY_TAGS,
     Ambient,
     ImmersionFamilySpec,
+    ProductJet,
     SampledImmersion,
     box_chart,
     build_immersion,
+    jet_rows,
     product_xi,
     real_geodesic_curve,
     ch_sphere_curve,
     wavy_control_curve,
+    _mul_jet,
+    _phase_jet,
 )
 from lagmin.model_spaces import (
     InvalidArgument,
@@ -108,7 +112,7 @@ class TestJets:
         # differences taken in both orders
         xi = np.array([[0.3, 1.1]])
         h = 1e-3
-        jets = gc.jet(thm1, [0.3], [[1.1]], h=h)
+        _, d1, d2 = thm1.product_jet([0.3], [[1.1]], h)
 
         def d_theta(Xi):
             return fd.first_partials(thm1.evaluate_xi, Xi, h)[:, 1, :]
@@ -116,8 +120,8 @@ class TestJets:
         up = d_theta(xi + np.array([[h, 0.0]]))
         dn = d_theta(xi - np.array([[h, 0.0]]))
         nested = (up - dn) / (2 * h)
-        scale = np.max(np.abs(jets.d1))
-        assert np.max(np.abs(jets.d2[0, 0, 1] - nested[0])) <= 1e-5 * scale
+        scale = np.max(np.abs(d1))
+        assert np.max(np.abs(d2[0, 0, 1] - nested[0])) <= 1e-5 * scale
 
     def test_first_derivative_order_two_with_3pt(self):
         imm = build_immersion(ImmersionFamilySpec("tg_sphere", 2), grid=(4, 4))
@@ -134,10 +138,10 @@ class TestJets:
         # the horospherical lift is quadratic in x, so x-second-partials are
         # exactly the ambient formula e^s (0, delta, delta)
         imm = build_immersion(ImmersionFamilySpec("tg_horo", 3), grid=(4, 4))
-        jets = gc.jet(imm, [0.4], [[0.3, -0.2]])
+        _, _, d2 = imm.product_jet([0.4], [[0.3, -0.2]], gc.DEFAULT_FD_STEP)
         expect = math.exp(0.4) * np.array([0, 0, 1.0, 1.0], dtype=complex)
-        assert np.max(np.abs(jets.d2[0, 1, 1] - expect)) <= 1e-6
-        assert np.max(np.abs(jets.d2[0, 1, 2])) <= 1e-6
+        assert np.max(np.abs(d2[0, 1, 1] - expect)) <= 1e-6
+        assert np.max(np.abs(d2[0, 1, 2])) <= 1e-6
 
     def test_out_of_domain(self, thm1):
         with pytest.raises(gc.OutOfDomain):
@@ -195,11 +199,11 @@ class TestFrame:
         ref = _sff(imm)
         assert np.max(np.abs(sff.sigma_sq - ref.sigma_sq) / ref.sigma_sq) <= 1e-4
 
-    def test_degenerate_metric_raises(self, thm1, thm1_jets):
+    def test_degenerate_metric_raises(self, thm1):
         # a vanishing chart partial: g is singular, so there is no frame
-        d1 = thm1_jets.d1.copy()
+        value, d1, d2 = thm1.product_jet(thm1.s_values, thm1.x_grid, gc.DEFAULT_FD_STEP)
         d1[:, 1] = 0.0
-        jets = gc.JetBatch(thm1_jets.xi, thm1_jets.value, d1, thm1_jets.d2)
+        jets = gc.JetBatch.from_partials(thm1.ambient.space, thm1.grid_xi(), value, d1, d2)
         fb = gc.frame_batch(thm1, jets)
         assert fb.chol is None and fb.chol_inv is None
         with pytest.raises(gc.DegeneracyError):
@@ -232,8 +236,9 @@ class TestOneGeometryLayer:
         z, space = fb.jets.value, imm.ambient.space
         assert np.max(quadric_defect(space, z)) > 1e-10
         assert np.max(relative_quadric_defect(space, z)) <= 1e-15
+        d1 = imm.product_jet(imm.s_values, imm.x_grid, gc.DEFAULT_FD_STEP)[1]
         with pytest.raises(PreconditionViolation):
-            horizontal_project(space, z, fb.jets.d1[:, 0])
+            horizontal_project(space, z, d1[:, 0])
         assert gc.horizontality_residual(imm, fb) <= gc.TOLERANCES["horizontal"]
         assert gc.lagrangian_residual(imm, fb) <= gc.TOLERANCES["lagrangian"]
 
@@ -308,7 +313,8 @@ class TestSecondFundamentalForm:
         vals = []
         for h in hs:
             # whole-lift differences: the stencil order is what is under test
-            jets = gc.JetBatch(xi, *fd.jet_partials(imm.evaluate_xi, xi, h, False))
+            jets = gc.JetBatch.from_partials(imm.ambient.space, xi,
+                                             *fd.jet_partials(imm.evaluate_xi, xi, h, False))
             sff = gc.second_fundamental_form(imm, gc.frame_batch(imm, jets))
             vals.append(float(np.max(sff.mean_curvature_norm)))
         slope = np.polyfit(np.log(hs), np.log(vals), 1)[0]
@@ -378,8 +384,10 @@ class TestProductJets:
         imm = _complex_curve_immersion()
         xi = imm.grid_xi()
         jets = gc.jet(imm, imm.s_values, imm.x_grid)
-        value, d1, d2 = fd.jet_partials(imm.evaluate_xi, xi, gc.DEFAULT_FD_STEP)
-        assert np.array_equal(jets.d2, d2)
+        partials = fd.jet_partials(imm.evaluate_xi, xi, gc.DEFAULT_FD_STEP)
+        ref = gc.JetBatch.from_partials(imm.ambient.space, xi, *partials)
+        assert np.array_equal(jets.gram, ref.gram)
+        assert np.array_equal(jets.d1_norm, ref.d1_norm)
         # the base value the stored-sample consistency check reads
         assert np.array_equal(jets.value, imm.samples.reshape(len(xi), -1))
 
@@ -415,6 +423,125 @@ class TestProductJets:
         assert calls["evaluate_xi"] == 0
         # only the block is differenced, never the whole lift
         assert calls["fd"] and thm1.evaluate_xi not in calls["fd"]
+
+
+class TestFactoredGram:
+    """The factored Gram of a product jet against the stacked route:
+    ``herm_gram`` of the materialised partials of the same jet."""
+
+    @staticmethod
+    def _both_routes(spec):
+        imm = build_immersion(spec, grid=(11, 9))
+        s, X, h = imm.s_values, imm.x_grid, gc.DEFAULT_FD_STEP
+        partials = imm.product_jet(s, X, h)
+        stacked = gc.JetBatch.from_partials(imm.ambient.space, product_xi(s, X), *partials)
+        return imm, gc.jet(imm, s, X, h), stacked, partials
+
+    @pytest.mark.parametrize("spec", _EVERY_FAMILY, ids=_spec_id)
+    def test_gram_matches_the_stacked_pairing(self, spec):
+        imm, fact, stacked, (value, d1, d2) = self._both_routes(spec)
+        D = d1.shape[1]
+        jets = (value, d1, d2)
+        norms = np.linalg.norm(np.stack([jets[len(idx)][(slice(None),) + idx]
+                                         for idx in jet_rows(D)], axis=1), axis=-1)
+        # each (u, v) within 8 ulp of |u| |v|, its Cauchy-Schwarz scale
+        scale = norms[:, :, None] * norms[:, None, :1 + D]
+        ulp = np.finfo(float).eps * scale
+        assert fact.gram.shape == stacked.gram.shape
+        assert np.all(np.abs(fact.gram - stacked.gram) <= 8 * ulp)
+        assert np.all(np.abs(fact.d1_norm - stacked.d1_norm) <= 8 * ulp[:, 1:1 + D, 0] / norms[:, :1])
+        assert fact.value.tobytes() == value.tobytes()
+
+    @pytest.mark.parametrize("spec", _EVERY_FAMILY, ids=_spec_id)
+    def test_frame_and_sff_match_the_stacked_route(self, spec):
+        imm, fact, stacked, (_, d1, _) = self._both_routes(spec)
+        fa, fs = gc.frame_batch(imm, fact), gc.frame_batch(imm, stacked)
+        # g and Omega to roundoff of |d_i z| |d_j z|, the scale their
+        # indefinite pairings cancel from
+        nd = np.linalg.norm(d1, axis=-1)
+        ulp = np.finfo(float).eps * nd[:, :, None] * nd[:, None, :]
+        assert np.all(np.abs(fa.metric - fs.metric) <= 8 * ulp)
+        assert np.all(np.abs(fa.omega - fs.omega) <= 8 * ulp)
+        t_scale = np.max(np.abs(fs.chol_inv), axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(fa.chol_inv - fs.chol_inv) <= 1e-12 * t_scale)
+        sa, ss = gc.second_fundamental_form(imm, fa), gc.second_fundamental_form(imm, fs)
+        h_scale = np.maximum(np.max(np.abs(ss.coeffs), axis=(1, 2, 3), keepdims=True), 1.0)
+        assert np.all(np.abs(sa.coeffs - ss.coeffs) <= 1e-12 * h_scale)
+
+    @pytest.mark.parametrize("spec", [
+        ImmersionFamilySpec("thm1", 3, 1.0),
+        ImmersionFamilySpec("thm3", 3, 1.0),
+        ImmersionFamilySpec("thm5", 3, 0.6),
+    ], ids=_spec_id)
+    def test_a_vertical_phase_in_frame_and_sff(self, spec):
+        # e^{i theta(s)} Z lifts the same immersion, but not horizontally:
+        # c_0 = (d_s z, z) = i theta' t.  The frame removes it exactly; the
+        # SFF extraction, exact for horizontal lifts, picks up the
+        # connection term Im (i theta_j d_i z + i theta_i d_j z, d_l z) =
+        # theta_j g_il + theta_i g_jl, i.e. u_b delta_ak + u_a delta_bk with
+        # u = T theta' e_0 in the frame
+        imm = build_immersion(spec, grid=(11, 9))
+        s, X, h = imm.s_values, imm.x_grid, gc.DEFAULT_FD_STEP
+        pj = imm.jet_factors(s, X, h)
+        speed = 0.5 + 0.1 * s
+        E = _phase_jet(0.5 * s + 0.05 * s**2, speed, np.full_like(s, 0.1))[..., None]
+        turned = ProductJet(_mul_jet(E, pj.alpha),
+                            None if pj.delta is None else _mul_jet(E, pj.delta), pj.block)
+        space, xi = imm.ambient.space, product_xi(s, X)
+        fa = gc.frame_batch(imm, gc.JetBatch(xi, pj.value(), *pj.gram(space)))
+        jt = gc.JetBatch(xi, turned.value(), *turned.gram(space))
+        ft = gc.frame_batch(imm, jt)
+        assert np.min(np.abs(ft.vertical[:, 0])) >= 0.2
+        nd = jt.d1_norm
+        ulp = np.finfo(float).eps * nd[:, :, None] * nd[:, None, :]
+        assert np.all(np.abs(ft.metric - fa.metric) <= 16 * ulp)
+        assert np.all(np.abs(ft.omega - fa.omega) <= 16 * ulp)
+        sa, st = gc.second_fundamental_form(imm, fa), gc.second_fundamental_form(imm, ft)
+        u = fa.chol_inv[:, :, 0] * np.repeat(speed, len(X))[:, None]
+        eye = np.eye(u.shape[1])
+        shift = u[:, None, :, None] * eye[:, None] + u[:, :, None, None] * eye
+        h_scale = np.maximum(np.max(np.abs(st.coeffs), axis=(1, 2, 3), keepdims=True), 1.0)
+        assert np.all(np.abs(st.coeffs - sa.coeffs - shift) <= 1e-12 * h_scale)
+
+    def test_hand_built_immersion_takes_the_stacked_route(self):
+        # a built immersion handed over without its product jet pairs its
+        # whole-lift differences, and the frame and the SFF agree with the
+        # factored route up to the difference of the two stencils
+        imm = build_immersion(ImmersionFamilySpec("thm1", 3, 1.0), grid=(9, 9),
+                              s_window=(-1.5, 1.5))
+        hand = _sheared(imm, 0.0)
+        assert hand.jet_factors is None
+        fh, fi = _frames(hand), _frames(imm)
+        assert np.max(np.abs(fh.metric - fi.metric) / fi.metric.max()) <= 1e-8
+        sh, si = gc.second_fundamental_form(hand, fh), gc.second_fundamental_form(imm, fi)
+        assert np.max(np.abs(sh.coeffs - si.coeffs)) <= 1e-4 * np.max(np.abs(si.coeffs))
+
+
+class TestSymmetryResidual:
+    @staticmethod
+    def _permutation_loop(h):
+        worst = np.zeros(h.shape[0])
+        for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+            axes = (0,) + tuple(1 + p for p in perm)
+            worst = np.maximum(worst, np.max(np.abs(h - h.transpose(axes)), axis=(1, 2, 3)))
+        scale = np.maximum(np.max(np.abs(h), axis=(1, 2, 3)), 1.0)
+        return float(np.max(worst / scale))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_orbits_match_the_permutation_loop_on_real_sff(self, n):
+        sff = _sff(build_immersion(ImmersionFamilySpec("thm1", n, 1.0), grid=(17, 16)))
+        got = sff.symmetry_residual()
+        assert np.float64(got).tobytes() == np.float64(self._permutation_loop(sff.coeffs)).tobytes()
+
+    @pytest.mark.parametrize("D", [2, 3, 4, 5])
+    def test_orbits_match_the_permutation_loop_on_random_arrays(self, D):
+        rng = np.random.default_rng(D)
+        for _ in range(20):
+            h = rng.normal(size=(7, D, D, D)) * 10.0 ** rng.uniform(-3, 3)
+            h = h + h.transpose(0, 2, 3, 1) + h.transpose(0, 3, 1, 2)  # cyclic, not symmetric
+            sff = gc.SFFBatch(np.zeros((7, 1 + D)), h, np.zeros((7, D)), np.zeros(7))
+            assert (np.float64(sff.symmetry_residual()).tobytes()
+                    == np.float64(self._permutation_loop(h)).tobytes())
 
 
 class TestDomainRegressions:

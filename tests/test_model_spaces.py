@@ -16,6 +16,7 @@ from lagmin.model_spaces import (
     normalize_phase,
     omega_eval,
     on_quadric,
+    product_gram,
     projective_distance,
     projective_equal,
     quadric_defect,
@@ -106,6 +107,35 @@ class TestHermGram:
         assert abs(re[0, 0] + 1j * im[0, 0] - herm_form(ch2, z, w)) < 1e-14
         with pytest.raises(InvalidArgument):
             herm_gram(ch2, np.zeros((2, 4), dtype=complex), np.zeros((2, 4), dtype=complex))
+
+
+class TestProductGram:
+    @pytest.mark.parametrize("signature", [None, "hyperbolic", "spherical"])
+    @pytest.mark.parametrize("with_delta", [False, True])
+    def test_against_herm_gram_of_the_composed_vectors(self, signature, with_delta):
+        rng = np.random.default_rng(3)
+        R, S, M, m = 4, 5, 6, 3
+
+        def cplx(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        A, B = cplx(R, S, m), cplx(R, M, m)
+        delta = cplx(R, S, m) if with_delta else None
+        w = A[:, :, None] * B[:, None]  # (R, S, M, m)
+        if with_delta:
+            w = w + delta[:, :, None]
+        w = w.transpose(1, 2, 0, 3).reshape(S * M, R, m)  # s slowest
+        space = None if signature is None else HermitianSpace(m - 1, signature)
+        u, v = np.repeat(np.arange(R), R), np.tile(np.arange(R), R)
+        got = product_gram(space, A, B, delta, u, v).reshape(S * M, R, R)
+        re, im = herm_gram(space, w, w)
+        # within a few ulp of the factor terms' magnitudes
+        terms = np.abs(A)[:, :, None] * np.abs(B)[:, None]
+        if with_delta:
+            terms = terms + np.abs(delta)[:, :, None]
+        terms = terms.transpose(1, 2, 0, 3).reshape(S * M, R, m)
+        ulp = np.finfo(float).eps * (terms @ terms.swapaxes(-1, -2))
+        assert np.all(np.abs(got - (re + 1j * im)) <= 16 * ulp)
 
 
 class TestQuadric:
@@ -219,7 +249,7 @@ class TestHorizontalSplit:
         c = vertical_coefficients(ch2, z, v)
         # |(v, z)| / max(|v| |z|, 1): a vertical vector scores 1, a small
         # horizontal one 0
-        assert np.array_equal(legendrian_residual(z, v, c), [[1.0, 0.0]])
+        assert np.array_equal(legendrian_residual(z, np.linalg.norm(v, axis=-1), c), [[1.0, 0.0]])
 
     def test_relative_quadric_defect(self, ch2):
         z = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 10.0], [0.0, 0.0, 0.5]], dtype=complex)
