@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import geomcheck, serialization as ser
+from .fd import DEFAULT_FD_STEP
 from .immersions import (
     FAMILY_TAGS as IMM_FAMILIES,
     SEED_KINDS,
@@ -26,6 +27,7 @@ from .immersions import (
 )
 from .model_spaces import GeometryError, InvalidArgument
 from .profiles import (
+    DEFAULT_ODE_TOL,
     FAMILY_TAGS as PROFILE_FAMILIES,
     DetectionFailure,
     IntegrationFailure,
@@ -54,8 +56,8 @@ _CONFIG_KEYS = {
     "prng_seed": (int, lambda v: v >= 0),
 }
 
-_DEFAULTS = {"ode_tol": 1e-10, "s_max": 8.0, "grid": "64x64", "fd_step": 1e-3,
-             "prng_seed": 42}
+_DEFAULTS = {"ode_tol": DEFAULT_ODE_TOL, "s_max": 8.0, "grid": "64x64",
+             "fd_step": DEFAULT_FD_STEP, "prng_seed": 42}
 
 
 class UsageError(Exception):

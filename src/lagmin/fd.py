@@ -4,14 +4,17 @@ An evaluator maps a batch of chart points Xi of shape (M, D) to ambient
 values of shape (M, C).  First derivatives use the 5-point stencil by
 default (O(h^4)); second derivatives use 5-point diagonals and the
 symmetric 4-point cross for mixed terms.  The 3-point variant (O(h^2)) is
-kept for convergence-order tests.
+kept for convergence-order tests.  ``DEFAULT_FD_STEP`` is the step the
+build header, the checks and the CLI take unless given one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["first_partials", "jet_partials"]
+__all__ = ["DEFAULT_FD_STEP", "first_partials", "jet_partials"]
+
+DEFAULT_FD_STEP = 1e-3
 
 
 def _shift(Xi, d, delta):

@@ -14,8 +14,9 @@ x-factors, and ``ProductJet.gram`` takes all of them as one stacked matmul
 (``model_spaces.product_gram``): no S*M-row partial is materialised, only
 the value, which the sample-consistency check compares with the stored
 samples.  Hand-built immersions without a product jet build the same Gram
-from central differences of the whole lift evaluator with ``herm_gram``
-(``JetBatch.from_partials``), so everything downstream has one path.
+from central differences of the whole lift evaluator, their stacked rows
+paired by one broadcast ``herm_form`` (``JetBatch.from_partials``), so
+everything downstream has one path.
 
 One data path, jets -> FrameBatch -> SFFBatch, feeds every check, and each
 check takes the batch it reads.  On the quadric (z, z) is read as its
@@ -44,6 +45,7 @@ from itertools import permutations
 import numpy as np
 
 from . import fd
+from .fd import DEFAULT_FD_STEP
 from .immersions import (
     LegendreCurve,
     SampledImmersion,
@@ -55,7 +57,6 @@ from .model_spaces import (
     GeometryError,
     InvalidArgument,
     herm_form,
-    herm_gram,
     legendrian_residual,
     projective_distance,
     random_euclid,
@@ -94,8 +95,6 @@ __all__ = [
     "DEFAULT_FD_STEP",
     "TOLERANCES",
 ]
-
-DEFAULT_FD_STEP = 1e-3
 
 # Lagrangian residual above which the SFF is not extracted at all; a guard,
 # not a check verdict, so it is not part of TOLERANCES (which reports record)
@@ -139,13 +138,14 @@ class JetBatch:
 
     @classmethod
     def from_partials(cls, space, xi, value, d1, d2) -> "JetBatch":
-        """The same Gram from materialised jets (N, C), (N, D, C), (N, D, D, C):
-        the rows stacked in ``jet_rows`` order and paired against the first
-        1 + D by one ``herm_gram``."""
+        """The same Gram from materialised jets (N, C), (N, D, C), (N, D, D, C),
+        the whole-lift route of hand-built immersions: the rows stacked in
+        ``jet_rows`` order and paired against the first 1 + D by one
+        broadcast ``herm_form``, independent of ``product_gram``."""
         D, jets = d1.shape[1], (value, d1, d2)
         rows = np.stack([jets[len(idx)][(slice(None),) + idx] for idx in jet_rows(D)], axis=1)
-        re, im = herm_gram(space, rows, rows[:, :1 + D])
-        return cls(xi, value, re + 1j * im, np.sqrt(np.sum(np.abs(d1) ** 2, axis=-1)))
+        gram = herm_form(space, rows[:, :, None], rows[:, None, :1 + D])
+        return cls(xi, value, gram, np.sqrt(np.sum(np.abs(d1) ** 2, axis=-1)))
 
 
 def jet(imm: SampledImmersion, s, X, h: float = DEFAULT_FD_STEP) -> JetBatch:
@@ -232,7 +232,7 @@ class FrameBatch:
     flat ambient), ``metric`` g_ij = Re (h_i, h_j) and ``omega`` the
     Kahler-form pullback Re (i h_i, h_j) of the horizontal parts h_i of the
     first partials; ``lagrangian`` is the per-point residual
-    |Omega(h_i, h_j)| / sqrt(g_ii g_jj), max over (i, j).  ``chol`` is the
+    |Omega(h_i, h_j)| / sqrt(g_ii g_jj), max over i < j.  ``chol`` is the
     lower Cholesky factor L of g and ``chol_inv`` its inverse T, whose rows
     give the Gram-Schmidt frame e_a = sum_k T_ak h_k; both are None when g
     is not positive definite.
@@ -287,10 +287,13 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
 
 
 def _lagrangian_pointwise(g: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """|Omega(h_i, h_j)| / sqrt(g_ii g_jj), max over (i, j) per point."""
+    """|Omega(h_i, h_j)| / sqrt(g_ii g_jj), max over i < j per point.  Omega
+    is skew, so Omega_ii = -Im (h_i, h_i) vanishes for every immersion and
+    its computed value is roundoff; the diagonal is not read."""
+    i, j = np.triu_indices(g.shape[-1], 1)
     diag = np.diagonal(g, axis1=1, axis2=2)
-    scale = np.sqrt(np.abs(diag[:, :, None] * diag[:, None, :]))
-    return np.max(np.abs(omega) / np.maximum(scale, 1e-12), axis=(1, 2))
+    scale = np.sqrt(np.abs(diag[:, i] * diag[:, j]))
+    return np.max(np.abs(omega[:, i, j]) / np.maximum(scale, 1e-12), axis=1)
 
 
 def induced_metric(imm: SampledImmersion, fb: FrameBatch) -> np.ndarray:

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fd
+from .fd import DEFAULT_FD_STEP
 from .model_spaces import (
     GeometryError,
     HermitianSpace,
@@ -54,6 +55,7 @@ from .model_spaces import (
     relative_quadric_defect,
 )
 from .profiles import (
+    DEFAULT_ODE_TOL,
     PAIRS,
     PhaseIntegrals,
     ProfileFamily,
@@ -395,8 +397,9 @@ class SampledImmersion:
     what the group-invariance check composes with isometry actions.
     ``jet_factors(s, X, h, order)`` returns the lift's jet on the product
     of S values s and M transverse points X as a ``ProductJet``, kept in
-    its curve and block factors; hand-built immersions without one fall
-    back to whole-lift finite differences of ``evaluate``.
+    its curve and block factors and never materialised as S*M rows;
+    hand-built immersions without one fall back to whole-lift finite
+    differences of ``evaluate``.
     """
 
     spec: ImmersionFamilySpec
@@ -432,12 +435,6 @@ class SampledImmersion:
     def grid_xi(self) -> np.ndarray:
         """All cached sample coordinates, flattened to (S*M, 1+d)."""
         return product_xi(self.s_values, self.x_grid)
-
-    def product_jet(self, s, X, h, order: int = 2):
-        """The value and chart partials (value, d1[, d2]) of the lift on the
-        product of ``s`` and ``X``, materialised as S*M rows in ``grid_xi``
-        order by the product rule (``ProductJet.partials``)."""
-        return self.jet_factors(s, X, h, order).partials()
 
 
 def product_xi(s: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -627,7 +624,7 @@ class ProductJet:
     on the s values (``delta`` is None where the lift has no additive
     term); ``block`` is the block's jet (beta, d1 beta[, d2 beta]) on the M
     points, (M, C), (M, d, C) and (M, d, d, C), finite-differenced in x
-    alone with the ``fd`` stencils.
+    alone with the ``fd`` stencils (``value`` reads beta alone).
     """
 
     alpha: np.ndarray
@@ -649,39 +646,13 @@ class ProductJet:
         return self.alpha[k], B, Delta
 
     def value(self) -> np.ndarray:
-        """Z on the grid as (S*M, C) rows in ``grid_xi`` order (s slowest),
-        bit for bit the cached samples."""
-        return self._in_s(0).reshape(-1, self.alpha.shape[-1])
-
-    def _in_s(self, k: int) -> np.ndarray:
-        """The k-th s-partial alpha^(k) beta + delta^(k), shape (S, M, C)."""
-        b0 = self.block[0]
-        out = np.empty((self.alpha.shape[1],) + b0.shape, dtype=complex)
-        np.multiply(self.alpha[k][:, None], b0, out=out)
+        """Z = alpha beta + delta on the grid as (S*M, C) rows in ``grid_xi``
+        order (s slowest); where the lift has no delta nothing is added, so
+        signed zeros of the product survive into the files."""
+        z = self.alpha[0][:, None] * self.block[0]
         if self.delta is not None:
-            out += self.delta[k][:, None]
-        return out
-
-    def partials(self):
-        """(value, d1[, d2]) materialised as (S*M, ...) rows in ``grid_xi``
-        order, written block by block by broadcasting: the stacked route
-        the factored Gram is checked against."""
-        alpha, (b0, b1, *b2) = self.alpha, self.block
-        value = self._in_s(0)
-        (S, M, C), d = value.shape, b1.shape[1]
-        rows = S * M
-        d1 = np.empty((S, M, 1 + d, C), dtype=complex)
-        d1[:, :, 0] = self._in_s(1)
-        np.multiply(alpha[0][:, None, None], b1, out=d1[:, :, 1:])
-        out = (value.reshape(rows, C), d1.reshape(rows, 1 + d, C))
-        if not b2:
-            return out
-        d2 = np.empty((S, M, 1 + d, 1 + d, C), dtype=complex)
-        d2[:, :, 0, 0] = self._in_s(2)
-        np.multiply(alpha[1][:, None, None], b1, out=d2[:, :, 0, 1:])
-        d2[:, :, 1:, 0] = d2[:, :, 0, 1:]
-        np.multiply(alpha[0][:, None, None, None], b2[0], out=d2[:, :, 1:, 1:])
-        return out + (d2.reshape(rows, 1 + d, 1 + d, C),)
+            z += self.delta[0][:, None]
+        return z.reshape(-1, z.shape[-1])
 
     def gram(self, space: HermitianSpace | None) -> tuple:
         """(G, norms): the Hermitian Gram of the raw jets and the Euclidean
@@ -824,9 +795,8 @@ def assemble_immersion(
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
     if samples is None:
         alpha, delta = curve(s_values)
-        samples = alpha[0][:, None] * beta(x_grid)[None]
-        if delta is not None:
-            samples += delta[0][:, None]
+        samples = ProductJet(alpha, delta, (beta(x_grid),)).value()
+        samples = samples.reshape(len(s_values), len(x_grid), -1)
     else:
         samples = np.asarray(samples, dtype=complex)
 
@@ -857,9 +827,9 @@ def build_immersion(
     spec: ImmersionFamilySpec,
     grid: tuple[int, int] = (64, 64),
     s_window: tuple[float, float] | None = None,
-    ode_tol: float = 1e-10,
+    ode_tol: float = DEFAULT_ODE_TOL,
     seed: SeedLagrangian | None = None,
-    fd_step: float = 1e-3,
+    fd_step: float = DEFAULT_FD_STEP,
 ) -> SampledImmersion:
     """Build a family's lift and cache it on an S x M grid.
 

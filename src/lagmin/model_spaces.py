@@ -30,7 +30,6 @@ __all__ = [
     "ProjectivePoint",
     "IsometryElement",
     "herm_form",
-    "herm_gram",
     "product_gram",
     "on_quadric",
     "quadric_defect",
@@ -38,8 +37,6 @@ __all__ = [
     "normalize_phase",
     "projective_distance",
     "projective_equal",
-    "vertical_coefficients",
-    "horizontal_split",
     "legendrian_residual",
     "horizontal_project",
     "omega_eval",
@@ -112,45 +109,19 @@ def _check_dim(space: HermitianSpace, *vecs: np.ndarray) -> None:
             )
 
 
-def herm_form(space: HermitianSpace, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Hermitian form (z,w) = sum_i s_i z_i conj(w_i) with the space's signs.
+def herm_form(space: HermitianSpace | None, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Hermitian form (z,w) = sum_i s_i z_i conj(w_i) with the space's signs;
+    a ``space`` of None is the flat positive form on C^m.
 
-    Sesquilinear (conjugate-linear in ``w``) and conjugate-symmetric.
+    Sesquilinear (conjugate-linear in ``w``) and conjugate-symmetric; the
+    leading axes of ``z`` and ``w`` broadcast.
     """
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
+    if space is None:
+        return np.einsum("...i,...i->...", z, np.conj(w))
     _check_dim(space, z, w)
     return np.einsum("...i,...i,i->...", z, np.conj(w), space.signs)
-
-
-def herm_gram(
-    space: HermitianSpace | None, z: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched Gram matrices G[..., a, b] = (z_a, w_b) as (Re G, Im G).
-
-    ``z`` and ``w`` stack vectors along their second-to-last axis, shapes
-    (..., A, m) and (..., B, m); both parts have shape (..., A, B).  A
-    ``space`` of None stands for the flat positive form on C^m.
-
-    Both parts come from one real matmul: the interleaved (re, im) float
-    view of ``z``, shape (..., A, 2m), times a real (..., 2m, 2B) operand
-    whose first B columns are the float views of s w_b (they give
-    Re G = sum s (Re z Re w + Im z Im w)) and whose last B are those of
-    i s w_b (Im G = sum s (Im z Re w - Re z Im w)).  A stacked complex
-    matmul of these small shapes costs several times as much.
-    """
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    if space is not None:
-        _check_dim(space, z, w)
-    B, m = w.shape[-2:]
-    # (..., 2, B, m) complex rows [s w_b ; i s w_b] -> (..., 2B, 2m) real
-    rows = np.empty(w.shape[:-2] + (2, B, m), dtype=complex)
-    np.multiply(w, 1.0 if space is None else space.signs, out=rows[..., 0, :, :])
-    np.multiply(rows[..., 0, :, :], 1j, out=rows[..., 1, :, :])
-    rows = rows.view(np.float64).reshape(w.shape[:-2] + (2 * B, 2 * m))
-    prod = np.ascontiguousarray(z).view(np.float64) @ rows.swapaxes(-1, -2)
-    return prod[..., :B], prod[..., B:]
 
 
 def product_gram(space: HermitianSpace | None, A: np.ndarray, B: np.ndarray,
@@ -276,21 +247,6 @@ class ProjectivePoint:
         )
 
 
-def vertical_coefficients(space: HermitianSpace, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(v_a, z) for vectors v_a stacked as ``v`` (..., A, m) at points ``z``
-    (..., m): complex, shape (..., A), from one ``herm_gram``."""
-    c_re, c_im = herm_gram(space, v, np.asarray(z, dtype=complex)[..., None, :])
-    return (c_re + 1j * c_im)[..., 0]
-
-
-def horizontal_split(space: HermitianSpace, z: np.ndarray, v: np.ndarray):
-    """(h, c): the horizontal parts h_a = v_a - (v_a, z) z / (z, z) of ``v``
-    at points ``z`` of the quadric ((z, z) is read as its target) and the
-    removed c_a = (v_a, z), shapes as in ``vertical_coefficients``."""
-    c = vertical_coefficients(space, z, v)
-    return v - (c / space.quadric_target)[..., None] * np.asarray(z)[..., None, :], c
-
-
 def legendrian_residual(z: np.ndarray, v_norm: np.ndarray, c: np.ndarray) -> np.ndarray:
     """|(v_a, z)| / max(|v_a| |z|, 1) per vector from c = (v_a, z) and the
     Euclidean norms |v_a| (shape (..., A))."""
@@ -301,13 +257,15 @@ def legendrian_residual(z: np.ndarray, v_norm: np.ndarray, c: np.ndarray) -> np.
 def horizontal_project(
     space: HermitianSpace, z: np.ndarray, v: np.ndarray, tol: float = 1e-10
 ) -> np.ndarray:
-    """Project ``v`` onto the horizontal space of the Hopf fibration at ``z``:
-    ``horizontal_split`` of one vector at a z checked to lie on the quadric
-    within ``tol``.  (h, z) = 0 is tangency to the quadric and orthogonality
-    to the fiber i z together; idempotent, and annihilates the fiber."""
+    """Project ``v`` onto the horizontal space of the Hopf fibration at ``z``,
+    h = v - (v, z) z / (z, z) with (z, z) read as the quadric target, at a z
+    checked to lie on the quadric within ``tol``; leading axes broadcast.
+    (h, z) = 0 is tangency to the quadric and orthogonality to the fiber
+    i z together; idempotent, and annihilates the fiber."""
     if np.any(quadric_defect(space, z) > tol):
         raise PreconditionViolation("base point is not on the quadric")
-    return horizontal_split(space, z, np.asarray(v, dtype=complex)[..., None, :])[0][..., 0, :]
+    z, v = np.asarray(z, dtype=complex), np.asarray(v, dtype=complex)
+    return v - (herm_form(space, v, z) / space.quadric_target)[..., None] * z
 
 
 def omega_eval(

@@ -57,6 +57,7 @@ __all__ = [
     "PhaseIntegrals",
     "SigmaIntegralSpec",
     "SIGMA_TAIL_TOL",
+    "DEFAULT_ODE_TOL",
     "PeriodResult",
     "IntegrationFailure",
     "NeedsLargerDomain",
@@ -226,9 +227,9 @@ class Spline:
     ``rows[j, k]`` is the coefficient of (x - knots[j])^k on the piece
     [knots[j], knots[j+1]); a piece's coefficients sit side by side, so an
     evaluation gathers them in one ``take``.  ``Spline.hermite`` builds the
-    cubic Hermite interpolant.  Construction, evaluation, ``derivative``
-    and ``antiderivative`` follow scipy's ``CubicHermiteSpline`` operation
-    for operation, so results are bit-identical to it: the piece is
+    cubic Hermite interpolant.  Construction, evaluation and
+    ``antiderivative`` follow scipy's ``CubicHermiteSpline`` operation for
+    operation, so results are bit-identical to it: the piece is
     ``searchsorted(knots, x, "right") - 1`` clipped to [0, N-2], terms are
     summed lowest power first with powers built by repeated multiplication,
     and the antiderivative's integration constants are one sequential sum.
@@ -266,13 +267,6 @@ class Spline:
         return _sum_powers(self.rows.take(i, axis=0).T, x - self.knots.take(i))
 
     # columnwise loops below: numpy broadcasts over a length-4 last axis slowly
-
-    def derivative(self) -> "Spline":
-        pieces, k = self.rows.shape
-        rows = np.empty((pieces, k - 1))
-        for j in range(1, k):
-            rows[:, j - 1] = self.rows[:, j] * float(j)
-        return Spline(self.knots, rows)
 
     def antiderivative(self) -> "Spline":
         """The antiderivative vanishing at the first knot."""
@@ -495,8 +489,12 @@ def _closed_form_horo(fam: ProfileFamily, s: np.ndarray):
 # spacing of the profile grid that interpolants and phase integrals read
 _GRID_STEP = 2e-3
 
+# the local error bound of a profile solve unless one is given
+DEFAULT_ODE_TOL = 1e-10
 
-def solve_profile(family: ProfileFamily, s_max: float, tol: float = 1e-10) -> ProfileSolution:
+
+def solve_profile(family: ProfileFamily, s_max: float,
+                  tol: float = DEFAULT_ODE_TOL) -> ProfileSolution:
     """Solve the profile equation on [-s_max, s_max].
 
     ch_horo is evaluated from its closed form; the other families are

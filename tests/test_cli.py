@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from lagmin.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, load_config, main
+from lagmin.immersions import ImmersionFamilySpec, build_immersion
+from lagmin.serialization import dumps, immersion_to_dict
 
 
 def run(tmp_path, *argv):
@@ -17,6 +19,15 @@ class TestConfig:
         cfg = load_config(str(tmp_path / "none.conf"))
         assert cfg["ode_tol"] == 1e-10
         assert cfg["grid"] == "64x64"
+
+    def test_build_takes_the_library_defaults(self, tmp_path):
+        # without a config file the CLI passes the library's own ODE
+        # tolerance and fd step: the header's horizontal residual reads both
+        out = tmp_path / "thm1.json"
+        assert run(tmp_path, "build", "--family", "thm1", "--n", "2", "--rho", "1",
+                   "--grid", "8x8", "--out", str(out)) == EXIT_OK
+        imm = build_immersion(ImmersionFamilySpec("thm1", 2, 1.0), grid=(8, 8))
+        assert out.read_text() == dumps(immersion_to_dict(imm))
 
     def test_overrides_and_comments(self, tmp_path):
         p = tmp_path / "lagmin.conf"

@@ -66,6 +66,33 @@ def _sff(imm, s=None, X=None, h=gc.DEFAULT_FD_STEP):
     return gc.second_fundamental_form(imm, _frames(imm, s, X, h))
 
 
+def _stacked(pj: ProductJet):
+    """(value, d1, d2) of a product jet as (S*M, ...) rows in ``grid_xi``
+    order, broadcast straight from its fields alpha, delta and block (not
+    through ``ProductJet.factors``): the stacked route the factored Gram is
+    checked against."""
+    alpha, delta, (b0, b1, b2) = pj.alpha, pj.delta, pj.block
+    (S, C), (M, d) = alpha.shape[1:], b1.shape[:2]
+    D = 1 + d
+
+    def in_s(k):  # alpha^(k) beta + delta^(k), (S, M, C)
+        z = alpha[k][:, None] * b0
+        return z if delta is None else z + delta[k][:, None]
+
+    d1 = np.empty((S, M, D, C), dtype=complex)
+    d1[:, :, 0] = in_s(1)
+    d1[:, :, 1:] = alpha[0][:, None, None] * b1
+    d2 = np.empty((S, M, D, D, C), dtype=complex)
+    d2[:, :, 0, 0] = in_s(2)
+    d2[:, :, 0, 1:] = d2[:, :, 1:, 0] = alpha[1][:, None, None] * b1
+    d2[:, :, 1:, 1:] = alpha[0][:, None, None, None] * b2
+    return in_s(0).reshape(-1, C), d1.reshape(-1, D, C), d2.reshape(-1, D, D, C)
+
+
+def _stacked_jet(imm, s, X, h=gc.DEFAULT_FD_STEP):
+    return _stacked(imm.jet_factors(s, X, h))
+
+
 def _complex_curve_immersion():
     """A holomorphic disc in CH^2 lifted to the quadric: not Lagrangian."""
     spec = ImmersionFamilySpec("thm1", 2, 1.0)  # tag unused by the residuals
@@ -112,7 +139,7 @@ class TestJets:
         # differences taken in both orders
         xi = np.array([[0.3, 1.1]])
         h = 1e-3
-        _, d1, d2 = thm1.product_jet([0.3], [[1.1]], h)
+        _, d1, d2 = _stacked_jet(thm1, [0.3], [[1.1]], h)
 
         def d_theta(Xi):
             return fd.first_partials(thm1.evaluate_xi, Xi, h)[:, 1, :]
@@ -138,7 +165,7 @@ class TestJets:
         # the horospherical lift is quadratic in x, so x-second-partials are
         # exactly the ambient formula e^s (0, delta, delta)
         imm = build_immersion(ImmersionFamilySpec("tg_horo", 3), grid=(4, 4))
-        _, _, d2 = imm.product_jet([0.4], [[0.3, -0.2]], gc.DEFAULT_FD_STEP)
+        _, _, d2 = _stacked_jet(imm, [0.4], [[0.3, -0.2]])
         expect = math.exp(0.4) * np.array([0, 0, 1.0, 1.0], dtype=complex)
         assert np.max(np.abs(d2[0, 1, 1] - expect)) <= 1e-6
         assert np.max(np.abs(d2[0, 1, 2])) <= 1e-6
@@ -201,7 +228,7 @@ class TestFrame:
 
     def test_degenerate_metric_raises(self, thm1):
         # a vanishing chart partial: g is singular, so there is no frame
-        value, d1, d2 = thm1.product_jet(thm1.s_values, thm1.x_grid, gc.DEFAULT_FD_STEP)
+        value, d1, d2 = _stacked_jet(thm1, thm1.s_values, thm1.x_grid)
         d1[:, 1] = 0.0
         jets = gc.JetBatch.from_partials(thm1.ambient.space, thm1.grid_xi(), value, d1, d2)
         fb = gc.frame_batch(thm1, jets)
@@ -236,7 +263,7 @@ class TestOneGeometryLayer:
         z, space = fb.jets.value, imm.ambient.space
         assert np.max(quadric_defect(space, z)) > 1e-10
         assert np.max(relative_quadric_defect(space, z)) <= 1e-15
-        d1 = imm.product_jet(imm.s_values, imm.x_grid, gc.DEFAULT_FD_STEP)[1]
+        d1 = _stacked_jet(imm, imm.s_values, imm.x_grid)[1]
         with pytest.raises(PreconditionViolation):
             horizontal_project(space, z, d1[:, 0])
         assert gc.horizontality_residual(imm, fb) <= gc.TOLERANCES["horizontal"]
@@ -244,6 +271,14 @@ class TestOneGeometryLayer:
 
 
 class TestLagrangian:
+    def test_pointwise_reads_only_the_off_diagonal(self):
+        # Omega is skew: a computed diagonal is roundoff and scores nothing,
+        # while an off-diagonal entry scores |Omega_ij| / sqrt(g_ii g_jj)
+        g = np.array([np.diag([4.0, 1.0, 9.0])] * 2)
+        omega = np.array([np.diag([1e-3, -2e-3, 5e-4])] * 2)
+        omega[1, 0, 2], omega[1, 2, 0] = 0.3, -0.3
+        assert np.array_equal(gc._lagrangian_pointwise(g, omega), [0.0, 0.3 / 6.0])
+
     def test_real_lift_exactly_zero(self):
         imm = build_immersion(ImmersionFamilySpec("tg_tube", 2), grid=(6, 6))
         assert gc.lagrangian_residual(imm, _frames(imm)) <= 1e-12
@@ -356,19 +391,26 @@ class TestProductJets:
 
     @pytest.mark.parametrize("spec", _EVERY_FAMILY, ids=_spec_id)
     def test_matches_whole_lift_differences(self, spec):
+        # each raw jet d_I z, composed from the product-rule factors
+        # A(s) B(x) + Delta(s) that the factored Gram pairs and broadcast
+        # from the jet's fields, against whole-lift differences
         imm = build_immersion(spec, grid=(11, 9))
         s = imm.s_values[np.abs(imm.s_values) <= 1.0]
         xi = product_xi(s, imm.x_grid)
         h = 1e-3
-        value, d1, d2 = imm.product_jet(s, imm.x_grid, h)
-        fv, f1, f2 = fd.jet_partials(imm.evaluate_xi, xi, h)
-        scale = np.max(np.abs(fv))
-        assert np.max(np.abs(value - fv)) <= 1e-13 * scale
-        # 5-point first partials are O(h^4)
-        assert np.max(np.abs(d1 - f1)) <= 1e-8 * scale
-        # the mixed cross stencil is O(h^2) and the whole-lift stencil sees
-        # the profile spline's knot wiggle (knots every 2h)
-        assert np.max(np.abs(d2 - f2)) <= 1e-4 * scale
+        pj = imm.jet_factors(s, imm.x_grid, h)
+        whole, stacked = fd.jet_partials(imm.evaluate_xi, xi, h), _stacked(pj)
+        scale = np.max(np.abs(whole[0]))
+        # value to roundoff; 5-point first partials are O(h^4); the mixed
+        # cross stencil is O(h^2) and the whole-lift stencil sees the
+        # profile spline's knot wiggle (knots every 2h)
+        tol = (1e-13, 1e-8, 1e-4)
+        for idx in jet_rows(1 + imm.chart.dim):
+            A, B, Delta = pj.factors(idx)
+            row = A[:, None] * B if Delta is None else A[:, None] * B + Delta[:, None]
+            at = (slice(None),) + idx
+            for got in (row.reshape(len(xi), -1), stacked[len(idx)][at]):
+                assert np.max(np.abs(got - whole[len(idx)][at])) <= tol[len(idx)] * scale
 
     @pytest.mark.parametrize("spec", _EVERY_FAMILY, ids=_spec_id)
     def test_samples_evaluate_and_jet_value_bitwise(self, spec):
@@ -377,7 +419,7 @@ class TestProductJets:
         xi = imm.grid_xi()
         flat = imm.samples.reshape(len(xi), -1)
         assert flat.tobytes() == imm.evaluate_xi(xi).tobytes()
-        jet_value = imm.product_jet(imm.s_values, imm.x_grid, gc.DEFAULT_FD_STEP)[0]
+        jet_value = imm.jet_factors(imm.s_values, imm.x_grid, gc.DEFAULT_FD_STEP).value()
         assert flat.tobytes() == jet_value.tobytes()
 
     def test_hand_built_immersion_falls_back_to_differences(self):
@@ -427,13 +469,14 @@ class TestProductJets:
 
 class TestFactoredGram:
     """The factored Gram of a product jet against the stacked route:
-    ``herm_gram`` of the materialised partials of the same jet."""
+    ``herm_form`` of the partials of the same jet, broadcast from its
+    fields (``_stacked``)."""
 
     @staticmethod
     def _both_routes(spec):
         imm = build_immersion(spec, grid=(11, 9))
         s, X, h = imm.s_values, imm.x_grid, gc.DEFAULT_FD_STEP
-        partials = imm.product_jet(s, X, h)
+        partials = _stacked_jet(imm, s, X, h)
         stacked = gc.JetBatch.from_partials(imm.ambient.space, product_xi(s, X), *partials)
         return imm, gc.jet(imm, s, X, h), stacked, partials
 

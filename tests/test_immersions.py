@@ -305,8 +305,13 @@ class TestComposedFamilies:
         assert a.x_grid.tobytes() == b.x_grid.tobytes()
         assert a.samples.tobytes() == b.samples.tobytes()
         assert a.header == b.header
-        grid = (a.s_values, a.x_grid, 1e-3)
-        for u, v in zip(a.product_jet(*grid), b.product_jet(*grid)):
+        ja = a.jet_factors(a.s_values, a.x_grid, 1e-3)
+        jb = b.jet_factors(a.s_values, a.x_grid, 1e-3)
+        assert (ja.delta is None) == (jb.delta is None)
+        fields = [(ja.alpha, jb.alpha), *zip(ja.block, jb.block)]
+        if ja.delta is not None:
+            fields.append((ja.delta, jb.delta))
+        for u, v in fields:
             assert u.tobytes() == v.tobytes()
 
     def test_cn_product_power_curve(self):

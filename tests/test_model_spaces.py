@@ -9,9 +9,7 @@ from lagmin.model_spaces import (
     ProjectivePoint,
     embed_isometry,
     herm_form,
-    herm_gram,
     horizontal_project,
-    horizontal_split,
     legendrian_residual,
     normalize_phase,
     omega_eval,
@@ -26,7 +24,6 @@ from lagmin.model_spaces import (
     relative_quadric_defect,
     umbilical_embed,
     validate_model_point,
-    vertical_coefficients,
 )
 
 RNG = np.random.default_rng(42)
@@ -74,9 +71,25 @@ class TestHermForm:
         z = _rand_vec(cp2)
         assert herm_form(cp2, z, z).real > 0
 
+    def test_flat_form(self):
+        # space None: every sign +1 on any number of coordinates, with the
+        # leading axes broadcast
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(4, 1, 3)) + 1j * rng.normal(size=(4, 1, 3))
+        w = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        got = herm_form(None, z, w)
+        assert got.shape == (4, 2)
+        assert np.array_equal(got, herm_form(HermitianSpace(2, "spherical"), z, w))
+        ref = np.array([[sum(a * np.conj(b) for a, b in zip(zk[0], wl)) for wl in w] for zk in z])
+        assert np.max(np.abs(got - ref)) <= 1e-14
+        one = np.array([1.0 + 2.0j])
+        assert herm_form(None, one, one) == 5.0
+
 
 class TestHermGram:
-    """The one-real-matmul Gram pairing against the einsum form herm_form."""
+    """The Hermitian Gram of stacked vectors by ``product_gram``, each
+    vector a curve factor times the block 1 at one point, against the
+    einsum form ``herm_form``."""
 
     @pytest.mark.parametrize("signature", [None, "hyperbolic", "spherical"])
     @pytest.mark.parametrize("m", [2, 3, 5, 9])
@@ -90,23 +103,17 @@ class TestHermGram:
         z = z * 10.0 ** rng.uniform(-3, 3, size=(P, A, 1))
         w = rng.normal(size=(P, B, m)) + 1j * rng.normal(size=(P, B, m))
         space = None if signature is None else HermitianSpace(m - 1, signature)
-        # the flat form is the spherical one: every sign +1
-        ref_space = space or HermitianSpace(m - 1, "spherical")
-        ref = herm_form(ref_space, z[:, :, None, :], w[:, None, :, :])
-        re, im = herm_gram(space, z, w)
-        assert re.shape == im.shape == (P, A, B)
+        ref = herm_form(space, z[:, :, None, :], w[:, None, :, :])
+        # z_a and w_b as A + B factors on the P points, the pairs (z_a, w_b)
+        factors = np.concatenate([z, w], axis=1).swapaxes(0, 1)
+        u, v = np.repeat(np.arange(A), B), np.tile(A + np.arange(B), A)
+        G = product_gram(space, factors, np.ones((A + B, 1, m)), None, u, v)
+        G = G.reshape(P, A, B)
+        re, im = G.real, G.imag
         scale = np.abs(z) @ np.abs(w).swapaxes(-1, -2)  # sum_i |z_i| |w_i|
         ulp = np.finfo(float).eps * scale
         assert np.all(np.abs(re - ref.real) <= 4 * ulp)
         assert np.all(np.abs(im - ref.imag) <= 4 * ulp)
-
-    def test_single_pair_and_dimension_check(self, ch2):
-        z, w = _rand_vec(ch2), _rand_vec(ch2)
-        re, im = herm_gram(ch2, z[None], w[None])
-        assert re.shape == (1, 1)
-        assert abs(re[0, 0] + 1j * im[0, 0] - herm_form(ch2, z, w)) < 1e-14
-        with pytest.raises(InvalidArgument):
-            herm_gram(ch2, np.zeros((2, 4), dtype=complex), np.zeros((2, 4), dtype=complex))
 
 
 class TestProductGram:
@@ -128,14 +135,14 @@ class TestProductGram:
         space = None if signature is None else HermitianSpace(m - 1, signature)
         u, v = np.repeat(np.arange(R), R), np.tile(np.arange(R), R)
         got = product_gram(space, A, B, delta, u, v).reshape(S * M, R, R)
-        re, im = herm_gram(space, w, w)
+        ref = herm_form(space, w[:, :, None], w[:, None])
         # within a few ulp of the factor terms' magnitudes
         terms = np.abs(A)[:, :, None] * np.abs(B)[:, None]
         if with_delta:
             terms = terms + np.abs(delta)[:, :, None]
         terms = terms.transpose(1, 2, 0, 3).reshape(S * M, R, m)
         ulp = np.finfo(float).eps * (terms @ terms.swapaxes(-1, -2))
-        assert np.all(np.abs(got - (re + 1j * im)) <= 16 * ulp)
+        assert np.all(np.abs(got - ref) <= 16 * ulp)
 
 
 class TestQuadric:
@@ -231,22 +238,21 @@ class TestHorizontalSplit:
         space = HermitianSpace(3, signature)
         z = _quadric_points(space, 20, rng)
         v = rng.normal(size=(20, 5, 4)) + 1j * rng.normal(size=(20, 5, 4))
-        h, c = horizontal_split(space, z, v)
-        ref = herm_form(space, v, z[:, None, :])
-        assert np.max(np.abs(c - ref)) <= 1e-13
-        assert np.array_equal(c, vertical_coefficients(space, z, v))
+        h = horizontal_project(space, z[:, None, :], v)
+        assert h.shape == v.shape
         # every part is horizontal, and v = h + (v, z) z / (z, z)
+        c = herm_form(space, v, z[:, None, :])
         assert np.max(np.abs(herm_form(space, h, z[:, None, :]))) <= 1e-12
-        back = h + (ref / space.quadric_target)[..., None] * z[:, None, :]
+        back = h + (c / space.quadric_target)[..., None] * z[:, None, :]
         assert np.max(np.abs(back - v)) <= 1e-13
-        # one vector at a time through horizontal_project gives the same parts
+        # one vector at a time gives the same parts
         for k in (0, 3):
             assert np.max(np.abs(horizontal_project(space, z[k], v[k, 2]) - h[k, 2])) <= 1e-14
 
     def test_legendrian_residual_scale(self, ch2):
         z = np.array([[0.0, 0.0, 1.0]], dtype=complex)
         v = np.array([[[0.0, 0.0, 2.0], [1e-3, 0.0, 0.0]]], dtype=complex)
-        c = vertical_coefficients(ch2, z, v)
+        c = herm_form(ch2, v, z[:, None, :])
         # |(v, z)| / max(|v| |z|, 1): a vertical vector scores 1, a small
         # horizontal one 0
         assert np.array_equal(legendrian_residual(z, np.linalg.norm(v, axis=-1), c), [[1.0, 0.0]])
