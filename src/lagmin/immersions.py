@@ -970,7 +970,7 @@ class LegendreCurve:
                 "horizontal": float(np.max(np.abs(herm_form(space, self.d1, self.gamma))))}
 
 
-def _family_curve(spec: ImmersionFamilySpec, s, ode_tol: float | None = None) -> LegendreCurve:
+def _family_curve(spec: ImmersionFamilySpec, s, ode_tol: float = DEFAULT_ODE_TOL) -> LegendreCurve:
     """The family's Legendre curve: the first and last columns of its curve
     factor, i.e. the lift at a point where the block is B = e_1."""
     s = np.asarray(s, dtype=float)

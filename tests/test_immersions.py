@@ -17,8 +17,10 @@ from lagmin.immersions import (
     ch_sphere_curve,
     cp_sphere_curve,
     wavy_control_curve,
+    _family_curve,
 )
 from lagmin.model_spaces import herm_form, projective_distance, quadric_defect
+from lagmin.profiles import DEFAULT_ODE_TOL
 
 
 @pytest.fixture(scope="module")
@@ -405,6 +407,12 @@ class TestLegendreCurves:
         # arc-length parametrization
         speed = herm_form(curve.space, curve.d1, curve.d1).real
         assert np.max(np.abs(speed - 1.0)) < 1e-9
+
+    def test_family_curve_solves_at_the_default_tolerance(self):
+        s = np.linspace(-1.0, 1.0, 9)
+        got = _family_curve(ImmersionFamilySpec("thm1", 2, 1.0), s)
+        ref = ch_sphere_curve(2, 1.0, s, ode_tol=DEFAULT_ODE_TOL)
+        assert got.gamma.tobytes() == ref.gamma.tobytes()
 
     @pytest.mark.parametrize("fam,curve,n,rho", [
         ("thm1", ch_sphere_curve, 2, 1.0), ("thm1", ch_sphere_curve, 3, 0.5),
