@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from . import geomcheck, serialization as ser
-from .fd import DEFAULT_FD_STEP
 from .immersions import (
     FAMILY_TAGS as IMM_FAMILIES,
     SEED_KINDS,
@@ -52,12 +51,10 @@ _CONFIG_KEYS = {
     "ode_tol": (float, lambda v: 1e-13 <= v <= 1e-6),
     "s_max": (float, lambda v: 0 < v <= 100),
     "grid": (str, lambda v: _parse_grid(v) is not None),
-    "fd_step": (float, lambda v: 1e-6 <= v <= 1e-1),
     "prng_seed": (int, lambda v: v >= 0),
 }
 
-_DEFAULTS = {"ode_tol": DEFAULT_ODE_TOL, "s_max": 8.0, "grid": "64x64",
-             "fd_step": DEFAULT_FD_STEP, "prng_seed": 42}
+_DEFAULTS = {"ode_tol": DEFAULT_ODE_TOL, "s_max": 8.0, "grid": "64x64", "prng_seed": 42}
 
 
 class UsageError(Exception):
@@ -178,10 +175,7 @@ def cmd_build(args, cfg) -> int:
             raise UsageError("--s-window expects LO:HI") from None
         s_window = (lo, hi)
     try:
-        imm = build_immersion(
-            spec, grid=grid, s_window=s_window,
-            ode_tol=cfg["ode_tol"], fd_step=cfg["fd_step"],
-        )
+        imm = build_immersion(spec, grid=grid, s_window=s_window, ode_tol=cfg["ode_tol"])
     except IntegrationFailure as exc:
         print(f"integration failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -200,9 +194,7 @@ def cmd_verify(args, cfg) -> int:
     checks = geomcheck.ALL_CHECKS
     if args.checks:
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-    report = geomcheck.run_checks(
-        imm, checks, h=cfg["fd_step"], rng_seed=cfg["prng_seed"]
-    )
+    report = geomcheck.run_checks(imm, checks, rng_seed=cfg["prng_seed"])
     payload = report.to_dict()
     payload["rho"] = None if payload["rho"] is None else ser.fnum(payload["rho"])
     payload["checks"] = [
@@ -228,7 +220,7 @@ def cmd_sigma_integral(args, cfg) -> int:
     if args.infile:
         with open(args.infile) as fh:
             imm = ser.immersion_from_dict(json.load(fh))
-        field = geomcheck.curvature_field(imm, h=cfg["fd_step"])
+        field = geomcheck.curvature_field(imm)
         value = sigma_integral_numeric(
             field["s_values"], field["sigma_norms"], field["sqrt_det_g"],
             field["chart_weights"], imm.spec.n,

@@ -4,8 +4,12 @@ An evaluator maps a batch of chart points Xi of shape (M, D) to ambient
 values of shape (M, C).  First derivatives use the 5-point stencil by
 default (O(h^4)); second derivatives use 5-point diagonals and the
 symmetric 4-point cross for mixed terms.  The 3-point variant (O(h^2)) is
-kept for convergence-order tests.  ``DEFAULT_FD_STEP`` is the step the
-build header, the checks and the CLI take unless given one.
+kept for convergence-order tests.
+
+No built or loaded immersion is differenced: their jets are exact.  The
+stencils, at ``DEFAULT_FD_STEP``, are the independent route: the
+whole-lift jets of hand-built immersions (``geomcheck.jet``) and the
+check of a given seed's jets against its values.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Jets are taken over a product of S values s and M transverse points x.
 Every family's lift is alpha(s) * beta(x) + delta(s) componentwise, with
 the curve factors alpha and delta differentiated in closed form from the
-profile ODE on the s values and only the O(1) transverse block beta
-finite-differenced, in x on the M points (``fd`` stencils, step h).
+profile ODE on the s values and the O(1) transverse block beta's exact
+jet on the M points: no built or loaded immersion takes a numerical step.
 
 The geometry reads the jets only through their Hermitian pairings, so a
 ``JetBatch`` holds the lift's value and one Gram matrix of the raw jets:
@@ -14,9 +14,10 @@ x-factors, and ``ProductJet.gram`` takes all of them as one stacked matmul
 (``model_spaces.product_gram``): no S*M-row partial is materialised, only
 the value, which the sample-consistency check compares with the stored
 samples.  Hand-built immersions without a product jet build the same Gram
-from central differences of the whole lift evaluator, their stacked rows
-paired by one broadcast ``herm_form`` (``JetBatch.from_partials``), so
-everything downstream has one path.
+from central differences of the whole lift evaluator (the independent
+route the tests check the exact jets with), their stacked rows paired by
+one broadcast ``herm_form`` (``JetBatch.from_partials``), so everything
+downstream has one path.
 
 One data path, jets -> FrameBatch -> SFFBatch, feeds every check, and each
 check takes the batch it reads.  On the quadric (z, z) is read as its
@@ -45,7 +46,6 @@ from itertools import permutations
 import numpy as np
 
 from . import fd
-from .fd import DEFAULT_FD_STEP
 from .immersions import (
     LegendreCurve,
     SampledImmersion,
@@ -92,7 +92,6 @@ __all__ = [
     "curvature_field",
     "sigma_numeric_report",
     "run_checks",
-    "DEFAULT_FD_STEP",
     "TOLERANCES",
 ]
 
@@ -148,27 +147,29 @@ class JetBatch:
         return cls(xi, value, gram, np.sqrt(np.sum(np.abs(d1) ** 2, axis=-1)))
 
 
-def jet(imm: SampledImmersion, s, X, h: float = DEFAULT_FD_STEP) -> JetBatch:
+def jet(imm: SampledImmersion, s, X) -> JetBatch:
     """Jet of the lift on the product of the S values ``s`` and the M chart
     points ``X`` (M, d), as S*M rows in ``grid_xi`` order.
 
-    Uses the immersion's product jet when it has one (the curve taken on
-    ``s``, only the block finite-differenced, on ``X``, with step ``h``)
-    and pairs it factor by factor, else central differences of the whole
-    lift evaluator on the stacked rows, paired as stacked vectors.  A
-    single point is a 1 x 1 product.
+    Uses the immersion's exact product jet when it has one (the curve
+    taken on ``s``, the block on ``X``) and pairs it factor by factor, else
+    central differences of the whole lift evaluator on the stacked rows at
+    ``fd.DEFAULT_FD_STEP``, paired as stacked vectors.  A single point is a
+    1 x 1 product.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if imm.profile is not None:
-        margin = 2.0 * h
-        if np.max(np.abs(s)) + margin > imm.profile.s_max:
-            raise OutOfDomain("jet base point within 2h of the profile boundary")
+        # the stencil reaches 2h past its base points; an exact jet, none
+        reach = 0.0 if imm.jet_factors else 2.0 * fd.DEFAULT_FD_STEP
+        if np.max(np.abs(s)) + reach >= imm.profile.s_max:
+            raise OutOfDomain("jet base point not inside the profile's domain")
     xi = product_xi(s, X)
     space = imm.ambient.space
     if imm.jet_factors is None:
-        return JetBatch.from_partials(space, xi, *fd.jet_partials(imm.evaluate_xi, xi, h))
-    pj = imm.jet_factors(s, X, h)
+        partials = fd.jet_partials(imm.evaluate_xi, xi, fd.DEFAULT_FD_STEP)
+        return JetBatch.from_partials(space, xi, *partials)
+    pj = imm.jet_factors(s, X)
     return JetBatch(xi, pj.value(), *pj.gram(space))
 
 
@@ -437,7 +438,9 @@ def expected_sff_thm1(imm: SampledImmersion, xi: np.ndarray) -> np.ndarray:
 
 
 def sff_residuals(imm: SampledImmersion, sff: SFFBatch) -> dict:
-    """Relative closed-form match of the thm1 coefficients and |sigma|^2."""
+    """Relative closed-form match of the thm1 coefficients and |sigma|^2:
+    the nonzero components relative to themselves, the zero ones relative
+    to the largest, and |sigma|^2; the ``sff`` check reads all three."""
     xi = sff.xi
     expected = expected_sff_thm1(imm, xi)
     scale = np.max(np.abs(expected), axis=(1, 2, 3), keepdims=True)
@@ -490,20 +493,18 @@ def invariance_residual(
     left, moved = [], []
     for _ in range(k):
         if group == "so_n":
-            A = random_so(rng, n)
-            g_x, mat = x_model @ A, embed_isometry("so_n", A, n).matrix
+            A = element = random_so(rng, n)
         elif group == "so1_n":
-            A = random_so1(rng, n)
-            g_x, mat = x_model @ A, embed_isometry("so1_n", A, n).matrix
+            A = element = random_so1(rng, n)
         elif group == "euclid_n":
-            A, a = random_euclid(rng, n)
-            g_x, mat = x_model @ A + a, embed_isometry("euclid_n", (A, a), n).matrix
+            element = A, a = random_euclid(rng, n)
         else:
             raise InvalidArgument(f"unknown group {group!r}")
-        if g_x.shape[1] != x_model.shape[1]:
-            raise InvalidArgument("group does not act on this model manifold")
-        left.append(base @ mat)
-        moved.append(g_x)
+        if len(A) != x_model.shape[1]:
+            raise InvalidArgument(f"group {group} does not act on this model manifold: "
+                                  f"it moves R^{len(A)}, the model lies in R^{x_model.shape[1]}")
+        left.append(base @ embed_isometry(group, element, n).matrix)
+        moved.append(x_model @ A + a if group == "euclid_n" else x_model @ A)
     # one evaluation for all k moved copies
     right = imm.model_evaluate(np.tile(s_pts, k), np.concatenate(moved))
     return float(np.max(projective_distance(space, np.concatenate(left), right)))
@@ -576,11 +577,11 @@ def _transverse_weights(imm: SampledImmersion) -> np.ndarray:
     return reduce(np.multiply.outer, axis_weights).ravel()
 
 
-def curvature_field(imm: SampledImmersion, h: float = DEFAULT_FD_STEP) -> dict:
+def curvature_field(imm: SampledImmersion) -> dict:
     """|sigma| and sqrt(det g) on the cached grid, plus transverse weights."""
     S, M = len(imm.s_values), len(imm.x_grid)
     weights = _transverse_weights(imm)
-    fb = frame_batch(imm, jet(imm, imm.s_values, imm.x_grid, h=h))
+    fb = frame_batch(imm, jet(imm, imm.s_values, imm.x_grid))
     sff = second_fundamental_form(imm, fb)
     sqrt_det = np.prod(np.diagonal(fb.chol, axis1=1, axis2=2), axis=-1)  # det L
     return {
@@ -673,7 +674,6 @@ def _sample_consistency(imm: SampledImmersion, fresh: np.ndarray) -> float:
 def run_checks(
     imm: SampledImmersion,
     checks=ALL_CHECKS,
-    h: float = DEFAULT_FD_STEP,
     rng_seed: int = 42,
 ) -> CheckReport:
     """Run the named verification checks on an immersion's cached grid."""
@@ -688,12 +688,12 @@ def run_checks(
         n=imm.spec.n,
         rho=imm.spec.rho,
         grid=(len(imm.s_values), len(imm.x_grid)),
-        provenance={"h": h, "seed": rng_seed, "detuned": imm.spec.detuned,
+        provenance={"seed": rng_seed, "detuned": imm.spec.detuned,
                     "seed_kind": imm.seed.kind if imm.seed else None,
                     "tolerances": dict(TOLERANCES)},
     )
     tol = TOLERANCES
-    fb = frame_batch(imm, jet(imm, imm.s_values, imm.x_grid, h=h))
+    fb = frame_batch(imm, jet(imm, imm.s_values, imm.x_grid))
     # the real geodesic over a totally geodesic seed is totally geodesic
     is_tg = imm.spec.kind.geodesic and (imm.seed is None or imm.seed.kind.startswith("tg"))
     sff = None
@@ -712,8 +712,7 @@ def run_checks(
         report.add("metric", metric_residual(imm, fb), tol["metric"])
     if "sff" in checks:
         if fam == "thm1" and not imm.spec.detuned:
-            res = sff_residuals(imm, sff)
-            report.add("sff", max(res["component_rel"], res["sigma_sq_rel"]), tol["sff"])
+            report.add("sff", max(sff_residuals(imm, sff).values()), tol["sff"])
         elif is_tg:
             report.add("sff", float(np.max(np.abs(sff.coeffs))), tol["sff_tg"])
     if "invariance" in checks and imm.group is not None and imm.model_evaluate is not None:

@@ -2,8 +2,8 @@
 
 Every family tag is a Legendre curve in H^3_1 or S^3 (or a plane curve)
 composed with a seed: an (n-1)-dimensional minimal Lagrangian of CP^{n-1},
-CH^{n-1} or C^{n-1}, given by its horizontal lift B (and, for flat seeds,
-its potential f).  One row per tag, ``ImmersionFamilySpec.kind``, names the
+CH^{n-1} or C^{n-1}, given by the jets of its horizontal lift B (and, for
+flat seeds, its potential f).  One row per tag, ``ImmersionFamilySpec.kind``, names the
 ambient, the curve's profile row and the layout, i.e. where the block sits:
 
   sphere:  ( sinh r e^{i a(s)} B , cosh r e^{i b(s)} )   (sin, cos in CP^n)
@@ -24,23 +24,24 @@ seed; the others take a seed.
 Every lift is therefore alpha(s) * beta(x) + delta(s) componentwise, and
 that one factorization is the only lift code: ``_curve_factors`` gives the
 curve factors alpha, delta as exact jets in s, the pair (S, C) read from
-the profile row, and ``_block_factor`` the O(1) block beta.  The
-evaluator, the model-coordinate evaluator and the cached samples compose
-them, the jet keeps them apart (``ProductJet``: the block finite-
-differenced in x alone, every Hermitian pairing of the jets taken factor
-by factor), and the Legendre curves are the first and last columns of
-alpha.
+the profile row, and ``_block_factor`` the exact jet of the O(1) block
+beta, the seed's jet placed by the layout (the built-in seeds' jets are
+closed forms, their values the chart maps).  The evaluator, the
+model-coordinate evaluator and the cached samples compose them, the jet
+keeps them apart (``ProductJet``, every Hermitian pairing of the jets
+taken factor by factor), and the Legendre curves are the first and last
+columns of alpha.  No family takes a numerical step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from . import fd
-from .fd import DEFAULT_FD_STEP
 from .model_spaces import (
     GeometryError,
     HermitianSpace,
@@ -174,17 +175,69 @@ class Chart:
         return len(self.names)
 
 
-def _sphere_coords(angles: np.ndarray) -> np.ndarray:
-    """Angles (M, d) -> points of S^d in R^{d+1} (last angle periodic)."""
+def _cat(*jets):
+    """Jets (value, d1, d2) concatenated member by member, coordinates last."""
+    return tuple(np.concatenate(m, axis=-1) for m in zip(*jets))
+
+
+def _one_like(jet):
+    """The jet of a constant coordinate 1, shaped like one column of ``jet``."""
+    return tuple((np.zeros_like if k else np.ones_like)(m[..., :1]) for k, m in enumerate(jet))
+
+
+def _fold_jet(factors: list, order) -> tuple:
+    """Jet (value, d1, d2) of coordinates that are products of one-axis
+    factors, ``factors[i]`` (3, M, C) the jets of the factors along chart
+    axis i.  Every member is the product over the axes in ``order``, from a
+    1, with the factors of the differentiated axes replaced by derivatives."""
+    d, (M, C) = len(factors), factors[0].shape[1:]
+    eye, dtype = np.eye(d, dtype=int), np.result_type(*factors)
+
+    def prod(k):
+        return reduce(np.multiply, [factors[i][k[i]] for i in order], np.ones((M, C)))
+
+    d1, d2 = np.empty((M, d, C), dtype), np.empty((M, d, d, C), dtype)
+    for i in range(d):
+        d1[:, i] = prod(eye[i])
+        for j in range(d):
+            d2[:, i, j] = prod(eye[i] + eye[j])
+    return prod(np.zeros(d, dtype=int)), d1, d2
+
+
+def _sphere_factors(angles: np.ndarray, ones: int) -> list:
+    """Per-angle factors (3, M, d + 1 + ones) of the points of S^d in
+    R^{d+1} at nested angles (M, d), last angle periodic: coordinate k < d
+    is sin a_1 ... sin a_k cos a_{k+1}, the last the product of all sines,
+    and ``ones`` constant coordinates 1 follow."""
     angles = np.atleast_2d(np.asarray(angles, dtype=float))
     M, d = angles.shape
-    out = np.empty((M, d + 1))
-    sin_running = np.ones(M)
-    for k in range(d):
-        out[:, k] = sin_running * np.cos(angles[:, k])
-        sin_running = sin_running * np.sin(angles[:, k])
-    out[:, d] = sin_running
-    return out
+    factors = []
+    for i in range(d):
+        sin, cos = np.sin(angles[:, i]), np.cos(angles[:, i])
+        f = np.zeros((3, M, d + 1 + ones))
+        f[0] = 1.0
+        f[:, :, i] = np.stack([cos, -sin, -cos])
+        f[:, :, i + 1:d + 1] = np.stack([sin, cos, -sin])[..., None]
+        factors.append(f)
+    return factors
+
+
+def _sphere_jet(angles: np.ndarray) -> tuple:
+    """Jet of S^d at nested angles; the fold runs in angle order, which fixes
+    the rounding of every stored sample."""
+    factors = _sphere_factors(angles, 0)
+    return _fold_jet(factors, range(len(factors)))
+
+
+def _rh_jet(X: np.ndarray) -> tuple:
+    """Jet of (sinh u y, cosh u) on RH^d at polar coordinates (u, angles), y
+    on S^{d-1}; (sinh u, cosh u) for d = 1.  The angles fold before u, so
+    values round as sinh u * y does."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    d, u = X.shape[1], X[:, 0]
+    sh, ch = np.sinh(u), np.cosh(u)
+    head = np.stack([np.stack([sh, ch, sh])] * d + [np.stack([ch, sh, ch])], axis=-1)
+    return _fold_jet([head] + _sphere_factors(X[:, 1:], 1), [*range(1, d), 0])
 
 
 def sphere_chart(d: int) -> Chart:
@@ -192,23 +245,14 @@ def sphere_chart(d: int) -> Chart:
     lo = np.r_[np.full(d - 1, 0.25), 0.0] if d > 1 else np.zeros(1)
     hi = np.r_[np.full(d - 1, math.pi - 0.25), 2 * math.pi] if d > 1 else np.array([2 * math.pi])
     periodic = tuple([False] * (d - 1) + [True])
-    return Chart(names, lo, hi, periodic, _sphere_coords)
+    return Chart(names, lo, hi, periodic, lambda X: _sphere_jet(X)[0])
 
 
 def rh_chart(d: int) -> Chart:
     """Geodesic polar chart of RH^d (a plain rapidity line for d = 1)."""
+    to_model = lambda X: _rh_jet(X)[0]
     if d == 1:
-        to_model = lambda X: np.stack(
-            [np.sinh(np.asarray(X)[:, 0]), np.cosh(np.asarray(X)[:, 0])], axis=-1
-        )
         return Chart(("u",), np.array([-1.4]), np.array([1.4]), (False,), to_model)
-
-    def to_model(X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        u = X[:, 0]
-        y = _sphere_coords(X[:, 1:])
-        return np.concatenate([np.sinh(u)[:, None] * y, np.cosh(u)[:, None]], axis=-1)
-
     names = ("u",) + tuple(f"a{k+1}" for k in range(d - 1))
     lo = np.r_[0.15, np.full(max(d - 2, 0), 0.25), 0.0]
     hi = np.r_[1.6, np.full(max(d - 2, 0), math.pi - 0.25), 2 * math.pi]
@@ -242,85 +286,104 @@ def clifford_chart(d: int) -> Chart:
 
 @dataclass
 class SeedLagrangian:
-    """An (n-1)-dimensional minimal Lagrangian seed supplying lifts.
+    """An (n-1)-dimensional minimal Lagrangian seed, given by its exact jets.
 
-    ``lift`` maps chart points to S^{2 dim + 1} subset C^{dim+1} (target cp),
-    H^{2 dim + 1}_1 subset C^{dim+1} (target ch) or C^{dim} (target c); the
-    flat target additionally carries the potential with Re f = |eta|^2 and
-    v(Im f) = 2 <eta_* v, J eta>.
+    ``jet`` maps chart points (M, dim) to the jet (value, d1, d2), shapes
+    (M, C), (M, dim, C) and (M, dim, dim, C), of the lift to S^{2 dim + 1}
+    subset C^{dim+1} (target cp), H^{2 dim + 1}_1 subset C^{dim+1} (target
+    ch) or C^{dim} (target c); the flat target also carries
+    ``potential_jet``, the jet of the potential f, shapes (M,), (M, dim)
+    and (M, dim, dim), with Re f = |eta|^2 and v(Im f) = 2 <eta_* v, J eta>.
+    The lift and the potential are the jets' values.  ``build_immersion``
+    checks a given seed's jets against differences of their values.
     """
 
     kind: str
     dim: int
     target: str
     chart: Chart
-    lift: object
-    potential: object | None = None
+    jet: object
+    potential_jet: object | None = None
 
     def __post_init__(self):
         if self.target not in ("cp", "ch", "c"):
             raise InvalidArgument(f"unknown seed target {self.target!r}")
-        if self.target == "c" and self.potential is None:
+        if self.target == "c" and self.potential_jet is None:
             raise InvalidArgument("flat-target seeds must carry the potential f")
 
 
 def make_seed(kind: str, dim: int) -> SeedLagrangian:
-    """Built-in seeds: the totally geodesic models and the Clifford family."""
+    """Built-in seeds, with their jets in closed form: the totally geodesic
+    models and the Clifford family."""
     if dim < 1:
         raise InvalidArgument("seed dimension must be >= 1")
-    if kind == "tg_sphere_cp":
-        chart = sphere_chart(dim)
-        return SeedLagrangian(kind, dim, "cp", chart,
-                              lambda X: chart.to_model(X).astype(complex))
-    if kind == "tg_rh_ch":
-        chart = rh_chart(dim)
-        return SeedLagrangian(kind, dim, "ch", chart,
-                              lambda X: chart.to_model(X).astype(complex))
+    tg = {"tg_sphere_cp": ("cp", sphere_chart, _sphere_jet), "tg_rh_ch": ("ch", rh_chart, _rh_jet)}
+    if kind in tg:  # the jets of the chart maps
+        target, chart, jet = tg[kind]
+        return SeedLagrangian(kind, dim, target, chart(dim),
+                              lambda X: tuple(m.astype(complex) for m in jet(X)))
     if kind == "tg_plane_c":
-        chart = box_chart(dim)
 
-        def potential(X):
+        def lift(X):
+            X = np.atleast_2d(np.asarray(X))
+            M, d = X.shape
+            eye = np.repeat(np.eye(d, dtype=complex)[None], M, axis=0)
+            return X.astype(complex), eye, np.zeros((M, d, d, d), dtype=complex)
+
+        def potential(X):  # f = |x|^2
             X = np.atleast_2d(np.asarray(X, dtype=float))
-            return np.sum(X * X, axis=-1).astype(complex)
+            M, d = X.shape
+            return (np.sum(X * X, axis=-1).astype(complex), (2.0 * X).astype(complex),
+                    np.repeat(2.0 * np.eye(d, dtype=complex)[None], M, axis=0))
 
-        return SeedLagrangian(kind, dim, "c", chart,
-                              lambda X: np.atleast_2d(np.asarray(X)).astype(complex),
-                              potential)
+        return SeedLagrangian(kind, dim, "c", box_chart(dim), lift, potential)
     if kind == "clifford_cp":
         if dim < 2:
             raise InvalidArgument("clifford_cp needs dim >= 2")
         d = dim
-        chart = clifford_chart(d)
+        # the first d coordinates turn at rate -1/(d+1) in t, the last at d/(d+1)
+        rate = np.r_[np.full(d, -1j / (d + 1)), 1j * d / (d + 1)]
 
-        def lift(X):
+        def jet(X):
             X = np.atleast_2d(np.asarray(X, dtype=float))
             t = X[:, 0]
-            y = _sphere_coords(X[:, 1:])
-            first = math.sqrt(d) * np.exp(-1j * t / (d + 1))[:, None] * y
-            last = np.exp(1j * d * t / (d + 1))[:, None]
-            return np.concatenate([first, last], axis=-1) / math.sqrt(d + 1)
+            first = math.sqrt(d) * np.exp(-1j * t / (d + 1))
+            e = np.stack([first] * d + [np.exp(1j * d * t / (d + 1))], axis=-1)
+            head = np.stack([e, rate * e, rate * rate * e])
+            z = _fold_jet([head] + _sphere_factors(X[:, 1:], 1), [*range(1, d), 0])
+            return tuple(m / math.sqrt(d + 1) for m in z)
 
-        return SeedLagrangian(kind, d, "cp", chart, lift)
+        return SeedLagrangian(kind, d, "cp", clifford_chart(d), jet)
     raise InvalidArgument(f"make_seed cannot build kind {kind!r}")
 
 
-def seed_residuals(seed: SeedLagrangian, X: np.ndarray, h: float = 1e-4) -> dict:
-    """Norm and (for flat targets) potential-compatibility residuals."""
+def _jet_defect(jet, X: np.ndarray) -> float:
+    """Largest deviation of the derivatives of ``jet`` at X from central
+    differences of its value, relative to max(|value|, 1)."""
+    exact = jet(X)
+    approx = fd.jet_partials(lambda Y: jet(Y)[0], X, fd.DEFAULT_FD_STEP)
+    scale = max(float(np.max(np.abs(exact[0]))), 1.0)
+    return max(float(np.max(np.abs(e - a))) for e, a in zip(exact[1:], approx[1:])) / scale
+
+
+def seed_residuals(seed: SeedLagrangian, X: np.ndarray) -> dict:
+    """Norm and (for flat targets) potential-compatibility residuals, and
+    ``jet``, the defect of the seed's jets against central differences of
+    their own values."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    lift = seed.lift(X)
-    out = {}
+    eta, d_eta, _ = seed.jet(X)
+    out = {"jet": _jet_defect(seed.jet, X)}
     space = Ambient(seed.target, seed.dim).space
     if space is not None:
-        out["norm"] = float(np.max(quadric_defect(space, lift)))
+        out["norm"] = float(np.max(quadric_defect(space, eta)))
     else:
-        eta = lift
-        f = seed.potential(X)
+        f, d_f, _ = seed.potential_jet(X)
         out["re_f"] = float(np.max(np.abs(f.real - np.sum(np.abs(eta) ** 2, axis=-1))))
-        d_eta = fd.first_partials(seed.lift, X, h)
-        d_f = fd.first_partials(lambda Y: seed.potential(Y)[:, None], X, h)[..., 0]
         # v(Im f) = 2 <eta_* v, J eta> with J = i and the flat real metric
         rhs = 2.0 * np.einsum("mdc,mc->md", d_eta, np.conj(1j * eta)).real
         out["potential"] = float(np.max(np.abs(d_f.imag - rhs)))
+        f_jet = lambda Y: tuple(m[..., None] for m in seed.potential_jet(Y))
+        out["jet"] = max(out["jet"], _jet_defect(f_jet, X))
     return out
 
 
@@ -395,9 +458,9 @@ class SampledImmersion:
     instances can be shared across workers.  ``model_evaluate``
     (closed-formula families only) accepts raw model coordinates and is
     what the group-invariance check composes with isometry actions.
-    ``jet_factors(s, X, h, order)`` returns the lift's jet on the product
-    of S values s and M transverse points X as a ``ProductJet``, kept in
-    its curve and block factors and never materialised as S*M rows;
+    ``jet_factors(s, X)`` returns the lift's exact jet on the product of S
+    values s and M transverse points X as a ``ProductJet``, kept in its
+    curve and block factors and never materialised as S*M rows;
     hand-built immersions without one fall back to whole-lift finite
     differences of ``evaluate``.
     """
@@ -585,24 +648,22 @@ def _curve_factors(spec, profile, phases):
 
 
 def _block_factor(layout, lift, potential):
-    """x -> beta(x), the O(1) transverse factor of the lift: the block's lift
-    placed as ``layout`` says."""
+    """X -> the jet (beta, d1 beta, d2 beta) of the O(1) transverse factor:
+    the block's lift jet placed as ``layout`` says, constant columns 1 and,
+    on the horo row, f/2 twice (values alone from 1-tuple jets)."""
 
-    def ones(X):
-        return np.ones((len(X), 1), dtype=complex)
+    def beta(X):
+        z = lift(X)
+        if layout == "horo":
+            half_f = tuple(m[..., None] / 2.0 for m in potential(X))
+            return _cat(z, half_f, half_f)
+        if layout == "tube":
+            return _cat(_one_like(z), z)
+        if layout == "flat":
+            return z
+        return _cat(z, _one_like(z))
 
-    if layout == "horo":
-
-        def beta(X):
-            half_f = potential(X)[:, None] / 2.0
-            return np.concatenate([lift(X), half_f, half_f], axis=-1)
-
-        return beta
-    if layout == "tube":
-        return lambda X: np.concatenate([ones(X), lift(X)], axis=-1)
-    if layout == "flat":
-        return lift
-    return lambda X: np.concatenate([lift(X), ones(X)], axis=-1)
+    return beta
 
 
 def jet_rows(D: int, order: int = 2) -> list:
@@ -622,9 +683,9 @@ class ProductJet:
 
     ``alpha`` and ``delta`` are the curve jets (3, S, C), exact, taken once
     on the s values (``delta`` is None where the lift has no additive
-    term); ``block`` is the block's jet (beta, d1 beta[, d2 beta]) on the M
-    points, (M, C), (M, d, C) and (M, d, d, C), finite-differenced in x
-    alone with the ``fd`` stencils (``value`` reads beta alone).
+    term); ``block`` is the block's exact jet (beta, d1 beta[, d2 beta]) on
+    the M points, (M, C), (M, d, C) and (M, d, d, C) (``value`` reads beta
+    alone).
     """
 
     alpha: np.ndarray
@@ -674,20 +735,12 @@ class ProductJet:
 
 
 def _make_jet_factors(curve, beta):
-    """(s, X, h, order=2) -> ProductJet: the curve factors taken once on the
-    S values ``s``, the block differenced once on the M points ``X``
-    (``fd.jet_partials``, or ``beta`` and ``fd.first_partials`` at
-    ``order=1``)."""
+    """(s, X) -> ProductJet: the curve factors taken once on the S values
+    ``s``, the block's jet once on the M points ``X``."""
 
-    def jet_factors(s, X, h, order: int = 2):
-        s = np.asarray(s, dtype=float)
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        alpha, delta = curve(s)
-        if order == 1:
-            block = (beta(X), fd.first_partials(beta, X, h))
-        else:
-            block = fd.jet_partials(beta, X, h)
-        return ProductJet(alpha, delta, tuple(block))
+    def jet_factors(s, X):
+        alpha, delta = curve(np.asarray(s, dtype=float))
+        return ProductJet(alpha, delta, beta(np.atleast_2d(np.asarray(X, dtype=float))))
 
     return jet_factors
 
@@ -699,7 +752,7 @@ def _lift(curve, beta):
 
     def evaluate(s, X):
         alpha, delta = curve(np.asarray(s, dtype=float))
-        z = alpha[0] * beta(X)
+        z = alpha[0] * beta(X)[0]
         return z if delta is None else z + delta[0]
 
     return evaluate
@@ -776,7 +829,7 @@ def assemble_immersion(
 ) -> SampledImmersion:
     """Assemble the lift over an existing profile and sample grid.
 
-    The curve factors and the block factor are built once; ``evaluate``,
+    The curve factors and the block's jet are built once; ``evaluate``,
     ``model_evaluate``, the cached ``samples`` and ``jet_factors`` all
     compose them.  Used both by ``build_immersion`` and when rebuilding
     from serialized data; in the latter case ``samples`` carries the
@@ -789,21 +842,21 @@ def assemble_immersion(
     phases = phase_integrals(profile) if profile is not None else None
     lift_phases = _detuned_phases(profile, phases) if spec.detuned else phases
     curve = _curve_factors(spec, profile, lift_phases)
-    beta = _block_factor(kind.layout, block.lift, block.potential)
+    beta = _block_factor(kind.layout, block.jet, block.potential_jet)
+    jet_factors = _make_jet_factors(curve, beta)
 
     s_values = np.asarray(s_values, dtype=float)
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
     if samples is None:
-        alpha, delta = curve(s_values)
-        samples = ProductJet(alpha, delta, (beta(x_grid),)).value()
+        samples = jet_factors(s_values, x_grid).value()
         samples = samples.reshape(len(s_values), len(x_grid), -1)
     else:
         samples = np.asarray(samples, dtype=complex)
 
     model_evaluate = None
-    if kind.model:
-        ident = lambda Xm: np.atleast_2d(np.asarray(Xm)).astype(complex)
-        pot = lambda Xm: np.sum(np.atleast_2d(np.asarray(Xm)) ** 2, axis=-1).astype(complex)
+    if kind.model:  # the block's value in model coordinates: its identity lift
+        ident = lambda Xm: (np.atleast_2d(np.asarray(Xm)).astype(complex),)
+        pot = lambda Xm: (np.sum(np.atleast_2d(np.asarray(Xm)) ** 2, axis=-1).astype(complex),)
         model_evaluate = _lift(curve, _block_factor(kind.layout, ident, pot))
 
     return SampledImmersion(
@@ -815,7 +868,7 @@ def assemble_immersion(
         samples=samples,
         evaluate=_lift(curve, beta),
         model_evaluate=model_evaluate,
-        jet_factors=_make_jet_factors(curve, beta),
+        jet_factors=jet_factors,
         profile=profile,
         phases=phases,
         seed=seed,
@@ -829,7 +882,6 @@ def build_immersion(
     s_window: tuple[float, float] | None = None,
     ode_tol: float = DEFAULT_ODE_TOL,
     seed: SeedLagrangian | None = None,
-    fd_step: float = DEFAULT_FD_STEP,
 ) -> SampledImmersion:
     """Build a family's lift and cache it on an S x M grid.
 
@@ -837,8 +889,9 @@ def build_immersion(
     is split evenly across the d chart axes and rounded to per^d points
     (64x48 at n = 3 gives 7^2 = 49).  Profiles are solved internally
     on a window 0.5 wider than the sample window.  A given seed is
-    validated on the grid, and quadric membership and the Legendrian
-    (horizontality) residual of the cached samples go into ``header``.
+    validated on the grid (its jets too), and quadric membership and the
+    Legendrian (horizontality) residual of the cached samples go into
+    ``header``.
     """
     seed, block = _resolve_seed(spec, seed)
     if s_window is None:
@@ -857,7 +910,7 @@ def build_immersion(
     if seed is not None:
         _validate_seed(seed, x_grid)
     imm = assemble_immersion(spec, profile, s_values, x_grid, seed=seed)
-    imm.header.update(_sample_invariants(imm, fd_step))
+    imm.header.update(_sample_invariants(imm))
     if imm.header["quadric"] > 1e-8:
         raise GeometryError(
             f"cached lifts leave the quadric: defect {imm.header['quadric']:.2e}"
@@ -868,27 +921,28 @@ def build_immersion(
 def _validate_seed(seed: SeedLagrangian, x_grid: np.ndarray) -> None:
     sample = x_grid[:: max(1, len(x_grid) // 16)]
     res = seed_residuals(seed, sample)
-    if res.get("norm", 0.0) > 1e-8:
-        raise InvalidArgument(f"seed lift leaves its model quadric: {res['norm']:.2e}")
-    if res.get("re_f", 0.0) > 1e-8:
-        raise InvalidArgument(f"seed potential violates Re f = |eta|^2: {res['re_f']:.2e}")
-    if res.get("potential", 0.0) > 1e-4:
-        raise InvalidArgument(
-            f"seed potential violates v(Im f) = 2<eta_* v, J eta>: {res['potential']:.2e}"
-        )
+    for key, tol, fault in (
+        ("jet", 1e-4, "seed jet disagrees with central differences of its lift"),
+        ("norm", 1e-8, "seed lift leaves its model quadric"),
+        ("re_f", 1e-8, "seed potential violates Re f = |eta|^2"),
+        ("potential", 1e-4, "seed potential violates v(Im f) = 2<eta_* v, J eta>"),
+    ):
+        if res.get(key, 0.0) > tol:
+            raise InvalidArgument(f"{fault}: {res[key]:.2e}")
 
 
-def _sample_invariants(imm: SampledImmersion, fd_step: float) -> dict:
+def _sample_invariants(imm: SampledImmersion) -> dict:
     """Quadric-membership and Legendrian residuals of the cached samples.
-    The coefficients (d_i z, z) and norms |d_i z| come from the order-1
-    factored Gram, the same pairings that verify reads from its order-2
-    Gram, so the two residuals agree bit for bit."""
+    The coefficients (d_i z, z) and norms |d_i z| come from the factored
+    Gram of the jet's order-1 part, the same pairings that verify reads
+    from its order-2 Gram, so the two residuals agree bit for bit."""
     flat = imm.samples.reshape(-1, imm.samples.shape[-1])
     space = imm.ambient.space
     if space is None:
         return {"quadric": 0.0, "horizontal": 0.0}
     quadric = float(np.max(relative_quadric_defect(space, flat)))
-    gram, norms = imm.jet_factors(imm.s_values, imm.x_grid, fd_step, order=1).gram(space)
+    pj = imm.jet_factors(imm.s_values, imm.x_grid)
+    gram, norms = ProductJet(pj.alpha, pj.delta, pj.block[:2]).gram(space)
     horizontal = float(np.max(legendrian_residual(flat, norms, gram[:, 1:, 0])))
     return {"quadric": quadric, "horizontal": horizontal}
 

@@ -114,6 +114,8 @@ def _string_rows_block(rows: list, pad: str) -> str | None:
 
 
 def _require(d: dict, key: str, where: str):
+    if not isinstance(d, dict):
+        raise SchemaError(f"{where}: not an object")
     if key not in d:
         raise SchemaError(f"{where}: missing key {key!r}")
     return d[key]
@@ -286,6 +288,8 @@ def immersion_from_dict(d: dict) -> SampledImmersion:
     if S < 1 or M < 1:
         raise SchemaError(f"immersion.grid: {S}x{M} holds no grid point")
     rows = _require(d, "samples", "immersion")
+    if not isinstance(rows, list):
+        raise SchemaError("immersion.samples: not a list of rows")
     if len(rows) != S * M:
         raise SchemaError(f"immersion.samples: expected {S * M} rows, got {len(rows)}")
     profile = None
@@ -310,9 +314,11 @@ def immersion_from_dict(d: dict) -> SampledImmersion:
                           f"(s_values[{k // M}], x_grid[{k % M}]) of the {S}x{M} product grid")
     lifts = arr[:, 1 + chart_dim :]
     samples = (lifts[:, 0::2] + 1j * lifts[:, 1::2]).reshape(S, M, coords)
+    header = d.get("header", {})
+    if not isinstance(header, dict):
+        raise SchemaError("immersion.header: not an object")
     imm = assemble_immersion(spec, profile, s_values, x_grid, samples=samples)
-    imm.header.update({k: parse_float(v, "immersion.header")
-                       for k, v in d.get("header", {}).items()})
+    imm.header.update({k: parse_float(v, "immersion.header") for k, v in header.items()})
     return imm
 
 
@@ -322,15 +328,20 @@ def immersion_from_dict(d: dict) -> SampledImmersion:
 
 def samples_to_csv(d: dict) -> str:
     """Flatten immersion samples, one row per grid point."""
-    chart = d["grid"]["chart"]
-    ncols = len(d["samples"][0]) if d["samples"] else 0
+    chart = _require(_require(d, "grid", "immersion"), "chart", "immersion.grid")
+    rows = _require(d, "samples", "immersion")
+    if not isinstance(chart, list):
+        raise SchemaError("immersion.grid.chart: not a list of axis names")
+    try:
+        body = [",".join(row) for row in rows]
+    except TypeError:
+        raise SchemaError("immersion.samples: not a list of rows of number strings") from None
+    ncols = len(rows[0]) if rows else 0
     ncoords = (ncols - 1 - len(chart)) // 2
     header = ["s"] + list(chart)
     for k in range(ncoords):
         header += [f"re{k+1}", f"im{k+1}"]
-    lines = [",".join(header)]
-    lines += [",".join(row) for row in d["samples"]]
-    return "\n".join(lines) + "\n"
+    return "\n".join([",".join(header)] + body) + "\n"
 
 
 def profile_to_csv(d: dict) -> str:

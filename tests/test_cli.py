@@ -337,6 +337,36 @@ class TestRejectedInput:
         err = self._usage_error(tmp_path, capsys, "sigma-integral", "--in", str(bad))
         assert "transverse axis a1" in err
 
+    @pytest.mark.parametrize("command", ["verify", "sigma-integral"])
+    @pytest.mark.parametrize("edit,field", [
+        (_set("samples", 5), "immersion.samples"),
+        (_set("header", []), "immersion.header"),
+        (_set("header", 5), "immersion.header"),
+    ], ids=["samples-5", "header-list", "header-5"])
+    def test_loading_commands_reject(self, tmp_path, capsys, thm1_doc, command, edit, field):
+        d = json.loads(thm1_doc)
+        edit(d)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        assert field in self._usage_error(tmp_path, capsys, command, "--in", str(bad))
+
+    @pytest.mark.parametrize("edit,field", [
+        (lambda d: d.pop("grid"), "'grid'"),
+        (lambda d: d["grid"].pop("chart"), "'chart'"),
+        (_set("grid", 5), "immersion.grid"),
+        (_set("grid", "chart", 5), "immersion.grid.chart"),
+        (_set("samples", 5), "immersion.samples"),
+        (_set("samples", [5]), "immersion.samples"),
+    ], ids=["no-grid", "no-chart", "grid-5", "chart-5", "samples-5", "samples-row-5"])
+    def test_sample_export_rejects(self, tmp_path, capsys, thm1_doc, edit, field):
+        d = json.loads(thm1_doc)
+        edit(d)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        err = self._usage_error(tmp_path, capsys, "export", "--in", str(bad), "--what",
+                                "samples", "--out", str(tmp_path / "out.csv"))
+        assert field in err
+
     @pytest.mark.parametrize("what", ["profile", "phase-portrait", "samples"])
     def test_export_rejects_a_json_list(self, tmp_path, capsys, what):
         bad = tmp_path / "list.json"

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from lagmin import fd
 from lagmin.immersions import (
+    SEED_KINDS,
     ImmersionFamilySpec,
     InvalidArgument,
     build_immersion,
@@ -21,6 +23,18 @@ from lagmin.immersions import (
 )
 from lagmin.model_spaces import herm_form, projective_distance, quadric_defect
 from lagmin.profiles import DEFAULT_ODE_TOL
+
+
+def _differenced(value):
+    """A hand-built seed's jet: central differences of its value (M, C)."""
+    return lambda X: fd.jet_partials(value, np.atleast_2d(np.asarray(X, dtype=float)),
+                                     fd.DEFAULT_FD_STEP)
+
+
+def _differenced_potential(f):
+    """The same for a potential, whose value has shape (M,)."""
+    jet = _differenced(lambda X: f(X)[:, None])
+    return lambda X: tuple(m[..., 0] for m in jet(X))
 
 
 @pytest.fixture(scope="module")
@@ -95,15 +109,15 @@ class TestSpecValidation:
             ImmersionFamilySpec("thm2", 2, 1.0, detuned=True)
 
     def test_bad_custom_seed_rejected(self):
-        import numpy as np
         from lagmin.immersions import SeedLagrangian, box_chart
 
         # potential with the wrong real part fails the quadric condition
         bad = SeedLagrangian(
             "custom", 1, "c", box_chart(1),
-            lift=lambda X: np.atleast_2d(np.asarray(X)).astype(complex),
-            potential=lambda X: (np.sum(np.atleast_2d(np.asarray(X)) ** 2, axis=-1)
-                                 + 0.1).astype(complex),
+            jet=_differenced(lambda X: np.atleast_2d(np.asarray(X)).astype(complex)),
+            potential_jet=_differenced_potential(
+                lambda X: (np.sum(np.atleast_2d(np.asarray(X)) ** 2, axis=-1) + 0.1)
+                .astype(complex)),
         )
         with pytest.raises(InvalidArgument, match="Re f"):
             build_immersion(ImmersionFamilySpec("prop3c", 2, 1.0, seed_kind="custom"),
@@ -112,12 +126,29 @@ class TestSpecValidation:
         # a lift off the unit sphere fails the norm invariant
         bad2 = SeedLagrangian(
             "custom", 1, "cp", box_chart(1),
-            lift=lambda X: 1.1 * np.exp(1j * np.atleast_2d(np.asarray(X)))
-            .repeat(2, axis=-1),
+            jet=_differenced(lambda X: 1.1 * np.exp(1j * np.atleast_2d(np.asarray(X)))
+                             .repeat(2, axis=-1)),
         )
         with pytest.raises(InvalidArgument, match="quadric"):
             build_immersion(ImmersionFamilySpec("prop4a", 2, seed_kind="custom"),
                             grid=(4, 4), seed=bad2)
+
+    @pytest.mark.parametrize("kind,fam", [("clifford_cp", "prop3a"), ("tg_rh_ch", "prop3b"),
+                                          ("tg_plane_c", "prop3c")])
+    def test_seed_with_a_wrong_jet_rejected(self, kind, fam):
+        # a seed is outside input: its jets must be the derivatives of its lift
+        good = make_seed(kind, 2)
+
+        def jet(X):
+            value, d1, d2 = good.jet(X)
+            return value, 1.01 * d1, d2
+
+        spec = ImmersionFamilySpec(fam, 3, 1.0, seed_kind=kind)
+        assert build_immersion(spec, grid=(4, 4), seed=good).seed is good
+        bad = make_seed(kind, 2)
+        bad.jet = jet
+        with pytest.raises(InvalidArgument, match="seed jet disagrees"):
+            build_immersion(spec, grid=(4, 4), seed=bad)
 
     def test_domain_guards(self):
         with pytest.raises(InvalidArgument):
@@ -242,19 +273,19 @@ class TestSeeds:
     def test_tg_sphere_unit_norm(self):
         seed = make_seed("tg_sphere_cp", 2)
         X = np.array([[0.4, 1.0], [1.2, 5.0]])
-        lift = seed.lift(X)
+        lift = seed.jet(X)[0]
         assert np.max(np.abs(np.sum(np.abs(lift) ** 2, axis=-1) - 1.0)) < 1e-14
 
     def test_tg_plane_potential(self):
         seed = make_seed("tg_plane_c", 2)
         X = np.array([[0.3, -0.8], [1.1, 0.2]])
-        f = seed.potential(X)
+        f = seed.potential_jet(X)[0]
         assert np.max(np.abs(f.real - np.sum(X**2, axis=-1))) == 0.0
         assert np.max(np.abs(f.imag)) == 0.0
 
     def test_clifford_norm_split(self):
         seed = make_seed("clifford_cp", 2)
-        lift = seed.lift(np.array([[0.7, 2.1]]))
+        lift = seed.jet(np.array([[0.7, 2.1]]))[0]
         assert np.sum(np.abs(lift[0, :2]) ** 2) == pytest.approx(2.0 / 3.0, rel=1e-14)
         assert np.abs(lift[0, 2]) ** 2 == pytest.approx(1.0 / 3.0, rel=1e-14)
 
@@ -267,6 +298,33 @@ class TestSeeds:
             make_seed("custom", 2)
 
     @pytest.mark.parametrize("kind,dim", [
+        (kind, dim) for kind in SEED_KINDS for dim in range(1, 5)
+        if dim >= 2 or kind != "clifford_cp"])
+    def test_jets_against_differences_of_their_values(self, kind, dim):
+        # the closed-form jets (and tg_plane_c's potential jet) against
+        # 5-point stencils of their own values: d1 is O(h^4), the mixed
+        # cross stencil of d2 O(h^2)
+        seed = make_seed(kind, dim)
+        X = _chart_points(seed, 0)
+        jets = [seed.jet]
+        if seed.potential_jet is not None:
+            jets.append(lambda Y: tuple(m[..., None] for m in seed.potential_jet(Y)))
+        for jet in jets:
+            value, d1, d2 = jet(X)
+            ref = fd.jet_partials(lambda Y: jet(Y)[0], X, fd.DEFAULT_FD_STEP)
+            assert np.array_equal(ref[0], value)
+            scale = max(np.max(np.abs(value)), 1.0)
+            assert np.max(np.abs(d1 - ref[1])) <= 1e-9 * scale
+            assert np.max(np.abs(d2 - ref[2])) <= 1e-6 * scale
+
+    def test_jet_values_are_the_chart_maps(self):
+        # the jets replace the chart code: the values are the model points
+        for kind, dim in (("tg_sphere_cp", 3), ("tg_rh_ch", 1), ("tg_rh_ch", 3)):
+            seed = make_seed(kind, dim)
+            X = _chart_points(seed, 1)
+            assert seed.jet(X)[0].tobytes() == seed.chart.to_model(X).astype(complex).tobytes()
+
+    @pytest.mark.parametrize("kind,dim", [
         ("tg_sphere_cp", 2), ("tg_rh_ch", 2), ("tg_plane_c", 2), ("clifford_cp", 2),
     ])
     def test_seed_residuals(self, kind, dim):
@@ -274,11 +332,18 @@ class TestSeeds:
         rng = np.random.default_rng(0)
         X = seed.chart.lo + (seed.chart.hi - seed.chart.lo) * rng.uniform(0.1, 0.9, size=(12, dim))
         res = seed_residuals(seed, X)
+        assert res["jet"] <= 1e-6
         if seed.target == "c":
             assert res["re_f"] <= 1e-10
             assert res["potential"] <= 1e-5
         else:
             assert res["norm"] <= 1e-10
+
+
+def _chart_points(seed, rng_seed):
+    rng = np.random.default_rng(rng_seed)
+    return seed.chart.lo + (seed.chart.hi - seed.chart.lo) * rng.uniform(
+        0.1, 0.9, size=(12, seed.dim))
 
 
 # each model family, and its seeded twin over the same layout's totally
@@ -307,8 +372,8 @@ class TestComposedFamilies:
         assert a.x_grid.tobytes() == b.x_grid.tobytes()
         assert a.samples.tobytes() == b.samples.tobytes()
         assert a.header == b.header
-        ja = a.jet_factors(a.s_values, a.x_grid, 1e-3)
-        jb = b.jet_factors(a.s_values, a.x_grid, 1e-3)
+        ja = a.jet_factors(a.s_values, a.x_grid)
+        jb = b.jet_factors(a.s_values, a.x_grid)
         assert (ja.delta is None) == (jb.delta is None)
         fields = [(ja.alpha, jb.alpha), *zip(ja.block, jb.block)]
         if ja.delta is not None:
