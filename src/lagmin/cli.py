@@ -27,7 +27,9 @@ from .immersions import (
 from .model_spaces import GeometryError, InvalidArgument
 from .profiles import (
     DEFAULT_ODE_TOL,
+    EQUILIBRIUM_PROXIMATE,
     FAMILY_TAGS as PROFILE_FAMILIES,
+    ODE_TOL_RANGE,
     DetectionFailure,
     IntegrationFailure,
     NeedsLargerDomain,
@@ -48,13 +50,12 @@ EXIT_VERIFY = 3
 CONFIG_PATH = "./lagmin.conf"
 
 _CONFIG_KEYS = {
-    "ode_tol": (float, lambda v: 1e-13 <= v <= 1e-6),
+    "ode_tol": (float, lambda v: ODE_TOL_RANGE[0] <= v <= ODE_TOL_RANGE[1]),
     "s_max": (float, lambda v: 0 < v <= 100),
     "grid": (str, lambda v: _parse_grid(v) is not None),
-    "prng_seed": (int, lambda v: v >= 0),
 }
 
-_DEFAULTS = {"ode_tol": DEFAULT_ODE_TOL, "s_max": 8.0, "grid": "64x64", "prng_seed": 42}
+_DEFAULTS = {"ode_tol": DEFAULT_ODE_TOL, "s_max": 8.0, "grid": "64x64"}
 
 
 class UsageError(Exception):
@@ -74,7 +75,7 @@ def _parse_grid(text: str):
     return (S, M)
 
 
-def load_config(path: str = CONFIG_PATH) -> dict:
+def load_config(path: str) -> dict:
     """Read key=value defaults; unknown keys and bad ranges are rejected."""
     cfg = dict(_DEFAULTS)
     if not os.path.exists(path):
@@ -194,7 +195,7 @@ def cmd_verify(args, cfg) -> int:
     checks = geomcheck.ALL_CHECKS
     if args.checks:
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-    report = geomcheck.run_checks(imm, checks, rng_seed=cfg["prng_seed"])
+    report = geomcheck.run_checks(imm, checks)
     payload = report.to_dict()
     payload["rho"] = None if payload["rho"] is None else ser.fnum(payload["rho"])
     payload["checks"] = [
@@ -260,7 +261,7 @@ def cmd_period(args, cfg) -> int:
         _emit({"period": None, "equilibrium": True}, args.out,
               f"rho={args.rho:g} is the equilibrium radius: constant profile")
         return EXIT_OK
-    if result.amplitude < 1e-3:
+    if result.amplitude < EQUILIBRIUM_PROXIMATE:
         _emit({"period": ser.fnum(result.period), "equilibrium": True,
                "orbit_amplitude": ser.fnum(result.amplitude)}, args.out,
               f"equilibrium (proximate: orbit amplitude {result.amplitude:.2e})")

@@ -1,10 +1,9 @@
 """Central finite-difference stencils on vectorized evaluators.
 
 An evaluator maps a batch of chart points Xi of shape (M, D) to ambient
-values of shape (M, C).  First derivatives use the 5-point stencil by
-default (O(h^4)); second derivatives use 5-point diagonals and the
-symmetric 4-point cross for mixed terms.  The 3-point variant (O(h^2)) is
-kept for convergence-order tests.
+values of shape (M, C).  First derivatives use the 5-point stencil
+(O(h^4)); second derivatives use 5-point diagonals and the symmetric
+4-point cross for mixed terms.
 
 No built or loaded immersion is differenced: their jets are exact.  The
 stencils, at ``DEFAULT_FD_STEP``, are the independent route: the
@@ -27,7 +26,7 @@ def _shift(Xi, d, delta):
     return out
 
 
-def first_partials(evaluate, Xi, h, five_point: bool = True):
+def first_partials(evaluate, Xi, h):
     """First partials of shape (M, D, C)."""
     Xi = np.asarray(Xi, dtype=float)
     M, D = Xi.shape
@@ -35,46 +34,33 @@ def first_partials(evaluate, Xi, h, five_point: bool = True):
     cols = []
     for d in range(D):
         hd = hs[d]
-        if five_point:
-            zm2 = evaluate(_shift(Xi, d, -2 * hd))
-            zm1 = evaluate(_shift(Xi, d, -hd))
-            zp1 = evaluate(_shift(Xi, d, +hd))
-            zp2 = evaluate(_shift(Xi, d, +2 * hd))
-            cols.append((zm2 - 8.0 * zm1 + 8.0 * zp1 - zp2) / (12.0 * hd))
-        else:
-            zm1 = evaluate(_shift(Xi, d, -hd))
-            zp1 = evaluate(_shift(Xi, d, +hd))
-            cols.append((zp1 - zm1) / (2.0 * hd))
+        zm2 = evaluate(_shift(Xi, d, -2 * hd))
+        zm1 = evaluate(_shift(Xi, d, -hd))
+        zp1 = evaluate(_shift(Xi, d, +hd))
+        zp2 = evaluate(_shift(Xi, d, +2 * hd))
+        cols.append((zm2 - 8.0 * zm1 + 8.0 * zp1 - zp2) / (12.0 * hd))
     return np.stack(cols, axis=1)
 
 
-def jet_partials(evaluate, Xi, h, five_point: bool = True):
+def jet_partials(evaluate, Xi, h):
     """Base value, first and second partials: (M,C), (M,D,C), (M,D,D,C)."""
     Xi = np.asarray(Xi, dtype=float)
     M, D = Xi.shape
     hs = np.broadcast_to(np.asarray(h, dtype=float), (D,))
     base = evaluate(Xi)
-    C = base.shape[-1]
     d1 = np.empty((M, D, base.shape[-1]), dtype=base.dtype)
     d2 = np.empty((M, D, D, base.shape[-1]), dtype=base.dtype)
 
-    plus = [None] * D
-    minus = [None] * D
     for d in range(D):
         hd = hs[d]
         zm1 = evaluate(_shift(Xi, d, -hd))
         zp1 = evaluate(_shift(Xi, d, +hd))
-        minus[d], plus[d] = zm1, zp1
-        if five_point:
-            zm2 = evaluate(_shift(Xi, d, -2 * hd))
-            zp2 = evaluate(_shift(Xi, d, +2 * hd))
-            d1[:, d] = (zm2 - 8.0 * zm1 + 8.0 * zp1 - zp2) / (12.0 * hd)
-            d2[:, d, d] = (-zm2 + 16.0 * zm1 - 30.0 * base + 16.0 * zp1 - zp2) / (
-                12.0 * hd * hd
-            )
-        else:
-            d1[:, d] = (zp1 - zm1) / (2.0 * hd)
-            d2[:, d, d] = (zm1 - 2.0 * base + zp1) / (hd * hd)
+        zm2 = evaluate(_shift(Xi, d, -2 * hd))
+        zp2 = evaluate(_shift(Xi, d, +2 * hd))
+        d1[:, d] = (zm2 - 8.0 * zm1 + 8.0 * zp1 - zp2) / (12.0 * hd)
+        d2[:, d, d] = (-zm2 + 16.0 * zm1 - 30.0 * base + 16.0 * zp1 - zp2) / (
+            12.0 * hd * hd
+        )
 
     for a in range(D):
         for b in range(a + 1, D):

@@ -99,8 +99,10 @@ __all__ = [
 # not a check verdict, so it is not part of TOLERANCES (which reports record)
 _SFF_LAGRANGIAN_TOL = 1e-5
 
-# seeded group elements and sample points of the invariance check
+# seeded group elements and sample points of the invariance check, and
+# their seed (reports record it as provenance.seed)
 _INVARIANCE_SAMPLES = 12
+_INVARIANCE_SEED = 42
 
 
 class OutOfDomain(GeometryError):
@@ -464,13 +466,9 @@ def sff_residuals(imm: SampledImmersion, sff: SFFBatch) -> dict:
 # group invariance
 
 
-def invariance_residual(
-    imm: SampledImmersion,
-    group: str,
-    k: int = 20,
-    rng_seed: int = 42,
-) -> float:
-    """Equivariance defect max over k seeded group elements and sample points.
+def invariance_residual(imm: SampledImmersion, group: str) -> float:
+    """Equivariance defect max over ``_INVARIANCE_SAMPLES`` seeded group
+    elements and sample points.
 
     Compares g . Phi(s, x) with Phi(s, g . x) projectively; a mismatched
     group simply moves x off the model manifold, producing a large
@@ -480,8 +478,8 @@ def invariance_residual(
         raise InvalidArgument(
             f"family {imm.spec.family} has no model-coordinate evaluator"
         )
-    n = imm.spec.n
-    rng = np.random.default_rng(rng_seed)
+    n, k = imm.spec.n, _INVARIANCE_SAMPLES
+    rng = np.random.default_rng(_INVARIANCE_SEED)
     space = imm.ambient.space
 
     M = len(imm.x_grid)
@@ -671,11 +669,7 @@ def _sample_consistency(imm: SampledImmersion, fresh: np.ndarray) -> float:
     return max(worst, float(np.max(relative_quadric_defect(space, flat))))
 
 
-def run_checks(
-    imm: SampledImmersion,
-    checks=ALL_CHECKS,
-    rng_seed: int = 42,
-) -> CheckReport:
+def run_checks(imm: SampledImmersion, checks=ALL_CHECKS) -> CheckReport:
     """Run the named verification checks on an immersion's cached grid."""
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:
@@ -688,7 +682,7 @@ def run_checks(
         n=imm.spec.n,
         rho=imm.spec.rho,
         grid=(len(imm.s_values), len(imm.x_grid)),
-        provenance={"seed": rng_seed, "detuned": imm.spec.detuned,
+        provenance={"seed": _INVARIANCE_SEED, "detuned": imm.spec.detuned,
                     "seed_kind": imm.seed.kind if imm.seed else None,
                     "tolerances": dict(TOLERANCES)},
     )
@@ -716,11 +710,7 @@ def run_checks(
         elif is_tg:
             report.add("sff", float(np.max(np.abs(sff.coeffs))), tol["sff_tg"])
     if "invariance" in checks and imm.group is not None and imm.model_evaluate is not None:
-        report.add(
-            "invariance",
-            invariance_residual(imm, imm.group, k=_INVARIANCE_SAMPLES, rng_seed=rng_seed),
-            tol["invariance"],
-        )
+        report.add("invariance", invariance_residual(imm, imm.group), tol["invariance"])
     if "symmetry" in checks:
         report.add("symmetry", sff.symmetry_residual(), tol["symmetry"])
     return report

@@ -54,9 +54,11 @@ from .model_spaces import (
     product_gram,
     quadric_defect,
     relative_quadric_defect,
+    umbilical_embed,
 )
 from .profiles import (
     DEFAULT_ODE_TOL,
+    FINE_ODE_TOL,
     PAIRS,
     PhaseIntegrals,
     ProfileFamily,
@@ -260,12 +262,12 @@ def rh_chart(d: int) -> Chart:
     return Chart(names, lo, hi, periodic, to_model)
 
 
-def box_chart(d: int, half_width: float = 1.2) -> Chart:
+def box_chart(d: int) -> Chart:
     names = tuple(f"x{k+1}" for k in range(d))
     return Chart(
         names,
-        np.full(d, -half_width),
-        np.full(d, half_width),
+        np.full(d, -1.2),
+        np.full(d, 1.2),
         tuple([False] * d),
         lambda X: np.atleast_2d(np.asarray(X, dtype=float)),
     )
@@ -963,7 +965,10 @@ class SliceRecord:
 def slice_at(imm: SampledImmersion, s: float) -> SliceRecord:
     """The s-slice of the ch_sphere family: a geodesic sphere of radius r(s)
     centered at [(0,..,0,1)] inside the real form determined by
-    A(s) = diag(e^{i a(s)} I_n, e^{i b(s)})."""
+    A(s) = diag(e^{i a(s)} I_n, e^{i b(s)}).  ``dephase_residual`` is the
+    largest distance of the slice's lifts, dephased by A(s)^{-1}, from the
+    umbilical embedding of the geodesic sphere of radius r(s), relative to
+    the lifts' scale."""
     if imm.spec.family != "thm1" or imm.spec.detuned:
         raise InvalidArgument("slices are defined for the thm1 family")
     n = imm.spec.n
@@ -972,11 +977,13 @@ def slice_at(imm: SampledImmersion, s: float) -> SliceRecord:
     diag = np.r_[np.full(n, np.exp(1j * a)), np.exp(1j * b)]
     A = IsometryElement(space, np.diag(diag))
     lifts = imm.evaluate(np.full(len(imm.x_grid), float(s)), imm.x_grid)
+    radius = float(imm.profile.r_of(s))
     # align the residual global phase on the largest coordinate per sample
     aligned = normalize_phase(lifts * np.conj(diag)[None, :])
-    residual = float(np.max(np.abs(aligned.imag)) / max(1.0, np.max(np.abs(lifts))))
+    sphere = umbilical_embed("geodesic_sphere", imm.chart.to_model(imm.x_grid), radius)
+    residual = float(np.max(np.abs(aligned - sphere)) / max(1.0, np.max(np.abs(lifts))))
     center = ProjectivePoint(space, np.r_[np.zeros(n), 1.0].astype(complex))
-    return SliceRecord(center, float(imm.profile.r_of(s)), A, lifts, residual)
+    return SliceRecord(center, radius, A, lifts, residual)
 
 
 def normal_position_angles(phases: PhaseIntegrals, s: float, s_prime: float) -> np.ndarray:
@@ -1024,27 +1031,28 @@ class LegendreCurve:
                 "horizontal": float(np.max(np.abs(herm_form(space, self.d1, self.gamma))))}
 
 
-def _family_curve(spec: ImmersionFamilySpec, s, ode_tol: float = DEFAULT_ODE_TOL) -> LegendreCurve:
+def _family_curve(spec: ImmersionFamilySpec, s) -> LegendreCurve:
     """The family's Legendre curve: the first and last columns of its curve
-    factor, i.e. the lift at a point where the block is B = e_1."""
+    factor, i.e. the lift at a point where the block is B = e_1, over a
+    profile solved at ``FINE_ODE_TOL``."""
     s = np.asarray(s, dtype=float)
     profile = phases = None
     if spec.kind.solved:
         pf = ProfileFamily(spec.kind.profile, spec.n, spec.rho)
-        profile = solve_profile(pf, float(np.max(np.abs(s))) + 0.5, tol=ode_tol)
+        profile = solve_profile(pf, float(np.max(np.abs(s))) + 0.5, tol=FINE_ODE_TOL)
         phases = phase_integrals(profile)
     alpha, _ = _curve_factors(spec, profile, phases)(s)
     return LegendreCurve(spec.ambient.space.signature, s, *alpha[..., [0, -1]])
 
 
-def ch_sphere_curve(n: int, rho: float, s: np.ndarray, ode_tol: float = 1e-11) -> LegendreCurve:
+def ch_sphere_curve(n: int, rho: float, s: np.ndarray) -> LegendreCurve:
     """The profile curve of the ch_sphere family on the sample points s."""
-    return _family_curve(ImmersionFamilySpec("thm1", n, rho), s, ode_tol)
+    return _family_curve(ImmersionFamilySpec("thm1", n, rho), s)
 
 
-def cp_sphere_curve(n: int, rho: float, s: np.ndarray, ode_tol: float = 1e-11) -> LegendreCurve:
+def cp_sphere_curve(n: int, rho: float, s: np.ndarray) -> LegendreCurve:
     """The profile curve of the cp_sphere family, as a Legendre curve in S^3."""
-    return _family_curve(ImmersionFamilySpec("thm5", n, rho), s, ode_tol)
+    return _family_curve(ImmersionFamilySpec("thm5", n, rho), s)
 
 
 def real_geodesic_curve(s: np.ndarray) -> LegendreCurve:

@@ -31,15 +31,12 @@ __all__ = [
     "IsometryElement",
     "herm_form",
     "product_gram",
-    "on_quadric",
     "quadric_defect",
     "relative_quadric_defect",
     "normalize_phase",
     "projective_distance",
-    "projective_equal",
     "legendrian_residual",
     "horizontal_project",
-    "omega_eval",
     "embed_isometry",
     "umbilical_embed",
     "validate_model_point",
@@ -49,7 +46,9 @@ __all__ = [
     "random_euclid",
 ]
 
-DEFAULT_TOL = 1e-10
+# how far model points, quadric base points and group parameters may miss
+# their defining equations
+MODEL_TOL = 1e-10
 
 
 class GeometryError(Exception):
@@ -166,11 +165,6 @@ def relative_quadric_defect(space: HermitianSpace, z: np.ndarray) -> np.ndarray:
     return quadric_defect(space, z) / np.maximum(np.sum(np.abs(z) ** 2, axis=-1), 1.0)
 
 
-def on_quadric(space: HermitianSpace, z: np.ndarray, tol: float = DEFAULT_TOL):
-    """Whether z lies on H^{2n+1}_1 (resp. S^{2n+1}) within ``tol``."""
-    return quadric_defect(space, z) <= tol
-
-
 def normalize_phase(z: np.ndarray) -> np.ndarray:
     """Rotate by a unit phase so the largest-modulus coordinate is real >= 0.
 
@@ -207,11 +201,6 @@ def projective_distance(space: HermitianSpace, z: np.ndarray, w: np.ndarray):
     return float(dist) if dist.ndim == 0 else dist
 
 
-def projective_equal(space, z, w, tol: float = 1e-8) -> bool:
-    """True iff representatives differ by a unit-modulus scalar within tol."""
-    return projective_distance(space, z, w) <= tol
-
-
 @dataclass(frozen=True)
 class ProjectivePoint:
     """A point of CH^n / CP^n with a deterministic phase-normalized representative.
@@ -243,7 +232,7 @@ class ProjectivePoint:
             return NotImplemented
         return (
             self.space == other.space
-            and projective_equal(self.space, self.rep, other.rep, 1e-12)
+            and projective_distance(self.space, self.rep, other.rep) <= 1e-12
         )
 
 
@@ -254,41 +243,16 @@ def legendrian_residual(z: np.ndarray, v_norm: np.ndarray, c: np.ndarray) -> np.
     return np.abs(c) / np.maximum(v_norm * nz, 1.0)
 
 
-def horizontal_project(
-    space: HermitianSpace, z: np.ndarray, v: np.ndarray, tol: float = 1e-10
-) -> np.ndarray:
+def horizontal_project(space: HermitianSpace, z: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Project ``v`` onto the horizontal space of the Hopf fibration at ``z``,
     h = v - (v, z) z / (z, z) with (z, z) read as the quadric target, at a z
-    checked to lie on the quadric within ``tol``; leading axes broadcast.
-    (h, z) = 0 is tangency to the quadric and orthogonality to the fiber
-    i z together; idempotent, and annihilates the fiber."""
-    if np.any(quadric_defect(space, z) > tol):
+    checked to lie on the quadric within ``MODEL_TOL``; leading axes
+    broadcast.  (h, z) = 0 is tangency to the quadric and orthogonality to
+    the fiber i z together; idempotent, and annihilates the fiber."""
+    if np.any(quadric_defect(space, z) > MODEL_TOL):
         raise PreconditionViolation("base point is not on the quadric")
     z, v = np.asarray(z, dtype=complex), np.asarray(v, dtype=complex)
     return v - (herm_form(space, v, z) / space.quadric_target)[..., None] * z
-
-
-def omega_eval(
-    space: HermitianSpace,
-    z: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-    tol: float = 1e-8,
-) -> np.ndarray:
-    """Kahler two-form Omega(u, v) = <J u, v> on horizontal vectors at z.
-
-    J is multiplication by i on horizontal vectors (the package-wide
-    orientation convention).  Skew-symmetric and J-invariant.
-    """
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    scale = 1.0 + np.sqrt(np.abs(herm_form(space, u, u).real * herm_form(space, v, v).real))
-    bad = (np.abs(herm_form(space, u, z)) > tol * scale) | (
-        np.abs(herm_form(space, v, z)) > tol * scale
-    )
-    if np.any(bad):
-        raise PreconditionViolation("omega_eval requires horizontal arguments")
-    return herm_form(space, 1j * u, v).real
 
 
 @dataclass(frozen=True)
@@ -310,21 +274,15 @@ class IsometryElement:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def inverse(self) -> "IsometryElement":
-        S = self.space.signature_matrix()
-        # A^{-1} = S conj(A)^T S from conj(A)^T S A = S
-        inv = S @ np.conj(self.matrix).T @ S
-        return IsometryElement(self.space, inv)
 
-
-def _check_special_orthogonal(A: np.ndarray, tol: float) -> None:
-    if np.max(np.abs(A @ A.T - np.eye(A.shape[0]))) > tol:
+def _check_special_orthogonal(A: np.ndarray) -> None:
+    if np.max(np.abs(A @ A.T - np.eye(A.shape[0]))) > MODEL_TOL:
         raise InvalidArgument("matrix is not orthogonal within tolerance")
     if np.linalg.det(A) < 0:
         raise InvalidArgument("matrix has determinant -1, expected +1")
 
 
-def embed_isometry(group: str, params, n: int, tol: float = 1e-10) -> IsometryElement:
+def embed_isometry(group: str, params, n: int) -> IsometryElement:
     """Embed an element of SO(n), SO^1_0(n) or SO(n-1) x R^{n-1} into the
     holomorphic isometry group of CH^n.
 
@@ -340,7 +298,7 @@ def embed_isometry(group: str, params, n: int, tol: float = 1e-10) -> IsometryEl
         A = np.asarray(params, dtype=float)
         if A.shape != (n, n):
             raise InvalidArgument(f"so_n expects an {n}x{n} matrix")
-        _check_special_orthogonal(A, tol)
+        _check_special_orthogonal(A)
         M[:n, :n] = A
         M[n, n] = 1.0
     elif group == "so1_n":
@@ -348,9 +306,9 @@ def embed_isometry(group: str, params, n: int, tol: float = 1e-10) -> IsometryEl
         if A.shape != (n, n):
             raise InvalidArgument(f"so1_n expects an {n}x{n} matrix")
         S0 = np.diag(np.r_[np.ones(n - 1), -1.0])
-        if np.max(np.abs(A @ S0 @ A.T - S0)) > tol:
+        if np.max(np.abs(A @ S0 @ A.T - S0)) > MODEL_TOL:
             raise InvalidArgument("matrix does not preserve the (n-1,1) form")
-        if np.linalg.det(A) < 0 or A[n - 1, n - 1] < 1.0 - tol:
+        if np.linalg.det(A) < 0 or A[n - 1, n - 1] < 1.0 - MODEL_TOL:
             raise InvalidArgument("matrix is not in the identity component")
         M[0, 0] = 1.0
         M[1:, 1:] = A
@@ -360,7 +318,7 @@ def embed_isometry(group: str, params, n: int, tol: float = 1e-10) -> IsometryEl
         a = np.atleast_1d(np.asarray(a, dtype=float))
         if A.shape != (n - 1, n - 1) or a.shape != (n - 1,):
             raise InvalidArgument("euclid_n expects (A in SO(n-1), a in R^{n-1})")
-        _check_special_orthogonal(A, tol)
+        _check_special_orthogonal(A)
         h = float(a @ a) / 2.0
         M[: n - 1, : n - 1] = A
         M[: n - 1, n - 1] = A @ a
@@ -376,7 +334,7 @@ def embed_isometry(group: str, params, n: int, tol: float = 1e-10) -> IsometryEl
     return IsometryElement(space, M)
 
 
-def validate_model_point(kind: str, x: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def validate_model_point(kind: str, x: np.ndarray) -> np.ndarray:
     """Validate coordinates of a point of S^{m}, RH^{m} or R^{m}.
 
     Hyperbolic points x in R^{m+1} satisfy sum_{i<last} x_i^2 - x_last^2 = -1
@@ -384,11 +342,11 @@ def validate_model_point(kind: str, x: np.ndarray, tol: float = DEFAULT_TOL) -> 
     """
     x = np.asarray(x, dtype=float)
     if kind == "sphere":
-        if np.any(np.abs(np.sum(x * x, axis=-1) - 1.0) > tol):
+        if np.any(np.abs(np.sum(x * x, axis=-1) - 1.0) > MODEL_TOL):
             raise InvalidArgument("sphere point with |x|^2 != 1")
     elif kind == "hyperbolic":
         q = np.sum(x[..., :-1] ** 2, axis=-1) - x[..., -1] ** 2
-        if np.any(np.abs(q + 1.0) > tol) or np.any(x[..., -1] < 1.0 - tol):
+        if np.any(np.abs(q + 1.0) > MODEL_TOL) or np.any(x[..., -1] < 1.0 - MODEL_TOL):
             raise InvalidArgument("point not on the upper hyperboloid sheet")
     elif kind != "euclidean":
         raise InvalidArgument(f"unknown model point kind {kind!r}")
@@ -461,23 +419,23 @@ def expm(A: np.ndarray) -> np.ndarray:
     return X
 
 
-def random_so(rng: np.random.Generator, n: int, scale: float = 0.7) -> np.ndarray:
+def random_so(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random element of SO(n) via the exponential of a random skew matrix."""
-    X = rng.normal(size=(n, n)) * scale
+    X = rng.normal(size=(n, n)) * 0.7
     return expm(X - X.T)
 
 
-def random_so1(rng: np.random.Generator, n: int, scale: float = 0.4) -> np.ndarray:
+def random_so1(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random element of SO^1_0(n) preserving diag(1,..,1,-1), x -> xA."""
     X = np.zeros((n, n))
-    B = rng.normal(size=(n - 1, n - 1)) * scale
+    B = rng.normal(size=(n - 1, n - 1)) * 0.4
     X[: n - 1, : n - 1] = B - B.T
-    v = rng.normal(size=n - 1) * scale
+    v = rng.normal(size=n - 1) * 0.4
     X[: n - 1, n - 1] = v
     X[n - 1, : n - 1] = v
     return expm(X)
 
 
-def random_euclid(rng: np.random.Generator, n: int, scale: float = 0.5):
+def random_euclid(rng: np.random.Generator, n: int):
     """Random (A, a) in SO(n-1) x R^{n-1}."""
-    return random_so(rng, n - 1), rng.normal(size=n - 1) * scale
+    return random_so(rng, n - 1), rng.normal(size=n - 1) * 0.5

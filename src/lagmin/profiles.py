@@ -58,6 +58,9 @@ __all__ = [
     "SigmaIntegralSpec",
     "SIGMA_TAIL_TOL",
     "DEFAULT_ODE_TOL",
+    "FINE_ODE_TOL",
+    "ODE_TOL_RANGE",
+    "EQUILIBRIUM_PROXIMATE",
     "PeriodResult",
     "IntegrationFailure",
     "NeedsLargerDomain",
@@ -489,8 +492,15 @@ def _closed_form_horo(fam: ProfileFamily, s: np.ndarray):
 # spacing of the profile grid that interpolants and phase integrals read
 _GRID_STEP = 2e-3
 
-# the local error bound of a profile solve unless one is given
+# the local error bound of a profile solve unless one is given, and the
+# range of bounds a solve accepts
 DEFAULT_ODE_TOL = 1e-10
+ODE_TOL_RANGE = (1e-13, 1e-6)
+
+# the bound of the solves behind reference values: the Legendre curves and
+# the s-form curvature integral (at 1e-10 the ch_sphere curve's Legendre
+# functional reads about 1e-9, at 1e-11 about 1e-10)
+FINE_ODE_TOL = 1e-11
 
 
 def solve_profile(family: ProfileFamily, s_max: float,
@@ -503,7 +513,7 @@ def solve_profile(family: ProfileFamily, s_max: float,
     half-lines independently so that evenness stays a genuine numerical
     property; the grid is read from the two dense outputs.
     """
-    if not (1e-13 <= tol <= 1e-6):
+    if not ODE_TOL_RANGE[0] <= tol <= ODE_TOL_RANGE[1]:
         raise InvalidArgument("tol must lie in [1e-13, 1e-6]")
     if not s_max > 0:
         raise InvalidArgument("s_max must be positive")
@@ -638,7 +648,11 @@ def phase_integrals(sol: ProfileSolution) -> PhaseIntegrals:
                           cumulative_integral(sol.s, gb, dgb), speed, rates)
 
 
-def embedding_phase_sup(sol: ProfileSolution, tol: float = 1e-8) -> float:
+# the largest analytic tail bound the embedding phase accepts
+_EMBEDDING_TAIL_TOL = 1e-8
+
+
+def embedding_phase_sup(sol: ProfileSolution) -> float:
     """sup of the embedding phase 2 a int_0^s dt / (cosh^2 r sinh^{n+1} r).
 
     Estimated as the truncated integral plus an analytic exponential tail
@@ -658,9 +672,9 @@ def embedding_phase_sup(sol: ProfileSolution, tol: float = 1e-8) -> float:
     # r(s) >= r_m + v (s - s_max) by convexity; sech^2 <= 4 e^{-2r}
     K = 8.0 * a_c * (2.0 / (1.0 - math.exp(-2.0 * r_m))) ** (n + 1)
     tail = K * math.exp(-(n + 3) * r_m) / ((n + 3) * v)
-    if tail > tol:
+    if tail > _EMBEDDING_TAIL_TOL:
         raise NeedsLargerDomain(
-            f"tail bound {tail:.3e} exceeds {tol:.1e}; solve to larger s_max"
+            f"tail bound {tail:.3e} exceeds {_EMBEDDING_TAIL_TOL:.1e}; solve to larger s_max"
         )
     total = float(value) + tail
     if total >= math.pi:
@@ -744,7 +758,7 @@ def sigma_integral_thm1(spec: SigmaIntegralSpec) -> float:
     n, rho = spec.n, spec.rho
     m = n * n + 1
     if spec.method == "s":
-        sol = solve_profile(spec.family, _SIGMA_S_MAX, tol=1e-11)
+        sol = solve_profile(spec.family, _SIGMA_S_MAX, tol=FINE_ODE_TOL)
         integrand = lambda s: np.sinh(sol.r_of(s)) ** (-m)
         val, _ = quad(integrand, 0.0, _SIGMA_S_MAX, epsabs=0.0, epsrel=1e-11, limit=200)
         r_m, v = float(sol.r_of(_SIGMA_S_MAX)), float(sol.rp_of(_SIGMA_S_MAX))
@@ -822,6 +836,11 @@ def _simpson_weights(s: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # periodic orbits of the cp_sphere equation
+
+
+# orbit size below which a cp_sphere profile reads as equilibrium-proximate:
+# the amplitude of a detected period, the spread ptp(r) of a solved profile
+EQUILIBRIUM_PROXIMATE = 1e-3
 
 
 @dataclass(frozen=True)

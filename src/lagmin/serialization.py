@@ -22,7 +22,7 @@ import numpy as np
 
 from .immersions import ImmersionFamilySpec, SampledImmersion, assemble_immersion, product_xi
 from .model_spaces import InvalidArgument
-from .profiles import ProfileFamily, ProfileSolution, energy_residual
+from .profiles import EQUILIBRIUM_PROXIMATE, ProfileFamily, ProfileSolution, energy_residual
 
 __all__ = [
     "SchemaError",
@@ -32,10 +32,6 @@ __all__ = [
     "fnum",
     "format_rows",
     "dumps",
-    "ambient_vector_to_json",
-    "ambient_vector_from_json",
-    "isometry_to_json",
-    "isometry_from_json",
     "profile_to_dict",
     "profile_from_dict",
     "immersion_to_dict",
@@ -173,31 +169,6 @@ def _parse_rows(rows, width: int, where: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# ambient values: a complex number is a two-element [re, im] array
-
-
-def ambient_vector_to_json(z) -> list:
-    z = np.asarray(z, dtype=complex)
-    return [[fnum(v.real), fnum(v.imag)] for v in z]
-
-
-def ambient_vector_from_json(data) -> np.ndarray:
-    try:
-        return np.array([complex(float(re), float(im)) for re, im in data])
-    except (TypeError, ValueError):
-        raise SchemaError("ambient vector: expected [[re, im], ...]") from None
-
-
-def isometry_to_json(matrix) -> list:
-    """Row-major nested [re, im] pairs."""
-    return [ambient_vector_to_json(row) for row in np.asarray(matrix, dtype=complex)]
-
-
-def isometry_from_json(data) -> np.ndarray:
-    return np.stack([ambient_vector_from_json(row) for row in data])
-
-
-# ---------------------------------------------------------------------------
 # profiles
 
 
@@ -213,7 +184,7 @@ def profile_to_dict(sol: ProfileSolution) -> dict:
         "grid": format_rows(np.column_stack([sol.s, sol.r, sol.rp])),
     }
     if fam.tag == "cp_sphere":
-        out["equilibrium_proximate"] = bool(np.ptp(sol.r) < 1e-3)
+        out["equilibrium_proximate"] = bool(np.ptp(sol.r) < EQUILIBRIUM_PROXIMATE)
     return out
 
 

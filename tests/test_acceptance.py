@@ -217,13 +217,13 @@ def test_10_group_invariance():
     for fam, n, rho, grp in [("thm1", 3, 1.0, "so_n"), ("thm2", 2, 1.0, "so1_n"),
                              ("thm3", 3, 1.0, "euclid_n"), ("thm5", 2, 0.8, "so_n")]:
         imm = build_immersion(ImmersionFamilySpec(fam, n, rho), grid=(12, 12))
-        worst_match = max(worst_match, gc.invariance_residual(imm, grp, k=12))
+        worst_match = max(worst_match, gc.invariance_residual(imm, grp))
 
     best_mismatch = math.inf
     for fam, n, rho, grp in [("thm1", 2, 1.0, "so1_n"), ("thm2", 2, 1.0, "so_n"),
                              ("thm5", 2, 0.8, "so1_n")]:
         imm = build_immersion(ImmersionFamilySpec(fam, n, rho), grid=(12, 12))
-        best_mismatch = min(best_mismatch, gc.invariance_residual(imm, grp, k=12))
+        best_mismatch = min(best_mismatch, gc.invariance_residual(imm, grp))
 
     ok = worst_match <= 1e-8 and best_mismatch >= 0.1
     _report(10, "group equivariance (matched / mismatched)", ok,

@@ -43,6 +43,15 @@ class TestConfig:
         with pytest.raises(UsageError, match="unknown key"):
             load_config(str(p))
 
+    def test_prng_seed_key_rejected(self, tmp_path, capsys):
+        # the invariance check always draws from seed 42; the key is gone
+        (tmp_path / "lagmin.conf").write_text("prng_seed=7\n")
+        code = run(tmp_path, "period", "--n", "2", "--rho", "0.3")
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "unknown key 'prng_seed'" in err
+        assert "Traceback" not in err
+
     def test_out_of_range_rejected(self, tmp_path):
         p = tmp_path / "lagmin.conf"
         p.write_text("ode_tol=1e-3\n")

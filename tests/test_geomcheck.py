@@ -151,16 +151,17 @@ class TestJets:
         scale = np.max(np.abs(d1))
         assert np.max(np.abs(d2[0, 0, 1] - nested[0])) <= 1e-5 * scale
 
-    def test_first_derivative_order_two_with_3pt(self):
+    def test_first_derivative_order_four(self):
+        # steps large enough that the truncation error, not roundoff, shows
         imm = build_immersion(ImmersionFamilySpec("tg_sphere", 2), grid=(4, 4))
         xi = np.array([[0.8, 1.3]])
         x = imm.chart.to_model(xi[:, 1:])
         exact = np.concatenate([math.cosh(0.8) * x, [[math.sinh(0.8)]]], axis=-1)
         errs = []
-        for h in (2e-3, 1e-3):
-            d1 = fd.first_partials(imm.evaluate_xi, xi, h, five_point=False)
+        for h in (0.1, 0.05):
+            d1 = fd.first_partials(imm.evaluate_xi, xi, h)
             errs.append(np.max(np.abs(d1[0, 0] - exact[0])))
-        assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
+        assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.05)
 
     def test_flat_factor_second_partials_analytic(self):
         # the horospherical lift is quadratic in x, so x-second-partials are
@@ -363,19 +364,20 @@ class TestSecondFundamentalForm:
         ImmersionFamilySpec("thm5", 2, math.atan(math.sqrt(2.0))),
         ImmersionFamilySpec("cn_product", 2, seed_kind="tg_sphere_cp", c=1),
     ])
-    def test_mean_curvature_converges_at_order_two(self, spec):
+    def test_mean_curvature_converges_at_order_four(self, spec):
         imm = build_immersion(spec, grid=(5, 5))
         xi = imm.grid_xi()
-        hs = (4e-3, 2e-3, 1e-3)
+        # steps large enough that the truncation error, not roundoff, shows
+        hs = (4e-2, 2e-2, 1e-2)
         vals = []
         for h in hs:
             # whole-lift differences: the stencil order is what is under test
             jets = gc.JetBatch.from_partials(imm.ambient.space, xi,
-                                             *fd.jet_partials(imm.evaluate_xi, xi, h, False))
+                                             *fd.jet_partials(imm.evaluate_xi, xi, h))
             sff = gc.second_fundamental_form(imm, gc.frame_batch(imm, jets))
             vals.append(float(np.max(sff.mean_curvature_norm)))
         slope = np.polyfit(np.log(hs), np.log(vals), 1)[0]
-        assert slope >= 1.7
+        assert slope >= 3.7
 
 
 # one spec per family tag (the seeded ones over a seed of the right target),
@@ -673,10 +675,10 @@ class TestInvariance:
                    for i in range(3)) == 0.0
 
     def test_matched_group(self, thm1):
-        assert gc.invariance_residual(thm1, "so_n", k=6) <= 1e-8
+        assert gc.invariance_residual(thm1, "so_n") <= 1e-8
 
     def test_mismatched_group(self, thm1):
-        assert gc.invariance_residual(thm1, "so1_n", k=6) >= 0.1
+        assert gc.invariance_residual(thm1, "so1_n") >= 0.1
 
     @pytest.mark.parametrize("fam,grp", [
         ("thm3", "so_n"), ("thm3", "so1_n"), ("thm1", "euclid_n"),
@@ -686,29 +688,30 @@ class TestInvariance:
         # moves R^2, the thm1 model is S^2 in R^3
         imm = build_immersion(ImmersionFamilySpec(fam, 3, 1.0), grid=(4, 4))
         with pytest.raises(InvalidArgument, match="does not act on this model manifold"):
-            gc.invariance_residual(imm, grp, k=2)
+            gc.invariance_residual(imm, grp)
 
     def test_seeded_family_has_no_model_action(self):
         imm = build_immersion(
             ImmersionFamilySpec("prop3a", 3, 1.0, seed_kind="clifford_cp"), grid=(4, 4))
         with pytest.raises(InvalidArgument):
-            gc.invariance_residual(imm, "so_n", k=2)
+            gc.invariance_residual(imm, "so_n")
 
     @pytest.mark.parametrize("fam,grp", [
         ("tg_sphere", "so_n"), ("tg_tube", "so1_n"), ("tg_horo", "euclid_n"),
     ])
     def test_totally_geodesic_families(self, fam, grp):
         imm = build_immersion(ImmersionFamilySpec(fam, 3), grid=(6, 6))
-        assert gc.invariance_residual(imm, grp, k=6) <= 1e-8
+        assert gc.invariance_residual(imm, grp) <= 1e-8
 
     @pytest.mark.parametrize("fam,grp", [
         ("thm1", "so_n"), ("thm2", "so1_n"), ("thm3", "euclid_n"), ("thm1", "so1_n"),
     ])
     def test_matches_pairwise_loop_bitwise(self, fam, grp):
-        # the same seeded points and group elements, compared one pair at a time
+        # the same 12 points and group elements from seed 42, compared one
+        # pair at a time
         imm = build_immersion(ImmersionFamilySpec(fam, 3, 1.0), grid=(8, 9))
-        k, n, space = 7, 3, imm.ambient.space
-        rng = np.random.default_rng(5)
+        k, n, space = 12, 3, imm.ambient.space
+        rng = np.random.default_rng(42)
         idx = rng.integers(0, len(imm.s_values) * len(imm.x_grid), size=k)
         s_pts = np.repeat(imm.s_values, len(imm.x_grid))[idx]
         x_model = imm.chart.to_model(np.tile(imm.x_grid, (len(imm.s_values), 1))[idx])
@@ -724,7 +727,7 @@ class TestInvariance:
             right = imm.model_evaluate(s_pts, moved)
             for i in range(k):
                 worst = max(worst, projective_distance(space, left[i], right[i]))
-        assert gc.invariance_residual(imm, grp, k=k, rng_seed=5) == worst
+        assert gc.invariance_residual(imm, grp) == worst
 
 
 class TestLegendreFunctional:

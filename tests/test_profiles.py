@@ -231,7 +231,7 @@ class TestEmbeddingPhase:
     def test_needs_larger_domain(self):
         sol = solve_profile(ProfileFamily("ch_sphere", 2, 1.0), 1.0)
         with pytest.raises(NeedsLargerDomain):
-            embedding_phase_sup(sol, tol=1e-12)
+            embedding_phase_sup(sol)
 
     def test_wrong_family(self):
         sol = solve_profile(ProfileFamily("ch_tube", 2, 1.0), 2.0)

@@ -19,23 +19,6 @@ class TestNumbers:
         assert ser.fnum(1.0 / 3.0) == ser.fnum(1.0 / 3.0)
 
 
-class TestAmbientEncoding:
-    def test_vector_round_trip(self):
-        z = np.array([0.3 + 0.1j, -1.2j, 2.0])
-        data = ser.ambient_vector_to_json(z)
-        assert data[0] == [ser.fnum(0.3), ser.fnum(0.1)]
-        assert np.array_equal(ser.ambient_vector_from_json(data), z)
-
-    def test_isometry_round_trip(self):
-        rng = np.random.default_rng(2)
-        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.array_equal(ser.isometry_from_json(ser.isometry_to_json(m)), m)
-
-    def test_malformed(self):
-        with pytest.raises(ser.SchemaError):
-            ser.ambient_vector_from_json([[1.0], [2.0]])
-
-
 class TestProfileRoundTrip:
     def test_bit_stable(self):
         sol = solve_profile(ProfileFamily("ch_sphere", 2, 1.0), 2.0)
