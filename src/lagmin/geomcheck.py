@@ -19,21 +19,35 @@ route the tests check the exact jets with), their stacked rows paired by
 one broadcast ``herm_form`` (``JetBatch.from_partials``), so everything
 downstream has one path.
 
+Every batch keeps its per-point arrays in grid layout, trailing axes
+(S, M): a product jet's S values and its M transverse points, the block
+points; stacked jets are one row of N blocks, (..., 1, N).
+``immersions.grid_order`` gives any of them as (S*M, ...) rows.
+
 One data path, jets -> FrameBatch -> SFFBatch, feeds every check, and each
 check takes the batch it reads.  On the quadric (z, z) is read as its
 target t; with c_i = (d_i z, z), the Legendrian pairings, the horizontal
 parts h_i = d_i z - c_i z / t pair as (h_i, h_j) = (d_i z, d_j z) -
 c_i conj(c_j) / t (in the flat ambient the c terms drop out), giving the
 induced metric g = Re and the Kahler pullback Omega(h_i, h_j) =
-Re (i h_i, h_j) = -Im.  The Cholesky factor L of g and T = L^{-1}, by
-forward substitution, give the g-orthonormal frame e_a = sum_k T_ak h_k.
-``second_fundamental_form`` reads P = (w_ij, h_l) = (w_ij, d_l z) -
-conj(c_l) (w_ij, z) / t for the second partials w_ij; the tangential part
-is removed with g^{-1} = T^t T applied to Re P, the components along z and
-i z never pair with horizontal vectors, and the remainder of a Lagrangian
-immersion lies in J(tangent), so h_{abk} = sum T_ai T_bj T_kl
-Im (sigma_ij, h_l).  All residuals are dimensionless so one tolerance
-table, ``TOLERANCES``, applies across families.
+Re (i h_i, h_j) = -Im.  Every family is a curve over a foliation by
+umbilical hypersurfaces, so its metric separates over the grid, g(s, x) =
+Lambda(s)^-1 G(x) Lambda(s)^-1 with Lambda diagonal: ``frame_batch`` reads
+Lambda off g along one block point and G on the M block points at one s
+value, takes one Cholesky G = L_G L_G^t per block point and frames every
+grid point by T = L_G(x)^-1 Lambda(s), e_a = sum_k T_ak h_k.  It accepts
+the factoring only where every point separates to ``_SEPARABILITY_TOL``
+(defined below with its measured floor); otherwise, as for the stacked
+jets of hand-built immersions, every point is its own block (Lambda = 1,
+G = g).  ``second_fundamental_form`` reads P = (w_ij, h_l) = (w_ij, d_l z)
+- conj(c_l) (w_ij, z) / t for the second partials w_ij; the tangential
+part is removed with g^{-1} = T^t T applied to Re P, the components along
+z and i z never pair with horizontal vectors, and the remainder of a
+Lagrangian immersion lies in J(tangent), so h_{abk} = sum T_ai T_bj T_kl
+Im (sigma_ij, h_l).  Scaled by Lambda(s) elementwise, the contraction with
+L_G^-1 is one GEMM per index and block point, the S values the long axis.
+All residuals are dimensionless so one tolerance table,
+``TOLERANCES``, applies across families.
 """
 
 from __future__ import annotations
@@ -50,6 +64,7 @@ from .immersions import (
     LegendreCurve,
     SampledImmersion,
     build_immersion,
+    grid_order,
     jet_rows,
     product_xi,
 )
@@ -99,6 +114,14 @@ __all__ = [
 # not a check verdict, so it is not part of TOLERANCES (which reports record)
 _SFF_LAGRANGIAN_TOL = 1e-5
 
+# the metric of a product batch passes as separable, g(s, x) = Lambda(s)^-1
+# G(x) Lambda(s)^-1, when it misses that form by at most this much relative
+# to G's diagonal at every grid point.  Every family path misses it by
+# roundoff: at most 2.2e-11 over the domain sweep (thm2 n=5 rho=3, 64x64),
+# 3.6e-12 on the 513x64 thm1 field, 2.4e-13 over the test families' specs;
+# a sheared chart misses it by O(1)
+_SEPARABILITY_TOL = 1e-9
+
 # seeded group elements and sample points of the invariance check, and
 # their seed (reports record it as provenance.seed)
 _INVARIANCE_SAMPLES = 12
@@ -122,10 +145,13 @@ class JetBatch:
     """Lift value and the Hermitian Gram of its raw jets at a batch of points.
 
     ``xi`` stacks (s, x) chart coordinates; coordinate 0 is always s.
-    ``gram`` (N, R, 1 + D) holds (u_r, v_c) for the raw jets u_r in
-    ``jet_rows(D)`` (z, d_i z, then d_i d_j z for i <= j) and v_c in
-    [z, d_l z]; ``d1_norm`` (N, D) are the Euclidean norms |d_i z| that
-    scale the Legendrian residual.
+    ``value`` (N, C) is the lift at those rows.  The pairings are in grid
+    layout, trailing axes (S, M): a product jet's S values and M transverse
+    points, the block points; stacked jets are N blocks of one point each,
+    (..., 1, N).  ``gram`` (R, 1 + D, S, M) holds (u_r, v_c) for the raw
+    jets u_r in ``jet_rows(D)`` (z, d_i z, then d_i d_j z for i <= j) and
+    v_c in [z, d_l z]; ``d1_norm`` (D, S, M) are the Euclidean norms
+    |d_i z| that scale the Legendrian residual.
     """
 
     xi: np.ndarray
@@ -135,7 +161,7 @@ class JetBatch:
 
     @property
     def dim(self) -> int:
-        return self.d1_norm.shape[1]
+        return self.d1_norm.shape[0]
 
     @classmethod
     def from_partials(cls, space, xi, value, d1, d2) -> "JetBatch":
@@ -146,18 +172,31 @@ class JetBatch:
         D, jets = d1.shape[1], (value, d1, d2)
         rows = np.stack([jets[len(idx)][(slice(None),) + idx] for idx in jet_rows(D)], axis=1)
         gram = herm_form(space, rows[:, :, None], rows[:, None, :1 + D])
-        return cls(xi, value, gram, np.sqrt(np.sum(np.abs(d1) ** 2, axis=-1)))
+        norms = np.sqrt(np.sum(np.abs(d1) ** 2, axis=-1))
+        return cls(xi, value, _as_blocks(gram), _as_blocks(norms))
+
+    def pointwise(self) -> "JetBatch":
+        """The same jets with every grid point its own block, (..., 1, S*M)."""
+        return JetBatch(self.xi, self.value, *(a.reshape(a.shape[:-2] + (1, -1))
+                                               for a in (self.gram, self.d1_norm)))
+
+
+def _as_blocks(a: np.ndarray) -> np.ndarray:
+    """Rows (N, ...) as N blocks of one point, (..., 1, N)."""
+    return np.moveaxis(a, 0, -1)[..., None, :]
 
 
 def jet(imm: SampledImmersion, s, X) -> JetBatch:
     """Jet of the lift on the product of the S values ``s`` and the M chart
-    points ``X`` (M, d), as S*M rows in ``grid_xi`` order.
+    points ``X`` (M, d); ``xi`` and ``value`` are S*M rows in ``grid_xi``
+    order.
 
     Uses the immersion's exact product jet when it has one (the curve
-    taken on ``s``, the block on ``X``) and pairs it factor by factor, else
-    central differences of the whole lift evaluator on the stacked rows at
-    ``fd.DEFAULT_FD_STEP``, paired as stacked vectors.  A single point is a
-    1 x 1 product.
+    taken on ``s``, the block on ``X``) and pairs it factor by factor, the
+    M points the blocks, else central differences of the whole lift
+    evaluator on the stacked rows at ``fd.DEFAULT_FD_STEP``, paired as
+    stacked vectors, one block per point.  A single point is a 1 x 1
+    product.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -191,11 +230,13 @@ def _index_orbits(D: int) -> np.ndarray:
 
 @dataclass
 class SFFBatch:
-    """Second-fundamental-form data in a g-orthonormal frame.
+    """Second-fundamental-form data in a g-orthonormal frame, in the grid
+    layout (..., S, M) of the jets it came from (``grid_order`` gives rows).
 
-    ``xi`` are the chart points; ``coeffs`` h_{ijk} with sigma(e_i, e_j) =
-    sum_k h_{ijk} J e_k; ``mean_curvature`` H_k = (1/n) sum_i h_{iik};
-    ``sigma_sq`` is |sigma|^2 summed over both (i, j) orders.
+    ``xi`` are the chart points as rows; ``coeffs`` (D, D, D, S, M) are
+    h_{ijk} with sigma(e_i, e_j) = sum_k h_{ijk} J e_k; ``mean_curvature``
+    (D, S, M) is H_k = (1/n) sum_i h_{iik}; ``sigma_sq`` (S, M) is
+    |sigma|^2 summed over both (i, j) orders.
     """
 
     xi: np.ndarray
@@ -205,7 +246,7 @@ class SFFBatch:
 
     @property
     def mean_curvature_norm(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.mean_curvature**2, axis=-1))
+        return np.sqrt(np.sum(self.mean_curvature**2, axis=0))
 
     @property
     def sigma_norm(self) -> np.ndarray:
@@ -215,30 +256,38 @@ class SFFBatch:
         """Total-symmetry defect of h_{ijk}, normalized by the largest entry.
 
         The defect at a point is the largest |h_ijk - h_pi(ijk)| over index
-        permutations pi, taken in one pass as the largest spread max - min
-        of an orbit {h_pi(ijk)}: fl(a - b) is monotone, so fl(max - min) is
-        the largest rounded pair difference, bit for bit.
+        permutations pi, taken as the largest spread max - min of an orbit
+        {h_pi(ijk)}: fl(a - b) is monotone, so fl(max - min) is the largest
+        rounded pair difference, bit for bit.  One orbit is gathered at a
+        time, so no copy of the tensor is made.
         """
         h = self.coeffs
-        M, D = h.shape[:2]
-        orbits = h.reshape(M, -1)[:, _index_orbits(D)]
-        worst = np.max(np.max(orbits, axis=-1) - np.min(orbits, axis=-1), axis=1)
-        scale = np.maximum(np.max(np.abs(h), axis=(1, 2, 3)), 1.0)
-        return float(np.max(worst / scale))
+        D = len(h)
+        worst = 0.0
+        for orbit in _index_orbits(D):
+            values = h[np.unravel_index(orbit, (D, D, D))]
+            worst = np.maximum(worst, np.max(values, axis=0) - np.min(values, axis=0))
+        top = np.maximum(np.max(h, axis=(0, 1, 2)), -np.min(h, axis=(0, 1, 2)))  # max |h|
+        return float(np.max(worst / np.maximum(top, 1.0)))
 
 
 @dataclass
 class FrameBatch:
-    """The geometry of one jet batch, computed once and read by every check.
+    """The geometry of one jet batch, computed once and read by every check,
+    in the grid layout (..., S, M) of its jets.
 
-    ``vertical`` are the Legendrian pairings c_i = (d_i z, z) (None in the
-    flat ambient), ``metric`` g_ij = Re (h_i, h_j) and ``omega`` the
-    Kahler-form pullback Re (i h_i, h_j) of the horizontal parts h_i of the
-    first partials; ``lagrangian`` is the per-point residual
-    |Omega(h_i, h_j)| / sqrt(g_ii g_jj), max over i < j.  ``chol`` is the
-    lower Cholesky factor L of g and ``chol_inv`` its inverse T, whose rows
-    give the Gram-Schmidt frame e_a = sum_k T_ak h_k; both are None when g
-    is not positive definite.
+    ``vertical`` (D, S, M) are the Legendrian pairings c_i = (d_i z, z)
+    (None in the flat ambient), ``metric`` (D, D, S, M) g_ij = Re (h_i, h_j)
+    and ``omega`` the Kahler-form pullback Re (i h_i, h_j) of the
+    horizontal parts h_i of the first partials; ``lagrangian`` (S, M) is the
+    per-point residual |Omega(h_i, h_j)| / sqrt(g_ii g_jj), max over i < j.
+    The metric is factored as g = Lambda^-1 G Lambda^-1 with ``scale`` (D, S)
+    the diagonal of Lambda(s) and G(x) = L_G L_G^t per block point:
+    ``block_chol`` (M, D, D) is L_G and ``block_inv`` its inverse, so the
+    Gram-Schmidt frame is e_a = sum_k T_ak h_k with T = L_G^-1 Lambda.
+    Both are None when some G is not positive definite.  ``chol`` and
+    ``chol_inv`` are the per-point factor L = Lambda^-1 L_G of g and its
+    inverse T as (S*M, D, D) rows.
     """
 
     jets: JetBatch
@@ -246,32 +295,72 @@ class FrameBatch:
     metric: np.ndarray
     omega: np.ndarray
     lagrangian: np.ndarray
-    chol: np.ndarray | None
-    chol_inv: np.ndarray | None
+    scale: np.ndarray
+    block_chol: np.ndarray | None
+    block_inv: np.ndarray | None
 
     def require_frame(self) -> np.ndarray:
-        if self.chol_inv is None:
+        if self.block_inv is None:
             raise DegeneracyError("induced metric is not positive definite")
-        return self.chol_inv
+        return self.block_inv
+
+    @property
+    def chol(self) -> np.ndarray | None:
+        if self.block_chol is None:
+            return None
+        L = np.moveaxis(self.block_chol, 0, -1)[:, :, None]  # (D, D, 1, M)
+        return grid_order(L / self.scale[:, None, :, None])
+
+    @property
+    def chol_inv(self) -> np.ndarray | None:
+        if self.block_inv is None:
+            return None
+        T = np.moveaxis(self.block_inv, 0, -1)[:, :, None]
+        return grid_order(T * self.scale[:, :, None])
 
 
 def frame_batch(imm: SampledImmersion, jets: JetBatch) -> FrameBatch:
-    """Metric, Kahler pullback and frame of a jet batch, read from its Gram."""
+    """Metric, Kahler pullback and frame of a jet batch, read from its Gram:
+    Lambda(s) from g along the first block point, G = Lambda g Lambda at the
+    middle s value, one Cholesky per block point; a batch that does not
+    separate is re-blocked point by point (module docstring)."""
     space, D = imm.ambient.space, jets.dim
-    hh, vertical = jets.gram[:, 1:1 + D, 1:], None
+    hh, vertical = jets.gram[1:1 + D, 1:], None
     if space is not None:
         # (h_i, h_j) = (d_i, d_j) - c_i conj(c_j) / t, h_i = d_i - c_i z / t
-        vertical = jets.gram[:, 1:1 + D, 0]
-        hh = hh - vertical[:, :, None] * (np.conj(vertical) / space.quadric_target)[:, None]
+        vertical = jets.gram[1:1 + D, 0]
+        hh = vertical[:, None] * (np.conj(vertical) / space.quadric_target)
+        np.subtract(jets.gram[1:1 + D, 1:], hh, out=hh)
     g = np.ascontiguousarray(hh.real)
-    omega = -hh.imag  # Re (i h_i, h_j) = -Im (h_i, h_j)
+    omega = np.negative(hh.imag)  # Re (i h_i, h_j) = -Im (h_i, h_j)
+    S = g.shape[-2]
+    lam = np.ones((D, 1))
+    # a metric that is not positive along x_0 leaves nan in the factors,
+    # which never separates
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if S > 1:  # lambda_i(s) = g_ii(s, x_0)^-1/2
+            lam = 1.0 / np.sqrt(np.diagonal(g[..., 0], axis1=0, axis2=1).T)
+        G = g[:, :, S // 2] * (lam[:, None, S // 2] * lam[:, S // 2])[..., None]  # (D, D, M)
+        if S > 1 and not _separates(g, lam, G):
+            return frame_batch(imm, jets.pointwise())
     try:
-        L = np.linalg.cholesky(g)
+        L = np.linalg.cholesky(np.moveaxis(G, -1, 0))
     except np.linalg.LinAlgError:
         L = T = None
     else:
         T = _lower_inverse(L)
-    return FrameBatch(jets, vertical, g, omega, _lagrangian_pointwise(g, omega), L, T)
+    return FrameBatch(jets, vertical, g, omega, _lagrangian_pointwise(g, omega), lam, L, T)
+
+
+def _separates(g: np.ndarray, lam: np.ndarray, G: np.ndarray) -> bool:
+    """Whether Lambda g Lambda is G at every point to ``_SEPARABILITY_TOL``
+    of sqrt(G_ii G_jj), taken in one scratch array."""
+    diag = np.sqrt(np.abs(np.diagonal(G, axis1=0, axis2=1).T))  # (D, M)
+    defect = g * (lam[:, None] * lam)[..., None]
+    np.subtract(defect, G[:, :, None], out=defect)
+    np.abs(defect, out=defect)
+    np.divide(defect, (diag[:, None] * diag)[:, :, None], out=defect)
+    return bool(np.all(defect <= _SEPARABILITY_TOL))
 
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:
@@ -290,19 +379,21 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
 
 
 def _lagrangian_pointwise(g: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """|Omega(h_i, h_j)| / sqrt(g_ii g_jj), max over i < j per point.  Omega
-    is skew, so Omega_ii = -Im (h_i, h_i) vanishes for every immersion and
-    its computed value is roundoff; the diagonal is not read."""
-    i, j = np.triu_indices(g.shape[-1], 1)
-    diag = np.diagonal(g, axis1=1, axis2=2)
-    scale = np.sqrt(np.abs(diag[:, i] * diag[:, j]))
-    return np.max(np.abs(omega[:, i, j]) / np.maximum(scale, 1e-12), axis=1)
+    """|Omega(h_i, h_j)| / sqrt(g_ii g_jj), max over i < j per point, for g
+    and Omega of shape (D, D, ...).  Omega is skew, so Omega_ii = -Im (h_i,
+    h_i) vanishes for every immersion and its computed value is roundoff;
+    the diagonal is not read."""
+    i, j = np.triu_indices(len(g), 1)
+    diag = np.moveaxis(np.diagonal(g, axis1=0, axis2=1), -1, 0)
+    scale = np.sqrt(np.abs(diag[i] * diag[j]))
+    return np.max(np.abs(omega[i, j]) / np.maximum(scale, 1e-12), axis=0)
 
 
 def induced_metric(imm: SampledImmersion, fb: FrameBatch) -> np.ndarray:
-    """Riemannian metric g_ij = Re (h_i, h_j) of horizontal-projected partials."""
+    """Riemannian metric g_ij = Re (h_i, h_j) of horizontal-projected
+    partials, as (S*M, D, D) rows in ``grid_xi`` order."""
     fb.require_frame()
-    return fb.metric
+    return grid_order(fb.metric)
 
 
 def horizontality_residual(imm: SampledImmersion, fb: FrameBatch) -> float:
@@ -310,7 +401,9 @@ def horizontality_residual(imm: SampledImmersion, fb: FrameBatch) -> float:
     batch; vacuously zero for the flat ambient (no fibration to be horizontal for)."""
     if fb.vertical is None:
         return 0.0
-    return float(np.max(legendrian_residual(fb.jets.value, fb.jets.d1_norm, fb.vertical)))
+    z = fb.jets.value.reshape(fb.vertical.shape[1:] + (-1,))  # (S, M, C)
+    return float(np.max(legendrian_residual(z, np.moveaxis(fb.jets.d1_norm, 0, -1),
+                                            np.moveaxis(fb.vertical, 0, -1))))
 
 
 def lagrangian_residual(imm: SampledImmersion, fb: FrameBatch) -> float:
@@ -327,30 +420,39 @@ def second_fundamental_form(imm: SampledImmersion, fb: FrameBatch) -> SFFBatch:
             f"Lagrangian residual {lag:.2e} exceeds {_SFF_LAGRANGIAN_TOL:.0e}"
         )
     T = fb.require_frame()
-    space, D = imm.ambient.space, fb.jets.dim
-    M = len(T)
+    space, D, lam = imm.ambient.space, fb.jets.dim, fb.scale
     # the normal part of w_ij = d_i d_j z pairs with J h_l as Im (sigma_ij, h_l),
     # sigma_ij = w_ij - c_ijk h_k with g c = Re (w_ij, h_k) the tangential
     # coefficients; w's components along z and i z drop out because every
-    # h_l is horizontal, (z, h_l) = 0.  The Gram holds one row per i <= j;
-    # the rows are spread to all D^2 pairs (i, j) once the normal part is in
-    w = fb.jets.gram[:, 1 + D:]
-    p = w[..., 1:]  # (w_ij, d_l)
+    # h_l is horizontal, (z, h_l) = 0.  The Gram holds one row q per i <= j;
+    # the rows are spread to all D^2 pairs (i, j) once l is contracted
+    w = fb.jets.gram[1 + D:]
+    # from here on the block point comes first and the S values last, so
+    # every contraction below runs along contiguous S rows
+    p = np.ascontiguousarray(w[:, 1:].transpose(0, 1, 3, 2))  # (w_ij, d_l), (Q, D, M, S)
     if space is not None:  # (w_ij, h_l) = (w_ij, d_l) - conj(c_l) (w_ij, z) / t
-        p = p - w[..., :1] * (np.conj(fb.vertical) / space.quadric_target)[:, None]
-    Tt = np.ascontiguousarray(T.swapaxes(1, 2))
-    # Im (sigma_ij, h_l) = Im P + c Omega with c = Re P g^{-1}, g^{-1} = T^t T
-    normal = (p.imag + p.real @ (Tt @ (T @ fb.omega)))[:, _second_rows(D)]  # (M, D^2, D)
-    # h_abk = sum T_ai T_bj T_kl normal_ijl: contract l as one (M, D^2, D) @
-    # (M, D, D) matmul, then j and i from the left; moving j last instead
-    # would copy the (M, D^3) tensor twice, which costs more than it saves
-    # at D = 8
-    h = (normal @ Tt).reshape(M, D, D, D)
-    h = T[:, None] @ h
-    h_ijk = (T @ h.reshape(M, D, D * D)).reshape(M, D, D, D)
-    H = np.einsum("miik->mk", h_ijk) / D
-    sigma_sq = np.sum(h_ijk**2, axis=(1, 2, 3))
-    return SFFBatch(fb.jets.xi, h_ijk, H, sigma_sq)
+        conj_c = (np.conj(fb.vertical) / space.quadric_target).transpose(0, 2, 1)
+        p -= w[:, :1].transpose(0, 1, 3, 2) * conj_c
+    # with T = L_G^-1 Lambda every index carries a lambda_i(s): scale P and
+    # Omega by them and what is left to contract depends on the block point
+    # alone.  Im (sigma_ij, h_l) = Im P + c Omega with c = Re P g^{-1} and
+    # Lambda g^-1 Lambda = G^-1 = L_G^-t L_G^-1
+    i, j = np.triu_indices(D)
+    p *= ((lam[i] * lam[j])[:, None] * lam)[:, :, None]
+    omega = np.multiply(fb.omega.transpose(0, 1, 3, 2), (lam[:, None] * lam)[:, :, None],
+                        order="C")  # (D, D, M, S)
+    K = (T.swapaxes(1, 2) @ T) @ omega.transpose(1, 2, 0, 3)  # (G^-1 Omega)_ql as [l, m, q, s]
+    normal = np.einsum("qrms,lmrs->qlms", p.real, K)
+    normal += p.imag
+    # h_abk = sum L_ai L_bj L_kl normal_ijl with L = L_G^-1 of the block
+    # point: per block point one GEMM per index, the S values the long axis
+    h = T @ normal.transpose(0, 2, 1, 3)  # l -> k: (Q, M, k, S)
+    h = h[_second_rows(D)].reshape((D, D) + h.shape[1:])  # (i, j, M, k, S)
+    h = T @ h.transpose(0, 3, 2, 1, 4)  # j -> b: (i, k, M, b, S)
+    h = T @ h.transpose(1, 3, 2, 0, 4)  # i -> a: (k, b, M, a, S)
+    H = np.trace(h, axis1=1, axis2=3).transpose(0, 2, 1) / D
+    sigma_sq = np.einsum("kbmas,kbmas->sm", h, h)
+    return SFFBatch(fb.jets.xi, h.transpose(3, 1, 0, 4, 2), H, sigma_sq)
 
 
 def minimality_residual(imm: SampledImmersion, sff: SFFBatch) -> float:
@@ -360,6 +462,14 @@ def minimality_residual(imm: SampledImmersion, sff: SFFBatch) -> float:
 
 # ---------------------------------------------------------------------------
 # closed-form comparators
+
+
+def _per_s(f, s: np.ndarray) -> np.ndarray:
+    """f evaluated once per distinct value of ``s`` and spread back to its
+    shape: the comparators depend on s alone, while a grid repeats each s
+    value at every block point."""
+    values, inverse = np.unique(s, return_inverse=True)
+    return f(values)[inverse.reshape(s.shape)]
 
 
 def expected_metric(imm: SampledImmersion, xi: np.ndarray) -> np.ndarray | None:
@@ -385,21 +495,22 @@ def expected_metric(imm: SampledImmersion, xi: np.ndarray) -> np.ndarray | None:
         return out
 
     # the curve's radius: r(s) on a profile, s along the geodesic
-    r = s if kind.geodesic else imm.profile.r_of(s)
+    radius = (lambda u: u) if kind.geodesic else imm.profile.r_of
     if kind.layout == "sphere":
-        warp = (np.sinh(r) if kind.ambient == "ch" else np.sin(r)) ** 2
+        trig = np.sinh if kind.ambient == "ch" else np.sin
+        warp = _per_s(lambda u: trig(radius(u)) ** 2, s)
         blk = sphere_block(X)
         for k in range(d):
             g[:, 1 + k, 1 + k] = warp * blk[:, k]
     elif kind.layout == "tube":
-        warp = np.cosh(r) ** 2
+        warp = _per_s(lambda u: np.cosh(radius(u)) ** 2, s)
         g[:, 1, 1] = warp
         if d > 1:
             blk = sphere_block(X[:, 1:])
             for k in range(d - 1):
                 g[:, 2 + k, 2 + k] = warp * np.sinh(X[:, 0]) ** 2 * blk[:, k]
     else:
-        warp = np.exp(2.0 * s) if kind.geodesic else r**2
+        warp = _per_s(lambda u: np.exp(2.0 * u) if kind.geodesic else radius(u) ** 2, s)
         for k in range(d):
             g[:, 1 + k, 1 + k] = warp
     return g
@@ -416,44 +527,57 @@ def metric_residual(imm: SampledImmersion, fb: FrameBatch) -> float | None:
     return float(np.max(np.abs(g - expected) / scale))
 
 
-def expected_sff_thm1(imm: SampledImmersion, xi: np.ndarray) -> np.ndarray:
-    """Closed-form h_{ijk} of the ch_sphere family.
-
-    With F(s) = a / sinh^{n+1} r(s) (a the first-integral constant):
-    h_111 = -(n-1) F, h_1jj = h_j1j = h_jj1 = F, all others zero.
-    """
+def _thm1_sff(imm: SampledImmersion, s: np.ndarray) -> tuple:
+    """(pattern, F) with h = pattern * F(s) the thm1 closed form (see
+    ``expected_sff_thm1``), F taken per distinct s and shaped like ``s``."""
     if imm.spec.family != "thm1":
         raise InvalidArgument("closed-form coefficients are for the thm1 family")
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    s = xi[:, 0]
     n = imm.spec.n
-    r = imm.profile.r_of(s)
-    F = imm.profile.family.phase_constant / np.sinh(r) ** (n + 1)
-    M, D = len(s), n
-    h = np.zeros((M, D, D, D))
-    h[:, 0, 0, 0] = -(n - 1) * F
-    for j in range(1, D):
-        h[:, 0, j, j] = F
-        h[:, j, 0, j] = F
-        h[:, j, j, 0] = F
-    return h
+    a = imm.profile.family.phase_constant
+    F = _per_s(lambda u: a / np.sinh(imm.profile.r_of(u)) ** (n + 1), s)
+    pattern = np.zeros((n, n, n))
+    pattern[0, 0, 0] = -(n - 1)
+    for j in range(1, n):
+        pattern[0, j, j] = pattern[j, 0, j] = pattern[j, j, 0] = 1.0
+    return pattern, F
+
+
+def expected_sff_thm1(imm: SampledImmersion, xi: np.ndarray) -> np.ndarray:
+    """Closed-form h_{ijk} of the ch_sphere family at the rows ``xi``, (N,
+    D, D, D): with F(s) = a / sinh^{n+1} r(s) (a the first-integral
+    constant), h_111 = -(n-1) F, h_1jj = h_j1j = h_jj1 = F, all others zero.
+    """
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    pattern, F = _thm1_sff(imm, xi[:, 0])
+    return F[:, None, None, None] * pattern
 
 
 def sff_residuals(imm: SampledImmersion, sff: SFFBatch) -> dict:
     """Relative closed-form match of the thm1 coefficients and |sigma|^2:
     the nonzero components relative to themselves, the zero ones relative
-    to the largest, and |sigma|^2; the ``sff`` check reads all three."""
-    xi = sff.xi
-    expected = expected_sff_thm1(imm, xi)
-    scale = np.max(np.abs(expected), axis=(1, 2, 3), keepdims=True)
+    to the largest, and |sigma|^2; the ``sff`` check reads all three.  The
+    closed forms are taken per distinct s and broadcast over the batch's
+    grid layout, the components of the closed form's pattern apart from
+    the rest."""
+    s = sff.xi[:, 0].reshape(sff.sigma_sq.shape)  # (S, M)
+    pattern, F = _thm1_sff(imm, s)
+    at = np.nonzero(pattern)
+    expected = pattern[at][:, None, None] * F
+    h = sff.coeffs[at]
+    scale = np.max(np.abs(expected), axis=0)
     nonzero = np.abs(expected) > 1e-12 * scale
-    rel = np.abs(sff.coeffs - expected) / np.where(nonzero, np.abs(expected), 1.0)
+    rel = np.abs(h - expected) / np.where(nonzero, np.abs(expected), 1.0)
     worst_nonzero = float(np.max(np.where(nonzero, rel, 0.0)))
-    worst_zero = float(np.max(np.where(nonzero, 0.0, np.abs(sff.coeffs) / scale)))
+    # the components the pattern leaves zero, by their largest per point
+    # (division by the scale is monotone)
+    rest = np.abs(sff.coeffs)
+    rest[at] = 0.0
+    worst_zero = float(max(np.max(np.max(rest, axis=(0, 1, 2)) / scale),
+                           np.max(np.where(nonzero, 0.0, np.abs(h) / scale))))
     n = imm.spec.n
-    r = imm.profile.r_of(xi[:, 0])
     a = imm.profile.family.phase_constant
-    sig_expected = a**2 * (n - 1) * (n + 2) / np.sinh(r) ** (2 * n + 2)
+    sig_expected = _per_s(lambda u: a**2 * (n - 1) * (n + 2)
+                          / np.sinh(imm.profile.r_of(u)) ** (2 * n + 2), s)
     sig_rel = float(np.max(np.abs(sff.sigma_sq - sig_expected) / sig_expected))
     return {
         "component_rel": worst_nonzero,
@@ -581,7 +705,9 @@ def curvature_field(imm: SampledImmersion) -> dict:
     weights = _transverse_weights(imm)
     fb = frame_batch(imm, jet(imm, imm.s_values, imm.x_grid))
     sff = second_fundamental_form(imm, fb)
-    sqrt_det = np.prod(np.diagonal(fb.chol, axis1=1, axis2=2), axis=-1)  # det L
+    # det of the per-point factor Lambda(s)^-1 L_G(x)
+    det_block = np.prod(np.diagonal(fb.block_chol, axis1=1, axis2=2), axis=-1)
+    sqrt_det = det_block / np.prod(fb.scale, axis=0)[:, None]
     return {
         "s_values": imm.s_values,
         "sigma_norms": sff.sigma_norm.reshape(S, M),

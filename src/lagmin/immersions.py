@@ -77,6 +77,7 @@ __all__ = [
     "ImmersionFamilySpec",
     "SampledImmersion",
     "product_xi",
+    "grid_order",
     "jet_rows",
     "ProductJet",
     "LegendreCurve",
@@ -509,6 +510,12 @@ def product_xi(s: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.column_stack([np.repeat(s, M), np.tile(X, (S, 1))])
 
 
+def grid_order(a: np.ndarray) -> np.ndarray:
+    """An array in grid layout, trailing axes (S, M) for S values and M
+    block points, as (S*M, ...) rows in ``grid_xi`` order (s slowest)."""
+    return np.moveaxis(a.reshape(a.shape[:-2] + (-1,)), -1, 0)
+
+
 def default_grid_spec(spec: ImmersionFamilySpec) -> tuple[float, float]:
     """Default s-window; small enough that finite-difference roundoff on the
     verification residuals stays well below the tolerance ladder."""
@@ -719,10 +726,10 @@ class ProductJet:
 
     def gram(self, space: HermitianSpace | None) -> tuple:
         """(G, norms): the Hermitian Gram of the raw jets and the Euclidean
-        norms |d_i z|, shapes (S*M, R, V) and (S*M, D), from
-        ``product_gram`` over the factors.  Rows are ``jet_rows`` of the
-        block's order; columns are z alone at order 1 and [z, d_l z] at
-        order 2.  No (S*M)-row jet is built."""
+        norms |d_i z| from ``product_gram`` over the factors, in grid
+        layout: G (R, V, S, M) and norms (D, S, M).
+        Rows are ``jet_rows`` of the block's order; columns are z alone at
+        order 1 and [z, d_l z] at order 2.  No (S*M)-row jet is built."""
         D = 1 + self.block[1].shape[1]
         rows = jet_rows(D, len(self.block) - 1)
         A, B, deltas = zip(*map(self.factors, rows))
@@ -733,7 +740,7 @@ class ProductJet:
                          np.tile(np.arange(V), R))
         diag = np.arange(1, 1 + D)
         norms = np.sqrt(product_gram(None, A, B, delta, diag, diag).real)
-        return G.reshape(-1, R, V), norms
+        return G.reshape((R, V) + G.shape[1:]), norms
 
 
 def _make_jet_factors(curve, beta):
@@ -747,15 +754,33 @@ def _make_jet_factors(curve, beta):
     return jet_factors
 
 
+def _distinct_rows(X: np.ndarray) -> tuple:
+    """(rows, at): the distinct rows of X (N, k) and, per row of X, where it
+    sits among them, by one lexsort."""
+    order = np.lexsort(X.T[::-1])
+    X = X[order]
+    new = np.empty(len(X), dtype=bool)
+    new[:1] = True
+    np.any(X[1:] != X[:-1], axis=1, out=new[1:])
+    at = np.empty(len(X), dtype=np.intp)
+    at[order] = np.cumsum(new) - 1
+    return X[new], at
+
+
 def _lift(curve, beta):
-    """evaluate(s, X) = alpha(s) * beta(X) + delta(s) at the points (s_k, X_k),
-    the curve taken on ``s`` as given.  Where the lift has no delta nothing
+    """evaluate(s, X) = alpha(s) * beta(X) + delta(s) at the points (s_k, X_k).
+    The curve is taken once per distinct s and the block once per distinct
+    row of X, then spread back to the points, so a stacked grid costs one
+    curve and one block evaluation, as in ``ProductJet.value``, and the
+    values are its values bit for bit.  Where the lift has no delta nothing
     is added, so signed zeros of the product survive into the files."""
 
     def evaluate(s, X):
-        alpha, delta = curve(np.asarray(s, dtype=float))
-        z = alpha[0] * beta(X)[0]
-        return z if delta is None else z + delta[0]
+        s, s_at = _distinct_rows(np.asarray(s, dtype=float).reshape(-1, 1))
+        X, X_at = _distinct_rows(np.atleast_2d(np.asarray(X, dtype=float)))
+        alpha, delta = curve(s[:, 0])
+        z = alpha[0][s_at] * beta(X)[0][X_at]
+        return z if delta is None else z + delta[0][s_at]
 
     return evaluate
 
@@ -945,7 +970,8 @@ def _sample_invariants(imm: SampledImmersion) -> dict:
     quadric = float(np.max(relative_quadric_defect(space, flat)))
     pj = imm.jet_factors(imm.s_values, imm.x_grid)
     gram, norms = ProductJet(pj.alpha, pj.delta, pj.block[:2]).gram(space)
-    horizontal = float(np.max(legendrian_residual(flat, norms, gram[:, 1:, 0])))
+    c, norms = np.moveaxis(gram[1:, 0], 0, -1), np.moveaxis(norms, 0, -1)  # (S, M, D)
+    horizontal = float(np.max(legendrian_residual(imm.samples, norms, c)))
     return {"quadric": quadric, "horizontal": horizontal}
 
 

@@ -131,7 +131,10 @@ def product_gram(space: HermitianSpace | None, A: np.ndarray, B: np.ndarray,
     ``A`` and ``delta`` have shape (R, S, m) on S values s, ``B`` (R, M, m)
     on M points x, and ``delta`` is None when no vector has the additive
     term.  The index arrays ``u`` and ``v`` (P,) name the pairs.  Returns
-    complex (S*M, P), s slowest; a ``space`` of None is the flat form.
+    complex (P, S, M), each pair one contiguous (S, M) plane with s
+    slowest; a ``space`` of None is the flat form.  (The transposed
+    product, (P, M, S), rounds some pairings differently in OpenBLAS, which
+    would move the last bits of the build header.)
 
     Every pairing is a sum of s-factors times x-factors,
 
@@ -151,8 +154,7 @@ def product_gram(space: HermitianSpace | None, A: np.ndarray, B: np.ndarray,
         du, dv = delta[u] * signs, np.conj(delta[v])
         left += [Au * dv, du * Av, np.sum(du * dv, axis=-1, keepdims=True)]
         right += [Bu, Bv, np.ones(Bu.shape[:-1] + (1,))]
-    G = np.concatenate(left, axis=-1) @ np.concatenate(right, axis=-1).swapaxes(-1, -2)
-    return G.reshape(len(G), -1).T  # (P, S, M) -> (S*M, P)
+    return np.concatenate(left, axis=-1) @ np.concatenate(right, axis=-1).swapaxes(-1, -2)
 
 
 def quadric_defect(space: HermitianSpace, z: np.ndarray) -> np.ndarray:

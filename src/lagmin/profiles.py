@@ -250,16 +250,21 @@ class Spline:
     @classmethod
     def hermite(cls, x, y, dydx) -> "Spline":
         """Cubic Hermite interpolant of values ``y`` and slopes ``dydx``."""
-        x, y, dydx = (np.asarray(a, dtype=float) for a in (x, y, dydx))
-        dx = np.diff(x)
-        slope = np.diff(y) / dx
-        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-        rows = np.empty((len(dx), 4))
-        rows[:, 0] = y[:-1]
-        rows[:, 1] = dydx[:-1]
-        rows[:, 2] = (slope - dydx[:-1]) / dx - t
-        rows[:, 3] = t / dx
-        return cls(x, rows)
+        x = np.asarray(x, dtype=float)
+        return cls(x, _hermite_rows(x, y, dydx, np.empty((len(x) - 1, 4))))
+
+    @classmethod
+    def hermite_antiderivative(cls, x, y, dydx) -> "Spline":
+        """``hermite(x, y, dydx).antiderivative()`` built in place: the
+        interpolant's coefficients go straight into columns 1..4 of the
+        antiderivative's rows, so its own rows never exist."""
+        x = np.asarray(x, dtype=float)
+        rows = np.empty((len(x) - 1, 5))
+        _hermite_rows(x, y, dydx, rows[:, 1:])
+        rows[:, 1] += 0.0  # the interpolant's constant term, as its __init__ leaves it
+        for j in range(1, 4):
+            rows[:, j + 1] /= float(j + 1)
+        return cls(x, _integration_constants(x, rows))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -277,18 +282,41 @@ class Spline:
         rows = np.empty((pieces, k + 1))
         for j in range(k):
             rows[:, j + 1] = self.rows[:, j] / float(j + 1)
-        # each piece starts at the value the previous one reaches at its
-        # end; those terms c h, c h^2, ..., lowest power first, are summed
-        # across all pieces in one sequential cumsum
-        h = np.diff(self.knots)[:-1]
-        terms = np.empty((pieces - 1, k))
-        power = h
-        for j in range(k):
-            terms[:, j] = rows[:-1, j + 1] * power
-            power = power * h
-        rows[0, 0] = 0.0
-        rows[1:, 0] = np.cumsum(terms)[k - 1::k]
-        return Spline(self.knots, rows)
+        return Spline(self.knots, _integration_constants(self.knots, rows))
+
+
+def _hermite_rows(x, y, dydx, rows):
+    """The cubic Hermite coefficients, lowest power first, written into
+    ``rows`` (pieces, 4)."""
+    y, dydx = np.asarray(y, dtype=float), np.asarray(dydx, dtype=float)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    rows[:, 0] = y[:-1]
+    rows[:, 1] = dydx[:-1]
+    rows[:, 2] = (slope - dydx[:-1]) / dx - t
+    rows[:, 3] = t / dx
+    return rows
+
+
+def _integration_constants(knots, rows):
+    """Fill column 0 of an antiderivative's rows (pieces, k + 1), whose
+    columns 1..k hold the integrated terms: each piece starts at the value
+    the previous one reaches at its end.  Those terms c h, c h^2, ..., lowest
+    power first, are summed across all pieces in one sequential cumsum,
+    taken in place."""
+    pieces, k = rows.shape[0], rows.shape[1] - 1
+    h = np.diff(knots)[:-1]
+    terms = np.empty((pieces - 1, k))
+    power = h.copy()
+    for j in range(k):
+        np.multiply(rows[:-1, j + 1], power, out=terms[:, j])
+        power *= h
+    terms = terms.reshape(-1)
+    np.cumsum(terms, out=terms)
+    rows[0, 0] = 0.0
+    rows[1:, 0] = terms[k - 1::k]
+    return rows
 
 
 def _sum_powers(c, s):
@@ -609,7 +637,7 @@ class PhaseIntegrals:
 
 
 def _antiderivative(s, vals, derivs):
-    anti = Spline.hermite(s, vals, derivs).antiderivative()
+    anti = Spline.hermite_antiderivative(s, vals, derivs)
     c0 = anti(0.0)
     return lambda x: anti(x) - c0
 

@@ -11,9 +11,12 @@ from lagmin.immersions import (
     ImmersionFamilySpec,
     ProductJet,
     SampledImmersion,
+    SeedLagrangian,
     box_chart,
     build_immersion,
+    grid_order,
     jet_rows,
+    make_seed,
     product_xi,
     real_geodesic_curve,
     ch_sphere_curve,
@@ -221,12 +224,12 @@ class TestFrame:
                               s_window=(-1.5, 1.5))
         sheared = _sheared(imm, 0.7)
         fb = _frames(sheared)
-        assert np.max(np.abs(fb.metric[:, 0, -1])) >= 10.0
+        assert np.max(np.abs(gc.induced_metric(sheared, fb)[:, 0, -1])) >= 10.0
         sff = gc.second_fundamental_form(sheared, fb)
         assert gc.minimality_residual(sheared, sff) <= gc.TOLERANCES["minimal"]
         # |sigma|^2 of thm1 depends on s alone
-        ref = _sff(imm)
-        assert np.max(np.abs(sff.sigma_sq - ref.sigma_sq) / ref.sigma_sq) <= 1e-4
+        got, ref = grid_order(sff.sigma_sq), grid_order(_sff(imm).sigma_sq)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-4
 
     def test_degenerate_metric_raises(self, thm1):
         # a vanishing chart partial: g is singular, so there is no frame
@@ -279,6 +282,7 @@ class TestLagrangian:
         g = np.array([np.diag([4.0, 1.0, 9.0])] * 2)
         omega = np.array([np.diag([1e-3, -2e-3, 5e-4])] * 2)
         omega[1, 0, 2], omega[1, 2, 0] = 0.3, -0.3
+        g, omega = g.transpose(1, 2, 0), omega.transpose(1, 2, 0)  # index axes first
         assert np.array_equal(gc._lagrangian_pointwise(g, omega), [0.0, 0.3 / 6.0])
 
     def test_real_lift_exactly_zero(self):
@@ -304,13 +308,13 @@ class TestSecondFundamentalForm:
         assert res["sigma_sq_rel"] <= 1e-3
 
     def test_component_signs(self, thm1):
-        sff = _sff(thm1, [0.5], [[1.0]])
+        h = grid_order(_sff(thm1, [0.5], [[1.0]]).coeffs)
         n = 2
         r = float(thm1.profile.r_of(0.5))
         F = thm1.profile.family.phase_constant / math.sinh(r) ** (n + 1)
-        assert sff.coeffs[0, 0, 0, 0] == pytest.approx(-(n - 1) * F, rel=1e-3)
-        assert sff.coeffs[0, 0, 1, 1] == pytest.approx(F, rel=1e-3)
-        assert sff.coeffs[0, 1, 1, 0] == pytest.approx(F, rel=1e-3)
+        assert h[0, 0, 0, 0] == pytest.approx(-(n - 1) * F, rel=1e-3)
+        assert h[0, 0, 1, 1] == pytest.approx(F, rel=1e-3)
+        assert h[0, 1, 1, 0] == pytest.approx(F, rel=1e-3)
 
     def test_totally_geodesic_zero(self):
         imm = build_immersion(ImmersionFamilySpec("tg_horo", 2), grid=(6, 6))
@@ -339,11 +343,12 @@ class TestSecondFundamentalForm:
         def perturbed(imm, fb):
             sff = extract(imm, fb)
             F = gc.expected_sff_thm1(imm, sff.xi)[:, 0, 1, 1]
-            h = sff.coeffs.copy()
+            h = grid_order(sff.coeffs).copy()
             for i, j, k in permutations((0, 1, 2)):
                 h[:, i, j, k] += 1e-2 * F
-            return gc.SFFBatch(sff.xi, h, np.einsum("miik->mk", h) / 3,
-                               np.sum(h**2, axis=(1, 2, 3)))
+            # back in grid layout, every point its own block
+            H, sigma_sq = np.einsum("miik->mk", h) / 3, np.sum(h**2, axis=(1, 2, 3))
+            return gc.SFFBatch(sff.xi, *map(gc._as_blocks, (h, H, sigma_sq)))
 
         monkeypatch.setattr(gc, "second_fundamental_form", perturbed)
         report = {c["name"]: c["pass"] for c in gc.run_checks(imm).checks}
@@ -435,6 +440,20 @@ class TestProductJets:
             at = (slice(None),) + idx
             for got in (row.reshape(len(xi), -1), stacked[len(idx)][at]):
                 assert np.max(np.abs(got - whole[len(idx)][at])) <= tol[len(idx)] * scale
+
+    def test_evaluate_takes_the_block_once_per_transverse_point(self):
+        # a stacked grid repeats each transverse point at every s value: the
+        # lift evaluates the block (the seed's jet) on the distinct points
+        # only, and its values are the jet's value bit for bit
+        seed = make_seed("clifford_cp", 3)
+        jet, rows = seed.jet, []
+        seed.jet = lambda X: rows.append(len(X)) or jet(X)
+        imm = build_immersion(ImmersionFamilySpec("prop3a", 4, 1.0, seed_kind="clifford_cp"),
+                              grid=(64, 64), seed=seed)
+        rows.clear()
+        xi = imm.grid_xi()
+        assert imm.evaluate_xi(xi).tobytes() == imm.samples.tobytes()
+        assert rows == [len(imm.x_grid)]
 
     @pytest.mark.parametrize("spec", _EVERY_FAMILY, ids=_spec_id)
     def test_samples_evaluate_and_jet_value_bitwise(self, spec):
@@ -541,9 +560,11 @@ class TestFactoredGram:
         # each (u, v) within 8 ulp of |u| |v|, its Cauchy-Schwarz scale
         scale = norms[:, :, None] * norms[:, None, :1 + D]
         ulp = np.finfo(float).eps * scale
-        assert fact.gram.shape == stacked.gram.shape
-        assert np.all(np.abs(fact.gram - stacked.gram) <= 8 * ulp)
-        assert np.all(np.abs(fact.d1_norm - stacked.d1_norm) <= 8 * ulp[:, 1:1 + D, 0] / norms[:, :1])
+        got, ref = grid_order(fact.gram), grid_order(stacked.gram)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 8 * ulp)
+        got, ref = grid_order(fact.d1_norm), grid_order(stacked.d1_norm)
+        assert np.all(np.abs(got - ref) <= 8 * ulp[:, 1:1 + D, 0] / norms[:, :1])
         assert fact.value.tobytes() == value.tobytes()
 
     @pytest.mark.parametrize("spec", _EVERY_FAMILY, ids=_spec_id)
@@ -554,13 +575,14 @@ class TestFactoredGram:
         # indefinite pairings cancel from
         nd = np.linalg.norm(d1, axis=-1)
         ulp = np.finfo(float).eps * nd[:, :, None] * nd[:, None, :]
-        assert np.all(np.abs(fa.metric - fs.metric) <= 8 * ulp)
-        assert np.all(np.abs(fa.omega - fs.omega) <= 8 * ulp)
+        for a, b in ((fa.metric, fs.metric), (fa.omega, fs.omega)):
+            assert np.all(np.abs(grid_order(a) - grid_order(b)) <= 8 * ulp)
         t_scale = np.max(np.abs(fs.chol_inv), axis=(1, 2), keepdims=True)
         assert np.all(np.abs(fa.chol_inv - fs.chol_inv) <= 1e-12 * t_scale)
         sa, ss = gc.second_fundamental_form(imm, fa), gc.second_fundamental_form(imm, fs)
-        h_scale = np.maximum(np.max(np.abs(ss.coeffs), axis=(1, 2, 3), keepdims=True), 1.0)
-        assert np.all(np.abs(sa.coeffs - ss.coeffs) <= 1e-12 * h_scale)
+        ha, hs = grid_order(sa.coeffs), grid_order(ss.coeffs)
+        h_scale = np.maximum(np.max(np.abs(hs), axis=(1, 2, 3), keepdims=True), 1.0)
+        assert np.all(np.abs(ha - hs) <= 1e-12 * h_scale)
 
     @pytest.mark.parametrize("spec", [
         ImmersionFamilySpec("thm1", 3, 1.0),
@@ -585,17 +607,18 @@ class TestFactoredGram:
         fa = gc.frame_batch(imm, gc.JetBatch(xi, pj.value(), *pj.gram(space)))
         jt = gc.JetBatch(xi, turned.value(), *turned.gram(space))
         ft = gc.frame_batch(imm, jt)
-        assert np.min(np.abs(ft.vertical[:, 0])) >= 0.2
-        nd = jt.d1_norm
+        assert np.min(np.abs(ft.vertical[0])) >= 0.2
+        nd = grid_order(jt.d1_norm)
         ulp = np.finfo(float).eps * nd[:, :, None] * nd[:, None, :]
-        assert np.all(np.abs(ft.metric - fa.metric) <= 16 * ulp)
-        assert np.all(np.abs(ft.omega - fa.omega) <= 16 * ulp)
+        assert np.all(np.abs(grid_order(ft.metric) - grid_order(fa.metric)) <= 16 * ulp)
+        assert np.all(np.abs(grid_order(ft.omega) - grid_order(fa.omega)) <= 16 * ulp)
         sa, st = gc.second_fundamental_form(imm, fa), gc.second_fundamental_form(imm, ft)
         u = fa.chol_inv[:, :, 0] * np.repeat(speed, len(X))[:, None]
         eye = np.eye(u.shape[1])
         shift = u[:, None, :, None] * eye[:, None] + u[:, :, None, None] * eye
-        h_scale = np.maximum(np.max(np.abs(st.coeffs), axis=(1, 2, 3), keepdims=True), 1.0)
-        assert np.all(np.abs(st.coeffs - sa.coeffs - shift) <= 1e-12 * h_scale)
+        ha, ht = grid_order(sa.coeffs), grid_order(st.coeffs)
+        h_scale = np.maximum(np.max(np.abs(ht), axis=(1, 2, 3), keepdims=True), 1.0)
+        assert np.all(np.abs(ht - ha - shift) <= 1e-12 * h_scale)
 
     def test_hand_built_immersion_takes_the_stacked_route(self):
         # a built immersion handed over without its product jet pairs its
@@ -606,9 +629,144 @@ class TestFactoredGram:
         hand = _sheared(imm, 0.0)
         assert hand.jet_factors is None
         fh, fi = _frames(hand), _frames(imm)
-        assert np.max(np.abs(fh.metric - fi.metric) / fi.metric.max()) <= 1e-8
+        gh, gi = gc.induced_metric(hand, fh), gc.induced_metric(imm, fi)
+        assert np.max(np.abs(gh - gi) / gi.max()) <= 1e-8
         sh, si = gc.second_fundamental_form(hand, fh), gc.second_fundamental_form(imm, fi)
-        assert np.max(np.abs(sh.coeffs - si.coeffs)) <= 1e-4 * np.max(np.abs(si.coeffs))
+        hh, hi = grid_order(sh.coeffs), grid_order(si.coeffs)
+        assert np.max(np.abs(hh - hi)) <= 1e-4 * np.max(np.abs(hi))
+
+
+def _per_point_reference(imm, fb):
+    """(T, h, H, |sigma|^2, sqrt(det g)) of a FrameBatch by the per-point
+    route, as (S*M, ...) rows: ``np.linalg.cholesky`` of every point's
+    metric, its inverse T, and the normal parts of the second partials
+    contracted with T point by point."""
+    space, D = imm.ambient.space, fb.jets.dim
+    gram, g, omega = grid_order(fb.jets.gram), grid_order(fb.metric), grid_order(fb.omega)
+    L = np.linalg.cholesky(g)
+    T = np.linalg.inv(L)
+    w = gram[:, 1 + D:]
+    p = w[..., 1:]
+    if space is not None:
+        c = gram[:, 1:1 + D, 0]
+        p = p - w[..., :1] * (np.conj(c) / space.quadric_target)[:, None]
+    normal = p.imag + p.real @ (T.swapaxes(1, 2) @ T @ omega)
+    row = {idx: q for q, idx in enumerate(jet_rows(D)[1 + D:])}
+    h = np.stack([normal[:, row[min(i, j), max(i, j)]] for i in range(D) for j in range(D)],
+                 axis=1)
+    h = np.einsum("nkl,nijl->nijk", T, h.reshape(-1, D, D, D))
+    h = np.einsum("nbj,nijk->nibk", T, h)
+    h = np.einsum("nai,nibk->nabk", T, h)
+    sqrt_det = np.prod(np.diagonal(L, axis1=1, axis2=2), axis=-1)
+    return T, h, np.einsum("niik->nk", h) / D, np.sum(h**2, axis=(1, 2, 3)), sqrt_det
+
+
+class TestFactoredFrame:
+    """The frame factored over the product grid, T = L_G(x)^-1 Lambda(s),
+    one Cholesky per block point, against the per-point Cholesky route."""
+
+    @staticmethod
+    def _assert_per_point(imm, fb, tol=1e-11):
+        T, h, H, sigma_sq, _ = _per_point_reference(imm, fb)
+        t_scale = np.max(np.abs(T), axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(fb.chol_inv - T) <= tol * t_scale)
+        sff = gc.second_fundamental_form(imm, fb)
+        h_scale = np.maximum(np.max(np.abs(h), axis=(1, 2, 3)), 1.0)
+        assert np.all(np.abs(grid_order(sff.coeffs) - h) <= tol * h_scale[:, None, None, None])
+        assert np.all(np.abs(grid_order(sff.mean_curvature) - H) <= tol * h_scale[:, None])
+        assert np.all(np.abs(grid_order(sff.sigma_sq) - sigma_sq) <= tol * h_scale**2)
+
+    @pytest.mark.parametrize("spec", _EVERY_FAMILY, ids=_spec_id)
+    def test_matches_the_per_point_cholesky(self, spec):
+        imm = build_immersion(spec, grid=(11, 9))
+        fb = _frames(imm)
+        S, M, D = len(imm.s_values), len(imm.x_grid), fb.jets.dim
+        assert fb.block_chol.shape == (M, D, D) and fb.scale.shape == (D, S)
+        self._assert_per_point(imm, fb)
+        sqrt_det = _per_point_reference(imm, fb)[-1]
+        got = gc.curvature_field(imm)["sqrt_det_g"].ravel()
+        assert np.all(np.abs(got - sqrt_det) <= 1e-11 * sqrt_det)
+
+    @pytest.mark.parametrize("spec", _EVERY_FAMILY, ids=_spec_id)
+    def test_one_cholesky_over_the_block_points(self, spec, monkeypatch):
+        # checks and curvature field factor the M block metrics G(x),
+        # never the S*M metrics of the grid
+        imm = build_immersion(spec, grid=(11, 9))
+        cholesky, batches = np.linalg.cholesky, []
+
+        def spy(a, *args, **kwargs):
+            batches.append(np.shape(a)[:-2])
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        gc.run_checks(imm)
+        gc.curvature_field(imm)
+        assert batches == [(len(imm.x_grid),)] * 2
+
+    @pytest.mark.parametrize("k", [0.0, 0.7])
+    def test_hand_built_immersions_take_the_per_point_frame(self, k):
+        # whole-lift differences are stacked rows, every point its own
+        # block (Lambda = 1, G = g); the sheared chart's metric does not
+        # separate at all (g_{0,last} above 10)
+        imm = build_immersion(ImmersionFamilySpec("thm1", 3, 1.0), grid=(9, 9),
+                              s_window=(-1.5, 1.5))
+        sheared = _sheared(imm, k)
+        fb = _frames(sheared)
+        N, D = len(sheared.grid_xi()), fb.jets.dim
+        assert fb.block_chol.shape == (N, D, D)
+        assert np.array_equal(fb.scale, np.ones((D, 1)))
+        self._assert_per_point(sheared, fb)
+
+    @pytest.mark.parametrize("twist,blocks", [(1e-12, "M"), (1e-6, "S*M")])
+    def test_a_metric_that_does_not_separate_is_framed_per_point(self, twist, blocks):
+        # a product batch whose g_{0,last} gets a term varying with s and x
+        # misses the separable form by about ``twist``: below the bound the
+        # frame stays factored, above it every point is its own block;
+        # either way it is the per-point frame
+        imm = build_immersion(ImmersionFamilySpec("thm1", 3, 1.0), grid=(11, 9))
+        jets = gc.jet(imm, imm.s_values, imm.x_grid)
+        S, M, D = len(imm.s_values), len(imm.x_grid), jets.dim
+        gram = jets.gram.copy()
+        g = _frames(imm).metric
+        ramp = np.outer(np.arange(S), np.arange(M)) / (S * M)
+        bump = twist * np.sqrt(g[0, 0] * g[-1, -1]) * ramp
+        gram[1, D] += bump
+        gram[D, 1] += bump
+        fb = gc.frame_batch(imm, gc.JetBatch(jets.xi, jets.value, gram, jets.d1_norm))
+        assert len(fb.block_chol) == {"M": M, "S*M": S * M}[blocks]
+        self._assert_per_point(imm, fb)
+
+    def test_a_seed_with_differenced_jets(self):
+        # only the block's jets are differenced: the product alpha(s) beta(x)
+        # is exact, so the metric still separates to roundoff (about 2e-12)
+        # and the frame is factored, matching the per-point route
+        clifford = make_seed("clifford_cp", 2)
+        seed = SeedLagrangian(
+            "clifford_cp", 2, "cp", clifford.chart,
+            lambda X: fd.jet_partials(lambda Y: clifford.jet(Y)[0], np.atleast_2d(X),
+                                      fd.DEFAULT_FD_STEP))
+        imm = build_immersion(ImmersionFamilySpec("prop3a", 3, 1.0, seed_kind="clifford_cp"),
+                              grid=(11, 9), seed=seed)
+        fb = _frames(imm)
+        assert len(fb.block_chol) == len(imm.x_grid)
+        self._assert_per_point(imm, fb)
+
+    def test_sff_residuals_read_any_block_layout(self, thm1, thm1_sff):
+        # the closed form is taken per distinct s and broadcast over the
+        # grid layout; the same SFF as stacked points scores the same, and
+        # so does the point-by-point comparison against expected_sff_thm1
+        sff = thm1_sff
+        h = grid_order(sff.coeffs)
+        points = gc.SFFBatch(sff.xi, *map(gc._as_blocks, (h, grid_order(sff.mean_curvature),
+                                                          grid_order(sff.sigma_sq))))
+        got = gc.sff_residuals(thm1, sff)
+        assert got == gc.sff_residuals(thm1, points)
+        expected = gc.expected_sff_thm1(thm1, sff.xi)
+        scale = np.max(np.abs(expected), axis=(1, 2, 3), keepdims=True)
+        nonzero = np.abs(expected) > 1e-12 * scale
+        rel = np.abs(h - expected) / np.where(nonzero, np.abs(expected), 1.0)
+        assert got["component_rel"] == np.max(np.where(nonzero, rel, 0.0))
+        assert got["zero_component"] == np.max(np.where(nonzero, 0.0, np.abs(h) / scale))
 
 
 class TestSymmetryResidual:
@@ -625,7 +783,8 @@ class TestSymmetryResidual:
     def test_orbits_match_the_permutation_loop_on_real_sff(self, n):
         sff = _sff(build_immersion(ImmersionFamilySpec("thm1", n, 1.0), grid=(17, 16)))
         got = sff.symmetry_residual()
-        assert np.float64(got).tobytes() == np.float64(self._permutation_loop(sff.coeffs)).tobytes()
+        ref = self._permutation_loop(grid_order(sff.coeffs))
+        assert np.float64(got).tobytes() == np.float64(ref).tobytes()
 
     @pytest.mark.parametrize("D", [2, 3, 4, 5])
     def test_orbits_match_the_permutation_loop_on_random_arrays(self, D):
@@ -633,7 +792,8 @@ class TestSymmetryResidual:
         for _ in range(20):
             h = rng.normal(size=(7, D, D, D)) * 10.0 ** rng.uniform(-3, 3)
             h = h + h.transpose(0, 2, 3, 1) + h.transpose(0, 3, 1, 2)  # cyclic, not symmetric
-            sff = gc.SFFBatch(np.zeros((7, 1 + D)), h, np.zeros((7, D)), np.zeros(7))
+            sff = gc.SFFBatch(np.zeros((7, 1 + D)), gc._as_blocks(h), np.zeros((D, 1, 7)),
+                              np.zeros((1, 7)))
             assert (np.float64(sff.symmetry_residual()).tobytes()
                     == np.float64(self._permutation_loop(h)).tobytes())
 

@@ -104,8 +104,8 @@ class TestHermGram:
         # z_a and w_b as A + B factors on the P points, the pairs (z_a, w_b)
         factors = np.concatenate([z, w], axis=1).swapaxes(0, 1)
         u, v = np.repeat(np.arange(A), B), np.tile(A + np.arange(B), A)
-        G = product_gram(space, factors, np.ones((A + B, 1, m)), None, u, v)
-        G = G.reshape(P, A, B)
+        G = product_gram(space, factors, np.ones((A + B, 1, m)), None, u, v)  # (A B, P, 1)
+        G = G[..., 0].T.reshape(P, A, B)
         re, im = G.real, G.imag
         scale = np.abs(z) @ np.abs(w).swapaxes(-1, -2)  # sum_i |z_i| |w_i|
         ulp = np.finfo(float).eps * scale
@@ -131,7 +131,9 @@ class TestProductGram:
         w = w.transpose(1, 2, 0, 3).reshape(S * M, R, m)  # s slowest
         space = None if signature is None else HermitianSpace(m - 1, signature)
         u, v = np.repeat(np.arange(R), R), np.tile(np.arange(R), R)
-        got = product_gram(space, A, B, delta, u, v).reshape(S * M, R, R)
+        got = product_gram(space, A, B, delta, u, v)  # (R R, S, M)
+        assert got.shape == (R * R, S, M)
+        got = got.reshape(R * R, S * M).T.reshape(S * M, R, R)
         ref = herm_form(space, w[:, :, None], w[:, None])
         # within a few ulp of the factor terms' magnitudes
         terms = np.abs(A)[:, :, None] * np.abs(B)[:, None]

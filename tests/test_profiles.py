@@ -457,8 +457,11 @@ class TestSpline:
         y, dy = np.sin(x), np.cos(x)
         ours, ref = Spline.hermite(x, y, dy), CubicHermiteSpline(x, y, dy)
         points = np.concatenate([self._probe_points(x), rng.uniform(-5, x[-1] + 5, 500)])
-        for a, b in ((ours, ref), (ours.antiderivative(), ref.antiderivative())):
+        built = Spline.hermite_antiderivative(x, y, dy)  # never forms the interpolant's rows
+        for a, b in ((ours, ref), (ours.antiderivative(), ref.antiderivative()),
+                     (built, ref.antiderivative())):
             self._assert_same(a, b, points)
+        assert built.rows.tobytes() == ours.antiderivative().rows.tobytes()
 
     def test_nan_propagates(self):
         sol = solve_profile(ProfileFamily("ch_horo", 2, 1.0), 1.0)
