@@ -141,6 +141,8 @@ def _undash(tag: str) -> str:
 def cmd_solve(args, cfg) -> int:
     fam = ProfileFamily(_undash(args.family), args.n, args.rho)
     s_max = args.s_max if args.s_max is not None else cfg["s_max"]
+    if not _CONFIG_KEYS["s_max"][1](s_max):
+        raise UsageError(f"--s-max {s_max!r} out of range: it must lie in (0, 100]")
     tol = args.tol if args.tol is not None else cfg["ode_tol"]
     try:
         sol = solve_profile(fam, s_max, tol=tol)

@@ -6,9 +6,10 @@ the curve factors alpha and delta differentiated in closed form from the
 profile ODE on the s values and the O(1) transverse block beta's exact
 jet on the M points: no built or loaded immersion takes a numerical step.
 
-The geometry reads the jets only through their Hermitian pairings, so a
-``JetBatch`` holds the lift's value and one Gram matrix of the raw jets:
-rows u in [z, d_i z, d_i d_j z (i <= j)], columns v in [z, d_l z].  For a
+The geometry reads the jets only through their Hermitian pairings with z
+and with the first partials, so a ``JetBatch`` holds the lift's value and
+one Gram matrix of the raw jets: rows u in [d_i z, d_i d_j z (i <= j)],
+columns v in [z, d_l z]; nothing is paired from z itself.  For a
 product jet each pairing (u, v)(s, x) is a sum of s-factors times
 x-factors, and ``ProductJet.gram`` takes all of them as one stacked matmul
 (``model_spaces.product_gram``): no S*M-row partial is materialised, only
@@ -27,9 +28,11 @@ points; stacked jets are one row of N blocks, (..., 1, N).
 One data path, jets -> FrameBatch -> SFFBatch, feeds every check, and each
 check takes the batch it reads.  On the quadric (z, z) is read as its
 target t; with c_i = (d_i z, z), the Legendrian pairings, the horizontal
-parts h_i = d_i z - c_i z / t pair as (h_i, h_j) = (d_i z, d_j z) -
-c_i conj(c_j) / t (in the flat ambient the c terms drop out), giving the
-induced metric g = Re and the Kahler pullback Omega(h_i, h_j) =
+parts h_i = d_i z - c_i z / t pair with any u as (u, h_l) = (u, d_l z) -
+(u, z) conj(c_l) / t (in the flat ambient the c terms drop out), one
+identity, ``model_spaces.horizontal_pairings``, read by the frame for the
+rows u = d_i z and by the SFF for the rows u = d_i d_j z.  (h_i, h_j) gives
+the induced metric g = Re and the Kahler pullback Omega(h_i, h_j) =
 Re (i h_i, h_j) = -Im.  Every family is a curve over a foliation by
 umbilical hypersurfaces, so its metric separates over the grid, g(s, x) =
 Lambda(s)^-1 G(x) Lambda(s)^-1 with Lambda diagonal: ``frame_batch`` reads
@@ -39,15 +42,15 @@ grid point by T = L_G(x)^-1 Lambda(s), e_a = sum_k T_ak h_k.  It accepts
 the factoring only where every point separates to ``_SEPARABILITY_TOL``
 (defined below with its measured floor); otherwise, as for the stacked
 jets of hand-built immersions, every point is its own block (Lambda = 1,
-G = g).  ``second_fundamental_form`` reads P = (w_ij, h_l) = (w_ij, d_l z)
-- conj(c_l) (w_ij, z) / t for the second partials w_ij; the tangential
-part is removed with g^{-1} = T^t T applied to Re P, the components along
-z and i z never pair with horizontal vectors, and the remainder of a
-Lagrangian immersion lies in J(tangent), so h_{abk} = sum T_ai T_bj T_kl
-Im (sigma_ij, h_l).  Scaled by Lambda(s) elementwise, the contraction with
-L_G^-1 is one GEMM per index and block point, the S values the long axis.
-All residuals are dimensionless so one tolerance table,
-``TOLERANCES``, applies across families.
+G = g).  ``second_fundamental_form`` reads P = (w_ij, h_l) for the second
+partials w_ij from the same identity; the tangential part is removed with
+g^{-1} = T^t T applied to Re P, the components along z and i z never pair
+with horizontal vectors, and the remainder of a Lagrangian immersion lies
+in J(tangent), so h_{abk} = sum T_ai T_bj T_kl Im (sigma_ij, h_l).  Scaled
+by Lambda(s) elementwise, the contraction with L_G^-1 is one GEMM per index
+and block point, the S values the long axis.  All residuals are
+dimensionless so one tolerance table, ``TOLERANCES``, applies across
+families.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ from .model_spaces import (
     GeometryError,
     InvalidArgument,
     herm_form,
+    horizontal_pairings,
     legendrian_residual,
     projective_distance,
     random_euclid,
@@ -149,9 +153,10 @@ class JetBatch:
     layout, trailing axes (S, M): a product jet's S values and M transverse
     points, the block points; stacked jets are N blocks of one point each,
     (..., 1, N).  ``gram`` (R, 1 + D, S, M) holds (u_r, v_c) for the raw
-    jets u_r in ``jet_rows(D)`` (z, d_i z, then d_i d_j z for i <= j) and
-    v_c in [z, d_l z]; ``d1_norm`` (D, S, M) are the Euclidean norms
-    |d_i z| that scale the Legendrian residual.
+    jets u_r in ``jet_rows(D)`` (d_i z, then d_i d_j z for i <= j; R = D +
+    D(D+1)/2) and v_c in [z, d_l z]; nothing is paired from z itself.
+    ``d1_norm`` (D, S, M) are the Euclidean norms |d_i z| that scale the
+    Legendrian residual.
     """
 
     xi: np.ndarray
@@ -167,11 +172,12 @@ class JetBatch:
     def from_partials(cls, space, xi, value, d1, d2) -> "JetBatch":
         """The same Gram from materialised jets (N, C), (N, D, C), (N, D, D, C),
         the whole-lift route of hand-built immersions: the rows stacked in
-        ``jet_rows`` order and paired against the first 1 + D by one
-        broadcast ``herm_form``, independent of ``product_gram``."""
+        ``jet_rows`` order and paired against [z, d_l z] by one broadcast
+        ``herm_form``, independent of ``product_gram``."""
         D, jets = d1.shape[1], (value, d1, d2)
         rows = np.stack([jets[len(idx)][(slice(None),) + idx] for idx in jet_rows(D)], axis=1)
-        gram = herm_form(space, rows[:, :, None], rows[:, None, :1 + D])
+        cols = np.concatenate([value[:, None], d1], axis=1)
+        gram = herm_form(space, rows[:, :, None], cols[:, None])
         norms = np.sqrt(np.sum(np.abs(d1) ** 2, axis=-1))
         return cls(xi, value, _as_blocks(gram), _as_blocks(norms))
 
@@ -217,7 +223,7 @@ def jet(imm: SampledImmersion, s, X) -> JetBatch:
 def _second_rows(D: int) -> np.ndarray:
     """For each (i, j) of D x D, row-major, the position of d_i d_j z =
     d_j d_i z among the second-order rows of ``jet_rows(D)``."""
-    pos = {idx: k for k, idx in enumerate(jet_rows(D)[1 + D:])}
+    pos = {idx: k for k, idx in enumerate(jet_rows(D)[D:])}
     return np.array([pos[min(i, j), max(i, j)] for i in range(D) for j in range(D)])
 
 
@@ -285,9 +291,7 @@ class FrameBatch:
     the diagonal of Lambda(s) and G(x) = L_G L_G^t per block point:
     ``block_chol`` (M, D, D) is L_G and ``block_inv`` its inverse, so the
     Gram-Schmidt frame is e_a = sum_k T_ak h_k with T = L_G^-1 Lambda.
-    Both are None when some G is not positive definite.  ``chol`` and
-    ``chol_inv`` are the per-point factor L = Lambda^-1 L_G of g and its
-    inverse T as (S*M, D, D) rows.
+    Both are None when some G is not positive definite.
     """
 
     jets: JetBatch
@@ -304,33 +308,16 @@ class FrameBatch:
             raise DegeneracyError("induced metric is not positive definite")
         return self.block_inv
 
-    @property
-    def chol(self) -> np.ndarray | None:
-        if self.block_chol is None:
-            return None
-        L = np.moveaxis(self.block_chol, 0, -1)[:, :, None]  # (D, D, 1, M)
-        return grid_order(L / self.scale[:, None, :, None])
-
-    @property
-    def chol_inv(self) -> np.ndarray | None:
-        if self.block_inv is None:
-            return None
-        T = np.moveaxis(self.block_inv, 0, -1)[:, :, None]
-        return grid_order(T * self.scale[:, :, None])
-
 
 def frame_batch(imm: SampledImmersion, jets: JetBatch) -> FrameBatch:
     """Metric, Kahler pullback and frame of a jet batch, read from its Gram:
     Lambda(s) from g along the first block point, G = Lambda g Lambda at the
     middle s value, one Cholesky per block point; a batch that does not
     separate is re-blocked point by point (module docstring)."""
-    space, D = imm.ambient.space, jets.dim
-    hh, vertical = jets.gram[1:1 + D, 1:], None
-    if space is not None:
-        # (h_i, h_j) = (d_i, d_j) - c_i conj(c_j) / t, h_i = d_i - c_i z / t
-        vertical = jets.gram[1:1 + D, 0]
-        hh = vertical[:, None] * (np.conj(vertical) / space.quadric_target)
-        np.subtract(jets.gram[1:1 + D, 1:], hh, out=hh)
+    space, D, gram = imm.ambient.space, jets.dim, jets.gram
+    vertical = None if space is None else gram[:D, 0]
+    # (h_i, h_j) = (d_i, d_j) - c_i conj(c_j) / t
+    hh = horizontal_pairings(space, gram[:D, 1:], gram[:D, :1], vertical)
     g = np.ascontiguousarray(hh.real)
     omega = np.negative(hh.imag)  # Re (i h_i, h_j) = -Im (h_i, h_j)
     S = g.shape[-2]
@@ -425,14 +412,12 @@ def second_fundamental_form(imm: SampledImmersion, fb: FrameBatch) -> SFFBatch:
     # sigma_ij = w_ij - c_ijk h_k with g c = Re (w_ij, h_k) the tangential
     # coefficients; w's components along z and i z drop out because every
     # h_l is horizontal, (z, h_l) = 0.  The Gram holds one row q per i <= j;
-    # the rows are spread to all D^2 pairs (i, j) once l is contracted
-    w = fb.jets.gram[1 + D:]
-    # from here on the block point comes first and the S values last, so
+    # the rows are spread to all D^2 pairs (i, j) once l is contracted.
+    # From here on the block point comes first and the S values last, so
     # every contraction below runs along contiguous S rows
-    p = np.ascontiguousarray(w[:, 1:].transpose(0, 1, 3, 2))  # (w_ij, d_l), (Q, D, M, S)
-    if space is not None:  # (w_ij, h_l) = (w_ij, d_l) - conj(c_l) (w_ij, z) / t
-        conj_c = (np.conj(fb.vertical) / space.quadric_target).transpose(0, 2, 1)
-        p -= w[:, :1].transpose(0, 1, 3, 2) * conj_c
+    w = fb.jets.gram[D:].transpose(0, 1, 3, 2)  # (w_ij, [z, d_l z]), (Q, 1 + D, M, S)
+    vertical = None if fb.vertical is None else fb.vertical.transpose(0, 2, 1)
+    p = horizontal_pairings(space, w[:, 1:], w[:, :1], vertical)  # (w_ij, h_l), (Q, D, M, S)
     # with T = L_G^-1 Lambda every index carries a lambda_i(s): scale P and
     # Omega by them and what is left to contract depends on the block point
     # alone.  Im (sigma_ij, h_l) = Im P + c Omega with c = Re P g^{-1} and

@@ -676,10 +676,10 @@ def _block_factor(layout, lift, potential):
 
 
 def jet_rows(D: int, order: int = 2) -> list:
-    """The raw jets of a D-dimensional chart as multi-indices of chart axes
-    (axis 0 is s): z as (), d_i z as (i,) and, at order 2, d_i d_j z as
-    (i, j) for i <= j.  This is the row order of every jet Gram."""
-    rows = [()] + [(i,) for i in range(D)]
+    """The rows of every jet Gram as multi-indices of chart axes (axis 0 is
+    s): d_i z as (i,) and, at order 2, d_i d_j z as (i, j) for i <= j; z
+    itself is only a column."""
+    rows = [(i,) for i in range(D)]
     if order == 2:
         rows += [(i, j) for i in range(D) for j in range(i, D)]
     return rows
@@ -730,13 +730,13 @@ class ProductJet:
         layout: G (R, V, S, M) and norms (D, S, M).
         Rows are ``jet_rows`` of the block's order; columns are z alone at
         order 1 and [z, d_l z] at order 2.  No (S*M)-row jet is built."""
-        D = 1 + self.block[1].shape[1]
-        rows = jet_rows(D, len(self.block) - 1)
-        A, B, deltas = zip(*map(self.factors, rows))
+        D, order = 1 + self.block[1].shape[1], len(self.block) - 1
+        # factors of z, then of every row; the columns are the first V
+        A, B, deltas = zip(*map(self.factors, [()] + jet_rows(D, order)))
         A, B = np.stack(A), np.stack(B)
         delta = None if self.delta is None else np.stack(deltas)
-        R, V = len(rows), 1 if len(self.block) == 2 else 1 + D
-        G = product_gram(space, A, B, delta, np.repeat(np.arange(R), V),
+        R, V = len(A) - 1, 1 if order == 1 else 1 + D
+        G = product_gram(space, A, B, delta, np.repeat(np.arange(1, 1 + R), V),
                          np.tile(np.arange(V), R))
         diag = np.arange(1, 1 + D)
         norms = np.sqrt(product_gram(None, A, B, delta, diag, diag).real)
@@ -787,8 +787,8 @@ def _lift(curve, beta):
 
 def _validate_window(spec: ImmersionFamilySpec, s_window) -> tuple[float, float]:
     s_lo, s_hi = s_window
-    if not s_hi > s_lo:
-        raise InvalidArgument("empty s window")
+    if not (math.isfinite(s_lo) and math.isfinite(s_hi) and s_hi > s_lo):
+        raise InvalidArgument(f"s window ({s_lo!r}, {s_hi!r}) is not a finite nonempty interval")
     kind = spec.kind
     if kind.geodesic and kind.layout == "sphere":
         if kind.ambient == "ch" and s_lo <= 0:
@@ -861,7 +861,8 @@ def assemble_immersion(
     compose them.  Used both by ``build_immersion`` and when rebuilding
     from serialized data; in the latter case ``samples`` carries the
     stored lifts, which are kept verbatim so that consistency checks can
-    compare them against the rebuilt lift.
+    compare them against the rebuilt lift.  Otherwise one product jet on
+    the grid gives the samples and the ``header`` (``_sample_invariants``).
     """
     seed, block = _resolve_seed(spec, seed)
     kind = spec.kind
@@ -874,9 +875,11 @@ def assemble_immersion(
 
     s_values = np.asarray(s_values, dtype=float)
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
+    header = {}
     if samples is None:
-        samples = jet_factors(s_values, x_grid).value()
-        samples = samples.reshape(len(s_values), len(x_grid), -1)
+        pj = jet_factors(s_values, x_grid)
+        samples = pj.value().reshape(len(s_values), len(x_grid), -1)
+        header = _sample_invariants(spec.ambient.space, samples, pj)
     else:
         samples = np.asarray(samples, dtype=complex)
 
@@ -900,6 +903,7 @@ def assemble_immersion(
         phases=phases,
         seed=seed,
         group=_LAYOUTS[kind.layout][2] if kind.model else None,
+        header=header,
     )
 
 
@@ -937,7 +941,6 @@ def build_immersion(
     if seed is not None:
         _validate_seed(seed, x_grid)
     imm = assemble_immersion(spec, profile, s_values, x_grid, seed=seed)
-    imm.header.update(_sample_invariants(imm))
     if imm.header["quadric"] > 1e-8:
         raise GeometryError(
             f"cached lifts leave the quadric: defect {imm.header['quadric']:.2e}"
@@ -958,20 +961,18 @@ def _validate_seed(seed: SeedLagrangian, x_grid: np.ndarray) -> None:
             raise InvalidArgument(f"{fault}: {res[key]:.2e}")
 
 
-def _sample_invariants(imm: SampledImmersion) -> dict:
-    """Quadric-membership and Legendrian residuals of the cached samples.
-    The coefficients (d_i z, z) and norms |d_i z| come from the factored
-    Gram of the jet's order-1 part, the same pairings that verify reads
-    from its order-2 Gram, so the two residuals agree bit for bit."""
-    flat = imm.samples.reshape(-1, imm.samples.shape[-1])
-    space = imm.ambient.space
+def _sample_invariants(space: HermitianSpace | None, samples: np.ndarray,
+                       pj: ProductJet) -> dict:
+    """Quadric-membership and Legendrian residuals of the samples (S, M, C),
+    the value of ``pj``.  (d_i z, z) and |d_i z| come from the factored Gram
+    of its order-1 part, the pairings verify reads from its order-2 Gram, so
+    the two residuals agree bit for bit."""
     if space is None:
         return {"quadric": 0.0, "horizontal": 0.0}
-    quadric = float(np.max(relative_quadric_defect(space, flat)))
-    pj = imm.jet_factors(imm.s_values, imm.x_grid)
+    quadric = float(np.max(relative_quadric_defect(space, samples)))
     gram, norms = ProductJet(pj.alpha, pj.delta, pj.block[:2]).gram(space)
-    c, norms = np.moveaxis(gram[1:, 0], 0, -1), np.moveaxis(norms, 0, -1)  # (S, M, D)
-    horizontal = float(np.max(legendrian_residual(imm.samples, norms, c)))
+    c, norms = np.moveaxis(gram[:, 0], 0, -1), np.moveaxis(norms, 0, -1)  # (S, M, D)
+    horizontal = float(np.max(legendrian_residual(samples, norms, c)))
     return {"quadric": quadric, "horizontal": horizontal}
 
 

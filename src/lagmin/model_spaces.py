@@ -36,6 +36,7 @@ __all__ = [
     "normalize_phase",
     "projective_distance",
     "legendrian_residual",
+    "horizontal_pairings",
     "horizontal_project",
     "embed_isometry",
     "umbilical_embed",
@@ -243,6 +244,19 @@ def legendrian_residual(z: np.ndarray, v_norm: np.ndarray, c: np.ndarray) -> np.
     Euclidean norms |v_a| (shape (..., A))."""
     nz = np.sqrt(np.sum(np.abs(z) ** 2, axis=-1))[..., None]
     return np.abs(c) / np.maximum(v_norm * nz, 1.0)
+
+
+def horizontal_pairings(space: HermitianSpace | None, to_d: np.ndarray, to_z: np.ndarray,
+                        vertical: np.ndarray | None) -> np.ndarray:
+    """(u, h_l) = (u, d_l z) - (u, z) conj(c_l) / t, the pairings of vectors u
+    with the horizontal parts h_l = d_l z - c_l z / t of first partials, from
+    ``to_d`` = (u, d_l z), ``to_z`` = (u, z) and ``vertical`` c_l = (d_l z, z),
+    t the quadric target; axes broadcast into a new C-ordered array.  In the
+    flat ambient (``space`` None) h_l = d_l z."""
+    if space is None:
+        return np.array(to_d, order="C")
+    out = np.multiply(to_z, np.conj(vertical) / space.quadric_target, order="C")
+    return np.subtract(to_d, out, out=out)
 
 
 def horizontal_project(space: HermitianSpace, z: np.ndarray, v: np.ndarray) -> np.ndarray:

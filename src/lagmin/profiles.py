@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -230,9 +231,10 @@ class Spline:
     ``rows[j, k]`` is the coefficient of (x - knots[j])^k on the piece
     [knots[j], knots[j+1]); a piece's coefficients sit side by side, so an
     evaluation gathers them in one ``take``.  ``Spline.hermite`` builds the
-    cubic Hermite interpolant.  Construction, evaluation and
-    ``antiderivative`` follow scipy's ``CubicHermiteSpline`` operation for
-    operation, so results are bit-identical to it: the piece is
+    cubic Hermite interpolant and ``Spline.hermite_antiderivative`` its
+    antiderivative.  Both, and evaluation, follow scipy's
+    ``CubicHermiteSpline`` operation for operation, so results are
+    bit-identical to it: the piece is
     ``searchsorted(knots, x, "right") - 1`` clipped to [0, N-2], terms are
     summed lowest power first with powers built by repeated multiplication,
     and the antiderivative's integration constants are one sequential sum.
@@ -255,13 +257,14 @@ class Spline:
 
     @classmethod
     def hermite_antiderivative(cls, x, y, dydx) -> "Spline":
-        """``hermite(x, y, dydx).antiderivative()`` built in place: the
-        interpolant's coefficients go straight into columns 1..4 of the
-        antiderivative's rows, so its own rows never exist."""
+        """The antiderivative of ``hermite(x, y, dydx)`` vanishing at the
+        first knot, built in place: the interpolant's coefficients go
+        straight into columns 1..4 of its rows, so theirs never exist."""
         x = np.asarray(x, dtype=float)
         rows = np.empty((len(x) - 1, 5))
         _hermite_rows(x, y, dydx, rows[:, 1:])
         rows[:, 1] += 0.0  # the interpolant's constant term, as its __init__ leaves it
+        # columnwise: numpy broadcasts over a length-4 last axis slowly
         for j in range(1, 4):
             rows[:, j + 1] /= float(j + 1)
         return cls(x, _integration_constants(x, rows))
@@ -273,16 +276,6 @@ class Spline:
             # one point: Python floats round exactly like the array path
             return _sum_powers(self.rows[i].tolist(), float(x) - float(self.knots[i]))
         return _sum_powers(self.rows.take(i, axis=0).T, x - self.knots.take(i))
-
-    # columnwise loops below: numpy broadcasts over a length-4 last axis slowly
-
-    def antiderivative(self) -> "Spline":
-        """The antiderivative vanishing at the first knot."""
-        pieces, k = self.rows.shape
-        rows = np.empty((pieces, k + 1))
-        for j in range(k):
-            rows[:, j + 1] = self.rows[:, j] / float(j + 1)
-        return Spline(self.knots, _integration_constants(self.knots, rows))
 
 
 def _hermite_rows(x, y, dydx, rows):
@@ -416,10 +409,16 @@ class ProfileFamily:
         if self.tag == "cp_sphere" and not self.rho < math.pi / 2:
             raise InvalidArgument("cp_sphere requires rho < pi/2")
         object.__setattr__(self, "row", _row(self.tag, self.n))
+        try:
+            finite = math.isfinite(self.energy_constant)
+        except OverflowError:  # math.sinh and float powers raise past the largest float
+            finite = False
+        if not finite:
+            raise InvalidArgument(f"rho={self.rho!r} is too large: its energy constant overflows")
 
-    @property
+    @cached_property
     def energy_constant(self) -> float:
-        """S(rho)^{2 alpha} C(rho)^{2 beta}."""
+        """S(rho)^{2 alpha} C(rho)^{2 beta}, taken once when the family is made."""
         row = self.row
         return row.trig.S0(self.rho) ** (2 * row.alpha) * row.trig.C0(self.rho) ** (2 * row.beta)
 
@@ -543,8 +542,8 @@ def solve_profile(family: ProfileFamily, s_max: float,
     """
     if not ODE_TOL_RANGE[0] <= tol <= ODE_TOL_RANGE[1]:
         raise InvalidArgument("tol must lie in [1e-13, 1e-6]")
-    if not s_max > 0:
-        raise InvalidArgument("s_max must be positive")
+    if not 0 < s_max < math.inf:
+        raise InvalidArgument(f"s_max must be positive and finite, got {s_max!r}")
     half = max(8, int(math.ceil(s_max / _GRID_STEP)))
     s = np.linspace(-s_max, s_max, 2 * half + 1)
 
@@ -878,11 +877,11 @@ class PeriodResult:
     amplitude: float  # max |r - rho| along the orbit
 
 
-def detect_period(
-    n: int,
-    rho: float,
-    search_time: float = 1000.0,
-) -> PeriodResult | None:
+# how long a period search integrates before it gives up
+_PERIOD_SEARCH_TIME = 1000.0
+
+
+def detect_period(n: int, rho: float) -> PeriodResult | None:
     """First return time T of (r, r') to (rho, 0) for the cp_sphere profile.
 
     Returns None at the equilibrium radius arctan(sqrt(n)), detected by
@@ -896,11 +895,9 @@ def detect_period(
     max |r - rho| over [0, T] are read from the same interpolant.
 
     Raises DetectionFailure when the orbit has not returned by
-    ``search_time`` (which must be positive) and IntegrationFailure when
-    the solver stops early.
+    ``_PERIOD_SEARCH_TIME`` and IntegrationFailure when the solver stops
+    early.
     """
-    if not search_time > 0:
-        raise InvalidArgument("search_time must be positive")
     fam = ProfileFamily("cp_sphere", n, rho)
     curvature = fam.second_derivative(rho, 0.0)
     if abs(curvature) < 1e-12:
@@ -912,13 +909,13 @@ def detect_period(
     rp_zero.direction = math.copysign(1.0, curvature)
     rp_zero.terminal = 2  # the root at s = 0, then the return
 
-    sol = solve_ivp(fam.ode_rhs, (0.0, search_time), (rho, 0.0),
+    sol = solve_ivp(fam.ode_rhs, (0.0, _PERIOD_SEARCH_TIME), (rho, 0.0),
                     rtol=1e-12, atol=1e-14, event=rp_zero)
     if not sol.success:
         raise IntegrationFailure(sol.message, last_s=float(sol.t[-1]))
     roots = sol.t_events
     if len(roots) < 2:
-        raise DetectionFailure(f"no periodic return within {search_time} time units")
+        raise DetectionFailure(f"no periodic return within {_PERIOD_SEARCH_TIME} time units")
     T = float(roots[1])
     rT, uT = sol.sol(T)
     residual = abs(rT - rho) + abs(math.tanh(uT))

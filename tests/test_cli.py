@@ -174,11 +174,16 @@ class TestBuildVerify:
         assert code == EXIT_OK
 
     def test_build_deterministic_bytes(self, tmp_path):
+        # two builds, and the verify reports of the two files
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for p in (a, b):
             run(tmp_path, "build", "--family", "thm2", "--n", "2", "--rho", "1",
                 "--grid", "8x8", "--out", str(p))
+            assert run(tmp_path, "verify", "--in", str(p),
+                       "--report", str(p.with_suffix(".report.json"))) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+        assert (a.with_suffix(".report.json").read_bytes()
+                == b.with_suffix(".report.json").read_bytes())
 
     def test_verify_passes(self, tmp_path, thm1_file):
         rep = tmp_path / "rep.json"
@@ -383,6 +388,23 @@ class TestRejectedInput:
         err = self._usage_error(tmp_path, capsys, "export", "--in", str(bad), "--what", what,
                                 "--out", str(tmp_path / "out.csv"))
         assert "JSON list" in err
+
+    @pytest.mark.parametrize("argv,field", [
+        (["solve", "--family", "ch-sphere", "--n", "2", "--rho", "1", "--s-max", "inf"],
+         "--s-max"),
+        (["solve", "--family", "ch-sphere", "--n", "2", "--rho", "1", "--s-max", "1e6"],
+         "--s-max"),
+        (["solve", "--family", "ch-sphere", "--n", "2", "--rho", "inf"], "rho"),
+        (["build", "--family", "thm1", "--n", "2", "--rho", "1", "--grid", "8x8",
+          "--s-window", "0:inf"], "s window"),
+        (["build", "--family", "thm1", "--n", "2", "--rho", "inf", "--grid", "8x8"], "rho"),
+        (["build", "--family", "thm1", "--n", "2", "--rho", "1e300", "--grid", "8x8"], "rho"),
+    ], ids=["s-max-inf", "s-max-1e6", "solve-rho-inf", "s-window-inf", "build-rho-inf",
+            "build-rho-1e300"])
+    def test_non_finite_or_overflowing_flags(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "out.json"
+        assert field in self._usage_error(tmp_path, capsys, *argv, "--out", str(out))
+        assert not out.exists()
 
     def test_phase_portrait_rejects_a_fractional_n(self, tmp_path, capsys):
         prof = tmp_path / "cp.json"

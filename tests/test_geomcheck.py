@@ -70,6 +70,13 @@ def _sff(imm, s=None, X=None):
     return gc.second_fundamental_form(imm, _frames(imm, s, X))
 
 
+def _chol_inv(fb):
+    """The per-point frame T = L_G(x)^-1 Lambda(s) of a FrameBatch, the
+    inverse of the factor L = Lambda^-1 L_G of g, as (S*M, D, D) rows."""
+    T = np.moveaxis(fb.block_inv, 0, -1)[:, :, None]  # (D, D, 1, M)
+    return grid_order(T * fb.scale[:, :, None])
+
+
 def _stacked(pj: ProductJet):
     """(value, d1, d2) of a product jet as (S*M, ...) rows in ``grid_xi``
     order, broadcast straight from its fields alpha, delta and block (not
@@ -237,7 +244,7 @@ class TestFrame:
         d1[:, 1] = 0.0
         jets = gc.JetBatch.from_partials(thm1.ambient.space, thm1.grid_xi(), value, d1, d2)
         fb = gc.frame_batch(thm1, jets)
-        assert fb.chol is None and fb.chol_inv is None
+        assert fb.block_chol is None and fb.block_inv is None
         with pytest.raises(gc.DegeneracyError):
             gc.induced_metric(thm1, fb)
         with pytest.raises(gc.DegeneracyError):
@@ -434,7 +441,7 @@ class TestProductJets:
         # cross stencil is O(h^2) and the whole-lift stencil sees the
         # profile spline's knot wiggle (knots every 2h)
         tol = (1e-13, 1e-8, 1e-4)
-        for idx in jet_rows(1 + imm.chart.dim):
+        for idx in [()] + jet_rows(1 + imm.chart.dim):
             A, B, Delta = pj.factors(idx)
             row = A[:, None] * B if Delta is None else A[:, None] * B + Delta[:, None]
             at = (slice(None),) + idx
@@ -557,14 +564,15 @@ class TestFactoredGram:
         jets = (value, d1, d2)
         norms = np.linalg.norm(np.stack([jets[len(idx)][(slice(None),) + idx]
                                          for idx in jet_rows(D)], axis=1), axis=-1)
+        col_norms = np.linalg.norm(np.concatenate([value[:, None], d1], axis=1), axis=-1)
         # each (u, v) within 8 ulp of |u| |v|, its Cauchy-Schwarz scale
-        scale = norms[:, :, None] * norms[:, None, :1 + D]
+        scale = norms[:, :, None] * col_norms[:, None, :]
         ulp = np.finfo(float).eps * scale
         got, ref = grid_order(fact.gram), grid_order(stacked.gram)
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= 8 * ulp)
         got, ref = grid_order(fact.d1_norm), grid_order(stacked.d1_norm)
-        assert np.all(np.abs(got - ref) <= 8 * ulp[:, 1:1 + D, 0] / norms[:, :1])
+        assert np.all(np.abs(got - ref) <= 8 * ulp[:, :D, 0] / col_norms[:, :1])
         assert fact.value.tobytes() == value.tobytes()
 
     @pytest.mark.parametrize("spec", _EVERY_FAMILY, ids=_spec_id)
@@ -577,8 +585,9 @@ class TestFactoredGram:
         ulp = np.finfo(float).eps * nd[:, :, None] * nd[:, None, :]
         for a, b in ((fa.metric, fs.metric), (fa.omega, fs.omega)):
             assert np.all(np.abs(grid_order(a) - grid_order(b)) <= 8 * ulp)
-        t_scale = np.max(np.abs(fs.chol_inv), axis=(1, 2), keepdims=True)
-        assert np.all(np.abs(fa.chol_inv - fs.chol_inv) <= 1e-12 * t_scale)
+        Ta, Ts = _chol_inv(fa), _chol_inv(fs)
+        t_scale = np.max(np.abs(Ts), axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(Ta - Ts) <= 1e-12 * t_scale)
         sa, ss = gc.second_fundamental_form(imm, fa), gc.second_fundamental_form(imm, fs)
         ha, hs = grid_order(sa.coeffs), grid_order(ss.coeffs)
         h_scale = np.maximum(np.max(np.abs(hs), axis=(1, 2, 3), keepdims=True), 1.0)
@@ -613,7 +622,7 @@ class TestFactoredGram:
         assert np.all(np.abs(grid_order(ft.metric) - grid_order(fa.metric)) <= 16 * ulp)
         assert np.all(np.abs(grid_order(ft.omega) - grid_order(fa.omega)) <= 16 * ulp)
         sa, st = gc.second_fundamental_form(imm, fa), gc.second_fundamental_form(imm, ft)
-        u = fa.chol_inv[:, :, 0] * np.repeat(speed, len(X))[:, None]
+        u = _chol_inv(fa)[:, :, 0] * np.repeat(speed, len(X))[:, None]
         eye = np.eye(u.shape[1])
         shift = u[:, None, :, None] * eye[:, None] + u[:, :, None, None] * eye
         ha, ht = grid_order(sa.coeffs), grid_order(st.coeffs)
@@ -645,13 +654,13 @@ def _per_point_reference(imm, fb):
     gram, g, omega = grid_order(fb.jets.gram), grid_order(fb.metric), grid_order(fb.omega)
     L = np.linalg.cholesky(g)
     T = np.linalg.inv(L)
-    w = gram[:, 1 + D:]
+    w = gram[:, D:]
     p = w[..., 1:]
     if space is not None:
-        c = gram[:, 1:1 + D, 0]
+        c = gram[:, :D, 0]
         p = p - w[..., :1] * (np.conj(c) / space.quadric_target)[:, None]
     normal = p.imag + p.real @ (T.swapaxes(1, 2) @ T @ omega)
-    row = {idx: q for q, idx in enumerate(jet_rows(D)[1 + D:])}
+    row = {idx: q for q, idx in enumerate(jet_rows(D)[D:])}
     h = np.stack([normal[:, row[min(i, j), max(i, j)]] for i in range(D) for j in range(D)],
                  axis=1)
     h = np.einsum("nkl,nijl->nijk", T, h.reshape(-1, D, D, D))
@@ -669,7 +678,7 @@ class TestFactoredFrame:
     def _assert_per_point(imm, fb, tol=1e-11):
         T, h, H, sigma_sq, _ = _per_point_reference(imm, fb)
         t_scale = np.max(np.abs(T), axis=(1, 2), keepdims=True)
-        assert np.all(np.abs(fb.chol_inv - T) <= tol * t_scale)
+        assert np.all(np.abs(_chol_inv(fb) - T) <= tol * t_scale)
         sff = gc.second_fundamental_form(imm, fb)
         h_scale = np.maximum(np.max(np.abs(h), axis=(1, 2, 3)), 1.0)
         assert np.all(np.abs(grid_order(sff.coeffs) - h) <= tol * h_scale[:, None, None, None])
@@ -730,8 +739,8 @@ class TestFactoredFrame:
         g = _frames(imm).metric
         ramp = np.outer(np.arange(S), np.arange(M)) / (S * M)
         bump = twist * np.sqrt(g[0, 0] * g[-1, -1]) * ramp
-        gram[1, D] += bump
-        gram[D, 1] += bump
+        gram[0, D] += bump
+        gram[D - 1, 1] += bump
         fb = gc.frame_batch(imm, gc.JetBatch(jets.xi, jets.value, gram, jets.d1_norm))
         assert len(fb.block_chol) == {"M": M, "S*M": S * M}[blocks]
         self._assert_per_point(imm, fb)

@@ -9,6 +9,7 @@ from lagmin.immersions import (
     SEED_KINDS,
     ImmersionFamilySpec,
     InvalidArgument,
+    SeedLagrangian,
     build_immersion,
     make_seed,
     normal_position_angles,
@@ -160,6 +161,10 @@ class TestSpecValidation:
             build_immersion(
                 ImmersionFamilySpec("cn_product", 2, seed_kind="tg_sphere_cp", c=0),
                 grid=(4, 4), s_window=(-1.0, 1.0))
+        for spec in (ImmersionFamilySpec("thm1", 2, 1.0), ImmersionFamilySpec("tg_tube", 2)):
+            for window in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+                with pytest.raises(InvalidArgument, match="s window"):
+                    build_immersion(spec, grid=(4, 4), s_window=window)
 
     def test_profile_must_match_the_spec(self, thm1_n2):
         from lagmin.immersions import assemble_immersion
@@ -379,6 +384,24 @@ class TestComposedFamilies:
             fields.append((ja.delta, jb.delta))
         for u, v in fields:
             assert u.tobytes() == v.tobytes()
+
+    def test_one_block_jet_per_build(self):
+        # the samples and the header come from one product jet on the grid:
+        # the seed's jet runs once on the M grid points (the seed check
+        # samples 18 of the 36 points, a different size)
+        clifford, sizes = make_seed("clifford_cp", 2), []
+
+        def jet(X):
+            sizes.append(len(X))
+            return clifford.jet(X)
+
+        seed = SeedLagrangian("clifford_cp", 2, "cp", clifford.chart, jet)
+        imm = build_immersion(ImmersionFamilySpec("prop3a", 3, 1.0, seed_kind="clifford_cp"),
+                              grid=(17, 36), seed=seed)
+        M = len(imm.x_grid)
+        assert M == 36 and 18 in sizes
+        assert sizes.count(M) == 1
+        assert imm.header["horizontal"] <= 1e-6
 
     def test_cn_product_power_curve(self):
         s = np.linspace(-2.5, 2.5, 301)
