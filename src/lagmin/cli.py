@@ -5,6 +5,13 @@ Machine-readable JSON goes to --out (stdout when absent); human summaries
 go to stderr.  Exit codes: 0 pass, 1 usage/schema error, 2 numeric
 failure, 3 verification failure.  Defaults may be placed in ./lagmin.conf
 (key=value lines, '#' comments); flags always win.
+
+Import rule: at module level this file imports only the standard library,
+``domain`` (tags, tolerance range, exceptions) and the text layer of
+``serialization``, none of which loads numpy.  Each ``cmd_*`` imports the
+modules it runs, so ``export --what samples`` never loads numpy and
+``sigma-integral --method`` never loads ``immersions`` or ``geomcheck``;
+``tests/test_cli.py::TestColdPath`` checks each command's footprint.
 """
 
 from __future__ import annotations
@@ -15,31 +22,19 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import geomcheck, serialization as ser
-from .immersions import (
-    FAMILY_TAGS as IMM_FAMILIES,
-    SEED_KINDS,
-    ImmersionFamilySpec,
-    build_immersion,
-)
-from .model_spaces import GeometryError, InvalidArgument
-from .profiles import (
+from . import serialization as ser
+from .domain import (
+    ALL_CHECKS,
     DEFAULT_ODE_TOL,
-    EQUILIBRIUM_PROXIMATE,
-    FAMILY_TAGS as PROFILE_FAMILIES,
+    IMMERSION_FAMILIES,
     ODE_TOL_RANGE,
+    PROFILE_FAMILIES,
+    SEED_KINDS,
     DetectionFailure,
+    GeometryError,
     IntegrationFailure,
+    InvalidArgument,
     NeedsLargerDomain,
-    SIGMA_TAIL_TOL,
-    ProfileFamily,
-    SigmaIntegralSpec,
-    detect_period,
-    sigma_integral_numeric,
-    sigma_integral_thm1,
-    solve_profile,
 )
 
 EXIT_OK = 0
@@ -139,6 +134,8 @@ def _undash(tag: str) -> str:
 
 
 def cmd_solve(args, cfg) -> int:
+    from .profiles import ProfileFamily, solve_profile
+
     fam = ProfileFamily(_undash(args.family), args.n, args.rho)
     s_max = args.s_max if args.s_max is not None else cfg["s_max"]
     if not _CONFIG_KEYS["s_max"][1](s_max):
@@ -160,6 +157,8 @@ def cmd_solve(args, cfg) -> int:
 
 
 def cmd_build(args, cfg) -> int:
+    from .immersions import PROFILE_MARGIN, ImmersionFamilySpec, build_immersion
+
     spec = ImmersionFamilySpec(
         family=_undash(args.family),
         n=args.n,
@@ -176,6 +175,12 @@ def cmd_build(args, cfg) -> int:
             lo, hi = (float(p) for p in args.s_window.split(":"))
         except ValueError:
             raise UsageError("--s-window expects LO:HI") from None
+        # the half-width of the profile solve behind the window takes the
+        # s_max range; build_immersion rejects a window that is not finite
+        span = max(abs(lo), abs(hi)) + PROFILE_MARGIN
+        if math.isfinite(span) and not _CONFIG_KEYS["s_max"][1](span):
+            raise UsageError(f"--s-window {args.s_window} needs a profile on |s| <= {span:g},"
+                             " beyond the s_max range (0, 100]")
         s_window = (lo, hi)
     try:
         imm = build_immersion(spec, grid=grid, s_window=s_window, ode_tol=cfg["ode_tol"])
@@ -191,10 +196,12 @@ def cmd_build(args, cfg) -> int:
 
 
 def cmd_verify(args, cfg) -> int:
+    from . import geomcheck
+
     with open(args.infile) as fh:
         data = json.load(fh)
     imm = ser.immersion_from_dict(data)
-    checks = geomcheck.ALL_CHECKS
+    checks = ALL_CHECKS
     if args.checks:
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     report = geomcheck.run_checks(imm, checks)
@@ -220,7 +227,16 @@ def cmd_verify(args, cfg) -> int:
 
 
 def cmd_sigma_integral(args, cfg) -> int:
+    from .profiles import (
+        SIGMA_TAIL_TOL,
+        SigmaIntegralSpec,
+        sigma_integral_numeric,
+        sigma_integral_thm1,
+    )
+
     if args.infile:
+        from . import geomcheck
+
         with open(args.infile) as fh:
             imm = ser.immersion_from_dict(json.load(fh))
         field = geomcheck.curvature_field(imm)
@@ -254,6 +270,8 @@ def cmd_sigma_integral(args, cfg) -> int:
 
 
 def cmd_period(args, cfg) -> int:
+    from .profiles import EQUILIBRIUM_PROXIMATE, detect_period
+
     try:
         result = detect_period(args.n, args.rho)
     except DetectionFailure as exc:
@@ -296,6 +314,10 @@ def cmd_export(args, cfg) -> int:
     elif args.what == "phase-portrait":
         if prof.get("family") != "cp_sphere":
             raise UsageError("phase portraits are for cp_sphere profiles")
+        import numpy as np
+
+        from .profiles import ProfileFamily, detect_period, solve_profile
+
         n = ser.parse_int(prof.get("n"), "profile.n")
         rho = ser.parse_float(prof.get("rho"), "profile.rho")
         result = detect_period(n, rho)
@@ -336,7 +358,7 @@ def make_parser() -> _Parser:
 
     bp = sub.add_parser("build", help="build an immersion and cache samples")
     bp.add_argument("--family", required=True,
-                    choices=[_dash(t) for t in IMM_FAMILIES])
+                    choices=[_dash(t) for t in IMMERSION_FAMILIES])
     bp.add_argument("--n", type=int, required=True)
     bp.add_argument("--rho", type=float, default=None)
     bp.add_argument("--seed", default=None,
@@ -350,7 +372,7 @@ def make_parser() -> _Parser:
     vp = sub.add_parser("verify", help="run verification checks on a build")
     vp.add_argument("--in", dest="infile", required=True)
     vp.add_argument("--checks", default=None,
-                    help="comma list from: " + ",".join(geomcheck.ALL_CHECKS))
+                    help="comma list from: " + ",".join(ALL_CHECKS))
     vp.add_argument("--report", default=None)
     vp.set_defaults(func=cmd_verify)
 
@@ -389,7 +411,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ser.SchemaError, InvalidArgument, json.JSONDecodeError) as exc:
+    except (InvalidArgument, json.JSONDecodeError) as exc:  # SchemaError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FileNotFoundError as exc:

@@ -63,6 +63,7 @@ from itertools import permutations
 import numpy as np
 
 from . import fd
+from .domain import ALL_CHECKS, GeometryError, InvalidArgument
 from .immersions import (
     LegendreCurve,
     SampledImmersion,
@@ -72,8 +73,6 @@ from .immersions import (
     product_xi,
 )
 from .model_spaces import (
-    GeometryError,
-    InvalidArgument,
     herm_form,
     horizontal_pairings,
     legendrian_residual,
@@ -762,8 +761,6 @@ TOLERANCES = {"lagrangian": 1e-6, "horizontal": 1e-6,
               "minimal": 5e-4, "minimal_tg": 1e-5,
               "metric": 1e-6, "sff": 1e-3, "sff_tg": 1e-5,
               "invariance": 1e-8, "symmetry": 1e-4}
-
-ALL_CHECKS = ("lagrangian", "horizontal", "minimal", "metric", "sff", "invariance", "symmetry")
 
 
 def _sample_consistency(imm: SampledImmersion, fresh: np.ndarray) -> float:

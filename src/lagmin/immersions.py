@@ -42,13 +42,17 @@ from functools import reduce
 import numpy as np
 
 from . import fd
-from .model_spaces import (
+from .domain import (
+    DEFAULT_ODE_TOL,
+    IMMERSION_FAMILIES as FAMILY_TAGS,
+    SEED_KINDS,
     GeometryError,
-    HermitianSpace,
     InvalidArgument,
+)
+from .model_spaces import (
+    HermitianSpace,
     IsometryElement,
     ProjectivePoint,
-    herm_form,
     legendrian_residual,
     normalize_phase,
     product_gram,
@@ -57,7 +61,6 @@ from .model_spaces import (
     umbilical_embed,
 )
 from .profiles import (
-    DEFAULT_ODE_TOL,
     FINE_ODE_TOL,
     PAIRS,
     PhaseIntegrals,
@@ -85,6 +88,7 @@ __all__ = [
     "make_seed",
     "seed_residuals",
     "build_immersion",
+    "PROFILE_MARGIN",
     "assemble_immersion",
     "default_grid_spec",
     "slice_at",
@@ -129,6 +133,8 @@ _LAYOUTS = {
     "flat": ("cp", None, None),
 }
 
+# one row per tag of FAMILY_TAGS (lagmin.domain, which the command line reads
+# without numpy), in its order
 _FAMILIES = {
     "thm1": _Kind("ch", "ch_sphere", "sphere", model=True),
     "thm2": _Kind("ch", "ch_tube", "tube", model=True),
@@ -147,10 +153,6 @@ _FAMILIES = {
     "prop6b": _Kind("cp", "cp_sphere", "sphere", geodesic=True),
     "cn_product": _Kind("c", None, "flat"),
 }
-
-FAMILY_TAGS = tuple(_FAMILIES)
-
-SEED_KINDS = ("tg_sphere_cp", "tg_rh_ch", "tg_plane_c", "clifford_cp")
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +493,8 @@ class SampledImmersion:
     def transverse_shape(self) -> tuple:
         """Points per chart axis of the product mesh ``x_grid``, read off the
         grid itself (files record only the total)."""
-        return tuple(len(np.unique(col)) for col in self.x_grid.T)
+        steps = np.diff(np.sort(self.x_grid, axis=0), axis=0)
+        return tuple(int(k) + 1 for k in np.count_nonzero(steps, axis=0))
 
     def evaluate_xi(self, Xi: np.ndarray) -> np.ndarray:
         """Chart evaluator on stacked coordinates (s, x): (M, 1+d) -> (M, C)."""
@@ -907,6 +910,10 @@ def assemble_immersion(
     )
 
 
+# how far past the sampled |s| a family's profile is solved
+PROFILE_MARGIN = 0.5
+
+
 def build_immersion(
     spec: ImmersionFamilySpec,
     grid: tuple[int, int] = (64, 64),
@@ -932,7 +939,7 @@ def build_immersion(
     profile = None
     if spec.kind.solved:
         pf = ProfileFamily(spec.kind.profile, spec.n, spec.rho)
-        span = max(abs(s_lo), abs(s_hi)) + 0.5
+        span = max(abs(s_lo), abs(s_hi)) + PROFILE_MARGIN
         profile = solve_profile(pf, span, tol=ode_tol)
 
     S, M = grid
@@ -1052,11 +1059,6 @@ class LegendreCurve:
     def space(self) -> HermitianSpace:
         return HermitianSpace(1, self.signature)
 
-    def invariant_residuals(self) -> dict:
-        space = self.space
-        return {"norm": float(np.max(quadric_defect(space, self.gamma))),
-                "horizontal": float(np.max(np.abs(herm_form(space, self.d1, self.gamma))))}
-
 
 def _family_curve(spec: ImmersionFamilySpec, s) -> LegendreCurve:
     """The family's Legendre curve: the first and last columns of its curve
@@ -1066,7 +1068,8 @@ def _family_curve(spec: ImmersionFamilySpec, s) -> LegendreCurve:
     profile = phases = None
     if spec.kind.solved:
         pf = ProfileFamily(spec.kind.profile, spec.n, spec.rho)
-        profile = solve_profile(pf, float(np.max(np.abs(s))) + 0.5, tol=FINE_ODE_TOL)
+        profile = solve_profile(pf, float(np.max(np.abs(s))) + PROFILE_MARGIN,
+                                tol=FINE_ODE_TOL)
         phases = phase_integrals(profile)
     alpha, _ = _curve_factors(spec, profile, phases)(s)
     return LegendreCurve(spec.ambient.space.signature, s, *alpha[..., [0, -1]])

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .domain import GeometryError, InvalidArgument, PreconditionViolation
+
 __all__ = [
     "GeometryError",
     "InvalidArgument",
@@ -37,7 +39,6 @@ __all__ = [
     "projective_distance",
     "legendrian_residual",
     "horizontal_pairings",
-    "horizontal_project",
     "embed_isometry",
     "umbilical_embed",
     "validate_model_point",
@@ -50,18 +51,6 @@ __all__ = [
 # how far model points, quadric base points and group parameters may miss
 # their defining equations
 MODEL_TOL = 1e-10
-
-
-class GeometryError(Exception):
-    """Base class for errors raised by this package."""
-
-
-class InvalidArgument(GeometryError, ValueError):
-    """Argument outside the documented domain of an operation."""
-
-
-class PreconditionViolation(GeometryError):
-    """A geometric precondition (quadric membership, horizontality) fails."""
 
 
 @dataclass(frozen=True)
@@ -257,18 +246,6 @@ def horizontal_pairings(space: HermitianSpace | None, to_d: np.ndarray, to_z: np
         return np.array(to_d, order="C")
     out = np.multiply(to_z, np.conj(vertical) / space.quadric_target, order="C")
     return np.subtract(to_d, out, out=out)
-
-
-def horizontal_project(space: HermitianSpace, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Project ``v`` onto the horizontal space of the Hopf fibration at ``z``,
-    h = v - (v, z) z / (z, z) with (z, z) read as the quadric target, at a z
-    checked to lie on the quadric within ``MODEL_TOL``; leading axes
-    broadcast.  (h, z) = 0 is tangency to the quadric and orthogonality to
-    the fiber i z together; idempotent, and annihilates the fiber."""
-    if np.any(quadric_defect(space, z) > MODEL_TOL):
-        raise PreconditionViolation("base point is not on the quadric")
-    z, v = np.asarray(z, dtype=complex), np.asarray(v, dtype=complex)
-    return v - (herm_form(space, v, z) / space.quadric_target)[..., None] * z
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .model_spaces import GeometryError, InvalidArgument
+from .domain import (
+    DEFAULT_ODE_TOL,
+    ODE_TOL_RANGE,
+    PROFILE_FAMILIES as FAMILY_TAGS,
+    DetectionFailure,
+    GeometryError,
+    IntegrationFailure,
+    InvalidArgument,
+    NeedsLargerDomain,
+)
 
 __all__ = [
     "FAMILY_TAGS",
@@ -76,22 +85,6 @@ __all__ = [
     "sigma_integral_numeric",
     "detect_period",
 ]
-
-FAMILY_TAGS = ("ch_sphere", "ch_tube", "ch_horo", "cp_sphere")
-
-
-class IntegrationFailure(GeometryError):
-    def __init__(self, message, last_s=None):
-        super().__init__(message)
-        self.last_s = last_s
-
-
-class NeedsLargerDomain(GeometryError):
-    """An analytic tail bound cannot reach the requested tolerance."""
-
-
-class DetectionFailure(GeometryError):
-    """No periodic return found within the search window."""
 
 
 def solve_ivp(*args, **kwargs):
@@ -504,9 +497,6 @@ class ProfileSolution:
             self._rp_spline = Spline.hermite(self.s, self.rp, rpp)
         return self._rp_spline
 
-    def evenness_residual(self) -> float:
-        return float(np.max(np.abs(self.r - self.r[::-1])))
-
 
 def _closed_form_horo(fam: ProfileFamily, s: np.ndarray):
     m = fam.n + 1
@@ -518,11 +508,6 @@ def _closed_form_horo(fam: ProfileFamily, s: np.ndarray):
 
 # spacing of the profile grid that interpolants and phase integrals read
 _GRID_STEP = 2e-3
-
-# the local error bound of a profile solve unless one is given, and the
-# range of bounds a solve accepts
-DEFAULT_ODE_TOL = 1e-10
-ODE_TOL_RANGE = (1e-13, 1e-6)
 
 # the bound of the solves behind reference values: the Legendre curves and
 # the s-form curvature integral (at 1e-10 the ch_sphere curve's Legendre

@@ -11,6 +11,12 @@ every table of string rows itself, at any depth, in the layout
 ``json.dumps(indent=1)`` produces, and readers parse a table with one
 ``np.array(rows, dtype=float)``, scanning value by value only to name a
 bad entry.  Nothing here imports scipy.
+
+The text layer (``fnum``, ``dumps``, the ``parse_*`` helpers, the CSV
+writers and ``SchemaError``) imports only the standard library, so
+commands that only rewrite text never load numpy; the functions that
+build or read arrays import numpy, ``profiles`` and ``immersions``
+themselves.
 """
 
 from __future__ import annotations
@@ -18,11 +24,7 @@ from __future__ import annotations
 import json
 import re
 
-import numpy as np
-
-from .immersions import ImmersionFamilySpec, SampledImmersion, assemble_immersion, product_xi
-from .model_spaces import InvalidArgument
-from .profiles import EQUILIBRIUM_PROXIMATE, ProfileFamily, ProfileSolution, energy_residual
+from .domain import SchemaError
 
 __all__ = [
     "SchemaError",
@@ -42,16 +44,14 @@ __all__ = [
 ]
 
 
-class SchemaError(InvalidArgument):
-    """Malformed serialized input; message names the first violation."""
-
-
 def fnum(x) -> str:
     return format(float(x), ".17g")
 
 
 def format_rows(table) -> list:
     """Rows of ``fnum`` strings for a 2-D float array."""
+    import numpy as np
+
     table = np.asarray(table, dtype=float)
     template = ",".join(["%.17g"] * table.shape[1])  # the same digits as fnum
     return [(template % tuple(row)).split(",") for row in table.tolist()]
@@ -150,6 +150,8 @@ def _parse_rows(rows, width: int, where: str) -> np.ndarray:
     value.  A table whose rows all have another width reads as is; the
     caller names that mismatch.
     """
+    import numpy as np
+
     try:
         arr = np.array(rows, dtype=float)
     except (TypeError, ValueError):
@@ -173,6 +175,10 @@ def _parse_rows(rows, width: int, where: str) -> np.ndarray:
 
 
 def profile_to_dict(sol: ProfileSolution) -> dict:
+    import numpy as np
+
+    from .profiles import EQUILIBRIUM_PROXIMATE, energy_residual
+
     fam = sol.family
     out = {
         "family": fam.tag,
@@ -189,6 +195,10 @@ def profile_to_dict(sol: ProfileSolution) -> dict:
 
 
 def profile_from_dict(d: dict) -> ProfileSolution:
+    import numpy as np
+
+    from .profiles import ProfileFamily, ProfileSolution
+
     tag = _require(d, "family", "profile")
     fam = ProfileFamily(tag, parse_int(_require(d, "n", "profile"), "profile.n"),
                         parse_float(_require(d, "rho", "profile"), "profile.rho"))
@@ -217,6 +227,8 @@ def profile_from_dict(d: dict) -> ProfileSolution:
 
 
 def immersion_to_dict(imm: SampledImmersion) -> dict:
+    import numpy as np
+
     spec = imm.spec
     S, M = len(imm.s_values), len(imm.x_grid)
     # a complex row viewed as floats is its (re, im) pairs in order
@@ -244,6 +256,10 @@ def immersion_to_dict(imm: SampledImmersion) -> dict:
 
 
 def immersion_from_dict(d: dict) -> SampledImmersion:
+    import numpy as np
+
+    from .immersions import ImmersionFamilySpec, assemble_immersion, product_xi
+
     sd = _require(d, "spec", "immersion")
     spec = ImmersionFamilySpec(
         family=_require(sd, "family", "immersion.spec"),

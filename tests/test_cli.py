@@ -397,10 +397,13 @@ class TestRejectedInput:
         (["solve", "--family", "ch-sphere", "--n", "2", "--rho", "inf"], "rho"),
         (["build", "--family", "thm1", "--n", "2", "--rho", "1", "--grid", "8x8",
           "--s-window", "0:inf"], "s window"),
+        # the profile behind it would span 1e6 + 0.5: a grid of 1e9 points
+        (["build", "--family", "thm1", "--n", "2", "--rho", "1", "--grid", "8x8",
+          "--s-window=-1e6:1e6"], "--s-window -1e6:1e6"),
         (["build", "--family", "thm1", "--n", "2", "--rho", "inf", "--grid", "8x8"], "rho"),
         (["build", "--family", "thm1", "--n", "2", "--rho", "1e300", "--grid", "8x8"], "rho"),
-    ], ids=["s-max-inf", "s-max-1e6", "solve-rho-inf", "s-window-inf", "build-rho-inf",
-            "build-rho-1e300"])
+    ], ids=["s-max-inf", "s-max-1e6", "solve-rho-inf", "s-window-inf", "s-window-1e6",
+            "build-rho-inf", "build-rho-1e300"])
     def test_non_finite_or_overflowing_flags(self, tmp_path, capsys, argv, field):
         out = tmp_path / "out.json"
         assert field in self._usage_error(tmp_path, capsys, *argv, "--out", str(out))
@@ -526,7 +529,7 @@ def _subprocess_env():
 
 
 class TestColdPath:
-    """Commands that only read files load no scipy and fail cleanly."""
+    """Commands load only the modules they run (never scipy) and fail cleanly."""
 
     @pytest.fixture()
     def thm1_n3_file(self, tmp_path):
@@ -592,6 +595,53 @@ class TestColdPath:
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split("\n")[:2] == ["[0, 0, 0, 0, 0] []", "[0, 0, 0] []"]
+
+    # per command, in a fresh interpreter: the modules whose code must not
+    # run there (a lagmin layer is registered lazily by ``import lagmin`` and
+    # becomes a plain module once its code runs); no command loads numpy.ma
+    FOOTPRINTS = {
+        "import-lagmin": ("import lagmin", ["numpy"]),
+        "import-cli": ("import lagmin.cli", ["numpy"]),
+        "export-samples": (["export", "--in", "thm1.json", "--what", "samples",
+                            "--out", "s.csv"], ["numpy"]),
+        "export-profile": (["export", "--in", "thm1.json", "--what", "profile",
+                            "--out", "p.csv"], ["numpy"]),
+        **{f"sigma-{m}": (["sigma-integral", "--method", m, "--out", "sig.json"],
+                          ["lagmin.immersions", "lagmin.geomcheck"]) for m in ("s", "t", "both")},
+        "build": (["build", "--family", "thm1", "--n", "3", "--rho", "1", "--grid", "12x9",
+                   "--out", "b.json"], ["lagmin.geomcheck"]),
+        "solve": (["solve", "--family", "cp-sphere", "--n", "2", "--rho", "0.6",
+                   "--s-max", "3", "--out", "cp.json"], ["lagmin.geomcheck"]),
+        "verify": (["verify", "--in", "thm1.json", "--report", "rep.json"], []),
+        "sigma-in": (["sigma-integral", "--in", "thm1.json", "--out", "sig.json"], []),
+        "period": (["period", "--n", "3", "--rho", "0.3", "--out", "period.json"], []),
+        "export-phase-portrait": (["export", "--in", "cp.json", "--what", "phase-portrait",
+                                   "--out", "pp.csv"], []),
+    }
+
+    @pytest.mark.parametrize("name", list(FOOTPRINTS))
+    def test_module_footprint(self, tmp_path, thm1_n3_file, name):
+        import subprocess
+        import sys
+
+        command, absent = self.FOOTPRINTS[name]
+        if isinstance(command, list):
+            if "cp.json" in command[:3]:
+                assert run(tmp_path, "solve", "--family", "cp-sphere", "--n", "2", "--rho",
+                           "0.6", "--s-max", "3", "--out", str(tmp_path / "cp.json")) == EXIT_OK
+            argv = ["--config", "none.conf"] + command
+            command = f"import lagmin.cli; assert lagmin.cli.main({argv!r}) == 0"
+        script = "\n".join([
+            "import sys, types",
+            command,
+            "ran = {m for m, mod in sys.modules.items() if type(mod) is types.ModuleType}",
+            f"print(sorted(ran & {set(absent) | {'numpy.ma'}!r}))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env=_subprocess_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
 
     def test_ragged_samples_row_is_schema_error(self, tmp_path, thm1_n3_file):
         import subprocess

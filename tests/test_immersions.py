@@ -24,6 +24,8 @@ from lagmin.immersions import (
 from lagmin.model_spaces import herm_form, projective_distance, quadric_defect
 from lagmin.profiles import FINE_ODE_TOL
 
+from helpers import curve_invariant_residuals
+
 
 def _differenced(value):
     """A hand-built seed's jet: central differences of its value (M, C)."""
@@ -43,6 +45,12 @@ def thm1_n2():
 
 
 class TestSpecValidation:
+    def test_every_family_tag_has_a_row(self):
+        # specs and the command line accept the tags of lagmin.domain; each
+        # must name one row of the family table, in order
+        from lagmin import immersions
+        assert tuple(immersions._FAMILIES) == immersions.FAMILY_TAGS
+
     def test_requires_rho(self):
         with pytest.raises(InvalidArgument):
             ImmersionFamilySpec("thm1", 2)
@@ -488,7 +496,7 @@ class TestLegendreCurves:
     def test_ch_sphere_curve_invariants(self):
         s = np.linspace(-2, 2, 201)
         curve = ch_sphere_curve(2, 1.0, s)
-        res = curve.invariant_residuals()
+        res = curve_invariant_residuals(curve)
         assert res["norm"] <= 1e-10
         assert res["horizontal"] <= 1e-8
         # arc-length parametrization
@@ -514,14 +522,14 @@ class TestLegendreCurves:
 
     def test_wavy_curve_invariants(self):
         s = np.linspace(-2, 2, 201)
-        res = wavy_control_curve(s).invariant_residuals()
+        res = curve_invariant_residuals(wavy_control_curve(s))
         assert res["norm"] <= 1e-10
         assert res["horizontal"] <= 1e-8
 
     def test_geodesic_curve(self):
         s = np.linspace(0.3, 2.0, 101)
         curve = real_geodesic_curve(s)
-        assert curve.invariant_residuals()["horizontal"] == 0.0
+        assert curve_invariant_residuals(curve)["horizontal"] == 0.0
 
 
 class TestDetunedControl:

@@ -9,7 +9,6 @@ from lagmin.model_spaces import (
     ProjectivePoint,
     embed_isometry,
     herm_form,
-    horizontal_project,
     legendrian_residual,
     normalize_phase,
     product_gram,
@@ -22,6 +21,8 @@ from lagmin.model_spaces import (
     umbilical_embed,
     validate_model_point,
 )
+
+from helpers import horizontal_project
 
 RNG = np.random.default_rng(42)
 
