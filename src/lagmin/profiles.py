@@ -32,7 +32,11 @@ a tag's pair without a rho; its ``jets`` are what every lift's curve
 factor multiplies, the real geodesic (the a = 0 member) included.
 
 The ODEs are solved by ``solve_ivp``, the in-repo DOP853 of ``dop853``
-(bit-identical to scipy's), imported on the first solve.  Interpolants and
+(bit-identical to scipy's), imported on the first solve.  Each profile is
+one solve over [0, s_max]; s < 0 is its exact mirror (r(-s), -u(-s)),
+since the system is autonomous, r' = tanh u is odd in u and u' = slope(r)
+does not read u, and DOP853 from the mirrored state negates every stage
+sum exactly (``solve_profile``).  Interpolants and
 cumulative integrals use ``Spline``, a numpy piecewise polynomial
 bit-identical to scipy's ``CubicHermiteSpline``.  The s- and t-forms of
 the total curvature integral use ``quad``, an adaptive 21-point
@@ -432,8 +436,17 @@ class ProfileFamily:
 
     def ode_rhs(self, _s, y):
         """Right-hand side (r', u') = (tanh u, slope(r)) of the (r, u) system,
-        in ``solve_ivp``'s calling convention."""
-        return (math.tanh(y[1]), self.slope(y[0]))
+        in ``solve_ivp``'s calling convention.
+
+        Called on every stage, so ``slope`` is spelled out in Python floats,
+        which round as numpy's scalars do; T stays numpy's tan/tanh, whose
+        bits ``math.tan`` does not always share."""
+        row = self.row
+        if row.trig is _FLAT:
+            raise InvalidArgument("ch_horo has no ODE form; use the closed form")
+        r, u = y.tolist()
+        t = float(row.trig.T(r))
+        return (math.tanh(u), row.alpha / t + row.trig.sigma * row.beta * t)
 
     def second_derivative(self, r, rp):
         """r'' = (1 - r'^2) slope(r) from the profile equation at state
@@ -521,9 +534,15 @@ def solve_profile(family: ProfileFamily, s_max: float,
 
     ch_horo is evaluated from its closed form; the other families are
     integrated by ``solve_ivp``'s adaptive explicit Runge-Kutta (DOP853) in
-    the (r, u) variables with local error <= tol, forward and backward
-    half-lines independently so that evenness stays a genuine numerical
-    property; the grid is read from the two dense outputs.
+    the (r, u) variables with local error <= tol, once, over [0, s_max].
+    The grid's s >= 0 half is read from that solve's dense output and its
+    s < 0 half at -s with u negated.  That mirror is exactly what a second,
+    backward solve from (rho, 0) returns: the system is autonomous with
+    r' = tanh u odd in u and u' = slope(r) free of u, so
+    (r(-s), -u(-s)) is a solution too, and DOP853 on the mirrored state
+    negates every stage sum, step and interpolant value exactly (IEEE
+    rounding is symmetric in sign and ``math.tanh`` is odd).  Evenness is
+    therefore exact, not a numerical property the grid could test.
     """
     if not ODE_TOL_RANGE[0] <= tol <= ODE_TOL_RANGE[1]:
         raise InvalidArgument("tol must lie in [1e-13, 1e-6]")
@@ -536,26 +555,18 @@ def solve_profile(family: ProfileFamily, s_max: float,
         r, rp = _closed_form_horo(family, s)
         return ProfileSolution(family, s, r, rp, None, family.energy_constant, tol)
 
-    halves = []
-    for direction in (1.0, -1.0):
-        sol = solve_ivp(
-            family.ode_rhs,
-            (0.0, direction * s_max),
-            (family.rho, 0.0),
-            rtol=max(tol, 2.3e-14),
-            atol=tol * 1e-3,
-        )
-        if not sol.success:
-            raise IntegrationFailure(sol.message, last_s=float(sol.t[-1]))
-        halves.append(sol.sol)
-    fwd, bwd = halves
+    sol = solve_ivp(family.ode_rhs, (0.0, s_max), (family.rho, 0.0),
+                    rtol=max(tol, 2.3e-14), atol=tol * 1e-3)
+    if not sol.success:
+        raise IntegrationFailure(sol.message, last_s=float(sol.t[-1]))
 
     r = np.empty_like(s)
     u = np.empty_like(s)
     neg = s < 0
-    yb = bwd(s[neg])
-    yf = fwd(s[~neg])
-    r[neg], u[neg] = yb[0], yb[1]
+    # two half evaluations: one on |s| would hold a second full-size temporary
+    yb = sol.sol(-s[neg])
+    yf = sol.sol(s[~neg])
+    r[neg], u[neg] = yb[0], -yb[1]
     r[~neg], u[~neg] = yf[0], yf[1]
     rp = np.tanh(u)
 

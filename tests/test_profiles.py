@@ -22,7 +22,29 @@ from lagmin.profiles import (
     sphere_volume,
 )
 
-from helpers import evenness_residual
+from helpers import evenness_residual, half_line_solve, two_solve_profile
+
+
+def assert_two_solve_route(sol):
+    """``sol`` is, bit for bit, what independent forward and backward
+    solves give on its grid."""
+    s, r, rp, u = two_solve_profile(sol.family, sol.s_max, sol.tol)
+    for name, ref in (("s", s), ("r", r), ("rp", rp), ("u", u)):
+        assert np.array_equal(getattr(sol, name), ref), name
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every result of ``profiles.solve_ivp`` during the test, in order."""
+    out = []
+    solve = profiles.solve_ivp
+
+    def recorded(*args, **kwargs):
+        out.append(solve(*args, **kwargs))
+        return out[-1]
+
+    monkeypatch.setattr(profiles, "solve_ivp", recorded)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +129,7 @@ class TestSolveProfile:
         assert np.ptp(sol.r) < 1e-12
 
     def test_evenness(self, sphere21):
-        assert evenness_residual(sphere21) <= 1e-8
+        assert_two_solve_route(sphere21)
 
     def test_minimum_at_zero(self, sphere21):
         # rho is the only absolute minimum of r
@@ -156,7 +178,10 @@ class TestEnergyResidual:
     def test_spread_of_families(self, tag, n, rho):
         sol = solve_profile(ProfileFamily(tag, n, rho), 8.0, tol=1e-10)
         assert energy_residual(sol) <= 1e-8
-        assert evenness_residual(sol) <= 1e-8
+        if tag == "ch_horo":  # closed form, no solve
+            assert evenness_residual(sol) <= 1e-8
+        else:
+            assert_two_solve_route(sol)
 
 
 class TestPhaseIntegrals:
@@ -377,15 +402,7 @@ class TestPeriodEvent:
     def test_matches_mpmath_quadrature(self, n, rho):
         assert abs(detect_period(n, rho).period - _mp_period(n, rho)) <= 1e-11
 
-    def test_one_solve_stopping_at_the_return(self, monkeypatch):
-        solves = []
-        solve = profiles.solve_ivp
-
-        def recorded(*args, **kwargs):
-            solves.append(solve(*args, **kwargs))
-            return solves[-1]
-
-        monkeypatch.setattr(profiles, "solve_ivp", recorded)
+    def test_one_solve_stopping_at_the_return(self, solves):
         for n, rho in ((2, 0.6), (3, 1.2)):
             solves.clear()
             T = detect_period(n, rho).period
@@ -427,6 +444,68 @@ class TestPeriodEvent:
             assert energy_residual(sol) <= 1e-8
         else:
             assert detect_period(8, 0.05).closure_residual <= 1e-11
+
+
+MIRROR_CASES = [
+    (tag, n, rho, tol, s_max)
+    for tag, params in (
+        ("ch_sphere", [(2, 0.05), (3, 1.0), (8, 2.5)]),
+        ("ch_tube", [(2, 2.0), (5, 0.05), (8, 0.3)]),
+        ("cp_sphere", [(2, 0.6), (5, 0.3), (8, 1.4)]),
+    )
+    for n, rho in params
+    for tol, s_max in ((1e-8, 8.5), (1e-12, 3.0))
+]
+
+
+class TestOneSolve:
+    """solve_profile integrates once and mirrors that solve onto s < 0,
+    which is exactly the forward-and-backward route it replaced."""
+
+    @pytest.mark.parametrize("tag, n, rho, tol, s_max", MIRROR_CASES)
+    def test_mirror_is_the_two_solve_route(self, tag, n, rho, tol, s_max):
+        assert_two_solve_route(solve_profile(ProfileFamily(tag, n, rho), s_max, tol=tol))
+
+    @pytest.mark.parametrize("n, rho, tol", [(8, 0.02, 1e-8), (12, 0.1, 1e-6)])
+    def test_same_failure_as_the_two_solve_route(self, n, rho, tol):
+        # the orbit runs into pi/2 within the first 1.5 units of s
+        fam = ProfileFamily("cp_sphere", n, rho)
+        with pytest.raises(IntegrationFailure) as ref:
+            two_solve_profile(fam, 3.0, tol)
+        with pytest.raises(IntegrationFailure) as ours:
+            solve_profile(fam, 3.0, tol=tol)
+        assert str(ours.value) == str(ref.value)
+        assert ours.value.last_s == ref.value.last_s < 3.0
+
+    @pytest.mark.parametrize("tag, rho", [("ch_sphere", 1.0), ("ch_tube", 0.5),
+                                          ("cp_sphere", 0.6)])
+    def test_one_solve_of_the_forward_cost(self, solves, tag, rho):
+        fam = ProfileFamily(tag, 3, rho)
+        solve_profile(fam, 8.0, tol=1e-10)
+        assert len(solves) == 1
+        assert solves[0].nfev == half_line_solve(fam, 8.0, 1e-10).nfev
+
+    @pytest.mark.parametrize("tag", ["ch_sphere", "ch_tube", "cp_sphere"])
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_ode_rhs_is_tanh_and_slope(self, tag, n):
+        # the scalar right-hand side against slope on arrays, over random
+        # states, tiny r and (cp_sphere) r near pi/2
+        fam = ProfileFamily(tag, n, 0.5)
+        rng = np.random.default_rng(n)
+        hi = math.pi / 2 if tag == "cp_sphere" else 30.0
+        r = [rng.uniform(1e-6, hi, 2000), 10.0 ** rng.uniform(-300, -6, 100)]
+        if tag == "cp_sphere":
+            r.append(math.pi / 2 - 10.0 ** rng.uniform(-15, -3, 100))
+        r = np.concatenate(r)
+        u = rng.uniform(-30.0, 30.0, len(r))
+        got = np.array([fam.ode_rhs(0.0, np.array(y)) for y in zip(r, u)])
+        assert np.array_equal(got[:, 0], [math.tanh(x) for x in u])
+        assert np.array_equal(got[:, 1], fam.slope(r))
+
+    def test_horo_has_no_ode(self):
+        fam = ProfileFamily("ch_horo", 2, 1.0)
+        with pytest.raises(InvalidArgument, match="closed form"):
+            fam.ode_rhs(0.0, np.array([1.0, 0.0]))
 
 
 class TestSpline:
