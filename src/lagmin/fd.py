@@ -6,9 +6,9 @@ values of shape (M, C).  First derivatives use the 5-point stencil
 4-point cross for mixed terms.
 
 No built or loaded immersion is differenced: their jets are exact.  The
-stencils, at ``DEFAULT_FD_STEP``, are the independent route: the
-whole-lift jets of hand-built immersions (``geomcheck.jet``) and the
-check of a given seed's jets against its values.
+stencils, at ``DEFAULT_FD_STEP``, are the independent route: the check of
+a given seed's jets against its values (``immersions.seed_residuals``),
+and the whole-lift jets the tests compare the exact ones with.
 """
 
 from __future__ import annotations

@@ -14,16 +14,13 @@ product jet each pairing (u, v)(s, x) is a sum of s-factors times
 x-factors, and ``ProductJet.gram`` takes all of them as one stacked matmul
 (``model_spaces.product_gram``): no S*M-row partial is materialised, only
 the value, which the sample-consistency check compares with the stored
-samples.  Hand-built immersions without a product jet build the same Gram
-from central differences of the whole lift evaluator (the independent
-route the tests check the exact jets with), their stacked rows paired by
-one broadcast ``herm_form`` (``JetBatch.from_partials``), so everything
-downstream has one path.
+samples.
 
 Every batch keeps its per-point arrays in grid layout, trailing axes
 (S, M): a product jet's S values and its M transverse points, the block
-points; stacked jets are one row of N blocks, (..., 1, N).
-``immersions.grid_order`` gives any of them as (S*M, ...) rows.
+points.  A batch of stacked points is one s row of N blocks, (..., 1, N),
+and takes the same path.  ``immersions.grid_order`` gives any of them as
+(S*M, ...) rows.
 
 One data path, jets -> FrameBatch -> SFFBatch, feeds every check, and each
 check takes the batch it reads.  On the quadric (z, z) is read as its
@@ -38,11 +35,12 @@ umbilical hypersurfaces, so its metric separates over the grid, g(s, x) =
 Lambda(s)^-1 G(x) Lambda(s)^-1 with Lambda diagonal: ``frame_batch`` reads
 Lambda off g along one block point and G on the M block points at one s
 value, takes one Cholesky G = L_G L_G^t per block point and frames every
-grid point by T = L_G(x)^-1 Lambda(s), e_a = sum_k T_ak h_k.  It accepts
-the factoring only where every point separates to ``_SEPARABILITY_TOL``
-(defined below with its measured floor); otherwise, as for the stacked
-jets of hand-built immersions, every point is its own block (Lambda = 1,
-G = g).  ``second_fundamental_form`` reads P = (w_ij, h_l) for the second
+grid point by T = L_G(x)^-1 Lambda(s), e_a = sum_k T_ak h_k.  A batch
+that misses the separable form by more than ``_SEPARABILITY_TOL`` plus the
+roundoff of its pairings (both defined below with their measured floors)
+raises ``DegeneracyError``; a batch with one s value is framed with
+Lambda = 1 and G = g.
+``second_fundamental_form`` reads P = (w_ij, h_l) for the second
 partials w_ij from the same identity; the tangential part is removed with
 g^{-1} = T^t T applied to Re P, the components along z and i z never pair
 with horizontal vectors, and the remainder of a Lagrangian immersion lies
@@ -62,7 +60,6 @@ from itertools import permutations
 
 import numpy as np
 
-from . import fd
 from .domain import ALL_CHECKS, GeometryError, InvalidArgument
 from .immersions import (
     LegendreCurve,
@@ -122,8 +119,15 @@ _SFF_LAGRANGIAN_TOL = 1e-5
 # to G's diagonal at every grid point.  Every family path misses it by
 # roundoff: at most 2.2e-11 over the domain sweep (thm2 n=5 rho=3, 64x64),
 # 3.6e-12 on the 513x64 thm1 field, 2.4e-13 over the test families' specs;
-# a sheared chart misses it by O(1)
+# an s-x sheared chart misses it by O(1)
 _SEPARABILITY_TOL = 1e-9
+# on top of it each g_ij may miss by its own roundoff, this many ulp of the
+# Cauchy-Schwarz scale lambda_i lambda_j |d_i z| |d_j z| its pairings are
+# formed at.  Far out in s that scale outgrows G's diagonal (like e^(2|s|)
+# in CH^n): a thm1 n=2 batch over s in [-8, 8] misses by 1.9e-9 of G, 2 ulp
+# of it.
+# Over 165 family cells at 64x64 the largest miss is 23 ulp (thm3 n=5)
+_SEPARABILITY_ULPS = 64
 
 # seeded group elements and sample points of the invariance check, and
 # their seed (reports record it as provenance.seed)
@@ -136,7 +140,8 @@ class OutOfDomain(GeometryError):
 
 
 class DegeneracyError(GeometryError):
-    """Induced metric failed to be positive definite."""
+    """Induced metric not positive definite, or not separable over the
+    product grid."""
 
 
 class NotLagrangianError(GeometryError):
@@ -150,8 +155,8 @@ class JetBatch:
     ``xi`` stacks (s, x) chart coordinates; coordinate 0 is always s.
     ``value`` (N, C) is the lift at those rows.  The pairings are in grid
     layout, trailing axes (S, M): a product jet's S values and M transverse
-    points, the block points; stacked jets are N blocks of one point each,
-    (..., 1, N).  ``gram`` (R, 1 + D, S, M) holds (u_r, v_c) for the raw
+    points, the block points (stacked points are one s row of N blocks,
+    (..., 1, N)).  ``gram`` (R, 1 + D, S, M) holds (u_r, v_c) for the raw
     jets u_r in ``jet_rows(D)`` (d_i z, then d_i d_j z for i <= j; R = D +
     D(D+1)/2) and v_c in [z, d_l z]; nothing is paired from z itself.
     ``d1_norm`` (D, S, M) are the Euclidean norms |d_i z| that scale the
@@ -167,56 +172,22 @@ class JetBatch:
     def dim(self) -> int:
         return self.d1_norm.shape[0]
 
-    @classmethod
-    def from_partials(cls, space, xi, value, d1, d2) -> "JetBatch":
-        """The same Gram from materialised jets (N, C), (N, D, C), (N, D, D, C),
-        the whole-lift route of hand-built immersions: the rows stacked in
-        ``jet_rows`` order and paired against [z, d_l z] by one broadcast
-        ``herm_form``, independent of ``product_gram``."""
-        D, jets = d1.shape[1], (value, d1, d2)
-        rows = np.stack([jets[len(idx)][(slice(None),) + idx] for idx in jet_rows(D)], axis=1)
-        cols = np.concatenate([value[:, None], d1], axis=1)
-        gram = herm_form(space, rows[:, :, None], cols[:, None])
-        norms = np.sqrt(np.sum(np.abs(d1) ** 2, axis=-1))
-        return cls(xi, value, _as_blocks(gram), _as_blocks(norms))
-
-    def pointwise(self) -> "JetBatch":
-        """The same jets with every grid point its own block, (..., 1, S*M)."""
-        return JetBatch(self.xi, self.value, *(a.reshape(a.shape[:-2] + (1, -1))
-                                               for a in (self.gram, self.d1_norm)))
-
-
-def _as_blocks(a: np.ndarray) -> np.ndarray:
-    """Rows (N, ...) as N blocks of one point, (..., 1, N)."""
-    return np.moveaxis(a, 0, -1)[..., None, :]
-
 
 def jet(imm: SampledImmersion, s, X) -> JetBatch:
     """Jet of the lift on the product of the S values ``s`` and the M chart
     points ``X`` (M, d); ``xi`` and ``value`` are S*M rows in ``grid_xi``
     order.
 
-    Uses the immersion's exact product jet when it has one (the curve
-    taken on ``s``, the block on ``X``) and pairs it factor by factor, the
-    M points the blocks, else central differences of the whole lift
-    evaluator on the stacked rows at ``fd.DEFAULT_FD_STEP``, paired as
-    stacked vectors, one block per point.  A single point is a 1 x 1
-    product.
+    The immersion's exact product jet (the curve taken on ``s``, the block
+    on ``X``), paired factor by factor, the M points the blocks.  A single
+    point is a 1 x 1 product.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if imm.profile is not None:
-        # the stencil reaches 2h past its base points; an exact jet, none
-        reach = 0.0 if imm.jet_factors else 2.0 * fd.DEFAULT_FD_STEP
-        if np.max(np.abs(s)) + reach >= imm.profile.s_max:
-            raise OutOfDomain("jet base point not inside the profile's domain")
-    xi = product_xi(s, X)
-    space = imm.ambient.space
-    if imm.jet_factors is None:
-        partials = fd.jet_partials(imm.evaluate_xi, xi, fd.DEFAULT_FD_STEP)
-        return JetBatch.from_partials(space, xi, *partials)
+    if imm.profile is not None and np.max(np.abs(s)) >= imm.profile.s_max:
+        raise OutOfDomain("jet base point not inside the profile's domain")
     pj = imm.jet_factors(s, X)
-    return JetBatch(xi, pj.value(), *pj.gram(space))
+    return JetBatch(product_xi(s, X), pj.value(), *pj.gram(imm.ambient.space))
 
 
 def _second_rows(D: int) -> np.ndarray:
@@ -311,8 +282,8 @@ class FrameBatch:
 def frame_batch(imm: SampledImmersion, jets: JetBatch) -> FrameBatch:
     """Metric, Kahler pullback and frame of a jet batch, read from its Gram:
     Lambda(s) from g along the first block point, G = Lambda g Lambda at the
-    middle s value, one Cholesky per block point; a batch that does not
-    separate is re-blocked point by point (module docstring)."""
+    middle s value, one Cholesky per block point.  A batch that does not
+    separate raises ``DegeneracyError`` (module docstring)."""
     space, D, gram = imm.ambient.space, jets.dim, jets.gram
     vertical = None if space is None else gram[:D, 0]
     # (h_i, h_j) = (d_i, d_j) - c_i conj(c_j) / t
@@ -327,8 +298,11 @@ def frame_batch(imm: SampledImmersion, jets: JetBatch) -> FrameBatch:
         if S > 1:  # lambda_i(s) = g_ii(s, x_0)^-1/2
             lam = 1.0 / np.sqrt(np.diagonal(g[..., 0], axis1=0, axis2=1).T)
         G = g[:, :, S // 2] * (lam[:, None, S // 2] * lam[:, S // 2])[..., None]  # (D, D, M)
-        if S > 1 and not _separates(g, lam, G):
-            return frame_batch(imm, jets.pointwise())
+        defect = _separation_defect(g, lam, G, jets.d1_norm) if S > 1 else 0.0
+    if not defect <= _SEPARABILITY_TOL:
+        raise DegeneracyError(
+            f"induced metric does not separate over the product grid: largest "
+            f"relative defect {defect:.2e} exceeds {_SEPARABILITY_TOL:.0e}")
     try:
         L = np.linalg.cholesky(np.moveaxis(G, -1, 0))
     except np.linalg.LinAlgError:
@@ -338,15 +312,21 @@ def frame_batch(imm: SampledImmersion, jets: JetBatch) -> FrameBatch:
     return FrameBatch(jets, vertical, g, omega, _lagrangian_pointwise(g, omega), lam, L, T)
 
 
-def _separates(g: np.ndarray, lam: np.ndarray, G: np.ndarray) -> bool:
-    """Whether Lambda g Lambda is G at every point to ``_SEPARABILITY_TOL``
-    of sqrt(G_ii G_jj), taken in one scratch array."""
-    diag = np.sqrt(np.abs(np.diagonal(G, axis1=0, axis2=1).T))  # (D, M)
+def _separation_defect(g: np.ndarray, lam: np.ndarray, G: np.ndarray,
+                       norms: np.ndarray) -> float:
+    """Largest |Lambda g Lambda - G|_ij over the grid relative to f_i f_j,
+    f_i^2 = G_ii plus the roundoff allowance of ``_SEPARABILITY_ULPS`` ulp
+    of lambda_i^2 |d_i z|^2 scaled to the tolerance; nan where the factors
+    are."""
+    allowance = _SEPARABILITY_ULPS * np.finfo(float).eps / _SEPARABILITY_TOL
+    e = norms * lam[..., None]  # lambda_i(s) |d_i z|, (D, S, M)
+    f = np.sqrt(np.abs(np.diagonal(G, axis1=0, axis2=1).T)[:, None] + allowance * e * e)
     defect = g * (lam[:, None] * lam)[..., None]
     np.subtract(defect, G[:, :, None], out=defect)
     np.abs(defect, out=defect)
-    np.divide(defect, (diag[:, None] * diag)[:, :, None], out=defect)
-    return bool(np.all(defect <= _SEPARABILITY_TOL))
+    defect /= f[:, None]
+    defect /= f
+    return float(np.max(defect))
 
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:

@@ -465,9 +465,8 @@ class SampledImmersion:
     what the group-invariance check composes with isometry actions.
     ``jet_factors(s, X)`` returns the lift's exact jet on the product of S
     values s and M transverse points X as a ``ProductJet``, kept in its
-    curve and block factors and never materialised as S*M rows;
-    hand-built immersions without one fall back to whole-lift finite
-    differences of ``evaluate``.
+    curve and block factors and never materialised as S*M rows; it is the
+    only jet the geometry reads.
     """
 
     spec: ImmersionFamilySpec
@@ -477,8 +476,8 @@ class SampledImmersion:
     x_grid: np.ndarray
     samples: np.ndarray
     evaluate: object
+    jet_factors: object
     model_evaluate: object | None = None
-    jet_factors: object | None = None
     profile: ProfileSolution | None = None
     phases: PhaseIntegrals | None = None
     seed: SeedLagrangian | None = None
@@ -520,8 +519,11 @@ def grid_order(a: np.ndarray) -> np.ndarray:
 
 
 def default_grid_spec(spec: ImmersionFamilySpec) -> tuple[float, float]:
-    """Default s-window; small enough that finite-difference roundoff on the
-    verification residuals stays well below the tolerance ladder."""
+    """Default s-window.  Its ends bound the ratio of the lift's coordinates
+    to the curvature they carry, which sets the roundoff in extracting the
+    SFF (the worst points of thm1's failing small-rho cells sit at |s| =
+    2.4-2.5); the geodesic sphere and the flat c = 0 curve start past
+    s = 0, where the sphere shrinks to a point and s^(1/n) is not smooth."""
     kind = spec.kind
     if kind.geodesic and kind.layout == "sphere":  # the sphere shrinks at s = 0
         return (0.1, 2.6) if kind.ambient == "ch" else (0.05, math.pi / 2 - 0.05)

@@ -2,8 +2,20 @@
 
 Each states an identity the library relies on without calling it itself:
 the horizontal projection of the Hopf fibration, the invariants of a
-sampled Legendre curve, the evenness of a profile, and the two-solve
-profile route.  ``solve_profile`` integrates each profile ODE once, over
+sampled Legendre curve, the evenness of a profile, the whole-lift jet
+route and the two-solve profile route.
+
+Every immersion the library builds or loads carries its exact product jet,
+and ``geomcheck.jet`` pairs nothing else.  The whole-lift route is the
+independent second route the tests compare it with: 5-point stencils of a
+lift evaluator on stacked (s, x) rows (``fd.jet_partials``), the raw jets
+stacked in ``jet_rows`` order and paired against [z, d_l z] by one
+broadcast ``herm_form``, not ``product_gram``.  The result is a
+``JetBatch`` of one s row of N blocks, (..., 1, N), which the library's
+``frame_batch`` and ``second_fundamental_form`` take like any other
+batch: Lambda = 1 and G = g, one Cholesky per point.
+
+  ``solve_profile`` integrates each profile ODE once, over
 [0, s_max], and reads s < 0 as the mirror (r(-s), -u(-s)) of that solve.
 The mirror is exact because the (r, u) system is autonomous with
 r' = tanh u odd in u and u' = slope(r) free of u, and because DOP853 run
@@ -17,10 +29,37 @@ import math
 
 import numpy as np
 
+from lagmin import fd
 from lagmin.domain import IntegrationFailure, PreconditionViolation
 from lagmin.dop853 import solve_ivp
+from lagmin.geomcheck import JetBatch
+from lagmin.immersions import jet_rows
 from lagmin.model_spaces import MODEL_TOL, herm_form, quadric_defect
 from lagmin.profiles import _GRID_STEP
+
+
+def as_blocks(a):
+    """Rows (N, ...) as one s row of N blocks, (..., 1, N)."""
+    return np.moveaxis(a, 0, -1)[..., None, :]
+
+
+def stacked_jets(space, xi, value, d1, d2) -> JetBatch:
+    """The ``JetBatch`` of materialised jets (N, C), (N, D, C), (N, D, D, C)
+    at the stacked rows ``xi``: the rows in ``jet_rows`` order paired
+    against [z, d_l z] by one broadcast ``herm_form``."""
+    D, jets = d1.shape[1], (value, d1, d2)
+    rows = np.stack([jets[len(idx)][(slice(None),) + idx] for idx in jet_rows(D)], axis=1)
+    cols = np.concatenate([value[:, None], d1], axis=1)
+    gram = herm_form(space, rows[:, :, None], cols[:, None])
+    norms = np.sqrt(np.sum(np.abs(d1) ** 2, axis=-1))
+    return JetBatch(xi, value, as_blocks(gram), as_blocks(norms))
+
+
+def whole_lift_jets(space, evaluate_xi, xi, h=fd.DEFAULT_FD_STEP) -> JetBatch:
+    """``stacked_jets`` of central differences of the lift evaluator
+    ``evaluate_xi`` at the stacked rows ``xi``, step ``h``."""
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    return stacked_jets(space, xi, *fd.jet_partials(evaluate_xi, xi, h))
 
 
 def horizontal_project(space, z, v):

@@ -37,7 +37,13 @@ from lagmin.model_spaces import (
 )
 from lagmin import fd
 
-from helpers import curve_invariant_residuals, horizontal_project
+from helpers import (
+    as_blocks,
+    curve_invariant_residuals,
+    horizontal_project,
+    stacked_jets,
+    whole_lift_jets,
+)
 
 
 @pytest.fixture(scope="module")
@@ -105,44 +111,60 @@ def _stacked_jet(imm, s, X):
     return _stacked(imm.jet_factors(s, X))
 
 
-def _complex_curve_immersion():
-    """A holomorphic disc in CH^2 lifted to the quadric: not Lagrangian."""
+def _complex_disc_immersion():
+    """The complex geodesic {z_1 = 0} of CH^2 in polar coordinates,
+    z = (sinh s e^{it}, 0, cosh s): a holomorphic disc, not Lagrangian.  Its
+    lift is alpha(s) beta(t) with alpha = (sinh s, 0, cosh s) and beta =
+    (e^{it}, 1, 1), so it is hand-built with its exact product jet."""
     spec = ImmersionFamilySpec("thm1", 2, 1.0)  # tag unused by the residuals
+
+    def jet_factors(s, X):
+        s = np.asarray(s, dtype=float)
+        t = np.atleast_2d(np.asarray(X, dtype=float))[:, 0]
+        even = np.stack([np.sinh(s), np.zeros_like(s), np.cosh(s)], axis=-1)
+        odd = np.stack([np.cosh(s), np.zeros_like(s), np.sinh(s)], axis=-1)
+        e, one, nil = np.exp(1j * t), np.ones_like(t), np.zeros_like(t)
+        block = (np.stack([e, one, one], axis=-1),
+                 np.stack([1j * e, nil, nil], axis=-1)[:, None],
+                 np.stack([-e, nil, nil], axis=-1)[:, None, None])
+        return ProductJet(np.stack([even, odd, even]).astype(complex), None, block)
 
     def evaluate(s, X):
         s = np.asarray(s, dtype=float)
         t = np.atleast_2d(np.asarray(X, dtype=float))[:, 0]
-        w = s + 1j * t
-        scale = 1.0 / np.sqrt(np.cos(2.0 * t))
-        z = np.stack([np.sinh(w), np.zeros_like(w), np.cosh(w)], axis=-1)
-        return z * scale[:, None]
+        return np.stack([np.sinh(s) * np.exp(1j * t), np.zeros_like(t),
+                         np.cosh(s) + 0j], axis=-1)
 
-    s_values = np.linspace(-0.5, 0.5, 5)
-    x_grid = np.linspace(-0.4, 0.4, 5)[:, None]
-    si = np.repeat(s_values, 5)
-    xi = np.tile(x_grid, (5, 1))
-    samples = evaluate(si, xi).reshape(5, 5, 3)
+    s_values = np.linspace(0.3, 0.8, 5)
+    x_grid = np.linspace(0.0, 2 * math.pi, 5, endpoint=False)[:, None]
+    samples = jet_factors(s_values, x_grid).value().reshape(5, 5, 3)
     return SampledImmersion(
-        spec=spec, ambient=Ambient("ch", 2), chart=box_chart(1),
-        s_values=s_values, x_grid=x_grid, samples=samples, evaluate=evaluate,
+        spec=spec, ambient=Ambient("ch", 2), chart=box_chart(1), s_values=s_values,
+        x_grid=x_grid, samples=samples, evaluate=evaluate, jet_factors=jet_factors,
     )
 
 
-def _sheared(imm: SampledImmersion, k: float) -> SampledImmersion:
-    """``imm`` in the sheared chart x -> x + k s e_last, hand-built without a
-    product jet, so its jets are whole-lift differences."""
+def _sheared_lift(imm: SampledImmersion, k: float):
+    """The stacked-row lift evaluator of ``imm`` in the sheared chart
+    x -> x + k s e_last, whose metric does not separate for k != 0; its jets
+    come from whole-lift differences (``whole_lift_jets``).  ``frame_batch``
+    and the SFF read only the ambient of the immersion they are handed, so
+    ``imm`` stands in for it."""
 
-    def evaluate(s, X):
-        X = np.array(np.atleast_2d(X), dtype=float)
-        X[:, -1] += k * np.asarray(s, dtype=float)
-        return imm.evaluate(s, X)
+    def evaluate_xi(Xi):
+        Xi = np.array(np.atleast_2d(Xi), dtype=float)
+        Xi[:, -1] += k * Xi[:, 0]
+        return imm.evaluate_xi(Xi)
 
-    xi = imm.grid_xi()
-    samples = evaluate(xi[:, 0], xi[:, 1:]).reshape(imm.samples.shape)
-    return SampledImmersion(
-        spec=imm.spec, ambient=imm.ambient, chart=imm.chart, s_values=imm.s_values,
-        x_grid=imm.x_grid, samples=samples, evaluate=evaluate, profile=imm.profile,
-    )
+    return evaluate_xi
+
+
+def _whole_lift_frames(imm, evaluate_xi=None, h=fd.DEFAULT_FD_STEP):
+    """The FrameBatch of whole-lift differences of ``evaluate_xi`` (``imm``'s
+    own by default) on ``imm``'s grid, one block per point."""
+    evaluate_xi = imm.evaluate_xi if evaluate_xi is None else evaluate_xi
+    return gc.frame_batch(imm, whole_lift_jets(imm.ambient.space, evaluate_xi,
+                                               imm.grid_xi(), h))
 
 
 class TestJets:
@@ -225,16 +247,17 @@ class TestFrame:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_off_diagonal_metric_end_to_end(self, n):
-        # no family's chart metric has off-diagonal entries; the sheared
+        # no family's chart metric has off-diagonal entries; the s-x sheared
         # chart gives g_{0,last} above 10, so a wrong off-diagonal of the
-        # frame shows in the curvature of an unchanged immersion
+        # frame shows in the curvature of an unchanged immersion.  Its
+        # metric does not separate, so its jets are whole-lift differences,
+        # one block per point
         imm = build_immersion(ImmersionFamilySpec("thm1", n, 1.0), grid=(9, 9),
                               s_window=(-1.5, 1.5))
-        sheared = _sheared(imm, 0.7)
-        fb = _frames(sheared)
-        assert np.max(np.abs(gc.induced_metric(sheared, fb)[:, 0, -1])) >= 10.0
-        sff = gc.second_fundamental_form(sheared, fb)
-        assert gc.minimality_residual(sheared, sff) <= gc.TOLERANCES["minimal"]
+        fb = _whole_lift_frames(imm, _sheared_lift(imm, 0.7))
+        assert np.max(np.abs(gc.induced_metric(imm, fb)[:, 0, -1])) >= 10.0
+        sff = gc.second_fundamental_form(imm, fb)
+        assert gc.minimality_residual(imm, sff) <= gc.TOLERANCES["minimal"]
         # |sigma|^2 of thm1 depends on s alone
         got, ref = grid_order(sff.sigma_sq), grid_order(_sff(imm).sigma_sq)
         assert np.max(np.abs(got - ref) / ref) <= 1e-4
@@ -243,8 +266,8 @@ class TestFrame:
         # a vanishing chart partial: g is singular, so there is no frame
         value, d1, d2 = _stacked_jet(thm1, thm1.s_values, thm1.x_grid)
         d1[:, 1] = 0.0
-        jets = gc.JetBatch.from_partials(thm1.ambient.space, thm1.grid_xi(), value, d1, d2)
-        fb = gc.frame_batch(thm1, jets)
+        fb = gc.frame_batch(thm1, stacked_jets(thm1.ambient.space, thm1.grid_xi(),
+                                               value, d1, d2))
         assert fb.block_chol is None and fb.block_inv is None
         with pytest.raises(gc.DegeneracyError):
             gc.induced_metric(thm1, fb)
@@ -269,10 +292,13 @@ class TestOneGeometryLayer:
     def test_frame_batch_takes_wide_windows(self):
         # far out the lift is cosh-sized: its absolute quadric defect passes
         # horizontal_project's 1e-10 while the relative one is roundoff, so
-        # frame_batch checks no absolute precondition
+        # frame_batch checks no absolute precondition.  The metric misses
+        # the separable form by 1.9e-9 of G there, the pairings' roundoff,
+        # and the frame stays factored
         imm = build_immersion(ImmersionFamilySpec("thm1", 2, 1.0), grid=(33, 8),
                               s_window=(-8.0, 8.0))
         fb = _frames(imm)
+        assert len(fb.block_chol) == len(imm.x_grid)
         z, space = fb.jets.value, imm.ambient.space
         assert np.max(quadric_defect(space, z)) > 1e-10
         assert np.max(relative_quadric_defect(space, z)) <= 1e-15
@@ -301,7 +327,7 @@ class TestLagrangian:
         assert gc.lagrangian_residual(thm1, thm1_fb) <= 1e-6
 
     def test_complex_curve_is_not_lagrangian(self):
-        imm = _complex_curve_immersion()
+        imm = _complex_disc_immersion()
         fb = _frames(imm)
         assert gc.lagrangian_residual(imm, fb) >= 0.5
         with pytest.raises(gc.NotLagrangianError):
@@ -356,7 +382,7 @@ class TestSecondFundamentalForm:
                 h[:, i, j, k] += 1e-2 * F
             # back in grid layout, every point its own block
             H, sigma_sq = np.einsum("miik->mk", h) / 3, np.sum(h**2, axis=(1, 2, 3))
-            return gc.SFFBatch(sff.xi, *map(gc._as_blocks, (h, H, sigma_sq)))
+            return gc.SFFBatch(sff.xi, *map(as_blocks, (h, H, sigma_sq)))
 
         monkeypatch.setattr(gc, "second_fundamental_form", perturbed)
         report = {c["name"]: c["pass"] for c in gc.run_checks(imm).checks}
@@ -385,9 +411,7 @@ class TestSecondFundamentalForm:
         vals = []
         for h in hs:
             # whole-lift differences: the stencil order is what is under test
-            jets = gc.JetBatch.from_partials(imm.ambient.space, xi,
-                                             *fd.jet_partials(imm.evaluate_xi, xi, h))
-            sff = gc.second_fundamental_form(imm, gc.frame_batch(imm, jets))
+            sff = gc.second_fundamental_form(imm, _whole_lift_frames(imm, h=h))
             vals.append(float(np.max(sff.mean_curvature_norm)))
         slope = np.polyfit(np.log(hs), np.log(vals), 1)[0]
         assert slope >= 3.7
@@ -473,17 +497,6 @@ class TestProductJets:
         jet_value = imm.jet_factors(imm.s_values, imm.x_grid).value()
         assert flat.tobytes() == jet_value.tobytes()
 
-    def test_hand_built_immersion_falls_back_to_differences(self):
-        imm = _complex_curve_immersion()
-        xi = imm.grid_xi()
-        jets = gc.jet(imm, imm.s_values, imm.x_grid)
-        partials = fd.jet_partials(imm.evaluate_xi, xi, fd.DEFAULT_FD_STEP)
-        ref = gc.JetBatch.from_partials(imm.ambient.space, xi, *partials)
-        assert np.array_equal(jets.gram, ref.gram)
-        assert np.array_equal(jets.d1_norm, ref.d1_norm)
-        # the base value the stored-sample consistency check reads
-        assert np.array_equal(jets.value, imm.samples.reshape(len(xi), -1))
-
     def test_run_checks_is_one_geometry_pass(self, thm1, monkeypatch):
         calls = {"jet": 0, "sff": 0, "fd": 0, "evaluate_xi": 0, "lagrangian": 0}
 
@@ -555,7 +568,7 @@ class TestFactoredGram:
         imm = build_immersion(spec, grid=(11, 9))
         s, X = imm.s_values, imm.x_grid
         partials = _stacked_jet(imm, s, X)
-        stacked = gc.JetBatch.from_partials(imm.ambient.space, product_xi(s, X), *partials)
+        stacked = stacked_jets(imm.ambient.space, product_xi(s, X), *partials)
         return imm, gc.jet(imm, s, X), stacked, partials
 
     @pytest.mark.parametrize("spec", _EVERY_FAMILY, ids=_spec_id)
@@ -631,17 +644,15 @@ class TestFactoredGram:
         assert np.all(np.abs(ht - ha - shift) <= 1e-12 * h_scale)
 
     def test_hand_built_immersion_takes_the_stacked_route(self):
-        # a built immersion handed over without its product jet pairs its
-        # whole-lift differences, and the frame and the SFF agree with the
-        # factored route up to the difference of the two stencils
+        # the whole-lift differences of a built immersion's evaluator, paired
+        # as stacked rows: the frame and the SFF agree with the factored
+        # route up to the difference of the two stencils
         imm = build_immersion(ImmersionFamilySpec("thm1", 3, 1.0), grid=(9, 9),
                               s_window=(-1.5, 1.5))
-        hand = _sheared(imm, 0.0)
-        assert hand.jet_factors is None
-        fh, fi = _frames(hand), _frames(imm)
-        gh, gi = gc.induced_metric(hand, fh), gc.induced_metric(imm, fi)
+        fh, fi = _whole_lift_frames(imm), _frames(imm)
+        gh, gi = gc.induced_metric(imm, fh), gc.induced_metric(imm, fi)
         assert np.max(np.abs(gh - gi) / gi.max()) <= 1e-8
-        sh, si = gc.second_fundamental_form(hand, fh), gc.second_fundamental_form(imm, fi)
+        sh, si = gc.second_fundamental_form(imm, fh), gc.second_fundamental_form(imm, fi)
         hh, hi = grid_order(sh.coeffs), grid_order(si.coeffs)
         assert np.max(np.abs(hh - hi)) <= 1e-4 * np.max(np.abs(hi))
 
@@ -716,23 +727,20 @@ class TestFactoredFrame:
     @pytest.mark.parametrize("k", [0.0, 0.7])
     def test_hand_built_immersions_take_the_per_point_frame(self, k):
         # whole-lift differences are stacked rows, every point its own
-        # block (Lambda = 1, G = g); the sheared chart's metric does not
+        # block (Lambda = 1, G = g); the s-x sheared chart's metric does not
         # separate at all (g_{0,last} above 10)
         imm = build_immersion(ImmersionFamilySpec("thm1", 3, 1.0), grid=(9, 9),
                               s_window=(-1.5, 1.5))
-        sheared = _sheared(imm, k)
-        fb = _frames(sheared)
-        N, D = len(sheared.grid_xi()), fb.jets.dim
+        fb = _whole_lift_frames(imm, _sheared_lift(imm, k))
+        N, D = len(imm.grid_xi()), fb.jets.dim
         assert fb.block_chol.shape == (N, D, D)
         assert np.array_equal(fb.scale, np.ones((D, 1)))
-        self._assert_per_point(sheared, fb)
+        self._assert_per_point(imm, fb)
 
-    @pytest.mark.parametrize("twist,blocks", [(1e-12, "M"), (1e-6, "S*M")])
-    def test_a_metric_that_does_not_separate_is_framed_per_point(self, twist, blocks):
+    @staticmethod
+    def _twisted(twist):
         # a product batch whose g_{0,last} gets a term varying with s and x
-        # misses the separable form by about ``twist``: below the bound the
-        # frame stays factored, above it every point is its own block;
-        # either way it is the per-point frame
+        # misses the separable form by about ``twist``
         imm = build_immersion(ImmersionFamilySpec("thm1", 3, 1.0), grid=(11, 9))
         jets = gc.jet(imm, imm.s_values, imm.x_grid)
         S, M, D = len(imm.s_values), len(imm.x_grid), jets.dim
@@ -742,9 +750,58 @@ class TestFactoredFrame:
         bump = twist * np.sqrt(g[0, 0] * g[-1, -1]) * ramp
         gram[0, D] += bump
         gram[D - 1, 1] += bump
-        fb = gc.frame_batch(imm, gc.JetBatch(jets.xi, jets.value, gram, jets.d1_norm))
-        assert len(fb.block_chol) == {"M": M, "S*M": S * M}[blocks]
+        return imm, gc.JetBatch(jets.xi, jets.value, gram, jets.d1_norm)
+
+    def test_a_metric_separating_to_roundoff_stays_factored(self):
+        imm, jets = self._twisted(1e-12)
+        fb = gc.frame_batch(imm, jets)
+        assert len(fb.block_chol) == len(imm.x_grid)
         self._assert_per_point(imm, fb)
+
+    def test_a_metric_that_does_not_separate_raises(self):
+        imm, jets = self._twisted(1e-6)
+        with pytest.raises(gc.DegeneracyError, match=r"defect \d\.\d\de-0[67] exceeds 1e-09"):
+            gc.frame_batch(imm, jets)
+
+    @staticmethod
+    def _sheared_seed(dim):
+        """The Clifford seed in the linearly sheared chart x = A y, A = I plus
+        0.6 at (last, 0): exact jets (z(Y A^t), d1 A, A^t d2 A), so a family
+        over it keeps its product jet and separates, while its block metric
+        G(x) is off-diagonal."""
+        clifford = make_seed("clifford_cp", dim)
+        A = np.eye(dim)
+        A[-1, 0] += 0.6
+
+        def jet(Y):
+            z, d1, d2 = clifford.jet(np.atleast_2d(np.asarray(Y, dtype=float)) @ A.T)
+            return (z, np.einsum("mic,ia->mac", d1, A),
+                    np.einsum("ia,mijc,jb->mabc", A, d2, A))
+
+        return SeedLagrangian("clifford_cp", dim, "cp", clifford.chart, jet)
+
+    @pytest.mark.parametrize("spec", [
+        ImmersionFamilySpec("prop3a", 3, 1.0, seed_kind="clifford_cp"),
+        ImmersionFamilySpec("prop3a", 4, 1.0, seed_kind="clifford_cp"),
+        ImmersionFamilySpec("prop6a", 4, 0.6, seed_kind="clifford_cp"),
+    ], ids=lambda spec: f"{spec.family}-n{spec.n}")
+    def test_a_sheared_seed_chart_stays_factored(self, spec):
+        # the off-diagonal of the factored frame end to end: L_G(x) is far
+        # from diagonal, the batch still separates (one Cholesky per block
+        # point), every check passes and the frame and the SFF are the
+        # per-point route's
+        imm = build_immersion(spec, grid=(11, 16), seed=self._sheared_seed(spec.n - 1))
+        fb = _frames(imm)
+        S, M, D = len(imm.s_values), len(imm.x_grid), fb.jets.dim
+        assert fb.block_chol.shape == (M, D, D) and fb.scale.shape == (D, S)
+        L = fb.block_chol
+        off = np.max(np.abs(L - np.einsum("mii->mi", L)[..., None] * np.eye(D)))
+        assert off >= 0.7 * np.max(np.abs(L))
+        self._assert_per_point(imm, fb)
+        report = gc.run_checks(imm)
+        assert report.verdict, [c for c in report.checks if not c["pass"]]
+        residual = {c["name"]: c["residual"] for c in report.checks}
+        assert residual["minimal"] <= 1e-10
 
     def test_a_seed_with_differenced_jets(self):
         # only the block's jets are differenced: the product alpha(s) beta(x)
@@ -767,7 +824,7 @@ class TestFactoredFrame:
         # so does the point-by-point comparison against expected_sff_thm1
         sff = thm1_sff
         h = grid_order(sff.coeffs)
-        points = gc.SFFBatch(sff.xi, *map(gc._as_blocks, (h, grid_order(sff.mean_curvature),
+        points = gc.SFFBatch(sff.xi, *map(as_blocks, (h, grid_order(sff.mean_curvature),
                                                           grid_order(sff.sigma_sq))))
         got = gc.sff_residuals(thm1, sff)
         assert got == gc.sff_residuals(thm1, points)
@@ -802,7 +859,7 @@ class TestSymmetryResidual:
         for _ in range(20):
             h = rng.normal(size=(7, D, D, D)) * 10.0 ** rng.uniform(-3, 3)
             h = h + h.transpose(0, 2, 3, 1) + h.transpose(0, 3, 1, 2)  # cyclic, not symmetric
-            sff = gc.SFFBatch(np.zeros((7, 1 + D)), gc._as_blocks(h), np.zeros((D, 1, 7)),
+            sff = gc.SFFBatch(np.zeros((7, 1 + D)), as_blocks(h), np.zeros((D, 1, 7)),
                               np.zeros((1, 7)))
             assert (np.float64(sff.symmetry_residual()).tobytes()
                     == np.float64(self._permutation_loop(h)).tobytes())
