@@ -141,11 +141,7 @@ def cmd_solve(args, cfg) -> int:
     if not _CONFIG_KEYS["s_max"][1](s_max):
         raise UsageError(f"--s-max {s_max!r} out of range: it must lie in (0, 100]")
     tol = args.tol if args.tol is not None else cfg["ode_tol"]
-    try:
-        sol = solve_profile(fam, s_max, tol=tol)
-    except IntegrationFailure as exc:
-        print(f"integration failure: {exc} (last s = {exc.last_s})", file=sys.stderr)
-        return EXIT_NUMERIC
+    sol = solve_profile(fam, s_max, tol=tol)
     payload = ser.profile_to_dict(sol)
     note = ""
     if payload.get("equilibrium_proximate"):
@@ -182,11 +178,7 @@ def cmd_build(args, cfg) -> int:
             raise UsageError(f"--s-window {args.s_window} needs a profile on |s| <= {span:g},"
                              " beyond the s_max range (0, 100]")
         s_window = (lo, hi)
-    try:
-        imm = build_immersion(spec, grid=grid, s_window=s_window, ode_tol=cfg["ode_tol"])
-    except IntegrationFailure as exc:
-        print(f"integration failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    imm = build_immersion(spec, grid=grid, s_window=s_window, ode_tol=cfg["ode_tol"])
     payload = ser.immersion_to_dict(imm)
     _emit(payload, args.out,
           f"built {args.family} n={spec.n} on {grid[0]}x{grid[1]}"
@@ -249,34 +241,26 @@ def cmd_sigma_integral(args, cfg) -> int:
         return EXIT_OK
     if args.family != "thm1":
         raise UsageError("closed-form curvature integrals exist for --family thm1")
-    try:
-        if args.method in ("s", "t"):
-            value = sigma_integral_thm1(SigmaIntegralSpec(args.n, args.rho, method=args.method))
-            payload = {"method": args.method, "value": ser.fnum(value),
-                       "tail_tol": ser.fnum(SIGMA_TAIL_TOL)}
-            _emit(payload, args.out, f"{args.method}-form value: {value:.10g}")
-        else:
-            vs = sigma_integral_thm1(SigmaIntegralSpec(args.n, args.rho, method="s"))
-            vt = sigma_integral_thm1(SigmaIntegralSpec(args.n, args.rho, method="t"))
-            rel = abs(vs - vt) / max(abs(vt), 1e-300)
-            payload = {"method": "both", "s_form": ser.fnum(vs), "t_form": ser.fnum(vt),
-                       "relative_discrepancy": ser.fnum(rel)}
-            _emit(payload, args.out,
-                  f"s-form {vs:.10g}  t-form {vt:.10g}  discrepancy {rel:.2e}")
-    except NeedsLargerDomain as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    if args.method in ("s", "t"):
+        value = sigma_integral_thm1(SigmaIntegralSpec(args.n, args.rho, method=args.method))
+        payload = {"method": args.method, "value": ser.fnum(value),
+                   "tail_tol": ser.fnum(SIGMA_TAIL_TOL)}
+        _emit(payload, args.out, f"{args.method}-form value: {value:.10g}")
+    else:
+        vs = sigma_integral_thm1(SigmaIntegralSpec(args.n, args.rho, method="s"))
+        vt = sigma_integral_thm1(SigmaIntegralSpec(args.n, args.rho, method="t"))
+        rel = abs(vs - vt) / max(abs(vt), 1e-300)
+        payload = {"method": "both", "s_form": ser.fnum(vs), "t_form": ser.fnum(vt),
+                   "relative_discrepancy": ser.fnum(rel)}
+        _emit(payload, args.out,
+              f"s-form {vs:.10g}  t-form {vt:.10g}  discrepancy {rel:.2e}")
     return EXIT_OK
 
 
 def cmd_period(args, cfg) -> int:
     from .profiles import EQUILIBRIUM_PROXIMATE, detect_period
 
-    try:
-        result = detect_period(args.n, args.rho)
-    except DetectionFailure as exc:
-        print(f"detection failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    result = detect_period(args.n, args.rho)
     if result is None:
         _emit({"period": None, "equilibrium": True}, args.out,
               f"rho={args.rho:g} is the equilibrium radius: constant profile")
@@ -418,7 +402,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (IntegrationFailure, NeedsLargerDomain, DetectionFailure) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+        where = getattr(exc, "last_s", None)
+        at = "" if where is None else f" (last s = {where})"
+        print(f"numeric failure: {exc}{at}", file=sys.stderr)
         return EXIT_NUMERIC
     except GeometryError as exc:
         print(f"geometry failure: {exc}", file=sys.stderr)

@@ -16,11 +16,14 @@ x-factors, and ``ProductJet.gram`` takes all of them as one stacked matmul
 the value, which the sample-consistency check compares with the stored
 samples.
 
-Every batch keeps its per-point arrays in grid layout, trailing axes
-(S, M): a product jet's S values and its M transverse points, the block
-points.  A batch of stacked points is one s row of N blocks, (..., 1, N),
-and takes the same path.  ``immersions.grid_order`` gives any of them as
-(S*M, ...) rows.
+Every batch, from the jets to the report, keeps its per-point arrays in
+grid layout, trailing axes (S, M): a product jet's S values and its M
+transverse points, the block points.  A batch carries its s values as an
+array that broadcasts against (S, M) and its block points x (M, d), never
+stacked (s, x) rows, so the closed-form comparators take each s factor on
+the s values and each block factor on the block points and broadcast.  A
+batch of stacked points is one s row of N blocks, (..., 1, N), and takes
+the same path.
 
 One data path, jets -> FrameBatch -> SFFBatch, feeds every check, and each
 check takes the batch it reads.  On the quadric (z, z) is read as its
@@ -65,9 +68,7 @@ from .immersions import (
     LegendreCurve,
     SampledImmersion,
     build_immersion,
-    grid_order,
     jet_rows,
-    product_xi,
 )
 from .model_spaces import (
     herm_form,
@@ -92,7 +93,6 @@ __all__ = [
     "CheckReport",
     "jet",
     "frame_batch",
-    "induced_metric",
     "lagrangian_residual",
     "horizontality_residual",
     "second_fundamental_form",
@@ -152,18 +152,20 @@ class NotLagrangianError(GeometryError):
 class JetBatch:
     """Lift value and the Hermitian Gram of its raw jets at a batch of points.
 
-    ``xi`` stacks (s, x) chart coordinates; coordinate 0 is always s.
-    ``value`` (N, C) is the lift at those rows.  The pairings are in grid
-    layout, trailing axes (S, M): a product jet's S values and M transverse
-    points, the block points (stacked points are one s row of N blocks,
-    (..., 1, N)).  ``gram`` (R, 1 + D, S, M) holds (u_r, v_c) for the raw
+    Every array is in grid layout, trailing axes (S, M): a product jet's
+    S values and M transverse points, the block points (stacked points are
+    one s row of N blocks, (..., 1, N)).  ``s`` are the s values, shaped to
+    broadcast against (S, M): (S, 1) for a product, (1, N) for stacked
+    points; ``x`` (M, d) the block points.  ``value`` (S, M, C) is the lift
+    there and ``gram`` (R, 1 + D, S, M) holds (u_r, v_c) for the raw
     jets u_r in ``jet_rows(D)`` (d_i z, then d_i d_j z for i <= j; R = D +
     D(D+1)/2) and v_c in [z, d_l z]; nothing is paired from z itself.
     ``d1_norm`` (D, S, M) are the Euclidean norms |d_i z| that scale the
     Legendrian residual.
     """
 
-    xi: np.ndarray
+    s: np.ndarray
+    x: np.ndarray
     value: np.ndarray
     gram: np.ndarray
     d1_norm: np.ndarray
@@ -175,8 +177,7 @@ class JetBatch:
 
 def jet(imm: SampledImmersion, s, X) -> JetBatch:
     """Jet of the lift on the product of the S values ``s`` and the M chart
-    points ``X`` (M, d); ``xi`` and ``value`` are S*M rows in ``grid_xi``
-    order.
+    points ``X`` (M, d).
 
     The immersion's exact product jet (the curve taken on ``s``, the block
     on ``X``), paired factor by factor, the M points the blocks.  A single
@@ -187,7 +188,7 @@ def jet(imm: SampledImmersion, s, X) -> JetBatch:
     if imm.profile is not None and np.max(np.abs(s)) >= imm.profile.s_max:
         raise OutOfDomain("jet base point not inside the profile's domain")
     pj = imm.jet_factors(s, X)
-    return JetBatch(product_xi(s, X), pj.value(), *pj.gram(imm.ambient.space))
+    return JetBatch(s[:, None], X, pj.value(), *pj.gram(imm.ambient.space))
 
 
 def _second_rows(D: int) -> np.ndarray:
@@ -207,15 +208,16 @@ def _index_orbits(D: int) -> np.ndarray:
 @dataclass
 class SFFBatch:
     """Second-fundamental-form data in a g-orthonormal frame, in the grid
-    layout (..., S, M) of the jets it came from (``grid_order`` gives rows).
+    layout (..., S, M) of the jets it came from.
 
-    ``xi`` are the chart points as rows; ``coeffs`` (D, D, D, S, M) are
-    h_{ijk} with sigma(e_i, e_j) = sum_k h_{ijk} J e_k; ``mean_curvature``
-    (D, S, M) is H_k = (1/n) sum_i h_{iik}; ``sigma_sq`` (S, M) is
-    |sigma|^2 summed over both (i, j) orders.
+    ``s`` are the jets' s values, broadcasting against (S, M);
+    ``coeffs`` (D, D, D, S, M) are h_{ijk} with sigma(e_i, e_j) = sum_k
+    h_{ijk} J e_k; ``mean_curvature`` (D, S, M) is H_k = (1/n) sum_i
+    h_{iik}; ``sigma_sq`` (S, M) is |sigma|^2 summed over both (i, j)
+    orders.
     """
 
-    xi: np.ndarray
+    s: np.ndarray
     coeffs: np.ndarray
     mean_curvature: np.ndarray
     sigma_sq: np.ndarray
@@ -355,21 +357,13 @@ def _lagrangian_pointwise(g: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return np.max(np.abs(omega[i, j]) / np.maximum(scale, 1e-12), axis=0)
 
 
-def induced_metric(imm: SampledImmersion, fb: FrameBatch) -> np.ndarray:
-    """Riemannian metric g_ij = Re (h_i, h_j) of horizontal-projected
-    partials, as (S*M, D, D) rows in ``grid_xi`` order."""
-    fb.require_frame()
-    return grid_order(fb.metric)
-
-
 def horizontality_residual(imm: SampledImmersion, fb: FrameBatch) -> float:
     """Legendrian residual |(d_i z, z)| / max(|d_i z| |z|, 1), max over the
     batch; vacuously zero for the flat ambient (no fibration to be horizontal for)."""
     if fb.vertical is None:
         return 0.0
-    z = fb.jets.value.reshape(fb.vertical.shape[1:] + (-1,))  # (S, M, C)
-    return float(np.max(legendrian_residual(z, np.moveaxis(fb.jets.d1_norm, 0, -1),
-                                            np.moveaxis(fb.vertical, 0, -1))))
+    jets = fb.jets
+    return float(np.max(legendrian_residual(jets.value, jets.d1_norm, fb.vertical)))
 
 
 def lagrangian_residual(imm: SampledImmersion, fb: FrameBatch) -> float:
@@ -416,7 +410,7 @@ def second_fundamental_form(imm: SampledImmersion, fb: FrameBatch) -> SFFBatch:
     h = T @ h.transpose(1, 3, 2, 0, 4)  # i -> a: (k, b, M, a, S)
     H = np.trace(h, axis1=1, axis2=3).transpose(0, 2, 1) / D
     sigma_sq = np.einsum("kbmas,kbmas->sm", h, h)
-    return SFFBatch(fb.jets.xi, h.transpose(3, 1, 0, 4, 2), H, sigma_sq)
+    return SFFBatch(fb.jets.s, h.transpose(3, 1, 0, 4, 2), H, sigma_sq)
 
 
 def minimality_residual(imm: SampledImmersion, sff: SFFBatch) -> float:
@@ -428,33 +422,24 @@ def minimality_residual(imm: SampledImmersion, sff: SFFBatch) -> float:
 # closed-form comparators
 
 
-def _per_s(f, s: np.ndarray) -> np.ndarray:
-    """f evaluated once per distinct value of ``s`` and spread back to its
-    shape: the comparators depend on s alone, while a grid repeats each s
-    value at every block point."""
-    values, inverse = np.unique(s, return_inverse=True)
-    return f(values)[inverse.reshape(s.shape)]
-
-
-def expected_metric(imm: SampledImmersion, xi: np.ndarray) -> np.ndarray | None:
+def expected_metric(imm: SampledImmersion, s, X) -> np.ndarray | None:
     """Chart-coordinate closed form of the induced metric of the model
-    families: the curve's warp over the totally geodesic block."""
+    families, the curve's warp over the totally geodesic block.  The
+    metric is diagonal: returns its diagonal (D, S, M) at the s values
+    ``s``, which broadcast against (S, M), and the M block points ``X``
+    (M, d), warp(s) times block(x) by broadcasting."""
     kind = imm.spec.kind
     if not kind.model or imm.spec.detuned or imm.seed is not None:
         return None
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    s, X = xi[:, 0], xi[:, 1:]
+    s = np.asarray(s, dtype=float)
+    X = np.atleast_2d(np.asarray(X, dtype=float))
     M, d = X.shape
-    D = d + 1
-    g = np.zeros((M, D, D))
-    g[:, 0, 0] = 1.0
 
     def sphere_block(angles):
         # metric of S^d in nested angle coordinates: g_kk = prod_{i<k} sin^2 a_i
-        out = np.ones((M, angles.shape[1]))
-        run = np.ones(M)
+        out, run = [], np.ones(M)
         for k in range(angles.shape[1]):
-            out[:, k] = run
+            out.append(run)
             run = run * np.sin(angles[:, k]) ** 2
         return out
 
@@ -462,43 +447,41 @@ def expected_metric(imm: SampledImmersion, xi: np.ndarray) -> np.ndarray | None:
     radius = (lambda u: u) if kind.geodesic else imm.profile.r_of
     if kind.layout == "sphere":
         trig = np.sinh if kind.ambient == "ch" else np.sin
-        warp = _per_s(lambda u: trig(radius(u)) ** 2, s)
-        blk = sphere_block(X)
-        for k in range(d):
-            g[:, 1 + k, 1 + k] = warp * blk[:, k]
+        warp = trig(radius(s)) ** 2
+        rows = [warp * blk for blk in sphere_block(X)]
     elif kind.layout == "tube":
-        warp = _per_s(lambda u: np.cosh(radius(u)) ** 2, s)
-        g[:, 1, 1] = warp
-        if d > 1:
-            blk = sphere_block(X[:, 1:])
-            for k in range(d - 1):
-                g[:, 2 + k, 2 + k] = warp * np.sinh(X[:, 0]) ** 2 * blk[:, k]
+        warp = np.cosh(radius(s)) ** 2
+        rows = [warp] + [warp * np.sinh(X[:, 0]) ** 2 * blk for blk in sphere_block(X[:, 1:])]
     else:
-        warp = _per_s(lambda u: np.exp(2.0 * u) if kind.geodesic else radius(u) ** 2, s)
-        for k in range(d):
-            g[:, 1 + k, 1 + k] = warp
+        rows = [np.exp(2.0 * s) if kind.geodesic else radius(s) ** 2] * d
+    g = np.ones((1 + d,) + np.broadcast_shapes(s.shape, (M,)))
+    for k, row in enumerate(rows):
+        g[1 + k] = row
     return g
 
 
 def metric_residual(imm: SampledImmersion, fb: FrameBatch) -> float | None:
     """Entrywise deviation from the closed-form metric, metric-normalized."""
-    expected = expected_metric(imm, fb.jets.xi)
+    expected = expected_metric(imm, fb.jets.s, fb.jets.x)
     if expected is None:
         return None
-    g = induced_metric(imm, fb)
-    diag = np.maximum(np.einsum("mii->mi", expected), 1.0)
-    scale = np.sqrt(diag[:, :, None] * diag[:, None, :])
-    return float(np.max(np.abs(g - expected) / scale))
+    fb.require_frame()  # a singular metric raises, it scores no residual
+    at = np.arange(len(expected))
+    full = np.zeros_like(fb.metric)
+    full[at, at] = expected
+    diag = np.maximum(expected, 1.0)
+    scale = np.sqrt(diag[:, None] * diag)
+    return float(np.max(np.abs(fb.metric - full) / scale))
 
 
-def _thm1_sff(imm: SampledImmersion, s: np.ndarray) -> tuple:
+def _thm1_sff(imm: SampledImmersion, s) -> tuple:
     """(pattern, F) with h = pattern * F(s) the thm1 closed form (see
-    ``expected_sff_thm1``), F taken per distinct s and shaped like ``s``."""
+    ``expected_sff_thm1``), F shaped like ``s``."""
     if imm.spec.family != "thm1":
         raise InvalidArgument("closed-form coefficients are for the thm1 family")
     n = imm.spec.n
     a = imm.profile.family.phase_constant
-    F = _per_s(lambda u: a / np.sinh(imm.profile.r_of(u)) ** (n + 1), s)
+    F = a / np.sinh(imm.profile.r_of(s)) ** (n + 1)
     pattern = np.zeros((n, n, n))
     pattern[0, 0, 0] = -(n - 1)
     for j in range(1, n):
@@ -506,25 +489,24 @@ def _thm1_sff(imm: SampledImmersion, s: np.ndarray) -> tuple:
     return pattern, F
 
 
-def expected_sff_thm1(imm: SampledImmersion, xi: np.ndarray) -> np.ndarray:
-    """Closed-form h_{ijk} of the ch_sphere family at the rows ``xi``, (N,
-    D, D, D): with F(s) = a / sinh^{n+1} r(s) (a the first-integral
-    constant), h_111 = -(n-1) F, h_1jj = h_j1j = h_jj1 = F, all others zero.
+def expected_sff_thm1(imm: SampledImmersion, s) -> np.ndarray:
+    """Closed-form h_{ijk} of the ch_sphere family at the s values ``s``,
+    (D, D, D) + s.shape: with F(s) = a / sinh^{n+1} r(s) (a the
+    first-integral constant), h_111 = -(n-1) F, h_1jj = h_j1j = h_jj1 = F,
+    all others zero.
     """
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    pattern, F = _thm1_sff(imm, xi[:, 0])
-    return F[:, None, None, None] * pattern
+    pattern, F = _thm1_sff(imm, np.asarray(s, dtype=float))
+    return pattern.reshape(pattern.shape + (1,) * np.ndim(F)) * F
 
 
 def sff_residuals(imm: SampledImmersion, sff: SFFBatch) -> dict:
     """Relative closed-form match of the thm1 coefficients and |sigma|^2:
     the nonzero components relative to themselves, the zero ones relative
     to the largest, and |sigma|^2; the ``sff`` check reads all three.  The
-    closed forms are taken per distinct s and broadcast over the batch's
+    closed forms are taken on the batch's s values and broadcast over its
     grid layout, the components of the closed form's pattern apart from
     the rest."""
-    s = sff.xi[:, 0].reshape(sff.sigma_sq.shape)  # (S, M)
-    pattern, F = _thm1_sff(imm, s)
+    pattern, F = _thm1_sff(imm, sff.s)
     at = np.nonzero(pattern)
     expected = pattern[at][:, None, None] * F
     h = sff.coeffs[at]
@@ -540,8 +522,7 @@ def sff_residuals(imm: SampledImmersion, sff: SFFBatch) -> dict:
                            np.max(np.where(nonzero, 0.0, np.abs(h) / scale))))
     n = imm.spec.n
     a = imm.profile.family.phase_constant
-    sig_expected = _per_s(lambda u: a**2 * (n - 1) * (n + 2)
-                          / np.sinh(imm.profile.r_of(u)) ** (2 * n + 2), s)
+    sig_expected = a**2 * (n - 1) * (n + 2) / np.sinh(imm.profile.r_of(sff.s)) ** (2 * n + 2)
     sig_rel = float(np.max(np.abs(sff.sigma_sq - sig_expected) / sig_expected))
     return {
         "component_rel": worst_nonzero,
@@ -664,8 +645,8 @@ def _transverse_weights(imm: SampledImmersion) -> np.ndarray:
 
 
 def curvature_field(imm: SampledImmersion) -> dict:
-    """|sigma| and sqrt(det g) on the cached grid, plus transverse weights."""
-    S, M = len(imm.s_values), len(imm.x_grid)
+    """|sigma| and sqrt(det g) on the cached grid, (S, M), plus transverse
+    weights."""
     weights = _transverse_weights(imm)
     fb = frame_batch(imm, jet(imm, imm.s_values, imm.x_grid))
     sff = second_fundamental_form(imm, fb)
@@ -674,8 +655,8 @@ def curvature_field(imm: SampledImmersion) -> dict:
     sqrt_det = det_block / np.prod(fb.scale, axis=0)[:, None]
     return {
         "s_values": imm.s_values,
-        "sigma_norms": sff.sigma_norm.reshape(S, M),
-        "sqrt_det_g": sqrt_det.reshape(S, M),
+        "sigma_norms": sff.sigma_norm,
+        "sqrt_det_g": sqrt_det,
         "chart_weights": weights,
     }
 
@@ -744,17 +725,16 @@ TOLERANCES = {"lagrangian": 1e-6, "horizontal": 1e-6,
 
 
 def _sample_consistency(imm: SampledImmersion, fresh: np.ndarray) -> float:
-    """Stored samples vs ``fresh``, the rebuilt lift on the whole grid in
-    ``grid_xi`` order, projectively (catches edits)."""
-    space = imm.ambient.space
-    flat = imm.samples.reshape(-1, imm.samples.shape[-1])
+    """Stored samples vs ``fresh``, the rebuilt lift on the whole grid,
+    (S, M, C), projectively (catches edits)."""
+    space, stored = imm.ambient.space, imm.samples
     if space is None:
         row_scale = np.maximum(
-            np.maximum(np.max(np.abs(flat), axis=-1), np.max(np.abs(fresh), axis=-1)), 1.0
+            np.maximum(np.max(np.abs(stored), axis=-1), np.max(np.abs(fresh), axis=-1)), 1.0
         )
-        return float(np.max(np.abs(flat - fresh)) / np.min(row_scale))
-    worst = float(np.max(projective_distance(space, flat, fresh)))
-    return max(worst, float(np.max(relative_quadric_defect(space, flat))))
+        return float(np.max(np.abs(stored - fresh)) / np.min(row_scale))
+    worst = float(np.max(projective_distance(space, stored, fresh)))
+    return max(worst, float(np.max(relative_quadric_defect(space, stored))))
 
 
 def run_checks(imm: SampledImmersion, checks=ALL_CHECKS) -> CheckReport:

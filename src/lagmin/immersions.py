@@ -80,7 +80,6 @@ __all__ = [
     "ImmersionFamilySpec",
     "SampledImmersion",
     "product_xi",
-    "grid_order",
     "jet_rows",
     "ProductJet",
     "LegendreCurve",
@@ -512,12 +511,6 @@ def product_xi(s: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.column_stack([np.repeat(s, M), np.tile(X, (S, 1))])
 
 
-def grid_order(a: np.ndarray) -> np.ndarray:
-    """An array in grid layout, trailing axes (S, M) for S values and M
-    block points, as (S*M, ...) rows in ``grid_xi`` order (s slowest)."""
-    return np.moveaxis(a.reshape(a.shape[:-2] + (-1,)), -1, 0)
-
-
 def default_grid_spec(spec: ImmersionFamilySpec) -> tuple[float, float]:
     """Default s-window.  Its ends bound the ratio of the lift's coordinates
     to the curvature they carry, which sets the roundoff in extracting the
@@ -721,13 +714,13 @@ class ProductJet:
         return self.alpha[k], B, Delta
 
     def value(self) -> np.ndarray:
-        """Z = alpha beta + delta on the grid as (S*M, C) rows in ``grid_xi``
-        order (s slowest); where the lift has no delta nothing is added, so
-        signed zeros of the product survive into the files."""
+        """Z = alpha beta + delta on the grid, (S, M, C); where the lift has
+        no delta nothing is added, so signed zeros of the product survive
+        into the files."""
         z = self.alpha[0][:, None] * self.block[0]
         if self.delta is not None:
             z += self.delta[0][:, None]
-        return z.reshape(-1, z.shape[-1])
+        return z
 
     def gram(self, space: HermitianSpace | None) -> tuple:
         """(G, norms): the Hermitian Gram of the raw jets and the Euclidean
@@ -883,7 +876,7 @@ def assemble_immersion(
     header = {}
     if samples is None:
         pj = jet_factors(s_values, x_grid)
-        samples = pj.value().reshape(len(s_values), len(x_grid), -1)
+        samples = pj.value()
         header = _sample_invariants(spec.ambient.space, samples, pj)
     else:
         samples = np.asarray(samples, dtype=complex)
@@ -980,8 +973,7 @@ def _sample_invariants(space: HermitianSpace | None, samples: np.ndarray,
         return {"quadric": 0.0, "horizontal": 0.0}
     quadric = float(np.max(relative_quadric_defect(space, samples)))
     gram, norms = ProductJet(pj.alpha, pj.delta, pj.block[:2]).gram(space)
-    c, norms = np.moveaxis(gram[:, 0], 0, -1), np.moveaxis(norms, 0, -1)  # (S, M, D)
-    horizontal = float(np.max(legendrian_residual(samples, norms, c)))
+    horizontal = float(np.max(legendrian_residual(samples, norms, gram[:, 0])))
     return {"quadric": quadric, "horizontal": horizontal}
 
 

@@ -230,8 +230,8 @@ class ProjectivePoint:
 
 def legendrian_residual(z: np.ndarray, v_norm: np.ndarray, c: np.ndarray) -> np.ndarray:
     """|(v_a, z)| / max(|v_a| |z|, 1) per vector from c = (v_a, z) and the
-    Euclidean norms |v_a| (shape (..., A))."""
-    nz = np.sqrt(np.sum(np.abs(z) ** 2, axis=-1))[..., None]
+    Euclidean norms |v_a|, both (A, ...) for z (..., C)."""
+    nz = np.sqrt(np.sum(np.abs(z) ** 2, axis=-1))
     return np.abs(c) / np.maximum(v_norm * nz, 1.0)
 
 

@@ -268,6 +268,8 @@ class Spline:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
+        if x.ndim > 1:  # the gathered rows lead with the points: take them flat
+            return self(x.ravel()).reshape(x.shape)
         i = self._interior.searchsorted(x, "right")
         if x.ndim == 0:
             # one point: Python floats round exactly like the array path

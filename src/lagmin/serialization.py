@@ -40,7 +40,6 @@ __all__ = [
     "immersion_from_dict",
     "samples_to_csv",
     "profile_to_csv",
-    "csv_to_rows",
 ]
 
 
@@ -335,8 +334,3 @@ def profile_to_csv(d: dict) -> str:
     lines = ["s,r,rp"]
     lines += [",".join(row) for row in d["grid"]]
     return "\n".join(lines) + "\n"
-
-
-def csv_to_rows(text: str) -> list:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    return [ln.split(",") for ln in lines[1:]]

@@ -3,7 +3,9 @@
 Each states an identity the library relies on without calling it itself:
 the horizontal projection of the Hopf fibration, the invariants of a
 sampled Legendre curve, the evenness of a profile, the whole-lift jet
-route and the two-solve profile route.
+route and the two-solve profile route.  Two readers serve the tests'
+comparisons: ``grid_order``, a grid-layout array as (S*M, ...) rows, and
+``csv_to_rows``, the data rows of a CSV export.
 
 Every immersion the library builds or loads carries its exact product jet,
 and ``geomcheck.jet`` pairs nothing else.  The whole-lift route is the
@@ -11,7 +13,8 @@ independent second route the tests compare it with: 5-point stencils of a
 lift evaluator on stacked (s, x) rows (``fd.jet_partials``), the raw jets
 stacked in ``jet_rows`` order and paired against [z, d_l z] by one
 broadcast ``herm_form``, not ``product_gram``.  The result is a
-``JetBatch`` of one s row of N blocks, (..., 1, N), which the library's
+``JetBatch`` of one s row of N blocks, (..., 1, N), its s values (1, N)
+and its block points the N rows' x, which the library's
 ``frame_batch`` and ``second_fundamental_form`` take like any other
 batch: Lambda = 1 and G = g, one Cholesky per point.
 
@@ -43,6 +46,12 @@ def as_blocks(a):
     return np.moveaxis(a, 0, -1)[..., None, :]
 
 
+def grid_order(a):
+    """An array in grid layout, trailing axes (S, M) for S values and M
+    block points, as (S*M, ...) rows in ``grid_xi`` order (s slowest)."""
+    return np.moveaxis(a.reshape(a.shape[:-2] + (-1,)), -1, 0)
+
+
 def stacked_jets(space, xi, value, d1, d2) -> JetBatch:
     """The ``JetBatch`` of materialised jets (N, C), (N, D, C), (N, D, D, C)
     at the stacked rows ``xi``: the rows in ``jet_rows`` order paired
@@ -52,7 +61,7 @@ def stacked_jets(space, xi, value, d1, d2) -> JetBatch:
     cols = np.concatenate([value[:, None], d1], axis=1)
     gram = herm_form(space, rows[:, :, None], cols[:, None])
     norms = np.sqrt(np.sum(np.abs(d1) ** 2, axis=-1))
-    return JetBatch(xi, value, as_blocks(gram), as_blocks(norms))
+    return JetBatch(xi[None, :, 0], xi[:, 1:], value[None], as_blocks(gram), as_blocks(norms))
 
 
 def whole_lift_jets(space, evaluate_xi, xi, h=fd.DEFAULT_FD_STEP) -> JetBatch:
@@ -109,3 +118,9 @@ def two_solve_profile(family, s_max, tol):
             raise IntegrationFailure(sol.message, last_s=float(sol.t[-1]))
         r[part], u[part] = sol.sol(s[part])
     return s, r, np.tanh(u), u
+
+
+def csv_to_rows(text: str) -> list:
+    """The data rows of a CSV export as lists of fields, header dropped."""
+    lines = [ln for ln in text.strip().splitlines() if ln]
+    return [ln.split(",") for ln in lines[1:]]

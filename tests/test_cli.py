@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lagmin.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, load_config, main
+from lagmin.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, load_config, main
 from lagmin.immersions import ImmersionFamilySpec, build_immersion
 from lagmin.serialization import dumps, immersion_to_dict
 
@@ -419,6 +419,25 @@ class TestRejectedInput:
         err = self._usage_error(tmp_path, capsys, "export", "--in", str(prof), "--what",
                                 "phase-portrait", "--out", str(tmp_path / "pp.csv"))
         assert "profile.n" in err
+
+
+class TestNumericFailure:
+    """A solve that fails exits 2 with the solver's message and the s it
+    reached, without a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--family", "cp-sphere", "--n", "8", "--rho", "0.02"],
+        ["build", "--family", "thm5", "--n", "8", "--rho", "0.02", "--grid", "8x8"],
+    ], ids=["solve", "build"])
+    def test_integration_failure(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.json"
+        code = run(tmp_path, *argv, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERIC
+        assert err.startswith("numeric failure: Required step size is less than spacing")
+        assert "(last s = 1.55" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSigmaIntegral:

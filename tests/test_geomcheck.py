@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import permutations
 
@@ -14,7 +15,6 @@ from lagmin.immersions import (
     SeedLagrangian,
     box_chart,
     build_immersion,
-    grid_order,
     jet_rows,
     make_seed,
     product_xi,
@@ -40,6 +40,7 @@ from lagmin import fd
 from helpers import (
     as_blocks,
     curve_invariant_residuals,
+    grid_order,
     horizontal_project,
     stacked_jets,
     whole_lift_jets,
@@ -137,7 +138,7 @@ def _complex_disc_immersion():
 
     s_values = np.linspace(0.3, 0.8, 5)
     x_grid = np.linspace(0.0, 2 * math.pi, 5, endpoint=False)[:, None]
-    samples = jet_factors(s_values, x_grid).value().reshape(5, 5, 3)
+    samples = jet_factors(s_values, x_grid).value()
     return SampledImmersion(
         spec=spec, ambient=Ambient("ch", 2), chart=box_chart(1), s_values=s_values,
         x_grid=x_grid, samples=samples, evaluate=evaluate, jet_factors=jet_factors,
@@ -212,23 +213,44 @@ class TestJets:
 
 class TestMetric:
     def test_thm1_at_origin(self, thm1):
-        g = gc.induced_metric(thm1, _frames(thm1, [0.0], [[0.7]]))
+        g = _frames(thm1, [0.0], [[0.7]]).metric[..., 0, 0]
         expect = np.diag([1.0, math.sinh(1.0) ** 2])
-        assert np.max(np.abs(g[0] - expect)) < 1e-8
+        assert np.max(np.abs(g - expect)) < 1e-8
 
     def test_thm3_warped_euclidean(self):
         imm = build_immersion(ImmersionFamilySpec("thm3", 3, 1.0), grid=(4, 4))
-        g = gc.induced_metric(imm, _frames(imm, [0.6], [[0.2, -0.4]]))
+        g = _frames(imm, [0.6], [[0.2, -0.4]]).metric[..., 0, 0]
         r = float(imm.profile.r_of(0.6))
-        assert np.max(np.abs(g[0] - np.diag([1.0, r * r, r * r]))) < 1e-6 * r * r
+        assert np.max(np.abs(g - np.diag([1.0, r * r, r * r]))) < 1e-6 * r * r
 
     def test_tg_tube_unit_speed(self):
         imm = build_immersion(ImmersionFamilySpec("tg_tube", 2), grid=(4, 4))
-        g = gc.induced_metric(imm, _frames(imm, [0.9], [[0.5]]))
-        assert g[0, 0, 0] == pytest.approx(1.0, abs=1e-9)
+        g = _frames(imm, [0.9], [[0.5]]).metric
+        assert g[0, 0, 0, 0] == pytest.approx(1.0, abs=1e-9)
 
     def test_metric_residual_families(self, thm1, thm1_fb):
         assert gc.metric_residual(thm1, thm1_fb) <= 1e-6
+
+    @pytest.mark.parametrize("spec", [
+        ImmersionFamilySpec("thm1", 3, 1.0),
+        ImmersionFamilySpec("thm2", 3, 1.0),
+        ImmersionFamilySpec("thm3", 3, 1.0),
+        ImmersionFamilySpec("thm5", 3, 0.6),
+        ImmersionFamilySpec("tg_sphere", 3),
+        ImmersionFamilySpec("tg_tube", 3),
+        ImmersionFamilySpec("tg_horo", 3),
+    ], ids=lambda spec: spec.family)
+    def test_expected_metric_on_the_grid_is_its_pointwise_value(self, spec):
+        # warp(s) times block(x) by broadcasting over a product batch is the
+        # closed form at each point, taken on a 1 x 1 batch, bit for bit
+        imm = build_immersion(spec, grid=(11, 9))
+        s, X = imm.s_values, imm.x_grid
+        grid = gc.expected_metric(imm, s[:, None], X)
+        assert grid.shape == (1 + X.shape[1], len(s), len(X))
+        rng = np.random.default_rng(7)
+        for k, m in zip(rng.integers(0, len(s), 8), rng.integers(0, len(X), 8)):
+            point = gc.expected_metric(imm, s[k:k + 1, None], X[m:m + 1])
+            assert point[:, 0, 0].tobytes() == grid[:, k, m].tobytes()
 
 
 class TestFrame:
@@ -255,7 +277,7 @@ class TestFrame:
         imm = build_immersion(ImmersionFamilySpec("thm1", n, 1.0), grid=(9, 9),
                               s_window=(-1.5, 1.5))
         fb = _whole_lift_frames(imm, _sheared_lift(imm, 0.7))
-        assert np.max(np.abs(gc.induced_metric(imm, fb)[:, 0, -1])) >= 10.0
+        assert np.max(np.abs(fb.metric[0, -1])) >= 10.0
         sff = gc.second_fundamental_form(imm, fb)
         assert gc.minimality_residual(imm, sff) <= gc.TOLERANCES["minimal"]
         # |sigma|^2 of thm1 depends on s alone
@@ -270,7 +292,7 @@ class TestFrame:
                                                value, d1, d2))
         assert fb.block_chol is None and fb.block_inv is None
         with pytest.raises(gc.DegeneracyError):
-            gc.induced_metric(thm1, fb)
+            gc.metric_residual(thm1, fb)
         with pytest.raises(gc.DegeneracyError):
             gc.second_fundamental_form(thm1, fb)
 
@@ -304,7 +326,7 @@ class TestOneGeometryLayer:
         assert np.max(relative_quadric_defect(space, z)) <= 1e-15
         d1 = _stacked_jet(imm, imm.s_values, imm.x_grid)[1]
         with pytest.raises(PreconditionViolation):
-            horizontal_project(space, z, d1[:, 0])
+            horizontal_project(space, z.reshape(d1[:, 0].shape), d1[:, 0])
         assert gc.horizontality_residual(imm, fb) <= gc.TOLERANCES["horizontal"]
         assert gc.lagrangian_residual(imm, fb) <= gc.TOLERANCES["lagrangian"]
 
@@ -376,13 +398,12 @@ class TestSecondFundamentalForm:
 
         def perturbed(imm, fb):
             sff = extract(imm, fb)
-            F = gc.expected_sff_thm1(imm, sff.xi)[:, 0, 1, 1]
-            h = grid_order(sff.coeffs).copy()
+            F = gc.expected_sff_thm1(imm, sff.s)[0, 1, 1]
+            h = sff.coeffs.copy()
             for i, j, k in permutations((0, 1, 2)):
-                h[:, i, j, k] += 1e-2 * F
-            # back in grid layout, every point its own block
-            H, sigma_sq = np.einsum("miik->mk", h) / 3, np.sum(h**2, axis=(1, 2, 3))
-            return gc.SFFBatch(sff.xi, *map(as_blocks, (h, H, sigma_sq)))
+                h[i, j, k] += 1e-2 * F
+            H, sigma_sq = np.einsum("iik...->k...", h) / 3, np.sum(h**2, axis=(0, 1, 2))
+            return gc.SFFBatch(sff.s, h, H, sigma_sq)
 
         monkeypatch.setattr(gc, "second_fundamental_form", perturbed)
         report = {c["name"]: c["pass"] for c in gc.run_checks(imm).checks}
@@ -626,9 +647,9 @@ class TestFactoredGram:
         E = _phase_jet(0.5 * s + 0.05 * s**2, speed, np.full_like(s, 0.1))[..., None]
         turned = ProductJet(_mul_jet(E, pj.alpha),
                             None if pj.delta is None else _mul_jet(E, pj.delta), pj.block)
-        space, xi = imm.ambient.space, product_xi(s, X)
-        fa = gc.frame_batch(imm, gc.JetBatch(xi, pj.value(), *pj.gram(space)))
-        jt = gc.JetBatch(xi, turned.value(), *turned.gram(space))
+        space = imm.ambient.space
+        fa = gc.frame_batch(imm, gc.JetBatch(s[:, None], X, pj.value(), *pj.gram(space)))
+        jt = gc.JetBatch(s[:, None], X, turned.value(), *turned.gram(space))
         ft = gc.frame_batch(imm, jt)
         assert np.min(np.abs(ft.vertical[0])) >= 0.2
         nd = grid_order(jt.d1_norm)
@@ -650,8 +671,10 @@ class TestFactoredGram:
         imm = build_immersion(ImmersionFamilySpec("thm1", 3, 1.0), grid=(9, 9),
                               s_window=(-1.5, 1.5))
         fh, fi = _whole_lift_frames(imm), _frames(imm)
-        gh, gi = gc.induced_metric(imm, fh), gc.induced_metric(imm, fi)
+        gh, gi = grid_order(fh.metric), grid_order(fi.metric)
         assert np.max(np.abs(gh - gi) / gi.max()) <= 1e-8
+        # the closed form broadcasts over one s row of N blocks as over the grid
+        assert abs(gc.metric_residual(imm, fh) - gc.metric_residual(imm, fi)) <= 1e-8
         sh, si = gc.second_fundamental_form(imm, fh), gc.second_fundamental_form(imm, fi)
         hh, hi = grid_order(sh.coeffs), grid_order(si.coeffs)
         assert np.max(np.abs(hh - hi)) <= 1e-4 * np.max(np.abs(hi))
@@ -750,7 +773,7 @@ class TestFactoredFrame:
         bump = twist * np.sqrt(g[0, 0] * g[-1, -1]) * ramp
         gram[0, D] += bump
         gram[D - 1, 1] += bump
-        return imm, gc.JetBatch(jets.xi, jets.value, gram, jets.d1_norm)
+        return imm, dataclasses.replace(jets, gram=gram)
 
     def test_a_metric_separating_to_roundoff_stays_factored(self):
         imm, jets = self._twisted(1e-12)
@@ -819,16 +842,17 @@ class TestFactoredFrame:
         self._assert_per_point(imm, fb)
 
     def test_sff_residuals_read_any_block_layout(self, thm1, thm1_sff):
-        # the closed form is taken per distinct s and broadcast over the
+        # the closed form is taken on the s values and broadcast over the
         # grid layout; the same SFF as stacked points scores the same, and
         # so does the point-by-point comparison against expected_sff_thm1
         sff = thm1_sff
         h = grid_order(sff.coeffs)
-        points = gc.SFFBatch(sff.xi, *map(as_blocks, (h, grid_order(sff.mean_curvature),
-                                                          grid_order(sff.sigma_sq))))
+        s_rows = np.repeat(thm1.s_values, len(thm1.x_grid))
+        points = gc.SFFBatch(as_blocks(s_rows), *map(as_blocks, (
+            h, grid_order(sff.mean_curvature), grid_order(sff.sigma_sq))))
         got = gc.sff_residuals(thm1, sff)
         assert got == gc.sff_residuals(thm1, points)
-        expected = gc.expected_sff_thm1(thm1, sff.xi)
+        expected = grid_order(gc.expected_sff_thm1(thm1, points.s))
         scale = np.max(np.abs(expected), axis=(1, 2, 3), keepdims=True)
         nonzero = np.abs(expected) > 1e-12 * scale
         rel = np.abs(h - expected) / np.where(nonzero, np.abs(expected), 1.0)
@@ -859,7 +883,7 @@ class TestSymmetryResidual:
         for _ in range(20):
             h = rng.normal(size=(7, D, D, D)) * 10.0 ** rng.uniform(-3, 3)
             h = h + h.transpose(0, 2, 3, 1) + h.transpose(0, 3, 1, 2)  # cyclic, not symmetric
-            sff = gc.SFFBatch(np.zeros((7, 1 + D)), as_blocks(h), np.zeros((D, 1, 7)),
+            sff = gc.SFFBatch(np.zeros((1, 7)), as_blocks(h), np.zeros((D, 1, 7)),
                               np.zeros((1, 7)))
             assert (np.float64(sff.symmetry_residual()).tobytes()
                     == np.float64(self._permutation_loop(h)).tobytes())

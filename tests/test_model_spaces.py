@@ -254,7 +254,8 @@ class TestHorizontalSplit:
         c = herm_form(ch2, v, z[:, None, :])
         # |(v, z)| / max(|v| |z|, 1): a vertical vector scores 1, a small
         # horizontal one 0
-        assert np.array_equal(legendrian_residual(z, np.linalg.norm(v, axis=-1), c), [[1.0, 0.0]])
+        got = legendrian_residual(z, np.linalg.norm(v, axis=-1).T, c.T)  # vectors first
+        assert np.array_equal(got, [[1.0], [0.0]])
 
     def test_relative_quadric_defect(self, ch2):
         z = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 10.0], [0.0, 0.0, 0.5]], dtype=complex)

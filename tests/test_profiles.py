@@ -561,6 +561,17 @@ class TestSpline:
         self._assert_same(ours, ref, points)
         self._assert_antiderivative(x, y, dy, points)
 
+    def test_points_in_any_shape(self):
+        # a column or a block of points is the flat points' values, bit for
+        # bit, in the points' shape
+        sol = solve_profile(ProfileFamily("ch_sphere", 3, 1.0), 3.0)
+        flat = np.linspace(-2.5, 2.5, 6)
+        for shape in ((3, 1), (2, 3)):
+            x = flat[:math.prod(shape)].reshape(shape)
+            got = sol.r_of(x)
+            assert got.shape == shape
+            assert got.tobytes() == sol.r_of(x.ravel()).tobytes()
+
     def test_nan_propagates(self):
         sol = solve_profile(ProfileFamily("ch_horo", 2, 1.0), 1.0)
         assert np.all(np.isnan(sol.interpolant(np.full(3, np.nan))))

@@ -7,6 +7,8 @@ from lagmin import serialization as ser
 from lagmin.immersions import ImmersionFamilySpec, build_immersion
 from lagmin.profiles import ProfileFamily, solve_profile
 
+from helpers import csv_to_rows
+
 
 class TestNumbers:
     def test_round_trip_exact(self):
@@ -96,13 +98,13 @@ class TestCSV:
         imm = build_immersion(ImmersionFamilySpec("thm3", 2, 1.0), grid=(5, 5))
         d = ser.immersion_to_dict(imm)
         text = ser.samples_to_csv(d)
-        assert ser.csv_to_rows(text) == d["samples"]
+        assert csv_to_rows(text) == d["samples"]
 
     def test_profile_rows(self):
         sol = solve_profile(ProfileFamily("ch_horo", 2, 1.0), 1.0)
         d = ser.profile_to_dict(sol)
         text = ser.profile_to_csv(d)
-        rows = ser.csv_to_rows(text)
+        rows = csv_to_rows(text)
         assert len(rows) == len(sol.s)
         assert rows == d["grid"]
 
