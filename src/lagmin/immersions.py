@@ -556,7 +556,7 @@ def _detuned_phases(profile: ProfileSolution, phases: PhaseIntegrals) -> PhaseIn
     fam, f0 = phases.family, float(phases.phase_speed(0.0))
 
     def rates(r, rp):
-        gb, dgb = fam.integrand(f0, 2, -2, r)  # f0 tanh^2 r
+        gb, dgb = fam.integrands(r, (f0, 2, -2))  # f0 tanh^2 r
         return np.full_like(r, f0), np.zeros_like(r), gb, dgb * rp
 
     b_of = cumulative_integral(profile.s, *rates(profile.r, profile.rp)[2:])

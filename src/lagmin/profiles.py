@@ -36,11 +36,13 @@ The ODEs are solved by ``solve_ivp``, the in-repo DOP853 of ``dop853``
 one solve over [0, s_max]; s < 0 is its exact mirror (r(-s), -u(-s)),
 since the system is autonomous, r' = tanh u is odd in u and u' = slope(r)
 does not read u, and DOP853 from the mirrored state negates every stage
-sum exactly (``solve_profile``).  Interpolants and
-cumulative integrals use ``Spline``, a numpy piecewise polynomial
-bit-identical to scipy's ``CubicHermiteSpline``.  The s- and t-forms of
-the total curvature integral use ``quad``, an adaptive 21-point
-Gauss-Kronrod rule over numpy arrays.  Nothing here imports scipy.
+sum exactly (``solve_profile``).  Interpolants use ``Spline``, a numpy
+piecewise polynomial bit-identical to scipy's ``CubicHermiteSpline``.
+Cumulative integrals integrate the same cubic Hermite pieces exactly and
+sum them at the knots, with one Richardson step (``cumulative_integral``).
+The s- and t-forms of the total curvature integral use ``quad``, an
+adaptive 21-point Gauss-Kronrod rule over numpy arrays.  Nothing here
+imports scipy.
 """
 
 from __future__ import annotations
@@ -228,13 +230,12 @@ class Spline:
     ``rows[j, k]`` is the coefficient of (x - knots[j])^k on the piece
     [knots[j], knots[j+1]); a piece's coefficients sit side by side, so an
     evaluation gathers them in one ``take``.  ``Spline.hermite`` builds the
-    cubic Hermite interpolant and ``Spline.hermite_antiderivative`` its
-    antiderivative.  Both, and evaluation, follow scipy's
+    cubic Hermite interpolant.  It and evaluation follow scipy's
     ``CubicHermiteSpline`` operation for operation, so results are
     bit-identical to it: the piece is
-    ``searchsorted(knots, x, "right") - 1`` clipped to [0, N-2], terms are
-    summed lowest power first with powers built by repeated multiplication,
-    and the antiderivative's integration constants are one sequential sum.
+    ``searchsorted(knots, x, "right") - 1`` clipped to [0, N-2], and terms
+    are summed lowest power first with powers built by repeated
+    multiplication.
     """
 
     def __init__(self, knots: np.ndarray, rows: np.ndarray):
@@ -251,20 +252,6 @@ class Spline:
         """Cubic Hermite interpolant of values ``y`` and slopes ``dydx``."""
         x = np.asarray(x, dtype=float)
         return cls(x, _hermite_rows(x, y, dydx, np.empty((len(x) - 1, 4))))
-
-    @classmethod
-    def hermite_antiderivative(cls, x, y, dydx) -> "Spline":
-        """The antiderivative of ``hermite(x, y, dydx)`` vanishing at the
-        first knot, built in place: the interpolant's coefficients go
-        straight into columns 1..4 of its rows, so theirs never exist."""
-        x = np.asarray(x, dtype=float)
-        rows = np.empty((len(x) - 1, 5))
-        _hermite_rows(x, y, dydx, rows[:, 1:])
-        rows[:, 1] += 0.0  # the interpolant's constant term, as its __init__ leaves it
-        # columnwise: numpy broadcasts over a length-4 last axis slowly
-        for j in range(1, 4):
-            rows[:, j + 1] /= float(j + 1)
-        return cls(x, _integration_constants(x, rows))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -288,26 +275,6 @@ def _hermite_rows(x, y, dydx, rows):
     rows[:, 1] = dydx[:-1]
     rows[:, 2] = (slope - dydx[:-1]) / dx - t
     rows[:, 3] = t / dx
-    return rows
-
-
-def _integration_constants(knots, rows):
-    """Fill column 0 of an antiderivative's rows (pieces, k + 1), whose
-    columns 1..k hold the integrated terms: each piece starts at the value
-    the previous one reaches at its end.  Those terms c h, c h^2, ..., lowest
-    power first, are summed across all pieces in one sequential cumsum,
-    taken in place."""
-    pieces, k = rows.shape[0], rows.shape[1] - 1
-    h = np.diff(knots)[:-1]
-    terms = np.empty((pieces - 1, k))
-    power = h.copy()
-    for j in range(k):
-        np.multiply(rows[:-1, j + 1], power, out=terms[:, j])
-        power *= h
-    terms = terms.reshape(-1)
-    np.cumsum(terms, out=terms)
-    rows[0, 0] = 0.0
-    rows[1:, 0] = terms[k - 1::k]
     return rows
 
 
@@ -458,12 +425,17 @@ class ProfileFamily:
             return r + self.n * self.energy_constant / r ** (2 * self.n + 1)
         return (1.0 - rp**2) * self.slope(r)
 
-    def integrand(self, c, p, q, r):
-        """(g, dg/dr) for g = c S(r)^p C(r)^q, with dg/dr = g (p / T + sigma q T)."""
+    def integrands(self, r, *terms):
+        """(g, dg/dr, ...) for each g = c S(r)^p C(r)^q of ``terms`` as
+        (c, p, q), with dg/dr = g (p / T + sigma q T); S, C and T are taken
+        once for all of them."""
         trig = self.row.trig
-        t = trig.T(r)
-        g = c * trig.S(r) ** p * trig.C(r) ** q
-        return g, g * (p / t + trig.sigma * q * t)
+        S, C, t = trig.S(r), trig.C(r), trig.T(r)
+        out = []
+        for c, p, q in terms:
+            g = c * S**p * C**q
+            out += [g, g * (p / t + trig.sigma * q * t)]
+        return out
 
 
 @dataclass
@@ -633,19 +605,48 @@ class PhaseIntegrals:
     rates: object
 
 
-def _antiderivative(s, vals, derivs):
-    anti = Spline.hermite_antiderivative(s, vals, derivs)
-    c0 = anti(0.0)
-    return lambda x: anti(x) - c0
+def _hermite_integral(x, y, dydx):
+    """t -> integral from 0 to t of the cubic Hermite interpolant of
+    (y, dydx) on the knots x, continued by the end pieces outside them.
+
+    Each piece's exact integral h (y_i + y_{i+1}) / 2 + h^2 (y'_i - y'_{i+1})
+    / 12 comes from one vectorized pass, and the knot values from one cumsum
+    running outward on each side of the piece that holds 0, so no knot
+    carries the rounding of the other side's sum.  The part of a piece
+    below t is integrated at t only.
+    """
+    h = np.diff(x)
+    pieces = h * (y[:-1] + y[1:]) / 2 + h * h * (dydx[:-1] - dydx[1:]) / 12
+    interior = x[1:-1]
+    # K[i]: the integral from the start of piece i0 to the start of piece i
+    i0 = interior.searchsorted(0.0, "right")
+    K = np.zeros(len(x) - 1)
+    np.cumsum(pieces[i0:-1], out=K[i0 + 1:])
+    K[:i0] = -np.cumsum(pieces[:i0][::-1])[::-1]
+
+    def at(t):
+        i = interior.searchsorted(t, "right")
+        w, j = h.take(i), i + 1
+        u = (t - x.take(i)) / w
+        y0, dy = y.take(i), y.take(j) - y.take(i)
+        e0, e1 = w * dydx.take(i), w * dydx.take(j)
+        # the piece's integral from its knot, in powers of u = (t - x_i) / h
+        inner = dy - (2 * e0 + e1) / 3 + u * ((e0 + e1) / 4 - dy / 2)
+        return K.take(i) + w * u * (y0 + u * (e0 / 2 + u * inner))
+
+    at0 = at(0.0)
+    return lambda t: at(t) - at0
 
 
 def cumulative_integral(s, vals, derivs):
     """Cumulative integral vanishing at 0, by composite cubic-Hermite
-    quadrature on the grid with one Richardson step (h^4 -> h^6)."""
-    fine = _antiderivative(s, vals, derivs)
-    coarse = _antiderivative(s[::2], vals[::2], derivs[::2])
+    quadrature on the knots s with one Richardson step (h^4 -> h^6) against
+    every other knot; any strictly increasing s will do."""
+    fine = _hermite_integral(s, vals, derivs)
+    coarse = _hermite_integral(s[::2], vals[::2], derivs[::2])
 
     def integral(x):
+        x = np.asarray(x, dtype=float)
         f = fine(x)
         return f + (f - coarse(x)) / 15.0
 
@@ -663,12 +664,11 @@ def phase_integrals(sol: ProfileSolution) -> PhaseIntegrals:
     (sa, pa, qa), (sb, pb, qb) = row.phase_a, row.phase_b
 
     def rates(r, rp):
-        ga, dga = fam.integrand(sa * a, pa, qa, r)
-        gb, dgb = fam.integrand(sb * a, pb, qb, r)
+        ga, dga, gb, dgb = fam.integrands(r, (sa * a, pa, qa), (sb * a, pb, qb))
         return ga, dga * rp, gb, dgb * rp
 
     ga, dga, gb, dgb = rates(sol.r, sol.rp)
-    speed = lambda x: fam.integrand(a, *row.speed, sol.r_of(x))[0]
+    speed = lambda x: fam.integrands(sol.r_of(x), (a, *row.speed))[0]
     return PhaseIntegrals(fam, cumulative_integral(sol.s, ga, dga),
                           cumulative_integral(sol.s, gb, dgb), speed, rates)
 
@@ -691,7 +691,7 @@ def embedding_phase_sup(sol: ProfileSolution) -> float:
     n, a_c = fam.n, fam.phase_constant
     pos = sol.s >= 0
     s, r, rp = sol.s[pos], sol.r[pos], sol.rp[pos]
-    g, dg = fam.integrand(2.0 * a_c, -(n + 1), -2, r)
+    g, dg = fam.integrands(r, (2.0 * a_c, -(n + 1), -2))
     value = cumulative_integral(s, g, dg * rp)(s[-1])
     r_m, v = float(r[-1]), float(rp[-1])
     # r(s) >= r_m + v (s - s_max) by convexity; sech^2 <= 4 e^{-2r}

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +193,16 @@ class TestBuildVerify:
         d = json.loads(rep.read_text())
         assert d["pass"] is True
         assert {c["name"] for c in d["checks"]} >= {"lagrangian", "horizontal", "minimal"}
+
+    def test_a_file_written_by_an_earlier_version_verifies(self, tmp_path):
+        # thm1 n=2 rho=1 on 4x4 over s in [-0.1, 0.1], built before the phase
+        # integrals were read from knot sums: its stored samples still
+        # agree with the phases that verify recomputes from its profile
+        data = Path(__file__).parent / "data" / "thm1_n2_rho1_4x4.json"
+        rep = tmp_path / "rep.json"
+        assert run(tmp_path, "verify", "--in", str(data), "--report", str(rep)) == EXIT_OK
+        checks = {c["name"]: float(c["residual"]) for c in json.loads(rep.read_text())["checks"]}
+        assert checks["horizontal"] <= 1e-12
 
     def test_verify_stdout_is_the_report(self, tmp_path, thm1_file, capsys):
         rep = tmp_path / "rep.json"

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from lagmin.profiles import (
     ProfileSolution,
     SigmaIntegralSpec,
     Spline,
+    cumulative_integral,
     detect_period,
     embedding_phase_sup,
     energy_residual,
@@ -224,6 +226,83 @@ class TestPhaseIntegrals:
             ph = phase_integrals(solve_profile(ProfileFamily("ch_horo", n, rho), 3.0))
             exact = 2.0 * np.arctan(np.tanh((n + 1) * s / 2)) / (n + 1)
             assert np.max(np.abs(ph.a_of_s(s) - exact)) <= 1e-13
+
+    @pytest.mark.parametrize("tag,n,rho", [
+        ("ch_sphere", 3, 1.0), ("ch_tube", 3, 1.0), ("cp_sphere", 2, 0.6),
+    ])
+    def test_rule_against_exact_sums(self, tag, n, rho):
+        # the per-piece Hermite integrals of the same knot data and the same
+        # Richardson step, summed in 40-digit arithmetic: what is left is
+        # the library's rounding
+        mp = pytest.importorskip("mpmath")
+        sol = solve_profile(ProfileFamily(tag, n, rho), 8.0)
+        ph = phase_integrals(sol)
+        ga, dga, gb, dgb = ph.rates(sol.r, sol.rp)
+        points = np.concatenate([np.linspace(-8.0, 8.0, 17),
+                                 [-7.99999, -3.3333, 0.001, 2.71828, 7.9991]])
+
+        def exact_rule(y, dy):
+            with mp.workdps(40):
+                def from_zero(k):
+                    x, v, d = ([mp.mpf(float(c)) for c in a[::k]] for a in (sol.s, y, dy))
+                    K = [mp.mpf(0)]
+                    for i in range(len(x) - 2):
+                        h = x[i + 1] - x[i]
+                        K.append(K[-1] + h * (v[i] + v[i + 1]) / 2 + h**2 * (d[i] - d[i + 1]) / 12)
+
+                    def at(t):
+                        # the interpolant's power form integrated from its knot
+                        i = min(max(bisect.bisect_right(x, t) - 1, 0), len(x) - 2)
+                        h, w = x[i + 1] - x[i], t - x[i]
+                        slope = (v[i + 1] - v[i]) / h
+                        c2 = (3 * slope - 2 * d[i] - d[i + 1]) / h
+                        c3 = (d[i] + d[i + 1] - 2 * slope) / h**2
+                        return K[i] + v[i] * w + d[i] * w**2 / 2 + c2 * w**3 / 3 + c3 * w**4 / 4
+
+                    return [at(mp.mpf(float(t))) - at(mp.mpf(0)) for t in points]
+
+                fine, coarse = from_zero(1), from_zero(2)
+                return np.array([float(f + (f - c) / 15) for f, c in zip(fine, coarse)])
+
+        for got, y, dy in ((ph.a_of_s, ga, dga), (ph.b_of_s, gb, dgb)):
+            ref = exact_rule(y, dy)
+            assert np.max(np.abs(got(points) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("tag,n,rho", [
+        ("ch_sphere", 2, 1.0), ("ch_sphere", 3, 0.5), ("ch_tube", 3, 0.5), ("ch_tube", 2, 1.0),
+    ])
+    def test_phases_against_the_first_integral(self, tag, n, rho):
+        # an independent route: on s >= 0 the first integral gives
+        # r'^2 = 1 - E / f(r) = (f(r) - f(rho)) / f(r), so s(R), A(s(R)) and
+        # B(s(R)) are integrals over r in [rho, R]; r = rho + v^2 removes the
+        # square root at the turning point
+        mp = pytest.importorskip("mpmath")
+        sphere = tag == "ch_sphere"
+        ph = phase_integrals(solve_profile(ProfileFamily(tag, n, rho), 8.0))
+        with mp.workdps(40):
+            sh, ch = mp.sinh, mp.cosh
+            f = (lambda r: sh(r) ** (2 * n) * ch(r) ** 2) if sphere else \
+                (lambda r: sh(r) ** 2 * ch(r) ** (2 * n))
+            f_rho = f(mp.mpf(rho))
+            a = mp.sqrt(f_rho)
+            rates = [lambda r: 1,  # ds/ds
+                     (lambda r: a / sh(r) ** (n + 1)) if sphere else
+                     (lambda r: a / (sh(r) ** 2 * ch(r) ** (n - 1))),
+                     (lambda r: a / (sh(r) ** (n - 1) * ch(r) ** 2)) if sphere else
+                     (lambda r: a / ch(r) ** (n + 1))]
+
+            def over_r(rate, R):
+                def integrand(v):
+                    r = rho + v * v
+                    fr = f(r)
+                    return 2 * v * rate(r) * mp.sqrt(fr / (fr - f_rho))
+
+                return mp.quad(integrand, [0, mp.sqrt(R - rho)], method="gauss-legendre")
+
+            for R in (rho + 0.25, rho + 1.0, rho + 4.0):
+                s_R, A, B = (over_r(rate, mp.mpf(R)) for rate in rates)
+                for got, ref in ((ph.a_of_s(float(s_R)), A), (ph.b_of_s(float(s_R)), B)):
+                    assert abs(got - float(ref)) <= 1e-9 * abs(float(ref))
 
     @pytest.mark.parametrize("tag,rho", [
         ("ch_sphere", 1.0), ("ch_tube", 0.5), ("ch_horo", 1.0), ("cp_sphere", 0.6),
@@ -509,7 +588,8 @@ class TestOneSolve:
 
 
 class TestSpline:
-    """The numpy spline reproduces scipy's CubicHermiteSpline bit for bit."""
+    """The numpy spline reproduces scipy's CubicHermiteSpline bit for bit,
+    and ``cumulative_integral`` its antiderivative's rule to roundoff."""
 
     @staticmethod
     def _assert_same(ours, ref, points):
@@ -520,14 +600,25 @@ class TestSpline:
             y = ours(float(x))
             assert np.ndim(y) == 0 and y == ref(float(x))
 
-    def _assert_antiderivative(self, x, y, dy, points):
-        # the coefficients (scipy's highest power first) and the values
+    @staticmethod
+    def _assert_cumulative_integral(x, y, dy, points):
+        # scipy's antiderivative of each grid's interpolant, taken from 0,
+        # with the same Richardson step.  Points more than a piece outside
+        # the knots are left out: there the end piece's quartic is
+        # extrapolated u = (t - knot) / h widths out, and either route
+        # keeps only about eps u^4 of it (1e-12 at u = 500)
         from scipy.interpolate import CubicHermiteSpline
 
-        ours = Spline.hermite_antiderivative(x, y, dy)
-        ref = CubicHermiteSpline(x, y, dy).antiderivative()
-        assert np.array_equal(ours.rows, ref.c[::-1].T)
-        self._assert_same(ours, ref, points)
+        points = points[(points >= 2 * x[0] - x[1]) & (points <= 2 * x[-1] - x[-2])]
+
+        def from_zero(k):
+            anti = CubicHermiteSpline(x[::k], y[::k], dy[::k]).antiderivative()
+            return anti(points) - anti(0.0)
+
+        fine, coarse = from_zero(1), from_zero(2)
+        ref = fine + (fine - coarse) / 15.0
+        got = cumulative_integral(x, y, dy)(points)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @staticmethod
     def _probe_points(s):
@@ -545,10 +636,10 @@ class TestSpline:
         ref = CubicHermiteSpline(sol.s, sol.r, sol.rp)
         points = self._probe_points(sol.s)
         self._assert_same(sol.interpolant, ref, points)
-        self._assert_antiderivative(sol.s, sol.r, sol.rp, points)
+        self._assert_cumulative_integral(sol.s, sol.r, sol.rp, points)
         rpp = sol.family.second_derivative(sol.r, sol.rp)
         self._assert_same(sol.rp_interpolant(), CubicHermiteSpline(sol.s, sol.rp, rpp), points)
-        self._assert_antiderivative(sol.s, sol.rp, rpp, points)
+        self._assert_cumulative_integral(sol.s, sol.rp, rpp, points)
 
     def test_non_uniform_knots(self):
         from scipy.interpolate import CubicHermiteSpline
@@ -559,7 +650,7 @@ class TestSpline:
         ours, ref = Spline.hermite(x, y, dy), CubicHermiteSpline(x, y, dy)
         points = np.concatenate([self._probe_points(x), rng.uniform(-5, x[-1] + 5, 500)])
         self._assert_same(ours, ref, points)
-        self._assert_antiderivative(x, y, dy, points)
+        self._assert_cumulative_integral(x, y, dy, points)
 
     def test_points_in_any_shape(self):
         # a column or a block of points is the flat points' values, bit for
