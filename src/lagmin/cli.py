@@ -44,6 +44,8 @@ EXIT_VERIFY = 3
 
 CONFIG_PATH = "./lagmin.conf"
 
+# ode_tol is range-checked and recorded in profile files; it changes no
+# result, since profiles are quadratures built to full precision
 _CONFIG_KEYS = {
     "ode_tol": (float, lambda v: ODE_TOL_RANGE[0] <= v <= ODE_TOL_RANGE[1]),
     "s_max": (float, lambda v: 0 < v <= 100),
@@ -312,7 +314,7 @@ def cmd_export(args, cfg) -> int:
         sol = solve_profile(ProfileFamily("cp_sphere", n, rho), T + 0.5,
                             tol=cfg["ode_tol"])
         s = np.linspace(0.0, T, 513)
-        rows = ser.format_rows(np.column_stack([s, sol.r_of(s), sol.rp_of(s)]))
+        rows = ser.format_rows(np.column_stack([s, *sol.state(s)[:2]]))
         text = ser.profile_to_csv({"grid": rows})
     with open(args.out, "w") as fh:
         fh.write(text)
@@ -336,7 +338,10 @@ def make_parser() -> _Parser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--rho", type=float, required=True)
     sp.add_argument("--s-max", type=float, default=None)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=float, default=None,
+                    help="profile tolerance, recorded in the file and checked to lie in "
+                         "[1e-13, 1e-6]; it no longer changes the profile, whose "
+                         "quadrature tables are always built to full precision")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_solve)
 

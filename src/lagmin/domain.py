@@ -34,8 +34,9 @@ IMMERSION_FAMILIES = (
 SEED_KINDS = ("tg_sphere_cp", "tg_rh_ch", "tg_plane_c", "clifford_cp")
 ALL_CHECKS = ("lagrangian", "horizontal", "minimal", "metric", "sff", "invariance", "symmetry")
 
-# the local error bound of a profile solve unless one is given, and the
-# range of bounds a solve accepts
+# the profile tolerance recorded unless one is given, and the range a
+# profile accepts; the profiles are quadratures built to full precision, so
+# neither changes the computation
 DEFAULT_ODE_TOL = 1e-10
 ODE_TOL_RANGE = (1e-13, 1e-6)
 

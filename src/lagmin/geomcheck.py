@@ -3,8 +3,9 @@
 Jets are taken over a product of S values s and M transverse points x.
 Every family's lift is alpha(s) * beta(x) + delta(s) componentwise, with
 the curve factors alpha and delta differentiated in closed form from the
-profile ODE on the s values and the O(1) transverse block beta's exact
-jet on the M points: no built or loaded immersion takes a numerical step.
+profile equation on the s values and the O(1) transverse block beta's
+exact jet on the M points: no built or loaded immersion takes a numerical
+step.
 
 The geometry reads the jets only through their Hermitian pairings with z
 and with the first partials, so a ``JetBatch`` holds the lift's value and
@@ -726,15 +727,17 @@ TOLERANCES = {"lagrangian": 1e-6, "horizontal": 1e-6,
 
 def _sample_consistency(imm: SampledImmersion, fresh: np.ndarray) -> float:
     """Stored samples vs ``fresh``, the rebuilt lift on the whole grid,
-    (S, M, C), projectively (catches edits)."""
+    (S, M, C), projectively, and stored profile rows vs the profile
+    re-derived from the spec (catches edits of either)."""
     space, stored = imm.ambient.space, imm.samples
+    rows = 0.0 if imm.profile is None else imm.profile.stored_deviation
     if space is None:
         row_scale = np.maximum(
             np.maximum(np.max(np.abs(stored), axis=-1), np.max(np.abs(fresh), axis=-1)), 1.0
         )
-        return float(np.max(np.abs(stored - fresh)) / np.min(row_scale))
+        return max(rows, float(np.max(np.abs(stored - fresh)) / np.min(row_scale)))
     worst = float(np.max(projective_distance(space, stored, fresh)))
-    return max(worst, float(np.max(relative_quadric_defect(space, stored))))
+    return max(worst, rows, float(np.max(relative_quadric_defect(space, stored))))
 
 
 def run_checks(imm: SampledImmersion, checks=ALL_CHECKS) -> CheckReport:

@@ -61,12 +61,11 @@ from .model_spaces import (
     umbilical_embed,
 )
 from .profiles import (
-    FINE_ODE_TOL,
     PAIRS,
     PhaseIntegrals,
     ProfileFamily,
     ProfileSolution,
-    cumulative_integral,
+    cumulative,
     phase_integrals,
     solve_profile,
 )
@@ -559,10 +558,11 @@ def _detuned_phases(profile: ProfileSolution, phases: PhaseIntegrals) -> PhaseIn
         gb, dgb = fam.integrands(r, (f0, 2, -2))  # f0 tanh^2 r
         return np.full_like(r, f0), np.zeros_like(r), gb, dgb * rp
 
-    b_of = cumulative_integral(profile.s, *rates(profile.r, profile.rp)[2:])
+    b_of = cumulative(lambda x: f0 * np.tanh(profile.r_of(x)) ** 2, -profile.s_max, profile.s_max)
     a_of = lambda x: f0 * np.asarray(x, dtype=float)
     speed = lambda x: np.full_like(np.asarray(x, dtype=float), f0)
-    return PhaseIntegrals(fam, a_of, b_of, speed, rates)
+    state = lambda x: (*profile.state(x)[:3], a_of(x), b_of(x))
+    return PhaseIntegrals(fam, a_of, b_of, speed, rates, state)
 
 
 def _mul_jet(u, v):
@@ -577,14 +577,15 @@ def _phase_jet(phase, speed, accel):
     return np.stack([e, 1j * speed * e, (1j * accel - speed**2) * e])
 
 
-def _curve_factors(spec, profile, phases):
+def _curve_factors(spec, phases):
     """s -> (alpha, delta), the curve factors as jets of shape (3, S, C).
 
     Non-flat curves read one state: the jet of r and each phase with its
-    two rates.  Solved curves take r and r' from the interpolant, r'' from
-    the profile equation and the rates from ``phases.rates``; geodesic ones
-    are their row's a = 0 member.  (S, C) is the row's pair.  ``delta`` is
-    None where the lift has no additive curve term.
+    two rates.  Solved curves take r, r', r'' and the phases from one
+    evaluation of the profile (``phases.state``) and the rates from
+    ``phases.rates``; geodesic ones are their row's a = 0 member.  (S, C)
+    is the row's pair.  ``delta`` is None where the lift has no additive
+    curve term.
     """
     kind, n = spec.kind, spec.n
 
@@ -611,14 +612,11 @@ def _curve_factors(spec, profile, phases):
             return rj, (zero, zero, zero), (zero, zero, zero)
 
     else:
-        R, dR = profile.interpolant, profile.rp_interpolant()
-        rpp_of = profile.family.second_derivative
-        a_of, b_of, rates = phases.a_of_s, phases.b_of_s, phases.rates
 
         def state(s):
-            r, rp = R(s), dR(s)
-            sa, sa1, sb, sb1 = rates(r, rp)
-            return np.stack([r, rp, rpp_of(r, rp)]), (a_of(s), sa, sa1), (b_of(s), sb, sb1)
+            r, rp, rpp, a, b = phases.state(s)
+            sa, sa1, sb, sb1 = phases.rates(r, rp)
+            return np.stack([r, rp, rpp]), (a, sa, sa1), (b, sb, sb1)
 
     if kind.layout == "horo":
 
@@ -867,7 +865,7 @@ def assemble_immersion(
     _check_profile(spec, profile)
     phases = phase_integrals(profile) if profile is not None else None
     lift_phases = _detuned_phases(profile, phases) if spec.detuned else phases
-    curve = _curve_factors(spec, profile, lift_phases)
+    curve = _curve_factors(spec, lift_phases)
     beta = _block_factor(kind.layout, block.jet, block.potential_jet)
     jet_factors = _make_jet_factors(curve, beta)
 
@@ -920,8 +918,10 @@ def build_immersion(
 
     ``grid`` is (s-points, total transverse points); the transverse budget
     is split evenly across the d chart axes and rounded to per^d points
-    (64x48 at n = 3 gives 7^2 = 49).  Profiles are solved internally
-    on a window 0.5 wider than the sample window.  A given seed is
+    (64x48 at n = 3 gives 7^2 = 49).  Profiles are built internally
+    on a window 0.5 wider than the sample window; ``ode_tol`` is range-checked
+    and recorded with the profile, and changes nothing, since the profile's
+    quadrature tables are always built to full precision.  A given seed is
     validated on the grid (its jets too), and quadric membership and the
     Legendrian (horizontality) residual of the cached samples go into
     ``header``.
@@ -1056,16 +1056,13 @@ class LegendreCurve:
 
 def _family_curve(spec: ImmersionFamilySpec, s) -> LegendreCurve:
     """The family's Legendre curve: the first and last columns of its curve
-    factor, i.e. the lift at a point where the block is B = e_1, over a
-    profile solved at ``FINE_ODE_TOL``."""
+    factor, i.e. the lift at a point where the block is B = e_1."""
     s = np.asarray(s, dtype=float)
-    profile = phases = None
+    phases = None
     if spec.kind.solved:
         pf = ProfileFamily(spec.kind.profile, spec.n, spec.rho)
-        profile = solve_profile(pf, float(np.max(np.abs(s))) + PROFILE_MARGIN,
-                                tol=FINE_ODE_TOL)
-        phases = phase_integrals(profile)
-    alpha, _ = _curve_factors(spec, profile, phases)(s)
+        phases = phase_integrals(solve_profile(pf, float(np.max(np.abs(s))) + PROFILE_MARGIN))
+    alpha, _ = _curve_factors(spec, phases)(s)
     return LegendreCurve(spec.ambient.space.signature, s, *alpha[..., [0, -1]])
 
 
@@ -1089,18 +1086,25 @@ def wavy_control_curve(s: np.ndarray) -> LegendreCurve:
 
     Legendrian by construction but not a minimality profile; the mean
     curvature functional is visibly nonzero along it.  The phase speeds are
-    a' = f = sqrt(1 - r'^2) / tanh r and b' = f tanh^2 r, integrated on the
-    samples.
+    a' = f = sqrt(1 - r'^2) / tanh r and b' = f tanh^2 r, integrated from 0
+    by Gauss-Legendre panels.
     """
     s = np.asarray(s, dtype=float)
+
+    def speeds(x):
+        r, rp = 1.0 + 0.3 * np.sin(x), 0.3 * np.cos(x)
+        f = np.sqrt(1.0 - rp**2) / np.tanh(r)
+        return f, f * np.tanh(r) ** 2
+
     rj = np.stack([1.0 + 0.3 * np.sin(s), 0.3 * np.cos(s), -0.3 * np.sin(s)])
     r, rp, rpp = rj
     tt, w = np.tanh(r), np.sqrt(1.0 - rp**2)
-    f = w / tt
+    f, g = speeds(s)
     fp = (-rp * rpp / w) / tt - w * rp / (tt**2 * np.cosh(r) ** 2)
-    g = f * tt**2
     gp = fp * tt**2 + 2.0 * f * tt * rp / np.cosh(r) ** 2
+    lo, hi = min(float(s.min()), 0.0), max(float(s.max()), 0.0)
+    a, b = (cumulative(lambda x, k=k: speeds(x)[k], lo, hi)(s) for k in (0, 1))
     sh, ch = PAIRS["ch_sphere"].jets(rj)
-    c1 = _mul_jet(sh, _phase_jet(cumulative_integral(s, f, fp)(s), f, fp))
-    c2 = _mul_jet(ch, _phase_jet(cumulative_integral(s, g, gp)(s), g, gp))
+    c1 = _mul_jet(sh, _phase_jet(a, f, fp))
+    c2 = _mul_jet(ch, _phase_jet(b, g, gp))
     return LegendreCurve("hyperbolic", s, *np.stack([c1, c2], axis=-1))

@@ -7,42 +7,40 @@ Four profile equations, written autonomously with r(0) = rho, r'(0) = 0:
   ch_horo:    closed form r(s) = rho cosh^{1/(n+1)}((n+1) s)
   cp_sphere:  r'' sin r cos r  = (1 - r'^2)(n cos^2 r - sin^2 r)
 
-Each ODE conserves an energy integral; for example ch_sphere conserves
-(1 - r'^2) cosh^2 r sinh^2n r.  Because r' -> 1 exponentially fast for the
-hyperbolic families, the system is integrated in the variables (r, u) with
-r' = tanh u, which turns the equations into the cancellation-free form
-
-  r' = tanh u,   u' = tanh r + n coth r        (ch_sphere)
-  r' = tanh u,   u' = coth r + n tanh r        (ch_tube)
-  r' = tanh u,   u' = n cot r - tan r          (cp_sphere)
-
-and makes the conserved quantity cosh^2 r sinh^2n r / cosh^2 u, which is
-evaluated in log space.  The phase speed of every family is
-f(s) = a / denom(r)^{n+1} with a = sqrt(energy constant).
-
 Each family is one row of a table (``_row``): a pair (S, C) = (sinh, cosh),
 (sin, cos) or, for ch_horo, (r, 1) with S' = C, C' = sigma S and T = S / C;
-the exponents (alpha, beta) of the first integral (1 - r'^2) S^{2 alpha}
-C^{2 beta}; and the phase integrands sign a S^p C^q as (sign, p, q).  The
-energy constant, u' = alpha / T + sigma beta T, r'' = (1 - r'^2) u', the
-energy residual's logs and every phase integrand with its derivative
-dg/dr = g (p / T + sigma q T) are read from the row; ch_horo keeps its
-closed form and first integral r'^2 + a^2 / r^{2n} = r^2.  ``PAIRS`` gives
-a tag's pair without a rho; its ``jets`` are what every lift's curve
-factor multiplies, the real geodesic (the a = 0 member) included.
+the exponents (alpha, beta) of the first integral (1 - r'^2) F(r) = E with
+F = S^{2 alpha} C^{2 beta} and E = F(rho); and the phase integrands
+sign a S^p C^q as (sign, p, q), with a = sqrt(E) and f(s) = a S^p C^q the
+phase speed.  r'' = (1 - r'^2)(alpha / T + sigma beta T) and every phase
+integrand with its derivative dg/dr = g (p / T + sigma q T) are read from
+the row; ch_horo keeps its closed form and first integral
+r'^2 + a^2 / r^{2n} = r^2.  ``PAIRS`` gives a tag's pair without a rho; its
+``jets`` are what every lift's curve factor multiplies, the real geodesic
+(the a = 0 member) included.
 
-The ODEs are solved by ``solve_ivp``, the in-repo DOP853 of ``dop853``
-(bit-identical to scipy's), imported on the first solve.  Each profile is
-one solve over [0, s_max]; s < 0 is its exact mirror (r(-s), -u(-s)),
-since the system is autonomous, r' = tanh u is odd in u and u' = slope(r)
-does not read u, and DOP853 from the mirrored state negates every stage
-sum exactly (``solve_profile``).  Interpolants use ``Spline``, a numpy
-piecewise polynomial bit-identical to scipy's ``CubicHermiteSpline``.
-Cumulative integrals integrate the same cubic Hermite pieces exactly and
-sum them at the knots, with one Richardson step (``cumulative_integral``).
-The s- and t-forms of the total curvature integral use ``quad``, an
-adaptive 21-point Gauss-Kronrod rule over numpy arrays.  Nothing here
-imports scipy.
+No ODE is solved.  By the first integral r'^2 = 1 - E / F(r) = -expm1(-D)
+with D = log F(r) - log E, so along each stretch where r is monotone the
+arc length s and the phases A and B are quadratures in r.  ``_Panels``
+tabulates them once per profile, as cumulative Gauss-Legendre panels, in a
+variable that is regular where it is used (``_pieces``):
+
+  r = rho + v^2 (rho - v^2 where r falls) from the start, where r' = 0;
+  e = e_b cosh tau from cp_sphere's far turn e_b, e the distance pi/2 - r
+      or r to the end of (0, pi/2) that the turn lies towards, on either
+      side of the equilibrium arctan(sqrt n);
+  r itself on the ch rows once D > 1, where s - r converges.
+
+Near a turn D comes from the sinh/sin difference formulas, so r' keeps its
+relative precision there.  ``ProfileSolution.state`` reads r, r', r'', A
+and B at any s from one evaluation: a barycentric guess and one Newton step
+invert the s column, and r' = sqrt(-expm1(-D)) is read at the point found.
+s < 0 is the mirror (r, -r', -A, -B), and cp_sphere's orbit repeats with
+period T = 2 s(e_b), its phases gaining (A(T), B(T)) per period.  ch_horo
+keeps its closed form, its phases a table in s.  The s- and t-forms of the
+total curvature integral use ``quad``, an adaptive 21-point Gauss-Kronrod
+rule over numpy arrays.  Nothing here imports scipy: ``solve_ivp`` is
+scipy's DOP853, imported on use, for the tests' ODE oracle.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ from .domain import (
     DEFAULT_ODE_TOL,
     ODE_TOL_RANGE,
     PROFILE_FAMILIES as FAMILY_TAGS,
-    DetectionFailure,
     GeometryError,
     IntegrationFailure,
     InvalidArgument,
@@ -67,23 +64,20 @@ from .domain import (
 __all__ = [
     "FAMILY_TAGS",
     "PAIRS",
-    "Spline",
     "ProfileFamily",
     "ProfileSolution",
     "PhaseIntegrals",
     "SigmaIntegralSpec",
     "SIGMA_TAIL_TOL",
     "DEFAULT_ODE_TOL",
-    "FINE_ODE_TOL",
     "ODE_TOL_RANGE",
     "EQUILIBRIUM_PROXIMATE",
     "PeriodResult",
     "IntegrationFailure",
     "NeedsLargerDomain",
-    "DetectionFailure",
+    "cumulative",
     "solve_profile",
     "energy_residual",
-    "cumulative_integral",
     "phase_integrals",
     "embedding_phase_sup",
     "sphere_volume",
@@ -93,21 +87,17 @@ __all__ = [
 ]
 
 
-def solve_ivp(*args, **kwargs):
-    """``dop853.solve_ivp``, imported on the first solve.
+def solve_ivp(fun, t_span, y0, **options):
+    """scipy's ``solve_ivp`` with DOP853 and dense output, imported on the
+    first call.  The tests solve the profile ODEs with it as an oracle; no
+    lagmin command calls it."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
 
-    Compiling the solver module takes about 6 ms where no bytecode cache is
-    kept; commands that only read stored profiles never pay it.
-    """
-    from .dop853 import solve_ivp as dop853_solve_ivp
-
-    return dop853_solve_ivp(*args, **kwargs)
+    return scipy_solve_ivp(fun, t_span, y0, method="DOP853", dense_output=True, **options)
 
 
 # The 21-point Gauss-Kronrod rule of QUADPACK's qk21: nodes on [-1, 1], the
-# 10-point Gauss weights at the odd nodes and the 21-point Kronrod weights, as
-# scipy's ``integrate/_quad_vec.py::_quadrature_gk21`` lists them (scipy's BSD
-# license is quoted in ``dop853``).
+# 10-point Gauss weights at the odd nodes and the 21-point Kronrod weights.
 _GK21_NODES = (
     0.995657163025808080735527280689003,
     0.973906528517171720077964012084452,
@@ -223,69 +213,164 @@ def quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
         val, err = np.concatenate([val[keep], new_val]), np.concatenate([err[keep], new_err])
 
 
-class Spline:
-    """Piecewise polynomial on strictly increasing knots, extrapolated by
-    the end pieces.
+# ---------------------------------------------------------------------------
+# cumulative Gauss-Legendre panels
 
-    ``rows[j, k]`` is the coefficient of (x - knots[j])^k on the piece
-    [knots[j], knots[j+1]); a piece's coefficients sit side by side, so an
-    evaluation gathers them in one ``take``.  ``Spline.hermite`` builds the
-    cubic Hermite interpolant.  It and evaluation follow scipy's
-    ``CubicHermiteSpline`` operation for operation, so results are
-    bit-identical to it: the piece is
-    ``searchsorted(knots, x, "right") - 1`` clipped to [0, N-2], and terms
-    are summed lowest power first with powers built by repeated
-    multiplication.
+
+def _legendre(t, degree: int) -> list:
+    """[P_0(t), ..., P_degree(t)] by the three-term recurrence."""
+    P = [np.ones_like(t), t]
+    for k in range(1, degree):
+        P.append(((2 * k + 1) / (k + 1)) * t * P[k] - (k / (k + 1)) * P[k - 1])
+    return P
+
+
+def _gauss_legendre(m: int):
+    """Ascending nodes and weights of the m-point Gauss-Legendre rule on
+    [-1, 1], by Newton's method on P_m."""
+    x = -np.cos(np.pi * (np.arange(m) + 0.75) / (m + 0.5))
+    for _ in range(8):
+        p_prev, p = _legendre(x, m)[-2:]
+        dp = m * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+_GL_M = 16
+_GL_X, _GL_W = _gauss_legendre(_GL_M)
+_GL_V = np.array(_legendre(_GL_X, _GL_M))  # P_k at the nodes, (M + 1, M)
+# node values -> Legendre coefficients of their interpolant, and of its
+# integral from -1: int P_0 = P_1 + P_0, int P_k = (P_{k+1} - P_{k-1}) / (2k + 1)
+_GL_COEF = (np.arange(_GL_M) + 0.5)[:, None] * _GL_V[:_GL_M] * _GL_W
+_GL_ANTI = np.zeros((_GL_M + 1, _GL_M))
+_GL_ANTI[0, 0] = _GL_ANTI[1, 0] = 1.0
+for _k in range(1, _GL_M):
+    _GL_ANTI[_k + 1, _k], _GL_ANTI[_k - 1, _k] = 1.0 / (2 * _k + 1), -1.0 / (2 * _k + 1)
+_GL_ANTI = _GL_ANTI @ _GL_COEF
+# the inverse of the first column's integral on a panel: barycentric
+# interpolation through the panel's ends and nodes
+_GL_T = np.concatenate([[-1.0], _GL_X, [1.0]])
+
+# a panel is split until the last two Legendre coefficients of every column
+# fall below this share of the column's largest node value
+_PANEL_RTOL = 1e-14
+
+
+class _Panels:
+    """Cumulative integrals of the columns of ``f`` over Gauss-Legendre
+    panels, from edges[0].
+
+    ``f`` maps points (K,) to values (K, cols).  The ``edges`` are a first
+    layout; each panel whose Legendre coefficients have not decayed to
+    ``_PANEL_RTOL`` is halved until all have, or until halving stops
+    helping (the integrand's own roundoff), and past ``limit`` panels
+    raises ``IntegrationFailure``.  ``sums`` holds the integrals at the
+    panel edges; calling the table reads them between edges through the
+    exact integral of each panel's Legendre interpolant, and ``invert``
+    solves for where the first column's integral, which must be
+    increasing, takes given values.
     """
 
-    def __init__(self, knots: np.ndarray, rows: np.ndarray):
-        self.knots = knots
-        # scipy sums a piece's terms starting from 0.0, which turns a -0.0
-        # constant term into 0.0
-        rows[:, 0] += 0.0
-        self.rows = rows
-        # searchsorted over the interior knots is the clipped piece index
-        self._interior = knots[1:-1]
+    limit = 4000
 
-    @classmethod
-    def hermite(cls, x, y, dydx) -> "Spline":
-        """Cubic Hermite interpolant of values ``y`` and slopes ``dydx``."""
-        x = np.asarray(x, dtype=float)
-        return cls(x, _hermite_rows(x, y, dydx, np.empty((len(x) - 1, 4))))
+    def __init__(self, f, edges):
+        lo, hi = np.asarray(edges[:-1], dtype=float), np.asarray(edges[1:], dtype=float)
+        done, scale, last = [], 0.0, np.full(len(lo), np.inf)
+        while len(lo):
+            half = 0.5 * (hi - lo)
+            x = (lo + half)[:, None] + half[:, None] * _GL_X
+            fx = np.asarray(f(x.ravel()), dtype=float).reshape(len(lo), _GL_M, -1)
+            scale = np.maximum(scale, np.max(np.abs(fx), axis=(0, 1)))
+            tail = np.max(np.abs(np.einsum("km,pmc->pkc", _GL_COEF[-2:], fx)).sum(axis=1)
+                          / np.maximum(scale, np.finfo(float).tiny), axis=1)
+            # converged, or at the integrand's own roundoff: small, and no
+            # longer shrinking eightfold as the panel halves (NaN splits)
+            split = ~((tail <= _PANEL_RTOL) | ((tail < 1e-6) & (tail > last / 8)))
+            done.append((lo[~split], hi[~split], fx[~split]))
+            if sum(len(d[0]) for d in done) + 2 * np.count_nonzero(split) > self.limit:
+                raise IntegrationFailure(f"quadrature table needs more than {self.limit} panels")
+            mid = (lo[split] + hi[split]) / 2
+            lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+            last = np.tile(tail[split], 2)
+        lo, hi, fx = (np.concatenate(a) for a in zip(*done))
+        order = np.argsort(lo)
+        lo, hi, fx = lo[order], hi[order], fx[order]
+        self.edges = np.append(lo, hi[-1])
+        self.mid, self.half = (lo + hi) / 2, (hi - lo) / 2
+        # per panel, the Legendre coefficients of the integrals from the
+        # panel's start and of their t-derivatives, side by side
+        self.cols = fx.shape[2]
+        anti = np.einsum("km,pmc->pkc", _GL_ANTI, fx) * self.half[:, None, None]
+        rate = np.einsum("km,pmc->pkc", _GL_COEF, fx) * self.half[:, None, None]
+        self.coef = np.concatenate([anti, np.pad(rate, ((0, 0), (0, 1), (0, 0)))],
+                                   axis=2).transpose(1, 0, 2).copy()  # (M + 1, panels, 2 cols)
+        sums = np.zeros((len(lo) + 1, self.cols))
+        np.cumsum(np.einsum("m,pmc->pc", _GL_W, fx) * self.half[:, None], axis=0, out=sums[1:])
+        self.sums = sums
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim > 1:  # the gathered rows lead with the points: take them flat
-            return self(x.ravel()).reshape(x.shape)
-        i = self._interior.searchsorted(x, "right")
-        if x.ndim == 0:
-            # one point: Python floats round exactly like the array path
-            return _sum_powers(self.rows[i].tolist(), float(x) - float(self.knots[i]))
-        return _sum_powers(self.rows.take(i, axis=0).T, x - self.knots.take(i))
+    def _values(self, p, t):
+        """The integrals (N, cols) at local points t of panels p, and their
+        t-derivatives (N, cols).  Every point is summed on its own, so a
+        point's values do not depend on the others."""
+        coef = self.coef.take(p, axis=1)
+        out = np.zeros((len(p), 2 * self.cols))
+        out[:, :self.cols] = self.sums[p]
+        for Pk, ck in zip(_legendre(t, _GL_M), coef):
+            out += Pk[:, None] * ck
+        return out[:, :self.cols], out[:, self.cols:]
+
+    def __call__(self, x) -> np.ndarray:
+        """The integrals (N, cols) at the points x, held constant outside
+        the table."""
+        p = self.edges[1:-1].searchsorted(x, "right")
+        return self._values(p, np.clip((x - self.mid[p]) / self.half[p], -1.0, 1.0))[0]
+
+    @cached_property
+    def _inverse(self):
+        """The first column's integral from each panel's start at its ends
+        and nodes, scaled to [-1, 1], and their barycentric weights."""
+        total = self.sums[1:, :1] - self.sums[:-1, :1]
+        local = np.concatenate([np.zeros_like(total), self.coef[:, :, 0].T @ _GL_V, total], axis=1)
+        eta = 2 * local / total - 1
+        diff = eta[:, :, None] - eta[:, None, :]
+        diff[:, np.arange(_GL_M + 2), np.arange(_GL_M + 2)] = 1.0
+        return eta, 1.0 / np.prod(diff, axis=2)
+
+    def invert(self, y):
+        """(panel, t, integrals) where the first column's integral is y,
+        clipped to the table: a barycentric guess through the panel's node
+        values, then Newton steps, the last of which moves every column to
+        first order.  A panel's start is found exactly."""
+        K = self.sums[:, 0]
+        p = K[1:-1].searchsorted(y, "right")
+        eta, bary = (a[p] for a in self._inverse)
+        d = np.clip(2 * (y - K[p]) / (K[p + 1] - K[p]) - 1, -1.0, 1.0)[:, None] - eta
+        # a node hit exactly outweighs the others past rounding
+        w = bary / np.where(d == 0, 1e-200, d)
+        t = np.sum(w * _GL_T, axis=1) / np.sum(w, axis=1)
+        for _ in range(4):
+            values, rates = self._values(p, t)
+            step = (y - values[:, 0]) / rates[:, 0]
+            if not np.max(np.abs(step), initial=0.0) > 1e-9:  # its square is below roundoff
+                break
+            t = np.clip(t + step, -1.0, 1.0)
+        start = y == K[p]
+        values = np.where(start[:, None], self.sums[p], values + step[:, None] * rates)
+        return p, np.where(start, -1.0, np.clip(t + step, -1.0, 1.0)), values
 
 
-def _hermite_rows(x, y, dydx, rows):
-    """The cubic Hermite coefficients, lowest power first, written into
-    ``rows`` (pieces, 4)."""
-    y, dydx = np.asarray(y, dtype=float), np.asarray(dydx, dtype=float)
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-    rows[:, 0] = y[:-1]
-    rows[:, 1] = dydx[:-1]
-    rows[:, 2] = (slope - dydx[:-1]) / dx - t
-    rows[:, 3] = t / dx
-    return rows
+def cumulative(f, lo: float, hi: float):
+    """x -> integral of f from 0 to x, for x in [lo, hi] (lo <= 0 <= hi):
+    Gauss-Legendre panels on [lo, hi], at most 0.5 wide and refined until
+    converged (``_Panels``); f maps points to values."""
+    count = max(1, int(math.ceil(2.0 * (hi - lo))))
+    table = _Panels(lambda x: np.asarray(f(x))[:, None], np.linspace(lo, hi, count + 1))
+    zero = table(np.zeros(1))[0, 0]
+    return lambda x: table(np.ravel(x))[:, 0].reshape(np.shape(x)) - zero
 
 
-def _sum_powers(c, s):
-    """sum_k c[k] s^k, lowest power first, powers by repeated multiplication."""
-    out = c[0] + c[1] * s
-    power = s
-    for ck in c[2:]:
-        power = power * s
-        out = out + ck * power
-    return out
+# ---------------------------------------------------------------------------
+# the family table
 
 
 def _logcosh(x):
@@ -294,15 +379,26 @@ def _logcosh(x):
 
 
 def _logsinh(x):
-    # valid for x > 0
+    # valid for x > 0; below 1 directly, where 1 - e^{-2x} would cancel
     x = np.asarray(x, dtype=float)
-    return x + np.log1p(-np.exp(-2.0 * x)) - math.log(2.0)
+    return np.where(x < 1.0, np.log(np.sinh(np.minimum(x, 1.0))),
+                    x + np.log1p(-np.exp(-2.0 * x)) - math.log(2.0))
+
+
+# pi/2 in two parts: _co(x) = pi/2 - x keeps its relative precision near pi/2
+_PIO2_HI, _PIO2_LO = 1.5707963267948966, 6.123233995736766e-17
+
+
+def _co(x):
+    return (_PIO2_HI - x) + _PIO2_LO
 
 
 @dataclass(frozen=True)
 class _Trig:
     """(S, C) with S' = C, C' = sigma S and T = S / C, over arrays; ``S0``
-    and ``C0`` are the forms the scalar rho has always used."""
+    and ``C0`` are the forms the scalar rho has always used.  ``pair(x, c)``
+    is (S(x), C(x)) given c = pi/2 - x too, so that on the circle C = sin c
+    keeps its relative precision near pi/2."""
 
     sigma: float
     S: object
@@ -310,7 +406,7 @@ class _Trig:
     T: object
     S0: object
     C0: object
-    logs: object = None  # r -> (log S, log C)
+    pair: object = None
 
     def jets(self, t):
         """Jets of (S(t), C(t)) from the jet t = (t, t', t'')."""
@@ -321,9 +417,9 @@ class _Trig:
 
 
 _HYPERBOLIC = _Trig(1.0, np.sinh, np.cosh, np.tanh, math.sinh, math.cosh,
-                    lambda r: (_logsinh(r), _logcosh(r)))
+                    lambda x, c: (np.sinh(x), np.cosh(x)))
 _CIRCULAR = _Trig(-1.0, np.sin, np.cos, np.tan, math.sin, math.cos,
-                  lambda r: (np.log(np.sin(r)), np.log(np.cos(r))))
+                  lambda x, c: (np.sin(x), np.sin(c)))
 # ch_horo: S = r, C = 1; its first integral is not of the (1 - r'^2) form
 _FLAT = _Trig(0.0, lambda r: r, np.ones_like, lambda r: r, lambda r: r, lambda r: 1.0)
 
@@ -362,7 +458,6 @@ class ProfileFamily:
     tag: str
     n: int
     rho: float
-    # built once: ode_rhs reads it on every right-hand-side evaluation
     row: _Row = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -394,36 +489,16 @@ class ProfileFamily:
         f(s) = a / denom(r)^{n+1}."""
         return math.sqrt(self.energy_constant)
 
-    def slope(self, r):
-        """u' = alpha / T + sigma beta T as a function of r for the (r, u)
-        system (r' = tanh u)."""
-        row = self.row
-        if row.trig is _FLAT:
-            raise InvalidArgument("ch_horo has no ODE form; use the closed form")
-        t = row.trig.T(r)
-        return row.alpha / t + row.trig.sigma * row.beta * t
-
-    def ode_rhs(self, _s, y):
-        """Right-hand side (r', u') = (tanh u, slope(r)) of the (r, u) system,
-        in ``solve_ivp``'s calling convention.
-
-        Called on every stage, so ``slope`` is spelled out in Python floats,
-        which round as numpy's scalars do; T stays numpy's tan/tanh, whose
-        bits ``math.tan`` does not always share."""
-        row = self.row
-        if row.trig is _FLAT:
-            raise InvalidArgument("ch_horo has no ODE form; use the closed form")
-        r, u = y.tolist()
-        t = float(row.trig.T(r))
-        return (math.tanh(u), row.alpha / t + row.trig.sigma * row.beta * t)
-
     def second_derivative(self, r, rp):
-        """r'' = (1 - r'^2) slope(r) from the profile equation at state
-        (r, r') (ch_horo: from its first integral, independent of r')."""
+        """r'' = (1 - r'^2)(alpha / T + sigma beta T) from the profile
+        equation at state (r, r') (ch_horo: from its first integral,
+        independent of r')."""
         if self.tag == "ch_horo":
             # differentiating the first integral r'^2 + a^2 / r^{2n} = r^2
             return r + self.n * self.energy_constant / r ** (2 * self.n + 1)
-        return (1.0 - rp**2) * self.slope(r)
+        row = self.row
+        t = row.trig.T(r)
+        return (1.0 - rp**2) * (row.alpha / t + row.trig.sigma * row.beta * t)
 
     def integrands(self, r, *terms):
         """(g, dg/dr, ...) for each g = c S(r)^p C(r)^q of ``terms`` as
@@ -438,149 +513,319 @@ class ProfileFamily:
         return out
 
 
-@dataclass
-class ProfileSolution:
-    """Dense numeric profile on a symmetric grid.
+# ---------------------------------------------------------------------------
+# profiles as quadratures in r
 
-    ``grid`` columns are (s, r, r'); ``u`` carries artanh(r') for the ODE
-    families (None for the closed-form ch_horo) and is what makes long-range
-    energy evaluation possible.  ``interpolant`` is the cubic Hermite spline
-    of (s, r, r'), built here from the grid; downstream quadratures consume
-    it.
+
+class _Piece:
+    """A stretch of the half orbit s >= 0 on which r is monotone: the table
+    of (s, A, B) over the variable x of ``point`` (x -> (r, S, C, D,
+    |dr/dx|)) on the panel ``edges``.  s, A and B take the values ``start``
+    at the table's first edge and run forward (sign 1) or back (sign -1)
+    from there; a piece that runs back starts where its table ends."""
+
+    def __init__(self, fam: ProfileFamily, point, edges, start=(0.0, 0.0, 0.0), sign=1.0):
+        a, row = fam.phase_constant, fam.row
+
+        def rates(x):  # ds/dx, dA/dx, dB/dx
+            _, S, C, D, drdx = point(x)
+            ds = drdx / np.sqrt(-np.expm1(-D))
+            return np.stack([ds] + [c * a * S**p * C**q * ds for c, p, q in
+                                    (row.phase_a, row.phase_b)], axis=-1)
+
+        self.table, self.point, self.sign = _Panels(rates, edges), point, sign
+        self.start = np.array(start, dtype=float)
+        if sign < 0:
+            self.start = self.start + self.table.sums[-1]
+
+    @property
+    def end(self) -> np.ndarray:
+        return self.start + self.sign * self.table.sums[-1]
+
+
+def _from_turn(fam: ProfileFamily, x0: float, c0: float, shift):
+    """x -> (r, S, C, D, |dr/dx|) along r = x0 + d, with (d, |dr/dx|) =
+    shift(x) and c0 = pi/2 - x0; D is log F(r) - log F(x0), taken from
+    the difference formulas S(x0 + d) - S(x0) = 2 C(x0 + d/2) S(d/2) and
+    C(x0 + d) - C(x0) = 2 sigma S(x0 + d/2) S(d/2)."""
+    row = fam.row
+    trig = row.trig
+    S0, C0 = trig.pair(x0, c0)
+
+    def point(x):
+        d, drdx = shift(x)
+        Sm, Cm = trig.pair(x0 + d / 2, c0 - d / 2)
+        H = trig.S(d / 2)
+        D = (2 * row.alpha * np.log1p(2 * Cm * H / S0)
+             + 2 * row.beta * np.log1p(2 * trig.sigma * Sm * H / C0))
+        return (x0 + d, *trig.pair(x0 + d, c0 - d), D, drdx)
+
+    return point
+
+
+def _far_turn(fam: ProfileFamily, upper: bool, log_e: float, e_max: float) -> float:
+    """The distance e of cp_sphere's far turn from pi/2 (``upper``) or from 0,
+    where log F = log_e: Newton's method in log e, kept inside the bracket
+    (0, e_max) on which F rises, until its steps reach roundoff."""
+    alpha, beta = fam.row.alpha, fam.row.beta
+
+    def g(y):  # log F - log_e at e = exp(y), and its derivative in y
+        e = math.exp(y)
+        S, C = (math.cos(e), math.sin(e)) if upper else (math.sin(e), math.cos(e))
+        t = math.tan(e)
+        dlog = (2 * beta / t - 2 * alpha * t) if upper else (2 * alpha / t - 2 * beta * t)
+        return 2 * alpha * math.log(S) + 2 * beta * math.log(C) - log_e, e * dlog
+
+    lo, hi = -math.inf, math.log(e_max)
+    y, last = min(log_e / (2 * (beta if upper else alpha)), hi - 1e-3), math.inf
+    for _ in range(100):
+        value, slope = g(y)
+        if value == 0:
+            break
+        lo, hi = (y, hi) if value < 0 else (lo, y)
+        y_new = y - value / slope
+        if not lo < y_new < hi:
+            y_new = (lo + hi) / 2 if lo > -math.inf else hi - 1.0
+        step, y = abs(y_new - y), y_new
+        if step <= 1e-15 or (step < 1e-12 and step > last / 2):
+            break
+        last = step
+    return math.exp(y)
+
+
+def _pieces(fam: ProfileFamily, s_max: float) -> tuple:
+    """The pieces of the half orbit s >= 0, in the order of s, covering
+    [0, s_max] on the ch rows and one half period on cp_sphere."""
+    row, rho = fam.row, fam.rho
+    if fam.energy_constant < np.finfo(float).tiny:
+        raise IntegrationFailure(f"the energy constant of rho={rho!r} underflows")
+    slope = float(fam.second_derivative(rho, 0.0))  # r''(0) = alpha / T + sigma beta T
+    sign = math.copysign(1.0, slope)
+    if fam.tag == "cp_sphere":
+        r_eq = math.atan(math.sqrt(fam.n))
+        v_m = math.sqrt(abs(r_eq - rho))
+    else:
+        v_m = math.sqrt(1.0 / slope)  # D is about 2 there
+    first = _Piece(fam, _from_turn(fam, rho, _co(rho), lambda v: (sign * v * v, 2 * v)),
+                   [0.0, v_m / 2, v_m])
+    r_m = rho + sign * v_m * v_m
+    if fam.tag == "cp_sphere":
+        upper = sign > 0
+        e_m = _co(r_eq) if upper else r_eq
+        log_e = 2 * row.alpha * math.log(math.sin(rho)) + 2 * row.beta * math.log(
+            math.sin(_co(rho)))
+        e_b = _far_turn(fam, upper, log_e, e_m)
+        x0, c0 = (_co(e_b), e_b) if upper else (e_b, _co(e_b))
+        shift = lambda tau: (-sign * 2 * e_b * np.sinh(tau / 2) ** 2, e_b * np.sinh(tau))
+        tau_m = math.acosh(max(e_m / e_b, 1.0))
+        # the far table runs back from the turn to the junction
+        return first, _Piece(fam, _from_turn(fam, x0, c0, shift),
+                             np.linspace(0.0, tau_m, int(math.ceil(tau_m)) + 2), first.end, -1.0)
+
+    log_s0, log_c0 = float(_logsinh(rho)), float(_logcosh(rho))
+
+    def point(r):
+        D = 2 * row.alpha * (_logsinh(r) - log_s0) + 2 * row.beta * (_logcosh(r) - log_c0)
+        return r, np.sinh(r), np.cosh(r), D, np.ones_like(r)
+
+    # out to D = 80, past which e^{-D/2} leaves A and B unchanged in doubles,
+    # or to r(s_max) <= rho + s_max, the first that comes
+    r_top, r_end = rho + s_max + 1.0, r_m
+    for _ in range(100):
+        D_end = float(point(np.array(r_end))[3])
+        if D_end >= 80.0 or r_end >= r_top:
+            break
+        t = math.tanh(r_end)
+        r_end += (80.0 - D_end) / (2 * (row.alpha / t + row.beta * t))
+    r_end = min(r_end, r_top)
+    edges, width = [r_m], v_m * v_m
+    while edges[-1] < r_end:
+        edges.append(min(edges[-1] + width, r_end))
+        width = min(2 * width, 1.0)
+    if r_top > r_end:
+        edges.append(r_top)
+    return first, _Piece(fam, point, edges, first.end)
+
+
+def _closed_form_horo(fam: ProfileFamily, s):
+    m = fam.n + 1
+    r = fam.rho * np.exp(_logcosh(m * s) / m)
+    return r, r * np.tanh(m * s)
+
+
+# spacing of the sampled profile rows [s, r, r']
+_ROW_STEP = 2e-3
+
+
+@dataclass(eq=False)
+class ProfileSolution:
+    """A profile on [-s_max, s_max], read at any s by ``state``.
+
+    The ODE families carry their quadrature tables (``_pieces``); ch_horo
+    its closed form and a table of its phases in s.  ``s``, ``r`` and
+    ``rp`` sample the profile on a symmetric grid of step about
+    ``_ROW_STEP``, taken on first use; they are the rows a file stores.
+    ``tol`` is recorded, and changes nothing: the tables are always built
+    to full precision.  ``stored_deviation`` is how far the rows of the
+    file this profile was read from lie from it (0 for a profile built
+    here).
     """
 
     family: ProfileFamily
-    s: np.ndarray
-    r: np.ndarray
-    rp: np.ndarray
-    u: np.ndarray | None
-    energy_constant: float
-    tol: float
-    u_reconstructed: bool = False
-    interpolant: Spline = field(init=False, repr=False)
-    _rp_spline: Spline | None = field(default=None, init=False, repr=False, compare=False)
+    s_max: float
+    tol: float = DEFAULT_ODE_TOL
+    stored_deviation: float = 0.0
 
     def __post_init__(self):
-        for a in (self.s, self.r, self.rp):
-            a.setflags(write=False)
-        self.interpolant = Spline.hermite(self.s, self.r, self.rp)
+        fam = self.family
+        self._last = None
+        curvature = fam.second_derivative(fam.rho, 0.0)
+        # r rises from rho on the ch rows, and on cp_sphere below arctan(sqrt n)
+        self._sign = math.copysign(1.0, curvature)
+        self._equilibrium = fam.tag == "cp_sphere" and abs(curvature) < 1e-12
+        if fam.tag == "ch_horo":
+            a, row = fam.phase_constant, fam.row
+
+            def rates(s):
+                r = _closed_form_horo(fam, s)[0]
+                return np.stack([c * a * r**p for c, p, _ in (row.phase_a, row.phase_b)], axis=-1)
+
+            top = self.s_max + 1.0
+            count = min(32, int(math.ceil((fam.n + 1) * top)))
+            self._horo = _Panels(rates, np.linspace(0.0, top, count + 1))
+        elif not self._equilibrium:
+            self._pieces = _pieces(fam, self.s_max)
 
     @property
-    def s_max(self) -> float:
-        return float(self.s[-1])
+    def energy_constant(self) -> float:
+        return self.family.energy_constant
+
+    @property
+    def period(self) -> float:
+        """cp_sphere: the period 2 s(e_b) of the orbit."""
+        return 2.0 * float(self._pieces[-1].start[0])
+
+    def _half_orbit(self, s):
+        """(r, |r'|, A, B) at s in [0, the pieces' end], flat."""
+        r, D, A, B = (np.empty_like(s) for _ in range(4))
+        bounds = [piece.start[0] if piece.sign > 0 else piece.end[0] for piece in self._pieces]
+        which = np.searchsorted(bounds[1:], s, "right")
+        for k, piece in enumerate(self._pieces):
+            at = which == k
+            if not at.any():
+                continue
+            table = piece.table
+            p, t, values = table.invert(piece.sign * (s[at] - piece.start[0]))
+            r[at], _, _, D[at], _ = piece.point(table.mid[p] + table.half[p] * t)
+            A[at], B[at] = (piece.start[1:] + piece.sign * values[:, 1:]).T
+        return r, np.sqrt(-np.expm1(-np.maximum(D, 0.0))), A, B
+
+    def _evaluate(self, s):
+        """(r, r', A, B) at the points s (flat)."""
+        fam = self.family
+        s = np.asarray(s, dtype=float)
+        mirror = np.signbit(s)
+        s = np.abs(s)
+        if fam.tag == "ch_horo":
+            r, rp = _closed_form_horo(fam, s)
+            A, B = self._horo(s).T
+        elif self._equilibrium:
+            r, rp = np.full_like(s, fam.rho), np.zeros_like(s)
+            ga, _, gb, _ = phase_integrals(self).rates(r, rp)
+            A, B = ga * s, gb * s
+        elif fam.tag == "cp_sphere":
+            # one period on: the turns taken, and the way back from the far turn
+            T = self.period
+            A_T, B_T = 2.0 * self._pieces[-1].start[1:]
+            turns = np.floor(s / T)
+            s = s - turns * T
+            back = s > T / 2
+            r, rp, A, B = self._half_orbit(np.where(back, T - s, s))
+            rp = np.where(back, -rp, rp)
+            A = np.where(back, A_T - A, A) + turns * A_T
+            B = np.where(back, B_T - B, B) + turns * B_T
+        else:
+            r, rp, A, B = self._half_orbit(s)
+        rp = self._sign * rp
+        return r, np.where(mirror, -rp, rp), np.where(mirror, -A, A), np.where(mirror, -B, B)
+
+    def state(self, s):
+        """(r, r', r'', A, B) at s, in the shape of s, read-only: one
+        evaluation of the profile and its phases, which every reader takes
+        them from.  The last one is kept, since a build and its checks read
+        the same s values several times."""
+        s = np.asarray(s, dtype=float)
+        key = (s.shape, s.tobytes())
+        if self._last is None or self._last[0] != key:
+            r, rp, A, B = self._evaluate(s.ravel())
+            values = (r, rp, self.family.second_derivative(r, rp), A, B)
+            for v in values:
+                v.setflags(write=False)
+            self._last = key, tuple(v.reshape(s.shape) for v in values)
+        return tuple(v[()] for v in self._last[1])
 
     def r_of(self, s):
-        return self.interpolant(s)
+        return self.state(s)[0]
 
     def rp_of(self, s):
-        return self.rp_interpolant()(s)
+        return self.state(s)[1]
 
-    def rp_interpolant(self) -> Spline:
-        """r' as a cubic Hermite spline with the profile equation's r'' as
-        knot slopes, built on first use: O(step^4) between knots, where the
-        derivative of ``interpolant`` is O(step^3)."""
-        if self._rp_spline is None:
-            rpp = self.family.second_derivative(self.r, self.rp)
-            self._rp_spline = Spline.hermite(self.s, self.rp, rpp)
-        return self._rp_spline
+    @cached_property
+    def _rows(self):
+        half = max(8, int(math.ceil(self.s_max / _ROW_STEP)))
+        s = np.linspace(-self.s_max, self.s_max, 2 * half + 1)
+        if self.family.tag == "ch_horo":
+            r, rp = _closed_form_horo(self.family, s)
+        else:
+            r, rp = self._evaluate(s)[:2]
+        for a in (s, r, rp):
+            a.setflags(write=False)
+        return s, r, rp
 
-
-def _closed_form_horo(fam: ProfileFamily, s: np.ndarray):
-    m = fam.n + 1
-    lc = _logcosh(m * s)
-    r = fam.rho * np.exp(lc / m)
-    rp = r * np.tanh(m * s)
-    return r, rp
-
-
-# spacing of the profile grid that interpolants and phase integrals read
-_GRID_STEP = 2e-3
-
-# the bound of the solves behind reference values: the Legendre curves and
-# the s-form curvature integral (at 1e-10 the ch_sphere curve's Legendre
-# functional reads about 1e-9, at 1e-11 about 1e-10)
-FINE_ODE_TOL = 1e-11
+    s = property(lambda self: self._rows[0])
+    r = property(lambda self: self._rows[1])
+    rp = property(lambda self: self._rows[2])
 
 
 def solve_profile(family: ProfileFamily, s_max: float,
                   tol: float = DEFAULT_ODE_TOL) -> ProfileSolution:
-    """Solve the profile equation on [-s_max, s_max].
+    """The profile of ``family`` on [-s_max, s_max].
 
-    ch_horo is evaluated from its closed form; the other families are
-    integrated by ``solve_ivp``'s adaptive explicit Runge-Kutta (DOP853) in
-    the (r, u) variables with local error <= tol, once, over [0, s_max].
-    The grid's s >= 0 half is read from that solve's dense output and its
-    s < 0 half at -s with u negated.  That mirror is exactly what a second,
-    backward solve from (rho, 0) returns: the system is autonomous with
-    r' = tanh u odd in u and u' = slope(r) free of u, so
-    (r(-s), -u(-s)) is a solution too, and DOP853 on the mirrored state
-    negates every stage sum, step and interpolant value exactly (IEEE
-    rounding is symmetric in sign and ``math.tanh`` is odd).  Evenness is
-    therefore exact, not a numerical property the grid could test.
+    ``tol`` must lie in ``ODE_TOL_RANGE`` and is recorded; the quadrature
+    tables behind the profile are built to full precision whatever it is.
     """
     if not ODE_TOL_RANGE[0] <= tol <= ODE_TOL_RANGE[1]:
         raise InvalidArgument("tol must lie in [1e-13, 1e-6]")
     if not 0 < s_max < math.inf:
         raise InvalidArgument(f"s_max must be positive and finite, got {s_max!r}")
-    half = max(8, int(math.ceil(s_max / _GRID_STEP)))
-    s = np.linspace(-s_max, s_max, 2 * half + 1)
-
-    if family.tag == "ch_horo":
-        r, rp = _closed_form_horo(family, s)
-        return ProfileSolution(family, s, r, rp, None, family.energy_constant, tol)
-
-    sol = solve_ivp(family.ode_rhs, (0.0, s_max), (family.rho, 0.0),
-                    rtol=max(tol, 2.3e-14), atol=tol * 1e-3)
-    if not sol.success:
-        raise IntegrationFailure(sol.message, last_s=float(sol.t[-1]))
-
-    r = np.empty_like(s)
-    u = np.empty_like(s)
-    neg = s < 0
-    # two half evaluations: one on |s| would hold a second full-size temporary
-    yb = sol.sol(-s[neg])
-    yf = sol.sol(s[~neg])
-    r[neg], u[neg] = yb[0], -yb[1]
-    r[~neg], u[~neg] = yf[0], yf[1]
-    rp = np.tanh(u)
-
-    if family.tag == "cp_sphere" and (np.any(r <= 0) or np.any(r >= math.pi / 2)):
-        raise IntegrationFailure("cp_sphere profile left (0, pi/2)", last_s=None)
-
-    return ProfileSolution(family, s, r, rp, u, family.energy_constant, tol)
+    return ProfileSolution(family, float(s_max), tol)
 
 
 def energy_residual(sol: ProfileSolution) -> float:
-    """Max deviation of the conserved energy over the grid.
+    """Largest relative deviation |(1 - r'^2) F(r) / E - 1| of the first
+    integral at the nodes of the profile's tables.
 
-    Normalized by the energy constant for the ODE families; for ch_horo the
-    first-integral residual |(r')^2 + rho^{2(n+1)}/r^{2n} - r^2| is absolute.
-    The ODE families are evaluated in log space: with r' = tanh u the
-    conserved quantity is cosh^2 r sinh^2n r / cosh^2 u (and its analogues),
-    so the residual is |expm1(L(s) - L(0))| with L a sum of log terms.
-
-    Solutions rebuilt from serialized (s, r, r') grids carry u recovered by
-    artanh, which saturates once 1 - r'^2 drops below double-precision
-    resolution of r'; such solutions are certified only where
-    1 - r'^2 >= 1e-6 (elsewhere the stored data cannot distinguish drift
-    from rounding of r').
+    Each node's r' comes from D, the first integral itself, so this reads
+    roundoff by construction: that of the difference formulas behind D, and
+    of the far turn of cp_sphere.  For ch_horo it is the absolute residual
+    |(r')^2 + rho^{2(n+1)}/r^{2n} - r^2| of its closed form over the
+    sampled rows.
     """
     fam = sol.family
     if fam.tag == "ch_horo":
         res = sol.rp**2 + fam.energy_constant / sol.r ** (2 * fam.n) - sol.r**2
         return float(np.max(np.abs(res)))
-    keep = np.ones(len(sol.s), dtype=bool)
-    if sol.u_reconstructed:
-        keep = (1.0 - sol.rp**2) >= 1e-6
-        if not np.any(keep):
-            keep[:] = True
-    r, u = sol.r[keep], sol.u[keep]
+    if sol._equilibrium:  # r = rho and r' = 0 throughout
+        return 0.0
     row = fam.row
-    log_s, log_c = row.trig.logs(r)
-    L = 2.0 * row.alpha * log_s + 2.0 * row.beta * log_c - 2.0 * _logcosh(u)
-    log_s, log_c = row.trig.logs(fam.rho)
-    Lref = 2.0 * row.alpha * log_s + 2.0 * row.beta * log_c
-    return float(np.max(np.abs(np.expm1(L - Lref))))
+    S0, C0 = row.trig.pair(fam.rho, _co(fam.rho))
+    worst = 0.0
+    for piece in sol._pieces:
+        table = piece.table
+        _, S, C, D, _ = piece.point((table.mid[:, None] + table.half[:, None] * _GL_X).ravel())
+        L = 2 * row.alpha * np.log(S / S0) + 2 * row.beta * np.log(C / C0) - D
+        worst = max(worst, float(np.max(np.abs(np.expm1(L)))))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -589,13 +834,14 @@ def energy_residual(sol: ProfileSolution) -> float:
 
 @dataclass
 class PhaseIntegrals:
-    """Cumulative phase integrals of a profile, a(0) = b(0) = 0.
+    """Phase integrals of a profile, a(0) = b(0) = 0.
 
     ``a_of_s`` and ``b_of_s`` are the signed exponents of the first and
     second components of the corresponding immersion (cp_sphere carries the
     minus sign on a_of_s).  ``phase_speed`` is f(s) = a / denom(r)^{n+1}.
     ``rates(r, r')`` returns the exponents' first and second s-derivatives
-    (a', a'', b', b'') in closed form from the profile state.
+    (a', a'', b', b'') in closed form from the profile state.  ``state(s)``
+    is the curve state (r, r', r'', a, b) a lift reads.
     """
 
     family: ProfileFamily
@@ -603,62 +849,12 @@ class PhaseIntegrals:
     b_of_s: object
     phase_speed: object
     rates: object
-
-
-def _hermite_integral(x, y, dydx):
-    """t -> integral from 0 to t of the cubic Hermite interpolant of
-    (y, dydx) on the knots x, continued by the end pieces outside them.
-
-    Each piece's exact integral h (y_i + y_{i+1}) / 2 + h^2 (y'_i - y'_{i+1})
-    / 12 comes from one vectorized pass, and the knot values from one cumsum
-    running outward on each side of the piece that holds 0, so no knot
-    carries the rounding of the other side's sum.  The part of a piece
-    below t is integrated at t only.
-    """
-    h = np.diff(x)
-    pieces = h * (y[:-1] + y[1:]) / 2 + h * h * (dydx[:-1] - dydx[1:]) / 12
-    interior = x[1:-1]
-    # K[i]: the integral from the start of piece i0 to the start of piece i
-    i0 = interior.searchsorted(0.0, "right")
-    K = np.zeros(len(x) - 1)
-    np.cumsum(pieces[i0:-1], out=K[i0 + 1:])
-    K[:i0] = -np.cumsum(pieces[:i0][::-1])[::-1]
-
-    def at(t):
-        i = interior.searchsorted(t, "right")
-        w, j = h.take(i), i + 1
-        u = (t - x.take(i)) / w
-        y0, dy = y.take(i), y.take(j) - y.take(i)
-        e0, e1 = w * dydx.take(i), w * dydx.take(j)
-        # the piece's integral from its knot, in powers of u = (t - x_i) / h
-        inner = dy - (2 * e0 + e1) / 3 + u * ((e0 + e1) / 4 - dy / 2)
-        return K.take(i) + w * u * (y0 + u * (e0 / 2 + u * inner))
-
-    at0 = at(0.0)
-    return lambda t: at(t) - at0
-
-
-def cumulative_integral(s, vals, derivs):
-    """Cumulative integral vanishing at 0, by composite cubic-Hermite
-    quadrature on the knots s with one Richardson step (h^4 -> h^6) against
-    every other knot; any strictly increasing s will do."""
-    fine = _hermite_integral(s, vals, derivs)
-    coarse = _hermite_integral(s[::2], vals[::2], derivs[::2])
-
-    def integral(x):
-        x = np.asarray(x, dtype=float)
-        f = fine(x)
-        return f + (f - coarse(x)) / 15.0
-
-    return integral
+    state: object
 
 
 def phase_integrals(sol: ProfileSolution) -> PhaseIntegrals:
-    """Cumulative phase integrals on the solution grid, their integrands
-    sign a S^p C^q read from the family's row.
-
-    Composite cubic-Hermite quadrature with one Richardson refinement.
-    """
+    """The phases of a profile, read from its tables by ``sol.state``, their
+    rates sign a S^p C^q from the family's row."""
     fam = sol.family
     a, row = fam.phase_constant, fam.row
     (sa, pa, qa), (sb, pb, qb) = row.phase_a, row.phase_b
@@ -667,10 +863,9 @@ def phase_integrals(sol: ProfileSolution) -> PhaseIntegrals:
         ga, dga, gb, dgb = fam.integrands(r, (sa * a, pa, qa), (sb * a, pb, qb))
         return ga, dga * rp, gb, dgb * rp
 
-    ga, dga, gb, dgb = rates(sol.r, sol.rp)
     speed = lambda x: fam.integrands(sol.r_of(x), (a, *row.speed))[0]
-    return PhaseIntegrals(fam, cumulative_integral(sol.s, ga, dga),
-                          cumulative_integral(sol.s, gb, dgb), speed, rates)
+    return PhaseIntegrals(fam, lambda x: sol.state(x)[3], lambda x: sol.state(x)[4],
+                          speed, rates, sol.state)
 
 
 # the largest analytic tail bound the embedding phase accepts
@@ -680,7 +875,8 @@ _EMBEDDING_TAIL_TOL = 1e-8
 def embedding_phase_sup(sol: ProfileSolution) -> float:
     """sup of the embedding phase 2 a int_0^s dt / (cosh^2 r sinh^{n+1} r).
 
-    Estimated as the truncated integral plus an analytic exponential tail
+    Its integrand is A' - B', so up to s_max it is 2 (A - B), a quadrature in
+    r read from the profile's tables; beyond it an analytic exponential tail
     bound (the integrand is <= C e^{-(n+3) r(s)} and r grows with unit
     asymptotic speed).  The limit stays below pi, which is what forces the
     ch_sphere family to be embedded.
@@ -689,11 +885,7 @@ def embedding_phase_sup(sol: ProfileSolution) -> float:
     if fam.tag != "ch_sphere":
         raise InvalidArgument("the embedding phase bound applies to ch_sphere")
     n, a_c = fam.n, fam.phase_constant
-    pos = sol.s >= 0
-    s, r, rp = sol.s[pos], sol.r[pos], sol.rp[pos]
-    g, dg = fam.integrands(r, (2.0 * a_c, -(n + 1), -2))
-    value = cumulative_integral(s, g, dg * rp)(s[-1])
-    r_m, v = float(r[-1]), float(rp[-1])
+    r_m, v, _, A, B = (float(x) for x in sol.state(sol.s_max))
     # r(s) >= r_m + v (s - s_max) by convexity; sech^2 <= 4 e^{-2r}
     K = 8.0 * a_c * (2.0 / (1.0 - math.exp(-2.0 * r_m))) ** (n + 1)
     tail = K * math.exp(-(n + 3) * r_m) / ((n + 3) * v)
@@ -701,7 +893,7 @@ def embedding_phase_sup(sol: ProfileSolution) -> float:
         raise NeedsLargerDomain(
             f"tail bound {tail:.3e} exceeds {_EMBEDDING_TAIL_TOL:.1e}; solve to larger s_max"
         )
-    total = float(value) + tail
+    total = 2.0 * (A - B) + tail
     if total >= math.pi:
         raise GeometryError("embedding phase reached pi; family data inconsistent")
     return total
@@ -772,7 +964,7 @@ def _power_sum(t, t0, m):
 def sigma_integral_thm1(spec: SigmaIntegralSpec) -> float:
     """Total curvature integral of the ch_sphere family, either quadrature form.
 
-    s-form: quadrature of sinh^{-(n^2+1)} r(s) along a solved profile with an
+    s-form: quadrature in s of sinh^{-(n^2+1)} r(s) along the profile with an
     exponential tail bound.  t-form: the hyperelliptic integral from
     t = sinh rho, with the inverse-square-root endpoint removed by the
     substitution t = sinh rho + u^2 and a power-law tail bound.  Both
@@ -783,10 +975,10 @@ def sigma_integral_thm1(spec: SigmaIntegralSpec) -> float:
     n, rho = spec.n, spec.rho
     m = n * n + 1
     if spec.method == "s":
-        sol = solve_profile(spec.family, _SIGMA_S_MAX, tol=FINE_ODE_TOL)
+        sol = solve_profile(spec.family, _SIGMA_S_MAX)
         integrand = lambda s: np.sinh(sol.r_of(s)) ** (-m)
         val, _ = quad(integrand, 0.0, _SIGMA_S_MAX, epsabs=0.0, epsrel=1e-11, limit=200)
-        r_m, v = float(sol.r_of(_SIGMA_S_MAX)), float(sol.rp_of(_SIGMA_S_MAX))
+        r_m, v = (float(x) for x in sol.state(_SIGMA_S_MAX)[:2])
         K = (2.0 / (1.0 - math.exp(-2.0 * r_m))) ** m
         tail = K * math.exp(-m * r_m) / (m * v)
         if tail > SIGMA_TAIL_TOL * max(val, 1e-300):
@@ -864,58 +1056,33 @@ def _simpson_weights(s: np.ndarray) -> np.ndarray:
 
 
 # orbit size below which a cp_sphere profile reads as equilibrium-proximate:
-# the amplitude of a detected period, the spread ptp(r) of a solved profile
+# the amplitude of a detected period, the spread ptp(r) of a sampled profile
 EQUILIBRIUM_PROXIMATE = 1e-3
 
 
 @dataclass(frozen=True)
 class PeriodResult:
     period: float
-    closure_residual: float
+    closure_residual: float  # |r(T) - rho| + |r'(T)|: roundoff by construction
     amplitude: float  # max |r - rho| along the orbit
 
 
-# how long a period search integrates before it gives up
-_PERIOD_SEARCH_TIME = 1000.0
-
-
 def detect_period(n: int, rho: float) -> PeriodResult | None:
-    """First return time T of (r, r') to (rho, 0) for the cp_sphere profile.
+    """Period T of the cp_sphere profile through (rho, 0).
 
     Returns None at the equilibrium radius arctan(sqrt(n)), detected by
-    |r''(rho)| < 1e-12.  Otherwise one DOP853 solve from (rho, 0) (rtol
-    1e-12, atol 1e-14, dense output) carries an event on u = artanh r'
-    that counts only crossings in the direction of r''(rho).  Those are the
-    start, where u(0) = 0 exactly, and the return; the half-period crossing
-    runs the other way.  The solve stops at the second of them, and T is
-    that event's root of the dense interpolant (``dop853.brentq``).  The
-    closure residual |r(T) - rho| + |r'(T)| and the amplitude
-    max |r - rho| over [0, T] are read from the same interpolant.
-
-    Raises DetectionFailure when the orbit has not returned by
-    ``_PERIOD_SEARCH_TIME`` and IntegrationFailure when the solver stops
-    early.
+    |r''(rho)| < 1e-12.  Otherwise T = 2 s(e_b), twice the arc length from
+    rho to the far turn, read from the profile's quadrature tables (either
+    side of the equilibrium).  The amplitude is |r - rho| at the far turn;
+    the closure residual |r(T) - rho| + |r'(T)| is read from the profile at
+    T, which continues the orbit by its period, so it is roundoff by
+    construction.
     """
     fam = ProfileFamily("cp_sphere", n, rho)
-    curvature = fam.second_derivative(rho, 0.0)
-    if abs(curvature) < 1e-12:
+    if abs(fam.second_derivative(rho, 0.0)) < 1e-12:
         return None
-
-    def rp_zero(_, y):
-        return y[1]
-
-    rp_zero.direction = math.copysign(1.0, curvature)
-    rp_zero.terminal = 2  # the root at s = 0, then the return
-
-    sol = solve_ivp(fam.ode_rhs, (0.0, _PERIOD_SEARCH_TIME), (rho, 0.0),
-                    rtol=1e-12, atol=1e-14, event=rp_zero)
-    if not sol.success:
-        raise IntegrationFailure(sol.message, last_s=float(sol.t[-1]))
-    roots = sol.t_events
-    if len(roots) < 2:
-        raise DetectionFailure(f"no periodic return within {_PERIOD_SEARCH_TIME} time units")
-    T = float(roots[1])
-    rT, uT = sol.sol(T)
-    residual = abs(rT - rho) + abs(math.tanh(uT))
-    orbit = sol.sol(np.linspace(0.0, T, 400))[0]
-    return PeriodResult(T, float(residual), float(np.max(np.abs(orbit - rho))))
+    sol = ProfileSolution(fam, 1.0)
+    T = sol.period
+    r_T, rp_T = (float(x) for x in sol.state(T)[:2])
+    turn = float(sol.r_of(T / 2))
+    return PeriodResult(T, abs(r_T - rho) + abs(rp_T), abs(turn - rho))

@@ -194,6 +194,10 @@ def profile_to_dict(sol: ProfileSolution) -> dict:
 
 
 def profile_from_dict(d: dict) -> ProfileSolution:
+    """The profile of the file's (family, n, rho), re-derived over the span
+    of its stored [s, r, rp] rows.  The rows are parsed and validated, and
+    their largest difference from the re-derived profile, relative to
+    max(|value|, 1), is kept as ``stored_deviation``."""
     import numpy as np
 
     from .profiles import ProfileFamily, ProfileSolution
@@ -205,20 +209,18 @@ def profile_from_dict(d: dict) -> ProfileSolution:
     arr = _parse_rows(grid if isinstance(grid, list) else [], 3, "profile.grid")
     if arr.shape[1] != 3 or len(arr) < 2:
         raise SchemaError("profile.grid: expected at least 2 rows [s, r, rp]")
-    s, r, rp = arr[:, 0], arr[:, 1], arr[:, 2]
+    s = arr[:, 0]
     if np.any(np.diff(s) <= 0):
         raise SchemaError("profile.grid: s must be strictly increasing")
-    # artanh saturates once |rp| rounds to 1; u is only used for energy
-    # re-evaluation, which serialized profiles carry precomputed anyway
-    u = None
-    if tag != "ch_horo":
-        u = np.arctanh(np.clip(rp, -1 + 1e-16, 1 - 1e-16))
-    return ProfileSolution(
-        fam, s, r, rp, u,
-        parse_float(_require(d, "energy_constant", "profile"), "profile.energy_constant"),
-        parse_float(_require(d, "tol", "profile"), "profile.tol"),
-        u_reconstructed=tag != "ch_horo",
-    )
+    if not np.all(np.isfinite(s)):
+        raise SchemaError("profile.grid: s must be finite")
+    parse_float(_require(d, "energy_constant", "profile"), "profile.energy_constant")
+    sol = ProfileSolution(fam, float(np.max(np.abs(s))),
+                          parse_float(_require(d, "tol", "profile"), "profile.tol"))
+    stored = arr[:, 1:]
+    fresh = np.column_stack(sol.state(s)[:2])
+    sol.stored_deviation = float(np.max(np.abs(stored - fresh) / np.maximum(np.abs(stored), 1.0)))
+    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,12 @@ and its block points the N rows' x, which the library's
 ``frame_batch`` and ``second_fundamental_form`` take like any other
 batch: Lambda = 1 and G = g, one Cholesky per point.
 
-  ``solve_profile`` integrates each profile ODE once, over
-[0, s_max], and reads s < 0 as the mirror (r(-s), -u(-s)) of that solve.
-The mirror is exact because the (r, u) system is autonomous with
-r' = tanh u odd in u and u' = slope(r) free of u, and because DOP853 run
-from the mirrored state negates every stage sum exactly (IEEE rounding is
-symmetric in sign, ``math.tanh`` is odd).  ``two_solve_profile`` is the
-route that does not assume it: a forward and a backward solve, each read
-on its own half of the grid.
+The profiles are quadratures of their first integral; the ODE itself is
+their oracle.  ``ode_rhs`` writes each profile equation in the variables
+(r, u) with r' = tanh u, whose right-hand side (tanh u, alpha / T +
+sigma beta T) has no 1 - r'^2 to cancel, and ``two_solve_profile`` solves
+it with scipy's DOP853 (``profiles.solve_ivp``) forward and backward from
+(rho, 0), each solve read on its own half of a profile's row grid.
 """
 
 import math
@@ -34,11 +32,10 @@ import numpy as np
 
 from lagmin import fd
 from lagmin.domain import IntegrationFailure, PreconditionViolation
-from lagmin.dop853 import solve_ivp
 from lagmin.geomcheck import JetBatch
 from lagmin.immersions import jet_rows
 from lagmin.model_spaces import MODEL_TOL, herm_form, quadric_defect
-from lagmin.profiles import _GRID_STEP
+from lagmin.profiles import _ROW_STEP, solve_ivp
 
 
 def as_blocks(a):
@@ -96,28 +93,40 @@ def evenness_residual(sol) -> float:
     return float(np.max(np.abs(sol.r - sol.r[::-1])))
 
 
-def half_line_solve(family, s_end, tol):
+def ode_rhs(family):
+    """The right-hand side (r', u') = (tanh u, alpha / T + sigma beta T) of
+    ``family``'s profile equation in the variables (r, u), r' = tanh u."""
+    row = family.row
+
+    def rhs(_s, y):
+        t = math.tan(y[0]) if row.trig.sigma < 0 else math.tanh(y[0])
+        return (math.tanh(y[1]), row.alpha / t + row.trig.sigma * row.beta * t)
+
+    return rhs
+
+
+def half_line_solve(family, s_end, rtol=1e-13):
     """One DOP853 solve of ``family``'s (r, u) system from (rho, 0) at s = 0
-    to ``s_end``, at the tolerances ``solve_profile`` asks for."""
-    return solve_ivp(family.ode_rhs, (0.0, s_end), (family.rho, 0.0),
-                     rtol=max(tol, 2.3e-14), atol=tol * 1e-3)
+    to ``s_end``, absolute tolerance rtol * 1e-2."""
+    return solve_ivp(ode_rhs(family), (0.0, s_end), (family.rho, 0.0),
+                     rtol=rtol, atol=rtol * 1e-2)
 
 
-def two_solve_profile(family, s_max, tol):
-    """(s, r, r', u) of an ODE family on ``solve_profile``'s grid over
-    [-s_max, s_max] from independent forward and backward solves, each read
-    on its own half line; a failed solve raises ``IntegrationFailure`` with
-    the solver's message, the forward one first."""
-    half = max(8, int(math.ceil(s_max / _GRID_STEP)))
+def two_solve_profile(family, s_max, rtol=1e-13):
+    """(s, r, r') of an ODE family on ``solve_profile``'s row grid over
+    [-s_max, s_max] from independent forward and backward DOP853 solves,
+    each read on its own half line; a failed solve raises
+    ``IntegrationFailure`` with the solver's message."""
+    half = max(8, int(math.ceil(s_max / _ROW_STEP)))
     s = np.linspace(-s_max, s_max, 2 * half + 1)
     r, u = np.empty_like(s), np.empty_like(s)
     neg = s < 0
     for direction, part in ((1.0, ~neg), (-1.0, neg)):
-        sol = half_line_solve(family, direction * s_max, tol)
+        sol = half_line_solve(family, direction * s_max, rtol)
         if not sol.success:
             raise IntegrationFailure(sol.message, last_s=float(sol.t[-1]))
         r[part], u[part] = sol.sol(s[part])
-    return s, r, np.tanh(u), u
+    return s, r, np.tanh(u)
 
 
 def csv_to_rows(text: str) -> list:

@@ -6,7 +6,7 @@ import pytest
 
 from lagmin.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, load_config, main
 from lagmin.immersions import ImmersionFamilySpec, build_immersion
-from lagmin.serialization import dumps, immersion_to_dict
+from lagmin.serialization import dumps, fnum, immersion_to_dict
 
 
 def run(tmp_path, *argv):
@@ -195,14 +195,23 @@ class TestBuildVerify:
         assert {c["name"] for c in d["checks"]} >= {"lagrangian", "horizontal", "minimal"}
 
     def test_a_file_written_by_an_earlier_version_verifies(self, tmp_path):
-        # thm1 n=2 rho=1 on 4x4 over s in [-0.1, 0.1], built before the phase
-        # integrals were read from knot sums: its stored samples still
-        # agree with the phases that verify recomputes from its profile
+        # thm1 n=2 rho=1 on 4x4 over s in [-0.1, 0.1], built from a DOP853
+        # profile (tol 1e-10) before the phase integrals were read from
+        # knot sums: verify re-derives the profile from (family, n, rho), and
+        # the stored rows and samples carry that solve's error, 3.6e-11 and
+        # 2.2e-11; one edited profile row fails horizontal
         data = Path(__file__).parent / "data" / "thm1_n2_rho1_4x4.json"
         rep = tmp_path / "rep.json"
         assert run(tmp_path, "verify", "--in", str(data), "--report", str(rep)) == EXIT_OK
         checks = {c["name"]: float(c["residual"]) for c in json.loads(rep.read_text())["checks"]}
-        assert checks["horizontal"] <= 1e-12
+        assert checks["horizontal"] <= 1e-10
+        d = json.loads(data.read_text())
+        d["profile"]["grid"][3][1] = fnum(float(d["profile"]["grid"][3][1]) + 1e-5)
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(d))
+        assert run(tmp_path, "verify", "--in", str(edited), "--report", str(rep)) == EXIT_VERIFY
+        failed = [c["name"] for c in json.loads(rep.read_text())["checks"] if not c["pass"]]
+        assert failed == ["horizontal"]
 
     def test_verify_stdout_is_the_report(self, tmp_path, thm1_file, capsys):
         rep = tmp_path / "rep.json"
@@ -433,21 +442,20 @@ class TestRejectedInput:
 
 
 class TestNumericFailure:
-    """A solve that fails exits 2 with the solver's message and the s it
-    reached, without a traceback."""
+    """A profile that doubles cannot hold exits 2 with the reason, without a
+    traceback: at rho = 1e-20 the energy constant sin^16 rho cos^2 rho of
+    cp_sphere at n = 8 underflows."""
 
     @pytest.mark.parametrize("argv", [
-        ["solve", "--family", "cp-sphere", "--n", "8", "--rho", "0.02"],
-        ["build", "--family", "thm5", "--n", "8", "--rho", "0.02", "--grid", "8x8"],
+        ["solve", "--family", "cp-sphere", "--n", "8", "--rho", "1e-20"],
+        ["build", "--family", "thm5", "--n", "8", "--rho", "1e-20", "--grid", "8x8"],
     ], ids=["solve", "build"])
     def test_integration_failure(self, tmp_path, capsys, argv):
         out = tmp_path / "out.json"
         code = run(tmp_path, *argv, "--out", str(out))
         err = capsys.readouterr().err
         assert code == EXIT_NUMERIC
-        assert err.startswith("numeric failure: Required step size is less than spacing")
-        assert "(last s = 1.55" in err
-        assert "Traceback" not in err
+        assert err == "numeric failure: the energy constant of rho=1e-20 underflows\n"
         assert not out.exists()
 
 
@@ -518,12 +526,13 @@ class TestPeriodExport:
         assert abs(float(first[2]) - float(last[2])) <= 1e-6
 
     def test_phase_portrait_rp_against_a_tight_solve(self, tmp_path):
-        # r' comes from the r' spline (the profile equation's r'' as knot
-        # slopes), not from differentiating the r spline, which is 7.7e-6 off
-        # here; the reference is scipy's DOP853 at rtol 1e-13
+        # r' comes from the first integral at each point; the reference is
+        # scipy's DOP853 at rtol 1e-13
         from scipy.integrate import solve_ivp
 
         from lagmin.profiles import ProfileFamily
+
+        from helpers import ode_rhs
 
         prof, out = tmp_path / "cp.json", tmp_path / "pp.csv"
         assert run(tmp_path, "solve", "--family", "cp-sphere", "--n", "3", "--rho", "0.3",
@@ -532,7 +541,7 @@ class TestPeriodExport:
                    "--what", "phase-portrait") == EXIT_OK
         rows = np.array([ln.split(",") for ln in out.read_text().splitlines()[1:]], dtype=float)
         s, rp = rows[:, 0], rows[:, 2]
-        ref = solve_ivp(ProfileFamily("cp_sphere", 3, 0.3).ode_rhs, (0.0, s[-1]), [0.3, 0.0],
+        ref = solve_ivp(ode_rhs(ProfileFamily("cp_sphere", 3, 0.3)), (0.0, s[-1]), [0.3, 0.0],
                         method="DOP853", rtol=1e-13, atol=1e-15, t_eval=s)
         assert np.max(np.abs(rp - np.tanh(ref.y[1]))) <= 1e-6
 
@@ -593,8 +602,9 @@ class TestColdPath:
         assert proc.stdout.strip() == "[0, 0, 0, 0] []"
 
     def test_solving_commands_load_no_scipy(self, tmp_path):
-        """Every ODE solve runs on the in-repo DOP853 and every quadrature
-        on the in-repo Gauss-Kronrod rule, so no command imports scipy."""
+        """Profiles are in-repo Gauss-Legendre quadratures and the curvature
+        integrals use the in-repo Gauss-Kronrod rule, so no command imports
+        scipy."""
         import subprocess
         import sys
 
@@ -702,7 +712,7 @@ class TestColdPath:
         code = run(tmp_path, "export", "--in", str(prof), "--out", str(out),
                    "--what", "phase-portrait")
         assert code == EXIT_OK
-        # the CSV as it was written point by point, one spline call each
+        # the CSV as it was written point by point, one evaluation each
         T = detect_period(2, 0.6).period
         sol = solve_profile(ProfileFamily("cp_sphere", 2, 0.6), T + 0.5, tol=1e-10)
         rows = [[fnum(v), fnum(sol.r_of(v)), fnum(sol.rp_of(v))]

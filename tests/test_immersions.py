@@ -22,7 +22,6 @@ from lagmin.immersions import (
     wavy_control_curve,
 )
 from lagmin.model_spaces import herm_form, projective_distance, quadric_defect
-from lagmin.profiles import FINE_ODE_TOL
 
 from helpers import curve_invariant_residuals
 
@@ -509,10 +508,10 @@ class TestLegendreCurves:
     ])
     def test_profile_curve_is_first_and_last_lift_columns(self, fam, curve, n, rho):
         # at B = e_1 the lift is (gamma_1, 0, ..., 0, gamma_2); the same
-        # profile window and tolerance give the same profile
+        # profile window gives the same profile
         s = np.linspace(-2.0, 2.0, 41)
         imm = build_immersion(ImmersionFamilySpec(fam, n, rho), grid=(4, 4),
-                              s_window=(-2.0, 2.0), ode_tol=FINE_ODE_TOL)
+                              s_window=(-2.0, 2.0))
         X = np.zeros((len(s), n - 1))
         assert np.array_equal(imm.chart.to_model(X[:1]), np.eye(1, n))
         lift = imm.evaluate(s, X)

@@ -34,14 +34,17 @@ class TestProfileRoundTrip:
         assert d1["grid"] == d2["grid"]
         assert d1["energy_constant"] == d2["energy_constant"]
 
-    def test_rebuilt_energy_residual_masks_saturated_tail(self):
-        # stored r' saturates to 1.0 in doubles for large |s|; the residual
-        # of a rebuilt solution must certify the resolvable region only
-        sol = solve_profile(ProfileFamily("ch_sphere", 2, 1.0), 8.0, tol=1e-10)
-        from lagmin.profiles import energy_residual
-        sol2 = ser.profile_from_dict(json.loads(json.dumps(ser.profile_to_dict(sol))))
-        assert sol2.u_reconstructed
-        assert energy_residual(sol2) <= 1e-8
+    @pytest.mark.parametrize("tag, rho", [("ch_sphere", 1.0), ("cp_sphere", 0.6),
+                                          ("ch_horo", 1.0)])
+    def test_stored_rows_against_the_rederived_profile(self, tag, rho):
+        # a read profile is re-derived from (family, n, rho); the stored rows
+        # of a file written here lie on it exactly, and an edited row is off
+        sol = solve_profile(ProfileFamily(tag, 2, rho), 3.0, tol=1e-11)
+        d = json.loads(json.dumps(ser.profile_to_dict(sol)))
+        sol2 = ser.profile_from_dict(d)
+        assert sol2.stored_deviation == 0.0 and sol2.tol == 1e-11
+        d["grid"][700][1] = ser.fnum(float(d["grid"][700][1]) * (1 + 1e-5))
+        assert ser.profile_from_dict(d).stored_deviation >= 0.9e-5
 
     def test_equilibrium_flag(self):
         rho = float(np.arctan(np.sqrt(2.0)))
@@ -60,6 +63,10 @@ class TestProfileRoundTrip:
         bad = dict(d)
         bad["grid"] = [["0", "1"]]
         with pytest.raises(ser.SchemaError, match="grid"):
+            ser.profile_from_dict(bad)
+        # the rows' span sets the re-derived profile's
+        bad = dict(d, grid=d["grid"][:-1] + [["1e400", "1", "0"]])
+        with pytest.raises(ser.SchemaError, match="finite"):
             ser.profile_from_dict(bad)
 
 
