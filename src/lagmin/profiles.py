@@ -39,8 +39,9 @@ s < 0 is the mirror (r, -r', -A, -B), and cp_sphere's orbit repeats with
 period T = 2 s(e_b), its phases gaining (A(T), B(T)) per period.  ch_horo
 keeps its closed form, its phases a table in s.  The s- and t-forms of the
 total curvature integral use ``quad``, an adaptive 21-point Gauss-Kronrod
-rule over numpy arrays.  Nothing here imports scipy: ``solve_ivp`` is
-scipy's DOP853, imported on use, for the tests' ODE oracle.
+rule over numpy arrays, the s-form starting on the tables' panels.
+Nothing here imports scipy: ``solve_ivp`` is scipy's DOP853, imported on
+use, for the tests' ODE oracle.
 """
 
 from __future__ import annotations
@@ -180,17 +181,26 @@ def _gk21_panels(f, lo, hi):
     return k * h, err
 
 
-def quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
+def quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, points=None):
     """(integral of f over [a, b], error estimate) by adaptive 21-point
     Gauss-Kronrod quadrature.
 
-    ``f`` takes an array of points and returns the values there.  Each round
+    ``f`` takes an array of points and returns the values there.  The first
+    round's panels are [a, b] cut at those of the breakpoints ``points``
+    that lie strictly inside it (one panel without them).  Each round
     evaluates every new panel in one call of ``f`` and bisects each panel
     whose error estimate exceeds its width's share of the tolerance
     max(epsabs, epsrel |I|), until the summed estimate is within it.  Raises
     ``IntegrationFailure`` when that would take more than ``limit`` panels.
     """
-    lo, hi = np.array([float(a)]), np.array([float(b)])
+    a, b = float(a), float(b)
+    inner = np.sort(np.ravel(np.asarray([] if points is None else points, dtype=float)))
+    inner = inner[(inner > min(a, b)) & (inner < max(a, b))]
+    edges = np.concatenate([[a], inner if a < b else inner[::-1], [b]])
+    edges = edges[np.append(True, edges[1:] != edges[:-1])]
+    lo, hi = edges[:-1], edges[1:]
+    if len(lo) > limit:
+        raise IntegrationFailure(f"{len(lo)} breakpoint panels above the limit {limit}")
     val, err = _gk21_panels(f, lo, hi)
     while True:
         total, abserr = float(val.sum()), float(err.sum())
@@ -752,17 +762,19 @@ class ProfileSolution:
     def state(self, s):
         """(r, r', r'', A, B) at s, in the shape of s, read-only: one
         evaluation of the profile and its phases, which every reader takes
-        them from.  The last one is kept, since a build and its checks read
-        the same s values several times."""
+        them from.  The last one is kept, keyed on the s values alone: a
+        build and its checks read the same s values several times, flat or
+        as a column, and a reshaped batch is the same flat batch, so it
+        reads the same bits."""
         s = np.asarray(s, dtype=float)
-        key = (s.shape, s.tobytes())
+        key = s.tobytes()
         if self._last is None or self._last[0] != key:
             r, rp, A, B = self._evaluate(s.ravel())
             values = (r, rp, self.family.second_derivative(r, rp), A, B)
             for v in values:
                 v.setflags(write=False)
-            self._last = key, tuple(v.reshape(s.shape) for v in values)
-        return tuple(v[()] for v in self._last[1])
+            self._last = key, values
+        return tuple(v.reshape(s.shape)[()] for v in self._last[1])
 
     def r_of(self, s):
         return self.state(s)[0]
@@ -807,13 +819,14 @@ def energy_residual(sol: ProfileSolution) -> float:
 
     Each node's r' comes from D, the first integral itself, so this reads
     roundoff by construction: that of the difference formulas behind D, and
-    of the far turn of cp_sphere.  For ch_horo it is the absolute residual
-    |(r')^2 + rho^{2(n+1)}/r^{2n} - r^2| of its closed form over the
-    sampled rows.
+    of the far turn of cp_sphere.  For ch_horo it is the relative residual
+    |(r'/r)^2 + (rho/r)^{2n+2} - 1| of its closed form's first integral
+    r'^2 + rho^{2n+2}/r^{2n} = r^2 over the sampled rows, divided through
+    by r^2 so that it neither scales with r^2 nor overflows.
     """
     fam = sol.family
     if fam.tag == "ch_horo":
-        res = sol.rp**2 + fam.energy_constant / sol.r ** (2 * fam.n) - sol.r**2
+        res = (sol.rp / sol.r) ** 2 + (fam.rho / sol.r) ** (2 * fam.n + 2) - 1.0
         return float(np.max(np.abs(res)))
     if sol._equilibrium:  # r = rho and r' = 0 throughout
         return 0.0
@@ -965,19 +978,23 @@ def sigma_integral_thm1(spec: SigmaIntegralSpec) -> float:
     """Total curvature integral of the ch_sphere family, either quadrature form.
 
     s-form: quadrature in s of sinh^{-(n^2+1)} r(s) along the profile with an
-    exponential tail bound.  t-form: the hyperelliptic integral from
-    t = sinh rho, with the inverse-square-root endpoint removed by the
-    substitution t = sinh rho + u^2 and a power-law tail bound.  Both
-    quadratures hold a relative tolerance only: the s-form integral is about
-    sinh^{-(n^2+1)} rho (1e-21 at n = 6, rho = 2), below any fixed absolute
-    one.
+    exponential tail bound.  Its first round starts on the s values of the
+    profile tables' panel edges, on which r(s) is already resolved, so the
+    profile is read once there and once at s_max for the tail.  t-form: the
+    hyperelliptic integral from t = sinh rho, with the inverse-square-root
+    endpoint removed by the substitution t = sinh rho + u^2 and a power-law
+    tail bound.  Both quadratures hold a relative tolerance only: the s-form
+    integral is about sinh^{-(n^2+1)} rho (1e-21 at n = 6, rho = 2), below
+    any fixed absolute one.
     """
     n, rho = spec.n, spec.rho
     m = n * n + 1
     if spec.method == "s":
         sol = solve_profile(spec.family, _SIGMA_S_MAX)
         integrand = lambda s: np.sinh(sol.r_of(s)) ** (-m)
-        val, _ = quad(integrand, 0.0, _SIGMA_S_MAX, epsabs=0.0, epsrel=1e-11, limit=200)
+        edges = [piece.start[0] + piece.sign * piece.table.sums[:, 0] for piece in sol._pieces]
+        val, _ = quad(integrand, 0.0, _SIGMA_S_MAX, epsabs=0.0, epsrel=1e-11, limit=200,
+                      points=np.concatenate(edges))
         r_m, v = (float(x) for x in sol.state(_SIGMA_S_MAX)[:2])
         K = (2.0 / (1.0 - math.exp(-2.0 * r_m))) ** m
         tail = K * math.exp(-m * r_m) / (m * v)
@@ -1083,6 +1100,5 @@ def detect_period(n: int, rho: float) -> PeriodResult | None:
         return None
     sol = ProfileSolution(fam, 1.0)
     T = sol.period
-    r_T, rp_T = (float(x) for x in sol.state(T)[:2])
-    turn = float(sol.r_of(T / 2))
-    return PeriodResult(T, abs(r_T - rho) + abs(rp_T), abs(turn - rho))
+    (r_T, turn), (rp_T, _) = sol.state(np.array([T, T / 2]))[:2]
+    return PeriodResult(T, float(abs(r_T - rho) + abs(rp_T)), float(abs(turn - rho)))

@@ -56,7 +56,7 @@ def test_02_horospherical_first_integral():
         for rho in (0.5, 1.0, 2.0):
             sol = solve_profile(ProfileFamily("ch_horo", n, rho), 5.0)
             worst = max(worst, energy_residual(sol))
-    _report(2, "closed-form first integral |r'^2 + rho^(2n+2)/r^2n - r^2|",
+    _report(2, "closed-form first integral |(r'/r)^2 + (rho/r)^(2n+2) - 1|",
             worst <= 1e-10, f"max residual {worst:.3e}")
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,13 +144,31 @@ class TestSolveProfile:
     def test_points_in_any_shape(self):
         # a column or a block of points is the flat points' values, bit for
         # bit, in the points' shape
-        sol = solve_profile(ProfileFamily("ch_sphere", 3, 1.0), 3.0)
+        fam = ProfileFamily("ch_sphere", 3, 1.0)
         flat = np.linspace(-2.5, 2.5, 6)
         for shape in ((3, 1), (2, 3)):
             x = flat[:math.prod(shape)].reshape(shape)
-            for got, ref in zip(sol.state(x), sol.state(x.ravel())):
+            # from two profiles, so that the flat read is not served from
+            # the shaped read's cache
+            shaped = solve_profile(fam, 3.0).state(x)
+            for got, ref in zip(shaped, solve_profile(fam, 3.0).state(x.ravel())):
                 assert got.shape == shape
                 assert got.tobytes() == ref.tobytes()
+
+    def test_one_evaluation_for_a_reshaped_batch(self, monkeypatch):
+        # a build reads its s values flat and its checks as a column: one
+        # evaluation serves both, in either shape, bit for bit
+        sol = solve_profile(ProfileFamily("ch_sphere", 3, 1.0), 3.0)
+        calls = []
+        evaluate = sol._evaluate
+        monkeypatch.setattr(sol, "_evaluate", lambda s: calls.append(s.shape) or evaluate(s))
+        s = np.linspace(-2.5, 2.5, 64)
+        flat = sol.state(s)
+        column = sol.state(s[:, None])
+        assert calls == [(64,)]
+        for a, b in zip(flat, column):
+            assert a.shape == (64,) and b.shape == (64, 1)
+            assert a.tobytes() == b.tobytes()
 
     def test_nan_propagates(self):
         for tag, rho in (("ch_horo", 1.0), ("ch_sphere", 1.0), ("cp_sphere", 0.6)):
@@ -162,6 +181,16 @@ class TestEnergyResidual:
     def test_horo_identity(self):
         sol = solve_profile(ProfileFamily("ch_horo", 2, 1.0), 5.0)
         assert energy_residual(sol) <= 1e-10
+
+    def test_horo_relative_without_overflow(self):
+        # relative to r^2: at rho = 10 and s = 30 the absolute residual read
+        # the roundoff of r^2 (7.5e-9), and at n = 8, s = 100 r^{2n} overflowed
+        sol = solve_profile(ProfileFamily("ch_horo", 2, 10.0), 30.0)
+        assert energy_residual(sol) <= 1e-10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol = solve_profile(ProfileFamily("ch_horo", 8, 10.0), 100.0)
+            assert energy_residual(sol) <= 1e-10
 
     def test_conservation_cross_checked(self):
         fam = ProfileFamily("ch_sphere", 2, 1.0)

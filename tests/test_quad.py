@@ -69,16 +69,57 @@ def test_exact_on_polynomials_up_to_degree_31():
 
 
 def test_one_call_of_f_per_round():
-    sizes = []
+    for points in (None, [-0.5, 0.25, 0.75]):
+        sizes = []
 
-    def f(x):
-        sizes.append(x.shape)
-        return 1.0 / (1e-3 + x * x)
+        def f(x):
+            sizes.append(x.shape)
+            return 1.0 / (1e-3 + x * x)
 
-    value, _ = quad(f, -1.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)
-    assert value == pytest.approx(2.0 * math.atan(1e-3 ** -0.5) / 1e-3 ** 0.5, rel=1e-12)
-    assert len(sizes) > 2
-    assert all(len(s) == 1 and s[0] % 21 == 0 for s in sizes)
+        value, _ = quad(f, -1.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200, points=points)
+        assert value == pytest.approx(2.0 * math.atan(1e-3 ** -0.5) / 1e-3 ** 0.5, rel=1e-12)
+        assert len(sizes) > 2
+        assert all(len(s) == 1 and s[0] % 21 == 0 for s in sizes)
+        # the whole first round, every breakpoint panel of it, in the first call
+        assert sizes[0] == (21 * (1 + len(points or [])),)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 0.0)])
+def test_breakpoints_match_scipy(a, b):
+    from scipy.integrate import quad as scipy_quad
+
+    # a kinked peak at the breakpoint 0.3, smooth on either side of it
+    f = lambda x: np.exp(-40.0 * np.abs(x - 0.3))
+    ref, _ = scipy_quad(f, min(a, b), max(a, b), epsabs=0.0, epsrel=1e-12, limit=200,
+                        points=[0.3])
+    ref *= math.copysign(1.0, b - a)
+    # repeated and outside breakpoints, and the ends, are dropped
+    for points in ([0.3], [0.3, 0.3, -2.0, 0.0, 1.0, 5.0]):
+        value, _ = quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200, points=points)
+        assert abs(value - ref) <= 1e-13 * abs(ref)
+
+
+def test_too_many_breakpoint_panels_raise():
+    with pytest.raises(IntegrationFailure, match="limit 4"):
+        quad(np.cos, 0.0, 1.0, limit=4, points=np.linspace(0.1, 0.9, 9))
+
+
+def _count_evaluations(monkeypatch):
+    calls = []
+    evaluate = profiles.ProfileSolution._evaluate
+    monkeypatch.setattr(profiles.ProfileSolution, "_evaluate",
+                        lambda self, s: calls.append(1) or evaluate(self, s))
+    return calls
+
+
+@pytest.mark.parametrize("n, rho", SWEEP)
+def test_s_form_reads_the_profile_twice(monkeypatch, n, rho):
+    # one quadrature round on the tables' panels, then the tail's read at s_max
+    calls = _count_evaluations(monkeypatch)
+    vs = sigma_integral_thm1(SigmaIntegralSpec(n, rho, method="s"))
+    assert len(calls) <= 2
+    vt = sigma_integral_thm1(SigmaIntegralSpec(n, rho, method="t"))
+    assert abs(vs - vt) <= 1e-10 * vt
 
 
 def test_running_out_of_panels_raises():
