@@ -7,7 +7,7 @@ failure, 3 verification failure.  Defaults may be placed in ./lagmin.conf
 (key=value lines, '#' comments); flags always win.
 
 Import rule: at module level this file imports only the standard library,
-``domain`` (tags, tolerance range, exceptions) and the text layer of
+``domain`` (tags, exceptions) and the text layer of
 ``serialization``, none of which loads numpy.  Each ``cmd_*`` imports the
 modules it runs, so ``export --what samples`` never loads numpy and
 ``sigma-integral --method`` never loads ``immersions`` or ``geomcheck``;
@@ -25,12 +25,9 @@ import sys
 from . import serialization as ser
 from .domain import (
     ALL_CHECKS,
-    DEFAULT_ODE_TOL,
     IMMERSION_FAMILIES,
-    ODE_TOL_RANGE,
     PROFILE_FAMILIES,
     SEED_KINDS,
-    DetectionFailure,
     GeometryError,
     IntegrationFailure,
     InvalidArgument,
@@ -44,15 +41,12 @@ EXIT_VERIFY = 3
 
 CONFIG_PATH = "./lagmin.conf"
 
-# ode_tol is range-checked and recorded in profile files; it changes no
-# result, since profiles are quadratures built to full precision
 _CONFIG_KEYS = {
-    "ode_tol": (float, lambda v: ODE_TOL_RANGE[0] <= v <= ODE_TOL_RANGE[1]),
     "s_max": (float, lambda v: 0 < v <= 100),
     "grid": (str, lambda v: _parse_grid(v) is not None),
 }
 
-_DEFAULTS = {"ode_tol": DEFAULT_ODE_TOL, "s_max": 8.0, "grid": "64x64"}
+_DEFAULTS = {"s_max": 8.0, "grid": "64x64"}
 
 
 class UsageError(Exception):
@@ -142,8 +136,7 @@ def cmd_solve(args, cfg) -> int:
     s_max = args.s_max if args.s_max is not None else cfg["s_max"]
     if not _CONFIG_KEYS["s_max"][1](s_max):
         raise UsageError(f"--s-max {s_max!r} out of range: it must lie in (0, 100]")
-    tol = args.tol if args.tol is not None else cfg["ode_tol"]
-    sol = solve_profile(fam, s_max, tol=tol)
+    sol = solve_profile(fam, s_max)
     payload = ser.profile_to_dict(sol)
     note = ""
     if payload.get("equilibrium_proximate"):
@@ -180,7 +173,7 @@ def cmd_build(args, cfg) -> int:
             raise UsageError(f"--s-window {args.s_window} needs a profile on |s| <= {span:g},"
                              " beyond the s_max range (0, 100]")
         s_window = (lo, hi)
-    imm = build_immersion(spec, grid=grid, s_window=s_window, ode_tol=cfg["ode_tol"])
+    imm = build_immersion(spec, grid=grid, s_window=s_window)
     payload = ser.immersion_to_dict(imm)
     _emit(payload, args.out,
           f"built {args.family} n={spec.n} on {grid[0]}x{grid[1]}"
@@ -311,8 +304,7 @@ def cmd_export(args, cfg) -> int:
             T = 2.0 * math.pi / math.sqrt(2.0 * (n + 1))  # linearized period scale
         else:
             T = result.period
-        sol = solve_profile(ProfileFamily("cp_sphere", n, rho), T + 0.5,
-                            tol=cfg["ode_tol"])
+        sol = solve_profile(ProfileFamily("cp_sphere", n, rho), T + 0.5)
         s = np.linspace(0.0, T, 513)
         rows = ser.format_rows(np.column_stack([s, *sol.state(s)[:2]]))
         text = ser.profile_to_csv({"grid": rows})
@@ -338,10 +330,6 @@ def make_parser() -> _Parser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--rho", type=float, required=True)
     sp.add_argument("--s-max", type=float, default=None)
-    sp.add_argument("--tol", type=float, default=None,
-                    help="profile tolerance, recorded in the file and checked to lie in "
-                         "[1e-13, 1e-6]; it no longer changes the profile, whose "
-                         "quadrature tables are always built to full precision")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_solve)
 
@@ -406,10 +394,8 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (IntegrationFailure, NeedsLargerDomain, DetectionFailure) as exc:
-        where = getattr(exc, "last_s", None)
-        at = "" if where is None else f" (last s = {where})"
-        print(f"numeric failure: {exc}{at}", file=sys.stderr)
+    except (IntegrationFailure, NeedsLargerDomain) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except GeometryError as exc:
         print(f"geometry failure: {exc}", file=sys.stderr)

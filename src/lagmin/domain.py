@@ -1,11 +1,11 @@
 """What the package accepts, and what it raises when an input or a
 computation leaves that domain.
 
-The family, seed and check tags, the ODE tolerance range and default, and
-every exception class of the package live here, each defined once: the
-geometry modules read them from here, and so does the command line, which
-parses its flags, reads its config file and maps errors to exit codes
-before it loads numpy.  This module imports nothing.
+The family, seed and check tags and every exception class of the package
+live here, each defined once: the geometry modules read them from here,
+and so does the command line, which parses its flags, reads its config
+file and maps errors to exit codes before it loads numpy.  This module
+imports nothing.
 """
 
 __all__ = [
@@ -13,14 +13,10 @@ __all__ = [
     "IMMERSION_FAMILIES",
     "SEED_KINDS",
     "ALL_CHECKS",
-    "DEFAULT_ODE_TOL",
-    "ODE_TOL_RANGE",
     "GeometryError",
     "InvalidArgument",
-    "PreconditionViolation",
     "IntegrationFailure",
     "NeedsLargerDomain",
-    "DetectionFailure",
     "SchemaError",
 ]
 
@@ -34,12 +30,6 @@ IMMERSION_FAMILIES = (
 SEED_KINDS = ("tg_sphere_cp", "tg_rh_ch", "tg_plane_c", "clifford_cp")
 ALL_CHECKS = ("lagrangian", "horizontal", "minimal", "metric", "sff", "invariance", "symmetry")
 
-# the profile tolerance recorded unless one is given, and the range a
-# profile accepts; the profiles are quadratures built to full precision, so
-# neither changes the computation
-DEFAULT_ODE_TOL = 1e-10
-ODE_TOL_RANGE = (1e-13, 1e-6)
-
 
 class GeometryError(Exception):
     """Base class for errors raised by this package."""
@@ -49,22 +39,12 @@ class InvalidArgument(GeometryError, ValueError):
     """Argument outside the documented domain of an operation."""
 
 
-class PreconditionViolation(GeometryError):
-    """A geometric precondition (quadric membership, horizontality) fails."""
-
-
 class IntegrationFailure(GeometryError):
-    def __init__(self, message, last_s=None):
-        super().__init__(message)
-        self.last_s = last_s
+    """A quadrature fails, or a profile's constant leaves the doubles."""
 
 
 class NeedsLargerDomain(GeometryError):
     """An analytic tail bound cannot reach the requested tolerance."""
-
-
-class DetectionFailure(GeometryError):
-    """No periodic return found within the search window."""
 
 
 class SchemaError(InvalidArgument):

@@ -43,7 +43,6 @@ import numpy as np
 
 from . import fd
 from .domain import (
-    DEFAULT_ODE_TOL,
     IMMERSION_FAMILIES as FAMILY_TAGS,
     SEED_KINDS,
     GeometryError,
@@ -911,7 +910,6 @@ def build_immersion(
     spec: ImmersionFamilySpec,
     grid: tuple[int, int] = (64, 64),
     s_window: tuple[float, float] | None = None,
-    ode_tol: float = DEFAULT_ODE_TOL,
     seed: SeedLagrangian | None = None,
 ) -> SampledImmersion:
     """Build a family's lift and cache it on an S x M grid.
@@ -919,9 +917,7 @@ def build_immersion(
     ``grid`` is (s-points, total transverse points); the transverse budget
     is split evenly across the d chart axes and rounded to per^d points
     (64x48 at n = 3 gives 7^2 = 49).  Profiles are built internally
-    on a window 0.5 wider than the sample window; ``ode_tol`` is range-checked
-    and recorded with the profile, and changes nothing, since the profile's
-    quadrature tables are always built to full precision.  A given seed is
+    on a window 0.5 wider than the sample window.  A given seed is
     validated on the grid (its jets too), and quadric membership and the
     Legendrian (horizontality) residual of the cached samples go into
     ``header``.
@@ -935,7 +931,7 @@ def build_immersion(
     if spec.kind.solved:
         pf = ProfileFamily(spec.kind.profile, spec.n, spec.rho)
         span = max(abs(s_lo), abs(s_hi)) + PROFILE_MARGIN
-        profile = solve_profile(pf, span, tol=ode_tol)
+        profile = solve_profile(pf, span)
 
     S, M = grid
     s_values = np.linspace(s_lo, s_hi, S)

@@ -22,12 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import GeometryError, InvalidArgument, PreconditionViolation
+from .domain import GeometryError, InvalidArgument
 
 __all__ = [
     "GeometryError",
     "InvalidArgument",
-    "PreconditionViolation",
     "HermitianSpace",
     "ProjectivePoint",
     "IsometryElement",

@@ -39,7 +39,8 @@ s < 0 is the mirror (r, -r', -A, -B), and cp_sphere's orbit repeats with
 period T = 2 s(e_b), its phases gaining (A(T), B(T)) per period.  ch_horo
 keeps its closed form, its phases a table in s.  The s- and t-forms of the
 total curvature integral use ``quad``, an adaptive 21-point Gauss-Kronrod
-rule over numpy arrays, the s-form starting on the tables' panels.
+rule over numpy arrays at fixed settings, the s-form starting on the
+tables' panels.
 Nothing here imports scipy: ``solve_ivp`` is scipy's DOP853, imported on
 use, for the tests' ODE oracle.
 """
@@ -53,8 +54,6 @@ from functools import cached_property
 import numpy as np
 
 from .domain import (
-    DEFAULT_ODE_TOL,
-    ODE_TOL_RANGE,
     PROFILE_FAMILIES as FAMILY_TAGS,
     GeometryError,
     IntegrationFailure,
@@ -70,8 +69,6 @@ __all__ = [
     "PhaseIntegrals",
     "SigmaIntegralSpec",
     "SIGMA_TAIL_TOL",
-    "DEFAULT_ODE_TOL",
-    "ODE_TOL_RANGE",
     "EQUILIBRIUM_PROXIMATE",
     "PeriodResult",
     "IntegrationFailure",
@@ -181,7 +178,13 @@ def _gk21_panels(f, lo, hi):
     return k * h, err
 
 
-def quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, points=None):
+# quad's settings: a relative tolerance only, since the integrals it takes
+# span many orders of magnitude, and a panel limit
+_QUAD_RTOL = 1e-11
+_QUAD_LIMIT = 200
+
+
+def quad(f, a, b, points=None):
     """(integral of f over [a, b], error estimate) by adaptive 21-point
     Gauss-Kronrod quadrature.
 
@@ -190,8 +193,9 @@ def quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, points=None):
     that lie strictly inside it (one panel without them).  Each round
     evaluates every new panel in one call of ``f`` and bisects each panel
     whose error estimate exceeds its width's share of the tolerance
-    max(epsabs, epsrel |I|), until the summed estimate is within it.  Raises
-    ``IntegrationFailure`` when that would take more than ``limit`` panels.
+    ``_QUAD_RTOL`` |I|, until the summed estimate is within it.  Raises
+    ``IntegrationFailure`` when that would take more than ``_QUAD_LIMIT``
+    panels.
     """
     a, b = float(a), float(b)
     inner = np.sort(np.ravel(np.asarray([] if points is None else points, dtype=float)))
@@ -199,20 +203,20 @@ def quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, points=None):
     edges = np.concatenate([[a], inner if a < b else inner[::-1], [b]])
     edges = edges[np.append(True, edges[1:] != edges[:-1])]
     lo, hi = edges[:-1], edges[1:]
-    if len(lo) > limit:
-        raise IntegrationFailure(f"{len(lo)} breakpoint panels above the limit {limit}")
+    if len(lo) > _QUAD_LIMIT:
+        raise IntegrationFailure(f"{len(lo)} breakpoint panels above the limit {_QUAD_LIMIT}")
     val, err = _gk21_panels(f, lo, hi)
     while True:
         total, abserr = float(val.sum()), float(err.sum())
-        tol = max(epsabs, epsrel * abs(total))
+        tol = _QUAD_RTOL * abs(total)
         if abserr <= tol:
             return total, abserr
         # NaN estimates split too, and the worst panel always does
         split = ~(err <= tol * (hi - lo) / (b - a)) | (err == err.max())
-        if len(lo) + np.count_nonzero(split) > limit:
+        if len(lo) + np.count_nonzero(split) > _QUAD_LIMIT:
             raise IntegrationFailure(
                 f"quadrature error {abserr:.2e} above {tol:.2e} with {len(lo)} panels"
-                f" (limit {limit})"
+                f" (limit {_QUAD_LIMIT})"
             )
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[split], mid])
@@ -607,8 +611,6 @@ def _pieces(fam: ProfileFamily, s_max: float) -> tuple:
     """The pieces of the half orbit s >= 0, in the order of s, covering
     [0, s_max] on the ch rows and one half period on cp_sphere."""
     row, rho = fam.row, fam.rho
-    if fam.energy_constant < np.finfo(float).tiny:
-        raise IntegrationFailure(f"the energy constant of rho={rho!r} underflows")
     slope = float(fam.second_derivative(rho, 0.0))  # r''(0) = alpha / T + sigma beta T
     sign = math.copysign(1.0, slope)
     if fam.tag == "cp_sphere":
@@ -675,19 +677,19 @@ class ProfileSolution:
     its closed form and a table of its phases in s.  ``s``, ``r`` and
     ``rp`` sample the profile on a symmetric grid of step about
     ``_ROW_STEP``, taken on first use; they are the rows a file stores.
-    ``tol`` is recorded, and changes nothing: the tables are always built
-    to full precision.  ``stored_deviation`` is how far the rows of the
-    file this profile was read from lie from it (0 for a profile built
-    here).
+    The tables are built to full precision.  ``stored_deviation`` is how
+    far the rows of the file this profile was read from lie from it (0 for
+    a profile built here).
     """
 
     family: ProfileFamily
     s_max: float
-    tol: float = DEFAULT_ODE_TOL
     stored_deviation: float = 0.0
 
     def __post_init__(self):
         fam = self.family
+        if fam.energy_constant < np.finfo(float).tiny:
+            raise IntegrationFailure(f"the energy constant of rho={fam.rho!r} underflows")
         self._last = None
         curvature = fam.second_derivative(fam.rho, 0.0)
         # r rises from rho on the ch rows, and on cp_sphere below arctan(sqrt n)
@@ -799,18 +801,12 @@ class ProfileSolution:
     rp = property(lambda self: self._rows[2])
 
 
-def solve_profile(family: ProfileFamily, s_max: float,
-                  tol: float = DEFAULT_ODE_TOL) -> ProfileSolution:
-    """The profile of ``family`` on [-s_max, s_max].
-
-    ``tol`` must lie in ``ODE_TOL_RANGE`` and is recorded; the quadrature
-    tables behind the profile are built to full precision whatever it is.
-    """
-    if not ODE_TOL_RANGE[0] <= tol <= ODE_TOL_RANGE[1]:
-        raise InvalidArgument("tol must lie in [1e-13, 1e-6]")
+def solve_profile(family: ProfileFamily, s_max: float) -> ProfileSolution:
+    """The profile of ``family`` on [-s_max, s_max], its quadrature tables
+    built to full precision."""
     if not 0 < s_max < math.inf:
         raise InvalidArgument(f"s_max must be positive and finite, got {s_max!r}")
-    return ProfileSolution(family, float(s_max), tol)
+    return ProfileSolution(family, float(s_max))
 
 
 def energy_residual(sol: ProfileSolution) -> float:
@@ -930,9 +926,9 @@ SIGMA_TAIL_TOL = 1e-9
 class SigmaIntegralSpec:
     """Parameters of the total curvature integral of the ch_sphere family.
 
-    The full value is prefactor * energy_factor * I where
+    The full value is prefactor * a^n * I where
     prefactor = 2 ((n+2)(n-1))^{n/2} c_{n-1},
-    energy_factor = a^n with a = cosh rho sinh^n rho, and
+    a = cosh rho sinh^n rho is the first-integral constant, and
     I = int_0^inf ds / sinh^{n^2+1} r(s)
       = int_{sinh rho}^inf dt / (t^{n^2-n+1} sqrt(t^{2n+2} + t^{2n} - a^2)).
     """
@@ -960,73 +956,72 @@ class SigmaIntegralSpec:
         n = self.n
         return 2.0 * ((n + 2) * (n - 1)) ** (n / 2.0) * self.sphere_volume
 
-    @property
-    def energy_factor(self) -> float:
-        """a^n; the curvature closed forms carry the first-integral constant."""
-        return self.family.phase_constant ** self.n
 
-
-def _power_sum(t, t0, m):
-    """(t^m - t0^m)/(t - t0) = sum_k t^k t0^{m-1-k}, evaluated stably."""
-    acc = np.zeros_like(np.asarray(t, dtype=float))
-    for k in range(m):
-        acc += t**k * t0 ** (m - 1 - k)
-    return acc
+def _power_sum(t, m):
+    """(t^m - 1)/(t - 1) = sum_{k < m} t^k, evaluated stably."""
+    return sum(t**k for k in range(m))
 
 
 def sigma_integral_thm1(spec: SigmaIntegralSpec) -> float:
     """Total curvature integral of the ch_sphere family, either quadrature form.
 
-    s-form: quadrature in s of sinh^{-(n^2+1)} r(s) along the profile with an
-    exponential tail bound.  Its first round starts on the s values of the
-    profile tables' panel edges, on which r(s) is already resolved, so the
-    profile is read once there and once at s_max for the tail.  t-form: the
-    hyperelliptic integral from t = sinh rho, with the inverse-square-root
-    endpoint removed by the substitution t = sinh rho + u^2 and a power-law
-    tail bound.  Both quadratures hold a relative tolerance only: the s-form
-    integral is about sinh^{-(n^2+1)} rho (1e-21 at n = 6, rho = 2), below
-    any fixed absolute one.
+    Each form folds the scale a^n into its integrand analytically, so that
+    neither over- nor underflows at large (n, rho).  s-form: a^n sinh^{-m} rho
+    = cosh^n rho / sinh rho (m = n^2 + 1) times the quadrature in s of
+    (sinh rho / sinh r(s))^m along the profile, with an exponential tail
+    bound.  Its first round starts on the s values of the profile tables'
+    panel edges, on which r(s) is already resolved, so the profile is read
+    once there and once at s_max for the tail.  t-form: with t = sinh rho
+    tau, a^n I = cosh^n rho J for the hyperelliptic integral J from tau = 1,
+    its inverse-square-root endpoint removed by the substitution
+    tau = 1 + w^2, and a power-law tail bound taken in logs.  ``quad`` holds
+    a relative tolerance only: J falls as 1 / sinh rho (8e-23 at n = 3,
+    rho = 50), below any fixed absolute one.
     """
     n, rho = spec.n, spec.rho
+    fam = spec.family  # rejects a rho whose energy constant overflows
     m = n * n + 1
+    t0 = math.sinh(rho)
     if spec.method == "s":
-        sol = solve_profile(spec.family, _SIGMA_S_MAX)
-        integrand = lambda s: np.sinh(sol.r_of(s)) ** (-m)
+        sol = solve_profile(fam, _SIGMA_S_MAX)
+        integrand = lambda s: (t0 / np.sinh(sol.r_of(s))) ** m
         edges = [piece.start[0] + piece.sign * piece.table.sums[:, 0] for piece in sol._pieces]
-        val, _ = quad(integrand, 0.0, _SIGMA_S_MAX, epsabs=0.0, epsrel=1e-11, limit=200,
-                      points=np.concatenate(edges))
+        val, _ = quad(integrand, 0.0, _SIGMA_S_MAX, points=np.concatenate(edges))
+        # past s_max, r' >= v and sinh^{-m} r <= e^{-m (r - r_m)} sinh^{-m} r_m
         r_m, v = (float(x) for x in sol.state(_SIGMA_S_MAX)[:2])
-        K = (2.0 / (1.0 - math.exp(-2.0 * r_m))) ** m
-        tail = K * math.exp(-m * r_m) / (m * v)
+        tail = (t0 / math.sinh(r_m)) ** m / (m * v)
         if tail > SIGMA_TAIL_TOL * max(val, 1e-300):
             raise NeedsLargerDomain("increase s_max for the s-form tail")
-        total = val + tail
+        scale = math.cosh(rho) ** n / t0
     else:
-        t0 = math.sinh(rho)
-        E = spec.family.energy_constant
+        k, log_t0 = n * n - n + 1, math.log(t0)
 
-        def integrand(u):
-            t = t0 + u * u
-            S = _power_sum(t, t0, 2 * n + 2) + _power_sum(t, t0, 2 * n)
-            return 2.0 / (t ** (n * n - n + 1) * np.sqrt(S))
+        def integrand(w):
+            # the radicand t^{2n+2} + t^{2n} - a^2 over t0^{2n} (tau - 1)
+            tau = 1.0 + w * w
+            S = t0 * t0 * _power_sum(tau, 2 * n + 2) + _power_sum(tau, 2 * n)
+            return 2.0 * tau ** -k / np.sqrt(S)  # tau^-k underflows quietly
 
         # grow the truncation point until the analytic tail bound is small
         # relative to the accumulated value
-        T = max(3.0, 2.0 * t0)
+        theta = max(3.0 / t0, 2.0)
         val = 0.0
-        U_prev = 0.0
+        W_prev = 0.0
         for _ in range(12):
-            U = math.sqrt(T - t0)
-            piece, _ = quad(integrand, U_prev, U, epsabs=0.0, epsrel=1e-11, limit=200)
+            W = math.sqrt(theta - 1.0)
+            piece, _ = quad(integrand, W_prev, W)
             val += piece
-            tail = T ** (-m) / (m * math.sqrt(max(1.0 - E / T ** (2 * n + 2), 0.5)))
+            # a^2 / t^{2n+2} = (1 + t0^{-2}) / theta^{2n+2} at t = t0 theta
+            log_theta = math.log(theta)
+            ratio = math.exp(math.log1p(t0 * t0) - 2.0 * log_t0 - (2 * n + 2) * log_theta)
+            tail = math.exp(-m * log_theta) / (m * t0 * math.sqrt(max(1.0 - ratio, 0.5)))
             if tail <= SIGMA_TAIL_TOL * max(val, 1e-300):
                 break
-            U_prev, T = U, 4.0 * T
+            W_prev, theta = W, 4.0 * theta
         else:
             raise NeedsLargerDomain("t-form tail bound did not reach tolerance")
-        total = val + tail
-    return spec.prefactor * spec.energy_factor * total
+        scale = math.cosh(rho) ** n
+    return spec.prefactor * scale * (val + tail)
 
 
 def sigma_integral_numeric(

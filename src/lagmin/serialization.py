@@ -183,7 +183,7 @@ def profile_to_dict(sol: ProfileSolution) -> dict:
         "family": fam.tag,
         "n": fam.n,
         "rho": fnum(fam.rho),
-        "tol": fnum(sol.tol),
+        "tol": "1e-10",  # the schema's field, fixed since profiles have no tolerance
         "energy_constant": fnum(sol.energy_constant),
         "energy_residual": fnum(energy_residual(sol)),
         "grid": format_rows(np.column_stack([sol.s, sol.r, sol.rp])),
@@ -197,7 +197,8 @@ def profile_from_dict(d: dict) -> ProfileSolution:
     """The profile of the file's (family, n, rho), re-derived over the span
     of its stored [s, r, rp] rows.  The rows are parsed and validated, and
     their largest difference from the re-derived profile, relative to
-    max(|value|, 1), is kept as ``stored_deviation``."""
+    max(|value|, 1), is kept as ``stored_deviation``.  ``tol`` must be a
+    number, and is discarded."""
     import numpy as np
 
     from .profiles import ProfileFamily, ProfileSolution
@@ -215,8 +216,8 @@ def profile_from_dict(d: dict) -> ProfileSolution:
     if not np.all(np.isfinite(s)):
         raise SchemaError("profile.grid: s must be finite")
     parse_float(_require(d, "energy_constant", "profile"), "profile.energy_constant")
-    sol = ProfileSolution(fam, float(np.max(np.abs(s))),
-                          parse_float(_require(d, "tol", "profile"), "profile.tol"))
+    parse_float(_require(d, "tol", "profile"), "profile.tol")
+    sol = ProfileSolution(fam, float(np.max(np.abs(s))))
     stored = arr[:, 1:]
     fresh = np.column_stack(sol.state(s)[:2])
     sol.stored_deviation = float(np.max(np.abs(stored - fresh) / np.maximum(np.abs(stored), 1.0)))

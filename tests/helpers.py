@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from lagmin import fd
-from lagmin.domain import IntegrationFailure, PreconditionViolation
+from lagmin.domain import IntegrationFailure, InvalidArgument
 from lagmin.geomcheck import JetBatch
 from lagmin.immersions import jet_rows
 from lagmin.model_spaces import MODEL_TOL, herm_form, quadric_defect
@@ -75,7 +75,7 @@ def horizontal_project(space, z, v):
     broadcast.  (h, z) = 0 is tangency to the quadric and orthogonality to
     the fiber i z together; idempotent, and annihilates the fiber."""
     if np.any(quadric_defect(space, z) > MODEL_TOL):
-        raise PreconditionViolation("base point is not on the quadric")
+        raise InvalidArgument("base point is not on the quadric")
     z, v = np.asarray(z, dtype=complex), np.asarray(v, dtype=complex)
     return v - (herm_form(space, v, z) / space.quadric_target)[..., None] * z
 
@@ -116,7 +116,7 @@ def two_solve_profile(family, s_max, rtol=1e-13):
     """(s, r, r') of an ODE family on ``solve_profile``'s row grid over
     [-s_max, s_max] from independent forward and backward DOP853 solves,
     each read on its own half line; a failed solve raises
-    ``IntegrationFailure`` with the solver's message."""
+    ``IntegrationFailure`` with the solver's message and the s it reached."""
     half = max(8, int(math.ceil(s_max / _ROW_STEP)))
     s = np.linspace(-s_max, s_max, 2 * half + 1)
     r, u = np.empty_like(s), np.empty_like(s)
@@ -124,7 +124,7 @@ def two_solve_profile(family, s_max, rtol=1e-13):
     for direction, part in ((1.0, ~neg), (-1.0, neg)):
         sol = half_line_solve(family, direction * s_max, rtol)
         if not sol.success:
-            raise IntegrationFailure(sol.message, last_s=float(sol.t[-1]))
+            raise IntegrationFailure(f"{sol.message} (last s = {float(sol.t[-1])})")
         r[part], u[part] = sol.sol(s[part])
     return s, r, np.tanh(u)
 

@@ -44,7 +44,7 @@ def test_01_energy_conservation():
     cases += [("ch_tube", n, rho) for n in (2, 3, 4) for rho in (0.5, 1.0, 2.0)]
     cases += [("cp_sphere", n, rho) for n in (2, 3) for rho in (0.3, 0.6, 1.2)]
     for tag, n, rho in cases:
-        sol = solve_profile(ProfileFamily(tag, n, rho), 8.0, tol=1e-10)
+        sol = solve_profile(ProfileFamily(tag, n, rho), 8.0)
         worst = max(worst, energy_residual(sol))
     _report(1, "energy-integral conservation on [-8, 8]", worst <= 1e-8,
             f"max residual {worst:.3e}")
@@ -194,8 +194,7 @@ def test_09_periodicity():
     for n, rho in [(2, 0.6), (2, 1.2), (3, 0.4)]:
         pr = detect_period(n, rho)
         worst_closure = max(worst_closure, pr.closure_residual)
-        sol = solve_profile(ProfileFamily("cp_sphere", n, rho), pr.period + 2.5,
-                            tol=1e-12)
+        sol = solve_profile(ProfileFamily("cp_sphere", n, rho), pr.period + 2.5)
         probes = np.linspace(0.0, 2.0, 20)
         worst_probe = max(worst_probe, float(np.max(np.abs(
             sol.r_of(probes + pr.period) - sol.r_of(probes)))))

@@ -18,12 +18,11 @@ def run(tmp_path, *argv):
 class TestConfig:
     def test_defaults_without_file(self, tmp_path):
         cfg = load_config(str(tmp_path / "none.conf"))
-        assert cfg["ode_tol"] == 1e-10
-        assert cfg["grid"] == "64x64"
+        assert cfg == {"s_max": 8.0, "grid": "64x64"}
 
     def test_build_takes_the_library_defaults(self, tmp_path):
-        # without a config file the CLI passes the library's own ODE
-        # tolerance and fd step: the header's horizontal residual reads both
+        # without a config file the CLI builds with the library's own
+        # defaults: the same file, byte for byte
         out = tmp_path / "thm1.json"
         assert run(tmp_path, "build", "--family", "thm1", "--n", "2", "--rho", "1",
                    "--grid", "8x8", "--out", str(out)) == EXIT_OK
@@ -32,9 +31,9 @@ class TestConfig:
 
     def test_overrides_and_comments(self, tmp_path):
         p = tmp_path / "lagmin.conf"
-        p.write_text("# comment\node_tol = 1e-11\ngrid=32x16  # inline\n")
+        p.write_text("# comment\ns_max = 4.5\ngrid=32x16  # inline\n")
         cfg = load_config(str(p))
-        assert cfg["ode_tol"] == 1e-11
+        assert cfg["s_max"] == 4.5
         assert cfg["grid"] == "32x16"
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -53,9 +52,18 @@ class TestConfig:
         assert "unknown key 'prng_seed'" in err
         assert "Traceback" not in err
 
+    def test_ode_tol_key_rejected(self, tmp_path, capsys):
+        # the profiles are quadratures with no tolerance; the key is gone
+        (tmp_path / "lagmin.conf").write_text("ode_tol=1e-11\n")
+        code = run(tmp_path, "solve", "--family", "ch-sphere", "--n", "2", "--rho", "1")
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "unknown key 'ode_tol'" in err
+        assert "Traceback" not in err
+
     def test_out_of_range_rejected(self, tmp_path):
         p = tmp_path / "lagmin.conf"
-        p.write_text("ode_tol=1e-3\n")
+        p.write_text("s_max=1000\n")
         from lagmin.cli import UsageError
         with pytest.raises(UsageError, match="out of range"):
             load_config(str(p))
@@ -75,10 +83,21 @@ class TestSolve:
     def test_energy_residual_in_json(self, tmp_path):
         out = tmp_path / "p.json"
         code = run(tmp_path, "solve", "--family", "ch-sphere", "--n", "3",
-                   "--rho", "0.5", "--tol", "1e-11", "--out", str(out))
+                   "--rho", "0.5", "--out", str(out))
         assert code == EXIT_OK
         d = json.loads(out.read_text())
         assert float(d["energy_residual"]) <= 1e-8
+        assert d["tol"] == "1e-10"
+
+    def test_tol_flag_is_gone(self, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "solve", "--family", "ch-sphere", "--n", "2", "--rho", "1",
+                "--tol", "1e-11", "--out", str(out))
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --tol 1e-11" in err
+        assert not out.exists()
 
     def test_equilibrium_proximate_flag(self, tmp_path):
         out = tmp_path / "p.json"
@@ -443,19 +462,26 @@ class TestRejectedInput:
 
 class TestNumericFailure:
     """A profile that doubles cannot hold exits 2 with the reason, without a
-    traceback: at rho = 1e-20 the energy constant sin^16 rho cos^2 rho of
-    cp_sphere at n = 8 underflows."""
+    traceback: the energy constant underflows, sin^16 rho cos^2 rho of
+    cp_sphere at n = 8 and rho = 1e-20, and rho^{2n+2} of ch_horo at
+    (8, 1e-20), (2, 1e-200) and, to 0, at (2, 1e-55)."""
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--family", "cp-sphere", "--n", "8", "--rho", "1e-20"],
         ["build", "--family", "thm5", "--n", "8", "--rho", "1e-20", "--grid", "8x8"],
-    ], ids=["solve", "build"])
+        ["solve", "--family", "ch-horo", "--n", "8", "--rho", "1e-20"],
+        ["build", "--family", "thm3", "--n", "2", "--rho", "1e-200", "--grid", "8x8"],
+        ["solve", "--family", "ch-horo", "--n", "2", "--rho", "1e-55"],
+        ["build", "--family", "thm3", "--n", "2", "--rho", "1e-55", "--grid", "8x8"],
+    ], ids=["solve", "build", "horo-solve", "horo-build", "horo-solve-zero",
+            "horo-build-zero"])
     def test_integration_failure(self, tmp_path, capsys, argv):
         out = tmp_path / "out.json"
         code = run(tmp_path, *argv, "--out", str(out))
         err = capsys.readouterr().err
+        rho = argv[argv.index("--rho") + 1]
         assert code == EXIT_NUMERIC
-        assert err == "numeric failure: the energy constant of rho=1e-20 underflows\n"
+        assert err == f"numeric failure: the energy constant of rho={rho} underflows\n"
         assert not out.exists()
 
 
@@ -714,7 +740,7 @@ class TestColdPath:
         assert code == EXIT_OK
         # the CSV as it was written point by point, one evaluation each
         T = detect_period(2, 0.6).period
-        sol = solve_profile(ProfileFamily("cp_sphere", 2, 0.6), T + 0.5, tol=1e-10)
+        sol = solve_profile(ProfileFamily("cp_sphere", 2, 0.6), T + 0.5)
         rows = [[fnum(v), fnum(sol.r_of(v)), fnum(sol.rp_of(v))]
                 for v in np.linspace(0.0, T, 513)]
         expected = "s,r,rp\n" + "\n".join(",".join(row) for row in rows) + "\n"

@@ -26,7 +26,6 @@ from lagmin.immersions import (
 )
 from lagmin.model_spaces import (
     InvalidArgument,
-    PreconditionViolation,
     embed_isometry,
     projective_distance,
     quadric_defect,
@@ -325,7 +324,7 @@ class TestOneGeometryLayer:
         assert np.max(quadric_defect(space, z)) > 1e-10
         assert np.max(relative_quadric_defect(space, z)) <= 1e-15
         d1 = _stacked_jet(imm, imm.s_values, imm.x_grid)[1]
-        with pytest.raises(PreconditionViolation):
+        with pytest.raises(InvalidArgument, match="not on the quadric"):
             horizontal_project(space, z.reshape(d1[:, 0].shape), d1[:, 0])
         assert gc.horizontality_residual(imm, fb) <= gc.TOLERANCES["horizontal"]
         assert gc.lagrangian_residual(imm, fb) <= gc.TOLERANCES["lagrangian"]

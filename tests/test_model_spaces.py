@@ -5,7 +5,6 @@ from lagmin.model_spaces import (
     HermitianSpace,
     InvalidArgument,
     IsometryElement,
-    PreconditionViolation,
     ProjectivePoint,
     embed_isometry,
     herm_form,
@@ -214,7 +213,7 @@ class TestHorizontalProject:
             assert np.max(np.abs(horizontal_project(space, z, h) - h)) < 1e-12
 
     def test_requires_quadric_base(self, ch2):
-        with pytest.raises(PreconditionViolation):
+        with pytest.raises(InvalidArgument, match="not on the quadric"):
             horizontal_project(ch2, np.array([1.0, 0, 0], dtype=complex),
                                np.zeros(3, dtype=complex))
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lagmin import profiles
+from lagmin import serialization as ser
 from lagmin.model_spaces import InvalidArgument
 from lagmin.profiles import (
     IntegrationFailure,
@@ -43,7 +44,7 @@ def assert_exact_mirror(sol):
 
 @pytest.fixture(scope="module")
 def sphere21():
-    return solve_profile(ProfileFamily("ch_sphere", 2, 1.0), 8.0, tol=1e-10)
+    return solve_profile(ProfileFamily("ch_sphere", 2, 1.0), 8.0)
 
 
 class TestFamilyValidation:
@@ -93,10 +94,6 @@ class TestFamilyValidation:
         np.testing.assert_allclose(fam.second_derivative(r, rp), expected,
                                    rtol=1e-13, atol=1e-13)
 
-    def test_tol_range(self):
-        with pytest.raises(InvalidArgument):
-            solve_profile(ProfileFamily("ch_sphere", 2, 1.0), 2.0, tol=1e-5)
-
     @pytest.mark.parametrize("s_max", [math.inf, math.nan, 0.0])
     def test_s_max_must_be_positive_and_finite(self, s_max):
         with pytest.raises(InvalidArgument, match="s_max"):
@@ -131,15 +128,6 @@ class TestSolveProfile:
         # rho is the only absolute minimum of r
         assert np.min(sphere21.r) >= 1.0 - 1e-9
         assert abs(sphere21.s[np.argmin(sphere21.r)]) <= 1e-6
-
-    def test_tolerance_halving_shifts_endpoint_little(self):
-        # the tolerance is recorded and changes nothing: the quadrature
-        # tables are built to full precision whatever it is
-        fam = ProfileFamily("ch_sphere", 2, 1.0)
-        a = solve_profile(fam, 8.0, tol=1e-10)
-        b = solve_profile(fam, 8.0, tol=5e-11)
-        assert (a.tol, b.tol) == (1e-10, 5e-11)
-        assert np.array_equal(a.r, b.r) and np.array_equal(a.rp, b.rp)
 
     def test_points_in_any_shape(self):
         # a column or a block of points is the flat points' values, bit for
@@ -193,11 +181,12 @@ class TestEnergyResidual:
             assert energy_residual(sol) <= 1e-10
 
     def test_conservation_cross_checked(self):
+        # the tables of a shorter span hold the first integral as well
         fam = ProfileFamily("ch_sphere", 2, 1.0)
-        res = energy_residual(solve_profile(fam, 8.0, tol=1e-10))
-        res_tight = energy_residual(solve_profile(fam, 8.0, tol=5e-11))
+        res = energy_residual(solve_profile(fam, 8.0))
+        res_short = energy_residual(solve_profile(fam, 4.0))
         assert res <= 1e-8
-        assert res_tight <= res * 10 + 1e-12
+        assert res_short <= res * 10 + 1e-12
 
     @pytest.mark.parametrize("rho", [0.61, 0.635])
     def test_constant_state_reads_zero(self, rho):
@@ -219,7 +208,7 @@ class TestEnergyResidual:
         ("ch_horo", 4, 2.0),
     ])
     def test_spread_of_families(self, tag, n, rho):
-        sol = solve_profile(ProfileFamily(tag, n, rho), 8.0, tol=1e-10)
+        sol = solve_profile(ProfileFamily(tag, n, rho), 8.0)
         assert energy_residual(sol) <= 1e-8
         assert_exact_mirror(sol)
         if tag != "ch_horo":  # closed form, no quadrature
@@ -375,6 +364,24 @@ class TestEmbeddingPhase:
             embedding_phase_sup(sol)
 
 
+def _mp_t_form(n, rho, u_end):
+    """(a, I) of the t-form at 30 digits, I with t = sinh rho + u^2 on 40
+    equal panels of [0, u_end] and the rest of the half line."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        t0 = mpmath.sinh(mpmath.mpf(rho))
+
+        def integrand(u):
+            # (t^{2n+2} + t^{2n} - a^2) / (t - t0) as a sum of powers
+            t = t0 + u * u
+            S = sum(t**k * t0 ** (2 * n + 1 - k) for k in range(2 * n + 2))
+            S += sum(t**k * t0 ** (2 * n - 1 - k) for k in range(2 * n))
+            return 2 / (t ** (n * n - n + 1) * mpmath.sqrt(S))
+
+        pts = list(mpmath.linspace(0, u_end, 41)) + [mpmath.inf]
+        return mpmath.cosh(mpmath.mpf(rho)) * t0**n, mpmath.quad(integrand, pts)
+
+
 class TestSigmaIntegral:
     def test_prefactor_n2(self):
         spec = SigmaIntegralSpec(2, 1.0)
@@ -405,22 +412,23 @@ class TestSigmaIntegral:
 
     def test_t_form_of_a_tiny_integral_matches_mpmath(self):
         # at n = 8, rho = 2 the integral I is about 2e-38
-        mpmath = pytest.importorskip("mpmath")
         n, rho = 8, 2.0
         spec = SigmaIntegralSpec(n, rho, method="t")
-        with mpmath.workdps(30):
-            t0 = mpmath.sinh(mpmath.mpf(rho))
+        ref = float(_mp_t_form(n, rho, 4)[1])
+        value = sigma_integral_thm1(spec) / (spec.prefactor * spec.family.phase_constant**n)
+        assert abs(value - ref) <= 1e-13 * ref
 
-            def integrand(u):
-                # (t^{2n+2} + t^{2n} - a^2) / (t - t0) as a sum of powers
-                t = t0 + u * u
-                S = sum(t**k * t0 ** (2 * n + 1 - k) for k in range(2 * n + 2))
-                S += sum(t**k * t0 ** (2 * n - 1 - k) for k in range(2 * n))
-                return 2 / (t ** (n * n - n + 1) * mpmath.sqrt(S))
-
-            ref = mpmath.quad(integrand, list(mpmath.linspace(0, 4, 41)) + [mpmath.inf])
-        value = sigma_integral_thm1(spec) / (spec.prefactor * spec.energy_factor)
-        assert abs(value - float(ref)) <= 1e-13 * float(ref)
+    @pytest.mark.parametrize("n, rho", [(8, 20.0), (13, 5.0)])
+    def test_large_cells_match_mpmath(self, n, rho):
+        # a^n overflows doubles here (1e604 at n = 8, rho = 20) while a^n I
+        # is finite: the reference takes both at 30 digits, on breakpoints
+        # scaled to the integrand's width sqrt(sinh rho / (n^2 + 1)) in u
+        width = math.sqrt(math.sinh(rho) / (n * n + 1))
+        a, integral = _mp_t_form(n, rho, 20 * width)
+        ref = float(a**n * integral)
+        for method in "st":
+            spec = SigmaIntegralSpec(n, rho, method=method)
+            assert abs(sigma_integral_thm1(spec) / spec.prefactor - ref) <= 1e-12 * ref
 
     def test_integrand_positive_decreasing(self, sphere21):
         # s-form integrand sinh^{-(n^2+1)} r for n = 2
@@ -449,7 +457,7 @@ class TestDetectPeriod:
     def test_periodicity_probes(self):
         # high-resolution integration oracle for r(s + T) = r(s)
         pr = detect_period(2, 0.6)
-        sol = solve_profile(ProfileFamily("cp_sphere", 2, 0.6), pr.period + 2.5, tol=1e-12)
+        sol = solve_profile(ProfileFamily("cp_sphere", 2, 0.6), pr.period + 2.5)
         probes = np.linspace(0.0, 2.0, 20)
         assert np.max(np.abs(sol.r_of(probes + pr.period) - sol.r_of(probes))) <= 1e-7
 
@@ -530,38 +538,42 @@ class TestPeriodEvent:
 
 
 MIRROR_CASES = [
-    (tag, n, rho, tol, s_max)
+    (tag, n, rho, file_tol, s_max)
     for tag, params in (
         ("ch_sphere", [(2, 0.05), (3, 1.0), (8, 2.5)]),
         ("ch_tube", [(2, 2.0), (5, 0.05), (8, 0.3)]),
         ("cp_sphere", [(2, 0.6), (5, 0.3), (8, 1.4)]),
     )
     for n, rho in params
-    for tol, s_max in ((1e-8, 8.5), (1e-12, 3.0))
+    for file_tol, s_max in ((1e-8, 8.5), (1e-12, 3.0))
 ]
 
 
 class TestOneSolve:
     """One set of quadrature tables per profile: s < 0 is their exact
     mirror, and it agrees with independent forward and backward DOP853
-    solves of the profile equation."""
+    solves of the profile equation, also when read back from a file
+    whose ``tol`` field holds any number."""
 
-    @pytest.mark.parametrize("tag, n, rho, tol, s_max", MIRROR_CASES)
-    def test_mirror_is_the_two_solve_route(self, tag, n, rho, tol, s_max):
-        sol = solve_profile(ProfileFamily(tag, n, rho), s_max, tol=tol)
+    @pytest.mark.parametrize("tag, n, rho, file_tol, s_max", MIRROR_CASES)
+    def test_mirror_is_the_two_solve_route(self, tag, n, rho, file_tol, s_max):
+        sol = solve_profile(ProfileFamily(tag, n, rho), s_max)
+        read = ser.profile_from_dict(dict(ser.profile_to_dict(sol), tol=ser.fnum(file_tol)))
+        assert read.stored_deviation == 0.0
         assert_exact_mirror(sol)
+        assert_exact_mirror(read)
         # DOP853's global error at rtol 1e-13 grows to about 1e-11 by s = 8.5
-        assert_two_solve_route(sol, bound=1e-10)
+        assert_two_solve_route(read, bound=1e-10)
 
-    @pytest.mark.parametrize("n, rho, tol", [(8, 0.02, 1e-8), (12, 0.1, 1e-6)])
-    def test_succeeds_where_dop853_stops(self, n, rho, tol):
+    @pytest.mark.parametrize("n, rho, rtol", [(8, 0.02, 1e-8), (12, 0.1, 1e-6)])
+    def test_succeeds_where_dop853_stops(self, n, rho, rtol):
         # the orbit runs to within 3e-14 and 1e-12 of pi/2 in the first 1.5
         # units of s, where DOP853 stops: the required step falls below the
         # spacing of doubles
         fam = ProfileFamily("cp_sphere", n, rho)
         with pytest.raises(IntegrationFailure, match="spacing between numbers"):
-            two_solve_profile(fam, 3.0, rtol=tol)
-        sol = solve_profile(fam, 3.0, tol=tol)
+            two_solve_profile(fam, 3.0, rtol=rtol)
+        sol = solve_profile(fam, 3.0)
         assert energy_residual(sol) <= 1e-13
         assert_exact_mirror(sol)
         assert np.max(sol.r) < math.pi / 2

@@ -38,11 +38,15 @@ class TestProfileRoundTrip:
                                           ("ch_horo", 1.0)])
     def test_stored_rows_against_the_rederived_profile(self, tag, rho):
         # a read profile is re-derived from (family, n, rho); the stored rows
-        # of a file written here lie on it exactly, and an edited row is off
-        sol = solve_profile(ProfileFamily(tag, 2, rho), 3.0, tol=1e-11)
+        # of a file written here lie on it exactly, and an edited row is off.
+        # The file's tol is any number, read and discarded: the profile is
+        # written back with the fixed 1e-10
+        sol = solve_profile(ProfileFamily(tag, 2, rho), 3.0)
         d = json.loads(json.dumps(ser.profile_to_dict(sol)))
-        sol2 = ser.profile_from_dict(d)
-        assert sol2.stored_deviation == 0.0 and sol2.tol == 1e-11
+        assert d["tol"] == "1e-10"
+        sol2 = ser.profile_from_dict(dict(d, tol="1e-11"))
+        assert sol2.stored_deviation == 0.0
+        assert ser.profile_to_dict(sol2) == d
         d["grid"][700][1] = ser.fnum(float(d["grid"][700][1]) * (1 + 1e-5))
         assert ser.profile_from_dict(d).stored_deviation >= 0.9e-5
 
@@ -60,6 +64,9 @@ class TestProfileRoundTrip:
         del bad["energy_constant"]
         with pytest.raises(ser.SchemaError, match="energy_constant"):
             ser.profile_from_dict(bad)
+        for bad in (dict(d, tol="tight"), {k: v for k, v in d.items() if k != "tol"}):
+            with pytest.raises(ser.SchemaError, match="tol"):
+                ser.profile_from_dict(bad)
         bad = dict(d)
         bad["grid"] = [["0", "1"]]
         with pytest.raises(ser.SchemaError, match="grid"):
