@@ -82,7 +82,7 @@ from .model_spaces import (
     embed_isometry,
     relative_quadric_defect,
 )
-from .profiles import sigma_integral_numeric
+from .profiles import PAIRS, sigma_integral_numeric
 
 __all__ = [
     "OutOfDomain",
@@ -428,9 +428,11 @@ def expected_metric(imm: SampledImmersion, s, X) -> np.ndarray | None:
     families, the curve's warp over the totally geodesic block.  The
     metric is diagonal: returns its diagonal (D, S, M) at the s values
     ``s``, which broadcast against (S, M), and the M block points ``X``
-    (M, d), warp(s) times block(x) by broadcasting."""
+    (M, d), warp(s) times block(x) by broadcasting.  The warp is C(r)^2 on
+    the tube row and S(r)^2 on the others, with r read from the immersion's
+    curve state and (S, C) its row's pair."""
     kind = imm.spec.kind
-    if not kind.model or imm.spec.detuned or imm.seed is not None:
+    if not kind.model or imm.spec.detuned:
         return None
     s = np.asarray(s, dtype=float)
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -444,17 +446,14 @@ def expected_metric(imm: SampledImmersion, s, X) -> np.ndarray | None:
             run = run * np.sin(angles[:, k]) ** 2
         return out
 
-    # the curve's radius: r(s) on a profile, s along the geodesic
-    radius = (lambda u: u) if kind.geodesic else imm.profile.r_of
+    trig = PAIRS[kind.profile]
+    warp = (trig.C if kind.layout == "tube" else trig.S)(imm.curve(s)[0][0]) ** 2
     if kind.layout == "sphere":
-        trig = np.sinh if kind.ambient == "ch" else np.sin
-        warp = trig(radius(s)) ** 2
         rows = [warp * blk for blk in sphere_block(X)]
     elif kind.layout == "tube":
-        warp = np.cosh(radius(s)) ** 2
         rows = [warp] + [warp * np.sinh(X[:, 0]) ** 2 * blk for blk in sphere_block(X[:, 1:])]
     else:
-        rows = [np.exp(2.0 * s) if kind.geodesic else radius(s) ** 2] * d
+        rows = [warp] * d
     g = np.ones((1 + d,) + np.broadcast_shapes(s.shape, (M,)))
     for k, row in enumerate(rows):
         g[1 + k] = row

@@ -22,15 +22,17 @@ tg_rh_ch, tg_plane_c), so each is its prop3/prop4/prop6a twin over that
 seed; the others take a seed.
 
 Every lift is therefore alpha(s) * beta(x) + delta(s) componentwise, and
-that one factorization is the only lift code: ``_curve_factors`` gives the
-curve factors alpha, delta as exact jets in s, the pair (S, C) read from
-the profile row, and ``_block_factor`` the exact jet of the O(1) block
-beta, the seed's jet placed by the layout (the built-in seeds' jets are
-closed forms, their values the chart maps).  The evaluator, the
-model-coordinate evaluator and the cached samples compose them, the jet
-keeps them apart (``ProductJet``, every Hermitian pairing of the jets
-taken factor by factor), and the Legendre curves are the first and last
-columns of alpha.  No family takes a numerical step.
+that one factorization is the only lift code.  The curve enters through
+one seam, its state s -> (jets of r, a, b) (``_curve_state``: solved,
+geodesic or the detuned thm1 control), which ``_curve_factors`` composes
+by the layout into the curve factors alpha, delta as exact jets in s, the
+pair (S, C) read from the profile row; ``_block_factor`` gives the exact
+jet of the O(1) block beta, the seed's jet placed by the layout (the
+built-in seeds' jets are closed forms, their values the chart maps).  The
+evaluator, the model-coordinate evaluator and the cached samples compose
+them, the jet keeps them apart (``ProductJet``, every Hermitian pairing of
+the jets taken factor by factor), and the Legendre curves are the first
+and last columns of alpha.  No family takes a numerical step.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from .profiles import (
     ProfileFamily,
     ProfileSolution,
     cumulative,
-    phase_integrals,
     solve_profile,
 )
 
@@ -463,7 +464,9 @@ class SampledImmersion:
     ``jet_factors(s, X)`` returns the lift's exact jet on the product of S
     values s and M transverse points X as a ``ProductJet``, kept in its
     curve and block factors and never materialised as S*M rows; it is the
-    only jet the geometry reads.
+    only jet the geometry reads.  ``curve`` is the curve state the lift
+    is built from, s -> (jets of r, a, b), each (3, S) (None for the flat
+    power curve); the closed-form comparators read it too.
     """
 
     spec: ImmersionFamilySpec
@@ -476,7 +479,7 @@ class SampledImmersion:
     jet_factors: object
     model_evaluate: object | None = None
     profile: ProfileSolution | None = None
-    phases: PhaseIntegrals | None = None
+    curve: object | None = None
     seed: SeedLagrangian | None = None
     group: str | None = None
     header: dict = field(default_factory=dict)
@@ -549,21 +552,6 @@ def power_curve(s: np.ndarray, c: int, n: int) -> np.ndarray:
 # product-rule jets: Z(s, x) = alpha(s) * beta(x) + delta(s), componentwise
 
 
-def _detuned_phases(profile: ProfileSolution, phases: PhaseIntegrals) -> PhaseIntegrals:
-    """Phases of the thm1 negative control: the speed frozen at f(0)."""
-    fam, f0 = phases.family, float(phases.phase_speed(0.0))
-
-    def rates(r, rp):
-        gb, dgb = fam.integrands(r, (f0, 2, -2))  # f0 tanh^2 r
-        return np.full_like(r, f0), np.zeros_like(r), gb, dgb * rp
-
-    b_of = cumulative(lambda x: f0 * np.tanh(profile.r_of(x)) ** 2, -profile.s_max, profile.s_max)
-    a_of = lambda x: f0 * np.asarray(x, dtype=float)
-    speed = lambda x: np.full_like(np.asarray(x, dtype=float), f0)
-    state = lambda x: (*profile.state(x)[:3], a_of(x), b_of(x))
-    return PhaseIntegrals(fam, a_of, b_of, speed, rates, state)
-
-
 def _mul_jet(u, v):
     """Jet (value, d/ds, d^2/ds^2), stacked on axis 0, of the product u v."""
     return np.stack([u[0] * v[0], u[1] * v[0] + u[0] * v[1],
@@ -576,15 +564,60 @@ def _phase_jet(phase, speed, accel):
     return np.stack([e, 1j * speed * e, (1j * accel - speed**2) * e])
 
 
-def _curve_factors(spec, phases):
-    """s -> (alpha, delta), the curve factors as jets of shape (3, S, C).
+def _curve_state(spec, profile):
+    """s -> (jet of r, jet of a, jet of b), each (3, S): the curve in CH^1
+    (S^3 for CP^n) that a family's lift composes, r with r', r'' and each
+    phase with its two rates (None for the power curve, which has none).
 
-    Non-flat curves read one state: the jet of r and each phase with its
-    two rates.  Solved curves take r, r', r'' and the phases from one
-    evaluation of the profile (``phases.state``) and the rates from
-    ``phases.rates``; geodesic ones are their row's a = 0 member.  (S, C)
-    is the row's pair.  ``delta`` is None where the lift has no additive
-    curve term.
+    Solved curves read r, r', r'' and the phases from one evaluation of the
+    profile (``ProfileSolution.state``) and the rates from the row
+    (``ProfileFamily.phase_rates``); geodesic ones are their row's a = 0
+    member, r = s (r = e^s on the horo row) with every phase zero; the
+    detuned thm1 control keeps the profile's r with the phase speed frozen
+    at f0 = a'(0): a = f0 s and b' = f0 tanh^2 r.
+    """
+    kind = spec.kind
+    if kind.layout == "flat":
+        return None
+    if kind.geodesic:
+
+        def state(s):
+            # a = 0 in the first integrals: r' = 1, or r' = r on the horo row
+            zero = np.zeros((3,) + np.shape(s))
+            if kind.layout == "horo":
+                rj = np.stack([np.exp(s)] * 3)
+            else:
+                rj = np.stack([s, np.ones_like(s), zero[0]])
+            return rj, zero, zero
+
+        return state
+    fam = profile.family
+    if spec.detuned:
+        f0 = float(fam.phase_rates(profile.r_of(0.0), 0.0)[0])
+        b_of = cumulative(lambda x: f0 * np.tanh(profile.r_of(x)) ** 2,
+                          -profile.s_max, profile.s_max)
+
+        def state(s):
+            r, rp, rpp = profile.state(s)[:3]
+            gb, dgb = fam.integrands(r, (f0, 2, -2))  # f0 tanh^2 r
+            return (np.stack([r, rp, rpp]),
+                    np.stack([f0 * s, np.full_like(r, f0), np.zeros_like(r)]),
+                    np.stack([b_of(s), gb, dgb * rp]))
+
+        return state
+
+    def state(s):
+        r, rp, rpp, a, b = profile.state(s)
+        sa, sa1, sb, sb1 = fam.phase_rates(r, rp)
+        return np.stack([r, rp, rpp]), np.stack([a, sa, sa1]), np.stack([b, sb, sb1])
+
+    return state
+
+
+def _curve_factors(spec, state):
+    """s -> (alpha, delta), the curve factors as jets of shape (3, S, C):
+    the curve ``state`` composed by the layout, (S, C) the row's pair.
+    ``delta`` is None where the lift has no additive curve term.
     """
     kind, n = spec.kind, spec.n
 
@@ -598,24 +631,6 @@ def _curve_factors(spec, phases):
             return np.stack([np.stack([g, g1, g2])] * n, axis=-1), None
 
         return curve
-
-    if kind.geodesic:
-
-        def state(s):
-            # a = 0 in the first integrals: r' = 1, or r' = r on the horo row
-            zero = np.zeros_like(s)
-            if kind.layout == "horo":
-                rj = np.stack([np.exp(s)] * 3)
-            else:
-                rj = np.stack([s, np.ones_like(s), zero])
-            return rj, (zero, zero, zero), (zero, zero, zero)
-
-    else:
-
-        def state(s):
-            r, rp, rpp, a, b = phases.state(s)
-            sa, sa1, sb, sb1 = phases.rates(r, rp)
-            return np.stack([r, rp, rpp]), (a, sa, sa1), (b, sb, sb1)
 
     if kind.layout == "horo":
 
@@ -749,33 +764,19 @@ def _make_jet_factors(curve, beta):
     return jet_factors
 
 
-def _distinct_rows(X: np.ndarray) -> tuple:
-    """(rows, at): the distinct rows of X (N, k) and, per row of X, where it
-    sits among them, by one lexsort."""
-    order = np.lexsort(X.T[::-1])
-    X = X[order]
-    new = np.empty(len(X), dtype=bool)
-    new[:1] = True
-    np.any(X[1:] != X[:-1], axis=1, out=new[1:])
-    at = np.empty(len(X), dtype=np.intp)
-    at[order] = np.cumsum(new) - 1
-    return X[new], at
-
-
 def _lift(curve, beta):
     """evaluate(s, X) = alpha(s) * beta(X) + delta(s) at the points (s_k, X_k).
-    The curve is taken once per distinct s and the block once per distinct
-    row of X, then spread back to the points, so a stacked grid costs one
-    curve and one block evaluation, as in ``ProductJet.value``, and the
-    values are its values bit for bit.  Where the lift has no delta nothing
-    is added, so signed zeros of the product survive into the files."""
+    The curve is taken once per distinct s, on the sorted distinct values,
+    then spread back to the points, so a stacked grid reads the curve as
+    ``ProductJet.value`` does and the values are its values bit for bit.
+    Where the lift has no delta nothing is added, so signed zeros of the
+    product survive into the files."""
 
     def evaluate(s, X):
-        s, s_at = _distinct_rows(np.asarray(s, dtype=float).reshape(-1, 1))
-        X, X_at = _distinct_rows(np.atleast_2d(np.asarray(X, dtype=float)))
-        alpha, delta = curve(s[:, 0])
-        z = alpha[0][s_at] * beta(X)[0][X_at]
-        return z if delta is None else z + delta[0][s_at]
+        s, at = np.unique(np.ravel(np.asarray(s, dtype=float)), return_inverse=True)
+        alpha, delta = curve(s)
+        z = alpha[0][at] * beta(np.atleast_2d(np.asarray(X, dtype=float)))[0]
+        return z if delta is None else z + delta[0][at]
 
     return evaluate
 
@@ -862,9 +863,8 @@ def assemble_immersion(
     seed, block = _resolve_seed(spec, seed)
     kind = spec.kind
     _check_profile(spec, profile)
-    phases = phase_integrals(profile) if profile is not None else None
-    lift_phases = _detuned_phases(profile, phases) if spec.detuned else phases
-    curve = _curve_factors(spec, lift_phases)
+    state = _curve_state(spec, profile)
+    curve = _curve_factors(spec, state)
     beta = _block_factor(kind.layout, block.jet, block.potential_jet)
     jet_factors = _make_jet_factors(curve, beta)
 
@@ -895,7 +895,7 @@ def assemble_immersion(
         model_evaluate=model_evaluate,
         jet_factors=jet_factors,
         profile=profile,
-        phases=phases,
+        curve=state,
         seed=seed,
         group=_LAYOUTS[kind.layout][2] if kind.model else None,
         header=header,
@@ -997,11 +997,10 @@ def slice_at(imm: SampledImmersion, s: float) -> SliceRecord:
         raise InvalidArgument("slices are defined for the thm1 family")
     n = imm.spec.n
     space = imm.ambient.space
-    a, b = float(imm.phases.a_of_s(s)), float(imm.phases.b_of_s(s))
+    radius, a, b = (float(jet[0]) for jet in imm.curve(float(s)))
     diag = np.r_[np.full(n, np.exp(1j * a)), np.exp(1j * b)]
     A = IsometryElement(space, np.diag(diag))
     lifts = imm.evaluate(np.full(len(imm.x_grid), float(s)), imm.x_grid)
-    radius = float(imm.profile.r_of(s))
     # align the residual global phase on the largest coordinate per sample
     aligned = normalize_phase(lifts * np.conj(diag)[None, :])
     sphere = umbilical_embed("geodesic_sphere", imm.chart.to_model(imm.x_grid), radius)
@@ -1054,11 +1053,11 @@ def _family_curve(spec: ImmersionFamilySpec, s) -> LegendreCurve:
     """The family's Legendre curve: the first and last columns of its curve
     factor, i.e. the lift at a point where the block is B = e_1."""
     s = np.asarray(s, dtype=float)
-    phases = None
+    profile = None
     if spec.kind.solved:
         pf = ProfileFamily(spec.kind.profile, spec.n, spec.rho)
-        phases = phase_integrals(solve_profile(pf, float(np.max(np.abs(s))) + PROFILE_MARGIN))
-    alpha, _ = _curve_factors(spec, phases)(s)
+        profile = solve_profile(pf, float(np.max(np.abs(s))) + PROFILE_MARGIN)
+    alpha, _ = _curve_factors(spec, _curve_state(spec, profile))(s)
     return LegendreCurve(spec.ambient.space.signature, s, *alpha[..., [0, -1]])
 
 
@@ -1092,15 +1091,18 @@ def wavy_control_curve(s: np.ndarray) -> LegendreCurve:
         f = np.sqrt(1.0 - rp**2) / np.tanh(r)
         return f, f * np.tanh(r) ** 2
 
-    rj = np.stack([1.0 + 0.3 * np.sin(s), 0.3 * np.cos(s), -0.3 * np.sin(s)])
-    r, rp, rpp = rj
-    tt, w = np.tanh(r), np.sqrt(1.0 - rp**2)
-    f, g = speeds(s)
-    fp = (-rp * rpp / w) / tt - w * rp / (tt**2 * np.cosh(r) ** 2)
-    gp = fp * tt**2 + 2.0 * f * tt * rp / np.cosh(r) ** 2
     lo, hi = min(float(s.min()), 0.0), max(float(s.max()), 0.0)
-    a, b = (cumulative(lambda x, k=k: speeds(x)[k], lo, hi)(s) for k in (0, 1))
-    sh, ch = PAIRS["ch_sphere"].jets(rj)
-    c1 = _mul_jet(sh, _phase_jet(a, f, fp))
-    c2 = _mul_jet(ch, _phase_jet(b, g, gp))
-    return LegendreCurve("hyperbolic", s, *np.stack([c1, c2], axis=-1))
+    a_of, b_of = (cumulative(lambda x, k=k: speeds(x)[k], lo, hi) for k in (0, 1))
+
+    def state(x):
+        rj = np.stack([1.0 + 0.3 * np.sin(x), 0.3 * np.cos(x), -0.3 * np.sin(x)])
+        r, rp, rpp = rj
+        tt, w = np.tanh(r), np.sqrt(1.0 - rp**2)
+        f, g = speeds(x)
+        fp = (-rp * rpp / w) / tt - w * rp / (tt**2 * np.cosh(r) ** 2)
+        gp = fp * tt**2 + 2.0 * f * tt * rp / np.cosh(r) ** 2
+        return rj, np.stack([a_of(x), f, fp]), np.stack([b_of(x), g, gp])
+
+    # composed as the ch_sphere row's curves are
+    alpha, _ = _curve_factors(ImmersionFamilySpec("tg_sphere", 2), state)(s)
+    return LegendreCurve("hyperbolic", s, *alpha[..., [0, -1]])

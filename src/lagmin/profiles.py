@@ -11,13 +11,13 @@ Each family is one row of a table (``_row``): a pair (S, C) = (sinh, cosh),
 (sin, cos) or, for ch_horo, (r, 1) with S' = C, C' = sigma S and T = S / C;
 the exponents (alpha, beta) of the first integral (1 - r'^2) F(r) = E with
 F = S^{2 alpha} C^{2 beta} and E = F(rho); and the phase integrands
-sign a S^p C^q as (sign, p, q), with a = sqrt(E) and f(s) = a S^p C^q the
-phase speed.  r'' = (1 - r'^2)(alpha / T + sigma beta T) and every phase
-integrand with its derivative dg/dr = g (p / T + sigma q T) are read from
-the row; ch_horo keeps its closed form and first integral
-r'^2 + a^2 / r^{2n} = r^2.  ``PAIRS`` gives a tag's pair without a rho; its
-``jets`` are what every lift's curve factor multiplies, the real geodesic
-(the a = 0 member) included.
+sign a S^p C^q as (sign, p, q), with a = sqrt(E).  r'' = (1 - r'^2)
+(alpha / T + sigma beta T) and every phase integrand with its derivative
+dg/dr = g (p / T + sigma q T) are read from the row (the phases' rates:
+``ProfileFamily.phase_rates``); ch_horo keeps its closed form and first
+integral r'^2 + a^2 / r^{2n} = r^2.  ``PAIRS`` gives a tag's pair without
+a rho; its ``jets`` are what every lift's curve factor multiplies, the
+real geodesic (the a = 0 member) included.
 
 No ODE is solved.  By the first integral r'^2 = 1 - E / F(r) = -expm1(-D)
 with D = log F(r) - log E, so along each stretch where r is monotone the
@@ -393,10 +393,12 @@ def _logcosh(x):
 
 
 def _logsinh(x):
-    # valid for x > 0; below 1 directly, where 1 - e^{-2x} would cancel
+    # valid for x > 0; below 1 directly, where 1 - e^{-2x} would cancel, and
+    # the other branch taken at x >= 1 only: log1p(-1) divides by zero
     x = np.asarray(x, dtype=float)
+    big = np.maximum(x, 1.0)
     return np.where(x < 1.0, np.log(np.sinh(np.minimum(x, 1.0))),
-                    x + np.log1p(-np.exp(-2.0 * x)) - math.log(2.0))
+                    big + np.log1p(-np.exp(-2.0 * big)) - math.log(2.0))
 
 
 # pi/2 in two parts: _co(x) = pi/2 - x keeps its relative precision near pi/2
@@ -440,14 +442,13 @@ _FLAT = _Trig(0.0, lambda r: r, np.ones_like, lambda r: r, lambda r: r, lambda r
 
 @dataclass(frozen=True)
 class _Row:
-    """One profile family; ``speed`` is a / denom^{n+1} = a S^p C^q as (p, q)."""
+    """One profile family."""
 
     trig: _Trig
     alpha: int
     beta: int
     phase_a: tuple
     phase_b: tuple
-    speed: tuple
 
 
 # each family's pair (S, C), which its tag alone decides
@@ -458,10 +459,10 @@ PAIRS = {"ch_sphere": _HYPERBOLIC, "ch_tube": _HYPERBOLIC, "ch_horo": _FLAT,
 def _row(tag: str, n: int) -> _Row:
     m = n + 1
     return _Row(PAIRS[tag], *{
-        "ch_sphere": (n, 1, (1.0, -m, 0), (1.0, 1 - n, -2), (-m, 0)),
-        "ch_tube": (1, n, (1.0, -2, 1 - n), (1.0, 0, -m), (0, -m)),
-        "ch_horo": (m, 0, (1.0, -m, 0), (1.0, -m - 2, 0), (-m, 0)),
-        "cp_sphere": (n, 1, (-1.0, -m, 0), (1.0, 1 - n, -2), (-m, 0)),
+        "ch_sphere": (n, 1, (1.0, -m, 0), (1.0, 1 - n, -2)),
+        "ch_tube": (1, n, (1.0, -2, 1 - n), (1.0, 0, -m)),
+        "ch_horo": (m, 0, (1.0, -m, 0), (1.0, -m - 2, 0)),
+        "cp_sphere": (n, 1, (-1.0, -m, 0), (1.0, 1 - n, -2)),
     }[tag])
 
 
@@ -525,6 +526,15 @@ class ProfileFamily:
             g = c * S**p * C**q
             out += [g, g * (p / t + trig.sigma * q * t)]
         return out
+
+    def phase_rates(self, r, rp):
+        """(a', a'', b', b''): the phases' first and second s-derivatives,
+        sign a S^p C^q from the row and its derivative along the profile,
+        in closed form from the state (r, r')."""
+        a, row = self.phase_constant, self.row
+        (sa, pa, qa), (sb, pb, qb) = row.phase_a, row.phase_b
+        ga, dga, gb, dgb = self.integrands(r, (sa * a, pa, qa), (sb * a, pb, qb))
+        return ga, dga * rp, gb, dgb * rp
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +753,7 @@ class ProfileSolution:
             A, B = self._horo(s).T
         elif self._equilibrium:
             r, rp = np.full_like(s, fam.rho), np.zeros_like(s)
-            ga, _, gb, _ = phase_integrals(self).rates(r, rp)
+            ga, _, gb, _ = fam.phase_rates(r, rp)
             A, B = ga * s, gb * s
         elif fam.tag == "cp_sphere":
             # one period on: the turns taken, and the way back from the far turn
@@ -847,34 +857,18 @@ class PhaseIntegrals:
 
     ``a_of_s`` and ``b_of_s`` are the signed exponents of the first and
     second components of the corresponding immersion (cp_sphere carries the
-    minus sign on a_of_s).  ``phase_speed`` is f(s) = a / denom(r)^{n+1}.
-    ``rates(r, r')`` returns the exponents' first and second s-derivatives
-    (a', a'', b', b'') in closed form from the profile state.  ``state(s)``
-    is the curve state (r, r', r'', a, b) a lift reads.
+    minus sign on a_of_s), read from the profile's tables by
+    ``ProfileSolution.state``; their rates are ``ProfileFamily.phase_rates``.
     """
 
     family: ProfileFamily
     a_of_s: object
     b_of_s: object
-    phase_speed: object
-    rates: object
-    state: object
 
 
 def phase_integrals(sol: ProfileSolution) -> PhaseIntegrals:
-    """The phases of a profile, read from its tables by ``sol.state``, their
-    rates sign a S^p C^q from the family's row."""
-    fam = sol.family
-    a, row = fam.phase_constant, fam.row
-    (sa, pa, qa), (sb, pb, qb) = row.phase_a, row.phase_b
-
-    def rates(r, rp):
-        ga, dga, gb, dgb = fam.integrands(r, (sa * a, pa, qa), (sb * a, pb, qb))
-        return ga, dga * rp, gb, dgb * rp
-
-    speed = lambda x: fam.integrands(sol.r_of(x), (a, *row.speed))[0]
-    return PhaseIntegrals(fam, lambda x: sol.state(x)[3], lambda x: sol.state(x)[4],
-                          speed, rates, sol.state)
+    """The phases of a profile, read from its tables by ``sol.state``."""
+    return PhaseIntegrals(sol.family, lambda x: sol.state(x)[3], lambda x: sol.state(x)[4])
 
 
 # the largest analytic tail bound the embedding phase accepts
@@ -1082,18 +1076,17 @@ class PeriodResult:
 def detect_period(n: int, rho: float) -> PeriodResult | None:
     """Period T of the cp_sphere profile through (rho, 0).
 
-    Returns None at the equilibrium radius arctan(sqrt(n)), detected by
-    |r''(rho)| < 1e-12.  Otherwise T = 2 s(e_b), twice the arc length from
-    rho to the far turn, read from the profile's quadrature tables (either
-    side of the equilibrium).  The amplitude is |r - rho| at the far turn;
-    the closure residual |r(T) - rho| + |r'(T)| is read from the profile at
-    T, which continues the orbit by its period, so it is roundoff by
-    construction.
+    Returns None at the equilibrium radius arctan(sqrt(n)), which the
+    profile reads as |r''(rho)| < 1e-12.  Otherwise T = 2 s(e_b), twice
+    the arc length from rho to the far turn, read from the profile's
+    quadrature tables (either side of the equilibrium).  The amplitude is
+    |r - rho| at the far turn; the closure residual |r(T) - rho| + |r'(T)|
+    is read from the profile at T, which continues the orbit by its period,
+    so it is roundoff by construction.
     """
-    fam = ProfileFamily("cp_sphere", n, rho)
-    if abs(fam.second_derivative(rho, 0.0)) < 1e-12:
+    sol = ProfileSolution(ProfileFamily("cp_sphere", n, rho), 1.0)
+    if sol._equilibrium:
         return None
-    sol = ProfileSolution(fam, 1.0)
     T = sol.period
     (r_T, turn), (rp_T, _) = sol.state(np.array([T, T / 2]))[:2]
     return PeriodResult(T, float(abs(r_T - rho) + abs(rp_T)), float(abs(turn - rho)))

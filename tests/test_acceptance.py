@@ -26,6 +26,7 @@ from lagmin.profiles import (
     detect_period,
     embedding_phase_sup,
     energy_residual,
+    phase_integrals,
     sigma_integral_numeric,
     sigma_integral_thm1,
     solve_profile,
@@ -263,7 +264,7 @@ def test_12_flat_products():
 def test_13_foliation_normal_position():
     imm = build_immersion(ImmersionFamilySpec("thm1", 2, 1.0), grid=(12, 12))
     worst_dephase = max(slice_at(imm, s).dephase_residual for s in (-1.0, 0.5, 2.0))
-    th = normal_position_angles(imm.phases, 0.0, 1.0)
+    th = normal_position_angles(phase_integrals(imm.profile), 0.0, 1.0)
     spread = float(np.ptp(th))
     ok = worst_dephase <= 1e-8 and spread <= 1e-12
     _report(13, "foliation slices and normal position", ok,

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,23 @@ class TestBuildVerify:
         assert run(tmp_path, "verify", "--in", str(edited), "--report", str(rep)) == EXIT_VERIFY
         failed = [c["name"] for c in json.loads(rep.read_text())["checks"] if not c["pass"]]
         assert failed == ["horizontal"]
+
+    def test_a_detuned_file_keeps_its_bytes(self, tmp_path):
+        # the detuned thm1 control at n=2 rho=1 on 4x4, and its verify
+        # report, both written before the control read the curve state the
+        # lift is built from: a rebuild writes the same bytes, and verify
+        # the same report, failing minimality as the control must
+        data = Path(__file__).parent / "data"
+        old = data / "thm1_detuned_n2_rho1_4x4.json"
+        imm = build_immersion(ImmersionFamilySpec("thm1", 2, 1.0, detuned=True), grid=(4, 4))
+        assert dumps(immersion_to_dict(imm)) == old.read_text()
+        rep = tmp_path / "rep.json"
+        assert run(tmp_path, "verify", "--in", str(old), "--report", str(rep)) == EXIT_VERIFY
+        assert rep.read_bytes() == (data / "thm1_detuned_n2_rho1_4x4_report.json").read_bytes()
+        failed = {c["name"]: float(c["residual"])
+                  for c in json.loads(rep.read_text())["checks"] if not c["pass"]}
+        assert list(failed) == ["minimal"]
+        assert failed["minimal"] == pytest.approx(1.211, abs=5e-4)
 
     def test_verify_stdout_is_the_report(self, tmp_path, thm1_file, capsys):
         rep = tmp_path / "rep.json"
@@ -492,6 +510,19 @@ class TestSigmaIntegral:
         assert code == EXIT_OK
         d = json.loads(capsys.readouterr().out)
         assert float(d["relative_discrepancy"]) <= 1e-4
+
+    def test_tiny_rho_without_warnings(self, tmp_path, capsys):
+        # log sinh rho took log1p(-e^{-2 rho}) at every rho, which divides by
+        # zero below about 5e-17: a RuntimeWarning, and an error under -W error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(tmp_path, "solve", "--family", "ch-sphere", "--n", "2", "--rho", "1e-17",
+                       "--out", str(tmp_path / "tiny.json")) == EXIT_OK
+            capsys.readouterr()
+            assert run(tmp_path, "sigma-integral", "--family", "thm1", "--n", "3",
+                       "--rho", "1e-30", "--method", "both") == EXIT_OK
+        d = json.loads(capsys.readouterr().out)
+        assert float(d["relative_discrepancy"]) <= 1e-12
 
     def test_numeric_path_zero_for_tg(self, tmp_path, capsys):
         out = tmp_path / "tg.json"

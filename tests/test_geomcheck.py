@@ -493,19 +493,18 @@ class TestProductJets:
             for got in (row.reshape(len(xi), -1), stacked[len(idx)][at]):
                 assert np.max(np.abs(got - whole[len(idx)][at])) <= tol[len(idx)] * scale
 
-    def test_evaluate_takes_the_block_once_per_transverse_point(self):
-        # a stacked grid repeats each transverse point at every s value: the
-        # lift evaluates the block (the seed's jet) on the distinct points
-        # only, and its values are the jet's value bit for bit
-        seed = make_seed("clifford_cp", 3)
-        jet, rows = seed.jet, []
-        seed.jet = lambda X: rows.append(len(X)) or jet(X)
+    def test_evaluate_takes_the_curve_once_per_distinct_s(self, monkeypatch):
+        # a stacked grid repeats each s value at every transverse point: the
+        # lift reads the profile once, on the distinct s values only, and
+        # its values are the jet's value bit for bit
         imm = build_immersion(ImmersionFamilySpec("prop3a", 4, 1.0, seed_kind="clifford_cp"),
-                              grid=(64, 64), seed=seed)
-        rows.clear()
-        xi = imm.grid_xi()
-        assert imm.evaluate_xi(xi).tobytes() == imm.samples.tobytes()
-        assert rows == [len(imm.x_grid)]
+                              grid=(64, 64))
+        profile, sizes = imm.profile, []
+        evaluate = profile._evaluate
+        monkeypatch.setattr(profile, "_evaluate", lambda s: sizes.append(len(s)) or evaluate(s))
+        profile._last = None  # forget the build's reading of these s values
+        assert imm.evaluate_xi(imm.grid_xi()).tobytes() == imm.samples.tobytes()
+        assert sizes == [len(imm.s_values)]
 
     @pytest.mark.parametrize("spec", _EVERY_FAMILY, ids=_spec_id)
     def test_samples_evaluate_and_jet_value_bitwise(self, spec):

@@ -22,6 +22,7 @@ from lagmin.immersions import (
     wavy_control_curve,
 )
 from lagmin.model_spaces import herm_form, projective_distance, quadric_defect
+from lagmin.profiles import phase_integrals
 
 from helpers import curve_invariant_residuals
 
@@ -232,7 +233,8 @@ class TestDisplayedValues:
             r, F, G = np.exp(s)[:, None, None], 0.0, 0.0
         else:
             r = imm.profile.r_of(s)[:, None, None]
-            F, G = imm.phases.a_of_s(s)[:, None, None], imm.phases.b_of_s(s)[:, None, None]
+            ph = phase_integrals(imm.profile)
+            F, G = ph.a_of_s(s)[:, None, None], ph.b_of_s(s)[:, None, None]
         f = np.sum(X**2, axis=-1, keepdims=True)
         w = f - 1.0 - 2j * G
         p, q = (1 + r * r * w) / (2 * r), (1 + r * r * (w + 2)) / (2 * r)
@@ -468,27 +470,27 @@ class TestSlices:
 
 class TestNormalPosition:
     def test_components_equal(self, thm1_n2):
-        th = normal_position_angles(thm1_n2.phases, 0.0, 1.0)
+        th = normal_position_angles(phase_integrals(thm1_n2.profile), 0.0, 1.0)
         assert len(th) == 2
         assert np.ptp(th) <= 1e-12
         assert np.all((0 < th) & (th < math.pi))
 
     def test_swap_negates_before_reduction(self, thm1_n2):
-        ph = thm1_n2.phases
+        ph = phase_integrals(thm1_n2.profile)
         d1 = float(ph.a_of_s(1.0) - ph.a_of_s(0.0)) - float(ph.b_of_s(1.0) - ph.b_of_s(0.0))
         d2 = float(ph.a_of_s(0.0) - ph.a_of_s(1.0)) - float(ph.b_of_s(0.0) - ph.b_of_s(1.0))
         assert d1 == pytest.approx(-d2, rel=1e-14)
-        th = normal_position_angles(thm1_n2.phases, 0.0, 1.0)
-        th_swapped = normal_position_angles(thm1_n2.phases, 1.0, 0.0)
+        th = normal_position_angles(ph, 0.0, 1.0)
+        th_swapped = normal_position_angles(ph, 1.0, 0.0)
         assert th_swapped[0] == pytest.approx(math.pi - th[0], rel=1e-10)
 
     def test_continuity_to_zero(self, thm1_n2):
-        th = normal_position_angles(thm1_n2.phases, 0.5, 0.5 + 1e-6)
+        th = normal_position_angles(phase_integrals(thm1_n2.profile), 0.5, 0.5 + 1e-6)
         assert min(th[0], math.pi - th[0]) < 1e-5
 
     def test_degenerate_pair(self, thm1_n2):
         with pytest.raises(InvalidArgument):
-            normal_position_angles(thm1_n2.phases, 0.5, 0.5)
+            normal_position_angles(phase_integrals(thm1_n2.profile), 0.5, 0.5)
 
 
 class TestLegendreCurves:
