@@ -186,8 +186,7 @@ def cmd_verify(args, cfg) -> int:
     from . import geomcheck
 
     with open(args.infile) as fh:
-        data = json.load(fh)
-    imm = ser.immersion_from_dict(data)
+        imm = ser.immersion_from_dict(json.load(fh))
     checks = ALL_CHECKS
     if args.checks:
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())

@@ -50,9 +50,15 @@ g^{-1} = T^t T applied to Re P, the components along z and i z never pair
 with horizontal vectors, and the remainder of a Lagrangian immersion lies
 in J(tangent), so h_{abk} = sum T_ai T_bj T_kl Im (sigma_ij, h_l).  Scaled
 by Lambda(s) elementwise, the contraction with L_G^-1 is one GEMM per index
-and block point, the S values the long axis.  All residuals are
-dimensionless so one tolerance table, ``TOLERANCES``, applies across
-families.
+and block point, the S values the long axis.  Each point's h depends on
+its own pairings, Lambda(s) and its block point's L_G alone, so the
+extraction runs over tiles of whole s rows of at most ``_TILE_POINTS``
+grid points and writes them into whole-grid outputs: on a large grid
+(the 513x64 curvature field, a 256x64 verify) its temporaries stay
+cache-sized instead of growing with S.  The Gram and the frame are not
+tiled: a Gram taken one s row at a time rounds most pairings differently.
+All residuals are dimensionless so one tolerance table, ``TOLERANCES``,
+applies across families.
 """
 
 from __future__ import annotations
@@ -134,6 +140,11 @@ _SEPARABILITY_ULPS = 64
 # their seed (reports record it as provenance.seed)
 _INVARIANCE_SAMPLES = 12
 _INVARIANCE_SEED = 42
+
+# grid points per tile of ``second_fundamental_form``: max(1, _TILE_POINTS
+# // M) whole s rows.  A grid of at most this many points is one tile, which
+# is every default 64x64 grid at n <= 4, n = 6 and n = 7
+_TILE_POINTS = 4096
 
 
 class OutOfDomain(GeometryError):
@@ -374,14 +385,40 @@ def lagrangian_residual(imm: SampledImmersion, fb: FrameBatch) -> float:
 
 def second_fundamental_form(imm: SampledImmersion, fb: FrameBatch) -> SFFBatch:
     """Extract h_{ijk} and the mean curvature of a FrameBatch from the
-    pairings of the second partials in its Gram."""
+    pairings of the second partials in its Gram, one tile of whole s rows
+    at a time: max(1, ``_TILE_POINTS`` // M) rows, each written into the
+    whole-grid outputs, so the temporaries stay cache-sized on any grid.  A
+    grid of at most ``_TILE_POINTS`` points is one tile."""
     lag = float(np.max(fb.lagrangian))
     if lag > _SFF_LAGRANGIAN_TOL:
         raise NotLagrangianError(
             f"Lagrangian residual {lag:.2e} exceeds {_SFF_LAGRANGIAN_TOL:.0e}"
         )
     T = fb.require_frame()
-    space, D, lam = imm.ambient.space, fb.jets.dim, fb.scale
+    space, D = imm.ambient.space, fb.jets.dim
+    S, M = fb.lagrangian.shape
+    # Lambda g^-1 Lambda = G^-1 = L_G^-t L_G^-1, per block point
+    G_inv = T.swapaxes(1, 2) @ T
+    rows = max(1, _TILE_POINTS // M)
+    # one tile returns its own arrays: writing it into preallocated outputs
+    # made thm1 n=4 at 64x64 about 20% slower, by their fresh pages
+    if rows >= S:
+        h, H, sigma_sq = _sff_tile(space, fb, T, G_inv, slice(None))
+    else:
+        h = np.empty((D, D, M, D, S))  # (k, b, M, a, S)
+        H, sigma_sq = np.empty((D, S, M)), np.empty((S, M))
+        for lo in range(0, S, rows):
+            at = slice(lo, lo + rows)
+            _, H[:, at], sigma_sq[at] = _sff_tile(space, fb, T, G_inv, at, h[..., at])
+    return SFFBatch(fb.jets.s, h.transpose(3, 1, 0, 4, 2), H, sigma_sq)
+
+
+def _sff_tile(space, fb: FrameBatch, T: np.ndarray, G_inv: np.ndarray, at: slice,
+              out: np.ndarray | None = None) -> tuple:
+    """(h (k, b, M, a, S'), H (D, S', M), |sigma|^2 (S', M)) on the s rows
+    ``at`` of a FrameBatch, with T = L_G^-1 and G_inv = G^-1 per block
+    point; h is written into ``out`` when given."""
+    D, lam = fb.jets.dim, fb.scale[:, at]
     # the normal part of w_ij = d_i d_j z pairs with J h_l as Im (sigma_ij, h_l),
     # sigma_ij = w_ij - c_ijk h_k with g c = Re (w_ij, h_k) the tangential
     # coefficients; w's components along z and i z drop out because every
@@ -389,18 +426,17 @@ def second_fundamental_form(imm: SampledImmersion, fb: FrameBatch) -> SFFBatch:
     # the rows are spread to all D^2 pairs (i, j) once l is contracted.
     # From here on the block point comes first and the S values last, so
     # every contraction below runs along contiguous S rows
-    w = fb.jets.gram[D:].transpose(0, 1, 3, 2)  # (w_ij, [z, d_l z]), (Q, 1 + D, M, S)
-    vertical = None if fb.vertical is None else fb.vertical.transpose(0, 2, 1)
+    w = fb.jets.gram[D:, :, at].transpose(0, 1, 3, 2)  # (w_ij, [z, d_l z]), (Q, 1 + D, M, S)
+    vertical = None if fb.vertical is None else fb.vertical[:, at].transpose(0, 2, 1)
     p = horizontal_pairings(space, w[:, 1:], w[:, :1], vertical)  # (w_ij, h_l), (Q, D, M, S)
     # with T = L_G^-1 Lambda every index carries a lambda_i(s): scale P and
     # Omega by them and what is left to contract depends on the block point
-    # alone.  Im (sigma_ij, h_l) = Im P + c Omega with c = Re P g^{-1} and
-    # Lambda g^-1 Lambda = G^-1 = L_G^-t L_G^-1
+    # alone.  Im (sigma_ij, h_l) = Im P + c Omega with c = Re P g^{-1}
     i, j = np.triu_indices(D)
     p *= ((lam[i] * lam[j])[:, None] * lam)[:, :, None]
-    omega = np.multiply(fb.omega.transpose(0, 1, 3, 2), (lam[:, None] * lam)[:, :, None],
-                        order="C")  # (D, D, M, S)
-    K = (T.swapaxes(1, 2) @ T) @ omega.transpose(1, 2, 0, 3)  # (G^-1 Omega)_ql as [l, m, q, s]
+    omega = np.multiply(fb.omega[:, :, at].transpose(0, 1, 3, 2),
+                        (lam[:, None] * lam)[:, :, None], order="C")  # (D, D, M, S)
+    K = G_inv @ omega.transpose(1, 2, 0, 3)  # (G^-1 Omega)_ql as [l, m, q, s]
     normal = np.einsum("qrms,lmrs->qlms", p.real, K)
     normal += p.imag
     # h_abk = sum L_ai L_bj L_kl normal_ijl with L = L_G^-1 of the block
@@ -408,10 +444,9 @@ def second_fundamental_form(imm: SampledImmersion, fb: FrameBatch) -> SFFBatch:
     h = T @ normal.transpose(0, 2, 1, 3)  # l -> k: (Q, M, k, S)
     h = h[_second_rows(D)].reshape((D, D) + h.shape[1:])  # (i, j, M, k, S)
     h = T @ h.transpose(0, 3, 2, 1, 4)  # j -> b: (i, k, M, b, S)
-    h = T @ h.transpose(1, 3, 2, 0, 4)  # i -> a: (k, b, M, a, S)
+    h = np.matmul(T, h.transpose(1, 3, 2, 0, 4), out=out)  # i -> a: (k, b, M, a, S)
     H = np.trace(h, axis1=1, axis2=3).transpose(0, 2, 1) / D
-    sigma_sq = np.einsum("kbmas,kbmas->sm", h, h)
-    return SFFBatch(fb.jets.s, h.transpose(3, 1, 0, 4, 2), H, sigma_sq)
+    return h, H, np.einsum("kbmas,kbmas->sm", h, h)
 
 
 def minimality_residual(imm: SampledImmersion, sff: SFFBatch) -> float:

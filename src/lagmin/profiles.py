@@ -791,9 +791,6 @@ class ProfileSolution:
     def r_of(self, s):
         return self.state(s)[0]
 
-    def rp_of(self, s):
-        return self.state(s)[1]
-
     @cached_property
     def _rows(self):
         half = max(8, int(math.ceil(self.s_max / _ROW_STEP)))
@@ -965,12 +962,12 @@ def sigma_integral_thm1(spec: SigmaIntegralSpec) -> float:
     (sinh rho / sinh r(s))^m along the profile, with an exponential tail
     bound.  Its first round starts on the s values of the profile tables'
     panel edges, on which r(s) is already resolved, so the profile is read
-    once there and once at s_max for the tail.  t-form: with t = sinh rho
-    tau, a^n I = cosh^n rho J for the hyperelliptic integral J from tau = 1,
-    its inverse-square-root endpoint removed by the substitution
-    tau = 1 + w^2, and a power-law tail bound taken in logs.  ``quad`` holds
-    a relative tolerance only: J falls as 1 / sinh rho (8e-23 at n = 3,
-    rho = 50), below any fixed absolute one.
+    once: there, and at s_max for the tail bound in the same batch.  t-form:
+    with t = sinh rho tau, a^n I = cosh^n rho J for the hyperelliptic
+    integral J from tau = 1, its inverse-square-root endpoint removed by the
+    substitution tau = 1 + w^2, and a power-law tail bound taken in logs.
+    ``quad`` holds a relative tolerance only: J falls as 1 / sinh rho (8e-23
+    at n = 3, rho = 50), below any fixed absolute one.
     """
     n, rho = spec.n, spec.rho
     fam = spec.family  # rejects a rho whose energy constant overflows
@@ -978,11 +975,19 @@ def sigma_integral_thm1(spec: SigmaIntegralSpec) -> float:
     t0 = math.sinh(rho)
     if spec.method == "s":
         sol = solve_profile(fam, _SIGMA_S_MAX)
-        integrand = lambda s: (t0 / np.sinh(sol.r_of(s))) ** m
+        at_s_max = []  # (r, r') at s_max, read in the first round's batch
+
+        def integrand(s):
+            if at_s_max:
+                return (t0 / np.sinh(sol.r_of(s))) ** m
+            r, rp = sol.state(np.append(s, _SIGMA_S_MAX))[:2]
+            at_s_max.extend((float(r[-1]), float(rp[-1])))
+            return (t0 / np.sinh(r[:-1])) ** m
+
         edges = [piece.start[0] + piece.sign * piece.table.sums[:, 0] for piece in sol._pieces]
         val, _ = quad(integrand, 0.0, _SIGMA_S_MAX, points=np.concatenate(edges))
         # past s_max, r' >= v and sinh^{-m} r <= e^{-m (r - r_m)} sinh^{-m} r_m
-        r_m, v = (float(x) for x in sol.state(_SIGMA_S_MAX)[:2])
+        r_m, v = at_s_max
         tail = (t0 / math.sinh(r_m)) ** m / (m * v)
         if tail > SIGMA_TAIL_TOL * max(val, 1e-300):
             raise NeedsLargerDomain("increase s_max for the s-form tail")

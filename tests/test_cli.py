@@ -772,7 +772,7 @@ class TestColdPath:
         # the CSV as it was written point by point, one evaluation each
         T = detect_period(2, 0.6).period
         sol = solve_profile(ProfileFamily("cp_sphere", 2, 0.6), T + 0.5)
-        rows = [[fnum(v), fnum(sol.r_of(v)), fnum(sol.rp_of(v))]
+        rows = [[fnum(v)] + [fnum(x) for x in sol.state(v)[:2]]
                 for v in np.linspace(0.0, T, 513)]
         expected = "s,r,rp\n" + "\n".join(",".join(row) for row in rows) + "\n"
         assert out.read_text() == expected

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -435,6 +436,63 @@ class TestSecondFundamentalForm:
             vals.append(float(np.max(sff.mean_curvature_norm)))
         slope = np.polyfit(np.log(hs), np.log(vals), 1)[0]
         assert slope >= 3.7
+
+
+@pytest.fixture(scope="module")
+def thm1_n3():
+    return build_immersion(ImmersionFamilySpec("thm1", 3, 1.0))
+
+
+@pytest.fixture(scope="module")
+def thm1_field():
+    # verify-matrix's curvature field: 513 s rows, nine tiles at the default budget
+    return build_immersion(ImmersionFamilySpec("thm1", 2, 1.0), grid=(513, 64),
+                           s_window=(-5.0, 5.0))
+
+
+class TestSFFTiles:
+    """``second_fundamental_form`` runs over tiles of whole s rows; any
+    tiling reads the one-tile coefficients to roundoff."""
+
+    @staticmethod
+    def _tiled(monkeypatch, imm, rows):
+        fb = _frames(imm)
+        monkeypatch.setattr(gc, "_TILE_POINTS", rows * len(imm.x_grid))
+        sff = gc.second_fundamental_form(imm, fb)
+        verdicts = {c["name"]: c["pass"] for c in gc.run_checks(imm).checks}
+        return sff, verdicts
+
+    @pytest.mark.parametrize("which", ["thm1_n3", "thm1_field"])
+    @pytest.mark.parametrize("rows", [1, 17, 64])
+    def test_tilings_agree(self, monkeypatch, request, which, rows):
+        imm = request.getfixturevalue(which)
+        one, one_verdicts = self._tiled(monkeypatch, imm, len(imm.s_values))
+        tiled, verdicts = self._tiled(monkeypatch, imm, rows)
+        top = np.max(np.abs(one.coeffs))
+        assert np.max(np.abs(tiled.coeffs - one.coeffs)) <= 1e-13 * top
+        assert np.max(np.abs(tiled.mean_curvature - one.mean_curvature)) <= 1e-13 * top
+        assert np.max(np.abs(tiled.sigma_sq - one.sigma_sq)) <= 1e-13 * top**2
+        assert verdicts == one_verdicts
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_default_grid_is_one_tile(self, monkeypatch, n):
+        imm = build_immersion(ImmersionFamilySpec("thm1", n, 1.0))
+        tiles = []
+        tile = gc._sff_tile
+        monkeypatch.setattr(gc, "_sff_tile", lambda *args: tiles.append(1) or tile(*args))
+        gc.second_fundamental_form(imm, _frames(imm))
+        assert len(tiles) == 1
+
+    def test_field_working_set(self, thm1_field):
+        # whole-grid temporaries peaked at 11 MB on this grid
+        fb = _frames(thm1_field)
+        tracemalloc.start()
+        try:
+            gc.second_fundamental_form(thm1_field, fb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
 
 
 # one spec per family tag (the seeded ones over a seed of the right target),

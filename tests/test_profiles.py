@@ -110,7 +110,7 @@ class TestSolveProfile:
     def test_horo_closed_form(self):
         sol = solve_profile(ProfileFamily("ch_horo", 3, 0.7), 5.0)
         assert sol.r_of(0.0) == pytest.approx(0.7, abs=1e-15)
-        assert sol.rp_of(0.0) == pytest.approx(0.0, abs=1e-12)
+        assert sol.state(0.0)[1] == pytest.approx(0.0, abs=1e-12)
         s = 1.3
         assert sol.r_of(s) == pytest.approx(0.7 * math.cosh(4 * s) ** 0.25, rel=1e-12)
 
