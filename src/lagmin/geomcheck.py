@@ -400,24 +400,19 @@ def second_fundamental_form(imm: SampledImmersion, fb: FrameBatch) -> SFFBatch:
     # Lambda g^-1 Lambda = G^-1 = L_G^-t L_G^-1, per block point
     G_inv = T.swapaxes(1, 2) @ T
     rows = max(1, _TILE_POINTS // M)
-    # one tile returns its own arrays: writing it into preallocated outputs
-    # made thm1 n=4 at 64x64 about 20% slower, by their fresh pages
-    if rows >= S:
-        h, H, sigma_sq = _sff_tile(space, fb, T, G_inv, slice(None))
-    else:
-        h = np.empty((D, D, M, D, S))  # (k, b, M, a, S)
-        H, sigma_sq = np.empty((D, S, M)), np.empty((S, M))
-        for lo in range(0, S, rows):
-            at = slice(lo, lo + rows)
-            _, H[:, at], sigma_sq[at] = _sff_tile(space, fb, T, G_inv, at, h[..., at])
+    h = np.empty((D, D, M, D, S))  # (k, b, M, a, S)
+    H, sigma_sq = np.empty((D, S, M)), np.empty((S, M))
+    for lo in range(0, S, rows):
+        at = slice(lo, lo + rows)
+        H[:, at], sigma_sq[at] = _sff_tile(space, fb, T, G_inv, at, h[..., at])
     return SFFBatch(fb.jets.s, h.transpose(3, 1, 0, 4, 2), H, sigma_sq)
 
 
 def _sff_tile(space, fb: FrameBatch, T: np.ndarray, G_inv: np.ndarray, at: slice,
-              out: np.ndarray | None = None) -> tuple:
-    """(h (k, b, M, a, S'), H (D, S', M), |sigma|^2 (S', M)) on the s rows
-    ``at`` of a FrameBatch, with T = L_G^-1 and G_inv = G^-1 per block
-    point; h is written into ``out`` when given."""
+              out: np.ndarray) -> tuple:
+    """Write h (k, b, M, a, S') on the s rows ``at`` of a FrameBatch into
+    ``out`` and return (H (D, S', M), |sigma|^2 (S', M)), with T = L_G^-1 and
+    G_inv = G^-1 per block point."""
     D, lam = fb.jets.dim, fb.scale[:, at]
     # the normal part of w_ij = d_i d_j z pairs with J h_l as Im (sigma_ij, h_l),
     # sigma_ij = w_ij - c_ijk h_k with g c = Re (w_ij, h_k) the tangential
@@ -446,7 +441,7 @@ def _sff_tile(space, fb: FrameBatch, T: np.ndarray, G_inv: np.ndarray, at: slice
     h = T @ h.transpose(0, 3, 2, 1, 4)  # j -> b: (i, k, M, b, S)
     h = np.matmul(T, h.transpose(1, 3, 2, 0, 4), out=out)  # i -> a: (k, b, M, a, S)
     H = np.trace(h, axis1=1, axis2=3).transpose(0, 2, 1) / D
-    return h, H, np.einsum("kbmas,kbmas->sm", h, h)
+    return H, np.einsum("kbmas,kbmas->sm", h, h)
 
 
 def minimality_residual(imm: SampledImmersion, sff: SFFBatch) -> float:

@@ -975,13 +975,11 @@ def sigma_integral_thm1(spec: SigmaIntegralSpec) -> float:
     t0 = math.sinh(rho)
     if spec.method == "s":
         sol = solve_profile(fam, _SIGMA_S_MAX)
-        at_s_max = []  # (r, r') at s_max, read in the first round's batch
+        at_s_max = [0.0, 0.0]  # (r, r') at s_max, read in each round's batch
 
         def integrand(s):
-            if at_s_max:
-                return (t0 / np.sinh(sol.r_of(s))) ** m
             r, rp = sol.state(np.append(s, _SIGMA_S_MAX))[:2]
-            at_s_max.extend((float(r[-1]), float(rp[-1])))
+            at_s_max[:] = float(r[-1]), float(rp[-1])
             return (t0 / np.sinh(r[:-1])) ** m
 
         edges = [piece.start[0] + piece.sign * piece.table.sums[:, 0] for piece in sol._pieces]

@@ -124,7 +124,8 @@ def _count_evaluations(monkeypatch):
 @pytest.mark.parametrize("n, rho", SWEEP)
 def test_s_form_reads_the_profile_twice(monkeypatch, n, rho):
     # one quadrature round on the tables' panels, the tail's s_max in its
-    # batch: the profile is read once (twice before the tail joined it)
+    # batch: the profile is read once.  The name is kept from when the tail
+    # read s_max on its own, a second read
     calls = _count_evaluations(monkeypatch)
     vs = sigma_integral_thm1(SigmaIntegralSpec(n, rho, method="s"))
     assert len(calls) == 1
