@@ -3,8 +3,9 @@
 Subcommands: solve, build, verify, sigma-integral, period, export.
 Machine-readable JSON goes to --out (stdout when absent); human summaries
 go to stderr.  Exit codes: 0 pass, 1 usage/schema error, 2 numeric
-failure, 3 verification failure.  Defaults may be placed in ./lagmin.conf
-(key=value lines, '#' comments); flags always win.
+failure (running out of memory included), 3 verification failure.
+Defaults may be placed in ./lagmin.conf (key=value lines, '#' comments);
+flags always win.
 
 Import rule: at module level this file imports only the standard library,
 ``domain`` (tags, exceptions) and the text layer of
@@ -114,6 +115,8 @@ def _stringify_numbers(obj):
         return ser.fnum(obj)
     if isinstance(obj, dict):
         return {k: _stringify_numbers(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_stringify_numbers(v) for v in obj]
     return obj
 
 
@@ -191,24 +194,16 @@ def cmd_verify(args, cfg) -> int:
     if args.checks:
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     report = geomcheck.run_checks(imm, checks)
-    payload = report.to_dict()
-    payload["rho"] = None if payload["rho"] is None else ser.fnum(payload["rho"])
-    payload["checks"] = [
-        {"name": c["name"], "residual": ser.fnum(c["residual"]),
-         "tol": ser.fnum(c["tol"]), "pass": c["pass"]}
-        for c in payload["checks"]
-    ]
-    payload["provenance"] = _stringify_numbers(payload["provenance"])
     lines = [
-        f"  {c['name']:<12} residual {float(c['residual']):.3e}"
-        f"  tol {float(c['tol']):.0e}  {'pass' if c['pass'] else 'FAIL'}"
-        for c in payload["checks"]
+        f"  {c['name']:<12} residual {c['residual']:.3e}"
+        f"  tol {c['tol']:.0e}  {'pass' if c['pass'] else 'FAIL'}"
+        for c in report.checks
     ]
     summary = "\n".join(
         [f"verify {report.family} n={report.n}: "
          f"{'all checks pass' if report.verdict else 'FAILURES'}"] + lines
     )
-    _emit(payload, args.report, summary)
+    _emit(_stringify_numbers(report.to_dict()), args.report, summary)
     return EXIT_OK if report.verdict else EXIT_VERIFY
 
 
@@ -398,6 +393,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except GeometryError as exc:
         print(f"geometry failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError:
+        print("numeric failure: out of memory", file=sys.stderr)
         return EXIT_NUMERIC
     return code
 

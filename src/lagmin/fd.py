@@ -1,9 +1,10 @@
 """Central finite-difference stencils on vectorized evaluators.
 
 An evaluator maps a batch of chart points Xi of shape (M, D) to ambient
-values of shape (M, C).  First derivatives use the 5-point stencil
-(O(h^4)); second derivatives use 5-point diagonals and the symmetric
-4-point cross for mixed terms.
+values of shape (M, C).  One stencil, ``jet_partials``, takes the value
+and the partials: first derivatives by the 5-point stencil (O(h^4)),
+second derivatives by 5-point diagonals and the symmetric 4-point cross
+for mixed terms.  ``first_partials`` is its first-order part.
 
 No built or loaded immersion is differenced: their jets are exact.  The
 stencils, at ``DEFAULT_FD_STEP``, are the independent route: the check of
@@ -27,19 +28,8 @@ def _shift(Xi, d, delta):
 
 
 def first_partials(evaluate, Xi, h):
-    """First partials of shape (M, D, C)."""
-    Xi = np.asarray(Xi, dtype=float)
-    M, D = Xi.shape
-    hs = np.broadcast_to(np.asarray(h, dtype=float), (D,))
-    cols = []
-    for d in range(D):
-        hd = hs[d]
-        zm2 = evaluate(_shift(Xi, d, -2 * hd))
-        zm1 = evaluate(_shift(Xi, d, -hd))
-        zp1 = evaluate(_shift(Xi, d, +hd))
-        zp2 = evaluate(_shift(Xi, d, +2 * hd))
-        cols.append((zm2 - 8.0 * zm1 + 8.0 * zp1 - zp2) / (12.0 * hd))
-    return np.stack(cols, axis=1)
+    """First partials of shape (M, D, C): those of ``jet_partials``."""
+    return jet_partials(evaluate, Xi, h)[1]
 
 
 def jet_partials(evaluate, Xi, h):

@@ -22,9 +22,9 @@ grid layout, trailing axes (S, M): a product jet's S values and its M
 transverse points, the block points.  A batch carries its s values as an
 array that broadcasts against (S, M) and its block points x (M, d), never
 stacked (s, x) rows, so the closed-form comparators take each s factor on
-the s values and each block factor on the block points and broadcast.  A
-batch of stacked points is one s row of N blocks, (..., 1, N), and takes
-the same path.
+the s values, r read from the immersion's curve state, and each block
+factor on the block points and broadcast.  A batch of stacked points is
+one s row of N blocks, (..., 1, N), and takes the same path.
 
 One data path, jets -> FrameBatch -> SFFBatch, feeds every check, and each
 check takes the batch it reads.  On the quadric (z, z) is read as its
@@ -504,29 +504,23 @@ def metric_residual(imm: SampledImmersion, fb: FrameBatch) -> float | None:
     return float(np.max(np.abs(fb.metric - full) / scale))
 
 
-def _thm1_sff(imm: SampledImmersion, s) -> tuple:
-    """(pattern, F) with h = pattern * F(s) the thm1 closed form (see
-    ``expected_sff_thm1``), F shaped like ``s``."""
+def expected_sff_thm1(imm: SampledImmersion, s) -> tuple:
+    """Closed-form h_{ijk} of the ch_sphere family at the s values ``s`` as
+    (pattern, F), h = pattern * F(s): with F(s) = a / sinh^{n+1} r(s) (a
+    the first-integral constant, r read from the immersion's curve state),
+    h_111 = -(n-1) F, h_1jj = h_j1j = h_jj1 = F, all others zero.  The
+    pattern is (D, D, D), F shaped like ``s``.
+    """
     if imm.spec.family != "thm1":
         raise InvalidArgument("closed-form coefficients are for the thm1 family")
     n = imm.spec.n
     a = imm.profile.family.phase_constant
-    F = a / np.sinh(imm.profile.r_of(s)) ** (n + 1)
+    F = a / np.sinh(imm.curve(np.asarray(s, dtype=float))[0][0]) ** (n + 1)
     pattern = np.zeros((n, n, n))
     pattern[0, 0, 0] = -(n - 1)
     for j in range(1, n):
         pattern[0, j, j] = pattern[j, 0, j] = pattern[j, j, 0] = 1.0
     return pattern, F
-
-
-def expected_sff_thm1(imm: SampledImmersion, s) -> np.ndarray:
-    """Closed-form h_{ijk} of the ch_sphere family at the s values ``s``,
-    (D, D, D) + s.shape: with F(s) = a / sinh^{n+1} r(s) (a the
-    first-integral constant), h_111 = -(n-1) F, h_1jj = h_j1j = h_jj1 = F,
-    all others zero.
-    """
-    pattern, F = _thm1_sff(imm, np.asarray(s, dtype=float))
-    return pattern.reshape(pattern.shape + (1,) * np.ndim(F)) * F
 
 
 def sff_residuals(imm: SampledImmersion, sff: SFFBatch) -> dict:
@@ -536,7 +530,7 @@ def sff_residuals(imm: SampledImmersion, sff: SFFBatch) -> dict:
     closed forms are taken on the batch's s values and broadcast over its
     grid layout, the components of the closed form's pattern apart from
     the rest."""
-    pattern, F = _thm1_sff(imm, sff.s)
+    pattern, F = expected_sff_thm1(imm, sff.s)
     at = np.nonzero(pattern)
     expected = pattern[at][:, None, None] * F
     h = sff.coeffs[at]
@@ -552,7 +546,7 @@ def sff_residuals(imm: SampledImmersion, sff: SFFBatch) -> dict:
                            np.max(np.where(nonzero, 0.0, np.abs(h) / scale))))
     n = imm.spec.n
     a = imm.profile.family.phase_constant
-    sig_expected = a**2 * (n - 1) * (n + 2) / np.sinh(imm.profile.r_of(sff.s)) ** (2 * n + 2)
+    sig_expected = a**2 * (n - 1) * (n + 2) / np.sinh(imm.curve(sff.s)[0][0]) ** (2 * n + 2)
     sig_rel = float(np.max(np.abs(sff.sigma_sq - sig_expected) / sig_expected))
     return {
         "component_rel": worst_nonzero,

@@ -593,8 +593,8 @@ def _curve_state(spec, profile):
         return state
     fam = profile.family
     if spec.detuned:
-        f0 = float(fam.phase_rates(profile.r_of(0.0), 0.0)[0])
-        b_of = cumulative(lambda x: f0 * np.tanh(profile.r_of(x)) ** 2,
+        f0 = float(fam.phase_rates(profile.state(0.0)[0], 0.0)[0])
+        b_of = cumulative(lambda x: f0 * np.tanh(profile.state(x)[0]) ** 2,
                           -profile.s_max, profile.s_max)
 
         def state(s):
@@ -906,6 +906,15 @@ def assemble_immersion(
 PROFILE_MARGIN = 0.5
 
 
+def _family_profile(spec: ImmersionFamilySpec, reach: float) -> ProfileSolution | None:
+    """The profile of a solved family, solved PROFILE_MARGIN past |s| <=
+    ``reach`` (None for the families that have none)."""
+    if not spec.kind.solved:
+        return None
+    pf = ProfileFamily(spec.kind.profile, spec.n, spec.rho)
+    return solve_profile(pf, reach + PROFILE_MARGIN)
+
+
 def build_immersion(
     spec: ImmersionFamilySpec,
     grid: tuple[int, int] = (64, 64),
@@ -927,12 +936,7 @@ def build_immersion(
         s_window = default_grid_spec(spec)
     s_lo, s_hi = _validate_window(spec, s_window)
 
-    profile = None
-    if spec.kind.solved:
-        pf = ProfileFamily(spec.kind.profile, spec.n, spec.rho)
-        span = max(abs(s_lo), abs(s_hi)) + PROFILE_MARGIN
-        profile = solve_profile(pf, span)
-
+    profile = _family_profile(spec, max(abs(s_lo), abs(s_hi)))
     S, M = grid
     s_values = np.linspace(s_lo, s_hi, S)
     x_grid = _split_transverse(M, block.chart)
@@ -1053,10 +1057,7 @@ def _family_curve(spec: ImmersionFamilySpec, s) -> LegendreCurve:
     """The family's Legendre curve: the first and last columns of its curve
     factor, i.e. the lift at a point where the block is B = e_1."""
     s = np.asarray(s, dtype=float)
-    profile = None
-    if spec.kind.solved:
-        pf = ProfileFamily(spec.kind.profile, spec.n, spec.rho)
-        profile = solve_profile(pf, float(np.max(np.abs(s))) + PROFILE_MARGIN)
+    profile = _family_profile(spec, float(np.max(np.abs(s))))
     alpha, _ = _curve_factors(spec, _curve_state(spec, profile))(s)
     return LegendreCurve(spec.ambient.space.signature, s, *alpha[..., [0, -1]])
 

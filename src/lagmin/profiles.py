@@ -719,10 +719,6 @@ class ProfileSolution:
             self._pieces = _pieces(fam, self.s_max)
 
     @property
-    def energy_constant(self) -> float:
-        return self.family.energy_constant
-
-    @property
     def period(self) -> float:
         """cp_sphere: the period 2 s(e_b) of the orbit."""
         return 2.0 * float(self._pieces[-1].start[0])
@@ -788,14 +784,14 @@ class ProfileSolution:
             self._last = key, values
         return tuple(v.reshape(s.shape)[()] for v in self._last[1])
 
-    def r_of(self, s):
-        return self.state(s)[0]
-
     @cached_property
     def _rows(self):
         half = max(8, int(math.ceil(self.s_max / _ROW_STEP)))
         s = np.linspace(-self.s_max, self.s_max, 2 * half + 1)
         if self.family.tag == "ch_horo":
+            # the closed form alone: energy_residual reads these rows, and
+            # through _evaluate, which reads the phase table too, it took
+            # about 17 times as long
             r, rp = _closed_form_horo(self.family, s)
         else:
             r, rp = self._evaluate(s)[:2]

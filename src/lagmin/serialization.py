@@ -184,7 +184,7 @@ def profile_to_dict(sol: ProfileSolution) -> dict:
         "n": fam.n,
         "rho": fnum(fam.rho),
         "tol": "1e-10",  # the schema's field, fixed since profiles have no tolerance
-        "energy_constant": fnum(sol.energy_constant),
+        "energy_constant": fnum(fam.energy_constant),
         "energy_residual": fnum(energy_residual(sol)),
         "grid": format_rows(np.column_stack([sol.s, sol.r, sol.rp])),
     }

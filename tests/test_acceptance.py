@@ -198,7 +198,7 @@ def test_09_periodicity():
         sol = solve_profile(ProfileFamily("cp_sphere", n, rho), pr.period + 2.5)
         probes = np.linspace(0.0, 2.0, 20)
         worst_probe = max(worst_probe, float(np.max(np.abs(
-            sol.r_of(probes + pr.period) - sol.r_of(probes)))))
+            sol.state(probes + pr.period)[0] - sol.state(probes)[0]))))
 
     worst_rhs = 0.0
     equilibria_ok = True

@@ -250,6 +250,21 @@ class TestBuildVerify:
         assert list(failed) == ["minimal"]
         assert failed["minimal"] == pytest.approx(1.211, abs=5e-4)
 
+    def test_out_of_memory_is_a_numeric_failure(self, tmp_path, thm1_file, capsys,
+                                                 monkeypatch):
+        # verify at n = 16 on a large grid runs out of memory in the checks
+        import lagmin.geomcheck
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(lagmin.geomcheck, "run_checks", exhausted)
+        rep = tmp_path / "rep.json"
+        capsys.readouterr()
+        assert run(tmp_path, "verify", "--in", str(thm1_file), "--report", str(rep)) == EXIT_NUMERIC
+        assert capsys.readouterr().err == "numeric failure: out of memory\n"
+        assert not rep.exists()
+
     def test_verify_stdout_is_the_report(self, tmp_path, thm1_file, capsys):
         rep = tmp_path / "rep.json"
         assert run(tmp_path, "verify", "--in", str(thm1_file), "--report", str(rep)) == EXIT_OK

@@ -36,6 +36,7 @@ from lagmin.model_spaces import (
     relative_quadric_defect,
 )
 from lagmin import fd
+from lagmin.profiles import PAIRS
 
 from helpers import (
     as_blocks,
@@ -220,7 +221,7 @@ class TestMetric:
     def test_thm3_warped_euclidean(self):
         imm = build_immersion(ImmersionFamilySpec("thm3", 3, 1.0), grid=(4, 4))
         g = _frames(imm, [0.6], [[0.2, -0.4]]).metric[..., 0, 0]
-        r = float(imm.profile.r_of(0.6))
+        r = float(imm.profile.state(0.6)[0])
         assert np.max(np.abs(g - np.diag([1.0, r * r, r * r]))) < 1e-6 * r * r
 
     def test_tg_tube_unit_speed(self):
@@ -366,7 +367,7 @@ class TestSecondFundamentalForm:
     def test_component_signs(self, thm1):
         h = grid_order(_sff(thm1, [0.5], [[1.0]]).coeffs)
         n = 2
-        r = float(thm1.profile.r_of(0.5))
+        r = float(thm1.profile.state(0.5)[0])
         F = thm1.profile.family.phase_constant / math.sinh(r) ** (n + 1)
         assert h[0, 0, 0, 0] == pytest.approx(-(n - 1) * F, rel=1e-3)
         assert h[0, 0, 1, 1] == pytest.approx(F, rel=1e-3)
@@ -398,7 +399,7 @@ class TestSecondFundamentalForm:
 
         def perturbed(imm, fb):
             sff = extract(imm, fb)
-            F = gc.expected_sff_thm1(imm, sff.s)[0, 1, 1]
+            _, F = gc.expected_sff_thm1(imm, sff.s)
             h = sff.coeffs.copy()
             for i, j, k in permutations((0, 1, 2)):
                 h[i, j, k] += 1e-2 * F
@@ -409,6 +410,41 @@ class TestSecondFundamentalForm:
         report = {c["name"]: c["pass"] for c in gc.run_checks(imm).checks}
         assert not report.pop("sff")
         assert all(report.values()), report
+
+    @staticmethod
+    def _model_pattern_miss(imm):
+        """Worst |h - pattern F| / |F| over the default grid, for the
+        paper's pattern h_111 = -(n-1) F, h_1jj = h_j1j = h_jj1 = F (all
+        others zero) with F = sigma a / w(r)^{n+1}: sigma the sign of the
+        row's first phase, a the first-integral constant, w the warp of
+        ``expected_metric`` (C on the tube row, S on the others) and r
+        read from the curve state."""
+        sff = _sff(imm)
+        kind, n, fam = imm.spec.kind, imm.spec.n, imm.profile.family
+        trig = PAIRS[kind.profile]
+        w = (trig.C if kind.layout == "tube" else trig.S)(imm.curve(sff.s)[0][0])
+        F = fam.row.phase_a[0] * fam.phase_constant / w ** (n + 1)
+        pattern = np.zeros((n, n, n))
+        pattern[0, 0, 0] = -(n - 1)
+        for j in range(1, n):
+            pattern[0, j, j] = pattern[j, 0, j] = pattern[j, j, 0] = 1.0
+        return float(np.max(np.abs(sff.coeffs - pattern[..., None, None] * F) / np.abs(F)))
+
+    @pytest.mark.parametrize("fam,n,rho", [
+        (fam, n, 1.0) for fam in ("thm1", "thm2", "thm3", "thm5") for n in (2, 3, 4)
+    ] + [("thm5", n, rho) for n in (2, 3, 4) for rho in (0.3, 0.6, 1.2)])
+    def test_every_model_row_has_the_papers_pattern(self, fam, n, rho):
+        # worst over these cells: 3.1e-9 (thm1), 1.4e-9 (thm2), 3.8e-9
+        # (thm3), 1.1e-12 (thm5); the sff check reads thm1's pattern only
+        imm = build_immersion(ImmersionFamilySpec(fam, n, rho))
+        assert self._model_pattern_miss(imm) <= 1e-6
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_detuned_control_misses_the_papers_pattern(self, n):
+        # the frozen phase speed leaves the ch_sphere pattern by 1.8e3 to
+        # 3.7e5 of F
+        imm = build_immersion(ImmersionFamilySpec("thm1", n, 1.0, detuned=True))
+        assert self._model_pattern_miss(imm) >= 1.0
 
     def test_minimality_and_detuned_control(self, thm1, thm1_sff):
         assert gc.minimality_residual(thm1, thm1_sff) <= 5e-4
@@ -908,7 +944,8 @@ class TestFactoredFrame:
             h, grid_order(sff.mean_curvature), grid_order(sff.sigma_sq))))
         got = gc.sff_residuals(thm1, sff)
         assert got == gc.sff_residuals(thm1, points)
-        expected = grid_order(gc.expected_sff_thm1(thm1, points.s))
+        pattern, F = gc.expected_sff_thm1(thm1, points.s)
+        expected = grid_order(pattern[..., None, None] * F)
         scale = np.max(np.abs(expected), axis=(1, 2, 3), keepdims=True)
         nonzero = np.abs(expected) > 1e-12 * scale
         rel = np.abs(h - expected) / np.where(nonzero, np.abs(expected), 1.0)

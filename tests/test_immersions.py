@@ -232,7 +232,7 @@ class TestDisplayedValues:
         if spec.kind.geodesic:  # the a = 0 member of the ch_horo row
             r, F, G = np.exp(s)[:, None, None], 0.0, 0.0
         else:
-            r = imm.profile.r_of(s)[:, None, None]
+            r = imm.profile.state(s)[0][:, None, None]
             ph = phase_integrals(imm.profile)
             F, G = ph.a_of_s(s)[:, None, None], ph.b_of_s(s)[:, None, None]
         f = np.sum(X**2, axis=-1, keepdims=True)

@@ -109,10 +109,10 @@ class TestSolveProfile:
 
     def test_horo_closed_form(self):
         sol = solve_profile(ProfileFamily("ch_horo", 3, 0.7), 5.0)
-        assert sol.r_of(0.0) == pytest.approx(0.7, abs=1e-15)
+        assert sol.state(0.0)[0] == pytest.approx(0.7, abs=1e-15)
         assert sol.state(0.0)[1] == pytest.approx(0.0, abs=1e-12)
         s = 1.3
-        assert sol.r_of(s) == pytest.approx(0.7 * math.cosh(4 * s) ** 0.25, rel=1e-12)
+        assert sol.state(s)[0] == pytest.approx(0.7 * math.cosh(4 * s) ** 0.25, rel=1e-12)
 
     def test_cp_constant_solution(self):
         rho = math.atan(math.sqrt(2.0))
@@ -161,8 +161,8 @@ class TestSolveProfile:
     def test_nan_propagates(self):
         for tag, rho in (("ch_horo", 1.0), ("ch_sphere", 1.0), ("cp_sphere", 0.6)):
             sol = solve_profile(ProfileFamily(tag, 2, rho), 1.0)
-            assert np.all(np.isnan(sol.r_of(np.full(3, np.nan))))
-            assert math.isnan(sol.r_of(math.nan))
+            assert np.all(np.isnan(sol.state(np.full(3, np.nan))[0]))
+            assert math.isnan(sol.state(math.nan)[0])
 
 
 class TestEnergyResidual:
@@ -434,7 +434,7 @@ class TestSigmaIntegral:
     def test_integrand_positive_decreasing(self, sphere21):
         # s-form integrand sinh^{-(n^2+1)} r for n = 2
         s = np.linspace(0.0, 5.0, 50)
-        vals = np.sinh(sphere21.r_of(s)) ** (-5.0)
+        vals = np.sinh(sphere21.state(s)[0]) ** (-5.0)
         assert np.all(vals > 0)
         assert np.all(np.diff(vals) < 0)
 
@@ -460,7 +460,7 @@ class TestDetectPeriod:
         pr = detect_period(2, 0.6)
         sol = solve_profile(ProfileFamily("cp_sphere", 2, 0.6), pr.period + 2.5)
         probes = np.linspace(0.0, 2.0, 20)
-        assert np.max(np.abs(sol.r_of(probes + pr.period) - sol.r_of(probes))) <= 1e-7
+        assert np.max(np.abs(sol.state(probes + pr.period)[0] - sol.state(probes)[0])) <= 1e-7
 
     def test_small_orbit_near_equilibrium(self):
         pr = detect_period(2, 0.9553)
