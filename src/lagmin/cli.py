@@ -268,8 +268,6 @@ def cmd_period(args, cfg) -> int:
 
 
 def cmd_export(args, cfg) -> int:
-    if args.format != "csv":
-        raise UsageError(f"unknown format {args.format!r}")
     with open(args.infile) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -365,7 +363,6 @@ def make_parser() -> _Parser:
 
     ep = sub.add_parser("export", help="export data as CSV")
     ep.add_argument("--in", dest="infile", required=True)
-    ep.add_argument("--format", default="csv")
     ep.add_argument("--out", required=True)
     ep.add_argument("--what", default="samples",
                     choices=("samples", "profile", "phase-portrait"))

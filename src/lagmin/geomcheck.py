@@ -200,7 +200,7 @@ def jet(imm: SampledImmersion, s, X) -> JetBatch:
     if imm.profile is not None and np.max(np.abs(s)) >= imm.profile.s_max:
         raise OutOfDomain("jet base point not inside the profile's domain")
     pj = imm.jet_factors(s, X)
-    return JetBatch(s[:, None], X, pj.value(), *pj.gram(imm.ambient.space))
+    return JetBatch(s[:, None], X, pj.value(), *pj.gram(imm.space))
 
 
 def _second_rows(D: int) -> np.ndarray:
@@ -298,7 +298,7 @@ def frame_batch(imm: SampledImmersion, jets: JetBatch) -> FrameBatch:
     Lambda(s) from g along the first block point, G = Lambda g Lambda at the
     middle s value, one Cholesky per block point.  A batch that does not
     separate raises ``DegeneracyError`` (module docstring)."""
-    space, D, gram = imm.ambient.space, jets.dim, jets.gram
+    space, D, gram = imm.space, jets.dim, jets.gram
     vertical = None if space is None else gram[:D, 0]
     # (h_i, h_j) = (d_i, d_j) - c_i conj(c_j) / t
     hh = horizontal_pairings(space, gram[:D, 1:], gram[:D, :1], vertical)
@@ -395,7 +395,7 @@ def second_fundamental_form(imm: SampledImmersion, fb: FrameBatch) -> SFFBatch:
             f"Lagrangian residual {lag:.2e} exceeds {_SFF_LAGRANGIAN_TOL:.0e}"
         )
     T = fb.require_frame()
-    space, D = imm.ambient.space, fb.jets.dim
+    space, D = imm.space, fb.jets.dim
     S, M = fb.lagrangian.shape
     # Lambda g^-1 Lambda = G^-1 = L_G^-t L_G^-1, per block point
     G_inv = T.swapaxes(1, 2) @ T
@@ -453,17 +453,19 @@ def minimality_residual(imm: SampledImmersion, sff: SFFBatch) -> float:
 # closed-form comparators
 
 
-def expected_metric(imm: SampledImmersion, s, X) -> np.ndarray | None:
+def expected_metric(imm: SampledImmersion, s, X) -> np.ndarray:
     """Chart-coordinate closed form of the induced metric of the model
     families, the curve's warp over the totally geodesic block.  The
     metric is diagonal: returns its diagonal (D, S, M) at the s values
     ``s``, which broadcast against (S, M), and the M block points ``X``
     (M, d), warp(s) times block(x) by broadcasting.  The warp is C(r)^2 on
     the tube row and S(r)^2 on the others, with r read from the immersion's
-    curve state and (S, C) its row's pair."""
+    curve state and (S, C) its row's pair.  g_ss = 1 assumes a unit-speed
+    curve, which the detuned control is not; ``run_checks`` decides where
+    the closed form applies."""
     kind = imm.spec.kind
-    if not kind.model or imm.spec.detuned:
-        return None
+    if not kind.model:
+        raise InvalidArgument("the closed-form metric is for the model families")
     s = np.asarray(s, dtype=float)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     M, d = X.shape
@@ -490,11 +492,9 @@ def expected_metric(imm: SampledImmersion, s, X) -> np.ndarray | None:
     return g
 
 
-def metric_residual(imm: SampledImmersion, fb: FrameBatch) -> float | None:
+def metric_residual(imm: SampledImmersion, fb: FrameBatch) -> float:
     """Entrywise deviation from the closed-form metric, metric-normalized."""
     expected = expected_metric(imm, fb.jets.s, fb.jets.x)
-    if expected is None:
-        return None
     fb.require_frame()  # a singular metric raises, it scores no residual
     at = np.arange(len(expected))
     full = np.zeros_like(fb.metric)
@@ -573,7 +573,7 @@ def invariance_residual(imm: SampledImmersion, group: str) -> float:
         )
     n, k = imm.spec.n, _INVARIANCE_SAMPLES
     rng = np.random.default_rng(_INVARIANCE_SEED)
-    space = imm.ambient.space
+    space = imm.space
 
     M = len(imm.x_grid)
     idx = rng.integers(0, len(imm.s_values) * M, size=k)
@@ -709,7 +709,9 @@ def sigma_numeric_report(spec) -> dict:
 
 @dataclass
 class CheckReport:
-    """Named residuals with tolerances; verdict passes iff all residuals do."""
+    """Named residuals with tolerances; verdict passes iff all residuals do.
+    ``run_checks`` decides which checks apply to an immersion and adds only
+    those."""
 
     family: str
     n: int
@@ -718,9 +720,7 @@ class CheckReport:
     checks: list = field(default_factory=list)
     provenance: dict = field(default_factory=dict)
 
-    def add(self, name: str, residual: float | None, tol: float) -> None:
-        if residual is None:
-            return
+    def add(self, name: str, residual: float, tol: float) -> None:
         self.checks.append(
             {"name": name, "residual": float(residual), "tol": float(tol),
              "pass": bool(residual <= tol)}
@@ -752,7 +752,7 @@ def _sample_consistency(imm: SampledImmersion, fresh: np.ndarray) -> float:
     """Stored samples vs ``fresh``, the rebuilt lift on the whole grid,
     (S, M, C), projectively, and stored profile rows vs the profile
     re-derived from the spec (catches edits of either)."""
-    space, stored = imm.ambient.space, imm.samples
+    space, stored = imm.space, imm.samples
     rows = 0.0 if imm.profile is None else imm.profile.stored_deviation
     if space is None:
         row_scale = np.maximum(
@@ -777,13 +777,14 @@ def run_checks(imm: SampledImmersion, checks=ALL_CHECKS) -> CheckReport:
         rho=imm.spec.rho,
         grid=(len(imm.s_values), len(imm.x_grid)),
         provenance={"seed": _INVARIANCE_SEED, "detuned": imm.spec.detuned,
-                    "seed_kind": imm.seed.kind if imm.seed else None,
+                    "seed_kind": imm.spec.seed_kind,
                     "tolerances": dict(TOLERANCES)},
     )
     tol = TOLERANCES
     fb = frame_batch(imm, jet(imm, imm.s_values, imm.x_grid))
     # the real geodesic over a totally geodesic seed is totally geodesic
-    is_tg = imm.spec.kind.geodesic and (imm.seed is None or imm.seed.kind.startswith("tg"))
+    seed_kind = imm.spec.seed_kind
+    is_tg = imm.spec.kind.geodesic and (seed_kind is None or seed_kind.startswith("tg"))
     sff = None
     if {"minimal", "sff", "symmetry"} & set(checks):
         sff = second_fundamental_form(imm, fb)
@@ -796,14 +797,14 @@ def run_checks(imm: SampledImmersion, checks=ALL_CHECKS) -> CheckReport:
     if "minimal" in checks:
         report.add("minimal", minimality_residual(imm, sff),
                    tol["minimal_tg" if is_tg else "minimal"])
-    if "metric" in checks:
+    if "metric" in checks and imm.spec.kind.model and not imm.spec.detuned:
         report.add("metric", metric_residual(imm, fb), tol["metric"])
     if "sff" in checks:
         if fam == "thm1" and not imm.spec.detuned:
             report.add("sff", max(sff_residuals(imm, sff).values()), tol["sff"])
         elif is_tg:
             report.add("sff", float(np.max(np.abs(sff.coeffs))), tol["sff_tg"])
-    if "invariance" in checks and imm.group is not None and imm.model_evaluate is not None:
+    if "invariance" in checks and imm.group is not None:
         report.add("invariance", invariance_residual(imm, imm.group), tol["invariance"])
     if "symmetry" in checks:
         report.add("symmetry", sff.symmetry_residual(), tol["symmetry"])

@@ -74,7 +74,6 @@ __all__ = [
     "FAMILY_TAGS",
     "SEED_KINDS",
     "Chart",
-    "Ambient",
     "SeedLagrangian",
     "ImmersionFamilySpec",
     "SampledImmersion",
@@ -376,7 +375,7 @@ def seed_residuals(seed: SeedLagrangian, X: np.ndarray) -> dict:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     eta, d_eta, _ = seed.jet(X)
     out = {"jet": _jet_defect(seed.jet, X)}
-    space = Ambient(seed.target, seed.dim).space
+    space = _space(seed.target, seed.dim)
     if space is not None:
         out["norm"] = float(np.max(quadric_defect(space, eta)))
     else:
@@ -394,24 +393,14 @@ def seed_residuals(seed: SeedLagrangian, X: np.ndarray) -> dict:
 # family specs and sampled immersions
 
 
-@dataclass(frozen=True)
-class Ambient:
-    """Ambient model: CH^n / CP^n quadrics or flat C^n."""
-
-    kind: str  # "ch" | "cp" | "c"
-    n: int
-
-    @property
-    def space(self) -> HermitianSpace | None:
-        if self.kind == "ch":
-            return HermitianSpace(self.n, "hyperbolic")
-        if self.kind == "cp":
-            return HermitianSpace(self.n, "spherical")
-        return None
-
-    @property
-    def coords(self) -> int:
-        return self.n + 1 if self.kind != "c" else self.n
+def _space(target: str, n: int) -> HermitianSpace | None:
+    """The Hermitian space of the CH^n ("ch") or CP^n ("cp") quadric; None
+    for flat C^n ("c")."""
+    if target == "ch":
+        return HermitianSpace(n, "hyperbolic")
+    if target == "cp":
+        return HermitianSpace(n, "spherical")
+    return None
 
 
 @dataclass(frozen=True)
@@ -445,8 +434,9 @@ class ImmersionFamilySpec:
         return _FAMILIES[self.family]
 
     @property
-    def ambient(self) -> Ambient:
-        return Ambient(self.kind.ambient, self.n)
+    def space(self) -> HermitianSpace | None:
+        """The ambient's Hermitian space (None in flat C^n)."""
+        return _space(self.kind.ambient, self.n)
 
 
 @dataclass
@@ -466,11 +456,12 @@ class SampledImmersion:
     curve and block factors and never materialised as S*M rows; it is the
     only jet the geometry reads.  ``curve`` is the curve state the lift
     is built from, s -> (jets of r, a, b), each (3, S) (None for the flat
-    power curve); the closed-form comparators read it too.
+    power curve); the closed-form comparators read it too.  ``space``, the
+    ambient's Hermitian space, is the spec's: the spec alone names the
+    ambient.
     """
 
     spec: ImmersionFamilySpec
-    ambient: Ambient
     chart: Chart
     s_values: np.ndarray
     x_grid: np.ndarray
@@ -487,6 +478,10 @@ class SampledImmersion:
     def __post_init__(self):
         for a in (self.s_values, self.x_grid, self.samples):
             a.setflags(write=False)
+
+    @property
+    def space(self) -> HermitianSpace | None:
+        return self.spec.space
 
     @property
     def transverse_shape(self) -> tuple:
@@ -874,7 +869,7 @@ def assemble_immersion(
     if samples is None:
         pj = jet_factors(s_values, x_grid)
         samples = pj.value()
-        header = _sample_invariants(spec.ambient.space, samples, pj)
+        header = _sample_invariants(spec.space, samples, pj)
     else:
         samples = np.asarray(samples, dtype=complex)
 
@@ -886,7 +881,6 @@ def assemble_immersion(
 
     return SampledImmersion(
         spec=spec,
-        ambient=spec.ambient,
         chart=block.chart,
         s_values=s_values,
         x_grid=x_grid,
@@ -996,11 +990,13 @@ def slice_at(imm: SampledImmersion, s: float) -> SliceRecord:
     A(s) = diag(e^{i a(s)} I_n, e^{i b(s)}).  ``dephase_residual`` is the
     largest distance of the slice's lifts, dephased by A(s)^{-1}, from the
     umbilical embedding of the geodesic sphere of radius r(s), relative to
-    the lifts' scale."""
-    if imm.spec.family != "thm1" or imm.spec.detuned:
+    the lifts' scale.  The detuned control has the same slices: the
+    foliation comes from the layout, for any curve, and what the control
+    breaks is minimality."""
+    if imm.spec.family != "thm1":
         raise InvalidArgument("slices are defined for the thm1 family")
     n = imm.spec.n
-    space = imm.ambient.space
+    space = imm.space
     radius, a, b = (float(jet[0]) for jet in imm.curve(float(s)))
     diag = np.r_[np.full(n, np.exp(1j * a)), np.exp(1j * b)]
     A = IsometryElement(space, np.diag(diag))
@@ -1059,7 +1055,7 @@ def _family_curve(spec: ImmersionFamilySpec, s) -> LegendreCurve:
     s = np.asarray(s, dtype=float)
     profile = _family_profile(spec, float(np.max(np.abs(s))))
     alpha, _ = _curve_factors(spec, _curve_state(spec, profile))(s)
-    return LegendreCurve(spec.ambient.space.signature, s, *alpha[..., [0, -1]])
+    return LegendreCurve(spec.space.signature, s, *alpha[..., [0, -1]])
 
 
 def ch_sphere_curve(n: int, rho: float, s: np.ndarray) -> LegendreCurve:

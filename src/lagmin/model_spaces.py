@@ -327,7 +327,8 @@ def embed_isometry(group: str, params, n: int) -> IsometryElement:
 
 
 def validate_model_point(kind: str, x: np.ndarray) -> np.ndarray:
-    """Validate coordinates of a point of S^{m}, RH^{m} or R^{m}.
+    """Validate coordinates of a point of S^{m} ("sphere") or RH^{m}
+    ("hyperbolic").
 
     Hyperbolic points x in R^{m+1} satisfy sum_{i<last} x_i^2 - x_last^2 = -1
     with x_last >= 1.
@@ -340,7 +341,7 @@ def validate_model_point(kind: str, x: np.ndarray) -> np.ndarray:
         q = np.sum(x[..., :-1] ** 2, axis=-1) - x[..., -1] ** 2
         if np.any(np.abs(q + 1.0) > MODEL_TOL) or np.any(x[..., -1] < 1.0 - MODEL_TOL):
             raise InvalidArgument("point not on the upper hyperboloid sheet")
-    elif kind != "euclidean":
+    else:
         raise InvalidArgument(f"unknown model point kind {kind!r}")
     return x
 

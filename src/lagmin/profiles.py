@@ -686,7 +686,8 @@ class ProfileSolution:
     The ODE families carry their quadrature tables (``_pieces``); ch_horo
     its closed form and a table of its phases in s.  ``s``, ``r`` and
     ``rp`` sample the profile on a symmetric grid of step about
-    ``_ROW_STEP``, taken on first use; they are the rows a file stores.
+    ``_ROW_STEP``, taken on first use; they are the rows a file stores,
+    and every family's r and r' come from the one path ``state`` reads.
     The tables are built to full precision.  ``stored_deviation`` is how
     far the rows of the file this profile was read from lie from it (0 for
     a profile built here).
@@ -785,23 +786,21 @@ class ProfileSolution:
         return tuple(v.reshape(s.shape)[()] for v in self._last[1])
 
     @cached_property
-    def _rows(self):
+    def s(self):
         half = max(8, int(math.ceil(self.s_max / _ROW_STEP)))
         s = np.linspace(-self.s_max, self.s_max, 2 * half + 1)
-        if self.family.tag == "ch_horo":
-            # the closed form alone: energy_residual reads these rows, and
-            # through _evaluate, which reads the phase table too, it took
-            # about 17 times as long
-            r, rp = _closed_form_horo(self.family, s)
-        else:
-            r, rp = self._evaluate(s)[:2]
-        for a in (s, r, rp):
-            a.setflags(write=False)
-        return s, r, rp
+        s.setflags(write=False)
+        return s
 
-    s = property(lambda self: self._rows[0])
-    r = property(lambda self: self._rows[1])
-    rp = property(lambda self: self._rows[2])
+    @cached_property
+    def _rows(self):
+        r, rp = self._evaluate(self.s)[:2]
+        for a in (r, rp):
+            a.setflags(write=False)
+        return r, rp
+
+    r = property(lambda self: self._rows[0])
+    rp = property(lambda self: self._rows[1])
 
 
 def solve_profile(family: ProfileFamily, s_max: float) -> ProfileSolution:
@@ -820,12 +819,13 @@ def energy_residual(sol: ProfileSolution) -> float:
     roundoff by construction: that of the difference formulas behind D, and
     of the far turn of cp_sphere.  For ch_horo it is the relative residual
     |(r'/r)^2 + (rho/r)^{2n+2} - 1| of its closed form's first integral
-    r'^2 + rho^{2n+2}/r^{2n} = r^2 over the sampled rows, divided through
+    r'^2 + rho^{2n+2}/r^{2n} = r^2, taken on the rows' s grid, divided through
     by r^2 so that it neither scales with r^2 nor overflows.
     """
     fam = sol.family
     if fam.tag == "ch_horo":
-        res = (sol.rp / sol.r) ** 2 + (fam.rho / sol.r) ** (2 * fam.n + 2) - 1.0
+        r, rp = _closed_form_horo(fam, sol.s)
+        res = (rp / r) ** 2 + (fam.rho / r) ** (2 * fam.n + 2) - 1.0
         return float(np.max(np.abs(res)))
     if sol._equilibrium:  # r = rho and r' = 0 throughout
         return 0.0
@@ -935,13 +935,9 @@ class SigmaIntegralSpec:
         return ProfileFamily("ch_sphere", self.n, self.rho)
 
     @property
-    def sphere_volume(self) -> float:
-        return sphere_volume(self.n - 1)
-
-    @property
     def prefactor(self) -> float:
         n = self.n
-        return 2.0 * ((n + 2) * (n - 1)) ** (n / 2.0) * self.sphere_volume
+        return 2.0 * ((n + 2) * (n - 1)) ** (n / 2.0) * sphere_volume(n - 1)
 
 
 def _power_sum(t, m):

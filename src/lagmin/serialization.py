@@ -286,7 +286,7 @@ def immersion_from_dict(d: dict) -> SampledImmersion:
         profile = profile_from_dict(d["profile"])
 
     chart_dim = spec.n - 1  # transverse factor is always (n-1)-dimensional
-    coords = spec.ambient.coords
+    coords = spec.n if spec.space is None else spec.n + 1
     expected_cols = 1 + chart_dim + 2 * coords
     arr = _parse_rows(rows, expected_cols, "immersion.samples")
     if arr.shape[1] != expected_cols:

@@ -566,8 +566,7 @@ class TestPeriodExport:
         run(tmp_path, "solve", "--family", "ch-horo", "--n", "2", "--rho", "1",
             "--s-max", "2", "--out", str(prof))
         out = tmp_path / "p.csv"
-        code = run(tmp_path, "export", "--in", str(prof), "--format", "csv",
-                   "--out", str(out), "--what", "profile")
+        code = run(tmp_path, "export", "--in", str(prof), "--out", str(out), "--what", "profile")
         assert code == EXIT_OK
         rows = out.read_text().strip().splitlines()
         assert len(rows) - 1 == len(json.loads(prof.read_text())["grid"])
@@ -577,8 +576,7 @@ class TestPeriodExport:
         run(tmp_path, "build", "--family", "thm3", "--n", "2", "--rho", "1",
             "--grid", "6x6", "--out", str(imm))
         out = tmp_path / "s.csv"
-        code = run(tmp_path, "export", "--in", str(imm), "--format", "csv",
-                   "--out", str(out), "--what", "samples")
+        code = run(tmp_path, "export", "--in", str(imm), "--out", str(out), "--what", "samples")
         assert code == EXIT_OK
         d = json.loads(imm.read_text())
         body = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
@@ -589,8 +587,7 @@ class TestPeriodExport:
         run(tmp_path, "solve", "--family", "cp-sphere", "--n", "2", "--rho", "0.6",
             "--s-max", "3", "--out", str(prof))
         out = tmp_path / "pp.csv"
-        code = run(tmp_path, "export", "--in", str(prof), "--format", "csv",
-                   "--out", str(out), "--what", "phase-portrait")
+        code = run(tmp_path, "export", "--in", str(prof), "--out", str(out), "--what", "phase-portrait")
         assert code == EXIT_OK
         rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
         first, last = rows[0], rows[-1]
@@ -618,12 +615,15 @@ class TestPeriodExport:
         assert np.max(np.abs(rp - np.tanh(ref.y[1]))) <= 1e-6
 
     def test_export_unknown_format(self, tmp_path):
+        # CSV is the only format, so export takes no --format flag
         prof = tmp_path / "p.json"
         run(tmp_path, "solve", "--family", "ch-horo", "--n", "2", "--rho", "1",
             "--s-max", "1", "--out", str(prof))
-        code = run(tmp_path, "export", "--in", str(prof), "--format", "xml",
-                   "--out", str(tmp_path / "x"))
-        assert code == EXIT_USAGE
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "export", "--in", str(prof), "--format", "csv",
+                "--out", str(tmp_path / "x"))
+        assert exc.value.code == EXIT_USAGE
+        assert not (tmp_path / "x").exists()
 
 
 def _subprocess_env():

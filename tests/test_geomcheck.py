@@ -9,7 +9,6 @@ import pytest
 from lagmin import geomcheck as gc
 from lagmin.immersions import (
     FAMILY_TAGS,
-    Ambient,
     ImmersionFamilySpec,
     ProductJet,
     SampledImmersion,
@@ -141,7 +140,7 @@ def _complex_disc_immersion():
     x_grid = np.linspace(0.0, 2 * math.pi, 5, endpoint=False)[:, None]
     samples = jet_factors(s_values, x_grid).value()
     return SampledImmersion(
-        spec=spec, ambient=Ambient("ch", 2), chart=box_chart(1), s_values=s_values,
+        spec=spec, chart=box_chart(1), s_values=s_values,
         x_grid=x_grid, samples=samples, evaluate=evaluate, jet_factors=jet_factors,
     )
 
@@ -165,7 +164,7 @@ def _whole_lift_frames(imm, evaluate_xi=None, h=fd.DEFAULT_FD_STEP):
     """The FrameBatch of whole-lift differences of ``evaluate_xi`` (``imm``'s
     own by default) on ``imm``'s grid, one block per point."""
     evaluate_xi = imm.evaluate_xi if evaluate_xi is None else evaluate_xi
-    return gc.frame_batch(imm, whole_lift_jets(imm.ambient.space, evaluate_xi,
+    return gc.frame_batch(imm, whole_lift_jets(imm.space, evaluate_xi,
                                                imm.grid_xi(), h))
 
 
@@ -232,6 +231,12 @@ class TestMetric:
     def test_metric_residual_families(self, thm1, thm1_fb):
         assert gc.metric_residual(thm1, thm1_fb) <= 1e-6
 
+    def test_expected_metric_is_for_the_model_families(self):
+        imm = build_immersion(ImmersionFamilySpec("prop3a", 3, 1.0, seed_kind="clifford_cp"),
+                              grid=(4, 4))
+        with pytest.raises(InvalidArgument):
+            gc.expected_metric(imm, imm.s_values[:, None], imm.x_grid)
+
     @pytest.mark.parametrize("spec", [
         ImmersionFamilySpec("thm1", 3, 1.0),
         ImmersionFamilySpec("thm2", 3, 1.0),
@@ -289,7 +294,7 @@ class TestFrame:
         # a vanishing chart partial: g is singular, so there is no frame
         value, d1, d2 = _stacked_jet(thm1, thm1.s_values, thm1.x_grid)
         d1[:, 1] = 0.0
-        fb = gc.frame_batch(thm1, stacked_jets(thm1.ambient.space, thm1.grid_xi(),
+        fb = gc.frame_batch(thm1, stacked_jets(thm1.space, thm1.grid_xi(),
                                                value, d1, d2))
         assert fb.block_chol is None and fb.block_inv is None
         with pytest.raises(gc.DegeneracyError):
@@ -322,7 +327,7 @@ class TestOneGeometryLayer:
                               s_window=(-8.0, 8.0))
         fb = _frames(imm)
         assert len(fb.block_chol) == len(imm.x_grid)
-        z, space = fb.jets.value, imm.ambient.space
+        z, space = fb.jets.value, imm.space
         assert np.max(quadric_defect(space, z)) > 1e-10
         assert np.max(relative_quadric_defect(space, z)) <= 1e-15
         d1 = _stacked_jet(imm, imm.s_values, imm.x_grid)[1]
@@ -681,7 +686,7 @@ class TestFactoredGram:
         imm = build_immersion(spec, grid=(11, 9))
         s, X = imm.s_values, imm.x_grid
         partials = _stacked_jet(imm, s, X)
-        stacked = stacked_jets(imm.ambient.space, product_xi(s, X), *partials)
+        stacked = stacked_jets(imm.space, product_xi(s, X), *partials)
         return imm, gc.jet(imm, s, X), stacked, partials
 
     @pytest.mark.parametrize("spec", _EVERY_FAMILY, ids=_spec_id)
@@ -739,7 +744,7 @@ class TestFactoredGram:
         E = _phase_jet(0.5 * s + 0.05 * s**2, speed, np.full_like(s, 0.1))[..., None]
         turned = ProductJet(_mul_jet(E, pj.alpha),
                             None if pj.delta is None else _mul_jet(E, pj.delta), pj.block)
-        space = imm.ambient.space
+        space = imm.space
         fa = gc.frame_batch(imm, gc.JetBatch(s[:, None], X, pj.value(), *pj.gram(space)))
         jt = gc.JetBatch(s[:, None], X, turned.value(), *turned.gram(space))
         ft = gc.frame_batch(imm, jt)
@@ -777,7 +782,7 @@ def _per_point_reference(imm, fb):
     route, as (S*M, ...) rows: ``np.linalg.cholesky`` of every point's
     metric, its inverse T, and the normal parts of the second partials
     contracted with T point by point."""
-    space, D = imm.ambient.space, fb.jets.dim
+    space, D = imm.space, fb.jets.dim
     gram, g, omega = grid_order(fb.jets.gram), grid_order(fb.metric), grid_order(fb.omega)
     L = np.linalg.cholesky(g)
     T = np.linalg.inv(L)
@@ -1036,7 +1041,7 @@ class TestInvariance:
         xm = thm1.chart.to_model(thm1.x_grid[:3])
         left = thm1.model_evaluate(s, xm) @ mat
         right = thm1.model_evaluate(s, xm)
-        assert max(projective_distance(thm1.ambient.space, left[i], right[i])
+        assert max(projective_distance(thm1.space, left[i], right[i])
                    for i in range(3)) == 0.0
 
     def test_matched_group(self, thm1):
@@ -1075,7 +1080,7 @@ class TestInvariance:
         # the same 12 points and group elements from seed 42, compared one
         # pair at a time
         imm = build_immersion(ImmersionFamilySpec(fam, 3, 1.0), grid=(8, 9))
-        k, n, space = 12, 3, imm.ambient.space
+        k, n, space = 12, 3, imm.space
         rng = np.random.default_rng(42)
         idx = rng.integers(0, len(imm.s_values) * len(imm.x_grid), size=k)
         s_pts = np.repeat(imm.s_values, len(imm.x_grid))[idx]
@@ -1176,6 +1181,14 @@ class TestRunChecks:
         report = gc.run_checks(build_immersion(spec, grid=(11, 9)))
         got = [(c["name"], c["tol"]) for c in report.checks]
         assert got == _REPORT_CHECKS[_spec_id(spec)]
+
+    def test_detuned_control_is_checked_without_the_closed_forms(self):
+        # the control leaves the minimal profile: neither the metric nor the
+        # sff closed form applies to it
+        imm = build_immersion(ImmersionFamilySpec("thm1", 3, 1.0, detuned=True), grid=(11, 9))
+        report = gc.run_checks(imm)
+        assert [c["name"] for c in report.checks] == [
+            "lagrangian", "horizontal", "minimal", "invariance", "symmetry"]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_prop6b_over_the_tg_seed_is_totally_geodesic(self, n):

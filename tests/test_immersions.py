@@ -278,7 +278,7 @@ class TestDisplayedValues:
         imm = build_immersion(ImmersionFamilySpec(fam, n, rho, seed_kind=seed),
                               grid=(8, 8))
         flat = imm.samples.reshape(-1, imm.samples.shape[-1])
-        assert np.max(quadric_defect(imm.ambient.space, flat)) < 1e-8
+        assert np.max(quadric_defect(imm.space, flat)) < 1e-8
         assert imm.header["horizontal"] <= 1e-6
 
 
@@ -447,9 +447,17 @@ class TestSlices:
         rec = slice_at(thm1_n2, s)
         assert rec.dephase_residual <= 1e-14
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_detuned_control_has_the_same_slices(self, n):
+        # the foliation holds off the minimal profile; minimality is what
+        # the control breaks
+        imm = build_immersion(ImmersionFamilySpec("thm1", n, 1.0, detuned=True), grid=(8, 16))
+        for s in (-1.0, 0.5, 2.0):
+            assert slice_at(imm, s).dephase_residual <= 1e-14
+
     def test_slices_meet_only_at_center(self, thm1_n2):
         # sample real points of the two real forms; only the center matches
-        space = thm1_n2.ambient.space
+        space = thm1_n2.space
         rng = np.random.default_rng(1)
         A = slice_at(thm1_n2, 0.4).subspace.matrix
         B = slice_at(thm1_n2, 1.4).subspace.matrix

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -114,6 +115,15 @@ class TestSolveProfile:
         s = 1.3
         assert sol.state(s)[0] == pytest.approx(0.7 * math.cosh(4 * s) ** 0.25, rel=1e-12)
 
+    def test_horo_rows_are_the_closed_form(self):
+        # the rows come from the evaluator every row shares, which on ch_horo
+        # reads the closed form: its bits, mirrored about s = 0
+        for n, rho, s_max in itertools.product((2, 3, 5, 8), (0.01, 0.5, 1.0, 2.0, 10.0),
+                                               (3.0, 5.5, 8.0, 30.0)):
+            sol = solve_profile(ProfileFamily("ch_horo", n, rho), s_max)
+            r, rp = profiles._closed_form_horo(sol.family, sol.s)
+            assert sol.r.tobytes() == r.tobytes() and sol.rp.tobytes() == rp.tobytes()
+
     def test_cp_constant_solution(self):
         rho = math.atan(math.sqrt(2.0))
         sol = solve_profile(ProfileFamily("cp_sphere", 2, rho), 5.0)
@@ -169,6 +179,12 @@ class TestEnergyResidual:
     def test_horo_identity(self):
         sol = solve_profile(ProfileFamily("ch_horo", 2, 1.0), 5.0)
         assert energy_residual(sol) <= 1e-10
+
+    def test_horo_reads_no_rows(self):
+        # the closed form on the s grid alone, not the rows a file stores
+        sol = solve_profile(ProfileFamily("ch_horo", 3, 1.0), 5.0)
+        energy_residual(sol)
+        assert "_rows" not in vars(sol)
 
     def test_horo_relative_without_overflow(self):
         # relative to r^2: at rho = 10 and s = 30 the absolute residual read
